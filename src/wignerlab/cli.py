@@ -5,8 +5,9 @@ success, 2 on validation/usage errors, 3 on numeric failure, 1 otherwise.
 Errors are written to stderr as single-line JSON.
 
 Primary outputs (result/prediction JSON, CSV tables) are byte-identical for a
-fixed config and seed regardless of --threads; the run manifest records wall
-time and is metadata, not a primary output.
+fixed config and seed regardless of --threads and of the BLAS thread default;
+the run manifest records wall time and the thread counts and is metadata, not
+a primary output.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 
 from . import __version__
 from . import semicircle
+from .blas import replica_blas_threads
 from .ensembles import CONVENTIONS, KINDS, EnsembleSpec, make_entry_distribution
 from .errors import ConfigError, NumericFailureError, WignerLabError
 from .harness import (
@@ -216,12 +218,15 @@ def _write_json(path: Path, obj: dict) -> None:
 
 
 def _write_manifest(out_dir: Path, cfg_hash: str, root_seed: int, threads: int,
-                    wall: float, outputs: list[Path]) -> Path:
+                    wall: float, outputs: list[Path], blas_threads: int | None = None) -> Path:
+    """Run metadata; blas_threads is the replica phases' BLAS thread count (None: no phase,
+    or no bundled OpenBLAS found)."""
     manifest = {
         "config_hash": cfg_hash,
         "tool_version": __version__,
         "root_seed": root_seed,
         "threads": threads,
+        "blas_threads": blas_threads,
         "wall_time_s": wall,
         "outputs": [p.name for p in outputs],
     }
@@ -273,7 +278,7 @@ def _cmd_simulate(args) -> int:
         outputs.append(out_dir / "replicas.csv")
         _write_csv(outputs[-1], ["n", "replica", "j", "y_value"], rows)
     _write_manifest(out_dir, config_hash(cfg.descriptor()), cfg.root_seed, threads,
-                    time.monotonic() - started, outputs)
+                    time.monotonic() - started, outputs, replica_blas_threads())
     for p in outputs:
         print(f"wrote {p}")
     return 0
@@ -304,7 +309,8 @@ def _cmd_lemma(args) -> int:
     threads = args.threads if args.threads is not None else default_threads()
     started = time.monotonic()
     report = lemma_decay_experiment(
-        cfg.spec, cfg.n_list, cfg.j_policy, cfg.t_grid, cfg.replicas, cfg.root_seed, threads
+        cfg.spec, cfg.n_list, cfg.j_policy, cfg.t_grid, cfg.replicas, cfg.root_seed, threads,
+        cfg.j_explicit,
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -313,7 +319,7 @@ def _cmd_lemma(args) -> int:
               "limit_re", "limit_im", "abs_gap", "var_slope"]
     _write_csv(target, header, [[r[k] for k in header] for r in report.to_rows()])
     _write_manifest(out_dir, config_hash(cfg.descriptor()), cfg.root_seed, threads,
-                    time.monotonic() - started, [target])
+                    time.monotonic() - started, [target], replica_blas_threads())
     print(f"wrote {target}")
     return 0
 

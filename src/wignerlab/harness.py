@@ -11,8 +11,9 @@ integral: the finite-n expectation differs from the limit by O(1/n), which the
 sqrt(n) scaling would otherwise turn into an O(n^-1/2) bias.
 
 Replicas are embarrassingly parallel: each one is keyed by (root seed, n,
-replica index), results are reduced in replica order, so outputs are
-bit-identical for any thread count.
+replica index), results are reduced in replica order, and every replica phase
+runs on one BLAS thread (blas.single_blas_thread), so outputs are
+bit-identical for any replica or BLAS thread count.
 """
 
 from __future__ import annotations
@@ -27,9 +28,10 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import ndtr
 
+from .blas import single_blas_thread
 from .cumulants import _k_stats_from_power_sums, sample_cumulants
 from .ensembles import EnsembleSpec, sample_matrix
-from .errors import ContractError, ProvenanceError
+from .errors import ConfigError, ContractError, ProvenanceError
 from .limits import LimitPrediction, cov_limit_wigner, limit_cf, limit_cumulants, var_limit
 from .semicircle import POLYNOMIAL, TestFunction, v_of_t
 from .spectral import eigh, lemma_statistics, matrix_function_entry
@@ -42,9 +44,17 @@ FINITE_SIZE_CF_BUDGET = 0.05  # empirical O(n^-1/2) allowance at desk-scale n
 
 
 def default_threads() -> int:
+    """Replica threads: WIGNERLAB_THREADS when set, else the core count capped at 8."""
     env = os.environ.get("WIGNERLAB_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            count = int(env)
+        except ValueError:
+            count = 0
+        if count < 1:
+            raise ConfigError(f"WIGNERLAB_THREADS must be a positive integer, got {env!r}",
+                              field="WIGNERLAB_THREADS")
+        return count
     return min(os.cpu_count() or 1, 8)
 
 
@@ -128,10 +138,12 @@ class ExperimentConfig:
 
 
 def _parallel_map(fn: Callable[[int], np.ndarray], count: int, threads: int) -> list:
-    if threads <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(count)))
+    """fn over range(count) in order, on `threads` Python threads and one BLAS thread."""
+    with single_blas_thread():
+        if threads <= 1:
+            return [fn(i) for i in range(count)]
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, range(count)))
 
 
 def matrix_element_samples(spec: EnsembleSpec, n: int, j: int, phis: Sequence[TestFunction],
@@ -440,12 +452,13 @@ class DecayReport:
 
 def lemma_decay_experiment(spec: EnsembleSpec, n_list: Sequence[int], j_policy: str,
                            t_grid: Sequence[float], replicas: int, root_seed: int,
-                           threads: int | None = None) -> DecayReport:
+                           threads: int | None = None, j_explicit: int | None = None) -> DecayReport:
     """Means and variances of the propagator statistics across matrix sizes.
 
     For each t in t_grid the five statistics are evaluated with time tuples
     (t), (t, t), (t, t, t); their replica variances are regressed log-log
-    against n, and means are compared with the limiting values.
+    against n, and means are compared with the limiting values.  The row index
+    j comes from j_policy at each n, with j_explicit for the 'explicit' policy.
     """
     sizes = [int(n) for n in n_list]
     if len(sizes) < 4 or max(sizes) < 8 * min(sizes):
@@ -463,11 +476,8 @@ def lemma_decay_experiment(spec: EnsembleSpec, n_list: Sequence[int], j_policy: 
             for i, t in enumerate(ts):
                 stats = lemma_statistics(dec, j, (t, t, t))
                 base = i * len(DECAY_STATISTICS)
-                out[base + 0] = _u_jj(dec, j, t)
-                out[base + 1] = stats.v_n
-                out[base + 2] = stats.v_n_pair
-                out[base + 3] = stats.v_n1
-                out[base + 4] = stats.v_n2
+                out[base:base + len(DECAY_STATISTICS)] = (
+                    stats.u_jj, stats.v_n, stats.v_n_pair, stats.v_n1, stats.v_n2)
             return out
 
         return run
@@ -475,7 +485,7 @@ def lemma_decay_experiment(spec: EnsembleSpec, n_list: Sequence[int], j_policy: 
     rows = []
     variances: dict[tuple[str, float], dict[int, float]] = {}
     for n in n_list:
-        j = resolve_j(j_policy, int(n))
+        j = resolve_j(j_policy, int(n), j_explicit)
         samples = np.vstack(_parallel_map(one_replica_factory(int(n), j), replicas, threads))
         for i, t in enumerate(ts):
             limits = {
@@ -518,9 +528,3 @@ def lemma_decay_experiment(spec: EnsembleSpec, n_list: Sequence[int], j_policy: 
         slopes=slopes,
     )
 
-
-def _u_jj(dec, j: int, t: float) -> complex:
-    if t == 0.0:
-        return 1.0 + 0.0j
-    q_row = dec.eigenvectors[j, :]
-    return complex(np.sum(q_row * q_row * np.exp(1j * t * dec.eigenvalues)))

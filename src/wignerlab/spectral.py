@@ -123,22 +123,33 @@ def propagator_entries(dec: SpectralDecomposition, pairs: Sequence[tuple[int, in
     return PropagatorSample(t_grid=t, pairs=tuple((int(j), int(k)) for j, k in pairs), entries=entries)
 
 
-def _diag_u(dec: SpectralDecomposition, t: float) -> np.ndarray:
-    """Vector of U_kk(t) over k."""
-    if t == 0.0:
-        return np.ones(dec.n, dtype=complex)
-    phase = np.exp(1j * t * dec.eigenvalues)
-    return (dec.eigenvectors**2) @ phase
+def propagator_slices(dec: SpectralDecomposition, j: int,
+                      times: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonals U_kk(t) and rows U_jk(t) over k for every t at once.
 
-
-def _row_u(dec: SpectralDecomposition, j: int, t: float) -> np.ndarray:
-    """Vector of U_jk(t) over k."""
-    if t == 0.0:
-        row = np.zeros(dec.n, dtype=complex)
-        row[j] = 1.0
-        return row
-    phase = np.exp(1j * t * dec.eigenvalues)
-    return dec.eigenvectors @ (dec.eigenvectors[j, :] * phase)
+    Returns (diag, row), complex arrays of shape (len(times), n).  Each distinct
+    time is computed once, from two real GEMMs against CS = [cos(lambda t) |
+    sin(lambda t)]: (Q o Q) CS gives the diagonals and Q (q_j o CS) the rows,
+    so U_jj(t) is row[:, j].  U(0) = I is exact, not round-off.
+    """
+    _check_index(dec.n, j, "j")
+    t = np.asarray(times, dtype=float)
+    if not np.all(np.isfinite(t)):
+        raise ContractError("times must be finite")
+    distinct, inverse = np.unique(t, return_inverse=True)
+    q = dec.eigenvectors
+    angles = np.multiply.outer(dec.eigenvalues, distinct)
+    cs = np.hstack([np.cos(angles), np.sin(angles)])  # (n, 2T)
+    k = distinct.size
+    diag_cs = (q * q) @ cs
+    row_cs = q @ (q[j, :, None] * cs)
+    diag = (diag_cs[:, :k] + 1j * diag_cs[:, k:]).T
+    row = (row_cs[:, :k] + 1j * row_cs[:, k:]).T
+    zero = distinct == 0.0
+    diag[zero] = 1.0
+    row[zero] = 0.0
+    row[zero, j] = 1.0
+    return diag[inverse], row[inverse]
 
 
 def v_n2_sum(dec: SpectralDecomposition, j: int, t_tuple: Sequence[float]) -> complex:
@@ -146,11 +157,8 @@ def v_n2_sum(dec: SpectralDecomposition, j: int, t_tuple: Sequence[float]) -> co
     ts = [float(t) for t in t_tuple]
     if len(ts) < 3:
         raise ContractError(f"v_n2 requires at least 3 times, got {len(ts)}")
-    _check_index(dec.n, j, "j")
-    prod = np.ones(dec.n, dtype=complex)
-    for t in ts:
-        prod *= _row_u(dec, j, t)
-    return complex(np.sum(prod))
+    _, rows = propagator_slices(dec, j, ts)
+    return complex(np.sum(np.prod(rows, axis=0)))
 
 
 @dataclass(frozen=True)
@@ -159,25 +167,25 @@ class LemmaStatistics:
     v_n_pair: complex  # n^-1 sum_k U_kk(t1) U_kk(t2)
     v_n1: complex  # n^-1/2 sum_k U_jk(t1) U_kk(t2)
     v_n2: complex | None  # sum_k prod_m U_jk(t_m), only when len(t_tuple) >= 3
+    u_jj: complex  # U_jj(t1)
 
 
 def lemma_statistics(dec: SpectralDecomposition, j: int, t_tuple: Sequence[float]) -> LemmaStatistics:
-    """The four row/trace statistics at the given times.
+    """The four row/trace statistics, and U_jj, at the given times.
 
-    t_tuple needs >= 2 entries; v_n uses t1, the pair statistics use (t1, t2),
-    and v_n2 uses the whole tuple when it has >= 3 entries (None otherwise).
+    t_tuple needs >= 2 entries; v_n and U_jj use t1, the pair statistics use
+    (t1, t2), and v_n2 uses the whole tuple when it has >= 3 entries (None
+    otherwise).  All of them come from one propagator_slices call.
     """
     ts = [float(t) for t in t_tuple]
     if len(ts) < 2:
         raise ContractError("t_tuple must contain at least 2 times")
-    _check_index(dec.n, j, "j")
-    t1, t2 = ts[0], ts[1]
-    diag1 = _diag_u(dec, t1)
-    diag2 = _diag_u(dec, t2)
-    row1 = _row_u(dec, j, t1)
+    diag, row = propagator_slices(dec, j, ts)
+    t1 = ts[0]
     return LemmaStatistics(
         v_n=complex(np.mean(np.exp(1j * t1 * dec.eigenvalues))) if t1 != 0.0 else 1.0 + 0.0j,
-        v_n_pair=complex(np.mean(diag1 * diag2)),
-        v_n1=complex(np.sum(row1 * diag2) / np.sqrt(dec.n)),
-        v_n2=v_n2_sum(dec, j, ts) if len(ts) >= 3 else None,
+        v_n_pair=complex(np.mean(diag[0] * diag[1])),
+        v_n1=complex(np.sum(row[0] * diag[1]) / np.sqrt(dec.n)),
+        v_n2=complex(np.sum(np.prod(row, axis=0))) if len(ts) >= 3 else None,
+        u_jj=complex(row[0, j]),
     )

@@ -1,11 +1,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from wignerlab import cli
+from wignerlab import blas, cli
 from wignerlab.errors import ConfigError
 
 
@@ -132,6 +135,32 @@ def test_simulate_deterministic_across_threads(tmp_path):
     assert (tmp_path / "a" / "replicas.csv").read_bytes() == (tmp_path / "b" / "replicas.csv").read_bytes()
 
 
+def test_simulate_identical_across_replica_and_blas_threads(tmp_path):
+    """The eigh route at n=512, where LAPACK's bits depend on the BLAS thread count."""
+    cfg = minimal_config(
+        n_list=[512], replicas=100,
+        phi={"kind": "gaussian_damped_polynomial", "coefficients": [0, 1, 0, 0.5]},
+    )
+    cfg_path = write_config(tmp_path, cfg)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outputs = {}
+    for blas_threads in (1, 2):
+        for threads in (1, 2):
+            env = {k: v for k, v in os.environ.items() if k != "WIGNERLAB_THREADS"}
+            env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            out = tmp_path / f"blas{blas_threads}-threads{threads}"
+            subprocess.run(
+                [sys.executable, "-m", "wignerlab.cli", "simulate", "--config", str(cfg_path),
+                 "--threads", str(threads), "--raw", "--out", str(out)],
+                env=env, check=True, timeout=600, stdout=subprocess.DEVNULL,
+            )
+            outputs[(blas_threads, threads)] = tuple(
+                (out / name).read_bytes() for name in ("result.json", "replicas.csv"))
+    reference = outputs[(1, 1)]
+    assert [key for key, value in outputs.items() if value != reference] == []
+
+
 def test_simulate_seed_override_changes_output(tmp_path):
     cfg_path = write_config(tmp_path, minimal_config(n_list=[64], replicas=150))
     cli.run_cli(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "s1")])
@@ -188,6 +217,26 @@ def test_lemma_subcommand(tmp_path):
     assert {row["statistic"] for row in rows} == {"U_jj", "v_n", "v_n_pair", "v_n1", "v_n2"}
 
 
+def test_lemma_explicit_j(tmp_path):
+    def lemma(name, **overrides):
+        cfg = minimal_config(n_list=[16, 32, 64, 128], replicas=100, t_grid=[1.0], **overrides)
+        code = cli.run_cli(["lemma", "--config", str(write_config(tmp_path, cfg)),
+                            "--out", str(tmp_path / name)])
+        return code, tmp_path / name / "lemma_decay.csv"
+
+    code, explicit0 = lemma("e0", j_policy="explicit", j_explicit=0)
+    assert code == 0
+    _, first = lemma("first", j_policy="first")
+    code, explicit5 = lemma("e5", j_policy="explicit", j_explicit=5)
+    assert code == 0
+    assert explicit0.read_bytes() == first.read_bytes()
+    assert explicit5.read_bytes() != first.read_bytes()
+    manifest = json.loads((tmp_path / "e5" / "manifest.json").read_text())
+    assert manifest["blas_threads"] == blas.replica_blas_threads()
+    code, _ = lemma("e20", j_policy="explicit", j_explicit=20)  # out of range at n=16
+    assert code == 2
+
+
 def test_report_subcommand(tmp_path, capsys):
     cfg_path = write_config(tmp_path, minimal_config(n_list=[64], replicas=150))
     cli.run_cli(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "rep")])
@@ -214,6 +263,19 @@ def test_exit_code_validation_error(tmp_path, capsys):
     payload = json.loads(err)  # single-line JSON on stderr
     assert payload["error"] == "ConfigError"
     assert payload["field"] == "config.spec.entry_dist.w"
+    assert "\n" not in err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+def test_exit_code_bad_threads_environment(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("WIGNERLAB_THREADS", value)
+    cfg_path = write_config(tmp_path, minimal_config(n_list=[64], replicas=150))
+    code = cli.run_cli(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+    assert code == 2
+    err = capsys.readouterr().err.strip()
+    payload = json.loads(err)
+    assert payload["error"] == "ConfigError"
+    assert payload["field"] == "WIGNERLAB_THREADS"
     assert "\n" not in err
 
 

@@ -151,7 +151,7 @@ def test_propagator_unitarity_random_rows():
     for _ in range(100):
         j = int(rng.integers(0, 60))
         t = float(rng.uniform(-5, 5))
-        row = sp._row_u(dec, j, t)
+        row = sp.propagator_slices(dec, j, [t])[1][0]
         total = float(np.sum(np.abs(row) ** 2))
         assert 1 - 1e-9 <= total <= 1 + 1e-9
 
@@ -159,8 +159,9 @@ def test_propagator_unitarity_random_rows():
 def test_propagator_group_law():
     dec = sp.eigh(en.sample_matrix(goe_spec(), 40, seed=37))
     t1, t2 = 0.8, 1.7
-    lhs = sp._row_u(dec, 5, t1 + t2)[5]
-    rhs = np.sum(sp._row_u(dec, 5, t1) * np.array([sp._row_u(dec, k, t2)[5] for k in range(40)]))
+    lhs = sp.propagator_slices(dec, 5, [t1 + t2])[1][0, 5]
+    rhs = np.sum(sp.propagator_slices(dec, 5, [t1])[1][0]
+                 * np.array([sp.propagator_slices(dec, k, [t2])[1][0, 5] for k in range(40)]))
     assert abs(lhs - rhs) <= 1e-10
 
 
@@ -236,3 +237,38 @@ def test_lemma_statistics_match_bruteforce():
     assert stats.v_n2 == pytest.approx(
         np.sum(u[t1][j, :] * u[t2][j, :] * u[t3][j, :]), abs=1e-12
     )
+
+
+def test_propagator_slices_match_bruteforce_battery():
+    """One-pass diagonals, rows and lemma statistics against U = Q e^{i Lambda t} Q^T."""
+    rng = np.random.default_rng(71)
+    for n in (16, 33, 64, 128):
+        dec = sp.eigh(en.sample_matrix(goe_spec(), n, seed=73, replica=n))
+        q, lam = dec.eigenvectors, dec.eigenvalues
+        for _ in range(3):
+            j = int(rng.integers(0, n))
+            ts = [0.0, *rng.uniform(-4.0, 4.0, size=3)]
+            u = {t: (q * np.exp(1j * t * lam)) @ q.T for t in ts}
+            diag, row = sp.propagator_slices(dec, j, ts + ts[1:2])  # a repeated time too
+            for i, t in enumerate(ts + ts[1:2]):
+                assert np.max(np.abs(diag[i] - np.diag(u[t]))) <= 1e-12
+                assert np.max(np.abs(row[i] - u[t][j, :])) <= 1e-12
+            assert np.all(diag[0] == 1.0)
+            assert np.all(row[0] == np.eye(n)[j])
+            for t1, t2, t3 in ((ts[1], ts[2], ts[3]), (0.0, ts[1], ts[1]), (ts[2], 0.0, 0.0)):
+                stats = sp.lemma_statistics(dec, j, (t1, t2, t3))
+                assert abs(stats.u_jj - u[t1][j, j]) <= 1e-12
+                assert abs(stats.v_n - np.trace(u[t1]) / n) <= 1e-12
+                assert abs(stats.v_n_pair - np.sum(np.diag(u[t1]) * np.diag(u[t2])) / n) <= 1e-12
+                assert abs(stats.v_n1 - np.sum(u[t1][j, :] * np.diag(u[t2])) / math.sqrt(n)) <= 1e-12
+                v_n2 = np.sum(u[t1][j, :] * u[t2][j, :] * u[t3][j, :])
+                assert abs(stats.v_n2 - v_n2) <= 1e-12
+                assert abs(sp.v_n2_sum(dec, j, (t1, t2, t3)) - v_n2) <= 1e-12
+
+
+def test_propagator_slices_contracts():
+    dec = sp.eigh(en.sample_matrix(goe_spec(), 8, seed=79))
+    with pytest.raises(ContractError):
+        sp.propagator_slices(dec, 8, [1.0])
+    with pytest.raises(ContractError):
+        sp.propagator_slices(dec, 0, [np.nan])
