@@ -70,6 +70,14 @@ def _positive_int(value, path: str) -> int:
     return value
 
 
+def _seed(value, path: str) -> int:
+    """A root seed: an integer in 0..2^64 - 1 (derive_seed would fold larger ones)."""
+    seed = _positive_int(value, path)
+    if seed >= 2**64:
+        raise ConfigError(f"{path}: expected an integer below 2^64, got {value!r}", field=path)
+    return seed
+
+
 def _real_list(values, path: str) -> list[float]:
     if not isinstance(values, list) or not values:
         raise ConfigError(f"{path}: expected a nonempty list", field=path)
@@ -172,7 +180,7 @@ def config_from_dict(obj: dict) -> ExperimentConfig:
         phi2=phi2,
         n_list=n_list,
         replicas=_positive_int(obj["replicas"], "config.replicas"),
-        root_seed=_positive_int(obj["root_seed"], "config.root_seed"),
+        root_seed=_seed(obj["root_seed"], "config.root_seed"),
         j_policy=j_policy,
         phi_eval=obj.get("phi_eval", "auto"),
     )
@@ -241,9 +249,7 @@ def _write_manifest(out_dir: Path, cfg_hash: str, root_seed: int, threads: int,
 
 
 def _cmd_predict(args) -> int:
-    cfg = parse_config(args.config)
-    if args.seed is not None:
-        cfg = _override_seed(cfg, args.seed)
+    cfg = _load_config(args)
     started = time.monotonic()
     pred = var_limit(cfg.phi, cfg.spec)
     cf = limit_cf(cfg.phi, cfg.spec, np.asarray(cfg.x_grid), prediction=pred)
@@ -260,10 +266,8 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = parse_config(args.config)
-    if args.seed is not None:
-        cfg = _override_seed(cfg, args.seed)
-    threads = args.threads if args.threads is not None else default_threads()
+    cfg = _load_config(args)
+    threads = _replica_threads(args)
     started = time.monotonic()
     result = run_entry_experiment(cfg, threads=threads)
     out_dir = Path(args.out)
@@ -286,7 +290,10 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_volterra(args) -> int:
     started = time.monotonic()
-    h_values = [float(h) for h in args.h.split(",")]
+    try:
+        h_values = [float(h) for h in args.h.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"--h: expected comma-separated step sizes, got {args.h!r}", field="--h") from exc
     rows = residual_table(h_values=h_values, w=args.w, kappa4=args.kappa4, t_max=args.t_max)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -303,10 +310,8 @@ def _cmd_volterra(args) -> int:
 
 
 def _cmd_lemma(args) -> int:
-    cfg = parse_config(args.config)
-    if args.seed is not None:
-        cfg = _override_seed(cfg, args.seed)
-    threads = args.threads if args.threads is not None else default_threads()
+    cfg = _load_config(args)
+    threads = _replica_threads(args)
     started = time.monotonic()
     report = lemma_decay_experiment(
         cfg.spec, cfg.n_list, cfg.j_policy, cfg.t_grid, cfg.replicas, cfg.root_seed, threads,
@@ -350,8 +355,20 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _override_seed(cfg: ExperimentConfig, seed: int) -> ExperimentConfig:
-    return dataclasses.replace(cfg, root_seed=seed)
+def _load_config(args) -> ExperimentConfig:
+    """The --config file, with --seed (when given) in place of its root seed."""
+    cfg = parse_config(args.config)
+    if args.seed is None:
+        return cfg
+    return dataclasses.replace(cfg, root_seed=_seed(args.seed, "--seed"))
+
+
+def _replica_threads(args) -> int:
+    if args.threads is None:
+        return default_threads()
+    if args.threads < 1:
+        raise ConfigError(f"--threads: expected a positive integer, got {args.threads}", field="--threads")
+    return args.threads
 
 
 # ---------------------------------------------------------------------------

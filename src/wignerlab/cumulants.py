@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractError
+from .semicircle import TestFunction
 
 MAX_ORDER = 8
 
@@ -110,6 +111,26 @@ class SampleCumulants:
         return (self.k1, self.k2, self.k3, self.k4)[order - 1]
 
 
+def k_statistics_loo(xc: np.ndarray) -> tuple[tuple, tuple]:
+    """k1..k4 of a (pre-centered) sample and their leave-one-out arrays.
+
+    Both come from the power sums s_p = sum xc^p: dropping observation i
+    leaves s_p - xc_i^p, so all R leave-one-out k-statistics cost O(R).
+    """
+    n = xc.size
+    powers = [xc, xc**2, xc**3, xc**4]
+    s = [float(np.sum(p)) for p in powers]
+    full = _k_stats_from_power_sums(*s, n)
+    loo = _k_stats_from_power_sums(*[s_p - p for s_p, p in zip(s, powers)], n - 1)
+    return full, loo
+
+
+def jackknife_spread(loo: np.ndarray) -> float:
+    """Delete-1 jackknife se sqrt((n-1)/n sum (loo_i - mean)^2) of leave-one-out values."""
+    n = loo.size
+    return float(np.sqrt((n - 1) / n * np.sum((loo - np.mean(loo)) ** 2)))
+
+
 def sample_cumulants(data: Sequence[float], order: int = 4) -> SampleCumulants:
     """k-statistics k1..k4 with jackknife standard errors.
 
@@ -124,20 +145,10 @@ def sample_cumulants(data: Sequence[float], order: int = 4) -> SampleCumulants:
     if n < 8 * order:
         raise ContractError(f"sample size {n} is below the required 8 * order = {8 * order}")
     shift = float(np.mean(x))
-    xc = x - shift
-    powers = [xc, xc**2, xc**3, xc**4]
-    s = [float(np.sum(p)) for p in powers]
-    k1, k2, k3, k4 = _k_stats_from_power_sums(*s, n)
-
-    # delete-1 jackknife from leave-one-out power sums
-    lo = [s_p - p for s_p, p in zip(s, powers)]
-    j1, j2, j3, j4 = _k_stats_from_power_sums(*lo, n - 1)
-    ses = []
-    for jk in (j1, j2, j3, j4):
-        jbar = np.mean(jk)
-        ses.append(float(np.sqrt((n - 1) / n * np.sum((jk - jbar) ** 2))))
+    (k1, k2, k3, k4), loo = k_statistics_loo(x - shift)
     return SampleCumulants(
-        k1=float(k1 + shift), k2=float(k2), k3=float(k3), k4=float(k4), se=tuple(ses), n=n
+        k1=float(k1 + shift), k2=float(k2), k3=float(k3), k4=float(k4),
+        se=tuple(jackknife_spread(jk) for jk in loo), n=n,
     )
 
 
@@ -147,101 +158,8 @@ def jackknife_se(data: Sequence[float], statistic) -> tuple[float, float]:
     n = x.size
     if n < 8:
         raise ContractError("jackknife needs at least 8 observations")
-    est = float(statistic(x))
-    idx = np.arange(n)
-    loo = np.array([statistic(x[idx != i]) for i in range(n)])
-    se = math.sqrt((n - 1) / n * float(np.sum((loo - loo.mean()) ** 2)))
-    return est, se
-
-
-# ---------------------------------------------------------------------------
-# smooth test maps Phi for the expansion identity
-# ---------------------------------------------------------------------------
-
-
-class SmoothFunction:
-    """A 1-D map with exact derivatives up to any requested order."""
-
-    def __call__(self, x):
-        raise NotImplementedError
-
-    def derivative(self, order: int) -> "SmoothFunction":
-        raise NotImplementedError
-
-    def sup_norm(self) -> float:
-        raise NotImplementedError
-
-
-class PolynomialFn(SmoothFunction):
-    def __init__(self, coefficients: Sequence[float]):
-        self.coefficients = np.asarray(coefficients, dtype=float)
-
-    def __call__(self, x):
-        return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), self.coefficients)
-
-    def derivative(self, order: int) -> "PolynomialFn":
-        c = self.coefficients
-        for _ in range(order):
-            c = np.polynomial.polynomial.polyder(c) if c.size > 1 else np.zeros(1)
-        return PolynomialFn(c)
-
-    def sup_norm(self) -> float:
-        nz = np.nonzero(self.coefficients)[0]
-        deg = int(nz[-1]) if nz.size else 0
-        if deg == 0:
-            return abs(float(self.coefficients[0])) if self.coefficients.size else 0.0
-        return math.inf
-
-
-class SinFn(SmoothFunction):
-    """sin(x) shifted through its derivative cycle."""
-
-    def __init__(self, phase: int = 0):
-        self.phase = phase % 4
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        return [np.sin, np.cos, lambda y: -np.sin(y), lambda y: -np.cos(y)][self.phase](x)
-
-    def derivative(self, order: int) -> "SinFn":
-        return SinFn(self.phase + order)
-
-    def sup_norm(self) -> float:
-        return 1.0
-
-
-class CosFn(SinFn):
-    def __init__(self, phase: int = 0):
-        super().__init__(phase + 1)
-
-
-class GaussianDampedFn(SmoothFunction):
-    """p(x) exp(-alpha x^2); closed under differentiation."""
-
-    def __init__(self, coefficients: Sequence[float], alpha: float = 0.5):
-        if alpha <= 0:
-            raise ContractError("alpha must be positive")
-        self.coefficients = np.asarray(coefficients, dtype=float)
-        self.alpha = float(alpha)
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        p = np.polynomial.polynomial.polyval(x, self.coefficients)
-        return p * np.exp(-self.alpha * x * x)
-
-    def derivative(self, order: int) -> "GaussianDampedFn":
-        c = self.coefficients
-        for _ in range(order):
-            dc = np.polynomial.polynomial.polyder(c) if c.size > 1 else np.zeros(1)
-            c = np.polynomial.polynomial.polysub(dc, 2.0 * self.alpha * np.polynomial.polynomial.polymulx(c))
-        return GaussianDampedFn(c, self.alpha)
-
-    def sup_norm(self) -> float:
-        nz = np.nonzero(self.coefficients)[0]
-        deg = int(nz[-1]) if nz.size else 0
-        half_width = math.sqrt(max(deg, 1) / self.alpha) + 10.0
-        grid = np.linspace(-half_width, half_width, 200001)
-        return float(np.max(np.abs(self(grid)))) * (1.0 + 1e-9)
+    loo = np.array([statistic(np.delete(x, i)) for i in range(n)])
+    return float(statistic(x)), jackknife_spread(loo)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +206,7 @@ class ExpansionResidual:
     order: int
 
 
-def stein_expansion_residual(dist, phi: SmoothFunction, p: int) -> ExpansionResidual:
+def stein_expansion_residual(dist, phi: TestFunction, p: int) -> ExpansionResidual:
     """Check the order-p cumulant expansion of E{xi Phi(xi)} against its bound.
 
     Returns lhs, rhs, residual = lhs - rhs and

@@ -49,8 +49,8 @@ class EntryDistribution:
 
     kind: str
     w: float
-    moments: tuple[float, ...]  # mu_1..mu_6
-    kappas: tuple[float, ...]  # kappa_1..kappa_6
+    moments: tuple[float, ...]  # mu_1..mu_8
+    kappas: tuple[float, ...]  # kappa_1..kappa_8
     cf_closed_form: str | None = None
     atoms: np.ndarray | None = None
     probs: np.ndarray | None = None
@@ -60,27 +60,18 @@ class EntryDistribution:
         return self.kappas[3]
 
     def moment(self, order: int) -> float:
-        return self._moments8()[order - 1]
+        return self.moments[order - 1]
 
     def cumulant(self, order: int) -> float:
-        """kappa_l for l <= 8; orders beyond the stored 6 come from exact moments."""
+        """kappa_l for l <= 8; exactly 0 beyond order 2 for the Gaussian law."""
         if self.kind == GAUSSIAN:
             return {1: 0.0, 2: self.w**2}.get(order, 0.0)
-        if order > self.cumulant_order_available():
+        if not 1 <= order <= self.cumulant_order_available():
             raise ContractError(f"cumulant order {order} exceeds supported maximum {MAX_ORDER}")
-        return moments_to_cumulants(self._moments8()[:order])[order]
+        return self.kappas[order - 1]
 
     def cumulant_order_available(self) -> int:
         return MAX_ORDER
-
-    def _moments8(self) -> tuple[float, ...]:
-        w = self.w
-        if self.kind == GAUSSIAN:
-            return (0.0, w**2, 0.0, 3 * w**4, 0.0, 15 * w**6, 0.0, 105 * w**8)
-        if self.kind == UNIFORM:
-            a = math.sqrt(3.0) * w
-            return (0.0, a**2 / 3, 0.0, a**4 / 5, 0.0, a**6 / 7, 0.0, a**8 / 9)
-        return tuple(float(np.sum(self.probs * self.atoms**p)) for p in range(1, MAX_ORDER + 1))
 
     def descriptor(self) -> dict:
         d: dict = {"kind": self.kind, "w": self.w}
@@ -90,9 +81,9 @@ class EntryDistribution:
         return d
 
 
-def _finalize(kind: str, w: float, moments6: Sequence[float], cf: str | None,
+def _finalize(kind: str, w: float, moments: Sequence[float], cf: str | None,
               atoms: np.ndarray | None = None, probs: np.ndarray | None = None) -> EntryDistribution:
-    mu = tuple(float(m) for m in moments6)
+    mu = tuple(float(m) for m in moments)
     if abs(mu[0]) > _ATOL * max(w, 1.0):
         raise InvalidDistributionError(f"entry law must have mean 0, got {mu[0]}")
     if abs(mu[1] - w * w) > _ATOL * max(w * w, 1.0):
@@ -113,7 +104,7 @@ def make_entry_distribution(kind: str, w: float, params: dict | None = None) -> 
     params = params or {}
 
     if kind == GAUSSIAN:
-        mu = (0.0, w**2, 0.0, 3 * w**4, 0.0, 15 * w**6)
+        mu = (0.0, w**2, 0.0, 3 * w**4, 0.0, 15 * w**6, 0.0, 105 * w**8)
         return _finalize(kind, w, mu, "exp(-(w*x)^2/2)")
 
     if kind == RADEMACHER:
@@ -123,7 +114,7 @@ def make_entry_distribution(kind: str, w: float, params: dict | None = None) -> 
 
     if kind == UNIFORM:
         a = math.sqrt(3.0) * w
-        mu = (0.0, a**2 / 3, 0.0, a**4 / 5, 0.0, a**6 / 7)
+        mu = (0.0, a**2 / 3, 0.0, a**4 / 5, 0.0, a**6 / 7, 0.0, a**8 / 9)
         return _finalize(kind, w, mu, "sin(a*x)/(a*x), a = w*sqrt(3)")
 
     if kind in (TWO_POINT, DISCRETE_CUSTOM):
@@ -146,7 +137,7 @@ def _discrete(kind: str, w: float, atoms: np.ndarray, probs: np.ndarray,
         raise InvalidDistributionError("probabilities must be nonnegative")
     if abs(float(np.sum(probs)) - 1.0) > 1e-14:
         raise InvalidDistributionError(f"probabilities sum to {float(np.sum(probs))}, not 1")
-    mu = [float(np.sum(probs * atoms**p)) for p in range(1, 7)]
+    mu = [float(np.sum(probs * atoms**p)) for p in range(1, MAX_ORDER + 1)]
     atoms = atoms.copy()
     probs = probs.copy()
     atoms.setflags(write=False)

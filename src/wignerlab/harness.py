@@ -29,12 +29,12 @@ import numpy as np
 from scipy.special import ndtr
 
 from .blas import single_blas_thread
-from .cumulants import _k_stats_from_power_sums, sample_cumulants
+from .cumulants import jackknife_spread, k_statistics_loo, sample_cumulants
 from .ensembles import EnsembleSpec, sample_matrix
 from .errors import ConfigError, ContractError, ProvenanceError
 from .limits import LimitPrediction, cov_limit_wigner, limit_cf, limit_cumulants, var_limit
 from .semicircle import POLYNOMIAL, TestFunction, v_of_t
-from .spectral import eigh, lemma_statistics, matrix_function_entry
+from .spectral import diagonal_powers, eigh, lemma_statistics, matrix_function_entry
 
 J_POLICIES = ("first", "middle", "last", "explicit")
 
@@ -160,15 +160,7 @@ def matrix_element_samples(spec: EnsembleSpec, n: int, j: int, phis: Sequence[Te
     def one_replica(r: int) -> np.ndarray:
         m = sample_matrix(spec, n, root_seed, r)
         if use_matvec:
-            dense = m.dense()
-            deg = max(c.size for c in coeff_list) - 1
-            powers = np.empty(deg + 1)
-            powers[0] = 1.0
-            u = np.zeros(n)
-            u[j] = 1.0
-            for k in range(1, deg + 1):
-                u = dense @ u
-                powers[k] = u[j]
+            powers = diagonal_powers(m, j, max(c.size for c in coeff_list) - 1)
             return np.array([float(c @ powers[: c.size]) for c in coeff_list])
         dec = eigh(m)
         return np.array([matrix_function_entry(dec, p, j, j) for p in phis])
@@ -219,9 +211,7 @@ def _jackknife_cov(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     sa, sb, sab = float(a.sum()), float(b.sum()), float((a * b).sum())
     cov = (sab - sa * sb / r) / (r - 1)
     sa_i, sb_i, sab_i = sa - a, sb - b, sab - a * b
-    loo = (sab_i - sa_i * sb_i / (r - 1)) / (r - 2)
-    se = math.sqrt((r - 1) / r * float(np.sum((loo - loo.mean()) ** 2)))
-    return cov, se
+    return cov, jackknife_spread((sab_i - sa_i * sb_i / (r - 1)) / (r - 2))
 
 
 # ---------------------------------------------------------------------------
@@ -287,19 +277,10 @@ class ExperimentResult:
 
 def _excess_kurtosis_jackknife(y: np.ndarray) -> tuple[float, float]:
     """g2 = k4/k2^2 with delete-1 jackknife se, from leave-one-out power sums."""
-    yc = y - y.mean()
-    r = yc.size
-    powers = [yc, yc**2, yc**3, yc**4]
-    s = [float(p.sum()) for p in powers]
-    _, k2, _, k4 = _k_stats_from_power_sums(*s, r)
+    (_, k2, _, k4), (_, k2i, _, k4i) = k_statistics_loo(y - y.mean())
     if k2 == 0.0:
         return float("nan"), 0.0  # degenerate sample: kurtosis undefined
-    g2 = k4 / k2**2
-    lo = [sp - p for sp, p in zip(s, powers)]
-    _, k2i, _, k4i = _k_stats_from_power_sums(*lo, r - 1)
-    g2i = k4i / k2i**2
-    se = math.sqrt((r - 1) / r * float(np.sum((g2i - g2i.mean()) ** 2)))
-    return float(g2), se
+    return float(k4 / k2**2), jackknife_spread(k4i / k2i**2)
 
 
 def run_entry_experiment(cfg: ExperimentConfig, threads: int | None = None) -> ExperimentResult:
@@ -366,6 +347,11 @@ def _safe_z(diff: float, ci: float) -> float:
     return diff / ci
 
 
+def _variance_row(p: PerNResult, prediction: LimitPrediction) -> dict:
+    z_var = _safe_z(p.variance - prediction.v_w, p.variance_ci)
+    return {"n": p.n, "z_variance": z_var, "variance_ok": bool(abs(z_var) <= 3.0)}
+
+
 def compare_with_prediction_rows(per_n: Sequence[PerNResult], prediction: LimitPrediction,
                                  cfg: ExperimentConfig, cov_prediction: float | None = None) -> dict:
     """z-scores of every estimate against its limit, one record per n."""
@@ -373,22 +359,17 @@ def compare_with_prediction_rows(per_n: Sequence[PerNResult], prediction: LimitP
     cf_pred = limit_cf(cfg.phi, cfg.spec, np.asarray(cfg.x_grid), prediction=prediction)
     rows = []
     for p in per_n:
-        z_var = _safe_z(p.variance - prediction.v_w, p.variance_ci)
-        z_k3 = _safe_z(p.k_stats["k3"][0] - kappas[2], 1.96 * p.k_stats["k3"][1])
-        z_k4 = _safe_z(p.k_stats["k4"][0] - kappas[3], 1.96 * p.k_stats["k4"][1])
         cf_rows = []
         for (x, re, im, ci), zp in zip(p.cf, cf_pred):
             gap = abs(complex(re, im) - zp)
             cf_rows.append({"x": x, "gap": gap, "ci": ci, "within_budget": bool(gap <= ci + FINITE_SIZE_CF_BUDGET)})
-        record = {
-            "n": p.n,
-            "z_variance": z_var,
-            "z_k3": z_k3,
-            "z_k4": z_k4,
-            "cf": cf_rows,
-            "variance_ok": bool(abs(z_var) <= 3.0),
-            "cf_ok": bool(all(r["within_budget"] for r in cf_rows)),
-        }
+        record = _variance_row(p, prediction)
+        record.update(
+            z_k3=_safe_z(p.k_stats["k3"][0] - kappas[2], 1.96 * p.k_stats["k3"][1]),
+            z_k4=_safe_z(p.k_stats["k4"][0] - kappas[3], 1.96 * p.k_stats["k4"][1]),
+            cf=cf_rows,
+            cf_ok=bool(all(r["within_budget"] for r in cf_rows)),
+        )
         if cov_prediction is not None and p.covariance is not None:
             record["z_covariance"] = _safe_z(p.covariance[0] - cov_prediction, p.covariance[1])
         rows.append(record)
@@ -406,10 +387,7 @@ def compare_with_prediction(result: ExperimentResult, prediction: LimitPredictio
     """
     if prediction.ensemble_ref != result.config["spec"] or prediction.phi_ref != result.config["phi"]:
         raise ProvenanceError("prediction and result were built from different (phi, ensemble) pairs")
-    rows = []
-    for p in result.per_n:
-        z_var = _safe_z(p.variance - prediction.v_w, p.variance_ci)
-        rows.append({"n": p.n, "z_variance": z_var, "variance_ok": bool(abs(z_var) <= 3.0)})
+    rows = [_variance_row(p, prediction) for p in result.per_n]
     return {"per_n": rows, "note": result.comparison["note"]}
 
 

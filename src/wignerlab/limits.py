@@ -57,22 +57,14 @@ class LimitPrediction:
         return d
 
 
-def _mean(phi, w: float, n_nodes: int, weight=None):
-    rule = gauss_chebyshev_u(w, n_nodes)
-    vals = phi(rule.nodes)
-    if weight is not None:
-        vals = vals * weight(rule.nodes)
-    return np.sum(rule.weights * vals)
-
-
 def first_moment_integral(phi, w: float, n_nodes: int = DEFAULT_NODES) -> float:
     """I1 = Integral phi(mu) mu rho_sc(mu) dmu."""
-    return float(_mean(phi, w, n_nodes, weight=lambda lam: lam))
+    return sc_integral(phi, w, n_nodes, weight=lambda lam: lam)
 
 
 def kappa4_integral(phi, w: float, n_nodes: int = DEFAULT_NODES) -> float:
     """I2 = Integral phi(lambda) (w^2 - lambda^2) rho_sc(lambda) dlambda."""
-    return float(_mean(phi, w, n_nodes, weight=lambda lam: w * w - lam * lam))
+    return sc_integral(phi, w, n_nodes, weight=lambda lam: w * w - lam * lam)
 
 
 def cov_limit_goe(phi1, phi2, w: float, n_nodes: int = DEFAULT_NODES):
@@ -81,9 +73,8 @@ def cov_limit_goe(phi1, phi2, w: float, n_nodes: int = DEFAULT_NODES):
     Equals 2 (<phi1 phi2> - <phi1><phi2>) after expanding the double integral
     of Delta-phi products against rho_sc x rho_sc.
     """
-    cross = _mean(lambda lam: phi1(lam) * phi2(lam), w, n_nodes)
-    out = 2.0 * (cross - _mean(phi1, w, n_nodes) * _mean(phi2, w, n_nodes))
-    return complex(out) if np.iscomplexobj(out) or isinstance(out, complex) else float(out)
+    cross = sc_integral(lambda lam: phi1(lam) * phi2(lam), w, n_nodes)
+    return 2.0 * (cross - sc_integral(phi1, w, n_nodes) * sc_integral(phi2, w, n_nodes))
 
 
 def cov_limit_goe_oracle(phi1, phi2, w: float, n_nodes: int = DEFAULT_NODES):

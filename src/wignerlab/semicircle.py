@@ -36,6 +36,7 @@ DEFAULT_NODES = 128
 
 POLYNOMIAL = "polynomial"
 GAUSSIAN_DAMPED = "gaussian_damped_polynomial"
+TRIGONOMETRIC = "trigonometric"
 TABULATED = "tabulated"
 
 
@@ -59,6 +60,7 @@ class TestFunction:
 
     kind "polynomial": coefficients c_k in ascending powers, phi = sum c_k x^k.
     kind "gaussian_damped_polynomial": phi = p(x) * exp(-x^2 / (2 width^2)).
+    kind "trigonometric": coefficients (a, b), phi = a cos x + b sin x.
     kind "tabulated": linear interpolation of (grid, values).
     """
 
@@ -76,6 +78,9 @@ class TestFunction:
         if self.kind == GAUSSIAN_DAMPED:
             p = np.polynomial.polynomial.polyval(lam, np.asarray(self.coefficients))
             return p * np.exp(-(lam**2) / (2.0 * self.envelope_width**2))
+        if self.kind == TRIGONOMETRIC:
+            a, b = self.coefficients
+            return a * np.cos(lam) + b * np.sin(lam)
         return np.interp(lam, self.grid, self.values)
 
     @property
@@ -86,23 +91,39 @@ class TestFunction:
         nz = np.nonzero(coeffs)[0]
         return int(nz[-1]) if nz.size else 0
 
-    def derivative(self) -> "TestFunction":
-        """Exact derivative; polynomial and gaussian-damped kinds only."""
+    def derivative(self, order: int = 1) -> "TestFunction":
+        """Exact order-th derivative; every kind but tabulated."""
+        if self.kind == TABULATED or order < 0:
+            raise ContractError("derivative requires a non-tabulated test function and order >= 0")
         pp = np.polynomial.polynomial
-        c = np.asarray(self.coefficients, dtype=float)
-        if self.kind == POLYNOMIAL:
+        fn = self
+        for _ in range(order):
+            c = np.asarray(fn.coefficients, dtype=float)
+            if fn.kind == TRIGONOMETRIC:
+                fn = trigonometric(c[1], -c[0])
+                continue
             dc = pp.polyder(c) if c.size > 1 else np.zeros(1)
-            return polynomial(dc)
-        if self.kind == GAUSSIAN_DAMPED:
-            dc = pp.polyder(c) if c.size > 1 else np.zeros(1)
-            dc = pp.polysub(dc, pp.polymulx(c) / self.envelope_width**2)
-            return gaussian_damped(dc, self.envelope_width)
-        raise ContractError("derivative requires a polynomial-backed test function")
+            if fn.kind == POLYNOMIAL:
+                fn = polynomial(dc)
+            else:
+                fn = gaussian_damped(pp.polysub(dc, pp.polymulx(c) / fn.envelope_width**2),
+                                     fn.envelope_width)
+        return fn
+
+    def sup_norm(self) -> float:
+        """sup |phi| over the real line (inf for a nonconstant polynomial; not tabulated)."""
+        if self.kind == POLYNOMIAL:  # bounded only when constant: then the sum is c_0
+            return math.inf if self.degree > 0 else abs(float(sum(self.coefficients)))
+        if self.kind == TRIGONOMETRIC:
+            return math.hypot(*self.coefficients)
+        half_width = self.envelope_width * math.sqrt(2.0 * max(self.degree, 1)) + 10.0
+        grid = np.linspace(-half_width, half_width, 200001)
+        return float(np.max(np.abs(self(grid)))) * (1.0 + 1e-9)
 
     def descriptor(self) -> dict:
         """JSON-ready provenance key."""
         d: dict = {"kind": self.kind, "parity": self.parity}
-        if self.kind in (POLYNOMIAL, GAUSSIAN_DAMPED):
+        if self.kind != TABULATED:
             d["coefficients"] = list(self.coefficients)
         if self.kind == GAUSSIAN_DAMPED:
             d["envelope_width"] = self.envelope_width
@@ -135,6 +156,15 @@ def gaussian_damped(coefficients: Sequence[float], envelope_width: float = 1.0) 
         envelope_width=float(envelope_width),
         parity=_poly_parity(coeffs),
     )
+
+
+def trigonometric(a: float, b: float) -> TestFunction:
+    """phi(x) = a cos x + b sin x; closed under d/dx."""
+    coeffs = (float(a), float(b))
+    if not all(math.isfinite(c) for c in coeffs):
+        raise ContractError("trigonometric coefficients must be finite")
+    parity = "even" if coeffs[1] == 0.0 else ("odd" if coeffs[0] == 0.0 else "none")
+    return TestFunction(kind=TRIGONOMETRIC, coefficients=coeffs, parity=parity)
 
 
 def tabulated(grid: Sequence[float], values: Sequence[float]) -> TestFunction:
@@ -230,10 +260,12 @@ def rho_sc(lam, w: float):
     return np.sqrt(supp) / (2.0 * math.pi * w * w)
 
 
-def sc_integral(phi: Callable, w: float, n_nodes: int = DEFAULT_NODES):
-    """Integral phi(lambda) rho_sc(lambda) dlambda by Gauss-Chebyshev-U.
+def sc_integral(phi: Callable, w: float, n_nodes: int = DEFAULT_NODES,
+                weight: Callable | None = None):
+    """Integral phi(lambda) weight(lambda) rho_sc(lambda) dlambda by Gauss-Chebyshev-U.
 
-    Exact for polynomial phi of degree <= 2 n_nodes - 1.
+    Exact for polynomial phi * weight of degree <= 2 n_nodes - 1.  A tabulated
+    phi must cover [-2w, 2w] (CoverageError otherwise).
     """
     rule = gauss_chebyshev_u(w, n_nodes)
     if isinstance(phi, TestFunction) and phi.kind == TABULATED:
@@ -242,6 +274,8 @@ def sc_integral(phi: Callable, w: float, n_nodes: int = DEFAULT_NODES):
                 f"tabulated grid [{phi.grid[0]}, {phi.grid[-1]}] does not cover [-{2*w}, {2*w}]"
             )
     vals = phi(rule.nodes)
+    if weight is not None:
+        vals = vals * weight(rule.nodes)
     total = np.sum(rule.weights * vals)
     return complex(total) if np.iscomplexobj(vals) else float(total)
 

@@ -71,21 +71,21 @@ def matrix_function_entry(dec: SpectralDecomposition, phi: Callable, j: int, k: 
     return float(np.sum(phi(dec.eigenvalues) * q[j, :] * q[k, :]))
 
 
-def polynomial_entry(m: SymmetricMatrix, coefficients: Sequence[float], j: int) -> float:
-    """(p(M))_jj by Horner-free power accumulation: u_m = M^m e_j, sum c_m u_m[j].
+def diagonal_powers(m: SymmetricMatrix, j: int, degree: int) -> np.ndarray:
+    """(M^k)_jj for k = 0..degree, from the power sequence u_k = M^k e_j.
 
-    Exact for polynomials (no eigendecomposition roundoff); O(deg * n^2).
+    Exact for polynomials (no eigendecomposition roundoff): p(M)_jj is
+    c @ diagonal_powers(m, j, deg); O(deg * n^2).
     """
     _check_index(m.n, j, "j")
-    coeffs = np.asarray(coefficients, dtype=float)
     dense = m.dense()
+    powers = np.ones(degree + 1)
     u = np.zeros(m.n)
     u[j] = 1.0
-    total = coeffs[0] if coeffs.size else 0.0
-    for c in coeffs[1:]:
+    for k in range(1, degree + 1):
         u = dense @ u
-        total += c * u[j]
-    return float(total)
+        powers[k] = u[j]
+    return powers
 
 
 @dataclass(frozen=True, eq=False)

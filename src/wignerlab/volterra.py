@@ -71,9 +71,13 @@ class Kernel2D:
 
 
 def uniform_grid(t_max: float, h: float) -> np.ndarray:
-    if t_max <= 0 or h <= 0:
-        raise ContractError("t_max and h must be positive")
-    n = int(round(t_max / h))
+    """0, h, ..., t_max; h must divide t_max (to 1e-9 relative)."""
+    if not (math.isfinite(t_max) and math.isfinite(h)) or t_max <= 0 or h <= 0:
+        raise ContractError(f"t_max and h must be positive and finite, got t_max={t_max}, h={h}")
+    steps = t_max / h
+    n = int(round(steps))
+    if n < 1 or abs(steps - n) > 1e-9 * steps:
+        raise ContractError(f"step h={h} does not divide t_max={t_max}")
     return np.linspace(0.0, n * h, n + 1)
 
 

@@ -196,7 +196,7 @@ def test_result_json_round_trip(tmp_path):
 
 
 def test_volterra_subcommand(tmp_path):
-    code = cli.run_cli(["volterra", "--out", str(tmp_path / "v"), "--h", "0.08,0.04", "--t-max", "1.0"])
+    code = cli.run_cli(["volterra", "--out", str(tmp_path / "v"), "--h", "0.08,0.04", "--t-max", "1.2"])
     assert code == 0
     with (tmp_path / "v" / "volterra_residuals.csv").open() as fh:
         rows = list(csv.DictReader(fh))
@@ -277,6 +277,58 @@ def test_exit_code_bad_threads_environment(tmp_path, capsys, monkeypatch, value)
     assert payload["error"] == "ConfigError"
     assert payload["field"] == "WIGNERLAB_THREADS"
     assert "\n" not in err
+
+
+def error_payload(capsys) -> dict:
+    err = capsys.readouterr().err.strip()
+    assert "\n" not in err  # single-line JSON on stderr
+    return json.loads(err)
+
+
+@pytest.mark.parametrize("command", ["simulate", "lemma"])
+@pytest.mark.parametrize("flag,value", [
+    ("--threads", "0"), ("--threads", "-3"), ("--seed", "-5"), ("--seed", str(2**64)),
+])
+def test_exit_code_bad_threads_and_seed_arguments(tmp_path, capsys, command, flag, value):
+    cfg_path = write_config(tmp_path, minimal_config(n_list=[16, 32, 64, 128], replicas=100))
+    out = tmp_path / "x"
+    code = cli.run_cli([command, "--config", str(cfg_path), flag, value, "--out", str(out)])
+    assert code == 2
+    payload = error_payload(capsys)
+    assert payload["error"] == "ConfigError"
+    assert payload["field"] == flag
+    assert not out.exists()
+
+
+def test_root_seed_range(tmp_path):
+    assert cli.parse_config(write_config(tmp_path, minimal_config(root_seed=2**64 - 1))).root_seed == 2**64 - 1
+    with pytest.raises(ConfigError) as err:
+        cli.parse_config(write_config(tmp_path, minimal_config(root_seed=2**64)))
+    assert err.value.field == "config.root_seed"
+
+
+@pytest.mark.parametrize("args,error", [
+    (["--h", "abc"], "ConfigError"),
+    (["--h", ",0.04"], "ConfigError"),
+    (["--t-max", "nan"], "ContractError"),
+    (["--t-max", "inf"], "ContractError"),
+    (["--h", "0.03", "--t-max", "2"], "ContractError"),  # 2 / 0.03 is not a whole step count
+])
+def test_exit_code_bad_volterra_arguments(tmp_path, capsys, args, error):
+    code = cli.run_cli(["volterra", *args, "--out", str(tmp_path / "v")])
+    assert code == 2
+    assert error_payload(capsys)["error"] == error
+    assert not (tmp_path / "v").exists()
+
+
+@pytest.mark.parametrize("command", ["predict", "simulate"])
+def test_exit_code_tabulated_phi_short_of_support(tmp_path, capsys, command):
+    # the grid stops at +-1, inside the semicircle support [-2, 2] at w = 1
+    phi = {"kind": "tabulated", "grid": [-1.0, 0.0, 1.0], "values": [1.0, 0.0, 1.0]}
+    cfg_path = write_config(tmp_path, minimal_config(phi=phi, n_list=[64], replicas=100))
+    code = cli.run_cli([command, "--config", str(cfg_path), "--out", str(tmp_path / "t")])
+    assert code == 2
+    assert error_payload(capsys)["error"] == "CoverageError"
 
 
 def test_exit_code_unknown_subcommand(capsys):

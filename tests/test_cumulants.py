@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from wignerlab import cumulants as cm
 from wignerlab.ensembles import make_entry_distribution
 from wignerlab.errors import ContractError
+from wignerlab.semicircle import gaussian_damped, polynomial, tabulated, trigonometric
 
 
 def explicit_kappas(mu):
@@ -172,11 +173,11 @@ def builtin_distributions():
 
 def builtin_test_maps():
     return [
-        cm.SinFn(),
-        cm.CosFn(),
-        cm.PolynomialFn([0.0, 1.0, 0.5]),
-        cm.PolynomialFn([0.0, 0.0, 0.0, 1.0]),
-        cm.GaussianDampedFn([1.0, 0.3], alpha=0.5),
+        trigonometric(0.0, 1.0),
+        trigonometric(1.0, 0.0),
+        polynomial([0.0, 1.0, 0.5]),
+        polynomial([0.0, 0.0, 0.0, 1.0]),
+        gaussian_damped([1.0, 0.3], 1.0),
     ]
 
 
@@ -184,8 +185,8 @@ def test_gaussian_sin_identity_is_exact():
     # E{xi sin xi} = w^2 E{cos xi} for the Gaussian law: the expansion at the
     # order containing the first-derivative term reproduces it exactly
     dist = make_entry_distribution("gaussian", 1.0)
-    res = cm.stein_expansion_residual(dist, cm.SinFn(), p=1)
-    assert res.rhs == pytest.approx(cm._dist_expectation(dist, cm.CosFn()), rel=1e-12)
+    res = cm.stein_expansion_residual(dist, trigonometric(0.0, 1.0), p=1)
+    assert res.rhs == pytest.approx(cm._dist_expectation(dist, trigonometric(1.0, 0.0)), rel=1e-12)
     assert abs(res.residual) <= 1e-10
 
 
@@ -193,7 +194,7 @@ def test_gaussian_sin_identity_is_exact():
 def test_gaussian_all_orders_near_zero(p):
     # every higher cumulant vanishes, so the residual stays at quadrature level
     dist = make_entry_distribution("gaussian", 1.0)
-    res = cm.stein_expansion_residual(dist, cm.GaussianDampedFn([0.2, 1.0], alpha=0.5), p=p)
+    res = cm.stein_expansion_residual(dist, gaussian_damped([0.2, 1.0], 1.0), p=p)
     assert abs(res.residual) <= 1e-9
 
 
@@ -201,20 +202,20 @@ def test_gaussian_p0_even_map_residual_zero():
     # at p=0 the expansion keeps only kappa_1 E{Phi} = 0; for even Phi the
     # left side vanishes by symmetry too
     dist = make_entry_distribution("gaussian", 1.0)
-    res = cm.stein_expansion_residual(dist, cm.CosFn(), p=0)
+    res = cm.stein_expansion_residual(dist, trigonometric(1.0, 0.0), p=0)
     assert abs(res.residual) <= 1e-12
 
 
 def test_rademacher_square_p1():
     dist = make_entry_distribution("rademacher", 1.0)
-    res = cm.stein_expansion_residual(dist, cm.PolynomialFn([0.0, 0.0, 1.0]), p=1)
+    res = cm.stein_expansion_residual(dist, polynomial([0.0, 0.0, 1.0]), p=1)
     assert res.lhs == pytest.approx(0.0, abs=1e-14)
     assert res.rhs == pytest.approx(0.0, abs=1e-14)
 
 
 def test_rademacher_cube_p2_residual_and_bound():
     dist = make_entry_distribution("rademacher", 1.0)
-    res = cm.stein_expansion_residual(dist, cm.PolynomialFn([0.0, 0.0, 0.0, 1.0]), p=2)
+    res = cm.stein_expansion_residual(dist, polynomial([0.0, 0.0, 0.0, 1.0]), p=2)
     assert res.lhs == pytest.approx(1.0)
     assert res.rhs == pytest.approx(3.0)
     assert res.residual == pytest.approx(-2.0)
@@ -235,14 +236,24 @@ def test_truncation_residual_decays_for_entire_cf_law():
     # the entire-CF hypothesis makes the expansion summable: the truncation
     # residual must decay in p (no attempt to push it to machine zero)
     dist = make_entry_distribution("rademacher", 1.0)
-    residuals = [abs(cm.stein_expansion_residual(dist, cm.SinFn(), p).residual) for p in range(5)]
+    residuals = [abs(cm.stein_expansion_residual(dist, trigonometric(0.0, 1.0), p).residual) for p in range(5)]
     assert all(b <= a + 1e-14 for a, b in zip(residuals, residuals[1:]))
     assert residuals[4] <= 0.2 * residuals[0]
 
 
 def test_polynomial_sup_norm_rules():
-    assert cm.PolynomialFn([3.0]).sup_norm() == 3.0
-    assert cm.PolynomialFn([0.0, 1.0]).sup_norm() == math.inf
-    assert cm.SinFn().sup_norm() == 1.0
-    gd = cm.GaussianDampedFn([1.0], alpha=0.5)
+    assert polynomial([3.0]).sup_norm() == 3.0
+    assert polynomial([0.0, 1.0]).sup_norm() == math.inf
+    assert trigonometric(0.0, 1.0).sup_norm() == 1.0
+    assert trigonometric(3.0, -4.0).sup_norm() == 5.0
+    gd = gaussian_damped([1.0], 1.0)
     assert gd.sup_norm() == pytest.approx(1.0, rel=1e-6)
+    # a cos x + b sin x is closed under d/dx, with period four
+    trig = trigonometric(0.7, -1.3)
+    assert trig.derivative(4).coefficients == trig.coefficients
+    assert trig.derivative(0) is trig
+    x = np.linspace(-3.0, 3.0, 13)
+    assert np.allclose(trig.derivative(4)(x), trig(x), rtol=0, atol=1e-15)
+    assert np.allclose(trig.derivative()(x), -0.7 * np.sin(x) - 1.3 * np.cos(x), rtol=0, atol=1e-15)
+    with pytest.raises(ContractError):
+        tabulated([-3.0, 3.0], [1.0, 2.0]).derivative()

@@ -25,6 +25,15 @@ def v_series(t_max, h, w=1.0, scale=1.0):
 # ---------------------------------------------------------------------------
 
 
+def test_uniform_grid_steps_divide_t_max():
+    g = vt.uniform_grid(2.0, 0.01)
+    assert g.size == 201 and g[-1] == 2.0
+    for t_max, h in ((2.0, 0.03), (float("nan"), 0.01), (float("inf"), 0.01), (2.0, float("nan")),
+                     (0.005, 0.01), (-1.0, 0.01)):
+        with pytest.raises(ContractError):
+            vt.uniform_grid(t_max, h)
+
+
 def test_series_validation():
     with pytest.raises(ContractError):
         vt.ComplexSeries(grid=np.array([0.0, 0.1, 0.3]), values=np.zeros(3, complex))
