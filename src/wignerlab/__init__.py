@@ -39,7 +39,14 @@ from .semicircle import (
     v_of_t,
     v_tilde,
 )
-from .spectral import SpectralDecomposition, eigh, lemma_statistics, matrix_function_entry, propagator_entries
+from .spectral import (
+    SpectralDecomposition,
+    eigh,
+    lanczos_jacobi,
+    lemma_statistics,
+    matrix_function_entry,
+    propagator_entries,
+)
 
 __all__ = [
     "EnsembleSpec",
@@ -57,6 +64,7 @@ __all__ = [
     "entry_cf",
     "gaussian_damped",
     "gaussian_limit_test",
+    "lanczos_jacobi",
     "lemma_decay_experiment",
     "lemma_statistics",
     "limit_cf",

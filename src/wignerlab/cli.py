@@ -17,6 +17,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -226,9 +227,10 @@ def _write_json(path: Path, obj: dict) -> None:
 
 
 def _write_manifest(out_dir: Path, cfg_hash: str, root_seed: int, threads: int,
-                    wall: float, outputs: list[Path], blas_threads: int | None = None) -> Path:
+                    wall: float, outputs: list[Path], blas_threads: int | None = None,
+                    phi_eval: dict | None = None) -> Path:
     """Run metadata; blas_threads is the replica phases' BLAS thread count (None: no phase,
-    or no bundled OpenBLAS found)."""
+    or no bundled OpenBLAS found); phi_eval adds simulate's phi route and Lanczos steps."""
     manifest = {
         "config_hash": cfg_hash,
         "tool_version": __version__,
@@ -237,6 +239,7 @@ def _write_manifest(out_dir: Path, cfg_hash: str, root_seed: int, threads: int,
         "blas_threads": blas_threads,
         "wall_time_s": wall,
         "outputs": [p.name for p in outputs],
+        **(phi_eval or {}),
     }
     path = out_dir / "manifest.json"
     _write_json(path, manifest)
@@ -282,7 +285,8 @@ def _cmd_simulate(args) -> int:
         outputs.append(out_dir / "replicas.csv")
         _write_csv(outputs[-1], ["n", "replica", "j", "y_value"], rows)
     _write_manifest(out_dir, config_hash(cfg.descriptor()), cfg.root_seed, threads,
-                    time.monotonic() - started, outputs, replica_blas_threads())
+                    time.monotonic() - started, outputs, replica_blas_threads(),
+                    {"phi_route": result.phi_route, "lanczos_steps_max": result.lanczos_steps_max})
     for p in outputs:
         print(f"wrote {p}")
     return 0
@@ -294,6 +298,9 @@ def _cmd_volterra(args) -> int:
         h_values = [float(h) for h in args.h.split(",")]
     except ValueError as exc:
         raise ConfigError(f"--h: expected comma-separated step sizes, got {args.h!r}", field="--h") from exc
+    for flag, value in (("--w", args.w), ("--kappa4", args.kappa4)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{flag}: expected a finite number, got {value!r}", field=flag)
     rows = residual_table(h_values=h_values, w=args.w, kappa4=args.kappa4, t_max=args.t_max)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -33,10 +33,12 @@ from .cumulants import jackknife_spread, k_statistics_loo, sample_cumulants
 from .ensembles import EnsembleSpec, sample_matrix
 from .errors import ConfigError, ContractError, ProvenanceError
 from .limits import LimitPrediction, cov_limit_wigner, limit_cf, limit_cumulants, var_limit
-from .semicircle import POLYNOMIAL, TestFunction, v_of_t
-from .spectral import diagonal_powers, eigh, lemma_statistics, matrix_function_entry
+from .semicircle import POLYNOMIAL, TABULATED, TestFunction, v_of_t
+from .spectral import diagonal_powers, eigh, lanczos_jacobi, lemma_statistics, matrix_function_entry
 
 J_POLICIES = ("first", "middle", "last", "explicit")
+
+PHI_ROUTES = ("power", "lanczos", "eigh")
 
 KS_COEFFICIENT = 1.63  # asymptotic alpha ~ 0.01 quantile; approximate under fitted parameters
 
@@ -102,16 +104,24 @@ class ExperimentConfig:
         if self.phi_eval == "matvec" and not self._all_polynomial():
             raise ContractError("matvec evaluation requires polynomial test functions")
 
-    def _all_polynomial(self) -> bool:
-        phis = [self.phi] + ([self.phi2] if self.phi2 is not None else [])
-        return all(p.kind == POLYNOMIAL for p in phis)
+    def phis(self) -> list[TestFunction]:
+        return [self.phi] + ([self.phi2] if self.phi2 is not None else [])
 
-    def use_matvec(self) -> bool:
-        if self.phi_eval == "spectral":
-            return False
-        if self.phi_eval == "matvec":
-            return True
-        return self._all_polynomial()
+    def _all_polynomial(self) -> bool:
+        return all(p.kind == POLYNOMIAL for p in self.phis())
+
+    def phi_route(self) -> str:
+        """How replicas evaluate phi(M)_jj: one of PHI_ROUTES.
+
+        matvec, and auto with only polynomials, take the exact power route;
+        spectral, and auto with a tabulated phi, take the full eigh; auto with
+        smooth phi takes Lanczos-Gauss quadrature.
+        """
+        if self.phi_eval == "matvec" or (self.phi_eval == "auto" and self._all_polynomial()):
+            return "power"
+        if self.phi_eval == "spectral" or any(p.kind == TABULATED for p in self.phis()):
+            return "eigh"
+        return "lanczos"
 
     def descriptor(self) -> dict:
         d = {
@@ -147,26 +157,35 @@ def _parallel_map(fn: Callable[[int], np.ndarray], count: int, threads: int) -> 
 
 
 def matrix_element_samples(spec: EnsembleSpec, n: int, j: int, phis: Sequence[TestFunction],
-                           root_seed: int, replicas: int, use_matvec: bool,
-                           threads: int = 1) -> np.ndarray:
-    """phi(M_r)_jj for each replica and test function; shape (replicas, len(phis)).
+                           root_seed: int, replicas: int, route: str,
+                           threads: int = 1) -> tuple[np.ndarray, int | None]:
+    """phi(M_r)_jj for each replica and test function, shape (replicas, len(phis)),
+    and the largest Lanczos step count over replicas (None off the lanczos route).
 
-    Polynomial test functions admit an exact power-accumulation route
-    (use_matvec) that avoids the O(n^3) decomposition; otherwise each replica
-    is diagonalized once and all functions are read off the same spectrum.
+    route is one of PHI_ROUTES.  "power" is exact for polynomials and avoids
+    the O(n^3) decomposition.  "eigh" diagonalizes each replica once and reads
+    every function off the same spectrum.  "lanczos" replaces M by the Jacobi
+    matrix of the Gauss rule for its spectral measure at e_j, whose (0, 0)
+    entries then go through the same eigh and matrix_function_entry.
     """
-    coeff_list = [np.asarray(p.coefficients, dtype=float) for p in phis] if use_matvec else None
+    if route not in PHI_ROUTES:
+        raise ContractError(f"unknown phi route {route!r}")
+    coeff_list = [np.asarray(p.coefficients, dtype=float) for p in phis] if route == "power" else None
 
-    def one_replica(r: int) -> np.ndarray:
+    def one_replica(r: int) -> tuple[np.ndarray, int]:
         m = sample_matrix(spec, n, root_seed, r)
-        if use_matvec:
+        if route == "power":
             powers = diagonal_powers(m, j, max(c.size for c in coeff_list) - 1)
-            return np.array([float(c @ powers[: c.size]) for c in coeff_list])
+            return np.array([float(c @ powers[: c.size]) for c in coeff_list]), 0
+        jj = j
+        if route == "lanczos":
+            m, jj = lanczos_jacobi(m, j, phis), 0
         dec = eigh(m)
-        return np.array([matrix_function_entry(dec, p, j, j) for p in phis])
+        return np.array([matrix_function_entry(dec, p, jj, jj) for p in phis]), m.n
 
     rows = _parallel_map(one_replica, replicas, threads)
-    return np.vstack(rows)
+    steps = max(k for _, k in rows) if route == "lanczos" else None
+    return np.vstack([values for values, _ in rows]), steps
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +281,8 @@ class ExperimentResult:
     prediction: LimitPrediction
     cov_prediction: float | None
     comparison: dict
+    phi_route: str  # run metadata, not part of to_dict: one of PHI_ROUTES
+    lanczos_steps_max: int | None  # largest Jacobi matrix over replicas and sizes
 
     def to_dict(self) -> dict:
         d = {
@@ -286,17 +307,20 @@ def _excess_kurtosis_jackknife(y: np.ndarray) -> tuple[float, float]:
 def run_entry_experiment(cfg: ExperimentConfig, threads: int | None = None) -> ExperimentResult:
     """Full estimation pipeline for one (phi, ensemble) pair over cfg.n_list."""
     threads = default_threads() if threads is None else threads
-    phis = [cfg.phi] + ([cfg.phi2] if cfg.phi2 is not None else [])
+    phis = cfg.phis()
+    route = cfg.phi_route()
     prediction = var_limit(cfg.phi, cfg.spec)
     cov_prediction = (
         float(cov_limit_wigner(cfg.phi, cfg.phi2, cfg.spec)) if cfg.phi2 is not None else None
     )
     per_n: list[PerNResult] = []
+    lanczos_steps = []
     for n in cfg.n_list:
         j = resolve_j(cfg.j_policy, n, cfg.j_explicit)
-        elements = matrix_element_samples(
-            cfg.spec, n, j, phis, cfg.root_seed, cfg.replicas, cfg.use_matvec(), threads
+        elements, steps = matrix_element_samples(
+            cfg.spec, n, j, phis, cfg.root_seed, cfg.replicas, route, threads
         )
+        lanczos_steps.append(steps)
         raw = elements[:, 0]
         y = math.sqrt(n) * (raw - raw.mean())
         stats = sample_cumulants(y, order=4)
@@ -338,6 +362,8 @@ def run_entry_experiment(cfg: ExperimentConfig, threads: int | None = None) -> E
         prediction=prediction,
         cov_prediction=cov_prediction,
         comparison=comparison,
+        phi_route=route,
+        lanczos_steps_max=max(lanczos_steps) if route == "lanczos" else None,
     )
 
 

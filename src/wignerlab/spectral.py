@@ -4,6 +4,8 @@ From one decomposition M = Q diag(lambda) Q^T per sampled matrix we read off
 matrix elements phi(M)_jk = sum_a phi(lambda_a) Q_ja Q_ka, propagator entries
 U_jk(t) = sum_a e^{i t lambda_a} Q_ja Q_ka, and the trace/row statistics
 v_n, v_n(t1,t2), v_n1, v_n2 whose decay in n the Monte Carlo harness measures.
+For a single phi(M)_jj of smooth phi, lanczos_jacobi shrinks M to the small
+Jacobi matrix of the Gauss rule at e_j, which the same consumers then read.
 
 All indices are 0-based.
 """
@@ -86,6 +88,70 @@ def diagonal_powers(m: SymmetricMatrix, j: int, degree: int) -> np.ndarray:
         u = dense @ u
         powers[k] = u[j]
     return powers
+
+
+GAUSS_TOLERANCE = 1e-14  # relative movement of the Gauss estimates that ends Lanczos
+
+
+def _jacobi(alpha: list, beta: list) -> np.ndarray:
+    """The dense tridiagonal matrix with diagonal alpha and off-diagonal beta."""
+    return np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+
+
+def _gauss_estimates(alpha: list, beta: list, phis: Sequence[Callable]) -> np.ndarray:
+    """e_1^T phi(T_k) e_1 for each phi: the k-point Gauss rule of the Jacobi matrix."""
+    theta, s = np.linalg.eigh(_jacobi(alpha, beta))
+    weights = s[0] ** 2
+    return np.array([float(np.sum(phi(theta) * weights)) for phi in phis])
+
+
+def lanczos_jacobi(m: SymmetricMatrix, j: int, phis: Sequence[Callable]) -> SymmetricMatrix:
+    """The k x k Jacobi matrix T_k of Lanczos on M started from e_j.
+
+    The eigenvalues of T_k are the nodes, and the squared first components of
+    its eigenvectors the weights, of the k-point Gauss rule for the spectral
+    measure of M at e_j (Golub & Welsch 1969), so phi(M)_jj is read as
+    phi(T_k)_00 through eigh and matrix_function_entry; the rule is exact for
+    polynomials of degree < 2k.  Each step reorthogonalises against the whole
+    basis twice; the basis holds O(k n) numbers.  Lanczos stops at the first
+    of: every phi's Gauss estimate moved by <= GAUSS_TOLERANCE * max(1, |value|)
+    over two consecutive steps, Krylov breakdown (the rule is then exact), k = n.
+    The result is packed like any sampled matrix and keeps its seed and replica.
+    """
+    _check_index(m.n, j, "j")
+    n = m.n
+    dense = m.dense()
+    if not np.all(np.isfinite(dense)):
+        raise ContractError("matrix entries must be finite")
+    basis = np.zeros((min(n, 32), n))
+    basis[0, j] = 1.0
+    alpha: list[float] = []
+    beta: list[float] = []
+    estimates: list[np.ndarray] = []
+    scale = 0.0
+    for k in range(1, n + 1):
+        w = dense @ basis[k - 1]
+        alpha.append(float(basis[k - 1] @ w))
+        done = basis[:k]
+        for _ in range(2):
+            w -= done.T @ (done @ w)
+        b = float(np.linalg.norm(w))
+        scale = max(scale, abs(alpha[-1]) + b + (beta[-1] if beta else 0.0))
+        estimates.append(_gauss_estimates(alpha, beta, phis))
+        if k == n or b <= n * np.finfo(float).eps * scale:
+            break
+        if k >= 3:
+            tol = GAUSS_TOLERANCE * np.maximum(1.0, np.abs(estimates[-1]))
+            moves = np.abs(np.diff(estimates[-3:], axis=0))
+            if np.all(moves <= tol):
+                break
+        if k == basis.shape[0]:
+            basis = np.vstack([basis, np.zeros((min(k, n - k), n))])
+        beta.append(b)
+        basis[k] = w / b
+    packed = _jacobi(alpha, beta)[np.tril_indices(len(alpha))]
+    packed.setflags(write=False)
+    return SymmetricMatrix(n=len(alpha), data=packed, seed=m.seed, replica_index=m.replica_index)
 
 
 @dataclass(frozen=True, eq=False)

@@ -47,9 +47,9 @@ def centered(raw: np.ndarray, n: int) -> np.ndarray:
 @pytest.fixture(scope="module")
 def goe_batch():
     start = time.monotonic()
-    elements = hn.matrix_element_samples(
+    elements, _ = hn.matrix_element_samples(
         goe_spec(), N_BIG, 0, [monomial(3), monomial(4)], ACCEPT_SEED, R_BIG,
-        use_matvec=True, threads=hn.default_threads(),
+        route="power", threads=hn.default_threads(),
     )
     return {"raw3": elements[:, 0], "raw4": elements[:, 1], "elapsed": time.monotonic() - start}
 
@@ -57,9 +57,9 @@ def goe_batch():
 @pytest.fixture(scope="module")
 def rademacher_batch():
     start = time.monotonic()
-    elements = hn.matrix_element_samples(
+    elements, _ = hn.matrix_element_samples(
         rademacher_spec(), N_BIG, 0, [monomial(2), monomial(3), monomial(4)], ACCEPT_SEED,
-        R_BIG, use_matvec=True, threads=hn.default_threads(),
+        R_BIG, route="power", threads=hn.default_threads(),
     )
     return {
         "raw2": elements[:, 0],

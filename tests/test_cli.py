@@ -136,29 +136,51 @@ def test_simulate_deterministic_across_threads(tmp_path):
 
 
 def test_simulate_identical_across_replica_and_blas_threads(tmp_path):
-    """The eigh route at n=512, where LAPACK's bits depend on the BLAS thread count."""
-    cfg = minimal_config(
-        n_list=[512], replicas=100,
-        phi={"kind": "gaussian_damped_polynomial", "coefficients": [0, 1, 0, 0.5]},
-    )
-    cfg_path = write_config(tmp_path, cfg)
+    """The Lanczos (auto) and eigh (spectral) routes at n=512, where LAPACK's and
+    BLAS's bits depend on the BLAS thread count."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    outputs = {}
-    for blas_threads in (1, 2):
-        for threads in (1, 2):
-            env = {k: v for k, v in os.environ.items() if k != "WIGNERLAB_THREADS"}
-            env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-            out = tmp_path / f"blas{blas_threads}-threads{threads}"
-            subprocess.run(
-                [sys.executable, "-m", "wignerlab.cli", "simulate", "--config", str(cfg_path),
-                 "--threads", str(threads), "--raw", "--out", str(out)],
-                env=env, check=True, timeout=600, stdout=subprocess.DEVNULL,
-            )
-            outputs[(blas_threads, threads)] = tuple(
-                (out / name).read_bytes() for name in ("result.json", "replicas.csv"))
-    reference = outputs[(1, 1)]
-    assert [key for key, value in outputs.items() if value != reference] == []
+    for phi_eval, route in (("auto", "lanczos"), ("spectral", "eigh")):
+        cfg = minimal_config(
+            n_list=[512], replicas=100, phi_eval=phi_eval,
+            phi={"kind": "gaussian_damped_polynomial", "coefficients": [0, 1, 0, 0.5]},
+        )
+        cfg_path = write_config(tmp_path, cfg)
+        outputs = {}
+        for blas_threads in (1, 2):
+            for threads in (1, 2):
+                env = {k: v for k, v in os.environ.items() if k != "WIGNERLAB_THREADS"}
+                env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
+                env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+                out = tmp_path / f"{phi_eval}-blas{blas_threads}-threads{threads}"
+                subprocess.run(
+                    [sys.executable, "-m", "wignerlab.cli", "simulate", "--config", str(cfg_path),
+                     "--threads", str(threads), "--raw", "--out", str(out)],
+                    env=env, check=True, timeout=600, stdout=subprocess.DEVNULL,
+                )
+                assert json.loads((out / "manifest.json").read_text())["phi_route"] == route
+                outputs[(blas_threads, threads)] = tuple(
+                    (out / name).read_bytes() for name in ("result.json", "replicas.csv"))
+        reference = outputs[(1, 1)]
+        assert [key for key, value in outputs.items() if value != reference] == [], phi_eval
+
+
+@pytest.mark.parametrize("phi_eval,route,steps", [
+    ("auto", "lanczos", True), ("spectral", "eigh", False), ("matvec", "power", False),
+])
+def test_simulate_manifest_records_phi_route(tmp_path, phi_eval, route, steps):
+    phi = ({"kind": "polynomial", "coefficients": [0, 0, 1]} if phi_eval == "matvec" else
+           {"kind": "gaussian_damped_polynomial", "coefficients": [1, 0, 1]})
+    cfg_path = write_config(tmp_path, minimal_config(n_list=[32, 64], replicas=100, phi=phi,
+                                                     phi_eval=phi_eval))
+    assert cli.run_cli(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "s")]) == 0
+    manifest = json.loads((tmp_path / "s" / "manifest.json").read_text())
+    assert manifest["phi_route"] == route
+    if steps:
+        assert 1 <= manifest["lanczos_steps_max"] <= 64
+    else:
+        assert manifest["lanczos_steps_max"] is None
+    result = json.loads((tmp_path / "s" / "result.json").read_text())
+    assert "phi_route" not in json.dumps(result)  # metadata stays out of the primary output
 
 
 def test_simulate_seed_override_changes_output(tmp_path):
@@ -313,7 +335,12 @@ def test_root_seed_range(tmp_path):
     (["--t-max", "nan"], "ContractError"),
     (["--t-max", "inf"], "ContractError"),
     (["--h", "0.03", "--t-max", "2"], "ContractError"),  # 2 / 0.03 is not a whole step count
+    (["--w", "nan"], "ConfigError"),
+    (["--w", "inf"], "ConfigError"),
+    (["--kappa4", "nan"], "ConfigError"),
+    (["--kappa4", "inf"], "ConfigError"),
 ])
+@pytest.mark.filterwarnings("error")  # no numpy RuntimeWarning may precede the JSON error
 def test_exit_code_bad_volterra_arguments(tmp_path, capsys, args, error):
     code = cli.run_cli(["volterra", *args, "--out", str(tmp_path / "v")])
     assert code == 2

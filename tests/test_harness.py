@@ -8,7 +8,7 @@ from wignerlab import ensembles as en
 from wignerlab import harness as hn
 from wignerlab import limits as lm
 from wignerlab.errors import ContractError, ProvenanceError
-from wignerlab.semicircle import gaussian_damped, monomial, sc_integral
+from wignerlab.semicircle import gaussian_damped, monomial, sc_integral, tabulated
 
 
 def goe_spec(w=1.0):
@@ -51,9 +51,9 @@ def test_config_validation():
 
 
 def test_use_matvec_resolution():
-    assert small_config().use_matvec()
-    assert not small_config(phi_eval="spectral").use_matvec()
-    assert not small_config(phi=gaussian_damped([0, 1.0])).use_matvec()
+    assert small_config().phi_route() == "power"
+    assert small_config(phi_eval="spectral").phi_route() == "eigh"
+    assert small_config(phi=gaussian_damped([0, 1.0])).phi_route() == "lanczos"
 
 
 def test_resolve_j():
@@ -119,6 +119,56 @@ def test_matvec_and_spectral_routes_agree():
     ya = hn.run_entry_experiment(cfg_a, threads=1).per_n[0].samples
     yb = hn.run_entry_experiment(cfg_b, threads=1).per_n[0].samples
     assert np.max(np.abs(ya - yb)) <= 1e-9
+
+
+def test_lanczos_and_spectral_routes_agree():
+    phi, phi2 = gaussian_damped([0, 1.0, 0, 0.5], 1.0), gaussian_damped([1.0, 0, 1.0], 0.5)
+    cfg_a = small_config(phi=phi, phi2=phi2, replicas=150)
+    cfg_b = small_config(phi=phi, phi2=phi2, phi_eval="spectral", replicas=150)
+    a = hn.run_entry_experiment(cfg_a, threads=1)
+    b = hn.run_entry_experiment(cfg_b, threads=1)
+    assert (a.phi_route, b.phi_route) == ("lanczos", "eigh")
+    assert np.max(np.abs(a.per_n[0].samples - b.per_n[0].samples)) <= 1e-12
+    assert a.per_n[0].covariance[0] == pytest.approx(b.per_n[0].covariance[0], rel=1e-10)
+    assert 1 <= a.lanczos_steps_max <= 32 and b.lanczos_steps_max is None
+
+
+ROUTE_PHIS = {
+    "polynomials": ([monomial(3), monomial(4)], "power"),
+    "smooth": ([gaussian_damped([0, 1.0], 1.0), gaussian_damped([1.0], 2.0)], "lanczos"),
+    "smooth and polynomial": ([gaussian_damped([0, 1.0], 1.0), monomial(2)], "lanczos"),
+    "tabulated": ([tabulated([-3.0, 0.0, 3.0], [1.0, 0.0, 1.0])], "eigh"),
+    "smooth and tabulated": ([gaussian_damped([0, 1.0], 1.0),
+                              tabulated([-3.0, 0.0, 3.0], [1.0, 0.0, 1.0])], "eigh"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROUTE_PHIS))
+def test_auto_routes_each_phi_to_its_evaluator(monkeypatch, case):
+    """auto: polynomials take the power route, smooth phi Lanczos, any tabulated phi eigh."""
+    calls = {"diagonal_powers": 0, "lanczos_jacobi": 0, "eigh": 0}
+
+    def counting(name):
+        original = getattr(hn, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(hn, name, counting(name))
+    phis, route = ROUTE_PHIS[case]
+    cfg = small_config(phi=phis[0], phi2=phis[1] if len(phis) > 1 else None, replicas=100)
+    result = hn.run_entry_experiment(cfg, threads=1)
+    assert cfg.phi_route() == result.phi_route == route
+    expected = {
+        "power": {"diagonal_powers": 100, "lanczos_jacobi": 0, "eigh": 0},
+        "lanczos": {"diagonal_powers": 0, "lanczos_jacobi": 100, "eigh": 100},
+        "eigh": {"diagonal_powers": 0, "lanczos_jacobi": 0, "eigh": 100},
+    }[route]
+    assert calls == expected
 
 
 def test_result_deterministic_across_threads():

@@ -6,7 +6,7 @@ import pytest
 from wignerlab import ensembles as en
 from wignerlab import spectral as sp
 from wignerlab.errors import ContractError
-from wignerlab.semicircle import monomial, polynomial
+from wignerlab.semicircle import gaussian_damped, monomial, polynomial, trigonometric
 
 
 def goe_spec(w=1.0):
@@ -131,6 +131,105 @@ def test_polynomial_entry_matches_spectral_route():
         spectral = sp.matrix_function_entry(dec, phi, j, j)
         direct = np.asarray(phi.coefficients) @ sp.diagonal_powers(m, j, phi.degree)
         assert spectral == pytest.approx(direct, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Lanczos-Gauss quadrature
+# ---------------------------------------------------------------------------
+
+
+def gauss_entries(m, j, phis):
+    """phi(M)_jj through the Jacobi matrix: the harness's lanczos route."""
+    t = sp.lanczos_jacobi(m, j, phis)
+    dec = sp.eigh(t)
+    return [sp.matrix_function_entry(dec, p, 0, 0) for p in phis], t
+
+
+LANCZOS_PHIS = {
+    "damped_0.5": [gaussian_damped([0.0, 1.0, 0.0, 0.5], 0.5)],
+    "damped_1": [gaussian_damped([1.0, 0.0, 1.0], 1.0)],
+    "damped_2": [gaussian_damped([0.3, -1.0, 0.2], 2.0)],
+    "trigonometric": [trigonometric(0.4, 1.0)],
+    "polynomial": [polynomial([0.2, -1.0, 0.0, 0.5, 1.0])],
+    "mixed": [gaussian_damped([0.0, 1.0, 0.0, 0.5], 1.0), gaussian_damped([1.0, 0.0, 1.0], 1.2),
+              trigonometric(1.0, 0.0), monomial(3)],
+}
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "rademacher", "uniform"])
+def test_lanczos_matches_eigh_battery(kind):
+    """The Gauss rule of lanczos_jacobi against the full eigh, to 1e-12 relative.
+
+    Relative to sum_a |phi(lambda_a)| Q_ja^2, the size of the terms the eigh
+    route adds: an odd phi can make phi(M)_jj itself cancel to 1e-4 while both
+    routes carry round-off of the size of those terms.
+    """
+    spec = en.EnsembleSpec(entry_dist=en.make_entry_distribution(kind, 1.0))
+    for n in (16, 64, 512):
+        m = en.sample_matrix(spec, n, seed=83, replica=n)
+        dec = sp.eigh(m)
+        for j in (0, (n - 1) // 2, n - 1):
+            for name, phis in LANCZOS_PHIS.items():
+                values, t = gauss_entries(m, j, phis)
+                assert (t.n <= n, t.seed, t.replica_index) == (True, m.seed, m.replica_index)
+                for p, value in zip(phis, values):
+                    expected = sp.matrix_function_entry(dec, p, j, j)
+                    scale = sp.matrix_function_entry(dec, lambda x: np.abs(p(x)), j, j)
+                    assert abs(value - expected) <= 1e-12 * scale, (n, j, name)
+
+
+def test_lanczos_jacobi_is_packed_tridiagonal():
+    m = en.sample_matrix(goe_spec(), 64, seed=89)
+    t = sp.lanczos_jacobi(m, 5, [gaussian_damped([1.0], 1.0)])
+    dense = t.dense()
+    assert np.array_equal(dense, np.triu(np.tril(dense, 1), -1))
+    assert dense[0, 0] == m.dense()[5, 5]  # alpha_1 = e_j^T M e_j
+    assert np.all(np.diag(dense, 1) > 0)
+    # a polynomial of degree < 2k is integrated exactly: (M^4)_jj
+    assert t.n >= 3
+    assert sp.matrix_function_entry(sp.eigh(t), monomial(4), 0, 0) == pytest.approx(
+        np.linalg.matrix_power(m.dense(), 4)[5, 5], rel=1e-13)
+
+
+def test_lanczos_breakdown_is_exact():
+    """e_j inside a 3-dimensional invariant subspace: Lanczos stops at k <= 3 with the exact value."""
+    rng = np.random.default_rng(97)
+    block = rng.standard_normal((3, 3))
+    rest = rng.standard_normal((61, 61))
+    a = np.zeros((64, 64))
+    a[:3, :3] = (block + block.T) / 2
+    a[3:, 3:] = (rest + rest.T) / 2
+    m = packed(a)
+    phis = [gaussian_damped([0.0, 1.0, 0.0, 0.5], 0.5), trigonometric(1.0, 1.0)]
+    dec = sp.eigh(m)
+    for j in range(3):
+        values, t = gauss_entries(m, j, phis)
+        assert t.n <= 3
+        for p, value in zip(phis, values):
+            assert value == pytest.approx(sp.matrix_function_entry(dec, p, j, j), rel=1e-13, abs=1e-15)
+    diagonal = packed(np.diag([0.5, -1.0, 2.0]))
+    values, t = gauss_entries(diagonal, 1, phis)
+    assert t.n == 1
+    assert values == [p(-1.0) for p in phis]
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 16])
+def test_lanczos_steps_never_exceed_n(n):
+    m = en.sample_matrix(goe_spec(), n, seed=101, replica=n)
+    narrow = [gaussian_damped([1.0], 0.25)]  # not converged before k = n, so the cap stops it
+    dec = sp.eigh(m)
+    for j in range(n):
+        values, t = gauss_entries(m, j, narrow)
+        assert t.n == n
+        assert values[0] == pytest.approx(sp.matrix_function_entry(dec, narrow[0], j, j), rel=1e-12)
+
+
+def test_lanczos_contracts():
+    m = en.sample_matrix(goe_spec(), 8, seed=103)
+    with pytest.raises(ContractError):
+        sp.lanczos_jacobi(m, 8, [monomial(2)])
+    with pytest.raises(ContractError):
+        sp.lanczos_jacobi(packed([[0.0, np.nan], [np.nan, 0.0]]), 0, [monomial(2)])
 
 
 # ---------------------------------------------------------------------------
