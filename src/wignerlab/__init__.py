@@ -40,6 +40,7 @@ from .semicircle import (
     v_tilde,
 )
 from .spectral import (
+    JacobiMatrix,
     SpectralDecomposition,
     eigh,
     lanczos_jacobi,
@@ -53,6 +54,7 @@ __all__ = [
     "EntryDistribution",
     "ExperimentConfig",
     "ExperimentResult",
+    "JacobiMatrix",
     "LimitPrediction",
     "SpectralDecomposition",
     "SymmetricMatrix",

@@ -228,9 +228,9 @@ def _write_json(path: Path, obj: dict) -> None:
 
 def _write_manifest(out_dir: Path, cfg_hash: str, root_seed: int, threads: int,
                     wall: float, outputs: list[Path], blas_threads: int | None = None,
-                    phi_eval: dict | None = None) -> Path:
+                    extra: dict | None = None) -> Path:
     """Run metadata; blas_threads is the replica phases' BLAS thread count (None: no phase,
-    or no bundled OpenBLAS found); phi_eval adds simulate's phi route and Lanczos steps."""
+    or no bundled OpenBLAS found); extra adds subcommand-specific fields."""
     manifest = {
         "config_hash": cfg_hash,
         "tool_version": __version__,
@@ -239,7 +239,7 @@ def _write_manifest(out_dir: Path, cfg_hash: str, root_seed: int, threads: int,
         "blas_threads": blas_threads,
         "wall_time_s": wall,
         "outputs": [p.name for p in outputs],
-        **(phi_eval or {}),
+        **(extra or {}),
     }
     path = out_dir / "manifest.json"
     _write_json(path, manifest)
@@ -286,7 +286,7 @@ def _cmd_simulate(args) -> int:
         _write_csv(outputs[-1], ["n", "replica", "j", "y_value"], rows)
     _write_manifest(out_dir, config_hash(cfg.descriptor()), cfg.root_seed, threads,
                     time.monotonic() - started, outputs, replica_blas_threads(),
-                    {"phi_route": result.phi_route, "lanczos_steps_max": result.lanczos_steps_max})
+                    {"phi_route": cfg.phi_route(), "lanczos_steps_max": result.lanczos_steps_max})
     for p in outputs:
         print(f"wrote {p}")
     return 0

@@ -172,20 +172,22 @@ def matrix_element_samples(spec: EnsembleSpec, n: int, j: int, phis: Sequence[Te
         raise ContractError(f"unknown phi route {route!r}")
     coeff_list = [np.asarray(p.coefficients, dtype=float) for p in phis] if route == "power" else None
 
-    def one_replica(r: int) -> tuple[np.ndarray, int]:
+    steps: list[int] = []  # Jacobi matrix sizes; max() does not depend on thread order
+
+    def one_replica(r: int) -> np.ndarray:
         m = sample_matrix(spec, n, root_seed, r)
         if route == "power":
             powers = diagonal_powers(m, j, max(c.size for c in coeff_list) - 1)
-            return np.array([float(c @ powers[: c.size]) for c in coeff_list]), 0
+            return np.array([float(c @ powers[: c.size]) for c in coeff_list])
         jj = j
         if route == "lanczos":
             m, jj = lanczos_jacobi(m, j, phis), 0
+            steps.append(m.n)
         dec = eigh(m)
-        return np.array([matrix_function_entry(dec, p, jj, jj) for p in phis]), m.n
+        return np.array([matrix_function_entry(dec, p, jj, jj) for p in phis])
 
     rows = _parallel_map(one_replica, replicas, threads)
-    steps = max(k for _, k in rows) if route == "lanczos" else None
-    return np.vstack([values for values, _ in rows]), steps
+    return np.vstack(rows), max(steps, default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +283,7 @@ class ExperimentResult:
     prediction: LimitPrediction
     cov_prediction: float | None
     comparison: dict
-    phi_route: str  # run metadata, not part of to_dict: one of PHI_ROUTES
-    lanczos_steps_max: int | None  # largest Jacobi matrix over replicas and sizes
+    lanczos_steps_max: int | None  # run metadata, not in to_dict: largest Jacobi matrix
 
     def to_dict(self) -> dict:
         d = {
@@ -314,13 +315,14 @@ def run_entry_experiment(cfg: ExperimentConfig, threads: int | None = None) -> E
         float(cov_limit_wigner(cfg.phi, cfg.phi2, cfg.spec)) if cfg.phi2 is not None else None
     )
     per_n: list[PerNResult] = []
-    lanczos_steps = []
+    lanczos_steps: list[int] = []
     for n in cfg.n_list:
         j = resolve_j(cfg.j_policy, n, cfg.j_explicit)
         elements, steps = matrix_element_samples(
             cfg.spec, n, j, phis, cfg.root_seed, cfg.replicas, route, threads
         )
-        lanczos_steps.append(steps)
+        if steps is not None:
+            lanczos_steps.append(steps)
         raw = elements[:, 0]
         y = math.sqrt(n) * (raw - raw.mean())
         stats = sample_cumulants(y, order=4)
@@ -362,8 +364,7 @@ def run_entry_experiment(cfg: ExperimentConfig, threads: int | None = None) -> E
         prediction=prediction,
         cov_prediction=cov_prediction,
         comparison=comparison,
-        phi_route=route,
-        lanczos_steps_max=max(lanczos_steps) if route == "lanczos" else None,
+        lanczos_steps_max=max(lanczos_steps, default=None),
     )
 
 

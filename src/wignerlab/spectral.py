@@ -40,8 +40,8 @@ class SpectralDecomposition:
         return out
 
 
-def eigh(m: SymmetricMatrix) -> SpectralDecomposition:
-    """Full symmetric eigendecomposition of one sampled matrix.
+def eigh(m: SymmetricMatrix | JacobiMatrix) -> SpectralDecomposition:
+    """Full symmetric eigendecomposition of one sampled matrix or Jacobi matrix.
 
     Deterministic for fixed input.  A LAPACK convergence failure is re-raised
     with the matrix seed/replica so the offending sample can be regenerated.
@@ -93,19 +93,28 @@ def diagonal_powers(m: SymmetricMatrix, j: int, degree: int) -> np.ndarray:
 GAUSS_TOLERANCE = 1e-14  # relative movement of the Gauss estimates that ends Lanczos
 
 
-def _jacobi(alpha: list, beta: list) -> np.ndarray:
-    """The dense tridiagonal matrix with diagonal alpha and off-diagonal beta."""
-    return np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+@dataclass(frozen=True, eq=False)
+class JacobiMatrix:
+    """Symmetric tridiagonal T_k: diagonal alpha (k numbers), off-diagonal beta (k - 1).
+
+    eigh reads it like a sampled matrix; it keeps the seed and replica of the
+    matrix it was reduced from, so a failure names the sample to regenerate.
+    """
+
+    alpha: np.ndarray
+    beta: np.ndarray
+    seed: int
+    replica_index: int
+
+    @property
+    def n(self) -> int:
+        return self.alpha.size
+
+    def dense(self) -> np.ndarray:
+        return np.diag(self.alpha) + np.diag(self.beta, 1) + np.diag(self.beta, -1)
 
 
-def _gauss_estimates(alpha: list, beta: list, phis: Sequence[Callable]) -> np.ndarray:
-    """e_1^T phi(T_k) e_1 for each phi: the k-point Gauss rule of the Jacobi matrix."""
-    theta, s = np.linalg.eigh(_jacobi(alpha, beta))
-    weights = s[0] ** 2
-    return np.array([float(np.sum(phi(theta) * weights)) for phi in phis])
-
-
-def lanczos_jacobi(m: SymmetricMatrix, j: int, phis: Sequence[Callable]) -> SymmetricMatrix:
+def lanczos_jacobi(m: SymmetricMatrix, j: int, phis: Sequence[Callable]) -> JacobiMatrix:
     """The k x k Jacobi matrix T_k of Lanczos on M started from e_j.
 
     The eigenvalues of T_k are the nodes, and the squared first components of
@@ -116,7 +125,6 @@ def lanczos_jacobi(m: SymmetricMatrix, j: int, phis: Sequence[Callable]) -> Symm
     basis twice; the basis holds O(k n) numbers.  Lanczos stops at the first
     of: every phi's Gauss estimate moved by <= GAUSS_TOLERANCE * max(1, |value|)
     over two consecutive steps, Krylov breakdown (the rule is then exact), k = n.
-    The result is packed like any sampled matrix and keeps its seed and replica.
     """
     _check_index(m.n, j, "j")
     n = m.n
@@ -127,7 +135,7 @@ def lanczos_jacobi(m: SymmetricMatrix, j: int, phis: Sequence[Callable]) -> Symm
     basis[0, j] = 1.0
     alpha: list[float] = []
     beta: list[float] = []
-    estimates: list[np.ndarray] = []
+    estimates: list[list[float]] = []
     scale = 0.0
     for k in range(1, n + 1):
         w = dense @ basis[k - 1]
@@ -137,7 +145,9 @@ def lanczos_jacobi(m: SymmetricMatrix, j: int, phis: Sequence[Callable]) -> Symm
             w -= done.T @ (done @ w)
         b = float(np.linalg.norm(w))
         scale = max(scale, abs(alpha[-1]) + b + (beta[-1] if beta else 0.0))
-        estimates.append(_gauss_estimates(alpha, beta, phis))
+        t = JacobiMatrix(np.array(alpha), np.array(beta), m.seed, m.replica_index)
+        dec = eigh(t)
+        estimates.append([matrix_function_entry(dec, phi, 0, 0) for phi in phis])
         if k == n or b <= n * np.finfo(float).eps * scale:
             break
         if k >= 3:
@@ -149,9 +159,7 @@ def lanczos_jacobi(m: SymmetricMatrix, j: int, phis: Sequence[Callable]) -> Symm
             basis = np.vstack([basis, np.zeros((min(k, n - k), n))])
         beta.append(b)
         basis[k] = w / b
-    packed = _jacobi(alpha, beta)[np.tril_indices(len(alpha))]
-    packed.setflags(write=False)
-    return SymmetricMatrix(n=len(alpha), data=packed, seed=m.seed, replica_index=m.replica_index)
+    return t
 
 
 @dataclass(frozen=True, eq=False)

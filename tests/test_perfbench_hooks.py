@@ -2,7 +2,8 @@
 attribute name; installing it fails with AttributeError once a wrapped name is
 renamed or removed, so this guards those names in the ordinary test run.  The
 benchmark also requires some spans to be recorded on its traced runs
-(perfbench/workloads.expected_layers); small traced simulate runs guard that."""
+(perfbench/workloads.expected_layers) and counts one dense unpack per sampled
+matrix (perfbench/tests/test_spans.py); small traced simulate runs guard both."""
 
 import json
 import os
@@ -72,7 +73,12 @@ def test_traced_simulate_records_required_spans(tmp_path, workload):
         env=perfbench_env(), capture_output=True, timeout=300, check=True,
     )
     busy: dict[str, float] = {}
+    unpacked = []  # sizes of the matrices SymmetricMatrix.dense unpacked
     for span in json.loads(spans_path.read_text())["spans"]:
         busy[span["name"]] = busy.get(span["name"], 0.0) + span["end"] - span["start"]
+        if span["name"] == "ensembles.dense":
+            unpacked.append(span["attrs"]["n"])
     assert NAMED_SPANS[workload] <= required
     assert sorted(name for name in required if busy.get(name, 0.0) <= 0.0) == []
+    # ensembles.dense.bytes_computed counts 8 n^2 per call: one unpack per sampled matrix
+    assert unpacked == [64] * 100
