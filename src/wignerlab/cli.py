@@ -301,7 +301,12 @@ def _cmd_volterra(args) -> int:
     for flag, value in (("--w", args.w), ("--kappa4", args.kappa4)):
         if not math.isfinite(value):
             raise ConfigError(f"{flag}: expected a finite number, got {value!r}", field=flag)
-    rows = residual_table(h_values=h_values, w=args.w, kappa4=args.kappa4, t_max=args.t_max)
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            rows = residual_table(h_values=h_values, w=args.w, kappa4=args.kappa4, t_max=args.t_max)
+    except (FloatingPointError, OverflowError) as exc:
+        raise ConfigError(f"--w {args.w!r} with --kappa4 {args.kappa4!r} cannot be evaluated "
+                          f"in floating point: {exc}") from exc
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     target = out_dir / "volterra_residuals.csv"

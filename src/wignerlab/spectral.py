@@ -177,24 +177,17 @@ class PropagatorSample:
 
 def propagator_entries(dec: SpectralDecomposition, pairs: Sequence[tuple[int, int]],
                        t_grid: Sequence[float]) -> PropagatorSample:
-    """U_jk(t) = sum_a e^{i t lambda_a} Q_ja Q_ka over the grid."""
-    t = np.asarray(t_grid, dtype=float)
-    if not np.all(np.isfinite(t)):
-        raise ContractError("times must be finite")
-    phases = np.exp(1j * np.multiply.outer(t, dec.eigenvalues))  # (T, n)
-    q = dec.eigenvectors
-    rows = []
+    """U_jk(t) over the grid: column k of one propagator_slices row per distinct j."""
+    pairs = tuple((int(j), int(k)) for j, k in pairs)
     for j, k in pairs:
         _check_index(dec.n, j, "j")
         _check_index(dec.n, k, "k")
-        vals = phases @ (q[j, :] * q[k, :])
-        vals[t == 0.0] = 1.0 if j == k else 0.0  # U(0) = I is exact by definition
-        rows.append(vals)
-    entries = np.array(rows)
+    rows = {j: propagator_slices(dec, j, t_grid)[1] for j in {j for j, _ in pairs}}
+    entries = np.array([rows[j][:, k] for j, k in pairs])
     entries.setflags(write=False)
-    t = t.copy()
+    t = np.array(t_grid, dtype=float)
     t.setflags(write=False)
-    return PropagatorSample(t_grid=t, pairs=tuple((int(j), int(k)) for j, k in pairs), entries=entries)
+    return PropagatorSample(t_grid=t, pairs=pairs, entries=entries)
 
 
 def propagator_slices(dec: SpectralDecomposition, j: int,

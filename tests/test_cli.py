@@ -227,6 +227,18 @@ def test_volterra_subcommand(tmp_path):
     assert all(1.5 <= o <= 2.5 for o in finite_orders)
 
 
+def test_volterra_zero_residual_has_no_order(tmp_path):
+    # at this scale the scalar v-equation residual is exactly 0 at h = 0.5
+    code = cli.run_cli(["volterra", "--w", "1e-5", "--h", "0.5,0.25", "--t-max", "1",
+                        "--out", str(tmp_path / "v")])
+    assert code == 0
+    with (tmp_path / "v" / "volterra_residuals.csv").open() as fh:
+        rows = [r for r in csv.DictReader(fh) if r["case"] == "scalar_v_equation"]
+    assert [r["h"] for r in rows] == ["0.5", "0.25"]
+    assert float(rows[0]["residual"]) == 0.0
+    assert [r["order_estimate"] for r in rows] == ["nan", "nan"]
+
+
 def test_lemma_subcommand(tmp_path):
     cfg = minimal_config(n_list=[16, 32, 64, 128], replicas=120, t_grid=[1.0])
     code = cli.run_cli(
@@ -339,6 +351,8 @@ def test_root_seed_range(tmp_path):
     (["--w", "inf"], "ConfigError"),
     (["--kappa4", "nan"], "ConfigError"),
     (["--kappa4", "inf"], "ConfigError"),
+    (["--w", "1e200"], "ConfigError"),  # w^4 overflows
+    (["--w", "1e-200"], "ConfigError"),  # w^2 underflows to 0, so v*v = 0/0
 ])
 @pytest.mark.filterwarnings("error")  # no numpy RuntimeWarning may precede the JSON error
 def test_exit_code_bad_volterra_arguments(tmp_path, capsys, args, error):

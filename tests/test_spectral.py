@@ -272,10 +272,27 @@ def test_propagator_entries_bounded():
     assert np.max(np.abs(ps.entries)) <= 1.0 + 1e-12
 
 
+def test_propagator_entries_match_spectral_sum():
+    # oracle: U_jk(t) = sum_a e^{i t lambda_a} Q_ja Q_ka, with U(0) = I exact
+    dec = sp.eigh(en.sample_matrix(goe_spec(), 50, seed=47))
+    pairs = [(3, 3), (3, 7), (0, 49), (7, 3), (3, 0)]
+    t = np.array([0.0, -2.5, 0.4, 0.0, 3.0])
+    ps = sp.propagator_entries(dec, pairs, t)
+    q = dec.eigenvectors
+    phases = np.exp(1j * np.multiply.outer(t, dec.eigenvalues))
+    want = np.array([phases @ (q[j] * q[k]) for j, k in pairs])
+    assert ps.entries.shape == (5, 5) and ps.pairs == tuple(pairs)
+    assert np.max(np.abs(ps.entries - want)) <= 1e-13
+    assert [ps.entries[i, 0] for i in range(5)] == [1.0, 0.0, 0.0, 0.0, 0.0]
+    assert np.array_equal(ps.entries[:, 3], ps.entries[:, 0])
+
+
 def test_propagator_index_bounds():
     dec = sp.eigh(en.sample_matrix(goe_spec(), 8, seed=43))
     with pytest.raises(ContractError):
         sp.propagator_entries(dec, [(8, 0)], [0.0])
+    with pytest.raises(ContractError):
+        sp.propagator_entries(dec, [(0, 8)], [0.0])
     with pytest.raises(ContractError):
         sp.propagator_entries(dec, [(0, 0)], [np.inf])
 

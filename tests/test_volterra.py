@@ -74,6 +74,67 @@ def test_v_convolved_with_itself_matches_closed_form():
     assert np.max(np.abs(grid_conv - closed)) <= 10 * h * h
 
 
+# The direct trapezoid forms the FFT convolution replaced, kept as oracles:
+# the 1-D np.convolve sum and the dense Toeplitz convolution and cumulative
+# integral matrices.
+
+
+def convolve_oracle(f, g, h):
+    n = f.size
+    out = np.convolve(f, g)[:n] * h
+    out -= 0.5 * h * (f[0] * g + g[0] * f)
+    return out
+
+
+def conv_matrix_oracle(q, h):
+    """L with (L x)_m = trapezoid Integral_0^{t_m} q(t_m - s) x(s) ds."""
+    n = q.size
+    idx = np.arange(n)
+    lower = idx[:, None] - idx[None, :]
+    l_mat = np.where(lower >= 0, q[np.abs(lower)], 0.0) * h
+    l_mat[:, 0] *= 0.5
+    l_mat[idx, idx] *= 0.5
+    l_mat[0, :] = 0.0
+    return l_mat
+
+
+def cumtrapz_matrix_oracle(n, h):
+    t_mat = np.tril(np.full((n, n), h))
+    t_mat[:, 0] = 0.5 * h
+    idx = np.arange(n)
+    t_mat[idx, idx] = 0.5 * h
+    t_mat[0, :] = 0.0
+    return t_mat
+
+
+def assert_close(got, want):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [2, 3, 201, 1601])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_trapezoid_forms_match_direct_oracles(n, kind):
+    rng = np.random.default_rng([n, kind == "complex"])
+
+    def draw(*shape):
+        x = rng.uniform(-1.0, 1.0, shape)
+        return x + 1j * rng.uniform(-1.0, 1.0, shape) if kind == "complex" else x
+
+    h = 2.0 / (n - 1)
+    q, p, kernel = draw(n), draw(n), draw(n, 7)
+    assert_close(vt._conv_values(q, p, h), convolve_oracle(q, p, h))
+    assert_close(vt._conv_values(q, kernel, h), conv_matrix_oracle(q, h) @ kernel)
+    cum = cumtrapz_matrix_oracle(n, h)
+    assert_close(vt._cumtrapz(p, h), cum @ p)
+    assert_close(vt._cumtrapz(kernel, h), cum @ kernel)
+    series = vt.ComplexSeries(grid=vt.uniform_grid(2.0, h), values=q.astype(complex))
+    applied = vt.volterra_apply(series, kernel)
+    assert_close(applied, kernel + cum @ (conv_matrix_oracle(q, h) @ kernel))
+    by_column = np.column_stack([vt.volterra_apply(series, kernel[:, c]) for c in range(7)])
+    assert_close(applied, by_column)
+
+
 # ---------------------------------------------------------------------------
 # the integral-equation solver
 # ---------------------------------------------------------------------------
@@ -242,6 +303,14 @@ def test_v2_equation_check_contracts():
         vt.v2_equation_check(1, [], 1.0, g)
     with pytest.raises(ContractError):
         vt.v2_equation_check(3, [1.0], 1.0, g)
+
+
+def test_residual_table_order_needs_two_positive_residuals(monkeypatch):
+    residuals = iter([1e-3, 0.0, 1e-5, 2.5e-6])
+    monkeypatch.setattr(vt, "scalar_v_equation_residual", lambda w, grid: next(residuals))
+    rows = vt.residual_table(h_values=(0.4, 0.2, 0.1, 0.05), t_max=0.4)
+    orders = [r["order_estimate"] for r in rows if r["case"] == "scalar_v_equation"]
+    assert all(math.isnan(o) for o in orders[:3]) and orders[3] == pytest.approx(2.0)
 
 
 def test_residual_table_orders():
