@@ -32,6 +32,7 @@ from .errors import ConfigError, NumericFailureError, WignerLabError
 from .harness import (
     ExperimentConfig,
     J_POLICIES,
+    PHI_EVALS,
     default_threads,
     lemma_decay_experiment,
     run_entry_experiment,
@@ -175,6 +176,10 @@ def config_from_dict(obj: dict) -> ExperimentConfig:
     j_policy = obj.get("j_policy", "first")
     if j_policy not in J_POLICIES:
         raise ConfigError(f"config.j_policy: unknown policy {j_policy!r}", field="config.j_policy")
+    phi_eval = obj.get("phi_eval", "auto")
+    if phi_eval not in PHI_EVALS:
+        raise ConfigError(f"config.phi_eval: unknown mode {phi_eval!r}, expected one of {PHI_EVALS}",
+                          field="config.phi_eval")
     kwargs = dict(
         spec=spec,
         phi=phi,
@@ -183,7 +188,7 @@ def config_from_dict(obj: dict) -> ExperimentConfig:
         replicas=_positive_int(obj["replicas"], "config.replicas"),
         root_seed=_seed(obj["root_seed"], "config.root_seed"),
         j_policy=j_policy,
-        phi_eval=obj.get("phi_eval", "auto"),
+        phi_eval=phi_eval,
     )
     if obj.get("j_explicit") is not None:
         kwargs["j_explicit"] = _positive_int(obj["j_explicit"], "config.j_explicit")

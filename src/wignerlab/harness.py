@@ -34,11 +34,13 @@ from .ensembles import EnsembleSpec, sample_matrix
 from .errors import ConfigError, ContractError, ProvenanceError
 from .limits import LimitPrediction, cov_limit_wigner, limit_cf, limit_cumulants, var_limit
 from .semicircle import POLYNOMIAL, TABULATED, TestFunction, v_of_t
-from .spectral import diagonal_powers, eigh, lanczos_jacobi, lemma_statistics, matrix_function_entry
+from .spectral import eigh, lanczos_jacobi, lemma_statistics, matrix_function_entry
 
 J_POLICIES = ("first", "middle", "last", "explicit")
 
-PHI_ROUTES = ("power", "lanczos", "eigh")
+PHI_EVALS = ("auto", "spectral")
+
+PHI_ROUTES = ("lanczos", "eigh")
 
 KS_COEFFICIENT = 1.63  # asymptotic alpha ~ 0.01 quantile; approximate under fitted parameters
 
@@ -87,7 +89,7 @@ class ExperimentConfig:
     j_explicit: int | None = None
     x_grid: tuple[float, ...] = (0.25, 0.5, 0.75, 1.0)
     t_grid: tuple[float, ...] = (1.0,)
-    phi_eval: str = "auto"  # auto | spectral | matvec
+    phi_eval: str = "auto"  # one of PHI_EVALS
 
     def __post_init__(self):
         if self.replicas < 100:
@@ -99,26 +101,18 @@ class ExperimentConfig:
         for name, grid in (("x_grid", self.x_grid), ("t_grid", self.t_grid)):
             if not all(math.isfinite(v) for v in grid):
                 raise ContractError(f"{name} must be finite")
-        if self.phi_eval not in ("auto", "spectral", "matvec"):
+        if self.phi_eval not in PHI_EVALS:
             raise ContractError(f"unknown phi_eval mode {self.phi_eval!r}")
-        if self.phi_eval == "matvec" and not self._all_polynomial():
-            raise ContractError("matvec evaluation requires polynomial test functions")
 
     def phis(self) -> list[TestFunction]:
         return [self.phi] + ([self.phi2] if self.phi2 is not None else [])
 
-    def _all_polynomial(self) -> bool:
-        return all(p.kind == POLYNOMIAL for p in self.phis())
-
     def phi_route(self) -> str:
         """How replicas evaluate phi(M)_jj: one of PHI_ROUTES.
 
-        matvec, and auto with only polynomials, take the exact power route;
-        spectral, and auto with a tabulated phi, take the full eigh; auto with
-        smooth phi takes Lanczos-Gauss quadrature.
+        spectral, and auto with a tabulated phi, take the full eigh; auto
+        otherwise takes Lanczos-Gauss quadrature.
         """
-        if self.phi_eval == "matvec" or (self.phi_eval == "auto" and self._all_polynomial()):
-            return "power"
         if self.phi_eval == "spectral" or any(p.kind == TABULATED for p in self.phis()):
             return "eigh"
         return "lanczos"
@@ -162,32 +156,36 @@ def matrix_element_samples(spec: EnsembleSpec, n: int, j: int, phis: Sequence[Te
     """phi(M_r)_jj for each replica and test function, shape (replicas, len(phis)),
     and the largest Lanczos step count over replicas (None off the lanczos route).
 
-    route is one of PHI_ROUTES.  "power" is exact for polynomials and avoids
-    the O(n^3) decomposition.  "eigh" diagonalizes each replica once and reads
-    every function off the same spectrum.  "lanczos" replaces M by the Jacobi
-    matrix of the Gauss rule for its spectral measure at e_j, whose (0, 0)
-    entries then go through the same eigh and matrix_function_entry.
+    route is one of PHI_ROUTES.  "eigh" diagonalizes each replica once and
+    reads every function off the same spectrum.  "lanczos" replaces M by the
+    Jacobi matrix of the Gauss rule for its spectral measure at e_j: after the
+    max_degree // 2 + 1 steps that make it exact, polynomials read its moments;
+    smooth phi go through the same eigh and matrix_function_entry at (0, 0).
     """
     if route not in PHI_ROUTES:
         raise ContractError(f"unknown phi route {route!r}")
-    coeff_list = [np.asarray(p.coefficients, dtype=float) for p in phis] if route == "power" else None
+    steps = coeff_list = None
+    if all(p.kind == POLYNOMIAL for p in phis):
+        degree = max(p.degree for p in phis)
+        steps = degree // 2 + 1
+        coeff_list = [np.asarray(p.coefficients[: p.degree + 1], dtype=float) for p in phis]
 
-    steps: list[int] = []  # Jacobi matrix sizes; max() does not depend on thread order
+    sizes: list[int] = []  # Jacobi matrix sizes; max() does not depend on thread order
 
     def one_replica(r: int) -> np.ndarray:
         m = sample_matrix(spec, n, root_seed, r)
-        if route == "power":
-            powers = diagonal_powers(m, j, max(c.size for c in coeff_list) - 1)
-            return np.array([float(c @ powers[: c.size]) for c in coeff_list])
         jj = j
         if route == "lanczos":
-            m, jj = lanczos_jacobi(m, j, phis), 0
-            steps.append(m.n)
+            m, jj = lanczos_jacobi(m, j, phis, steps), 0
+            sizes.append(m.n)
+            if coeff_list is not None:
+                moments = m.moments(degree)
+                return np.array([float(c @ moments[: c.size]) for c in coeff_list])
         dec = eigh(m)
         return np.array([matrix_function_entry(dec, p, jj, jj) for p in phis])
 
     rows = _parallel_map(one_replica, replicas, threads)
-    return np.vstack(rows), max(steps, default=None)
+    return np.vstack(rows), max(sizes, default=None)
 
 
 # ---------------------------------------------------------------------------

@@ -377,19 +377,28 @@ def v_tilde(z, w: float):
     return complex(out) if np.isscalar(z) else out
 
 
+# (-1)^{k+1} (C_{k+1} - C_k) / (2k)! = (-1)^{k+1} 3k / ((k+2) k! (k+1)!), C_k Catalan, k = 1..20
+_VVV_SERIES = np.array([(-1) ** (k + 1) * 3 * k / ((k + 2) * math.factorial(k) * math.factorial(k + 1))
+                        for k in range(1, 21)])
+
+
 def sc_convolutions(t, w: float, n_nodes: int = DEFAULT_NODES) -> dict:
     """Closed-form (v*v)(t) and (v*v*v)(t) via single semicircle integrals.
 
     (v*v)(t)   = -(i/w^2) Integral e^{i mu t} mu rho_sc(mu) dmu
                = (1/w^2) Integral sin(mu t) mu rho_sc(mu) dmu
     (v*v*v)(t) = w^-4 Integral cos(lambda t) (w^2 - lambda^2) rho_sc dlambda.
-    Both are real.
+    Both are real.  The vvv integral cancels to O(w^4 t^2), so below |w t| = 1
+    it is the series t^2 sum_{k>=0} _VVV_SERIES[k] (w t)^{2k} from the moments C_k w^{2k}.
     """
     rule = gauss_chebyshev_u(w, n_nodes)
     t_arr = np.asarray(t, dtype=float)
     arg = np.multiply.outer(t_arr, rule.nodes)
     vv = (np.sin(arg) @ (rule.weights * rule.nodes)) / (w * w)
-    vvv = (np.cos(arg) @ (rule.weights * (w * w - rule.nodes**2))) / w**4
+    x = w * t_arr
+    small = np.abs(x) < 1.0  # the series' dropped tail is below 1e-40 here
+    series = t_arr**2 * np.polynomial.polynomial.polyval(np.where(small, x * x, 0.0), _VVV_SERIES)
+    vvv = np.where(small, series, (np.cos(arg) @ (rule.weights * (w * w - rule.nodes**2))) / w**4)
     if np.isscalar(t):
         return {"vv": float(vv), "vvv": float(vvv)}
     return {"vv": vv, "vvv": vvv}

@@ -4,8 +4,8 @@ From one decomposition M = Q diag(lambda) Q^T per sampled matrix we read off
 matrix elements phi(M)_jk = sum_a phi(lambda_a) Q_ja Q_ka, propagator entries
 U_jk(t) = sum_a e^{i t lambda_a} Q_ja Q_ka, and the trace/row statistics
 v_n, v_n(t1,t2), v_n1, v_n2 whose decay in n the Monte Carlo harness measures.
-For a single phi(M)_jj of smooth phi, lanczos_jacobi shrinks M to the small
-Jacobi matrix of the Gauss rule at e_j, which the same consumers then read.
+For a single phi(M)_jj, lanczos_jacobi shrinks M to the small Jacobi matrix
+of the Gauss rule at e_j, read through its moments or the same consumers.
 
 All indices are 0-based.
 """
@@ -73,23 +73,6 @@ def matrix_function_entry(dec: SpectralDecomposition, phi: Callable, j: int, k: 
     return float(np.sum(phi(dec.eigenvalues) * q[j, :] * q[k, :]))
 
 
-def diagonal_powers(m: SymmetricMatrix, j: int, degree: int) -> np.ndarray:
-    """(M^k)_jj for k = 0..degree, from the power sequence u_k = M^k e_j.
-
-    Exact for polynomials (no eigendecomposition roundoff): p(M)_jj is
-    c @ diagonal_powers(m, j, deg); O(deg * n^2).
-    """
-    _check_index(m.n, j, "j")
-    dense = m.dense()
-    powers = np.ones(degree + 1)
-    u = np.zeros(m.n)
-    u[j] = 1.0
-    for k in range(1, degree + 1):
-        u = dense @ u
-        powers[k] = u[j]
-    return powers
-
-
 GAUSS_TOLERANCE = 1e-14  # relative movement of the Gauss estimates that ends Lanczos
 
 
@@ -113,8 +96,21 @@ class JacobiMatrix:
     def dense(self) -> np.ndarray:
         return np.diag(self.alpha) + np.diag(self.beta, 1) + np.diag(self.beta, -1)
 
+    def moments(self, degree: int) -> np.ndarray:
+        """(T^k)_00 for k = 0..degree: the Gauss rule's moments, so (M^k)_jj for k < 2n.
 
-def lanczos_jacobi(m: SymmetricMatrix, j: int, phis: Sequence[Callable]) -> JacobiMatrix:
+        Read from the power sequence T^k e_0 rather than eigh(T), so an entry
+        every sample shares, such as (M^2)_jj for Rademacher entries, keeps its bits.
+        """
+        u, dense, out = np.eye(self.n)[0], self.dense(), [1.0]
+        for _ in range(degree):
+            u = dense @ u
+            out.append(u[0])
+        return np.array(out)
+
+
+def lanczos_jacobi(m: SymmetricMatrix, j: int, phis: Sequence[Callable],
+                   steps: int | None = None) -> JacobiMatrix:
     """The k x k Jacobi matrix T_k of Lanczos on M started from e_j.
 
     The eigenvalues of T_k are the nodes, and the squared first components of
@@ -123,21 +119,25 @@ def lanczos_jacobi(m: SymmetricMatrix, j: int, phis: Sequence[Callable]) -> Jaco
     phi(T_k)_00 through eigh and matrix_function_entry; the rule is exact for
     polynomials of degree < 2k.  Each step reorthogonalises against the whole
     basis twice; the basis holds O(k n) numbers.  Lanczos stops at the first
-    of: every phi's Gauss estimate moved by <= GAUSS_TOLERANCE * max(1, |value|)
-    over two consecutive steps, Krylov breakdown (the rule is then exact), k = n.
+    of: k = steps if given (degree // 2 + 1 for a polynomial), else every phi's
+    Gauss estimate moved by <= GAUSS_TOLERANCE * max(1, |value|) over two
+    consecutive steps; Krylov breakdown (the rule is then exact); k = n.
     """
     _check_index(m.n, j, "j")
-    n = m.n
-    dense = m.dense()
-    if not np.all(np.isfinite(dense)):
+    if steps is not None and steps < 1:
+        raise ContractError(f"steps must be >= 1, got {steps}")
+    if not np.all(np.isfinite(m.data)):
         raise ContractError("matrix entries must be finite")
-    basis = np.zeros((min(n, 32), n))
+    n = m.n
+    last = n if steps is None else min(steps, n)
+    dense = m.dense()
+    basis = np.zeros((min(last, 32), n))
     basis[0, j] = 1.0
     alpha: list[float] = []
     beta: list[float] = []
     estimates: list[list[float]] = []
     scale = 0.0
-    for k in range(1, n + 1):
+    for k in range(1, last + 1):
         w = dense @ basis[k - 1]
         alpha.append(float(basis[k - 1] @ w))
         done = basis[:k]
@@ -145,21 +145,21 @@ def lanczos_jacobi(m: SymmetricMatrix, j: int, phis: Sequence[Callable]) -> Jaco
             w -= done.T @ (done @ w)
         b = float(np.linalg.norm(w))
         scale = max(scale, abs(alpha[-1]) + b + (beta[-1] if beta else 0.0))
-        t = JacobiMatrix(np.array(alpha), np.array(beta), m.seed, m.replica_index)
-        dec = eigh(t)
-        estimates.append([matrix_function_entry(dec, phi, 0, 0) for phi in phis])
-        if k == n or b <= n * np.finfo(float).eps * scale:
+        if k == last or b <= n * np.finfo(float).eps * scale:
             break
-        if k >= 3:
-            tol = GAUSS_TOLERANCE * np.maximum(1.0, np.abs(estimates[-1]))
-            moves = np.abs(np.diff(estimates[-3:], axis=0))
-            if np.all(moves <= tol):
-                break
+        if steps is None:
+            dec = eigh(JacobiMatrix(np.array(alpha), np.array(beta), m.seed, m.replica_index))
+            estimates.append([matrix_function_entry(dec, phi, 0, 0) for phi in phis])
+            if k >= 3:
+                tol = GAUSS_TOLERANCE * np.maximum(1.0, np.abs(estimates[-1]))
+                moves = np.abs(np.diff(estimates[-3:], axis=0))
+                if np.all(moves <= tol):
+                    break
         if k == basis.shape[0]:
             basis = np.vstack([basis, np.zeros((min(k, n - k), n))])
         beta.append(b)
         basis[k] = w / b
-    return t
+    return JacobiMatrix(np.array(alpha), np.array(beta), m.seed, m.replica_index)
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,15 +217,6 @@ def propagator_slices(dec: SpectralDecomposition, j: int,
     row[zero] = 0.0
     row[zero, j] = 1.0
     return diag[inverse], row[inverse]
-
-
-def v_n2_sum(dec: SpectralDecomposition, j: int, t_tuple: Sequence[float]) -> complex:
-    """v_n2(t_1..t_l) = sum_k prod_m U_jk(t_m), defined for l >= 3."""
-    ts = [float(t) for t in t_tuple]
-    if len(ts) < 3:
-        raise ContractError(f"v_n2 requires at least 3 times, got {len(ts)}")
-    _, rows = propagator_slices(dec, j, ts)
-    return complex(np.sum(np.prod(rows, axis=0)))
 
 
 @dataclass(frozen=True)

@@ -179,24 +179,22 @@ def resolvent_identity_defect(z, w: float):
 # ---------------------------------------------------------------------------
 
 
-def _exp_divided_difference(lam: np.ndarray, t: float) -> np.ndarray:
-    """(e^{i t l_i} - e^{i t l_j}) / (l_i - l_j) with the analytic diagonal limit."""
-    e = np.exp(1j * t * lam)
-    den = lam[:, None] - lam[None, :]
-    on_diag = den == 0.0
-    num = e[:, None] - e[None, :]
-    out = num / np.where(on_diag, 1.0, den)
-    return np.where(on_diag, 1j * t * e[:, None], out)
-
-
 def _edd_weighted(t_values: np.ndarray, w: float, n_nodes: int) -> np.ndarray:
-    """a[t, j] = sum_i w_i (e^{i t l_i} - e^{i t l_j})/(l_i - l_j)."""
+    """a[t, j] = sum_i w_i (e^{i t l_i} - e^{i t l_j})/(l_i - l_j), i = j giving i t w_j e^{i t l_j}.
+
+    One GEMM over the grid: a = (f o w) D - f o (w D) + i t (1 + f) o w, with
+    D_ij = 1/(l_i - l_j) off the diagonal (0 on it) and f = e^{i t l} - 1 formed
+    without cancellation, so a(0) = 0 exactly.
+    """
     rule = gauss_chebyshev_u(w, n_nodes)
-    t_values = np.asarray(t_values, float)
-    out = np.empty((t_values.size, rule.n), dtype=complex)
-    for idx, t in enumerate(t_values):
-        out[idx, :] = rule.weights @ _exp_divided_difference(rule.nodes, float(t))
-    return out
+    t = np.asarray(t_values, float)
+    gaps = rule.nodes[:, None] - rule.nodes[None, :]
+    np.fill_diagonal(gaps, np.inf)
+    d = 1.0 / gaps
+    theta = np.multiply.outer(t, rule.nodes)
+    f = -2.0 * np.sin(0.5 * theta) ** 2 + 1j * np.sin(theta)
+    fw = f * rule.weights
+    return fw @ d - f * (rule.weights @ d) + 1j * t[:, None] * (rule.weights + fw)
 
 
 def phi_kernel(t3: float, t2: float, w: float, n_nodes: int = DEFAULT_NODES) -> complex:
@@ -365,12 +363,3 @@ def manufactured_solve_error(grid: np.ndarray, c: float = 0.8) -> float:
     solved = volterra_solve(q, r)
     return float(np.max(np.abs(solved.values - p_star)))
 
-
-def solve_roundtrip_error(w: float, grid: np.ndarray) -> float:
-    """Defect of volterra_solve applied to its own discrete forward map."""
-    g = np.asarray(grid, float)
-    p_star = np.sin(g) * np.exp(-0.3 * g) + 0.0j
-    q = ComplexSeries(grid=g, values=(w * w * v_of_t(g, w)).astype(complex))
-    r_values = volterra_apply(q, p_star)
-    solved = volterra_solve(q, ComplexSeries(grid=g, values=r_values))
-    return float(np.max(np.abs(solved.values - p_star)))

@@ -49,7 +49,7 @@ def goe_batch():
     start = time.monotonic()
     elements, _ = hn.matrix_element_samples(
         goe_spec(), N_BIG, 0, [monomial(3), monomial(4)], ACCEPT_SEED, R_BIG,
-        route="power", threads=hn.default_threads(),
+        route="lanczos", threads=hn.default_threads(),
     )
     return {"raw3": elements[:, 0], "raw4": elements[:, 1], "elapsed": time.monotonic() - start}
 
@@ -59,7 +59,7 @@ def rademacher_batch():
     start = time.monotonic()
     elements, _ = hn.matrix_element_samples(
         rademacher_spec(), N_BIG, 0, [monomial(2), monomial(3), monomial(4)], ACCEPT_SEED,
-        R_BIG, route="power", threads=hn.default_threads(),
+        R_BIG, route="lanczos", threads=hn.default_threads(),
     )
     return {
         "raw2": elements[:, 0],

@@ -136,14 +136,14 @@ def test_simulate_deterministic_across_threads(tmp_path):
 
 
 def test_simulate_identical_across_replica_and_blas_threads(tmp_path):
-    """The Lanczos (auto) and eigh (spectral) routes at n=512, where LAPACK's and
-    BLAS's bits depend on the BLAS thread count."""
+    """The Lanczos (auto: smooth, then polynomial) and eigh (spectral) routes at
+    n=512, where LAPACK's and BLAS's bits depend on the BLAS thread count."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    for phi_eval, route in (("auto", "lanczos"), ("spectral", "eigh")):
-        cfg = minimal_config(
-            n_list=[512], replicas=100, phi_eval=phi_eval,
-            phi={"kind": "gaussian_damped_polynomial", "coefficients": [0, 1, 0, 0.5]},
-        )
+    smooth = {"kind": "gaussian_damped_polynomial", "coefficients": [0, 1, 0, 0.5]}
+    cubic = {"kind": "polynomial", "coefficients": [0.5, 0, 0, 1]}
+    for phi_eval, phi, route in (("auto", smooth, "lanczos"), ("auto", cubic, "lanczos"),
+                                 ("spectral", smooth, "eigh")):
+        cfg = minimal_config(n_list=[512], replicas=100, phi_eval=phi_eval, phi=phi)
         cfg_path = write_config(tmp_path, cfg)
         outputs = {}
         for blas_threads in (1, 2):
@@ -151,7 +151,7 @@ def test_simulate_identical_across_replica_and_blas_threads(tmp_path):
                 env = {k: v for k, v in os.environ.items() if k != "WIGNERLAB_THREADS"}
                 env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
                 env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-                out = tmp_path / f"{phi_eval}-blas{blas_threads}-threads{threads}"
+                out = tmp_path / f"{phi_eval}-{phi['kind']}-blas{blas_threads}-threads{threads}"
                 subprocess.run(
                     [sys.executable, "-m", "wignerlab.cli", "simulate", "--config", str(cfg_path),
                      "--threads", str(threads), "--raw", "--out", str(out)],
@@ -161,22 +161,28 @@ def test_simulate_identical_across_replica_and_blas_threads(tmp_path):
                 outputs[(blas_threads, threads)] = tuple(
                     (out / name).read_bytes() for name in ("result.json", "replicas.csv"))
         reference = outputs[(1, 1)]
-        assert [key for key, value in outputs.items() if value != reference] == [], phi_eval
+        assert [key for key, value in outputs.items() if value != reference] == [], (phi_eval, phi)
 
 
 @pytest.mark.parametrize("phi_eval,route,steps", [
-    ("auto", "lanczos", True), ("spectral", "eigh", False), ("matvec", "power", False),
+    ("auto", "lanczos", True), ("spectral", "eigh", False), ("auto", "lanczos", 3),
 ])
 def test_simulate_manifest_records_phi_route(tmp_path, phi_eval, route, steps):
-    phi = ({"kind": "polynomial", "coefficients": [0, 0, 1]} if phi_eval == "matvec" else
-           {"kind": "gaussian_damped_polynomial", "coefficients": [1, 0, 1]})
+    """steps: True for a smooth phi's Gauss-test count, or the exact count x^3 and x^4 take."""
+    phi = {"kind": "gaussian_damped_polynomial", "coefficients": [1, 0, 1]}
+    extra = {}
+    if steps == 3:
+        phi = {"kind": "polynomial", "coefficients": [0, 0, 0, 1]}
+        extra["phi2"] = {"kind": "polynomial", "coefficients": [0, 0, 0, 0, 1]}
     cfg_path = write_config(tmp_path, minimal_config(n_list=[32, 64], replicas=100, phi=phi,
-                                                     phi_eval=phi_eval))
+                                                     phi_eval=phi_eval, **extra))
     assert cli.run_cli(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "s")]) == 0
     manifest = json.loads((tmp_path / "s" / "manifest.json").read_text())
     assert manifest["phi_route"] == route
-    if steps:
+    if steps is True:
         assert 1 <= manifest["lanczos_steps_max"] <= 64
+    elif steps:
+        assert manifest["lanczos_steps_max"] == steps
     else:
         assert manifest["lanczos_steps_max"] is None
     result = json.loads((tmp_path / "s" / "result.json").read_text())
@@ -239,6 +245,16 @@ def test_volterra_zero_residual_has_no_order(tmp_path):
     assert [r["order_estimate"] for r in rows] == ["nan", "nan"]
 
 
+def test_volterra_small_scale_keeps_second_order(tmp_path):
+    # vvv cancels to O((w t)^2) in its quadrature form; the series form keeps coveq at O(h^2)
+    code = cli.run_cli(["volterra", "--w", "1e-5", "--h", "0.5,0.25", "--t-max", "1",
+                        "--out", str(tmp_path / "v")])
+    assert code == 0
+    with (tmp_path / "v" / "volterra_residuals.csv").open() as fh:
+        rows = [r for r in csv.DictReader(fh) if r["case"] == "coveq"]
+    assert 1.8 <= float(rows[-1]["order_estimate"]) <= 2.2
+
+
 def test_lemma_subcommand(tmp_path):
     cfg = minimal_config(n_list=[16, 32, 64, 128], replicas=120, t_grid=[1.0])
     code = cli.run_cli(
@@ -298,6 +314,17 @@ def test_exit_code_validation_error(tmp_path, capsys):
     assert payload["error"] == "ConfigError"
     assert payload["field"] == "config.spec.entry_dist.w"
     assert "\n" not in err
+
+
+@pytest.mark.parametrize("command", ["predict", "simulate"])
+def test_exit_code_unknown_phi_eval(tmp_path, capsys, command):
+    cfg_path = write_config(tmp_path, minimal_config(phi_eval="matvec"))
+    code = cli.run_cli([command, "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+    assert code == 2
+    payload = error_payload(capsys)
+    assert (payload["error"], payload["field"]) == ("ConfigError", "config.phi_eval")
+    assert "auto" in payload["message"] and "spectral" in payload["message"]
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])

@@ -47,11 +47,12 @@ def test_config_validation():
     with pytest.raises(ContractError):
         small_config(x_grid=(math.inf,))
     with pytest.raises(ContractError):
-        small_config(phi=gaussian_damped([0, 1.0]), phi_eval="matvec")
+        small_config(phi_eval="matvec")  # the power route it selected is gone
 
 
-def test_use_matvec_resolution():
-    assert small_config().phi_route() == "power"
+def test_phi_route_resolution():
+    assert hn.PHI_ROUTES == ("lanczos", "eigh")
+    assert small_config().phi_route() == "lanczos"
     assert small_config(phi_eval="spectral").phi_route() == "eigh"
     assert small_config(phi=gaussian_damped([0, 1.0])).phi_route() == "lanczos"
 
@@ -113,12 +114,14 @@ def test_goe_identity_function_variance():
     assert p.ks["passed"] is True
 
 
-def test_matvec_and_spectral_routes_agree():
-    cfg_a = small_config(phi=monomial(3), phi_eval="matvec", replicas=150)
+def test_polynomial_lanczos_and_spectral_routes_agree():
+    cfg_a = small_config(phi=monomial(3), replicas=150)
     cfg_b = small_config(phi=monomial(3), phi_eval="spectral", replicas=150)
-    ya = hn.run_entry_experiment(cfg_a, threads=1).per_n[0].samples
-    yb = hn.run_entry_experiment(cfg_b, threads=1).per_n[0].samples
-    assert np.max(np.abs(ya - yb)) <= 1e-9
+    a = hn.run_entry_experiment(cfg_a, threads=1)
+    b = hn.run_entry_experiment(cfg_b, threads=1)
+    assert (cfg_a.phi_route(), cfg_b.phi_route()) == ("lanczos", "eigh")
+    assert np.max(np.abs(a.per_n[0].samples - b.per_n[0].samples)) <= 1e-9
+    assert (a.lanczos_steps_max, b.lanczos_steps_max) == (2, None)
 
 
 def test_lanczos_and_spectral_routes_agree():
@@ -133,20 +136,21 @@ def test_lanczos_and_spectral_routes_agree():
     assert 1 <= a.lanczos_steps_max <= 32 and b.lanczos_steps_max is None
 
 
-ROUTE_PHIS = {
-    "polynomials": ([monomial(3), monomial(4)], "power"),
-    "smooth": ([gaussian_damped([0, 1.0], 1.0), gaussian_damped([1.0], 2.0)], "lanczos"),
-    "smooth and polynomial": ([gaussian_damped([0, 1.0], 1.0), monomial(2)], "lanczos"),
-    "tabulated": ([tabulated([-3.0, 0.0, 3.0], [1.0, 0.0, 1.0])], "eigh"),
+ROUTE_PHIS = {  # phis, route, eigh calls per replica
+    "polynomials": ([monomial(3), monomial(4)], "lanczos", 0),
+    "smooth": ([gaussian_damped([0, 1.0], 1.0), gaussian_damped([1.0], 2.0)], "lanczos", 1),
+    "smooth and polynomial": ([gaussian_damped([0, 1.0], 1.0), monomial(2)], "lanczos", 1),
+    "tabulated": ([tabulated([-3.0, 0.0, 3.0], [1.0, 0.0, 1.0])], "eigh", 1),
     "smooth and tabulated": ([gaussian_damped([0, 1.0], 1.0),
-                              tabulated([-3.0, 0.0, 3.0], [1.0, 0.0, 1.0])], "eigh"),
+                              tabulated([-3.0, 0.0, 3.0], [1.0, 0.0, 1.0])], "eigh", 1),
 }
 
 
 @pytest.mark.parametrize("case", sorted(ROUTE_PHIS))
 def test_auto_routes_each_phi_to_its_evaluator(monkeypatch, case):
-    """auto: polynomials take the power route, smooth phi Lanczos, any tabulated phi eigh."""
-    calls = {"diagonal_powers": 0, "lanczos_jacobi": 0, "eigh": 0}
+    """auto: polynomials and smooth phi take Lanczos, any tabulated phi eigh;
+    only all-polynomial sets skip the eigh of the Jacobi matrix."""
+    calls = {"lanczos_jacobi": 0, "eigh": 0}
 
     def counting(name):
         original = getattr(hn, name)
@@ -159,16 +163,11 @@ def test_auto_routes_each_phi_to_its_evaluator(monkeypatch, case):
 
     for name in calls:
         monkeypatch.setattr(hn, name, counting(name))
-    phis, route = ROUTE_PHIS[case]
+    phis, route, eighs = ROUTE_PHIS[case]
     cfg = small_config(phi=phis[0], phi2=phis[1] if len(phis) > 1 else None, replicas=100)
     hn.run_entry_experiment(cfg, threads=1)
     assert cfg.phi_route() == route
-    expected = {
-        "power": {"diagonal_powers": 100, "lanczos_jacobi": 0, "eigh": 0},
-        "lanczos": {"diagonal_powers": 0, "lanczos_jacobi": 100, "eigh": 100},
-        "eigh": {"diagonal_powers": 0, "lanczos_jacobi": 0, "eigh": 100},
-    }[route]
-    assert calls == expected
+    assert calls == {"lanczos_jacobi": 100 if route == "lanczos" else 0, "eigh": 100 * eighs}
 
 
 def test_result_deterministic_across_threads():

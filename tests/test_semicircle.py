@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -143,6 +144,24 @@ def test_sc_convolutions_at_zero():
     parts = sc.sc_convolutions(0.0, 1.0)
     assert parts["vv"] == 0.0
     assert abs(parts["vvv"]) <= 1e-15
+
+
+@pytest.mark.parametrize("w", [1e-5, 0.8, 1.0, 1.25])
+def test_vvv_matches_mpmath_across_small_and_large_wt(w):
+    """vvv against its defining integral at 50 digits, over both sides of the series switch."""
+    mp.mp.dps = 50
+
+    def reference(t):
+        # lambda = 2w cos(theta): rho dlambda = (2/pi) sin^2(theta) dtheta
+        t, ww = mp.mpf(t), mp.mpf(w)
+        f = lambda th: mp.cos(2 * ww * mp.cos(th) * t) * (ww**2 - 4 * ww**2 * mp.cos(th)**2) * mp.sin(th)**2
+        return float(mp.quad(f, [0, mp.pi / 2, mp.pi]) * 2 / mp.pi / ww**4)
+
+    wt = np.concatenate([np.geomspace(1e-8, 3.0, 17), [0.999999, 1.0]])
+    got = sc.sc_convolutions(wt / w, w)["vvv"]
+    for x, value in zip(wt, got):
+        want = reference(x / w)
+        assert abs(value - want) <= 1e-14 * abs(want), (w, x)
 
 
 def test_vv_matches_time_domain_convolution():

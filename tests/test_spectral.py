@@ -123,13 +123,25 @@ def test_functional_calculus_against_horner_powers():
         )
 
 
+def diagonal_powers(m, j, degree):
+    """(M^k)_jj for k = 0..degree from the power sequence u_k = M^k e_j: a polynomial oracle."""
+    dense = m.dense()
+    powers = np.ones(degree + 1)
+    u = np.zeros(m.n)
+    u[j] = 1.0
+    for k in range(1, degree + 1):
+        u = dense @ u
+        powers[k] = u[j]
+    return powers
+
+
 def test_polynomial_entry_matches_spectral_route():
     m = en.sample_matrix(goe_spec(), 64, seed=17)
     dec = sp.eigh(m)
     phi = polynomial([0.2, -1.0, 0.0, 0.5, 1.0])
     for j in (0, 31, 63):
         spectral = sp.matrix_function_entry(dec, phi, j, j)
-        direct = np.asarray(phi.coefficients) @ sp.diagonal_powers(m, j, phi.degree)
+        direct = np.asarray(phi.coefficients) @ diagonal_powers(m, j, phi.degree)
         assert spectral == pytest.approx(direct, abs=1e-9)
 
 
@@ -176,6 +188,45 @@ def test_lanczos_matches_eigh_battery(kind):
                     expected = sp.matrix_function_entry(dec, p, j, j)
                     scale = sp.matrix_function_entry(dec, lambda x: np.abs(p(x)), j, j)
                     assert abs(value - expected) <= 1e-12 * scale, (n, j, name)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "rademacher", "uniform"])
+def test_fixed_step_lanczos_matches_power_oracle(kind):
+    """p(M)_jj from the moments of degree // 2 + 1 Lanczos steps against diagonal_powers,
+    to 1e-12 of sum_a |p(lambda_a)| Q_ja^2."""
+    rng = np.random.default_rng(107)
+    for w in (1.0, 2.5):
+        spec = en.EnsembleSpec(entry_dist=en.make_entry_distribution(kind, w))
+        for n in (16, 64, 512):
+            m = en.sample_matrix(spec, n, seed=109, replica=n)
+            dec = sp.eigh(m)
+            for j in (0, (n - 1) // 2, n - 1):
+                for degree in range(1, 9):
+                    p = polynomial(rng.uniform(-1.0, 1.0, degree + 1))
+                    t = sp.lanczos_jacobi(m, j, [p], steps=degree // 2 + 1)
+                    assert t.n == degree // 2 + 1
+                    value = np.asarray(p.coefficients) @ t.moments(degree)
+                    expected = np.asarray(p.coefficients) @ diagonal_powers(m, j, degree)
+                    scale = sp.matrix_function_entry(dec, lambda x: np.abs(p(x)), j, j)
+                    assert abs(value - expected) <= 1e-12 * scale, (w, n, j, degree)
+
+
+def test_fixed_step_lanczos_stops_at_breakdown():
+    """A fixed step count above the invariant subspace's size still stops at breakdown, exactly."""
+    rng = np.random.default_rng(113)
+    block = rng.standard_normal((2, 2))
+    a = np.zeros((16, 16))
+    a[:2, :2] = (block + block.T) / 2
+    a[2:, 2:] = np.diag(rng.standard_normal(14))
+    m = packed(a)
+    p = monomial(6)
+    for j in range(2):
+        t = sp.lanczos_jacobi(m, j, [p], steps=4)
+        assert t.n == 2
+        assert t.moments(6)[6] == pytest.approx(np.linalg.matrix_power(a, 6)[j, j], rel=1e-13)
+    assert sp.lanczos_jacobi(m, 5, [p], steps=4).n == 1
+    assert sp.lanczos_jacobi(packed(np.ones((3, 3))), 0, [p], steps=9).n == 2  # span{e_0, 1}
+    assert sp.lanczos_jacobi(packed(a[:2, :2]), 0, [p], steps=9).n == 2  # capped at n
 
 
 def test_lanczos_jacobi_is_tridiagonal():
@@ -231,6 +282,10 @@ def test_lanczos_contracts():
         sp.lanczos_jacobi(m, 8, [monomial(2)])
     with pytest.raises(ContractError):
         sp.lanczos_jacobi(packed([[0.0, np.nan], [np.nan, 0.0]]), 0, [monomial(2)])
+    with pytest.raises(ContractError):
+        sp.lanczos_jacobi(packed([[0.0, np.inf], [np.inf, 0.0]]), 0, [monomial(2)], steps=2)
+    with pytest.raises(ContractError):
+        sp.lanczos_jacobi(m, 0, [monomial(2)], steps=0)
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +382,6 @@ def test_lemma_statistics_contracts():
     dec = sp.eigh(en.sample_matrix(goe_spec(), 10, seed=61))
     with pytest.raises(ContractError):
         sp.lemma_statistics(dec, 0, (1.0,))
-    with pytest.raises(ContractError):
-        sp.v_n2_sum(dec, 0, (1.0, 2.0))
     two = sp.lemma_statistics(dec, 0, (1.0, 2.0))
     assert two.v_n2 is None
 
@@ -380,7 +433,8 @@ def test_propagator_slices_match_bruteforce_battery():
                 assert abs(stats.v_n1 - np.sum(u[t1][j, :] * np.diag(u[t2])) / math.sqrt(n)) <= 1e-12
                 v_n2 = np.sum(u[t1][j, :] * u[t2][j, :] * u[t3][j, :])
                 assert abs(stats.v_n2 - v_n2) <= 1e-12
-                assert abs(sp.v_n2_sum(dec, j, (t1, t2, t3)) - v_n2) <= 1e-12
+                _, rows = sp.propagator_slices(dec, j, (t1, t2, t3))
+                assert abs(np.sum(np.prod(rows, axis=0)) - v_n2) <= 1e-12
 
 
 def test_propagator_slices_contracts():

@@ -7,7 +7,7 @@ from scipy.integrate import dblquad
 from wignerlab import limits as lm
 from wignerlab import volterra as vt
 from wignerlab.errors import ContractError
-from wignerlab.semicircle import gaussian_damped, rho_sc, sc_convolutions, v_of_t
+from wignerlab.semicircle import gauss_chebyshev_u, gaussian_damped, rho_sc, sc_convolutions, v_of_t
 
 
 def ones_series(t_max, h):
@@ -64,6 +64,28 @@ def test_quadruple_unit_convolution():
         errs[h] = abs(quad4.values[-1] - 1.0 / 6.0)
     assert errs[1e-3] <= 1e-7
     assert errs[1e-3] / errs[5e-4] == pytest.approx(4.0, abs=0.2)
+
+
+def edd_weighted_loop(t_values, w, n_nodes):
+    """The per-time form _edd_weighted replaced: one divided-difference matrix per t."""
+    rule = gauss_chebyshev_u(w, n_nodes)
+    lam = rule.nodes
+    den = lam[:, None] - lam[None, :]
+    on_diag = den == 0.0
+    out = np.empty((len(t_values), lam.size), dtype=complex)
+    for idx, t in enumerate(t_values):
+        e = np.exp(1j * t * lam)
+        dd = (e[:, None] - e[None, :]) / np.where(on_diag, 1.0, den)
+        out[idx] = rule.weights @ np.where(on_diag, 1j * t * e[:, None], dd)
+    return out
+
+
+@pytest.mark.parametrize("w", [0.8, 1.0, 1.25])
+def test_edd_weighted_gemm_matches_loop(w):
+    t = np.concatenate([vt.uniform_grid(2.0, 0.00125), [-3.5, 8.0]])
+    got = vt._edd_weighted(t, w, 128)
+    want = edd_weighted_loop(t, w, 128)
+    assert np.max(np.abs(got - want)) <= 1e-13
 
 
 def test_v_convolved_with_itself_matches_closed_form():
@@ -176,8 +198,12 @@ def test_manufactured_solution_second_order():
 
 
 def test_solve_roundtrip_is_discrete_identity():
-    err = vt.solve_roundtrip_error(1.0, vt.uniform_grid(3.0, 0.01))
-    assert err <= 5 * 0.01**2  # in practice machine precision
+    """volterra_solve applied to its own discrete forward map volterra_apply."""
+    g = vt.uniform_grid(3.0, 0.01)
+    p_star = np.sin(g) * np.exp(-0.3 * g) + 0.0j
+    q = vt.ComplexSeries(grid=g, values=v_of_t(g, 1.0).astype(complex))
+    solved = vt.volterra_solve(q, vt.ComplexSeries(grid=g, values=vt.volterra_apply(q, p_star)))
+    assert np.max(np.abs(solved.values - p_star)) <= 5 * 0.01**2  # in practice machine precision
 
 
 def test_solution_formula_is_resolvent_convolution():
