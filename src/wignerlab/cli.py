@@ -32,7 +32,6 @@ from .errors import ConfigError, NumericFailureError, WignerLabError
 from .harness import (
     ExperimentConfig,
     J_POLICIES,
-    PHI_EVALS,
     default_threads,
     lemma_decay_experiment,
     run_entry_experiment,
@@ -63,6 +62,8 @@ def _check_keys(obj: dict, allowed: set[str], required: set[str], path: str) -> 
 def _real_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a real number, got {value!r}", field=path)
+    if not abs(value) <= sys.float_info.max:  # json.loads yields NaN, Infinity and huge ints
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}", field=path)
     return float(value)
 
 
@@ -148,7 +149,7 @@ def _parse_spec(obj, path: str) -> EnsembleSpec:
 
 _TOP_KEYS = {
     "spec", "phi", "phi2", "n_list", "replicas", "root_seed",
-    "j_policy", "j_explicit", "x_grid", "t_grid", "phi_eval",
+    "j_policy", "j_explicit", "x_grid", "t_grid",
 }
 
 
@@ -176,10 +177,6 @@ def config_from_dict(obj: dict) -> ExperimentConfig:
     j_policy = obj.get("j_policy", "first")
     if j_policy not in J_POLICIES:
         raise ConfigError(f"config.j_policy: unknown policy {j_policy!r}", field="config.j_policy")
-    phi_eval = obj.get("phi_eval", "auto")
-    if phi_eval not in PHI_EVALS:
-        raise ConfigError(f"config.phi_eval: unknown mode {phi_eval!r}, expected one of {PHI_EVALS}",
-                          field="config.phi_eval")
     kwargs = dict(
         spec=spec,
         phi=phi,
@@ -188,7 +185,6 @@ def config_from_dict(obj: dict) -> ExperimentConfig:
         replicas=_positive_int(obj["replicas"], "config.replicas"),
         root_seed=_seed(obj["root_seed"], "config.root_seed"),
         j_policy=j_policy,
-        phi_eval=phi_eval,
     )
     if obj.get("j_explicit") is not None:
         kwargs["j_explicit"] = _positive_int(obj["j_explicit"], "config.j_explicit")
@@ -348,28 +344,41 @@ def _cmd_lemma(args) -> int:
 
 def _cmd_report(args) -> int:
     for path in args.results:
-        obj = json.loads(Path(path).read_text())
+        lines = _report_lines(path)
         print(f"== {path} ==")
+        print("\n".join(lines))
+    return 0
+
+
+def _report_lines(path: str) -> list[str]:
+    """The summary of one result.json or prediction.json; ConfigError naming the path otherwise."""
+    try:
+        obj = json.loads(Path(path).read_text())
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read a JSON result: {exc}") from exc
+    try:
         if "per_n" in obj:
             pred = obj.get("prediction", {})
-            print(f"prediction: v_w={pred.get('v_w'):.6g} "
-                  f"(goe={pred.get('v_goe'):.6g}, kappa4={pred.get('kappa4_term'):.6g}, "
-                  f"diag={pred.get('diag_term'):.6g}), xstar_slope={pred.get('xstar_slope'):.6g}")
-            header = f"{'n':>6} {'variance':>12} {'ci':>10} {'z':>8} {'k4':>12} {'ks':>8}"
-            print(header)
+            lines = [
+                f"prediction: v_w={pred.get('v_w'):.6g} "
+                f"(goe={pred.get('v_goe'):.6g}, kappa4={pred.get('kappa4_term'):.6g}, "
+                f"diag={pred.get('diag_term'):.6g}), xstar_slope={pred.get('xstar_slope'):.6g}",
+                f"{'n':>6} {'variance':>12} {'ci':>10} {'z':>8} {'k4':>12} {'ks':>8}",
+            ]
             comparisons = {c["n"]: c for c in obj.get("comparison", {}).get("per_n", [])}
             for p in obj["per_n"]:
                 comp = comparisons.get(p["n"], {})
                 ks = p["ks"].get("ks_stat")
                 ks_txt = f"{ks:.4f}" if isinstance(ks, float) and not np.isnan(ks) else "-"
-                print(f"{p['n']:>6} {p['variance']:>12.6g} {p['variance_ci']:>10.3g} "
-                      f"{comp.get('z_variance', float('nan')):>8.2f} "
-                      f"{p['k_stats']['k4'][0]:>12.6g} {ks_txt:>8}")
-        elif "v_w" in obj:
-            print(json.dumps(obj, sort_keys=True, indent=1))
-        else:
-            print(json.dumps(obj, sort_keys=True)[:2000])
-    return 0
+                lines.append(f"{p['n']:>6} {p['variance']:>12.6g} {p['variance_ci']:>10.3g} "
+                             f"{comp.get('z_variance', float('nan')):>8.2f} "
+                             f"{p['k_stats']['k4'][0]:>12.6g} {ks_txt:>8}")
+            return lines
+        if "v_w" in obj:
+            return [json.dumps(obj, sort_keys=True, indent=1)]
+        return [json.dumps(obj, sort_keys=True)[:2000]]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: not a wignerlab result: {exc!r}") from exc
 
 
 def _load_config(args) -> ExperimentConfig:

@@ -178,8 +178,8 @@ class EnsembleSpec:
             raise ContractError(f"convention {self.convention!r} fixes w2 = 2, got {self.w2}")
         if self.convention == GOE and self.entry_dist.kind != GAUSSIAN:
             raise ContractError("goe convention requires a gaussian entry law")
-        if self.w2 <= 0:
-            raise ContractError("w2 must be positive")
+        if not (self.w2 > 0 and math.isfinite(self.w2)):
+            raise ContractError(f"w2 must be positive and finite, got {self.w2}")
 
     @property
     def w(self) -> float:

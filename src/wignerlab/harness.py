@@ -38,8 +38,6 @@ from .spectral import eigh, lanczos_jacobi, lemma_statistics, matrix_function_en
 
 J_POLICIES = ("first", "middle", "last", "explicit")
 
-PHI_EVALS = ("auto", "spectral")
-
 PHI_ROUTES = ("lanczos", "eigh")
 
 KS_COEFFICIENT = 1.63  # asymptotic alpha ~ 0.01 quantile; approximate under fitted parameters
@@ -89,7 +87,6 @@ class ExperimentConfig:
     j_explicit: int | None = None
     x_grid: tuple[float, ...] = (0.25, 0.5, 0.75, 1.0)
     t_grid: tuple[float, ...] = (1.0,)
-    phi_eval: str = "auto"  # one of PHI_EVALS
 
     def __post_init__(self):
         if self.replicas < 100:
@@ -101,8 +98,6 @@ class ExperimentConfig:
         for name, grid in (("x_grid", self.x_grid), ("t_grid", self.t_grid)):
             if not all(math.isfinite(v) for v in grid):
                 raise ContractError(f"{name} must be finite")
-        if self.phi_eval not in PHI_EVALS:
-            raise ContractError(f"unknown phi_eval mode {self.phi_eval!r}")
 
     def phis(self) -> list[TestFunction]:
         return [self.phi] + ([self.phi2] if self.phi2 is not None else [])
@@ -110,12 +105,9 @@ class ExperimentConfig:
     def phi_route(self) -> str:
         """How replicas evaluate phi(M)_jj: one of PHI_ROUTES.
 
-        spectral, and auto with a tabulated phi, take the full eigh; auto
-        otherwise takes Lanczos-Gauss quadrature.
+        Any tabulated phi takes the full eigh; otherwise Lanczos-Gauss quadrature.
         """
-        if self.phi_eval == "spectral" or any(p.kind == TABULATED for p in self.phis()):
-            return "eigh"
-        return "lanczos"
+        return "eigh" if any(p.kind == TABULATED for p in self.phis()) else "lanczos"
 
     def descriptor(self) -> dict:
         d = {
@@ -127,7 +119,6 @@ class ExperimentConfig:
             "j_policy": self.j_policy,
             "x_grid": list(self.x_grid),
             "t_grid": list(self.t_grid),
-            "phi_eval": self.phi_eval,
         }
         if self.phi2 is not None:
             d["phi2"] = self.phi2.descriptor()
@@ -158,31 +149,35 @@ def matrix_element_samples(spec: EnsembleSpec, n: int, j: int, phis: Sequence[Te
 
     route is one of PHI_ROUTES.  "eigh" diagonalizes each replica once and
     reads every function off the same spectrum.  "lanczos" replaces M by the
-    Jacobi matrix of the Gauss rule for its spectral measure at e_j: after the
-    max_degree // 2 + 1 steps that make it exact, polynomials read its moments;
-    smooth phi go through the same eigh and matrix_function_entry at (0, 0).
+    Jacobi matrix of the Gauss rule for its spectral measure at e_j.  It runs
+    the max_degree // 2 + 1 steps that make the rule exact for every
+    polynomial, and further until every smooth phi's Gauss estimate settles:
+    polynomials read its moments, smooth phi go through eigh and
+    matrix_function_entry at (0, 0).
     """
     if route not in PHI_ROUTES:
         raise ContractError(f"unknown phi route {route!r}")
-    steps = coeff_list = None
-    if all(p.kind == POLYNOMIAL for p in phis):
-        degree = max(p.degree for p in phis)
-        steps = degree // 2 + 1
-        coeff_list = [np.asarray(p.coefficients[: p.degree + 1], dtype=float) for p in phis]
-
+    smooth = [p for p in phis if p.kind != POLYNOMIAL]
+    degree = max((p.degree for p in phis if p.kind == POLYNOMIAL), default=0)
     sizes: list[int] = []  # Jacobi matrix sizes; max() does not depend on thread order
 
     def one_replica(r: int) -> np.ndarray:
         m = sample_matrix(spec, n, root_seed, r)
-        jj = j
-        if route == "lanczos":
-            m, jj = lanczos_jacobi(m, j, phis, steps), 0
-            sizes.append(m.n)
-            if coeff_list is not None:
-                moments = m.moments(degree)
-                return np.array([float(c @ moments[: c.size]) for c in coeff_list])
-        dec = eigh(m)
-        return np.array([matrix_function_entry(dec, p, jj, jj) for p in phis])
+        if route == "eigh":
+            dec = eigh(m)
+            return np.array([matrix_function_entry(dec, p, j, j) for p in phis])
+        t = lanczos_jacobi(m, j, smooth, degree // 2 + 1)
+        sizes.append(t.n)
+        moments = t.moments(degree)
+        dec = eigh(t) if smooth else None
+        values = []
+        for p in phis:
+            if p.kind == POLYNOMIAL:
+                c = np.asarray(p.coefficients[: p.degree + 1], dtype=float)
+                values.append(float(c @ moments[: c.size]))
+            else:
+                values.append(matrix_function_entry(dec, p, 0, 0))
+        return np.array(values)
 
     rows = _parallel_map(one_replica, replicas, threads)
     return np.vstack(rows), max(sizes, default=None)

@@ -172,6 +172,8 @@ def tabulated(grid: Sequence[float], values: Sequence[float]) -> TestFunction:
     v = np.asarray(values, dtype=float)
     if g.ndim != 1 or g.shape != v.shape or g.size < 2:
         raise ContractError("tabulated test function needs matching 1-D grid and values")
+    if not (np.all(np.isfinite(g)) and np.all(np.isfinite(v))):
+        raise ContractError("tabulated grid and values must be finite")
     if not np.all(np.diff(g) > 0):
         raise ContractError("tabulated grid must be strictly increasing")
     parity = "none"

@@ -110,34 +110,35 @@ class JacobiMatrix:
 
 
 def lanczos_jacobi(m: SymmetricMatrix, j: int, phis: Sequence[Callable],
-                   steps: int | None = None) -> JacobiMatrix:
+                   steps: int = 1) -> JacobiMatrix:
     """The k x k Jacobi matrix T_k of Lanczos on M started from e_j.
 
     The eigenvalues of T_k are the nodes, and the squared first components of
     its eigenvectors the weights, of the k-point Gauss rule for the spectral
     measure of M at e_j (Golub & Welsch 1969), so phi(M)_jj is read as
     phi(T_k)_00 through eigh and matrix_function_entry; the rule is exact for
-    polynomials of degree < 2k.  Each step reorthogonalises against the whole
-    basis twice; the basis holds O(k n) numbers.  Lanczos stops at the first
-    of: k = steps if given (degree // 2 + 1 for a polynomial), else every phi's
-    Gauss estimate moved by <= GAUSS_TOLERANCE * max(1, |value|) over two
-    consecutive steps; Krylov breakdown (the rule is then exact); k = n.
+    polynomials of degree < 2k, so degree // 2 + 1 steps make it exact for a
+    polynomial.  Each step reorthogonalises against the whole basis twice; the
+    basis holds O(k n) numbers.  Lanczos runs at least `steps` steps, then
+    stops at the first step where every phi's Gauss estimate moved by
+    <= GAUSS_TOLERANCE * max(1, |value|) over two consecutive steps (at once
+    when phis is empty), or earlier at Krylov breakdown (the rule is then
+    exact) or k = n.
     """
     _check_index(m.n, j, "j")
-    if steps is not None and steps < 1:
+    if steps < 1:
         raise ContractError(f"steps must be >= 1, got {steps}")
     if not np.all(np.isfinite(m.data)):
         raise ContractError("matrix entries must be finite")
     n = m.n
-    last = n if steps is None else min(steps, n)
     dense = m.dense()
-    basis = np.zeros((min(last, 32), n))
+    basis = np.zeros((min(n, 32), n))
     basis[0, j] = 1.0
     alpha: list[float] = []
     beta: list[float] = []
     estimates: list[list[float]] = []
     scale = 0.0
-    for k in range(1, last + 1):
+    for k in range(1, n + 1):
         w = dense @ basis[k - 1]
         alpha.append(float(basis[k - 1] @ w))
         done = basis[:k]
@@ -145,12 +146,12 @@ def lanczos_jacobi(m: SymmetricMatrix, j: int, phis: Sequence[Callable],
             w -= done.T @ (done @ w)
         b = float(np.linalg.norm(w))
         scale = max(scale, abs(alpha[-1]) + b + (beta[-1] if beta else 0.0))
-        if k == last or b <= n * np.finfo(float).eps * scale:
+        if k == n or b <= n * np.finfo(float).eps * scale or (k >= steps and not phis):
             break
-        if steps is None:
+        if phis:
             dec = eigh(JacobiMatrix(np.array(alpha), np.array(beta), m.seed, m.replica_index))
             estimates.append([matrix_function_entry(dec, phi, 0, 0) for phi in phis])
-            if k >= 3:
+            if k >= max(steps, 3):
                 tol = GAUSS_TOLERANCE * np.maximum(1.0, np.abs(estimates[-1]))
                 moves = np.abs(np.diff(estimates[-3:], axis=0))
                 if np.all(moves <= tol):

@@ -136,14 +136,15 @@ def test_simulate_deterministic_across_threads(tmp_path):
 
 
 def test_simulate_identical_across_replica_and_blas_threads(tmp_path):
-    """The Lanczos (auto: smooth, then polynomial) and eigh (spectral) routes at
+    """The Lanczos (smooth, then polynomial phi) and eigh (tabulated phi) routes at
     n=512, where LAPACK's and BLAS's bits depend on the BLAS thread count."""
     src = str(Path(cli.__file__).resolve().parents[1])
     smooth = {"kind": "gaussian_damped_polynomial", "coefficients": [0, 1, 0, 0.5]}
     cubic = {"kind": "polynomial", "coefficients": [0.5, 0, 0, 1]}
-    for phi_eval, phi, route in (("auto", smooth, "lanczos"), ("auto", cubic, "lanczos"),
-                                 ("spectral", smooth, "eigh")):
-        cfg = minimal_config(n_list=[512], replicas=100, phi_eval=phi_eval, phi=phi)
+    table = {"kind": "tabulated", "grid": [-3.0, -1.0, 0.0, 1.0, 3.0],
+             "values": [1.0, 0.5, 0.0, 0.5, 1.0]}
+    for phi, route in ((smooth, "lanczos"), (cubic, "lanczos"), (table, "eigh")):
+        cfg = minimal_config(n_list=[512], replicas=100, phi=phi)
         cfg_path = write_config(tmp_path, cfg)
         outputs = {}
         for blas_threads in (1, 2):
@@ -151,7 +152,7 @@ def test_simulate_identical_across_replica_and_blas_threads(tmp_path):
                 env = {k: v for k, v in os.environ.items() if k != "WIGNERLAB_THREADS"}
                 env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
                 env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-                out = tmp_path / f"{phi_eval}-{phi['kind']}-blas{blas_threads}-threads{threads}"
+                out = tmp_path / f"{phi['kind']}-blas{blas_threads}-threads{threads}"
                 subprocess.run(
                     [sys.executable, "-m", "wignerlab.cli", "simulate", "--config", str(cfg_path),
                      "--threads", str(threads), "--raw", "--out", str(out)],
@@ -161,21 +162,22 @@ def test_simulate_identical_across_replica_and_blas_threads(tmp_path):
                 outputs[(blas_threads, threads)] = tuple(
                     (out / name).read_bytes() for name in ("result.json", "replicas.csv"))
         reference = outputs[(1, 1)]
-        assert [key for key, value in outputs.items() if value != reference] == [], (phi_eval, phi)
+        assert [key for key, value in outputs.items() if value != reference] == [], phi
 
 
-@pytest.mark.parametrize("phi_eval,route,steps", [
-    ("auto", "lanczos", True), ("spectral", "eigh", False), ("auto", "lanczos", 3),
+@pytest.mark.parametrize("phi_kind,route,steps", [
+    ("smooth", "lanczos", True), ("tabulated", "eigh", False), ("polynomial", "lanczos", 3),
 ])
-def test_simulate_manifest_records_phi_route(tmp_path, phi_eval, route, steps):
+def test_simulate_manifest_records_phi_route(tmp_path, phi_kind, route, steps):
     """steps: True for a smooth phi's Gauss-test count, or the exact count x^3 and x^4 take."""
     phi = {"kind": "gaussian_damped_polynomial", "coefficients": [1, 0, 1]}
     extra = {}
-    if steps == 3:
+    if phi_kind == "polynomial":
         phi = {"kind": "polynomial", "coefficients": [0, 0, 0, 1]}
         extra["phi2"] = {"kind": "polynomial", "coefficients": [0, 0, 0, 0, 1]}
-    cfg_path = write_config(tmp_path, minimal_config(n_list=[32, 64], replicas=100, phi=phi,
-                                                     phi_eval=phi_eval, **extra))
+    elif phi_kind == "tabulated":
+        phi = {"kind": "tabulated", "grid": [-3.0, 0.0, 3.0], "values": [1.0, 0.0, 1.0]}
+    cfg_path = write_config(tmp_path, minimal_config(n_list=[32, 64], replicas=100, phi=phi, **extra))
     assert cli.run_cli(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "s")]) == 0
     manifest = json.loads((tmp_path / "s" / "manifest.json").read_text())
     assert manifest["phi_route"] == route
@@ -318,13 +320,65 @@ def test_exit_code_validation_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["predict", "simulate"])
 def test_exit_code_unknown_phi_eval(tmp_path, capsys, command):
-    cfg_path = write_config(tmp_path, minimal_config(phi_eval="matvec"))
+    """phi_eval, the evaluator knob the phis now replace, is an unknown key like any other."""
+    cfg_path = write_config(tmp_path, minimal_config(phi_eval="auto"))
     code = cli.run_cli([command, "--config", str(cfg_path), "--out", str(tmp_path / "x")])
     assert code == 2
     payload = error_payload(capsys)
-    assert (payload["error"], payload["field"]) == ("ConfigError", "config.phi_eval")
-    assert "auto" in payload["message"] and "spectral" in payload["message"]
+    assert (payload["error"], payload["field"]) == ("ConfigError", "config")
+    assert "unknown key(s) ['phi_eval']" in payload["message"]
     assert not (tmp_path / "x").exists()
+
+
+def non_finite_config(where: str, value: float) -> dict:
+    """minimal_config with value at `where`, one of NON_FINITE_FIELDS."""
+    cfg = minimal_config(n_list=[16, 32, 64, 128], replicas=100)
+    if where == "w2":
+        cfg["spec"] = {"entry_dist": {"kind": "gaussian", "w": 1.0},
+                       "convention": "general_diagonal", "w2": value}
+    elif where == "w":
+        cfg["spec"]["entry_dist"]["w"] = value
+    elif where == "coefficients":
+        cfg["phi"]["coefficients"] = [0, value, 1]
+    elif where in ("grid", "values"):
+        cfg["phi"] = {"kind": "tabulated", "grid": [-3.0, 0.0, 3.0], "values": [1.0, 0.0, 1.0]}
+        cfg["phi"][where][1] = value
+    else:
+        cfg[where] = [0.5, value]
+    return cfg
+
+
+NON_FINITE_FIELDS = {
+    "w2": "config.spec.w2",
+    "w": "config.spec.entry_dist.w",
+    "coefficients": "config.phi.coefficients[1]",
+    "grid": "config.phi.grid[1]",
+    "values": "config.phi.values[1]",
+    "x_grid": "config.x_grid[1]",
+}
+
+
+@pytest.mark.parametrize("command", ["predict", "simulate", "lemma"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", sorted(NON_FINITE_FIELDS))
+@pytest.mark.filterwarnings("error")  # no numpy RuntimeWarning may precede the JSON error
+def test_exit_code_non_finite_config_number(tmp_path, capsys, command, value, where):
+    """json.loads reads NaN and Infinity; every config number must be finite."""
+    cfg_path = write_config(tmp_path, non_finite_config(where, value))
+    code = cli.run_cli([command, "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+    assert code == 2
+    payload = error_payload(capsys)
+    assert (payload["error"], payload["field"]) == ("ConfigError", NON_FINITE_FIELDS[where])
+    assert not (tmp_path / "x").exists()
+
+
+def test_readme_config_schema_parses():
+    """The README's config-schema block is a config the parser accepts, key for key."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("### Config schema", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    documented = json.loads(block)
+    descriptor = cli.config_from_dict(documented).descriptor()
+    assert set(documented) - {"phi2"} == set(descriptor)
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
@@ -405,7 +459,28 @@ def test_exit_code_unknown_subcommand(capsys):
 
 
 def test_exit_code_unreadable_result(tmp_path, capsys):
-    assert cli.run_cli(["report", str(tmp_path / "missing.json")]) == 1
+    missing = tmp_path / "missing.json"
+    assert cli.run_cli(["report", str(missing)]) == 2
+    payload = error_payload(capsys)
+    assert payload["error"] == "ConfigError" and str(missing) in payload["message"]
+
+
+@pytest.mark.parametrize("content", [None, "{not json", "\xff", '{"per_n": []}', "3",
+                                     '{"per_n": [{"n": 64}], "prediction": {"v_w": 1, "v_goe": 1, '
+                                     '"kappa4_term": 0, "diag_term": 0, "xstar_slope": 0}}'])
+def test_exit_code_bad_report_input(tmp_path, capsys, content):
+    """A directory, non-JSON text, or JSON that is not a result: exit 2 naming the path."""
+    path = tmp_path / "result.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_text(content, encoding="latin-1")
+    assert cli.run_cli(["report", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # nothing printed before the error
+    assert "\n" not in captured.err.strip()
+    payload = json.loads(captured.err)
+    assert payload["error"] == "ConfigError" and str(path) in payload["message"]
 
 
 def test_exit_code_numeric_failure(tmp_path, capsys, monkeypatch):

@@ -145,6 +145,9 @@ def test_spec_validation():
         en.EnsembleSpec(entry_dist=rad, convention="goe")
     with pytest.raises(ContractError):
         en.EnsembleSpec(entry_dist=rad, convention="general_diagonal", w2=-1.0)
+    for w2 in (math.nan, math.inf):
+        with pytest.raises(ContractError):
+            en.EnsembleSpec(entry_dist=rad, convention="general_diagonal", w2=w2)
     with pytest.raises(ContractError):
         en.EnsembleSpec(entry_dist=rad, convention="bogus")
 

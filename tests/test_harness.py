@@ -7,6 +7,7 @@ import pytest
 from wignerlab import ensembles as en
 from wignerlab import harness as hn
 from wignerlab import limits as lm
+from wignerlab import spectral as sp
 from wignerlab.errors import ContractError, ProvenanceError
 from wignerlab.semicircle import gaussian_damped, monomial, sc_integral, tabulated
 
@@ -46,15 +47,19 @@ def test_config_validation():
         small_config(j_policy="fourth")
     with pytest.raises(ContractError):
         small_config(x_grid=(math.inf,))
-    with pytest.raises(ContractError):
-        small_config(phi_eval="matvec")  # the power route it selected is gone
+    with pytest.raises(TypeError):
+        small_config(phi_eval="spectral")  # no evaluator knob: the phis pick the route
 
 
 def test_phi_route_resolution():
     assert hn.PHI_ROUTES == ("lanczos", "eigh")
+    table = tabulated([-3.0, 0.0, 3.0], [1.0, 0.0, 1.0])
     assert small_config().phi_route() == "lanczos"
-    assert small_config(phi_eval="spectral").phi_route() == "eigh"
     assert small_config(phi=gaussian_damped([0, 1.0])).phi_route() == "lanczos"
+    assert small_config(phi=gaussian_damped([0, 1.0]), phi2=monomial(2)).phi_route() == "lanczos"
+    assert small_config(phi=table).phi_route() == "eigh"
+    assert small_config(phi2=table).phi_route() == "eigh"
+    assert "phi_eval" not in small_config().descriptor()
 
 
 def test_resolve_j():
@@ -114,29 +119,59 @@ def test_goe_identity_function_variance():
     assert p.ks["passed"] is True
 
 
+def eigh_route(cfg: hn.ExperimentConfig) -> tuple[np.ndarray, int | None]:
+    """phi(M_r)_jj of cfg's first size through the full eigh, the reference for the Lanczos route."""
+    n = cfg.n_list[0]
+    return hn.matrix_element_samples(cfg.spec, n, hn.resolve_j(cfg.j_policy, n), cfg.phis(),
+                                     cfg.root_seed, cfg.replicas, route="eigh")
+
+
+def scaled(raw: np.ndarray, n: int) -> np.ndarray:
+    return math.sqrt(n) * (raw - raw.mean())
+
+
 def test_polynomial_lanczos_and_spectral_routes_agree():
-    cfg_a = small_config(phi=monomial(3), replicas=150)
-    cfg_b = small_config(phi=monomial(3), phi_eval="spectral", replicas=150)
-    a = hn.run_entry_experiment(cfg_a, threads=1)
-    b = hn.run_entry_experiment(cfg_b, threads=1)
-    assert (cfg_a.phi_route(), cfg_b.phi_route()) == ("lanczos", "eigh")
-    assert np.max(np.abs(a.per_n[0].samples - b.per_n[0].samples)) <= 1e-9
-    assert (a.lanczos_steps_max, b.lanczos_steps_max) == (2, None)
+    cfg = small_config(phi=monomial(3), replicas=150)
+    a = hn.run_entry_experiment(cfg, threads=1)
+    b, steps = eigh_route(cfg)
+    assert cfg.phi_route() == "lanczos"
+    assert np.max(np.abs(a.per_n[0].samples - scaled(b[:, 0], 32))) <= 1e-9
+    assert (a.lanczos_steps_max, steps) == (2, None)
 
 
 def test_lanczos_and_spectral_routes_agree():
     phi, phi2 = gaussian_damped([0, 1.0, 0, 0.5], 1.0), gaussian_damped([1.0, 0, 1.0], 0.5)
-    cfg_a = small_config(phi=phi, phi2=phi2, replicas=150)
-    cfg_b = small_config(phi=phi, phi2=phi2, phi_eval="spectral", replicas=150)
-    a = hn.run_entry_experiment(cfg_a, threads=1)
-    b = hn.run_entry_experiment(cfg_b, threads=1)
-    assert (cfg_a.phi_route(), cfg_b.phi_route()) == ("lanczos", "eigh")
-    assert np.max(np.abs(a.per_n[0].samples - b.per_n[0].samples)) <= 1e-12
-    assert a.per_n[0].covariance[0] == pytest.approx(b.per_n[0].covariance[0], rel=1e-10)
-    assert 1 <= a.lanczos_steps_max <= 32 and b.lanczos_steps_max is None
+    cfg = small_config(phi=phi, phi2=phi2, replicas=150)
+    a = hn.run_entry_experiment(cfg, threads=1)
+    b, steps = eigh_route(cfg)
+    assert cfg.phi_route() == "lanczos"
+    assert np.max(np.abs(a.per_n[0].samples - scaled(b[:, 0], 32))) <= 1e-12
+    assert a.per_n[0].covariance[0] == pytest.approx(32 * hn._jackknife_cov(b[:, 0], b[:, 1])[0],
+                                                     rel=1e-10)
+    assert 1 <= a.lanczos_steps_max <= 32 and steps is None
 
 
-ROUTE_PHIS = {  # phis, route, eigh calls per replica
+def test_mixed_set_stops_with_its_smooth_member():
+    """A polynomial beside a smooth phi fixes only the minimum step count: the set stops
+    where the smooth phi alone stops, and both agree with the full eigh to 1e-12 of
+    sum_a |phi(lambda_a)| Q_ja^2."""
+    spec = en.EnsembleSpec(entry_dist=en.make_entry_distribution("rademacher", 3.0))
+    phis = [gaussian_damped([1.0], 1.0), monomial(7)]
+    n, seed, replicas = 512, 5, 8
+    lanczos, steps = hn.matrix_element_samples(spec, n, 0, phis, seed, replicas, "lanczos")
+    oracle, _ = hn.matrix_element_samples(spec, n, 0, phis, seed, replicas, "eigh")
+    alone = []
+    for r in range(replicas):
+        m = en.sample_matrix(spec, n, seed, r)
+        alone.append(sp.lanczos_jacobi(m, 0, phis[:1]).n)
+        dec = sp.eigh(m)
+        for i, p in enumerate(phis):
+            scale = sp.matrix_function_entry(dec, lambda x: np.abs(p(x)), 0, 0)
+            assert abs(lanczos[r, i] - oracle[r, i]) <= 1e-12 * scale, (r, i)
+    assert steps == max(alone) <= 64
+
+
+ROUTE_PHIS = {  # phis, route, eigh calls per replica (on the Jacobi matrix for lanczos)
     "polynomials": ([monomial(3), monomial(4)], "lanczos", 0),
     "smooth": ([gaussian_damped([0, 1.0], 1.0), gaussian_damped([1.0], 2.0)], "lanczos", 1),
     "smooth and polynomial": ([gaussian_damped([0, 1.0], 1.0), monomial(2)], "lanczos", 1),
@@ -148,15 +183,19 @@ ROUTE_PHIS = {  # phis, route, eigh calls per replica
 
 @pytest.mark.parametrize("case", sorted(ROUTE_PHIS))
 def test_auto_routes_each_phi_to_its_evaluator(monkeypatch, case):
-    """auto: polynomials and smooth phi take Lanczos, any tabulated phi eigh;
-    only all-polynomial sets skip the eigh of the Jacobi matrix."""
+    """Polynomials and smooth phi take Lanczos, any tabulated phi eigh; only
+    all-polynomial sets skip the eigh of the Jacobi matrix.  Lanczos gets the
+    smooth phis for its Gauss test and max_degree // 2 + 1 as its least step count."""
     calls = {"lanczos_jacobi": 0, "eigh": 0}
+    stop_rules = set()
 
     def counting(name):
         original = getattr(hn, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
+            if name == "lanczos_jacobi":
+                stop_rules.add((tuple(p.kind for p in args[2]), args[3]))
             return original(*args, **kwargs)
 
         return wrapper
@@ -168,6 +207,10 @@ def test_auto_routes_each_phi_to_its_evaluator(monkeypatch, case):
     hn.run_entry_experiment(cfg, threads=1)
     assert cfg.phi_route() == route
     assert calls == {"lanczos_jacobi": 100 if route == "lanczos" else 0, "eigh": 100 * eighs}
+    if route == "lanczos":
+        degrees = [p.degree for p in phis if p.kind == "polynomial"]
+        smooth = tuple(p.kind for p in phis if p.kind != "polynomial")
+        assert stop_rules == {(smooth, max(degrees, default=0) // 2 + 1)}
 
 
 def test_result_deterministic_across_threads():

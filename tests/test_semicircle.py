@@ -233,3 +233,8 @@ def test_tabulated_validation():
         sc.tabulated([0.0, 1.0], [1.0])
     with pytest.raises(ContractError):
         sc.tabulated([1.0, 0.0], [1.0, 2.0])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ContractError):
+            sc.tabulated([0.0, 1.0], [1.0, bad])
+        with pytest.raises(ContractError):
+            sc.tabulated([-bad, 0.0, 1.0], [1.0, 0.0, 1.0])

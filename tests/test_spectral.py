@@ -203,7 +203,7 @@ def test_fixed_step_lanczos_matches_power_oracle(kind):
             for j in (0, (n - 1) // 2, n - 1):
                 for degree in range(1, 9):
                     p = polynomial(rng.uniform(-1.0, 1.0, degree + 1))
-                    t = sp.lanczos_jacobi(m, j, [p], steps=degree // 2 + 1)
+                    t = sp.lanczos_jacobi(m, j, [], steps=degree // 2 + 1)
                     assert t.n == degree // 2 + 1
                     value = np.asarray(p.coefficients) @ t.moments(degree)
                     expected = np.asarray(p.coefficients) @ diagonal_powers(m, j, degree)
@@ -219,14 +219,27 @@ def test_fixed_step_lanczos_stops_at_breakdown():
     a[:2, :2] = (block + block.T) / 2
     a[2:, 2:] = np.diag(rng.standard_normal(14))
     m = packed(a)
-    p = monomial(6)
     for j in range(2):
-        t = sp.lanczos_jacobi(m, j, [p], steps=4)
+        t = sp.lanczos_jacobi(m, j, [], steps=4)
         assert t.n == 2
         assert t.moments(6)[6] == pytest.approx(np.linalg.matrix_power(a, 6)[j, j], rel=1e-13)
-    assert sp.lanczos_jacobi(m, 5, [p], steps=4).n == 1
-    assert sp.lanczos_jacobi(packed(np.ones((3, 3))), 0, [p], steps=9).n == 2  # span{e_0, 1}
-    assert sp.lanczos_jacobi(packed(a[:2, :2]), 0, [p], steps=9).n == 2  # capped at n
+    assert sp.lanczos_jacobi(m, 5, [], steps=4).n == 1
+    assert sp.lanczos_jacobi(packed(np.ones((3, 3))), 0, [], steps=9).n == 2  # span{e_0, 1}
+    assert sp.lanczos_jacobi(packed(a[:2, :2]), 0, [], steps=9).n == 2  # capped at n
+
+
+def test_lanczos_runs_steps_then_the_gauss_test():
+    """steps is a floor: with no phis Lanczos stops there, otherwise at the first later
+    step where every phi's Gauss estimate has settled."""
+    m = en.sample_matrix(goe_spec(), 128, seed=117)
+    smooth = [gaussian_damped([1.0, 0.0, 1.0], 1.0)]
+    settled = sp.lanczos_jacobi(m, 3, smooth).n
+    assert 3 <= settled < 40
+    assert sp.lanczos_jacobi(m, 3, smooth, steps=2).n == settled
+    assert sp.lanczos_jacobi(m, 3, smooth, steps=settled).n == settled
+    assert sp.lanczos_jacobi(m, 3, smooth, steps=40).n == 40
+    assert sp.lanczos_jacobi(m, 3, [], steps=5).n == 5
+    assert sp.lanczos_jacobi(m, 3, []).n == 1
 
 
 def test_lanczos_jacobi_is_tridiagonal():
