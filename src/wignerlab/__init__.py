@@ -26,7 +26,6 @@ from .limits import (
     limit_cf,
     limit_cumulants,
     var_limit,
-    x_star,
 )
 from .semicircle import (
     TestFunction,
@@ -84,5 +83,4 @@ __all__ = [
     "v_of_t",
     "v_tilde",
     "var_limit",
-    "x_star",
 ]

@@ -256,7 +256,7 @@ def _cmd_predict(args) -> int:
     cfg = _load_config(args)
     started = time.monotonic()
     pred = var_limit(cfg.phi, cfg.spec)
-    cf = limit_cf(cfg.phi, cfg.spec, np.asarray(cfg.x_grid), prediction=pred)
+    cf = limit_cf(pred, cfg.spec, np.asarray(cfg.x_grid))
     out = pred.to_dict()
     out["cf"] = [[float(x), float(z.real), float(z.imag)] for x, z in zip(cfg.x_grid, cf)]
     out_dir = Path(args.out)

@@ -107,9 +107,6 @@ class SampleCumulants:
     se: tuple[float, float, float, float]
     n: int
 
-    def value(self, order: int) -> float:
-        return (self.k1, self.k2, self.k3, self.k4)[order - 1]
-
 
 def k_statistics_loo(xc: np.ndarray) -> tuple[tuple, tuple]:
     """k1..k4 of a (pre-centered) sample and their leave-one-out arrays.
@@ -150,16 +147,6 @@ def sample_cumulants(data: Sequence[float], order: int = 4) -> SampleCumulants:
         k1=float(k1 + shift), k2=float(k2), k3=float(k3), k4=float(k4),
         se=tuple(jackknife_spread(jk) for jk in loo), n=n,
     )
-
-
-def jackknife_se(data: Sequence[float], statistic) -> tuple[float, float]:
-    """(estimate, delete-1 jackknife se) for an arbitrary statistic of a sample."""
-    x = np.asarray(data, dtype=float).ravel()
-    n = x.size
-    if n < 8:
-        raise ContractError("jackknife needs at least 8 observations")
-    loo = np.array([statistic(np.delete(x, i)) for i in range(n)])
-    return float(statistic(x)), jackknife_spread(loo)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +202,7 @@ def stein_expansion_residual(dist, phi: TestFunction, p: int) -> ExpansionResidu
     """
     if p < 0:
         raise ContractError("p must be >= 0")
-    if dist.cumulant_order_available() < p + 1:
+    if p + 1 > MAX_ORDER:
         raise ContractError(f"distribution cumulants unavailable up to order {p + 1}")
     lhs = _dist_expectation(dist, lambda x: x * phi(x))
     rhs = 0.0

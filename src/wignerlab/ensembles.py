@@ -51,7 +51,6 @@ class EntryDistribution:
     w: float
     moments: tuple[float, ...]  # mu_1..mu_8
     kappas: tuple[float, ...]  # kappa_1..kappa_8
-    cf_closed_form: str | None = None
     atoms: np.ndarray | None = None
     probs: np.ndarray | None = None
 
@@ -66,12 +65,9 @@ class EntryDistribution:
         """kappa_l for l <= 8; exactly 0 beyond order 2 for the Gaussian law."""
         if self.kind == GAUSSIAN:
             return {1: 0.0, 2: self.w**2}.get(order, 0.0)
-        if not 1 <= order <= self.cumulant_order_available():
+        if not 1 <= order <= MAX_ORDER:
             raise ContractError(f"cumulant order {order} exceeds supported maximum {MAX_ORDER}")
         return self.kappas[order - 1]
-
-    def cumulant_order_available(self) -> int:
-        return MAX_ORDER
 
     def descriptor(self) -> dict:
         d: dict = {"kind": self.kind, "w": self.w}
@@ -81,16 +77,17 @@ class EntryDistribution:
         return d
 
 
-def _finalize(kind: str, w: float, moments: Sequence[float], cf: str | None,
+def _finalize(kind: str, w: float, moments: Sequence[float],
               atoms: np.ndarray | None = None, probs: np.ndarray | None = None) -> EntryDistribution:
     mu = tuple(float(m) for m in moments)
+    kappas = tuple(moments_to_cumulants(mu).values)
+    if not all(math.isfinite(v) for v in mu + kappas):
+        raise OverflowError("non-finite moment or cumulant")
     if abs(mu[0]) > _ATOL * max(w, 1.0):
         raise InvalidDistributionError(f"entry law must have mean 0, got {mu[0]}")
     if abs(mu[1] - w * w) > _ATOL * max(w * w, 1.0):
         raise InvalidDistributionError(f"entry law must have variance w^2 = {w*w}, got {mu[1]}")
-    kappas = tuple(moments_to_cumulants(mu).values)
-    return EntryDistribution(kind=kind, w=float(w), moments=mu, kappas=kappas,
-                             cf_closed_form=cf, atoms=atoms, probs=probs)
+    return EntryDistribution(kind=kind, w=float(w), moments=mu, kappas=kappas, atoms=atoms, probs=probs)
 
 
 def make_entry_distribution(kind: str, w: float, params: dict | None = None) -> EntryDistribution:
@@ -102,47 +99,50 @@ def make_entry_distribution(kind: str, w: float, params: dict | None = None) -> 
     if w <= 0 or not math.isfinite(w):
         raise InvalidDistributionError(f"scale w must be positive and finite, got {w}")
     params = params or {}
+    try:  # Python float powers raise OverflowError, and _finalize does on inf moments
+        if kind == GAUSSIAN:
+            mu = (0.0, w**2, 0.0, 3 * w**4, 0.0, 15 * w**6, 0.0, 105 * w**8)
+            return _finalize(kind, w, mu)
 
-    if kind == GAUSSIAN:
-        mu = (0.0, w**2, 0.0, 3 * w**4, 0.0, 15 * w**6, 0.0, 105 * w**8)
-        return _finalize(kind, w, mu, "exp(-(w*x)^2/2)")
+        if kind == RADEMACHER:
+            atoms = np.array([-w, w])
+            probs = np.array([0.5, 0.5])
+            return _discrete(kind, w, atoms, probs)
 
-    if kind == RADEMACHER:
-        atoms = np.array([-w, w])
-        probs = np.array([0.5, 0.5])
-        return _discrete(kind, w, atoms, probs, cf="cos(w*x)")
+        if kind == UNIFORM:
+            a = math.sqrt(3.0) * w
+            mu = (0.0, a**2 / 3, 0.0, a**4 / 5, 0.0, a**6 / 7, 0.0, a**8 / 9)
+            return _finalize(kind, w, mu)
 
-    if kind == UNIFORM:
-        a = math.sqrt(3.0) * w
-        mu = (0.0, a**2 / 3, 0.0, a**4 / 5, 0.0, a**6 / 7, 0.0, a**8 / 9)
-        return _finalize(kind, w, mu, "sin(a*x)/(a*x), a = w*sqrt(3)")
-
-    if kind in (TWO_POINT, DISCRETE_CUSTOM):
-        if "atoms" not in params or "probs" not in params:
-            raise InvalidDistributionError(f"{kind} requires params 'atoms' and 'probs'")
-        atoms = np.asarray(params["atoms"], dtype=float)
-        probs = np.asarray(params["probs"], dtype=float)
-        if kind == TWO_POINT and atoms.size != 2:
-            raise InvalidDistributionError("two_point takes exactly two atoms")
-        return _discrete(kind, w, atoms, probs)
+        if kind in (TWO_POINT, DISCRETE_CUSTOM):
+            if "atoms" not in params or "probs" not in params:
+                raise InvalidDistributionError(f"{kind} requires params 'atoms' and 'probs'")
+            atoms = np.asarray(params["atoms"], dtype=float)
+            probs = np.asarray(params["probs"], dtype=float)
+            if kind == TWO_POINT and atoms.size != 2:
+                raise InvalidDistributionError("two_point takes exactly two atoms")
+            return _discrete(kind, w, atoms, probs)
+    except OverflowError as exc:
+        raise InvalidDistributionError(
+            f"{kind} moments up to order {MAX_ORDER} overflow the float range at w = {w}") from exc
 
     raise InvalidDistributionError(f"unknown distribution kind {kind!r}")
 
 
-def _discrete(kind: str, w: float, atoms: np.ndarray, probs: np.ndarray,
-              cf: str = "sum_j p_j exp(i*x*a_j)") -> EntryDistribution:
+def _discrete(kind: str, w: float, atoms: np.ndarray, probs: np.ndarray) -> EntryDistribution:
     if atoms.ndim != 1 or atoms.shape != probs.shape or atoms.size < 1:
         raise InvalidDistributionError("atoms and probs must be matching 1-D arrays")
     if np.any(probs < 0):
         raise InvalidDistributionError("probabilities must be nonnegative")
     if abs(float(np.sum(probs)) - 1.0) > 1e-14:
         raise InvalidDistributionError(f"probabilities sum to {float(np.sum(probs))}, not 1")
-    mu = [float(np.sum(probs * atoms**p)) for p in range(1, MAX_ORDER + 1)]
+    with np.errstate(over="ignore", invalid="ignore"):  # _finalize rejects inf and nan
+        mu = [float(np.sum(probs * atoms**p)) for p in range(1, MAX_ORDER + 1)]
     atoms = atoms.copy()
     probs = probs.copy()
     atoms.setflags(write=False)
     probs.setflags(write=False)
-    return _finalize(kind, w, mu, cf, atoms=atoms, probs=probs)
+    return _finalize(kind, w, mu, atoms=atoms, probs=probs)
 
 
 def entry_cf(dist: EntryDistribution, x):

@@ -95,6 +95,10 @@ class ExperimentConfig:
             raise ContractError("every n must be >= 16")
         if self.j_policy not in J_POLICIES:
             raise ContractError(f"unknown j policy {self.j_policy!r}")
+        if self.j_policy == "explicit" and not (
+                self.j_explicit is not None and 0 <= self.j_explicit < min(self.n_list)):
+            raise ContractError(f"j_policy 'explicit' needs j_explicit in 0..{min(self.n_list) - 1}, "
+                                f"got {self.j_explicit}")
         for name, grid in (("x_grid", self.x_grid), ("t_grid", self.t_grid)):
             if not all(math.isfinite(v) for v in grid):
                 raise ContractError(f"{name} must be finite")
@@ -375,8 +379,8 @@ def _variance_row(p: PerNResult, prediction: LimitPrediction) -> dict:
 def compare_with_prediction_rows(per_n: Sequence[PerNResult], prediction: LimitPrediction,
                                  cfg: ExperimentConfig, cov_prediction: float | None = None) -> dict:
     """z-scores of every estimate against its limit, one record per n."""
-    kappas = limit_cumulants(cfg.phi, cfg.spec, 4)
-    cf_pred = limit_cf(cfg.phi, cfg.spec, np.asarray(cfg.x_grid), prediction=prediction)
+    kappas = limit_cumulants(prediction, cfg.spec, 4)
+    cf_pred = limit_cf(prediction, cfg.spec, np.asarray(cfg.x_grid))
     rows = []
     for p in per_n:
         cf_rows = []

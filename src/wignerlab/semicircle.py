@@ -7,7 +7,8 @@ self-convolutions of v used by the limiting covariance kernels.
 
 Quadrature is Gauss-Chebyshev of the second kind: after lambda = 2w cos(theta)
 the semicircle weight is exactly the Chebyshev-U weight, so an N-node rule
-integrates polynomials of degree <= 2N - 1 exactly.
+integrates polynomials of degree <= 2N - 1 exactly.  Every semicircle integral
+in the package uses the one DEFAULT_NODES-node rule.
 
 Fourier convention (fixed here to keep sign/2pi drift out of the rest of the
 package): phi_hat(t) = (2 pi)^-1 Integral e^{-i t lambda} phi(lambda) dlambda,
@@ -22,7 +23,6 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import j1
 
 from .errors import ContractError, CoverageError
@@ -147,6 +147,8 @@ def monomial(power: int) -> TestFunction:
 
 def gaussian_damped(coefficients: Sequence[float], envelope_width: float = 1.0) -> TestFunction:
     coeffs = tuple(float(c) for c in coefficients)
+    if not all(math.isfinite(c) for c in coeffs):
+        raise ContractError("gaussian_damped coefficients must be finite")
     if envelope_width <= 0 or not math.isfinite(envelope_width):
         raise ContractError("envelope width must be positive and finite")
     # even envelope: parity is that of the polynomial factor
@@ -262,14 +264,13 @@ def rho_sc(lam, w: float):
     return np.sqrt(supp) / (2.0 * math.pi * w * w)
 
 
-def sc_integral(phi: Callable, w: float, n_nodes: int = DEFAULT_NODES,
-                weight: Callable | None = None):
+def sc_integral(phi: Callable, w: float, weight: Callable | None = None):
     """Integral phi(lambda) weight(lambda) rho_sc(lambda) dlambda by Gauss-Chebyshev-U.
 
-    Exact for polynomial phi * weight of degree <= 2 n_nodes - 1.  A tabulated
-    phi must cover [-2w, 2w] (CoverageError otherwise).
+    Exact for polynomial phi * weight of degree <= 2 DEFAULT_NODES - 1.  A
+    tabulated phi must cover [-2w, 2w] (CoverageError otherwise).
     """
-    rule = gauss_chebyshev_u(w, n_nodes)
+    rule = gauss_chebyshev_u(w)
     if isinstance(phi, TestFunction) and phi.kind == TABULATED:
         if phi.grid[0] > -2.0 * w or phi.grid[-1] < 2.0 * w:
             raise CoverageError(
@@ -282,79 +283,16 @@ def sc_integral(phi: Callable, w: float, n_nodes: int = DEFAULT_NODES,
     return complex(total) if np.iscomplexobj(vals) else float(total)
 
 
-def sc_moment(power: int, w: float, n_nodes: int = DEFAULT_NODES) -> float:
-    """Semicircle moment m_p; m_{2k} = C_k w^{2k} (Catalan), odd moments 0."""
-    rule = gauss_chebyshev_u(w, n_nodes)
-    return float(np.sum(rule.weights * rule.nodes**power))
-
-
-# ---------------------------------------------------------------------------
-# Stieltjes transform on the support
-# ---------------------------------------------------------------------------
-
-
-def stieltjes_rho(lam: float, w: float) -> float:
-    """Principal value of Integral rho_sc(mu)/(mu - lambda) dmu = -lambda/(2 w^2)."""
-    if w <= 0:
-        raise ContractError("scale w must be positive")
-    if abs(lam) >= 2.0 * w:
-        raise ContractError("stieltjes_rho requires |lambda| < 2w")
-    return -lam / (2.0 * w * w)
-
-
-def stieltjes_rho_pv_check(lam: float, w: float, deltas: Sequence[float] = (0.02, 0.01, 0.005)) -> float:
-    """Quadrature cross-check of stieltjes_rho.
-
-    Integrates over {|mu - lambda| > delta} with symmetric node pairing
-    (the lambda +- s contributions are combined so their poles cancel), then
-    Richardson-extrapolates the remaining O(delta) truncation to delta -> 0.
-    """
-    if abs(lam) >= 2.0 * w:
-        raise ContractError("stieltjes_rho_pv_check requires |lambda| < 2w")
-    deltas = sorted(float(d) for d in deltas)
-    if deltas[0] <= 0:
-        raise ContractError("deltas must be positive")
-    half_width = min(2.0 * w - lam, lam + 2.0 * w)
-
-    def excluded_integral(delta: float) -> float:
-        paired = quad(
-            lambda s: (rho_sc(lam + s, w) - rho_sc(lam - s, w)) / s,
-            delta,
-            half_width,
-            limit=200,
-        )[0]
-        outer = 0.0
-        if lam - half_width > -2.0 * w:
-            outer += quad(lambda mu: rho_sc(mu, w) / (mu - lam), -2.0 * w, lam - half_width, limit=200)[0]
-        if lam + half_width < 2.0 * w:
-            outer += quad(lambda mu: rho_sc(mu, w) / (mu - lam), lam + half_width, 2.0 * w, limit=200)[0]
-        return paired + outer
-
-    vals = [excluded_integral(d) for d in deltas]
-    # excluded window contributes ~ 2 rho'(lam) delta: one Richardson level per halving
-    while len(vals) > 1:
-        vals = [2.0 * lo - hi for lo, hi in zip(vals[:-1], vals[1:])]
-    return vals[0]
-
-
 # ---------------------------------------------------------------------------
 # v(t), v~(z), and self-convolutions
 # ---------------------------------------------------------------------------
 
 
-def v_of_t(t, w: float, method: str = "bessel"):
-    """v(t) = Integral e^{i t lambda} rho_sc dlambda = J1(2wt)/(wt); real and even.
-
-    method="quadrature" evaluates the defining integral directly (oracle path).
-    """
+def v_of_t(t, w: float):
+    """v(t) = Integral e^{i t lambda} rho_sc dlambda = J1(2wt)/(wt); real and even."""
     if w <= 0:
         raise ContractError("scale w must be positive")
-    t_arr = np.asarray(t, dtype=float)
-    if method == "quadrature":
-        rule = gauss_chebyshev_u(w, 256)
-        vals = np.cos(np.multiply.outer(t_arr, rule.nodes)) @ rule.weights
-        return float(vals) if np.isscalar(t) else vals
-    x = w * t_arr
+    x = w * np.asarray(t, dtype=float)
     small = np.abs(x) < 1e-6
     safe = np.where(small, 1.0, x)
     out = np.where(small, 1.0 - x * x / 2.0 + x**4 / 12.0, j1(2.0 * safe) / safe)
@@ -384,7 +322,7 @@ _VVV_SERIES = np.array([(-1) ** (k + 1) * 3 * k / ((k + 2) * math.factorial(k) *
                         for k in range(1, 21)])
 
 
-def sc_convolutions(t, w: float, n_nodes: int = DEFAULT_NODES) -> dict:
+def sc_convolutions(t, w: float) -> dict:
     """Closed-form (v*v)(t) and (v*v*v)(t) via single semicircle integrals.
 
     (v*v)(t)   = -(i/w^2) Integral e^{i mu t} mu rho_sc(mu) dmu
@@ -393,7 +331,7 @@ def sc_convolutions(t, w: float, n_nodes: int = DEFAULT_NODES) -> dict:
     Both are real.  The vvv integral cancels to O(w^4 t^2), so below |w t| = 1
     it is the series t^2 sum_{k>=0} _VVV_SERIES[k] (w t)^{2k} from the moments C_k w^{2k}.
     """
-    rule = gauss_chebyshev_u(w, n_nodes)
+    rule = gauss_chebyshev_u(w)
     t_arr = np.asarray(t, dtype=float)
     arg = np.multiply.outer(t_arr, rule.nodes)
     vv = (np.sin(arg) @ (rule.weights * rule.nodes)) / (w * w)

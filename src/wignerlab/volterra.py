@@ -24,15 +24,7 @@ import numpy as np
 from scipy import fft as sp_fft
 
 from .errors import ContractError
-from .semicircle import (
-    DEFAULT_NODES,
-    TestFunction,
-    fourier_transform,
-    gauss_chebyshev_u,
-    sc_convolutions,
-    v_of_t,
-    v_tilde,
-)
+from .semicircle import TestFunction, fourier_transform, gauss_chebyshev_u, sc_convolutions, v_of_t
 
 
 # ---------------------------------------------------------------------------
@@ -160,33 +152,19 @@ def volterra_solve(q: ComplexSeries, r: ComplexSeries) -> ComplexSeries:
     return ComplexSeries(grid=q.grid, values=p)
 
 
-def resolvent_T(w: float, grid: np.ndarray) -> ComplexSeries:
-    """The resolvent kernel of the v-convolution equation: T(t) = -v(t)."""
-    if w <= 0:
-        raise ContractError("scale w must be positive")
-    return ComplexSeries(grid=np.asarray(grid, float), values=-v_of_t(np.asarray(grid, float), w).astype(complex))
-
-
-def resolvent_identity_defect(z, w: float):
-    """|(z + w^2 v~(z)) (-v~(z)) - 1| at one or more lower-half-plane points."""
-    vt = v_tilde(z, w)
-    out = np.abs((np.asarray(z, complex) + w * w * vt) * (-vt) - 1.0)
-    return float(out) if np.isscalar(z) else out
-
-
 # ---------------------------------------------------------------------------
 # closed-form kernels
 # ---------------------------------------------------------------------------
 
 
-def _edd_weighted(t_values: np.ndarray, w: float, n_nodes: int) -> np.ndarray:
+def _edd_weighted(t_values: np.ndarray, w: float) -> np.ndarray:
     """a[t, j] = sum_i w_i (e^{i t l_i} - e^{i t l_j})/(l_i - l_j), i = j giving i t w_j e^{i t l_j}.
 
     One GEMM over the grid: a = (f o w) D - f o (w D) + i t (1 + f) o w, with
     D_ij = 1/(l_i - l_j) off the diagonal (0 on it) and f = e^{i t l} - 1 formed
     without cancellation, so a(0) = 0 exactly.
     """
-    rule = gauss_chebyshev_u(w, n_nodes)
+    rule = gauss_chebyshev_u(w)
     t = np.asarray(t_values, float)
     gaps = rule.nodes[:, None] - rule.nodes[None, :]
     np.fill_diagonal(gaps, np.inf)
@@ -197,48 +175,45 @@ def _edd_weighted(t_values: np.ndarray, w: float, n_nodes: int) -> np.ndarray:
     return fw @ d - f * (rule.weights @ d) + 1j * t[:, None] * (rule.weights + fw)
 
 
-def phi_kernel(t3: float, t2: float, w: float, n_nodes: int = DEFAULT_NODES) -> complex:
+def phi_kernel(t3: float, t2: float, w: float) -> complex:
     """The inner two-time kernel of the covariance equation's source term.
 
     Phi(t3, t2) = -i II e^{i t3 l} (e^{i t2 l} - e^{i t2 m})/(l - m) rho rho;
     the l = m diagonal uses the removable-singularity limit i t2 e^{i t2 l}.
     """
-    return complex(phi_kernel_grid(np.array([t3]), np.array([t2]), w, n_nodes)[0, 0])
+    return complex(phi_kernel_grid(np.array([t3]), np.array([t2]), w)[0, 0])
 
 
-def phi_kernel_grid(t3_grid: np.ndarray, t2_grid: np.ndarray, w: float,
-                    n_nodes: int = DEFAULT_NODES) -> np.ndarray:
+def phi_kernel_grid(t3_grid: np.ndarray, t2_grid: np.ndarray, w: float) -> np.ndarray:
     """Phi on a product grid; the divided-difference matrix is symmetric, so the
     inner rho-integral over m is the weighted divided difference of _edd_weighted.
     """
-    rule = gauss_chebyshev_u(w, n_nodes)
+    rule = gauss_chebyshev_u(w)
     e3 = np.exp(1j * np.multiply.outer(np.asarray(t3_grid, float), rule.nodes)) * rule.weights
-    return -1j * (e3 @ _edd_weighted(t2_grid, w, n_nodes).T)
+    return -1j * (e3 @ _edd_weighted(t2_grid, w).T)
 
 
-def cov_kernel_closed(t1: float, t2: float, w: float, kappa4: float,
-                      n_nodes: int = DEFAULT_NODES) -> complex:
+def cov_kernel_closed(t1: float, t2: float, w: float, kappa4: float) -> complex:
     """Closed-form limiting covariance kernel at one time pair."""
-    vals = cov_kernel_grid(np.array([t1]), np.array([t2]), w, kappa4, n_nodes)
+    vals = cov_kernel_grid(np.array([t1]), np.array([t2]), w, kappa4)
     return complex(vals[0, 0])
 
 
-def cov_kernel_grid(t1_grid: np.ndarray, t2_grid: np.ndarray, w: float, kappa4: float,
-                    n_nodes: int = DEFAULT_NODES) -> np.ndarray:
+def cov_kernel_grid(t1_grid: np.ndarray, t2_grid: np.ndarray, w: float, kappa4: float) -> np.ndarray:
     """Closed-form kernel on a product grid: 2 w^2 T3 + kappa4 vvv x vvv.
 
     T3(t1, t2) = sum_j w_j a_j(t1) a_j(t2) is manifestly symmetric; a_j is the
     rho-weighted exponential divided difference against node j.
     """
-    rule = gauss_chebyshev_u(w, n_nodes)
+    rule = gauss_chebyshev_u(w)
     t1 = np.asarray(t1_grid, float)
     t2 = np.asarray(t2_grid, float)
     same = t1.shape == t2.shape and np.array_equal(t1, t2)
-    a1 = _edd_weighted(t1, w, n_nodes)
-    a2 = a1 if same else _edd_weighted(t2, w, n_nodes)
+    a1 = _edd_weighted(t1, w)
+    a2 = a1 if same else _edd_weighted(t2, w)
     t3_part = (a1 * rule.weights) @ a2.T
-    vvv1 = sc_convolutions(t1, w, n_nodes)["vvv"]
-    vvv2 = vvv1 if same else sc_convolutions(t2, w, n_nodes)["vvv"]
+    vvv1 = sc_convolutions(t1, w)["vvv"]
+    vvv2 = vvv1 if same else sc_convolutions(t2, w)["vvv"]
     return 2.0 * w * w * t3_part + kappa4 * np.multiply.outer(vvv1, vvv2)
 
 
@@ -247,8 +222,7 @@ def cov_kernel_grid(t1_grid: np.ndarray, t2_grid: np.ndarray, w: float, kappa4: 
 # ---------------------------------------------------------------------------
 
 
-def coveq_residual(w: float, kappa4: float, grid: np.ndarray,
-                   n_nodes: int = DEFAULT_NODES) -> float:
+def coveq_residual(w: float, kappa4: float, grid: np.ndarray) -> float:
     """Sup defect of the closed-form kernel in the discretized covariance equation.
 
     Builds the source A(t1, t2) = -2 w^2 Int_0^{t1} Phi(., t2) + kappa4 vvv(t2)
@@ -257,13 +231,13 @@ def coveq_residual(w: float, kappa4: float, grid: np.ndarray,
     """
     g = np.asarray(grid, float)
     h = float(g[1] - g[0])
-    conv_parts = sc_convolutions(g, w, n_nodes)
-    a_grid = _cumtrapz(phi_kernel_grid(g, g, w, n_nodes), h)
+    conv_parts = sc_convolutions(g, w)
+    a_grid = _cumtrapz(phi_kernel_grid(g, g, w), h)
     a_grid *= -2.0 * w * w
     a_grid += kappa4 * np.multiply.outer(_cumtrapz(conv_parts["vv"].astype(complex), h),
                                          conv_parts["vvv"])
     kernel = ComplexSeries(grid=g, values=(w * w * v_of_t(g, w)).astype(complex))
-    lhs = volterra_apply(kernel, cov_kernel_grid(g, g, w, kappa4, n_nodes))
+    lhs = volterra_apply(kernel, cov_kernel_grid(g, g, w, kappa4))
     lhs -= a_grid
     return float(np.max(np.abs(lhs)))
 
@@ -300,24 +274,25 @@ def scalar_v_equation_residual(w: float, grid: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def fourier_pairing(phi1: TestFunction, phi2: TestFunction, w: float, kappa4: float,
-                    t_max: float = 8.0, h: float = 0.05, n_nodes: int = 96) -> complex:
+def fourier_pairing(phi1: TestFunction, phi2: TestFunction, w: float, kappa4: float) -> complex:
     """II phi1_hat(t1) phi2_hat(t2) Cov(t1, t2) dt1 dt2 over the full plane.
 
     Uses the closed-form Fourier transforms of Gaussian-damped test functions,
-    truncating at |t| = t_max where the transforms are negligible.  The pairing
-    reproduces the spectral-domain limiting covariance.
+    by the trapezoid rule with step 0.05 on |t| <= 8, past which the transforms
+    of unit-width envelopes are below e^-32.  The pairing reproduces the
+    spectral-domain limiting covariance.
     """
-    t = np.arange(-round(t_max / h), round(t_max / h) + 1) * h
+    h = 0.05
+    t = np.arange(-160, 161) * h
     wt = np.full(t.size, h)
     wt[0] = wt[-1] = h / 2.0
     f1 = fourier_transform(phi1)(t) * wt
     f2 = fourier_transform(phi2)(t) * wt
-    rule = gauss_chebyshev_u(w, n_nodes)
-    a = _edd_weighted(t, w, n_nodes)
+    rule = gauss_chebyshev_u(w)
+    a = _edd_weighted(t, w)
     u1 = f1 @ a
     u2 = f2 @ a
-    vvv = sc_convolutions(t, w, n_nodes)["vvv"]
+    vvv = sc_convolutions(t, w)["vvv"]
     pair = 2.0 * w * w * np.sum(rule.weights * u1 * u2)
     pair += kappa4 * np.sum(f1 * vvv) * np.sum(f2 * vvv)
     return complex(pair)
@@ -329,12 +304,11 @@ def fourier_pairing(phi1: TestFunction, phi2: TestFunction, w: float, kappa4: fl
 
 
 def residual_table(h_values: Sequence[float] = (0.04, 0.02, 0.01), w: float = 1.0,
-                   kappa4: float = -2.0, t_max: float = 2.0,
-                   n_nodes: int = DEFAULT_NODES) -> list[dict]:
+                   kappa4: float = -2.0, t_max: float = 2.0) -> list[dict]:
     """Residuals and observed orders for the built-in cases at each step size."""
     cases: dict[str, Callable[[float], float]] = {
         "scalar_v_equation": lambda h: scalar_v_equation_residual(w, uniform_grid(t_max, h)),
-        "coveq": lambda h: coveq_residual(w, kappa4, uniform_grid(t_max, h), n_nodes),
+        "coveq": lambda h: coveq_residual(w, kappa4, uniform_grid(t_max, h)),
         "v2_l2_t0": lambda h: v2_equation_check(2, [0.0], w, uniform_grid(t_max, h)),
         "v2_l3": lambda h: v2_equation_check(3, [1.0, 2.0], w, uniform_grid(t_max, h)),
         "manufactured_solve": lambda h: manufactured_solve_error(uniform_grid(t_max, h)),

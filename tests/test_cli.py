@@ -443,6 +443,44 @@ def test_exit_code_bad_volterra_arguments(tmp_path, capsys, args, error):
     assert not (tmp_path / "v").exists()
 
 
+@pytest.mark.parametrize("command", ["predict", "simulate", "lemma"])
+@pytest.mark.parametrize("kind", ["rademacher", "gaussian", "uniform"])
+@pytest.mark.filterwarnings("error")  # no numpy RuntimeWarning may precede the JSON error
+def test_exit_code_entry_moments_overflow(tmp_path, capsys, command, kind):
+    """A finite scale whose eighth moment overflows is a bad spec, not a crash."""
+    cfg = minimal_config(spec={"entry_dist": {"kind": kind, "w": 1e200}}, n_list=[16, 32, 64, 128],
+                         replicas=100)
+    code = cli.run_cli([command, "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "x")])
+    assert code == 2
+    payload = error_payload(capsys)
+    assert (payload["error"], payload["field"]) == ("ConfigError", "config.spec")
+    assert "overflow" in payload["message"]
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", ["predict", "simulate", "lemma"])
+@pytest.mark.parametrize("j_explicit", [None, 16])
+def test_exit_code_explicit_j_policy_without_valid_index(tmp_path, capsys, command, j_explicit):
+    """j_policy explicit needs a j_explicit in range at every n, under every subcommand."""
+    cfg = minimal_config(n_list=[16, 32, 64, 128], replicas=100, j_policy="explicit", j_explicit=j_explicit)
+    code = cli.run_cli([command, "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "x")])
+    assert code == 2
+    payload = error_payload(capsys)
+    assert payload["error"] == "ConfigError" and "j_explicit" in payload["message"]
+    assert not (tmp_path / "x").exists()
+
+
+def test_cli_import_leaves_scipy_integrate_out():
+    """The quadrature oracles stay with the tests: the shipped package never loads scipy.integrate."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).resolve().parents[1]), env.get("PYTHONPATH")]))
+    probe = "import sys, wignerlab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True, capture_output=True,
+                         text=True, timeout=120).stdout
+    assert out.strip() == "[]"
+
+
 @pytest.mark.parametrize("command", ["predict", "simulate"])
 def test_exit_code_tabulated_phi_short_of_support(tmp_path, capsys, command):
     # the grid stops at +-1, inside the semicircle support [-2, 2] at w = 1

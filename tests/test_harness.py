@@ -47,6 +47,10 @@ def test_config_validation():
         small_config(j_policy="fourth")
     with pytest.raises(ContractError):
         small_config(x_grid=(math.inf,))
+    small_config(j_policy="explicit", j_explicit=31)
+    for j in (None, -1, 32):  # n_list is (32,)
+        with pytest.raises(ContractError):
+            small_config(j_policy="explicit", j_explicit=j)
     with pytest.raises(TypeError):
         small_config(phi_eval="spectral")  # no evaluator knob: the phis pick the route
 

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from wignerlab import ensembles as en
 from wignerlab import limits as lm
-from wignerlab.errors import ContractError, InconsistencyError
+from wignerlab.errors import ContractError, InconsistencyError, ProvenanceError
 from wignerlab.semicircle import gaussian_damped, monomial, polynomial
 
 
@@ -47,7 +48,7 @@ def test_cov_limit_goe_matches_tensor_oracle():
         p2 = polynomial(rng.uniform(-1, 1, size=deg2 + 1))
         w = float(rng.uniform(0.5, 1.5))
         assert lm.cov_limit_goe(p1, p2, w) == pytest.approx(
-            lm.cov_limit_goe_oracle(p1, p2, w), rel=1e-11, abs=1e-11
+            oracles.cov_limit_goe_oracle(p1, p2, w), rel=1e-11, abs=1e-11
         )
 
 
@@ -150,26 +151,31 @@ def test_tiny_negative_clips_to_zero():
 # ---------------------------------------------------------------------------
 
 
+def limit_cf(phi, spec, x):
+    return lm.limit_cf(lm.var_limit(phi, spec), spec, x)
+
+
 def test_x_star_values():
-    assert lm.x_star(monomial(4), rademacher_spec(), 3.0) == 0.0
-    assert lm.x_star(monomial(3), rademacher_spec(), 1.0) == pytest.approx(
+    # x* = xstar_slope x
+    assert lm.var_limit(monomial(4), rademacher_spec()).xstar_slope == 0.0
+    assert lm.var_limit(monomial(3), rademacher_spec()).xstar_slope == pytest.approx(
         2 * math.sqrt(2), abs=1e-12
     )
-    assert lm.x_star(monomial(1), rademacher_spec(), 1.0) == pytest.approx(
+    assert lm.var_limit(monomial(1), rademacher_spec()).xstar_slope == pytest.approx(
         math.sqrt(2), abs=1e-12
     )
 
 
 def test_limit_cf_normalization_and_example():
     spec = rademacher_spec()
-    assert lm.limit_cf(monomial(3), spec, 0.0) == pytest.approx(1.0)
-    got = lm.limit_cf(monomial(3), spec, 0.5)
+    assert limit_cf(monomial(3), spec, 0.0) == pytest.approx(1.0)
+    got = limit_cf(monomial(3), spec, 0.5)
     expected = math.exp(-0.25) * math.cos(math.sqrt(2))
     assert got.real == pytest.approx(expected, abs=1e-10)
     assert got.imag == pytest.approx(0.0, abs=1e-14)
     # closed form e^{-x^2} cos(2 sqrt(2) x) across a grid
     xs = np.linspace(-1.5, 1.5, 11)
-    vals = lm.limit_cf(monomial(3), spec, xs)
+    vals = limit_cf(monomial(3), spec, xs)
     assert np.allclose(vals.real, np.exp(-xs**2) * np.cos(2 * math.sqrt(2) * xs), atol=1e-12)
 
 
@@ -177,7 +183,7 @@ def test_limit_cf_even_phi_is_gaussian():
     spec = rademacher_spec()
     pred = lm.var_limit(monomial(4), spec)
     xs = np.linspace(0, 2, 9)
-    vals = lm.limit_cf(monomial(4), spec, xs, prediction=pred)
+    vals = lm.limit_cf(pred, spec, xs)
     assert np.allclose(vals, np.exp(-(xs**2) * pred.v_w / 2), atol=1e-13)
 
 
@@ -185,7 +191,7 @@ def test_limit_cf_goe_is_gaussian():
     spec = goe_spec()
     pred = lm.var_limit(monomial(3), spec)
     xs = np.linspace(0, 1.5, 7)
-    vals = lm.limit_cf(monomial(3), spec, xs)
+    vals = lm.limit_cf(pred, spec, xs)
     assert np.allclose(vals, np.exp(-(xs**2) * pred.v_w / 2), atol=1e-13)
 
 
@@ -201,7 +207,7 @@ def test_limit_cf_general_iid_variant():
     assert pred.xstar_slope == pytest.approx(2.0, abs=1e-12)
     assert pred.v_w == pytest.approx(6.0, abs=1e-10)
     xs = np.array([0.3, 0.9])
-    vals = lm.limit_cf(monomial(3), spec, xs, prediction=pred)
+    vals = lm.limit_cf(pred, spec, xs)
     assert np.allclose(vals.real, np.exp(-xs**2) * np.cos(2 * xs), atol=1e-12)
 
 
@@ -214,7 +220,7 @@ def test_cf_second_derivative_consistency():
     ]:
         pred = lm.var_limit(phi, spec)
         logs = [
-            np.log(lm.limit_cf(phi, spec, x, prediction=pred)) for x in (-h, 0.0, h)
+            np.log(lm.limit_cf(pred, spec, x)) for x in (-h, 0.0, h)
         ]
         second = (logs[0] - 2 * logs[1] + logs[2]) / h**2
         assert abs(-second.real - pred.v_w) <= 1e-5 * (1 + pred.v_w)
@@ -226,13 +232,15 @@ def test_cf_second_derivative_consistency():
 
 
 def test_limit_cumulants_even_phi_gaussian():
-    kappas = lm.limit_cumulants(monomial(4), rademacher_spec(), 6)
+    spec = rademacher_spec()
+    kappas = lm.limit_cumulants(lm.var_limit(monomial(4), spec), spec, 6)
     assert kappas[0] == 0.0
     assert all(k == 0.0 for k in kappas[2:])
 
 
 def test_limit_cumulants_cubic_rademacher():
-    kappas = lm.limit_cumulants(monomial(3), rademacher_spec(), 4)
+    spec = rademacher_spec()
+    kappas = lm.limit_cumulants(lm.var_limit(monomial(3), spec), spec, 4)
     assert kappas[1] == pytest.approx(10.0, abs=1e-10)
     assert kappas[2] == pytest.approx(0.0, abs=1e-12)
     assert kappas[3] == pytest.approx(-128.0, rel=1e-10)
@@ -247,9 +255,9 @@ def test_limit_cumulants_match_cf_derivatives():
     pred = lm.var_limit(phi, spec)
     h = 0.02
     xs = np.array([-2, -1, 0, 1, 2]) * h
-    logs = np.log(lm.limit_cf(phi, spec, xs, prediction=pred)).real
+    logs = np.log(lm.limit_cf(pred, spec, xs)).real
     fourth = (logs[0] - 4 * logs[1] + 6 * logs[2] - 4 * logs[3] + logs[4]) / h**4
-    kappa4 = lm.limit_cumulants(phi, spec, 4)[3]
+    kappa4 = lm.limit_cumulants(pred, spec, 4)[3]
     assert fourth == pytest.approx(kappa4, rel=5e-3)
 
 
@@ -258,14 +266,26 @@ def test_limit_cumulants_k2_equals_v_w():
     for _ in range(10):
         phi = polynomial(rng.uniform(-1, 1, size=5))
         spec = three_point_spec(float(rng.uniform(-2, 4)))
-        assert lm.limit_cumulants(phi, spec, 2)[1] == pytest.approx(
-            lm.var_limit(phi, spec).v_w, rel=1e-12, abs=1e-12
-        )
+        pred = lm.var_limit(phi, spec)
+        assert lm.limit_cumulants(pred, spec, 2) == [0.0, pred.v_w]
 
 
 def test_limit_cumulants_order_cap():
-    with pytest.raises(ContractError):
-        lm.limit_cumulants(monomial(3), rademacher_spec(), 9)
+    spec = rademacher_spec()
+    pred = lm.var_limit(monomial(3), spec)
+    for order in (0, 9):
+        with pytest.raises(ContractError):
+            lm.limit_cumulants(pred, spec, order)
+
+
+def test_limit_laws_reject_a_prediction_for_another_ensemble():
+    pred = lm.var_limit(monomial(3), rademacher_spec())
+    for other in (goe_spec(), rademacher_spec(w=2.0), three_point_spec(1.0)):
+        with pytest.raises(ProvenanceError):
+            lm.limit_cf(pred, other, 0.5)
+        with pytest.raises(ProvenanceError):
+            lm.limit_cumulants(pred, other, 4)
+    assert lm.limit_cf(pred, rademacher_spec(), 0.0) == 1.0  # an equal spec built anew is accepted
 
 
 # ---------------------------------------------------------------------------
@@ -274,45 +294,45 @@ def test_limit_cumulants_order_cap():
 
 
 def test_triple_singular_linear_case():
-    seq = lm.triple_singular_cross_check(monomial(1), monomial(1), 1.0, [0.1, 0.05, 0.025])
+    seq = oracles.triple_singular_cross_check(monomial(1), monomial(1), 1.0, [0.1, 0.05, 0.025])
     for val in seq:
         assert abs(val - 2.0) <= 1e-3
-    assert abs(lm.richardson(seq) - 2.0) <= 1e-3
+    assert abs(oracles.richardson(seq) - 2.0) <= 1e-3
 
 
 def test_triple_singular_square_case():
     eps = [0.1, 0.05, 0.025]
-    seq = lm.triple_singular_cross_check(monomial(2), monomial(2), 1.0, eps)
+    seq = oracles.triple_singular_cross_check(monomial(2), monomial(2), 1.0, eps)
     target = lm.cov_limit_goe(monomial(2), monomial(2), 1.0)
     gaps = [abs(v - target) for v in seq]
     # gaps must shrink toward 0 (for polynomials they can vanish identically)
     assert gaps[-1] <= gaps[0] + 1e-12
-    assert abs(lm.richardson(seq) - target) <= 1e-3
+    assert abs(oracles.richardson(seq) - target) <= 1e-3
 
 
 def test_triple_singular_gaussian_damped_first_order_in_eps():
     phi = gaussian_damped([0.0, 1.0, 0.5], 1.0)
     eps = [0.1, 0.05, 0.025]
-    seq = lm.triple_singular_cross_check(phi, phi, 1.0, eps)
+    seq = oracles.triple_singular_cross_check(phi, phi, 1.0, eps)
     target = lm.cov_limit_goe(phi, phi, 1.0)
     gaps = [abs(v - target) for v in seq]
     assert gaps[0] / gaps[1] == pytest.approx(2.0, abs=0.4)
     assert gaps[1] / gaps[2] == pytest.approx(2.0, abs=0.4)
-    assert abs(lm.richardson(seq) - target) <= 1e-5
+    assert abs(oracles.richardson(seq) - target) <= 1e-5
 
 
 def test_triple_singular_constant_phi_is_zero():
-    seq = lm.triple_singular_cross_check(polynomial([2.0]), monomial(2), 1.0, [0.1, 0.05])
+    seq = oracles.triple_singular_cross_check(polynomial([2.0]), monomial(2), 1.0, [0.1, 0.05])
     assert np.max(np.abs(seq)) <= 1e-14
 
 
 def test_triple_singular_requires_positive_eps():
     with pytest.raises(ContractError):
-        lm.triple_singular_cross_check(monomial(1), monomial(1), 1.0, [0.1, 0.0])
+        oracles.triple_singular_cross_check(monomial(1), monomial(1), 1.0, [0.1, 0.0])
 
 
 def test_richardson_on_synthetic_sequence():
     # f(h) = 3 + 2h + h^2 sampled at h = 0.2, 0.1, 0.05
     hs = [0.2, 0.1, 0.05]
     vals = [3 + 2 * h + h * h for h in hs]
-    assert lm.richardson(vals) == pytest.approx(3.0, abs=1e-12)
+    assert oracles.richardson(vals) == pytest.approx(3.0, abs=1e-12)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import oracles
 from wignerlab import semicircle as sc
 from wignerlab.errors import ContractError, CoverageError
 
@@ -40,7 +41,7 @@ def test_quadrature_exact_on_monomials(n_nodes):
     # relative to the summand scale (odd powers cancel only to roundoff)
     rule = sc.gauss_chebyshev_u(1.0, n_nodes)
     for p in range(0, 2 * n_nodes):
-        got = sc.sc_moment(p, 1.0, n_nodes)
+        got = oracles.sc_moment(p, 1.0, n_nodes)
         scale = float(np.sum(rule.weights * np.abs(rule.nodes) ** p))
         expected = CATALAN[p] if p in CATALAN else (0.0 if p % 2 else None)
         if expected is None:
@@ -76,14 +77,14 @@ def test_sc_integral_tabulated_coverage():
 
 
 def test_stieltjes_rho_closed_form():
-    assert sc.stieltjes_rho(0.0, 1.0) == 0.0
-    assert sc.stieltjes_rho(1.0, 1.0) == pytest.approx(-0.5, abs=1e-15)
+    assert oracles.stieltjes_rho(0.0, 1.0) == 0.0
+    assert oracles.stieltjes_rho(1.0, 1.0) == pytest.approx(-0.5, abs=1e-15)
     with pytest.raises(ContractError):
-        sc.stieltjes_rho(2.0, 1.0)
+        oracles.stieltjes_rho(2.0, 1.0)
 
 
 def test_stieltjes_pv_quadrature_cross_check():
-    got = sc.stieltjes_rho_pv_check(0.7, 1.0)
+    got = oracles.stieltjes_rho_pv_check(0.7, 1.0)
     assert got == pytest.approx(-0.35, abs=1e-6)
 
 
@@ -94,7 +95,7 @@ def test_stieltjes_pv_quadrature_cross_check():
 
 def test_v_of_t_basics():
     assert sc.v_of_t(0.0, 1.0) == 1.0
-    assert sc.v_of_t(1.0, 1.0) == pytest.approx(sc.v_of_t(1.0, 1.0, method="quadrature"), abs=1e-10)
+    assert sc.v_of_t(1.0, 1.0) == pytest.approx(oracles.v_of_t_quadrature(1.0, 1.0), abs=1e-10)
     assert sc.v_of_t(1.0, 1.0) == pytest.approx(0.576725, abs=1e-6)
     t = np.linspace(-30, 30, 601)
     vals = sc.v_of_t(t, 1.0)
@@ -104,7 +105,7 @@ def test_v_of_t_basics():
 
 def test_v_of_t_bessel_matches_quadrature_over_range():
     t = np.linspace(0.0, 30.0, 301)
-    gap = np.abs(sc.v_of_t(t, 1.0) - sc.v_of_t(t, 1.0, method="quadrature"))
+    gap = np.abs(sc.v_of_t(t, 1.0) - oracles.v_of_t_quadrature(t, 1.0))
     assert np.max(gap) <= 1e-10
 
 
@@ -226,6 +227,15 @@ def test_test_function_descriptor_roundtrip_fields():
     assert d["kind"] == "gaussian_damped_polynomial"
     assert d["envelope_width"] == 1.5
     assert d["parity"] == "odd"
+
+
+def test_coefficients_must_be_finite():
+    for bad in (math.nan, math.inf, -math.inf):
+        for make in (sc.polynomial, sc.gaussian_damped):
+            with pytest.raises(ContractError):
+                make([0.0, bad])
+        with pytest.raises(ContractError):
+            sc.trigonometric(bad, 1.0)
 
 
 def test_tabulated_validation():
