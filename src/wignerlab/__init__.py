@@ -45,7 +45,6 @@ from .spectral import (
     lanczos_jacobi,
     lemma_statistics,
     matrix_function_entry,
-    propagator_entries,
 )
 
 __all__ = [
@@ -74,7 +73,6 @@ __all__ = [
     "matrix_function_entry",
     "monomial",
     "polynomial",
-    "propagator_entries",
     "rho_sc",
     "run_entry_experiment",
     "sample_matrix",

@@ -326,10 +326,7 @@ def _cmd_lemma(args) -> int:
     cfg = _load_config(args)
     threads = _replica_threads(args)
     started = time.monotonic()
-    report = lemma_decay_experiment(
-        cfg.spec, cfg.n_list, cfg.j_policy, cfg.t_grid, cfg.replicas, cfg.root_seed, threads,
-        cfg.j_explicit,
-    )
+    report = lemma_decay_experiment(cfg, threads)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     target = out_dir / "lemma_decay.csv"

@@ -16,6 +16,7 @@ streams that may be drawn in parallel.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -100,6 +101,9 @@ def make_entry_distribution(kind: str, w: float, params: dict | None = None) -> 
         raise InvalidDistributionError(f"scale w must be positive and finite, got {w}")
     params = params or {}
     try:  # Python float powers raise OverflowError, and _finalize does on inf moments
+        if w**8 < sys.float_info.min:  # the limit laws divide kappa4 by w^8
+            raise InvalidDistributionError(
+                f"{kind} moments up to order {MAX_ORDER} underflow the float range at w = {w}")
         if kind == GAUSSIAN:
             mu = (0.0, w**2, 0.0, 3 * w**4, 0.0, 15 * w**6, 0.0, 105 * w**8)
             return _finalize(kind, w, mu)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -34,7 +35,7 @@ from .ensembles import EnsembleSpec, sample_matrix
 from .errors import ConfigError, ContractError, ProvenanceError
 from .limits import LimitPrediction, cov_limit_wigner, limit_cf, limit_cumulants, var_limit
 from .semicircle import POLYNOMIAL, TABULATED, TestFunction, v_of_t
-from .spectral import eigh, lanczos_jacobi, lemma_statistics, matrix_function_entry
+from .spectral import DECAY_STATISTICS, eigh, lanczos_jacobi, lemma_statistics, matrix_function_entry
 
 J_POLICIES = ("first", "middle", "last", "explicit")
 
@@ -295,10 +296,18 @@ class ExperimentResult:
 
 
 def _excess_kurtosis_jackknife(y: np.ndarray) -> tuple[float, float]:
-    """g2 = k4/k2^2 with delete-1 jackknife se, from leave-one-out power sums."""
-    (_, k2, _, k4), (_, k2i, _, k4i) = k_statistics_loo(y - y.mean())
+    """g2 = k4/k2^2 with delete-1 jackknife se, from leave-one-out power sums.
+
+    g2 does not depend on scale, so a sample whose k2^2 underflows is first
+    scaled by a power of two that brings its largest magnitude into [0.5, 1).
+    """
+    xc = y - y.mean()
+    (_, k2, _, k4), (_, k2i, _, k4i) = k_statistics_loo(xc)
     if k2 == 0.0:
         return float("nan"), 0.0  # degenerate sample: kurtosis undefined
+    if k2 * k2 < sys.float_info.min:
+        xc = np.ldexp(xc, -np.frexp(np.max(np.abs(xc)))[1])
+        (_, k2, _, k4), (_, k2i, _, k4i) = k_statistics_loo(xc)
     return float(k4 / k2**2), jackknife_spread(k4i / k2i**2)
 
 
@@ -419,15 +428,9 @@ def compare_with_prediction(result: ExperimentResult, prediction: LimitPredictio
 # propagator decay experiment
 # ---------------------------------------------------------------------------
 
-DECAY_STATISTICS = ("U_jj", "v_n", "v_n_pair", "v_n1", "v_n2")
-
 
 @dataclass(frozen=True, eq=False)
 class DecayReport:
-    spec: dict
-    t_grid: tuple[float, ...]
-    replicas: int
-    root_seed: int
     rows: list  # records {statistic, t, n, mean, variance, limit, abs_gap}
     slopes: dict  # (statistic, t) -> log-log slope of variance vs n
 
@@ -452,52 +455,31 @@ class DecayReport:
         return out
 
 
-def lemma_decay_experiment(spec: EnsembleSpec, n_list: Sequence[int], j_policy: str,
-                           t_grid: Sequence[float], replicas: int, root_seed: int,
-                           threads: int | None = None, j_explicit: int | None = None) -> DecayReport:
-    """Means and variances of the propagator statistics across matrix sizes.
+def lemma_decay_experiment(cfg: ExperimentConfig, threads: int | None = None) -> DecayReport:
+    """Means and variances of the propagator statistics across cfg.n_list.
 
-    For each t in t_grid the five statistics are evaluated with time tuples
-    (t), (t, t), (t, t, t); their replica variances are regressed log-log
-    against n, and means are compared with the limiting values.  The row index
-    j comes from j_policy at each n, with j_explicit for the 'explicit' policy.
+    Each replica gives lemma_statistics over the whole cfg.t_grid in one
+    propagator pass; the replica variances are regressed log-log against n,
+    and the means are compared with the limiting values.  The row index j
+    comes from cfg.j_policy at each n.
     """
-    sizes = [int(n) for n in n_list]
-    if len(sizes) < 4 or max(sizes) < 8 * min(sizes):
-        raise ContractError(
-            "decay experiments need at least 4 sizes spanning an 8x range"
-        )
+    if len(cfg.n_list) < 4 or max(cfg.n_list) < 8 * min(cfg.n_list):
+        raise ContractError("decay experiments need at least 4 sizes spanning an 8x range")
     threads = default_threads() if threads is None else threads
-    ts = [float(t) for t in t_grid]
-    w = spec.w
-
-    def one_replica_factory(n: int, j: int) -> Callable[[int], np.ndarray]:
-        def run(r: int) -> np.ndarray:
-            dec = eigh(sample_matrix(spec, n, root_seed, r))
-            out = np.empty(len(ts) * len(DECAY_STATISTICS), dtype=complex)
-            for i, t in enumerate(ts):
-                stats = lemma_statistics(dec, j, (t, t, t))
-                base = i * len(DECAY_STATISTICS)
-                out[base:base + len(DECAY_STATISTICS)] = (
-                    stats.u_jj, stats.v_n, stats.v_n_pair, stats.v_n1, stats.v_n2)
-            return out
-
-        return run
-
+    ts = [float(t) for t in cfg.t_grid]
     rows = []
     variances: dict[tuple[str, float], dict[int, float]] = {}
-    for n in n_list:
-        j = resolve_j(j_policy, int(n), j_explicit)
-        samples = np.vstack(_parallel_map(one_replica_factory(int(n), j), replicas, threads))
+    for n in cfg.n_list:
+        j = resolve_j(cfg.j_policy, n, cfg.j_explicit)
+
+        def one_replica(r: int) -> np.ndarray:  # runs to completion inside this iteration
+            return lemma_statistics(eigh(sample_matrix(cfg.spec, n, cfg.root_seed, r)), j, ts).ravel()
+
+        samples = np.vstack(_parallel_map(one_replica, cfg.replicas, threads))
         for i, t in enumerate(ts):
-            limits = {
-                "U_jj": complex(v_of_t(t, w)),
-                "v_n": complex(v_of_t(t, w)),
-                "v_n_pair": complex(v_of_t(t, w) ** 2),
-                "v_n1": 0.0 + 0.0j,
-                "v_n2": complex(v_of_t(t, w) ** 3),
-            }
-            for s_idx, stat in enumerate(DECAY_STATISTICS):
+            v = v_of_t(t, cfg.spec.w)
+            limits = (complex(v), complex(v), complex(v**2), 0.0 + 0.0j, complex(v**3))
+            for s_idx, (stat, limit) in enumerate(zip(DECAY_STATISTICS, limits)):
                 col = samples[:, i * len(DECAY_STATISTICS) + s_idx]
                 mean = complex(col.mean())
                 var = float(np.sum(np.abs(col - mean) ** 2) / (col.size - 1))
@@ -505,28 +487,20 @@ def lemma_decay_experiment(spec: EnsembleSpec, n_list: Sequence[int], j_policy: 
                     {
                         "statistic": stat,
                         "t": t,
-                        "n": int(n),
+                        "n": n,
                         "mean": mean,
                         "variance": var,
-                        "limit": limits[stat],
-                        "abs_gap": abs(mean - limits[stat]),
+                        "limit": limit,
+                        "abs_gap": abs(mean - limit),
                     }
                 )
-                variances.setdefault((stat, t), {})[int(n)] = var
+                variances.setdefault((stat, t), {})[n] = var
     slopes = {}
     for key, by_n in variances.items():
-        ns = np.array(sorted(by_n))
-        vs = np.array([by_n[int(n)] for n in ns])
+        ns = sorted(by_n)
+        vs = np.array([by_n[n] for n in ns])
         if np.all(vs > 0):
             slopes[key] = float(np.polyfit(np.log(ns), np.log(vs), 1)[0])
         else:
             slopes[key] = float("nan")
-    return DecayReport(
-        spec=spec.descriptor(),
-        t_grid=tuple(ts),
-        replicas=replicas,
-        root_seed=root_seed,
-        rows=rows,
-        slopes=slopes,
-    )
-
+    return DecayReport(rows=rows, slopes=slopes)

@@ -3,7 +3,7 @@
 From one decomposition M = Q diag(lambda) Q^T per sampled matrix we read off
 matrix elements phi(M)_jk = sum_a phi(lambda_a) Q_ja Q_ka, propagator entries
 U_jk(t) = sum_a e^{i t lambda_a} Q_ja Q_ka, and the trace/row statistics
-v_n, v_n(t1,t2), v_n1, v_n2 whose decay in n the Monte Carlo harness measures.
+v_n, v_n_pair, v_n1, v_n2 whose decay in n the Monte Carlo harness measures.
 For a single phi(M)_jj, lanczos_jacobi shrinks M to the small Jacobi matrix
 of the Gauss rule at e_j, read through its moments or the same consumers.
 
@@ -163,34 +163,6 @@ def lanczos_jacobi(m: SymmetricMatrix, j: int, phis: Sequence[Callable],
     return JacobiMatrix(np.array(alpha), np.array(beta), m.seed, m.replica_index)
 
 
-@dataclass(frozen=True, eq=False)
-class PropagatorSample:
-    """U_jk(t) on a time grid for requested (j, k) pairs.
-
-    entries has shape (len(pairs), len(t_grid)); |entries| <= 1 and
-    U_jj(0) = 1 exactly (U(0) = I structurally, not via roundoff).
-    """
-
-    t_grid: np.ndarray
-    pairs: tuple[tuple[int, int], ...]
-    entries: np.ndarray
-
-
-def propagator_entries(dec: SpectralDecomposition, pairs: Sequence[tuple[int, int]],
-                       t_grid: Sequence[float]) -> PropagatorSample:
-    """U_jk(t) over the grid: column k of one propagator_slices row per distinct j."""
-    pairs = tuple((int(j), int(k)) for j, k in pairs)
-    for j, k in pairs:
-        _check_index(dec.n, j, "j")
-        _check_index(dec.n, k, "k")
-    rows = {j: propagator_slices(dec, j, t_grid)[1] for j in {j for j, _ in pairs}}
-    entries = np.array([rows[j][:, k] for j, k in pairs])
-    entries.setflags(write=False)
-    t = np.array(t_grid, dtype=float)
-    t.setflags(write=False)
-    return PropagatorSample(t_grid=t, pairs=pairs, entries=entries)
-
-
 def propagator_slices(dec: SpectralDecomposition, j: int,
                       times: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """Diagonals U_kk(t) and rows U_jk(t) over k for every t at once.
@@ -220,31 +192,22 @@ def propagator_slices(dec: SpectralDecomposition, j: int,
     return diag[inverse], row[inverse]
 
 
-@dataclass(frozen=True)
-class LemmaStatistics:
-    v_n: complex  # n^-1 Tr U(t1)
-    v_n_pair: complex  # n^-1 sum_k U_kk(t1) U_kk(t2)
-    v_n1: complex  # n^-1/2 sum_k U_jk(t1) U_kk(t2)
-    v_n2: complex | None  # sum_k prod_m U_jk(t_m), only when len(t_tuple) >= 3
-    u_jj: complex  # U_jj(t1)
+DECAY_STATISTICS = ("U_jj", "v_n", "v_n_pair", "v_n1", "v_n2")  # the columns of lemma_statistics
 
 
-def lemma_statistics(dec: SpectralDecomposition, j: int, t_tuple: Sequence[float]) -> LemmaStatistics:
-    """The four row/trace statistics, and U_jj, at the given times.
+def lemma_statistics(dec: SpectralDecomposition, j: int, times: Sequence[float]) -> np.ndarray:
+    """U_jj and the four trace/row statistics at (t, t, t), for every t at once.
 
-    t_tuple needs >= 2 entries; v_n and U_jj use t1, the pair statistics use
-    (t1, t2), and v_n2 uses the whole tuple when it has >= 3 entries (None
-    otherwise).  All of them come from one propagator_slices call.
+    Returns a complex array of shape (len(times), 5), its columns in
+    DECAY_STATISTICS order: U_jj(t), v_n = n^-1 Tr U(t), v_n_pair =
+    n^-1 sum_k U_kk(t)^2, v_n1 = n^-1/2 sum_k U_jk(t) U_kk(t) and v_n2 =
+    sum_k U_jk(t)^3, all from one propagator_slices call.
     """
-    ts = [float(t) for t in t_tuple]
-    if len(ts) < 2:
-        raise ContractError("t_tuple must contain at least 2 times")
-    diag, row = propagator_slices(dec, j, ts)
-    t1 = ts[0]
-    return LemmaStatistics(
-        v_n=complex(np.mean(np.exp(1j * t1 * dec.eigenvalues))) if t1 != 0.0 else 1.0 + 0.0j,
-        v_n_pair=complex(np.mean(diag[0] * diag[1])),
-        v_n1=complex(np.sum(row[0] * diag[1]) / np.sqrt(dec.n)),
-        v_n2=complex(np.sum(np.prod(row, axis=0))) if len(ts) >= 3 else None,
-        u_jj=complex(row[0, j]),
-    )
+    diag, row = propagator_slices(dec, j, times)
+    return np.column_stack([
+        row[:, j],
+        diag.mean(axis=1),
+        (diag * diag).mean(axis=1),
+        (row * diag).sum(axis=1) / np.sqrt(dec.n),
+        (row * row * row).sum(axis=1),
+    ])

@@ -72,10 +72,9 @@ def rademacher_batch():
 
 @pytest.fixture(scope="module")
 def decay_report():
-    return hn.lemma_decay_experiment(
-        goe_spec(), [128, 256, 512, 1024], "first", [1.0], replicas=500,
-        root_seed=ACCEPT_SEED + 1, threads=hn.default_threads(),
-    )
+    cfg = hn.ExperimentConfig(spec=goe_spec(), phi=monomial(1), n_list=(128, 256, 512, 1024),
+                              replicas=500, root_seed=ACCEPT_SEED + 1, t_grid=(1.0,))
+    return hn.lemma_decay_experiment(cfg, threads=hn.default_threads())
 
 
 def test_criterion_01_closed_form_engine():

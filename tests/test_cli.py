@@ -135,34 +135,49 @@ def test_simulate_deterministic_across_threads(tmp_path):
     assert (tmp_path / "a" / "replicas.csv").read_bytes() == (tmp_path / "b" / "replicas.csv").read_bytes()
 
 
+def run_across_threads(tmp_path: Path, command: list[str], cfg: dict, label: str) -> dict:
+    """Output directories of one fresh CLI run per (OPENBLAS_NUM_THREADS, --threads) in {1, 2}^2."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    cfg_path = write_config(tmp_path, cfg)
+    outs = {}
+    for blas_threads in (1, 2):
+        for threads in (1, 2):
+            env = {k: v for k, v in os.environ.items() if k != "WIGNERLAB_THREADS"}
+            env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            out = tmp_path / f"{label}-blas{blas_threads}-threads{threads}"
+            subprocess.run(
+                [sys.executable, "-m", "wignerlab.cli", *command, "--config", str(cfg_path),
+                 "--threads", str(threads), "--out", str(out)],
+                env=env, check=True, timeout=600, stdout=subprocess.DEVNULL,
+            )
+            outs[(blas_threads, threads)] = out
+    return outs
+
+
 def test_simulate_identical_across_replica_and_blas_threads(tmp_path):
     """The Lanczos (smooth, then polynomial phi) and eigh (tabulated phi) routes at
     n=512, where LAPACK's and BLAS's bits depend on the BLAS thread count."""
-    src = str(Path(cli.__file__).resolve().parents[1])
     smooth = {"kind": "gaussian_damped_polynomial", "coefficients": [0, 1, 0, 0.5]}
     cubic = {"kind": "polynomial", "coefficients": [0.5, 0, 0, 1]}
     table = {"kind": "tabulated", "grid": [-3.0, -1.0, 0.0, 1.0, 3.0],
              "values": [1.0, 0.5, 0.0, 0.5, 1.0]}
     for phi, route in ((smooth, "lanczos"), (cubic, "lanczos"), (table, "eigh")):
-        cfg = minimal_config(n_list=[512], replicas=100, phi=phi)
-        cfg_path = write_config(tmp_path, cfg)
-        outputs = {}
-        for blas_threads in (1, 2):
-            for threads in (1, 2):
-                env = {k: v for k, v in os.environ.items() if k != "WIGNERLAB_THREADS"}
-                env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
-                env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-                out = tmp_path / f"{phi['kind']}-blas{blas_threads}-threads{threads}"
-                subprocess.run(
-                    [sys.executable, "-m", "wignerlab.cli", "simulate", "--config", str(cfg_path),
-                     "--threads", str(threads), "--raw", "--out", str(out)],
-                    env=env, check=True, timeout=600, stdout=subprocess.DEVNULL,
-                )
-                assert json.loads((out / "manifest.json").read_text())["phi_route"] == route
-                outputs[(blas_threads, threads)] = tuple(
-                    (out / name).read_bytes() for name in ("result.json", "replicas.csv"))
-        reference = outputs[(1, 1)]
-        assert [key for key, value in outputs.items() if value != reference] == [], phi
+        outs = run_across_threads(tmp_path, ["simulate", "--raw"],
+                                  minimal_config(n_list=[512], replicas=100, phi=phi), phi["kind"])
+        assert {json.loads((out / "manifest.json").read_text())["phi_route"]
+                for out in outs.values()} == {route}
+        outputs = {key: tuple((out / name).read_bytes() for name in ("result.json", "replicas.csv"))
+                   for key, out in outs.items()}
+        assert [key for key, value in outputs.items() if value != outputs[(1, 1)]] == [], phi
+
+
+def test_lemma_identical_across_replica_and_blas_threads(tmp_path):
+    """lemma up to n=512, where OpenBLAS's GEMM bits depend on the width of its right side."""
+    cfg = minimal_config(n_list=[64, 128, 256, 512], replicas=100, t_grid=[1.0, 3.0])
+    outputs = {key: (out / "lemma_decay.csv").read_bytes()
+               for key, out in run_across_threads(tmp_path, ["lemma"], cfg, "lemma").items()}
+    assert [key for key, value in outputs.items() if value != outputs[(1, 1)]] == []
 
 
 @pytest.mark.parametrize("phi_kind,route,steps", [
@@ -444,18 +459,35 @@ def test_exit_code_bad_volterra_arguments(tmp_path, capsys, args, error):
 
 
 @pytest.mark.parametrize("command", ["predict", "simulate", "lemma"])
-@pytest.mark.parametrize("kind", ["rademacher", "gaussian", "uniform"])
+@pytest.mark.parametrize("kind,w", [
+    pytest.param(kind, w, id=kind if w > 1 else f"{kind}-w1e-200")
+    for w in (1e200, 1e-200) for kind in ("rademacher", "gaussian", "uniform")
+])
 @pytest.mark.filterwarnings("error")  # no numpy RuntimeWarning may precede the JSON error
-def test_exit_code_entry_moments_overflow(tmp_path, capsys, command, kind):
-    """A finite scale whose eighth moment overflows is a bad spec, not a crash."""
-    cfg = minimal_config(spec={"entry_dist": {"kind": kind, "w": 1e200}}, n_list=[16, 32, 64, 128],
+def test_exit_code_entry_moments_overflow(tmp_path, capsys, command, kind, w):
+    """A finite scale whose eighth moment overflows, or whose w^8 underflows (the limit
+    laws divide by it), is a bad spec, not a crash."""
+    cfg = minimal_config(spec={"entry_dist": {"kind": kind, "w": w}}, n_list=[16, 32, 64, 128],
                          replicas=100)
     code = cli.run_cli([command, "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "x")])
     assert code == 2
     payload = error_payload(capsys)
     assert (payload["error"], payload["field"]) == ("ConfigError", "config.spec")
-    assert "overflow" in payload["message"]
+    assert ("overflow" if w > 1 else "underflow") in payload["message"]
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.filterwarnings("error")  # an underflowing k2^2 must not warn
+def test_simulate_tiny_scale_keeps_kurtosis_finite(tmp_path, capsys):
+    cfg = minimal_config(spec={"entry_dist": {"kind": "rademacher", "w": 1e-30}},
+                         phi={"kind": "polynomial", "coefficients": [0, 0, 0, 1]},
+                         n_list=[64], replicas=100)
+    code = cli.run_cli(["simulate", "--config", str(write_config(tmp_path, cfg)),
+                        "--out", str(tmp_path / "s")])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    per_n = json.loads((tmp_path / "s" / "result.json").read_text())["per_n"]
+    assert all(math.isfinite(v) for v in per_n[0]["excess_kurtosis"])
 
 
 @pytest.mark.parametrize("command", ["predict", "simulate", "lemma"])

@@ -318,10 +318,13 @@ def test_compare_with_prediction_provenance():
 # ---------------------------------------------------------------------------
 
 
+def decay_config(n_list):
+    return hn.ExperimentConfig(spec=goe_spec(), phi=monomial(1), n_list=tuple(n_list),
+                               replicas=200, root_seed=19, t_grid=(1.0,))
+
+
 def test_decay_experiment_small_sizes():
-    report = hn.lemma_decay_experiment(
-        goe_spec(), [32, 64, 128, 256], "first", [1.0], replicas=200, root_seed=19, threads=2
-    )
+    report = hn.lemma_decay_experiment(decay_config([32, 64, 128, 256]), threads=2)
     slopes = report.slopes
     assert -1.4 <= slopes[("U_jj", 1.0)] <= -0.6
     assert -2.5 <= slopes[("v_n", 1.0)] <= -1.5
@@ -329,11 +332,11 @@ def test_decay_experiment_small_sizes():
     assert last["U_jj"]["abs_gap"] <= 0.05
     assert last["v_n2"]["abs_gap"] <= 0.1
     rows = report.to_rows()
-    assert {row["statistic"] for row in rows} == set(hn.DECAY_STATISTICS)
+    assert {row["statistic"] for row in rows} == set(sp.DECAY_STATISTICS)
 
 
 def test_decay_experiment_needs_wide_size_range():
     with pytest.raises(ContractError):
-        hn.lemma_decay_experiment(goe_spec(), [64, 128], "first", [1.0], 200, 1)
+        hn.lemma_decay_experiment(decay_config([64, 128]))
     with pytest.raises(ContractError):
-        hn.lemma_decay_experiment(goe_spec(), [64, 96, 128, 192], "first", [1.0], 200, 1)
+        hn.lemma_decay_experiment(decay_config([64, 96, 128, 192]))

@@ -3,8 +3,8 @@ attribute name; installing it fails with AttributeError once a wrapped name is
 renamed or removed, so this guards those names in the ordinary test run.  The
 benchmark also requires some spans to be recorded on its traced runs
 (perfbench/workloads.expected_layers) and counts one dense unpack per sampled
-matrix (perfbench/tests/test_spans.py); small traced simulate and volterra runs
-guard both."""
+matrix (perfbench/tests/test_spans.py); small traced simulate, lemma and volterra
+runs guard both."""
 
 import json
 import os
@@ -107,3 +107,19 @@ def test_traced_volterra_records_required_spans(tmp_path):
     assert {"volterra.coveq_residual", "volterra.phi_kernel_grid",
             "semicircle.sc_convolutions"} <= required
     assert sorted(name for name in required if busy.get(name, 0.0) <= 0.0) == []
+
+
+def test_traced_lemma_records_required_spans(tmp_path):
+    """Every spectral.* and ensembles.* layer of lemma-goe-decay is recorded as a span, and
+    each replica makes one lemma_statistics call over the whole t grid."""
+    required = required_spans("lemma-goe-decay", ("spectral.", "ensembles."))
+    config = {"spec": {"entry_dist": {"kind": "gaussian", "w": 1.0}, "convention": "goe"},
+              "phi": {"kind": "polynomial", "coefficients": [0, 1]},
+              "n_list": [16, 32, 64, 128], "replicas": 100, "root_seed": 5, "t_grid": [1.0, 3.0]}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    spans = traced_spans(tmp_path, ["lemma", "--config", str(config_path), "--threads", "2"])
+    busy = busy_times(spans)
+    assert "spectral.lemma_statistics" in required
+    assert sorted(name for name in required if busy.get(name, 0.0) <= 0.0) == []
+    assert sum(span["name"] == "spectral.lemma_statistics" for span in spans) == 4 * 100

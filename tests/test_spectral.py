@@ -308,9 +308,10 @@ def test_lanczos_contracts():
 
 def test_propagator_at_zero_is_identity_exactly():
     dec = sp.eigh(en.sample_matrix(goe_spec(), 12, seed=19))
-    ps = sp.propagator_entries(dec, [(0, 0), (0, 1)], [0.0, 0.5])
-    assert ps.entries[0, 0] == 1.0 + 0.0j
-    assert ps.entries[1, 0] == 0.0 + 0.0j
+    diag, row = sp.propagator_slices(dec, 0, [0.0, 0.5])
+    assert row[0, 0] == 1.0 + 0.0j
+    assert row[0, 1] == 0.0 + 0.0j
+    assert np.all(diag[0] == 1.0)
 
 
 def test_propagator_unitarity_random_rows():
@@ -335,9 +336,11 @@ def test_propagator_group_law():
 
 def test_propagator_entries_bounded():
     dec = sp.eigh(en.sample_matrix(goe_spec(), 50, seed=41))
-    pairs = [(i, j) for i in range(5) for j in range(5)]
-    ps = sp.propagator_entries(dec, pairs, np.linspace(-4, 4, 33))
-    assert np.max(np.abs(ps.entries)) <= 1.0 + 1e-12
+    t = np.linspace(-4, 4, 33)
+    for j in range(5):
+        diag, row = sp.propagator_slices(dec, j, t)
+        assert np.max(np.abs(row[:, :5])) <= 1.0 + 1e-12
+        assert np.max(np.abs(diag)) <= 1.0 + 1e-12
 
 
 def test_propagator_entries_match_spectral_sum():
@@ -345,24 +348,27 @@ def test_propagator_entries_match_spectral_sum():
     dec = sp.eigh(en.sample_matrix(goe_spec(), 50, seed=47))
     pairs = [(3, 3), (3, 7), (0, 49), (7, 3), (3, 0)]
     t = np.array([0.0, -2.5, 0.4, 0.0, 3.0])
-    ps = sp.propagator_entries(dec, pairs, t)
     q = dec.eigenvectors
     phases = np.exp(1j * np.multiply.outer(t, dec.eigenvalues))
-    want = np.array([phases @ (q[j] * q[k]) for j, k in pairs])
-    assert ps.entries.shape == (5, 5) and ps.pairs == tuple(pairs)
-    assert np.max(np.abs(ps.entries - want)) <= 1e-13
-    assert [ps.entries[i, 0] for i in range(5)] == [1.0, 0.0, 0.0, 0.0, 0.0]
-    assert np.array_equal(ps.entries[:, 3], ps.entries[:, 0])
+    entries = {}
+    for j, k in pairs:
+        diag, row = sp.propagator_slices(dec, j, t)
+        assert diag.shape == row.shape == (5, 50)
+        entries[j, k] = row[:, k]
+        assert np.max(np.abs(row[:, k] - phases @ (q[j] * q[k]))) <= 1e-13
+        assert np.max(np.abs(diag[:, k] - phases @ (q[k] * q[k]))) <= 1e-13
+        assert row[0, k] == float(j == k)
+        assert np.array_equal(row[3], row[0]) and np.array_equal(diag[3], diag[0])
+    assert np.max(np.abs(entries[3, 7] - entries[7, 3])) <= 1e-13  # U(t) is symmetric
 
 
 def test_propagator_index_bounds():
     dec = sp.eigh(en.sample_matrix(goe_spec(), 8, seed=43))
+    for j in (-1, 8):
+        with pytest.raises(ContractError):
+            sp.propagator_slices(dec, j, [0.0])
     with pytest.raises(ContractError):
-        sp.propagator_entries(dec, [(8, 0)], [0.0])
-    with pytest.raises(ContractError):
-        sp.propagator_entries(dec, [(0, 8)], [0.0])
-    with pytest.raises(ContractError):
-        sp.propagator_entries(dec, [(0, 0)], [np.inf])
+        sp.propagator_slices(dec, 0, [np.inf])
 
 
 # ---------------------------------------------------------------------------
@@ -370,62 +376,59 @@ def test_propagator_index_bounds():
 # ---------------------------------------------------------------------------
 
 
+def bruteforce_lemma_row(q, lam, j, t):
+    """The five statistics at (t, t, t) from U = Q e^{i Lambda t} Q^T, in DECAY_STATISTICS order."""
+    n = lam.size
+    u = (q * np.exp(1j * t * lam)) @ q.T
+    d = np.diag(u)
+    return np.array([u[j, j], np.trace(u) / n, np.sum(d * d) / n,
+                     np.sum(u[j] * d) / math.sqrt(n), np.sum(u[j] ** 3)])
+
+
 def test_lemma_statistics_at_zero():
     n = 30
     dec = sp.eigh(en.sample_matrix(goe_spec(), n, seed=47))
-    stats = sp.lemma_statistics(dec, 3, (0.0, 0.0, 0.0))
-    assert stats.v_n == 1.0
-    assert stats.v_n_pair == pytest.approx(1.0)
-    assert stats.v_n1 == pytest.approx(1.0 / math.sqrt(n))
-    assert stats.v_n2 == pytest.approx(1.0)
+    stats = sp.lemma_statistics(dec, 3, [0.0])
+    assert stats.tolist() == [[1.0, 1.0, 1.0, 1.0 / np.sqrt(n), 1.0]]  # U(0) = I exactly
 
 
 def test_lemma_statistics_bounds():
     rng = np.random.default_rng(53)
     dec = sp.eigh(en.sample_matrix(goe_spec(), 80, seed=59))
-    for _ in range(25):
-        ts = tuple(rng.uniform(-3, 3, size=3))
-        stats = sp.lemma_statistics(dec, 7, ts)
-        assert abs(stats.v_n) <= 1.0 + 1e-12
-        # sum_k prod |U_jk| <= sum_k |U_jk|^2 <= 1 for l >= 2 factors
-        assert abs(stats.v_n2) <= 1.0 + 1e-9
+    stats = sp.lemma_statistics(dec, 7, rng.uniform(-3, 3, size=25))
+    u_jj, v_n, v_n_pair, _, v_n2 = np.abs(stats).T
+    assert max(u_jj.max(), v_n.max(), v_n_pair.max()) <= 1.0 + 1e-12
+    # sum_k |U_jk|^3 <= sum_k |U_jk|^2 = 1
+    assert v_n2.max() <= 1.0 + 1e-9
 
 
 def test_lemma_statistics_contracts():
     dec = sp.eigh(en.sample_matrix(goe_spec(), 10, seed=61))
+    stats = sp.lemma_statistics(dec, 0, [1.0, 0.0, 2.0, 1.0])
+    assert stats.shape == (4, len(sp.DECAY_STATISTICS)) and stats.dtype == complex
+    assert np.array_equal(stats[3], stats[0])
+    assert sp.lemma_statistics(dec, 0, []).shape == (0, len(sp.DECAY_STATISTICS))
     with pytest.raises(ContractError):
-        sp.lemma_statistics(dec, 0, (1.0,))
-    two = sp.lemma_statistics(dec, 0, (1.0, 2.0))
-    assert two.v_n2 is None
+        sp.lemma_statistics(dec, 10, [1.0])
+    with pytest.raises(ContractError):
+        sp.lemma_statistics(dec, 0, [1.0, np.nan])
 
 
 def test_lemma_statistics_match_bruteforce():
     n = 16
-    m = en.sample_matrix(goe_spec(), n, seed=67)
-    dec = sp.eigh(m)
-    t1, t2, t3 = 0.7, 1.3, -0.4
-    u = {t: np.zeros((n, n), dtype=complex) for t in (t1, t2, t3)}
-    for t in u:
-        for a in range(n):
-            u[t] += np.exp(1j * t * dec.eigenvalues[a]) * np.outer(
-                dec.eigenvectors[:, a], dec.eigenvectors[:, a]
-            )
+    dec = sp.eigh(en.sample_matrix(goe_spec(), n, seed=67))
+    ts = [0.7, 1.3, -0.4, 0.0]
     j = 2
-    stats = sp.lemma_statistics(dec, j, (t1, t2, t3))
-    assert stats.v_n == pytest.approx(np.trace(u[t1]) / n, abs=1e-12)
-    assert stats.v_n_pair == pytest.approx(np.sum(np.diag(u[t1]) * np.diag(u[t2])) / n, abs=1e-12)
-    assert stats.v_n1 == pytest.approx(
-        np.sum(u[t1][j, :] * np.diag(u[t2])) / math.sqrt(n), abs=1e-12
-    )
-    assert stats.v_n2 == pytest.approx(
-        np.sum(u[t1][j, :] * u[t2][j, :] * u[t3][j, :]), abs=1e-12
-    )
+    stats = sp.lemma_statistics(dec, j, ts)
+    for i, t in enumerate(ts):
+        want = bruteforce_lemma_row(dec.eigenvectors, dec.eigenvalues, j, t)
+        assert np.max(np.abs(stats[i] - want)) <= 1e-12
 
 
 def test_propagator_slices_match_bruteforce_battery():
     """One-pass diagonals, rows and lemma statistics against U = Q e^{i Lambda t} Q^T."""
     rng = np.random.default_rng(71)
-    for n in (16, 33, 64, 128):
+    for n in (16, 33, 64, 128, 512, 640):
         dec = sp.eigh(en.sample_matrix(goe_spec(), n, seed=73, replica=n))
         q, lam = dec.eigenvectors, dec.eigenvalues
         for _ in range(3):
@@ -438,16 +441,9 @@ def test_propagator_slices_match_bruteforce_battery():
                 assert np.max(np.abs(row[i] - u[t][j, :])) <= 1e-12
             assert np.all(diag[0] == 1.0)
             assert np.all(row[0] == np.eye(n)[j])
-            for t1, t2, t3 in ((ts[1], ts[2], ts[3]), (0.0, ts[1], ts[1]), (ts[2], 0.0, 0.0)):
-                stats = sp.lemma_statistics(dec, j, (t1, t2, t3))
-                assert abs(stats.u_jj - u[t1][j, j]) <= 1e-12
-                assert abs(stats.v_n - np.trace(u[t1]) / n) <= 1e-12
-                assert abs(stats.v_n_pair - np.sum(np.diag(u[t1]) * np.diag(u[t2])) / n) <= 1e-12
-                assert abs(stats.v_n1 - np.sum(u[t1][j, :] * np.diag(u[t2])) / math.sqrt(n)) <= 1e-12
-                v_n2 = np.sum(u[t1][j, :] * u[t2][j, :] * u[t3][j, :])
-                assert abs(stats.v_n2 - v_n2) <= 1e-12
-                _, rows = sp.propagator_slices(dec, j, (t1, t2, t3))
-                assert abs(np.sum(np.prod(rows, axis=0)) - v_n2) <= 1e-12
+            stats = sp.lemma_statistics(dec, j, ts)
+            for i, t in enumerate(ts):
+                assert np.max(np.abs(stats[i] - bruteforce_lemma_row(q, lam, j, t))) <= 1e-12
 
 
 def test_propagator_slices_contracts():
