@@ -33,6 +33,7 @@ from .harness import (
     ExperimentConfig,
     J_POLICIES,
     default_threads,
+    float_range,
     lemma_decay_experiment,
     run_entry_experiment,
 )
@@ -255,8 +256,10 @@ def _write_manifest(out_dir: Path, cfg_hash: str, root_seed: int, threads: int,
 def _cmd_predict(args) -> int:
     cfg = _load_config(args)
     started = time.monotonic()
-    pred = var_limit(cfg.phi, cfg.spec)
-    cf = limit_cf(pred, cfg.spec, np.asarray(cfg.x_grid))
+    with float_range("config.phi"):
+        pred = var_limit(cfg.phi, cfg.spec)
+    with float_range("config.x_grid"):
+        cf = limit_cf(pred, cfg.spec, np.asarray(cfg.x_grid))
     out = pred.to_dict()
     out["cf"] = [[float(x), float(z.real), float(z.imag)] for x, z in zip(cfg.x_grid, cf)]
     out_dir = Path(args.out)

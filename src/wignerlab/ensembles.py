@@ -51,23 +51,21 @@ class EntryDistribution:
     kind: str
     w: float
     moments: tuple[float, ...]  # mu_1..mu_8
-    kappas: tuple[float, ...]  # kappa_1..kappa_8
+    kappas: tuple[float, ...]  # kappa_1..kappa_8, the one cumulant source
     atoms: np.ndarray | None = None
     probs: np.ndarray | None = None
 
     @property
     def kappa4(self) -> float:
-        return self.kappas[3]
+        return self.cumulant(4)
 
     def moment(self, order: int) -> float:
         return self.moments[order - 1]
 
     def cumulant(self, order: int) -> float:
-        """kappa_l for l <= 8; exactly 0 beyond order 2 for the Gaussian law."""
-        if self.kind == GAUSSIAN:
-            return {1: 0.0, 2: self.w**2}.get(order, 0.0)
+        """kappa_l for l in 1..8, read from the table."""
         if not 1 <= order <= MAX_ORDER:
-            raise ContractError(f"cumulant order {order} exceeds supported maximum {MAX_ORDER}")
+            raise ContractError(f"cumulant order {order} is outside 1..{MAX_ORDER}")
         return self.kappas[order - 1]
 
     def descriptor(self) -> dict:
@@ -81,7 +79,9 @@ class EntryDistribution:
 def _finalize(kind: str, w: float, moments: Sequence[float],
               atoms: np.ndarray | None = None, probs: np.ndarray | None = None) -> EntryDistribution:
     mu = tuple(float(m) for m in moments)
-    kappas = tuple(moments_to_cumulants(mu).values)
+    # the Gaussian table is exact; the moment recursion would leave rounding in kappa_3..kappa_8
+    kappas = ((0.0, w**2) + (0.0,) * (MAX_ORDER - 2) if kind == GAUSSIAN
+              else tuple(moments_to_cumulants(mu).values))
     if not all(math.isfinite(v) for v in mu + kappas):
         raise OverflowError("non-finite moment or cumulant")
     if abs(mu[0]) > _ATOL * max(w, 1.0):

@@ -18,6 +18,7 @@ bit-identical for any replica or BLAS thread count.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
 import os
@@ -59,6 +60,21 @@ def default_threads() -> int:
                               field="WIGNERLAB_THREADS")
         return count
     return min(os.cpu_count() or 1, 8)
+
+
+@contextlib.contextmanager
+def float_range(field: str):
+    """Report a numpy overflow or invalid value inside the block as a ConfigError on field.
+
+    A config whose numbers leave the float range (a phi coefficient of 1e300, an
+    x_grid value of 1e200) then exits 2 naming the field, instead of writing inf or NaN.
+    """
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except (FloatingPointError, OverflowError) as exc:
+        raise ConfigError(f"{field}: its values take the computation out of the float range ({exc})",
+                          field=field) from exc
 
 
 def resolve_j(policy: str, n: int, explicit: int | None = None) -> int:
@@ -316,10 +332,12 @@ def run_entry_experiment(cfg: ExperimentConfig, threads: int | None = None) -> E
     threads = default_threads() if threads is None else threads
     phis = cfg.phis()
     route = cfg.phi_route()
-    prediction = var_limit(cfg.phi, cfg.spec)
-    cov_prediction = (
-        float(cov_limit_wigner(cfg.phi, cfg.phi2, cfg.spec)) if cfg.phi2 is not None else None
-    )
+    with float_range("config.phi"):
+        prediction = var_limit(cfg.phi, cfg.spec)
+    with float_range("config.phi2"):
+        cov_prediction = (
+            float(cov_limit_wigner(cfg.phi, cfg.phi2, cfg.spec)) if cfg.phi2 is not None else None
+        )
     per_n: list[PerNResult] = []
     lanczos_steps: list[int] = []
     for n in cfg.n_list:
@@ -330,16 +348,20 @@ def run_entry_experiment(cfg: ExperimentConfig, threads: int | None = None) -> E
         if steps is not None:
             lanczos_steps.append(steps)
         raw = elements[:, 0]
-        y = math.sqrt(n) * (raw - raw.mean())
-        stats = sample_cumulants(y, order=4)
-        cf_values, cf_ci = empirical_cf(y, cfg.x_grid)
-        ks = gaussian_limit_test(y) if cfg.replicas >= 500 else {
-            "ks_stat": float("nan"), "threshold": float("nan"), "passed": None, "degenerate": False,
-        }
+        with float_range("config.phi"):
+            y = math.sqrt(n) * (raw - raw.mean())
+            stats = sample_cumulants(y, order=4)
+            excess_kurtosis = _excess_kurtosis_jackknife(y)
+            ks = gaussian_limit_test(y) if cfg.replicas >= 500 else {
+                "ks_stat": float("nan"), "threshold": float("nan"), "passed": None, "degenerate": False,
+            }
+        with float_range("config.x_grid"):
+            cf_values, cf_ci = empirical_cf(y, cfg.x_grid)
         covariance = None
         if cfg.phi2 is not None:
-            cov, cov_se = _jackknife_cov(elements[:, 0], elements[:, 1])
-            covariance = (n * cov, n * 1.96 * cov_se)
+            with float_range("config.phi2"):
+                cov, cov_se = _jackknife_cov(elements[:, 0], elements[:, 1])
+                covariance = (n * cov, n * 1.96 * cov_se)
         per_n.append(
             PerNResult(
                 n=n,
@@ -352,7 +374,7 @@ def run_entry_experiment(cfg: ExperimentConfig, threads: int | None = None) -> E
                     "k3": [stats.k3, stats.se[2]],
                     "k4": [stats.k4, stats.se[3]],
                 },
-                excess_kurtosis=_excess_kurtosis_jackknife(y),
+                excess_kurtosis=excess_kurtosis,
                 cf=[
                     [float(x), float(v.real), float(v.imag), float(c)]
                     for x, v, c in zip(cfg.x_grid, cf_values, cf_ci)
@@ -363,7 +385,9 @@ def run_entry_experiment(cfg: ExperimentConfig, threads: int | None = None) -> E
                 samples=y,
             )
         )
-    comparison = compare_with_prediction_rows(per_n, prediction, cfg, cov_prediction)
+    # once the sample statistics are finite, only the limit CF at x_grid can overflow here
+    with float_range("config.x_grid"):
+        comparison = compare_with_prediction_rows(per_n, prediction, cfg, cov_prediction)
     return ExperimentResult(
         config=cfg.descriptor(),
         per_n=per_n,

@@ -10,14 +10,15 @@ The limiting characteristic function of the centered, sqrt(n)-scaled diagonal
 element is exp{(-x^2 V + w^2 x*^2)/2} f(x*), where V is the total limiting
 variance, f is the entry characteristic function, and x* = s x with
 s = sqrt(w2) I1(phi) / w^2 (sqrt(2) for the symmetric-diagonal conventions).
-Structurally the limit is an independent Gaussian plus the rescaled diagonal
-entry, so kappa_l(limit) = kappa_l(entry) s^l for l >= 3.
+Structurally the limit is an independent Gaussian, of variance V - w^2 s^2,
+plus the rescaled diagonal entry, so kappa_l(limit) = kappa_l(entry) s^l for
+l >= 3.  var_limit and cov_limit_wigner sum the same three terms (_cov_terms).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .semicircle import TestFunction, sc_integral
 _NEG_CLIP = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
+@dataclasses.dataclass(frozen=True, eq=False)
 class LimitPrediction:
     """Asymptotic answers for one (phi, ensemble) pair."""
 
@@ -42,15 +43,7 @@ class LimitPrediction:
     phi_ref: dict
 
     def to_dict(self) -> dict:
-        return {
-            "v_goe": self.v_goe,
-            "kappa4_term": self.kappa4_term,
-            "diag_term": self.diag_term,
-            "v_w": self.v_w,
-            "xstar_slope": self.xstar_slope,
-            "ensemble_ref": self.ensemble_ref,
-            "phi_ref": self.phi_ref,
-        }
+        return dataclasses.asdict(self)
 
 
 def first_moment_integral(phi, w: float) -> float:
@@ -73,47 +66,49 @@ def cov_limit_goe(phi1, phi2, w: float):
     return 2.0 * (cross - sc_integral(phi1, w) * sc_integral(phi2, w))
 
 
+def _cov_terms(phi1, phi2, spec: EnsembleSpec):
+    """The GOE, fourth-cumulant and diagonal terms of the limiting n Cov, and I1(phi1).
+
+    The parity zeros are exact: I2 vanishes for odd phi and I1 for even phi, so
+    those terms are 0.0 without quadrature, as is the diagonal term at w2 = 2.
+    Each correction is coef * (I(phi1) I(phi2)); for the variance (phi2 is phi1) it is
+    coef * I(phi)**2, one quadrature per integral.
+    """
+    w = spec.w
+    same = phi2 is phi1
+    parities = (phi1.parity, phi2.parity)
+    i1 = 0.0 if phi1.parity == "even" else first_moment_integral(phi1, w)
+    kappa4 = diag = 0.0
+    if "odd" not in parities:
+        i2 = kappa4_integral(phi1, w)
+        kappa4 = (spec.entry_dist.kappa4 / w**8) * (i2**2 if same else i2 * kappa4_integral(phi2, w))
+    if spec.w2 != 2.0 and "even" not in parities:
+        diag = ((spec.w2 - 2.0) / w**2) * (i1**2 if same else i1 * first_moment_integral(phi2, w))
+    return (cov_limit_goe(phi1, phi2, w), kappa4, diag), i1
+
+
 def cov_limit_wigner(phi1, phi2, spec: EnsembleSpec):
     """GOE covariance plus the fourth-cumulant and diagonal-variance corrections."""
-    w = spec.w
-    out = cov_limit_goe(phi1, phi2, w)
-    out += (spec.entry_dist.kappa4 / w**8) * kappa4_integral(phi1, w) * kappa4_integral(phi2, w)
-    if spec.w2 != 2.0:
-        out += ((spec.w2 - 2.0) / w**2) * first_moment_integral(phi1, w) * first_moment_integral(phi2, w)
-    return out
-
-
-def _xstar_slope(phi: TestFunction, spec: EnsembleSpec) -> float:
-    if phi.parity == "even":
-        return 0.0  # parity kills the first-moment integral exactly
-    factor = math.sqrt(spec.w2)  # sqrt(2) for the symmetric-diagonal conventions
-    return factor * first_moment_integral(phi, spec.w) / spec.w**2
+    (goe, kappa4, diag), _ = _cov_terms(phi1, phi2, spec)
+    return goe + kappa4 + diag
 
 
 def var_limit(phi: TestFunction, spec: EnsembleSpec) -> LimitPrediction:
     """Total limiting variance of the centered scaled diagonal element."""
-    w = spec.w
-    v_goe = float(cov_limit_goe(phi, phi, w))
-    if phi.parity == "odd":
-        kappa4_term = 0.0  # I2 vanishes exactly for odd phi
-    else:
-        kappa4_term = (spec.entry_dist.kappa4 / w**8) * kappa4_integral(phi, w) ** 2
-    if spec.w2 == 2.0 or phi.parity == "even":
-        diag_term = 0.0
-    else:
-        diag_term = ((spec.w2 - 2.0) / w**2) * first_moment_integral(phi, w) ** 2
+    (v_goe, kappa4_term, diag_term), i1 = _cov_terms(phi, phi, spec)
+    v_goe = float(v_goe)
     v_w = v_goe + kappa4_term + diag_term
     if v_w < -_NEG_CLIP:
         raise InconsistencyError(
             f"limiting variance {v_w} is negative: inconsistent kappa4/moment inputs"
         )
-    v_w = max(v_w, 0.0)
     return LimitPrediction(
         v_goe=v_goe,
         kappa4_term=kappa4_term,
         diag_term=diag_term,
-        v_w=v_w,
-        xstar_slope=_xstar_slope(phi, spec),
+        v_w=max(v_w, 0.0),
+        # sqrt(w2) is sqrt(2) for the symmetric-diagonal conventions
+        xstar_slope=math.sqrt(spec.w2) * i1 / spec.w**2,
         ensemble_ref=spec.descriptor(),
         phi_ref=phi.descriptor(),
     )
@@ -129,7 +124,10 @@ def limit_cf(prediction: LimitPrediction, spec: EnsembleSpec, x):
     _check_provenance(prediction, spec)
     x_arr = np.asarray(x, dtype=float)
     xs = prediction.xstar_slope * x_arr
-    out = np.exp((-x_arr**2 * prediction.v_w + spec.w**2 * xs**2) / 2.0) * entry_cf(spec.entry_dist, xs)
+    # the exponent is -x^2 (V - w^2 s^2) / 2 <= 0; capping it at 0 keeps its rounding
+    # (of order eps x^2 V) from lifting the Gaussian factor above 1
+    exponent = np.minimum((-x_arr**2 * prediction.v_w + spec.w**2 * xs**2) / 2.0, 0.0)
+    out = np.exp(exponent) * entry_cf(spec.entry_dist, xs)
     return complex(out) if np.isscalar(x) else out
 
 

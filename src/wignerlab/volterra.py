@@ -66,10 +66,6 @@ def uniform_grid(t_max: float, h: float) -> np.ndarray:
     return np.linspace(0.0, n * h, n + 1)
 
 
-def series(fn: Callable, grid: np.ndarray) -> ComplexSeries:
-    return ComplexSeries(grid=np.asarray(grid, float), values=np.asarray(fn(grid), complex))
-
-
 # ---------------------------------------------------------------------------
 # trapezoid building blocks
 # ---------------------------------------------------------------------------

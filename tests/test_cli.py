@@ -490,6 +490,48 @@ def test_simulate_tiny_scale_keeps_kurtosis_finite(tmp_path, capsys):
     assert all(math.isfinite(v) for v in per_n[0]["excess_kurtosis"])
 
 
+def assert_finite_or_config_error(tmp_path, capsys, command, cfg, field):
+    """Exit 0 with finite primary output and empty stderr, or exit 2 with a single-line
+    ConfigError naming field and no output directory."""
+    out = tmp_path / "x"
+    code = cli.run_cli([command, "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
+    if code == 2:
+        payload = error_payload(capsys)
+        assert (payload["error"], payload["field"]) == ("ConfigError", field)
+        assert not out.exists()
+        return
+    assert code == 0
+    assert capsys.readouterr().err == ""
+
+    def reject(token):
+        raise AssertionError(f"{token} in the {command} output")
+
+    target = "prediction.json" if command == "predict" else "result.json"
+    json.loads((out / target).read_text(), parse_constant=reject)
+
+
+@pytest.mark.parametrize("command", ["predict", "simulate"])
+@pytest.mark.parametrize("x", [1e200, 1.7e308])
+def test_huge_x_grid_value_is_finite_or_config_error(tmp_path, capsys, command, x):
+    """x^2 and x* = s x overflow here; the CF must not come out as NaN with warnings on stderr."""
+    cfg = minimal_config(spec={"entry_dist": {"kind": "rademacher", "w": 1.0}},
+                         phi={"kind": "polynomial", "coefficients": [0, 0, 0, 1]},
+                         n_list=[64], replicas=100, x_grid=[0.5, x])
+    assert_finite_or_config_error(tmp_path, capsys, command, cfg, "config.x_grid")
+
+
+@pytest.mark.parametrize("command", ["predict", "simulate"])
+@pytest.mark.parametrize("where", ["phi", "phi2"])
+@pytest.mark.parametrize("magnitude", [1e100, 1e200, 1e300])
+def test_huge_phi_coefficient_is_finite_or_config_error(tmp_path, capsys, command, where, magnitude):
+    """The limit variance, the sample k-statistics or the jackknife squares overflow here."""
+    cfg = minimal_config(spec={"entry_dist": {"kind": "rademacher", "w": 1.0}},
+                         phi={"kind": "polynomial", "coefficients": [0, 0, 0, 1]},
+                         n_list=[64], replicas=100)
+    cfg[where] = {"kind": "polynomial", "coefficients": [0, magnitude]}
+    assert_finite_or_config_error(tmp_path, capsys, command, cfg, f"config.{where}")
+
+
 @pytest.mark.parametrize("command", ["predict", "simulate", "lemma"])
 @pytest.mark.parametrize("j_explicit", [None, 16])
 def test_exit_code_explicit_j_policy_without_valid_index(tmp_path, capsys, command, j_explicit):

@@ -129,6 +129,19 @@ def test_on_demand_cumulants_to_order_8():
         rad.cumulant(9)
 
 
+@pytest.mark.parametrize("w", [0.1, 0.3, 1.1, 2.9])
+def test_gaussian_cumulant_table_is_exact(w):
+    """The table is the only cumulant source, so the Gaussian law stores its exact cumulants
+    and cumulant() range-checks like every other kind."""
+    gauss = en.make_entry_distribution("gaussian", w)
+    assert gauss.kappas == (0.0, w**2, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    assert [gauss.cumulant(order) for order in range(1, 9)] == list(gauss.kappas)
+    assert gauss.kappa4 == gauss.cumulant(4) == 0.0
+    for order in (0, 9):
+        with pytest.raises(ContractError):
+            gauss.cumulant(order)
+
+
 # ---------------------------------------------------------------------------
 # ensemble specs
 # ---------------------------------------------------------------------------

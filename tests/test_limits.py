@@ -131,6 +131,95 @@ def test_parity_structure_of_prediction():
     assert abs(lm.first_moment_integral(mixed_even, 1.0)) <= 1e-13
 
 
+def _two_formula_oracle(phi1, phi2, spec):
+    """The covariance and variance formulas as written before they shared one core.
+
+    Returns (n Cov with no parity zeros and its own w2 != 2 shortcut, the
+    variance terms (v_goe, kappa4_term, diag_term) with the parity zeros and a
+    second I1 integration for the slope, xstar_slope) at (phi1, phi1).
+    """
+    w = spec.w
+    cov = lm.cov_limit_goe(phi1, phi2, w)
+    cov += (spec.entry_dist.kappa4 / w**8) * lm.kappa4_integral(phi1, w) * lm.kappa4_integral(phi2, w)
+    if spec.w2 != 2.0:
+        cov += ((spec.w2 - 2.0) / w**2) * lm.first_moment_integral(phi1, w) * lm.first_moment_integral(phi2, w)
+    v_goe = float(lm.cov_limit_goe(phi1, phi1, w))
+    kappa4_term = 0.0 if phi1.parity == "odd" else (
+        (spec.entry_dist.kappa4 / w**8) * lm.kappa4_integral(phi1, w) ** 2)
+    diag_term = 0.0 if spec.w2 == 2.0 or phi1.parity == "even" else (
+        ((spec.w2 - 2.0) / w**2) * lm.first_moment_integral(phi1, w) ** 2)
+    slope = 0.0 if phi1.parity == "even" else (
+        math.sqrt(spec.w2) * lm.first_moment_integral(phi1, w) / w**2)
+    return cov, (v_goe, kappa4_term, diag_term, slope)
+
+
+def _oracle_battery():
+    """Seeded (phi1, phi2, spec) triples over every entry kind and both diagonal conventions."""
+    rng = np.random.default_rng(2011)
+    specs = [
+        rademacher_spec(),
+        rademacher_spec(1.3),
+        three_point_spec(1.5, w=0.8),
+        en.EnsembleSpec(entry_dist=en.make_entry_distribution("uniform", 1.0),
+                        convention="general_diagonal", w2=1.0),
+        en.EnsembleSpec(entry_dist=en.make_entry_distribution("uniform", 0.7),
+                        convention="general_diagonal", w2=3.0),
+        en.EnsembleSpec(entry_dist=en.make_entry_distribution("two_point", 1.0,
+                                                              {"atoms": [-0.5, 2.0], "probs": [0.8, 0.2]}),
+                        convention="general_diagonal", w2=0.5),
+    ]
+    for spec in specs:
+        for k in range(40):
+            phis = []
+            for _ in range(2):
+                c = rng.uniform(-1, 1, size=rng.integers(1, 7))
+                if k % 4 == 0:
+                    c[1::2] = 0.0  # even
+                elif k % 4 == 1:
+                    c[0::2] = 0.0  # odd
+                phis.append(polynomial(c) if rng.random() < 0.5
+                            else gaussian_damped(c, float(rng.uniform(0.7, 1.5))))
+            yield phis[0], phis[1], spec
+
+
+def test_cov_limit_wigner_matches_two_formula_oracle():
+    for phi1, phi2, spec in _oracle_battery():
+        expected, _ = _two_formula_oracle(phi1, phi2, spec)
+        got = lm.cov_limit_wigner(phi1, phi2, spec)
+        assert abs(got - expected) <= 1e-13 * max(1.0, abs(expected))
+
+
+def test_var_limit_terms_equal_oracle_diagonal_bit_for_bit():
+    for phi, _, spec in _oracle_battery():
+        _, (v_goe, kappa4_term, diag_term, slope) = _two_formula_oracle(phi, phi, spec)
+        pred = lm.var_limit(phi, spec)
+        got = (pred.v_goe, pred.kappa4_term, pred.diag_term, pred.xstar_slope)
+        assert [v.hex() for v in got] == [v.hex() for v in (v_goe, kappa4_term, diag_term, slope)]
+        assert pred.v_w == max(v_goe + kappa4_term + diag_term, 0.0)
+
+
+@pytest.mark.parametrize("w", [0.1, 0.3, 1.1, 2.9])
+def test_gaussian_entries_have_no_fourth_cumulant_term(w):
+    spec = goe_spec(w)
+    for phi in (monomial(2), monomial(4), polynomial([0.3, 1.0, -0.5, 0.0, 0.2]),
+                gaussian_damped([1.0, 0.0, 1.0], 1.2)):
+        pred = lm.var_limit(phi, spec)
+        assert pred.kappa4_term == 0.0
+        assert pred.v_w == pred.v_goe
+
+
+def test_limit_cf_gaussian_factor_never_exceeds_one():
+    """phi = c x has no Gaussian part, so Z(x) is the entry CF at x* exactly, whatever the
+    rounding of -x^2 V + w^2 x*^2; with the uncapped exponent |Z| exceeded 1 at c = 3000."""
+    spec = rademacher_spec()
+    xs = np.array([0.25, 0.5, 0.75, 1.0, 2.0])
+    for c in (1.0, 2.5, 3000.0, 1e100):
+        pred = lm.var_limit(polynomial([0.0, c]), spec)
+        z = lm.limit_cf(pred, spec, xs)
+        assert np.array_equal(z, en.entry_cf(spec.entry_dist, pred.xstar_slope * xs))
+        assert np.all(np.abs(z) <= 1.0)
+
+
 def test_negative_variance_guard():
     # kappa4 below the admissible floor cannot come from a real law; feed it raw
     fake = en.EntryDistribution(
