@@ -201,12 +201,15 @@ class EnsembleSpec:
         }
 
 
+# rows per mirrored block: a 64x64 float64 block (32 KiB) and its transpose stay in cache
+_MIRROR_BLOCK = 64
+
+
 @lru_cache(maxsize=32)
-def _tril_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    rows, cols = np.tril_indices(n)
-    rows.setflags(write=False)
-    cols.setflags(write=False)
-    return rows, cols
+def _lower_mask(n: int) -> np.ndarray:
+    lower = np.tri(n, dtype=bool)
+    lower.setflags(write=False)
+    return lower
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,10 +222,22 @@ class SymmetricMatrix:
     replica_index: int
 
     def dense(self) -> np.ndarray:
-        m = np.zeros((self.n, self.n))
-        rows, cols = _tril_indices(self.n)
-        m[rows, cols] = self.data
-        m[cols, rows] = self.data
+        """M as a fresh, writable, C-contiguous n x n array.
+
+        Row-major packed lower storage is the C order of the lower-triangle mask, so
+        one masked assignment fills the lower triangle with contiguous writes; the upper
+        triangle is then mirrored from it one row block at a time.
+        """
+        n = self.n
+        lower = _lower_mask(n)
+        above = ~lower[:_MIRROR_BLOCK, :_MIRROR_BLOCK]
+        m = np.empty((n, n))
+        m[lower] = self.data
+        for a in range(0, n, _MIRROR_BLOCK):
+            e = min(a + _MIRROR_BLOCK, n)
+            m[a:e, e:] = m[e:, a:e].T
+            block = m[a:e, a:e]
+            np.copyto(block, block.T, where=above[:e - a, :e - a])
         return m
 
     def diagonal(self) -> np.ndarray:

@@ -338,6 +338,9 @@ def run_entry_experiment(cfg: ExperimentConfig, threads: int | None = None) -> E
         cov_prediction = (
             float(cov_limit_wigner(cfg.phi, cfg.phi2, cfg.spec)) if cfg.phi2 is not None else None
         )
+    # evaluated before sampling, so an x_grid the limit CF overflows on costs no replica
+    with float_range("config.x_grid"):
+        cf_pred = limit_cf(prediction, cfg.spec, np.asarray(cfg.x_grid))
     per_n: list[PerNResult] = []
     lanczos_steps: list[int] = []
     for n in cfg.n_list:
@@ -385,9 +388,9 @@ def run_entry_experiment(cfg: ExperimentConfig, threads: int | None = None) -> E
                 samples=y,
             )
         )
-    # once the sample statistics are finite, only the limit CF at x_grid can overflow here
-    with float_range("config.x_grid"):
-        comparison = compare_with_prediction_rows(per_n, prediction, cfg, cov_prediction)
+    # the limit cumulants grow as the phi's x* slope to the fourth power
+    with float_range("config.phi"):
+        comparison = compare_with_prediction_rows(per_n, prediction, cfg, cf_pred, cov_prediction)
     return ExperimentResult(
         config=cfg.descriptor(),
         per_n=per_n,
@@ -410,10 +413,13 @@ def _variance_row(p: PerNResult, prediction: LimitPrediction) -> dict:
 
 
 def compare_with_prediction_rows(per_n: Sequence[PerNResult], prediction: LimitPrediction,
-                                 cfg: ExperimentConfig, cov_prediction: float | None = None) -> dict:
-    """z-scores of every estimate against its limit, one record per n."""
+                                 cfg: ExperimentConfig, cf_pred: np.ndarray,
+                                 cov_prediction: float | None = None) -> dict:
+    """z-scores of every estimate against its limit, one record per n.
+
+    cf_pred holds the limit CF at cfg.x_grid.
+    """
     kappas = limit_cumulants(prediction, cfg.spec, 4)
-    cf_pred = limit_cf(prediction, cfg.spec, np.asarray(cfg.x_grid))
     rows = []
     for p in per_n:
         cf_rows = []

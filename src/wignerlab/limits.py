@@ -69,8 +69,9 @@ def cov_limit_goe(phi1, phi2, w: float):
 def _cov_terms(phi1, phi2, spec: EnsembleSpec):
     """The GOE, fourth-cumulant and diagonal terms of the limiting n Cov, and I1(phi1).
 
-    The parity zeros are exact: I2 vanishes for odd phi and I1 for even phi, so
-    those terms are 0.0 without quadrature, as is the diagonal term at w2 = 2.
+    The parity zeros are exact: I2 vanishes for odd phi and I1 for even phi, and the
+    GOE term for an odd and an even phi, so those terms are 0.0 without quadrature,
+    as is the diagonal term at w2 = 2.
     Each correction is coef * (I(phi1) I(phi2)); for the variance (phi2 is phi1) it is
     coef * I(phi)**2, one quadrature per integral.
     """
@@ -84,7 +85,8 @@ def _cov_terms(phi1, phi2, spec: EnsembleSpec):
         kappa4 = (spec.entry_dist.kappa4 / w**8) * (i2**2 if same else i2 * kappa4_integral(phi2, w))
     if spec.w2 != 2.0 and "even" not in parities:
         diag = ((spec.w2 - 2.0) / w**2) * (i1**2 if same else i1 * first_moment_integral(phi2, w))
-    return (cov_limit_goe(phi1, phi2, w), kappa4, diag), i1
+    goe = 0.0 if set(parities) == {"odd", "even"} else cov_limit_goe(phi1, phi2, w)
+    return (goe, kappa4, diag), i1
 
 
 def cov_limit_wigner(phi1, phi2, spec: EnsembleSpec):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from wignerlab import blas, cli
+from wignerlab import blas, cli, harness
 from wignerlab.errors import ConfigError
 
 
@@ -518,6 +518,22 @@ def test_huge_x_grid_value_is_finite_or_config_error(tmp_path, capsys, command, 
                          phi={"kind": "polynomial", "coefficients": [0, 0, 0, 1]},
                          n_list=[64], replicas=100, x_grid=[0.5, x])
     assert_finite_or_config_error(tmp_path, capsys, command, cfg, "config.x_grid")
+
+
+def test_overflowing_x_grid_is_rejected_before_sampling(tmp_path, capsys, monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a matrix was drawn before the x_grid check")
+
+    monkeypatch.setattr(harness, "sample_matrix", no_draw)
+    cfg = minimal_config(spec={"entry_dist": {"kind": "rademacher", "w": 1.0}},
+                         phi={"kind": "polynomial", "coefficients": [0, 0, 0, 1]},
+                         n_list=[64], replicas=100, x_grid=[0.5, 1e200])
+    out = tmp_path / "x"
+    code = cli.run_cli(["simulate", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
+    assert code == 2
+    payload = error_payload(capsys)
+    assert (payload["error"], payload["field"]) == ("ConfigError", "config.x_grid")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["predict", "simulate"])

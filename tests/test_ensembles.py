@@ -242,3 +242,46 @@ def test_dense_and_diagonal_accessors():
     dense = m.dense()
     assert np.array_equal(dense, dense.T)
     assert np.allclose(np.diag(dense), m.diagonal())
+
+
+def _dense_oracle(m: en.SymmetricMatrix) -> np.ndarray:
+    """Row by row: packed row i holds M[i, 0..i], written to row i and to column i."""
+    out = np.zeros((m.n, m.n))
+    start = 0
+    for i in range(m.n):
+        row = m.data[start:start + i + 1]
+        out[i, :i + 1] = row
+        out[:i + 1, i] = row
+        start += i + 1
+    assert start == m.data.size
+    return out
+
+
+def _assert_dense_is_oracle(m: en.SymmetricMatrix) -> None:
+    dense = m.dense()
+    expected = _dense_oracle(m)
+    assert dense.dtype == np.float64 and dense.shape == (m.n, m.n)
+    assert dense.flags.c_contiguous and dense.flags.writeable
+    assert np.array_equal(dense.view(np.uint64), expected.view(np.uint64))
+    assert np.array_equal(dense.view(np.uint64), dense.T.view(np.uint64))
+    dense[...] = np.nan  # the next unpack owns fresh memory and reads nothing shared back
+    assert np.array_equal(m.dense().view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "uniform", "rademacher"])
+@pytest.mark.parametrize("n", [2, 3, 63, 64, 65, 128, 129, 200])
+def test_dense_is_bit_identical_to_row_oracle(kind, n):
+    """Sizes on both sides of the 64-row mirror blocks, and below, at and above one block."""
+    spec = en.EnsembleSpec(entry_dist=en.make_entry_distribution(kind, 1.3))
+    _assert_dense_is_oracle(en.sample_matrix(spec, n, seed=8, replica=n))
+
+
+@pytest.mark.parametrize("n", [3, 64, 129])
+def test_dense_keeps_signed_zeros(n):
+    """-0.0 and +0.0 compare equal, so only the bits show a lost sign or an unwritten cell."""
+    size = n * (n + 1) // 2
+    data = np.arange(1.0, size + 1.0)
+    data[::3] = -0.0
+    data[1::7] = 0.0
+    data.setflags(write=False)
+    _assert_dense_is_oracle(en.SymmetricMatrix(n=n, data=data, seed=0, replica_index=0))

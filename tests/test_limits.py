@@ -131,6 +131,22 @@ def test_parity_structure_of_prediction():
     assert abs(lm.first_moment_integral(mixed_even, 1.0)) <= 1e-13
 
 
+@pytest.mark.parametrize("kind, params", [
+    ("gaussian", None), ("rademacher", None), ("uniform", None),
+    ("two_point", {"atoms": [-0.5, 2.0], "probs": [0.8, 0.2]}),
+    ("discrete_custom", {"atoms": [-1.5, 0.0, 1.5], "probs": [2 / 9, 5 / 9, 2 / 9]}),
+])
+@pytest.mark.parametrize("convention, w2", [("paper_symmetric", 2.0), ("general_diagonal", 0.5)])
+def test_opposite_parity_covariance_is_exactly_zero(kind, params, convention, w2):
+    """An odd and an even phi are uncorrelated in the limit: every term is 0.0, not rounding."""
+    spec = en.EnsembleSpec(entry_dist=en.make_entry_distribution(kind, 1.0, params),
+                           convention=convention, w2=w2)
+    odd, even = monomial(3), monomial(4)
+    assert lm.cov_limit_wigner(odd, even, spec) == 0.0
+    assert lm.cov_limit_wigner(even, odd, spec) == 0.0
+    assert lm.cov_limit_wigner(gaussian_damped([0.0, 1.0], 1.2), gaussian_damped([1.0], 0.9), spec) == 0.0
+
+
 def _two_formula_oracle(phi1, phi2, spec):
     """The covariance and variance formulas as written before they shared one core.
 
