@@ -10,8 +10,10 @@ and its outputs depend only on (config, seed), whatever --threads, the core
 count or the BLAS default.
 
 The libraries are found through their exported thread-control symbols on the
-first phase, not at import.  Without those symbols (another BLAS, or an
-OpenBLAS built without the scipy-openblas prefix) nothing is changed.
+first phase, not at import.  scipy's copy is located through its package spec,
+without importing scipy, so a run that never calls scipy never loads it.
+Without those symbols (another BLAS, or an OpenBLAS built without the
+scipy-openblas prefix) nothing is changed.
 """
 
 from __future__ import annotations
@@ -20,19 +22,17 @@ import contextlib
 import ctypes
 import functools
 import glob
+import importlib.util
 import os
 import threading
 from typing import Callable, Iterator
-
-import numpy
-import scipy
 
 PHASE_BLAS_THREADS = 1
 
 # (package, bundled-libraries directory beside it, thread-control symbol stem)
 _BUNDLED_OPENBLAS = (
-    (numpy, "numpy.libs", "scipy_openblas_{}_num_threads64_"),
-    (scipy, "scipy.libs", "scipy_openblas_{}_num_threads"),
+    ("numpy", "numpy.libs", "scipy_openblas_{}_num_threads64_"),
+    ("scipy", "scipy.libs", "scipy_openblas_{}_num_threads"),
 )
 
 
@@ -41,7 +41,10 @@ def _controls() -> tuple[tuple[Callable, Callable], ...]:
     """(get_num_threads, set_num_threads) for each bundled OpenBLAS found."""
     found = []
     for package, libs_dir, stem in _BUNDLED_OPENBLAS:
-        package_dir = os.path.dirname(package.__file__)
+        spec = importlib.util.find_spec(package)
+        if spec is None or spec.origin is None:
+            continue
+        package_dir = os.path.dirname(spec.origin)
         for path in sorted(glob.glob(os.path.join(package_dir, os.pardir, libs_dir, "*openblas*"))):
             try:
                 lib = ctypes.CDLL(path)

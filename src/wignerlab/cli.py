@@ -154,7 +154,7 @@ _TOP_KEYS = {
 }
 
 
-def parse_config(path: str | Path) -> ExperimentConfig:
+def parse_config(path: str | Path, require_phi: bool = True) -> ExperimentConfig:
     """Load and validate an experiment config; unknown keys are rejected."""
     try:
         raw = Path(path).read_text()
@@ -164,13 +164,15 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         obj = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return config_from_dict(obj)
+    return config_from_dict(obj, require_phi)
 
 
-def config_from_dict(obj: dict) -> ExperimentConfig:
-    _check_keys(obj, _TOP_KEYS, {"spec", "phi", "n_list", "replicas", "root_seed"}, "config")
+def config_from_dict(obj: dict, require_phi: bool = True) -> ExperimentConfig:
+    """The ExperimentConfig of a parsed config; lemma reads no phi, so it passes require_phi=False."""
+    required = {"spec", "n_list", "replicas", "root_seed"} | ({"phi"} if require_phi else set())
+    _check_keys(obj, _TOP_KEYS, required, "config")
     spec = _parse_spec(obj["spec"], "config.spec")
-    phi = _parse_phi(obj["phi"], "config.phi")
+    phi = _parse_phi(obj["phi"], "config.phi") if "phi" in obj else None
     phi2 = _parse_phi(obj["phi2"], "config.phi2") if obj.get("phi2") is not None else None
     if not isinstance(obj["n_list"], list) or not obj["n_list"]:
         raise ConfigError("config.n_list: expected a nonempty list", field="config.n_list")
@@ -383,7 +385,7 @@ def _report_lines(path: str) -> list[str]:
 
 def _load_config(args) -> ExperimentConfig:
     """The --config file, with --seed (when given) in place of its root seed."""
-    cfg = parse_config(args.config)
+    cfg = parse_config(args.config, require_phi=args.command != "lemma")
     if args.seed is None:
         return cfg
     return dataclasses.replace(cfg, root_seed=_seed(args.seed, "--seed"))

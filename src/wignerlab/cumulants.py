@@ -61,22 +61,6 @@ def moments_to_cumulants(mu: Sequence[float]) -> CumulantVector:
     return CumulantVector(values=tuple(kappa))
 
 
-def cumulants_to_moments(kappa: CumulantVector | Sequence[float]) -> list[float]:
-    values = kappa.values if isinstance(kappa, CumulantVector) else tuple(float(k) for k in kappa)
-    p = len(values)
-    if p == 0:
-        raise ContractError("need at least one cumulant")
-    if p > MAX_ORDER:
-        raise ContractError(f"cumulant order {p} exceeds supported maximum {MAX_ORDER}")
-    mu: list[float] = []
-    for n in range(1, p + 1):
-        m_n = values[n - 1]
-        for m in range(1, n):
-            m_n += math.comb(n - 1, m - 1) * values[m - 1] * mu[n - m - 1]
-        mu.append(m_n)
-    return mu
-
-
 # ---------------------------------------------------------------------------
 # k-statistics
 # ---------------------------------------------------------------------------

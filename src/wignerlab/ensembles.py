@@ -245,13 +245,6 @@ class SymmetricMatrix:
         return self.data[i * (i + 3) // 2]
 
 
-def sample_entries(dist: EntryDistribution, size: int, seed: int,
-                   labels: Sequence[int] = ()) -> np.ndarray:
-    """i.i.d. scalar draws of the entry law from the (seed, labels) stream."""
-    rng = seeding.generator(seed, [seeding.DOMAIN_SCALAR, *labels])
-    return _draw(dist, size, rng)
-
-
 def _draw(dist: EntryDistribution, size: int, rng: np.random.Generator) -> np.ndarray:
     if dist.kind == GAUSSIAN:
         return dist.w * rng.standard_normal(size)

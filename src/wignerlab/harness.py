@@ -28,12 +28,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from .blas import single_blas_thread
 from .cumulants import jackknife_spread, k_statistics_loo, sample_cumulants
 from .ensembles import EnsembleSpec, sample_matrix
-from .errors import ConfigError, ContractError, ProvenanceError
+from .errors import ConfigError, ContractError
 from .limits import LimitPrediction, cov_limit_wigner, limit_cf, limit_cumulants, var_limit
 from .semicircle import POLYNOMIAL, TABULATED, TestFunction, v_of_t
 from .spectral import DECAY_STATISTICS, eigh, lanczos_jacobi, lemma_statistics, matrix_function_entry
@@ -95,7 +94,7 @@ def resolve_j(policy: str, n: int, explicit: int | None = None) -> int:
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
     spec: EnsembleSpec
-    phi: TestFunction
+    phi: TestFunction | None  # None only for lemma_decay_experiment, which reads no phi
     n_list: tuple[int, ...]
     replicas: int
     root_seed: int
@@ -121,6 +120,8 @@ class ExperimentConfig:
                 raise ContractError(f"{name} must be finite")
 
     def phis(self) -> list[TestFunction]:
+        if self.phi is None:
+            raise ContractError("this experiment needs phi")
         return [self.phi] + ([self.phi2] if self.phi2 is not None else [])
 
     def phi_route(self) -> str:
@@ -133,7 +134,6 @@ class ExperimentConfig:
     def descriptor(self) -> dict:
         d = {
             "spec": self.spec.descriptor(),
-            "phi": self.phi.descriptor(),
             "n_list": list(self.n_list),
             "replicas": self.replicas,
             "root_seed": self.root_seed,
@@ -141,8 +141,9 @@ class ExperimentConfig:
             "x_grid": list(self.x_grid),
             "t_grid": list(self.t_grid),
         }
-        if self.phi2 is not None:
-            d["phi2"] = self.phi2.descriptor()
+        for name, phi in (("phi", self.phi), ("phi2", self.phi2)):
+            if phi is not None:
+                d[name] = phi.descriptor()
         if self.j_explicit is not None:
             d["j_explicit"] = self.j_explicit
         return d
@@ -226,6 +227,8 @@ def gaussian_limit_test(samples: Sequence[float]) -> dict:
     pass iff ks <= 1.63/sqrt(R); approximate because the parameters are
     fitted.  A zero-variance sample is reported degenerate, not failed.
     """
+    from scipy.special import ndtr  # loaded on first use: runs below 500 replicas never call it
+
     y = np.asarray(samples, dtype=float).ravel()
     if y.size < 500:
         raise ContractError("gaussian_limit_test needs at least 500 samples")
@@ -440,18 +443,6 @@ def compare_with_prediction_rows(per_n: Sequence[PerNResult], prediction: LimitP
         "per_n": rows,
         "note": "finite-size bias is O(n^-1/2) and is not subtracted from the estimates",
     }
-
-
-def compare_with_prediction(result: ExperimentResult, prediction: LimitPrediction) -> dict:
-    """Re-compare a result against an externally supplied prediction.
-
-    The (phi, ensemble) provenance keys must match the ones the result was
-    produced under.
-    """
-    if prediction.ensemble_ref != result.config["spec"] or prediction.phi_ref != result.config["phi"]:
-        raise ProvenanceError("prediction and result were built from different (phi, ensemble) pairs")
-    rows = [_variance_row(p, prediction) for p in result.per_n]
-    return {"per_n": rows, "note": result.comparison["note"]}
 
 
 # ---------------------------------------------------------------------------

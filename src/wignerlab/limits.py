@@ -100,7 +100,8 @@ def var_limit(phi: TestFunction, spec: EnsembleSpec) -> LimitPrediction:
     (v_goe, kappa4_term, diag_term), i1 = _cov_terms(phi, phi, spec)
     v_goe = float(v_goe)
     v_w = v_goe + kappa4_term + diag_term
-    if v_w < -_NEG_CLIP:
+    # relative to the terms' size: an exact zero can round to -eps (|v_goe| + |kappa4_term|)
+    if v_w < -_NEG_CLIP * max(1.0, abs(v_goe) + abs(kappa4_term) + abs(diag_term)):
         raise InconsistencyError(
             f"limiting variance {v_w} is negative: inconsistent kappa4/moment inputs"
         )

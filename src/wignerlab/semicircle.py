@@ -23,7 +23,6 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import j1
 
 from .errors import ContractError, CoverageError
 
@@ -290,6 +289,8 @@ def sc_integral(phi: Callable, w: float, weight: Callable | None = None):
 
 def v_of_t(t, w: float):
     """v(t) = Integral e^{i t lambda} rho_sc dlambda = J1(2wt)/(wt); real and even."""
+    from scipy.special import j1  # loaded on first use: predict and simulate never call v_of_t
+
     if w <= 0:
         raise ContractError("scale w must be positive")
     x = w * np.asarray(t, dtype=float)

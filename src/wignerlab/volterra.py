@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import fft as sp_fft
 
 from .errors import ContractError
 from .semicircle import TestFunction, fourier_transform, gauss_chebyshev_u, sc_convolutions, v_of_t
@@ -78,6 +77,8 @@ def _conv_values(f: np.ndarray, g: np.ndarray, h: float) -> np.ndarray:
     discrete convolution comes from one FFT of the zero-padded time axis; the
     two end points of each integral then get their half weight.
     """
+    from scipy import fft as sp_fft  # loaded on first use, off the import path of wignerlab.cli
+
     n = f.shape[0]
     size = sp_fft.next_fast_len(2 * n - 1)
     f_col = f.reshape((n,) + (1,) * (g.ndim - 1))

@@ -6,13 +6,16 @@ in the package; in particular wignerlab does not import scipy.integrate.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
 from scipy.integrate import quad
 
-from wignerlab.cumulants import jackknife_spread
-from wignerlab.errors import ContractError
+from wignerlab import ensembles, harness, seeding
+from wignerlab.cumulants import MAX_ORDER, CumulantVector, jackknife_spread
+from wignerlab.errors import ContractError, ProvenanceError
+from wignerlab.limits import LimitPrediction
 from wignerlab.semicircle import DEFAULT_NODES, TestFunction, gauss_chebyshev_u, rho_sc, v_of_t, v_tilde
 from wignerlab.volterra import ComplexSeries
 
@@ -158,6 +161,47 @@ def jackknife_se(data: Sequence[float], statistic) -> tuple[float, float]:
         raise ContractError("jackknife needs at least 8 observations")
     loo = np.array([statistic(np.delete(x, i)) for i in range(n)])
     return float(statistic(x)), jackknife_spread(loo)
+
+
+def compare_with_prediction(result: harness.ExperimentResult, prediction: LimitPrediction) -> dict:
+    """Re-compare a result's variances against an externally supplied prediction.
+
+    The (phi, ensemble) provenance keys must match the ones the result was
+    produced under.
+    """
+    if prediction.ensemble_ref != result.config["spec"] or prediction.phi_ref != result.config["phi"]:
+        raise ProvenanceError("prediction and result were built from different (phi, ensemble) pairs")
+    rows = [harness._variance_row(p, prediction) for p in result.per_n]
+    return {"per_n": rows, "note": result.comparison["note"]}
+
+
+# ---------------------------------------------------------------------------
+# cumulants and entry draws
+# ---------------------------------------------------------------------------
+
+
+def cumulants_to_moments(kappa: CumulantVector | Sequence[float]) -> list[float]:
+    """Raw moments mu_1..mu_p from cumulants kappa_1..kappa_p (the inverse of moments_to_cumulants)."""
+    values = kappa.values if isinstance(kappa, CumulantVector) else tuple(float(k) for k in kappa)
+    p = len(values)
+    if p == 0:
+        raise ContractError("need at least one cumulant")
+    if p > MAX_ORDER:
+        raise ContractError(f"cumulant order {p} exceeds supported maximum {MAX_ORDER}")
+    mu: list[float] = []
+    for n in range(1, p + 1):
+        m_n = values[n - 1]
+        for m in range(1, n):
+            m_n += math.comb(n - 1, m - 1) * values[m - 1] * mu[n - m - 1]
+        mu.append(m_n)
+    return mu
+
+
+def sample_entries(dist: ensembles.EntryDistribution, size: int, seed: int,
+                   labels: Sequence[int] = ()) -> np.ndarray:
+    """i.i.d. scalar draws of the entry law from the (seed, labels) stream."""
+    rng = seeding.generator(seed, [seeding.DOMAIN_SCALAR, *labels])
+    return ensembles._draw(dist, size, rng)
 
 
 # ---------------------------------------------------------------------------

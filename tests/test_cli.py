@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from wignerlab import blas, cli, harness
+from wignerlab import ensembles as en
 from wignerlab.errors import ConfigError
 
 
@@ -304,6 +305,52 @@ def test_lemma_explicit_j(tmp_path):
     assert code == 2
 
 
+def test_lemma_reads_no_phi(tmp_path, capsys):
+    """lemma may leave phi out, and still accepts phi, phi2 and x_grid; predict and simulate need phi."""
+    cfg = minimal_config(n_list=[16, 32, 64, 128], replicas=100, t_grid=[1.0, 3.0])
+    bare = {k: v for k, v in cfg.items() if k != "phi"}
+    full = dict(cfg, phi2={"kind": "polynomial", "coefficients": [0, 1]}, x_grid=[0.5])
+    tables = {}
+    for name, obj in (("bare", bare), ("full", full)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(obj))
+        assert cli.run_cli(["lemma", "--config", str(path), "--out", str(tmp_path / name)]) == 0
+        tables[name] = (tmp_path / name / "lemma_decay.csv").read_bytes()
+    assert tables["bare"] == tables["full"]
+    capsys.readouterr()
+    for command in ("predict", "simulate"):
+        code = cli.run_cli([command, "--config", str(tmp_path / "bare.json"), "--out", str(tmp_path / "x")])
+        assert code == 2
+        payload = error_payload(capsys)
+        assert payload["field"] == "config" and "'phi'" in payload["message"]
+        assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("scale", [1e8, 1e12])
+def test_predict_scaled_degenerate_variance_is_zero(tmp_path, scale):
+    """Rademacher x^2 has limiting variance 0 at any scale; its terms cancel only to rounding."""
+    cfg = minimal_config(spec={"entry_dist": {"kind": "rademacher", "w": 1.0}},
+                         phi={"kind": "polynomial", "coefficients": [0, 0, scale]})
+    code = cli.run_cli(["predict", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "p")])
+    assert code == 0
+    assert json.loads((tmp_path / "p" / "prediction.json").read_text())["v_w"] == 0.0
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e8])
+def test_predict_negative_variance_exits_2(tmp_path, capsys, monkeypatch, scale):
+    # kappa4 below the admissible floor cannot come from a real law; feed it raw
+    fake = en.EntryDistribution(kind="discrete_custom", w=1.0, moments=(0, 1, 0, -2, 0, 16),
+                                kappas=(0, 1, 0, -5, 0, 0))
+    monkeypatch.setattr(cli, "make_entry_distribution", lambda kind, w, params: fake)
+    cfg = minimal_config(spec={"entry_dist": {"kind": "rademacher", "w": 1.0}},
+                         phi={"kind": "polynomial", "coefficients": [0, 0, scale]})
+    code = cli.run_cli(["predict", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "p")])
+    assert code == 2
+    payload = error_payload(capsys)
+    assert payload["error"] == "InconsistencyError" and "negative" in payload["message"]
+    assert not (tmp_path / "p").exists()
+
+
 def test_report_subcommand(tmp_path, capsys):
     cfg_path = write_config(tmp_path, minimal_config(n_list=[64], replicas=150))
     cli.run_cli(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "rep")])
@@ -569,6 +616,30 @@ def test_cli_import_leaves_scipy_integrate_out():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True, capture_output=True,
                          text=True, timeout=120).stdout
     assert out.strip() == "[]"
+
+
+SCIPY_PROBE = """
+import json, sys
+import wignerlab.cli as cli
+code = cli.run_cli(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("scipy"))]))
+"""
+
+
+@pytest.mark.parametrize("command", [None, "predict", "simulate"])
+def test_cli_start_up_loads_no_scipy(tmp_path, command):
+    """Importing wignerlab.cli, predict, and simulate below 500 replicas load no scipy module:
+    scipy.special and scipy.fft are imported where lemma, volterra and the KS test call them."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).resolve().parents[1]), env.get("PYTHONPATH")]))
+    argv = []
+    if command is not None:
+        cfg = minimal_config(n_list=[64], replicas=100)
+        argv = [command, "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "o")]
+    out = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *argv], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert json.loads(out.splitlines()[-1]) == [0, []]
 
 
 @pytest.mark.parametrize("command", ["predict", "simulate"])

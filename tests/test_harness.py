@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from wignerlab import ensembles as en
 from wignerlab import harness as hn
 from wignerlab import limits as lm
@@ -302,7 +303,7 @@ def test_wrong_prediction_is_detected():
         v_goe=20.0, kappa4_term=0.0, diag_term=0.0, v_w=20.0, xstar_slope=0.0,
         ensemble_ref=res.config["spec"], phi_ref=res.config["phi"],
     )
-    report = hn.compare_with_prediction(res, wrong)
+    report = oracles.compare_with_prediction(res, wrong)
     assert abs(report["per_n"][0]["z_variance"]) > 10
 
 
@@ -310,7 +311,7 @@ def test_compare_with_prediction_provenance():
     res = hn.run_entry_experiment(small_config(), threads=1)
     alien = lm.var_limit(monomial(2), rademacher_spec())
     with pytest.raises(ProvenanceError):
-        hn.compare_with_prediction(res, alien)
+        oracles.compare_with_prediction(res, alien)
 
 
 # ---------------------------------------------------------------------------

@@ -251,6 +251,20 @@ def test_tiny_negative_clips_to_zero():
     assert lm.var_limit(monomial(2), rademacher_spec()).v_w == 0.0
 
 
+def test_negativity_guard_is_relative_to_the_terms():
+    """Scaled Rademacher x^2 cancels to rounding of the terms' size, not of 1; the guard
+    still fires on an inconsistent law at every scale."""
+    fake = en.EntryDistribution(
+        kind="discrete_custom", w=1.0, moments=(0, 1, 0, -2, 0, 16),
+        kappas=(0, 1, 0, -5, 0, 0),
+    )
+    for c in (1e8, 1e12, 1e100):
+        phi = polynomial([0.0, 0.0, c])
+        assert lm.var_limit(phi, rademacher_spec()).v_w == 0.0
+        with pytest.raises(InconsistencyError):
+            lm.var_limit(phi, en.EnsembleSpec(entry_dist=fake))
+
+
 # ---------------------------------------------------------------------------
 # rescaling slope and limit characteristic function
 # ---------------------------------------------------------------------------
