@@ -36,7 +36,6 @@ from .semicircle import (
     sc_integral,
     tabulated,
     v_of_t,
-    v_tilde,
 )
 from .spectral import (
     JacobiMatrix,
@@ -79,6 +78,5 @@ __all__ = [
     "sc_integral",
     "tabulated",
     "v_of_t",
-    "v_tilde",
     "var_limit",
 ]

@@ -1,26 +1,21 @@
-"""Moment/cumulant conversion, k-statistics, and the cumulant-expansion identity.
+"""Moment-to-cumulant conversion and k-statistics.
 
 The conversion uses the standard partition recursion
 kappa_p = mu_p - sum_{m=1}^{p-1} C(p-1, m-1) kappa_m mu_{p-m},
 capped at order 8.  sample_cumulants returns the minimum-variance unbiased
 k-statistics k1..k4 with delete-1 jackknife standard errors computed from
 power sums in O(R).
-
-stein_expansion_residual numerically verifies the integration-by-parts
-expansion E{xi Phi(xi)} = sum_{l<=p} kappa_{l+1}/l! E{Phi^(l)(xi)} + eps_p
-together with its explicit remainder bound.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ContractError
-from .semicircle import TestFunction
 
 MAX_ORDER = 8
 
@@ -90,6 +85,8 @@ class SampleCumulants:
     k4: float
     se: tuple[float, float, float, float]
     n: int
+    # leave-one-out k1..k4 of the centred sample, to jackknife functions of them
+    loo: tuple[np.ndarray, ...] = field(repr=False, compare=False)
 
 
 def k_statistics_loo(xc: np.ndarray) -> tuple[tuple, tuple]:
@@ -129,77 +126,5 @@ def sample_cumulants(data: Sequence[float], order: int = 4) -> SampleCumulants:
     (k1, k2, k3, k4), loo = k_statistics_loo(x - shift)
     return SampleCumulants(
         k1=float(k1 + shift), k2=float(k2), k3=float(k3), k4=float(k4),
-        se=tuple(jackknife_spread(jk) for jk in loo), n=n,
+        se=tuple(jackknife_spread(jk) for jk in loo), n=n, loo=loo,
     )
-
-
-# ---------------------------------------------------------------------------
-# expansion identity
-# ---------------------------------------------------------------------------
-
-
-def _c_p_bound(p: int) -> float:
-    return (1.0 + (3.0 + 2.0 * p) ** (p + 2)) / math.factorial(p + 1)
-
-
-def _dist_expectation(dist, fn) -> float:
-    """E{fn(xi)} by exact atom sums or 256-node Gaussian/Legendre quadrature."""
-    if dist.atoms is not None:
-        return float(np.sum(dist.probs * fn(dist.atoms)))
-    if dist.kind == "gaussian":
-        nodes, weights = np.polynomial.hermite.hermgauss(256)
-        x = math.sqrt(2.0) * dist.w * nodes
-        return float(np.sum(weights * fn(x)) / math.sqrt(math.pi))
-    if dist.kind == "uniform":
-        a = math.sqrt(3.0) * dist.w
-        nodes, weights = np.polynomial.legendre.leggauss(256)
-        return float(np.sum(weights * fn(a * nodes)) / 2.0)
-    raise ContractError(f"no expectation rule for distribution kind {dist.kind!r}")
-
-
-def _dist_abs_moment(dist, order: int) -> float:
-    if dist.atoms is not None:
-        return float(np.sum(dist.probs * np.abs(dist.atoms) ** order))
-    if dist.kind == "gaussian":
-        return dist.w**order * 2.0 ** (order / 2.0) * math.gamma((order + 1) / 2.0) / math.sqrt(math.pi)
-    if dist.kind == "uniform":
-        a = math.sqrt(3.0) * dist.w
-        return a**order / (order + 1.0)
-    raise ContractError(f"no absolute-moment rule for distribution kind {dist.kind!r}")
-
-
-@dataclass(frozen=True)
-class ExpansionResidual:
-    lhs: float
-    rhs: float
-    residual: float
-    bound: float
-    order: int
-
-
-def stein_expansion_residual(dist, phi: TestFunction, p: int) -> ExpansionResidual:
-    """Check the order-p cumulant expansion of E{xi Phi(xi)} against its bound.
-
-    Returns lhs, rhs, residual = lhs - rhs and
-    bound = C_p E{|xi|^{p+2}} sup|Phi^{(p+1)}| with
-    C_p = (1 + (3 + 2p)^{p+2}) / (p+1)!.  Raises if the bound is violated.
-    """
-    if p < 0:
-        raise ContractError("p must be >= 0")
-    if p + 1 > MAX_ORDER:
-        raise ContractError(f"distribution cumulants unavailable up to order {p + 1}")
-    lhs = _dist_expectation(dist, lambda x: x * phi(x))
-    rhs = 0.0
-    for l in range(p + 1):
-        kappa = dist.cumulant(l + 1)
-        if kappa == 0.0:
-            continue
-        rhs += kappa / math.factorial(l) * _dist_expectation(dist, phi.derivative(l))
-    residual = lhs - rhs
-    bound = _c_p_bound(p) * _dist_abs_moment(dist, p + 2) * phi.derivative(p + 1).sup_norm()
-    # quadrature tolerance keeps an exactly-saturated bound from flapping
-    if abs(residual) > bound + 1e-9:
-        raise ContractError(
-            f"expansion residual {residual} exceeds its bound {bound} at order p={p}"
-        )
-    return ExpansionResidual(lhs=lhs, rhs=rhs, residual=residual, bound=bound, order=p)

@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .blas import single_blas_thread
-from .cumulants import jackknife_spread, k_statistics_loo, sample_cumulants
+from .cumulants import SampleCumulants, jackknife_spread, k_statistics_loo, sample_cumulants
 from .ensembles import EnsembleSpec, sample_matrix
 from .errors import ConfigError, ContractError
 from .limits import LimitPrediction, cov_limit_wigner, limit_cf, limit_cumulants, var_limit
@@ -38,8 +38,6 @@ from .semicircle import POLYNOMIAL, TABULATED, TestFunction, v_of_t
 from .spectral import DECAY_STATISTICS, eigh, lanczos_jacobi, lemma_statistics, matrix_function_entry
 
 J_POLICIES = ("first", "middle", "last", "explicit")
-
-PHI_ROUTES = ("lanczos", "eigh")
 
 KS_COEFFICIENT = 1.63  # asymptotic alpha ~ 0.01 quantile; approximate under fitted parameters
 
@@ -125,11 +123,8 @@ class ExperimentConfig:
         return [self.phi] + ([self.phi2] if self.phi2 is not None else [])
 
     def phi_route(self) -> str:
-        """How replicas evaluate phi(M)_jj: one of PHI_ROUTES.
-
-        Any tabulated phi takes the full eigh; otherwise Lanczos-Gauss quadrature.
-        """
-        return "eigh" if any(p.kind == TABULATED for p in self.phis()) else "lanczos"
+        """How replicas evaluate phi(M)_jj, "eigh" or "lanczos" (see phi_route)."""
+        return phi_route(self.phis())
 
     def descriptor(self) -> dict:
         d = {
@@ -163,13 +158,18 @@ def _parallel_map(fn: Callable[[int], np.ndarray], count: int, threads: int) -> 
             return list(pool.map(fn, range(count)))
 
 
+def phi_route(phis: Sequence[TestFunction]) -> str:
+    """Any tabulated phi takes the full "eigh"; otherwise "lanczos", Lanczos-Gauss quadrature."""
+    return "eigh" if any(p.kind == TABULATED for p in phis) else "lanczos"
+
+
 def matrix_element_samples(spec: EnsembleSpec, n: int, j: int, phis: Sequence[TestFunction],
-                           root_seed: int, replicas: int, route: str,
+                           root_seed: int, replicas: int,
                            threads: int = 1) -> tuple[np.ndarray, int | None]:
     """phi(M_r)_jj for each replica and test function, shape (replicas, len(phis)),
     and the largest Lanczos step count over replicas (None off the lanczos route).
 
-    route is one of PHI_ROUTES.  "eigh" diagonalizes each replica once and
+    The route is phi_route(phis).  "eigh" diagonalizes each replica once and
     reads every function off the same spectrum.  "lanczos" replaces M by the
     Jacobi matrix of the Gauss rule for its spectral measure at e_j.  It runs
     the max_degree // 2 + 1 steps that make the rule exact for every
@@ -177,8 +177,7 @@ def matrix_element_samples(spec: EnsembleSpec, n: int, j: int, phis: Sequence[Te
     polynomials read its moments, smooth phi go through eigh and
     matrix_function_entry at (0, 0).
     """
-    if route not in PHI_ROUTES:
-        raise ContractError(f"unknown phi route {route!r}")
+    route = phi_route(phis)
     smooth = [p for p in phis if p.kind != POLYNOMIAL]
     degree = max((p.degree for p in phis if p.kind == POLYNOMIAL), default=0)
     sizes: list[int] = []  # Jacobi matrix sizes; max() does not depend on thread order
@@ -314,17 +313,18 @@ class ExperimentResult:
         return d
 
 
-def _excess_kurtosis_jackknife(y: np.ndarray) -> tuple[float, float]:
-    """g2 = k4/k2^2 with delete-1 jackknife se, from leave-one-out power sums.
+def _excess_kurtosis_jackknife(y: np.ndarray, stats: SampleCumulants) -> tuple[float, float]:
+    """g2 = k4/k2^2 with delete-1 jackknife se, from the leave-one-out k-statistics of
+    stats = sample_cumulants(y).
 
-    g2 does not depend on scale, so a sample whose k2^2 underflows is first
-    scaled by a power of two that brings its largest magnitude into [0.5, 1).
+    g2 does not depend on scale, so a sample whose k2^2 underflows is centred
+    again and scaled by a power of two that brings its largest magnitude into [0.5, 1).
     """
-    xc = y - y.mean()
-    (_, k2, _, k4), (_, k2i, _, k4i) = k_statistics_loo(xc)
+    k2, k4, (_, k2i, _, k4i) = stats.k2, stats.k4, stats.loo
     if k2 == 0.0:
         return float("nan"), 0.0  # degenerate sample: kurtosis undefined
     if k2 * k2 < sys.float_info.min:
+        xc = y - y.mean()
         xc = np.ldexp(xc, -np.frexp(np.max(np.abs(xc)))[1])
         (_, k2, _, k4), (_, k2i, _, k4i) = k_statistics_loo(xc)
     return float(k4 / k2**2), jackknife_spread(k4i / k2i**2)
@@ -334,7 +334,6 @@ def run_entry_experiment(cfg: ExperimentConfig, threads: int | None = None) -> E
     """Full estimation pipeline for one (phi, ensemble) pair over cfg.n_list."""
     threads = default_threads() if threads is None else threads
     phis = cfg.phis()
-    route = cfg.phi_route()
     with float_range("config.phi"):
         prediction = var_limit(cfg.phi, cfg.spec)
     with float_range("config.phi2"):
@@ -349,7 +348,7 @@ def run_entry_experiment(cfg: ExperimentConfig, threads: int | None = None) -> E
     for n in cfg.n_list:
         j = resolve_j(cfg.j_policy, n, cfg.j_explicit)
         elements, steps = matrix_element_samples(
-            cfg.spec, n, j, phis, cfg.root_seed, cfg.replicas, route, threads
+            cfg.spec, n, j, phis, cfg.root_seed, cfg.replicas, threads
         )
         if steps is not None:
             lanczos_steps.append(steps)
@@ -357,7 +356,7 @@ def run_entry_experiment(cfg: ExperimentConfig, threads: int | None = None) -> E
         with float_range("config.phi"):
             y = math.sqrt(n) * (raw - raw.mean())
             stats = sample_cumulants(y, order=4)
-            excess_kurtosis = _excess_kurtosis_jackknife(y)
+            excess_kurtosis = _excess_kurtosis_jackknife(y, stats)
             ks = gaussian_limit_test(y) if cfg.replicas >= 500 else {
                 "ks_stat": float("nan"), "threshold": float("nan"), "passed": None, "degenerate": False,
             }

@@ -100,11 +100,14 @@ def var_limit(phi: TestFunction, spec: EnsembleSpec) -> LimitPrediction:
     (v_goe, kappa4_term, diag_term), i1 = _cov_terms(phi, phi, spec)
     v_goe = float(v_goe)
     v_w = v_goe + kappa4_term + diag_term
-    # relative to the terms' size: an exact zero can round to -eps (|v_goe| + |kappa4_term|)
-    if v_w < -_NEG_CLIP * max(1.0, abs(v_goe) + abs(kappa4_term) + abs(diag_term)):
+    # relative to the terms' size: an exact zero can round to +-eps (|v_goe| + |kappa4_term|)
+    size = abs(v_goe) + abs(kappa4_term) + abs(diag_term)
+    if v_w < -_NEG_CLIP * max(1.0, size):
         raise InconsistencyError(
             f"limiting variance {v_w} is negative: inconsistent kappa4/moment inputs"
         )
+    if abs(v_w) <= _NEG_CLIP * size:
+        v_w = 0.0
     return LimitPrediction(
         v_goe=v_goe,
         kappa4_term=kappa4_term,

@@ -1,18 +1,13 @@
 """Semicircle-law calculus.
 
 Integrals against the semicircle density rho_sc(lambda) = (2 pi w^2)^-1
-sqrt((4w^2 - lambda^2)_+), its Fourier transform v(t), the generalized
-Fourier transform v~(z) on the lower half-plane, and the closed-form
+sqrt((4w^2 - lambda^2)_+), its Fourier transform v(t), and the closed-form
 self-convolutions of v used by the limiting covariance kernels.
 
 Quadrature is Gauss-Chebyshev of the second kind: after lambda = 2w cos(theta)
 the semicircle weight is exactly the Chebyshev-U weight, so an N-node rule
 integrates polynomials of degree <= 2N - 1 exactly.  Every semicircle integral
 in the package uses the one DEFAULT_NODES-node rule.
-
-Fourier convention (fixed here to keep sign/2pi drift out of the rest of the
-package): phi_hat(t) = (2 pi)^-1 Integral e^{-i t lambda} phi(lambda) dlambda,
-with inversion phi(lambda) = Integral e^{i lambda t} phi_hat(t) dt.
 """
 
 from __future__ import annotations
@@ -90,35 +85,6 @@ class TestFunction:
         nz = np.nonzero(coeffs)[0]
         return int(nz[-1]) if nz.size else 0
 
-    def derivative(self, order: int = 1) -> "TestFunction":
-        """Exact order-th derivative; every kind but tabulated."""
-        if self.kind == TABULATED or order < 0:
-            raise ContractError("derivative requires a non-tabulated test function and order >= 0")
-        pp = np.polynomial.polynomial
-        fn = self
-        for _ in range(order):
-            c = np.asarray(fn.coefficients, dtype=float)
-            if fn.kind == TRIGONOMETRIC:
-                fn = trigonometric(c[1], -c[0])
-                continue
-            dc = pp.polyder(c) if c.size > 1 else np.zeros(1)
-            if fn.kind == POLYNOMIAL:
-                fn = polynomial(dc)
-            else:
-                fn = gaussian_damped(pp.polysub(dc, pp.polymulx(c) / fn.envelope_width**2),
-                                     fn.envelope_width)
-        return fn
-
-    def sup_norm(self) -> float:
-        """sup |phi| over the real line (inf for a nonconstant polynomial; not tabulated)."""
-        if self.kind == POLYNOMIAL:  # bounded only when constant: then the sum is c_0
-            return math.inf if self.degree > 0 else abs(float(sum(self.coefficients)))
-        if self.kind == TRIGONOMETRIC:
-            return math.hypot(*self.coefficients)
-        half_width = self.envelope_width * math.sqrt(2.0 * max(self.degree, 1)) + 10.0
-        grid = np.linspace(-half_width, half_width, 200001)
-        return float(np.max(np.abs(self(grid)))) * (1.0 + 1e-9)
-
     def descriptor(self) -> dict:
         """JSON-ready provenance key."""
         d: dict = {"kind": self.kind, "parity": self.parity}
@@ -189,35 +155,6 @@ def tabulated(grid: Sequence[float], values: Sequence[float]) -> TestFunction:
     g.setflags(write=False)
     v.setflags(write=False)
     return TestFunction(kind=TABULATED, grid=g, values=v, parity=parity)
-
-
-def fourier_transform(phi: TestFunction) -> Callable[[np.ndarray], np.ndarray]:
-    """Closed-form phi_hat for Gaussian-damped polynomials.
-
-    With phi = sum c_k x^k exp(-a x^2), a = 1/(2 width^2):
-    phi_hat(t) = (2 pi)^-1 sum c_k (i d/dt)^k [sqrt(pi/a) exp(-t^2/(4a))],
-    evaluated by differentiating q(t) exp(-b t^2), b = 1/(4a), in coefficient
-    space: q -> i(q' - 2 b t q).
-    """
-    if phi.kind != GAUSSIAN_DAMPED:
-        raise ContractError("closed-form Fourier transform requires a gaussian_damped test function")
-    a = 1.0 / (2.0 * phi.envelope_width**2)
-    b = 1.0 / (4.0 * a)
-    total = np.zeros(1, dtype=complex)
-    q = np.ones(1, dtype=complex)  # current (i d/dt)^k prefactor polynomial
-    for k, c_k in enumerate(phi.coefficients):
-        if k > 0:
-            dq = np.polynomial.polynomial.polyder(q) if q.size > 1 else np.zeros(1, complex)
-            q = 1j * (np.polynomial.polynomial.polysub(dq, 2.0 * b * np.polynomial.polynomial.polymulx(q)))
-        if c_k != 0.0:
-            total = np.polynomial.polynomial.polyadd(total, c_k * q)
-    norm = math.sqrt(math.pi / a) / (2.0 * math.pi)
-
-    def phi_hat(t):
-        t = np.asarray(t, dtype=float)
-        return norm * np.polynomial.polynomial.polyval(t, total) * np.exp(-b * t * t)
-
-    return phi_hat
 
 
 # ---------------------------------------------------------------------------
@@ -298,24 +235,6 @@ def v_of_t(t, w: float):
     safe = np.where(small, 1.0, x)
     out = np.where(small, 1.0 - x * x / 2.0 + x**4 / 12.0, j1(2.0 * safe) / safe)
     return float(out) if np.isscalar(t) else out
-
-
-def v_tilde(z, w: float):
-    """Generalized Fourier transform of v on Im z < 0.
-
-    v~(z) = (2 w^2)^-1 (sqrt(z^2 - 4 w^2) - z) on the branch with
-    sqrt(z^2 - 4w^2) = z + O(1/z); satisfies w^2 v~^2 + z v~ + 1 = 0.
-    """
-    if w <= 0:
-        raise ContractError("scale w must be positive")
-    z_arr = np.asarray(z, dtype=complex)
-    if np.any(np.imag(z_arr) >= 0):
-        raise ContractError("v_tilde requires Im z < 0")
-    # z*sqrt(1 - 4w^2/z^2) keeps the required branch away from [-2w, 2w];
-    # -2/(z + root) is the cancellation-free form of (root - z)/(2w^2)
-    root = z_arr * np.sqrt(1.0 - 4.0 * w * w / (z_arr * z_arr))
-    out = -2.0 / (z_arr + root)
-    return complex(out) if np.isscalar(z) else out
 
 
 # (-1)^{k+1} (C_{k+1} - C_k) / (2k)! = (-1)^{k+1} 3k / ((k+2) k! (k+1)!), C_k Catalan, k = 1..20

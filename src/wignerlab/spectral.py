@@ -29,16 +29,6 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def validate(self, m_dense: np.ndarray | None = None) -> dict:
-        """Measured invariant defects (max norms), for tests and diagnostics."""
-        q = self.eigenvectors
-        orth = float(np.max(np.abs(q.T @ q - np.eye(self.n))))
-        out = {"orthonormality": orth, "eigenvalue_sorted": bool(np.all(np.diff(self.eigenvalues) >= 0))}
-        if m_dense is not None:
-            recon = (q * self.eigenvalues) @ q.T
-            out["reconstruction"] = float(np.max(np.abs(recon - m_dense)))
-        return out
-
 
 def eigh(m: SymmetricMatrix | JacobiMatrix) -> SpectralDecomposition:
     """Full symmetric eigendecomposition of one sampled matrix or Jacobi matrix.

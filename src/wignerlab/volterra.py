@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ContractError
-from .semicircle import TestFunction, fourier_transform, gauss_chebyshev_u, sc_convolutions, v_of_t
+from .semicircle import gauss_chebyshev_u, sc_convolutions, v_of_t
 
 
 # ---------------------------------------------------------------------------
@@ -89,12 +89,6 @@ def _conv_values(f: np.ndarray, g: np.ndarray, h: float) -> np.ndarray:
     out -= (0.5 * h * f[0]) * g
     out -= (0.5 * h) * (f_col * g[0])
     return out
-
-
-def convolve(f1: ComplexSeries, f2: ComplexSeries) -> ComplexSeries:
-    if f1.grid.shape != f2.grid.shape or not np.array_equal(f1.grid, f2.grid):
-        raise ContractError("convolve requires a shared grid")
-    return ComplexSeries(grid=f1.grid, values=_conv_values(f1.values, f2.values, f1.h))
 
 
 def _cumtrapz(values: np.ndarray, h: float) -> np.ndarray:
@@ -172,28 +166,17 @@ def _edd_weighted(t_values: np.ndarray, w: float) -> np.ndarray:
     return fw @ d - f * (rule.weights @ d) + 1j * t[:, None] * (rule.weights + fw)
 
 
-def phi_kernel(t3: float, t2: float, w: float) -> complex:
-    """The inner two-time kernel of the covariance equation's source term.
+def phi_kernel_grid(t3_grid: np.ndarray, t2_grid: np.ndarray, w: float) -> np.ndarray:
+    """The inner two-time kernel of the covariance equation's source term, on a product grid.
 
     Phi(t3, t2) = -i II e^{i t3 l} (e^{i t2 l} - e^{i t2 m})/(l - m) rho rho;
     the l = m diagonal uses the removable-singularity limit i t2 e^{i t2 l}.
-    """
-    return complex(phi_kernel_grid(np.array([t3]), np.array([t2]), w)[0, 0])
-
-
-def phi_kernel_grid(t3_grid: np.ndarray, t2_grid: np.ndarray, w: float) -> np.ndarray:
-    """Phi on a product grid; the divided-difference matrix is symmetric, so the
-    inner rho-integral over m is the weighted divided difference of _edd_weighted.
+    The divided-difference matrix is symmetric, so the inner rho-integral over
+    m is the weighted divided difference of _edd_weighted.
     """
     rule = gauss_chebyshev_u(w)
     e3 = np.exp(1j * np.multiply.outer(np.asarray(t3_grid, float), rule.nodes)) * rule.weights
     return -1j * (e3 @ _edd_weighted(t2_grid, w).T)
-
-
-def cov_kernel_closed(t1: float, t2: float, w: float, kappa4: float) -> complex:
-    """Closed-form limiting covariance kernel at one time pair."""
-    vals = cov_kernel_grid(np.array([t1]), np.array([t2]), w, kappa4)
-    return complex(vals[0, 0])
 
 
 def cov_kernel_grid(t1_grid: np.ndarray, t2_grid: np.ndarray, w: float, kappa4: float) -> np.ndarray:
@@ -264,35 +247,6 @@ def scalar_v_equation_residual(w: float, grid: np.ndarray) -> float:
     """Sup defect of v + w^2 II v(.)v(.) = 1 on the grid (O(h^2)): the l = 2
     propagator-product equation at t2 = 0, where the constant v(0) is 1."""
     return v2_equation_check(2, [0.0], w, grid)
-
-
-# ---------------------------------------------------------------------------
-# spectral-domain bridge
-# ---------------------------------------------------------------------------
-
-
-def fourier_pairing(phi1: TestFunction, phi2: TestFunction, w: float, kappa4: float) -> complex:
-    """II phi1_hat(t1) phi2_hat(t2) Cov(t1, t2) dt1 dt2 over the full plane.
-
-    Uses the closed-form Fourier transforms of Gaussian-damped test functions,
-    by the trapezoid rule with step 0.05 on |t| <= 8, past which the transforms
-    of unit-width envelopes are below e^-32.  The pairing reproduces the
-    spectral-domain limiting covariance.
-    """
-    h = 0.05
-    t = np.arange(-160, 161) * h
-    wt = np.full(t.size, h)
-    wt[0] = wt[-1] = h / 2.0
-    f1 = fourier_transform(phi1)(t) * wt
-    f2 = fourier_transform(phi2)(t) * wt
-    rule = gauss_chebyshev_u(w)
-    a = _edd_weighted(t, w)
-    u1 = f1 @ a
-    u2 = f2 @ a
-    vvv = sc_convolutions(t, w)["vvv"]
-    pair = 2.0 * w * w * np.sum(rule.weights * u1 * u2)
-    pair += kappa4 * np.sum(f1 * vvv) * np.sum(f2 * vvv)
-    return complex(pair)
 
 
 # ---------------------------------------------------------------------------

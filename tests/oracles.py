@@ -7,6 +7,7 @@ in the package; in particular wignerlab does not import scipy.integrate.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -16,12 +17,78 @@ from wignerlab import ensembles, harness, seeding
 from wignerlab.cumulants import MAX_ORDER, CumulantVector, jackknife_spread
 from wignerlab.errors import ContractError, ProvenanceError
 from wignerlab.limits import LimitPrediction
-from wignerlab.semicircle import DEFAULT_NODES, TestFunction, gauss_chebyshev_u, rho_sc, v_of_t, v_tilde
-from wignerlab.volterra import ComplexSeries
+from wignerlab.semicircle import (
+    DEFAULT_NODES, GAUSSIAN_DAMPED, POLYNOMIAL, TABULATED, TRIGONOMETRIC, TestFunction,
+    gauss_chebyshev_u, gaussian_damped, polynomial, rho_sc, sc_convolutions, trigonometric, v_of_t,
+)
+from wignerlab.spectral import SpectralDecomposition
+from wignerlab.volterra import ComplexSeries, _conv_values, _edd_weighted
 
 # ---------------------------------------------------------------------------
-# semicircle integrals
+# test functions and semicircle integrals
 # ---------------------------------------------------------------------------
+
+
+def derivative(phi: TestFunction, order: int = 1) -> TestFunction:
+    """Exact order-th derivative of phi; every kind but tabulated."""
+    if phi.kind == TABULATED or order < 0:
+        raise ContractError("derivative requires a non-tabulated test function and order >= 0")
+    pp = np.polynomial.polynomial
+    fn = phi
+    for _ in range(order):
+        c = np.asarray(fn.coefficients, dtype=float)
+        if fn.kind == TRIGONOMETRIC:
+            fn = trigonometric(c[1], -c[0])
+            continue
+        dc = pp.polyder(c) if c.size > 1 else np.zeros(1)
+        if fn.kind == POLYNOMIAL:
+            fn = polynomial(dc)
+        else:
+            fn = gaussian_damped(pp.polysub(dc, pp.polymulx(c) / fn.envelope_width**2),
+                                 fn.envelope_width)
+    return fn
+
+
+def sup_norm(phi: TestFunction) -> float:
+    """sup |phi| over the real line (inf for a nonconstant polynomial; not tabulated)."""
+    if phi.kind == POLYNOMIAL:  # bounded only when constant: then the sum is c_0
+        return math.inf if phi.degree > 0 else abs(float(sum(phi.coefficients)))
+    if phi.kind == TRIGONOMETRIC:
+        return math.hypot(*phi.coefficients)
+    half_width = phi.envelope_width * math.sqrt(2.0 * max(phi.degree, 1)) + 10.0
+    grid = np.linspace(-half_width, half_width, 200001)
+    return float(np.max(np.abs(phi(grid)))) * (1.0 + 1e-9)
+
+
+def fourier_transform(phi: TestFunction):
+    """Closed-form phi_hat for Gaussian-damped polynomials.
+
+    Convention: phi_hat(t) = (2 pi)^-1 Integral e^{-i t lambda} phi(lambda) dlambda,
+    with inversion phi(lambda) = Integral e^{i lambda t} phi_hat(t) dt.
+    With phi = sum c_k x^k exp(-a x^2), a = 1/(2 width^2):
+    phi_hat(t) = (2 pi)^-1 sum c_k (i d/dt)^k [sqrt(pi/a) exp(-t^2/(4a))],
+    evaluated by differentiating q(t) exp(-b t^2), b = 1/(4a), in coefficient
+    space: q -> i(q' - 2 b t q).
+    """
+    if phi.kind != GAUSSIAN_DAMPED:
+        raise ContractError("closed-form Fourier transform requires a gaussian_damped test function")
+    a = 1.0 / (2.0 * phi.envelope_width**2)
+    b = 1.0 / (4.0 * a)
+    total = np.zeros(1, dtype=complex)
+    q = np.ones(1, dtype=complex)  # current (i d/dt)^k prefactor polynomial
+    for k, c_k in enumerate(phi.coefficients):
+        if k > 0:
+            dq = np.polynomial.polynomial.polyder(q) if q.size > 1 else np.zeros(1, complex)
+            q = 1j * (np.polynomial.polynomial.polysub(dq, 2.0 * b * np.polynomial.polynomial.polymulx(q)))
+        if c_k != 0.0:
+            total = np.polynomial.polynomial.polyadd(total, c_k * q)
+    norm = math.sqrt(math.pi / a) / (2.0 * math.pi)
+
+    def phi_hat(t):
+        t = np.asarray(t, dtype=float)
+        return norm * np.polynomial.polynomial.polyval(t, total) * np.exp(-b * t * t)
+
+    return phi_hat
 
 
 def sc_moment(power: int, w: float, n_nodes: int = DEFAULT_NODES) -> float:
@@ -81,6 +148,24 @@ def stieltjes_rho_pv_check(lam: float, w: float, deltas: Sequence[float] = (0.02
     return vals[0]
 
 
+def v_tilde(z, w: float):
+    """Generalized Fourier transform of v on Im z < 0.
+
+    v~(z) = (2 w^2)^-1 (sqrt(z^2 - 4 w^2) - z) on the branch with
+    sqrt(z^2 - 4w^2) = z + O(1/z); satisfies w^2 v~^2 + z v~ + 1 = 0.
+    """
+    if w <= 0:
+        raise ContractError("scale w must be positive")
+    z_arr = np.asarray(z, dtype=complex)
+    if np.any(np.imag(z_arr) >= 0):
+        raise ContractError("v_tilde requires Im z < 0")
+    # z*sqrt(1 - 4w^2/z^2) keeps the required branch away from [-2w, 2w];
+    # -2/(z + root) is the cancellation-free form of (root - z)/(2w^2)
+    root = z_arr * np.sqrt(1.0 - 4.0 * w * w / (z_arr * z_arr))
+    out = -2.0 / (z_arr + root)
+    return complex(out) if np.isscalar(z) else out
+
+
 # ---------------------------------------------------------------------------
 # limiting covariance
 # ---------------------------------------------------------------------------
@@ -104,7 +189,7 @@ def _divided_difference(phi: TestFunction, x: np.ndarray, y: np.ndarray) -> np.n
     safe = np.where(on_diag, 1.0, den)
     out = num / safe
     if np.any(on_diag):
-        out = np.where(on_diag, phi.derivative()(x), out)
+        out = np.where(on_diag, derivative(phi)(x), out)
     return out
 
 
@@ -146,6 +231,30 @@ def richardson(values: Sequence, ratio: float = 2.0):
         level += 1
     out = vals[0]
     return float(out.real) if abs(out.imag) < 1e-12 * (1.0 + abs(out.real)) else out
+
+
+def fourier_pairing(phi1: TestFunction, phi2: TestFunction, w: float, kappa4: float) -> complex:
+    """II phi1_hat(t1) phi2_hat(t2) Cov(t1, t2) dt1 dt2 over the full plane.
+
+    Uses the closed-form Fourier transforms of Gaussian-damped test functions,
+    by the trapezoid rule with step 0.05 on |t| <= 8, past which the transforms
+    of unit-width envelopes are below e^-32.  The pairing reproduces the
+    spectral-domain limiting covariance.
+    """
+    h = 0.05
+    t = np.arange(-160, 161) * h
+    wt = np.full(t.size, h)
+    wt[0] = wt[-1] = h / 2.0
+    f1 = fourier_transform(phi1)(t) * wt
+    f2 = fourier_transform(phi2)(t) * wt
+    rule = gauss_chebyshev_u(w)
+    a = _edd_weighted(t, w)
+    u1 = f1 @ a
+    u2 = f2 @ a
+    vvv = sc_convolutions(t, w)["vvv"]
+    pair = 2.0 * w * w * np.sum(rule.weights * u1 * u2)
+    pair += kappa4 * np.sum(f1 * vvv) * np.sum(f2 * vvv)
+    return complex(pair)
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +313,86 @@ def sample_entries(dist: ensembles.EntryDistribution, size: int, seed: int,
     return ensembles._draw(dist, size, rng)
 
 
+def _c_p_bound(p: int) -> float:
+    return (1.0 + (3.0 + 2.0 * p) ** (p + 2)) / math.factorial(p + 1)
+
+
+def dist_expectation(dist, fn) -> float:
+    """E{fn(xi)} by exact atom sums or 256-node Gaussian/Legendre quadrature."""
+    if dist.atoms is not None:
+        return float(np.sum(dist.probs * fn(dist.atoms)))
+    if dist.kind == "gaussian":
+        nodes, weights = np.polynomial.hermite.hermgauss(256)
+        x = math.sqrt(2.0) * dist.w * nodes
+        return float(np.sum(weights * fn(x)) / math.sqrt(math.pi))
+    if dist.kind == "uniform":
+        a = math.sqrt(3.0) * dist.w
+        nodes, weights = np.polynomial.legendre.leggauss(256)
+        return float(np.sum(weights * fn(a * nodes)) / 2.0)
+    raise ContractError(f"no expectation rule for distribution kind {dist.kind!r}")
+
+
+def _dist_abs_moment(dist, order: int) -> float:
+    if dist.atoms is not None:
+        return float(np.sum(dist.probs * np.abs(dist.atoms) ** order))
+    if dist.kind == "gaussian":
+        return dist.w**order * 2.0 ** (order / 2.0) * math.gamma((order + 1) / 2.0) / math.sqrt(math.pi)
+    if dist.kind == "uniform":
+        a = math.sqrt(3.0) * dist.w
+        return a**order / (order + 1.0)
+    raise ContractError(f"no absolute-moment rule for distribution kind {dist.kind!r}")
+
+
+@dataclass(frozen=True)
+class ExpansionResidual:
+    lhs: float
+    rhs: float
+    residual: float
+    bound: float
+    order: int
+
+
+def stein_expansion_residual(dist, phi: TestFunction, p: int) -> ExpansionResidual:
+    """Check the order-p cumulant expansion of E{xi Phi(xi)} against its bound.
+
+    The integration-by-parts expansion is
+    E{xi Phi(xi)} = sum_{l<=p} kappa_{l+1}/l! E{Phi^(l)(xi)} + eps_p.
+    Returns lhs, rhs, residual = lhs - rhs and
+    bound = C_p E{|xi|^{p+2}} sup|Phi^{(p+1)}| with
+    C_p = (1 + (3 + 2p)^{p+2}) / (p+1)!.  Raises if the bound is violated.
+    """
+    if p < 0:
+        raise ContractError("p must be >= 0")
+    if p + 1 > MAX_ORDER:
+        raise ContractError(f"distribution cumulants unavailable up to order {p + 1}")
+    lhs = dist_expectation(dist, lambda x: x * phi(x))
+    rhs = 0.0
+    for l in range(p + 1):
+        kappa = dist.cumulant(l + 1)
+        if kappa == 0.0:
+            continue
+        rhs += kappa / math.factorial(l) * dist_expectation(dist, derivative(phi, l))
+    residual = lhs - rhs
+    bound = _c_p_bound(p) * _dist_abs_moment(dist, p + 2) * sup_norm(derivative(phi, p + 1))
+    # quadrature tolerance keeps an exactly-saturated bound from flapping
+    if abs(residual) > bound + 1e-9:
+        raise ContractError(
+            f"expansion residual {residual} exceeds its bound {bound} at order p={p}"
+        )
+    return ExpansionResidual(lhs=lhs, rhs=rhs, residual=residual, bound=bound, order=p)
+
+
 # ---------------------------------------------------------------------------
-# resolvent of the v-convolution equation
+# trapezoid convolution and the resolvent of the v-convolution equation
 # ---------------------------------------------------------------------------
+
+
+def convolve(f1: ComplexSeries, f2: ComplexSeries) -> ComplexSeries:
+    """Trapezoid causal convolution of two series on a shared grid."""
+    if f1.grid.shape != f2.grid.shape or not np.array_equal(f1.grid, f2.grid):
+        raise ContractError("convolve requires a shared grid")
+    return ComplexSeries(grid=f1.grid, values=_conv_values(f1.values, f2.values, f1.h))
+
 
 
 def resolvent_T(w: float, grid: np.ndarray) -> ComplexSeries:
@@ -221,3 +407,19 @@ def resolvent_identity_defect(z, w: float):
     vt = v_tilde(z, w)
     out = np.abs((np.asarray(z, complex) + w * w * vt) * (-vt) - 1.0)
     return float(out) if np.isscalar(z) else out
+
+
+# ---------------------------------------------------------------------------
+# eigendecomposition invariants
+# ---------------------------------------------------------------------------
+
+
+def validate(dec: SpectralDecomposition, m_dense: np.ndarray | None = None) -> dict:
+    """Measured invariant defects (max norms) of a decomposition."""
+    q = dec.eigenvectors
+    orth = float(np.max(np.abs(q.T @ q - np.eye(dec.n))))
+    out = {"orthonormality": orth, "eigenvalue_sorted": bool(np.all(np.diff(dec.eigenvalues) >= 0))}
+    if m_dense is not None:
+        recon = (q * dec.eigenvalues) @ q.T
+        out["reconstruction"] = float(np.max(np.abs(recon - m_dense)))
+    return out

@@ -326,14 +326,18 @@ def test_lemma_reads_no_phi(tmp_path, capsys):
         assert not (tmp_path / "x").exists()
 
 
-@pytest.mark.parametrize("scale", [1e8, 1e12])
+@pytest.mark.parametrize("scale", [1.0, 1e8, 1e12, 1e14])
 def test_predict_scaled_degenerate_variance_is_zero(tmp_path, scale):
-    """Rademacher x^2 has limiting variance 0 at any scale; its terms cancel only to rounding."""
+    """Rademacher x^2 has limiting variance 0 at any scale; its terms cancel only to rounding.
+    (M^2)_jj is the same in every sample, so simulate measures 0 and z_variance is 0, not inf."""
     cfg = minimal_config(spec={"entry_dist": {"kind": "rademacher", "w": 1.0}},
-                         phi={"kind": "polynomial", "coefficients": [0, 0, scale]})
-    code = cli.run_cli(["predict", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "p")])
-    assert code == 0
+                         phi={"kind": "polynomial", "coefficients": [0, 0, scale]}, n_list=[64], replicas=100)
+    path = str(write_config(tmp_path, cfg))
+    assert cli.run_cli(["predict", "--config", path, "--out", str(tmp_path / "p")]) == 0
     assert json.loads((tmp_path / "p" / "prediction.json").read_text())["v_w"] == 0.0
+    assert cli.run_cli(["simulate", "--config", path, "--out", str(tmp_path / "s")]) == 0
+    row = json.loads((tmp_path / "s" / "result.json").read_text())["comparison"]["per_n"][0]
+    assert row["z_variance"] == 0.0 and row["variance_ok"] is True
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e8])

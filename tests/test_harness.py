@@ -57,7 +57,6 @@ def test_config_validation():
 
 
 def test_phi_route_resolution():
-    assert hn.PHI_ROUTES == ("lanczos", "eigh")
     table = tabulated([-3.0, 0.0, 3.0], [1.0, 0.0, 1.0])
     assert small_config().phi_route() == "lanczos"
     assert small_config(phi=gaussian_damped([0, 1.0])).phi_route() == "lanczos"
@@ -124,11 +123,12 @@ def test_goe_identity_function_variance():
     assert p.ks["passed"] is True
 
 
-def eigh_route(cfg: hn.ExperimentConfig) -> tuple[np.ndarray, int | None]:
+def eigh_route(cfg: hn.ExperimentConfig) -> np.ndarray:
     """phi(M_r)_jj of cfg's first size through the full eigh, the reference for the Lanczos route."""
     n = cfg.n_list[0]
-    return hn.matrix_element_samples(cfg.spec, n, hn.resolve_j(cfg.j_policy, n), cfg.phis(),
-                                     cfg.root_seed, cfg.replicas, route="eigh")
+    j = hn.resolve_j(cfg.j_policy, n)
+    decs = (sp.eigh(en.sample_matrix(cfg.spec, n, cfg.root_seed, r)) for r in range(cfg.replicas))
+    return np.array([[sp.matrix_function_entry(dec, p, j, j) for p in cfg.phis()] for dec in decs])
 
 
 def scaled(raw: np.ndarray, n: int) -> np.ndarray:
@@ -138,22 +138,22 @@ def scaled(raw: np.ndarray, n: int) -> np.ndarray:
 def test_polynomial_lanczos_and_spectral_routes_agree():
     cfg = small_config(phi=monomial(3), replicas=150)
     a = hn.run_entry_experiment(cfg, threads=1)
-    b, steps = eigh_route(cfg)
+    b = eigh_route(cfg)
     assert cfg.phi_route() == "lanczos"
     assert np.max(np.abs(a.per_n[0].samples - scaled(b[:, 0], 32))) <= 1e-9
-    assert (a.lanczos_steps_max, steps) == (2, None)
+    assert a.lanczos_steps_max == 2
 
 
 def test_lanczos_and_spectral_routes_agree():
     phi, phi2 = gaussian_damped([0, 1.0, 0, 0.5], 1.0), gaussian_damped([1.0, 0, 1.0], 0.5)
     cfg = small_config(phi=phi, phi2=phi2, replicas=150)
     a = hn.run_entry_experiment(cfg, threads=1)
-    b, steps = eigh_route(cfg)
+    b = eigh_route(cfg)
     assert cfg.phi_route() == "lanczos"
     assert np.max(np.abs(a.per_n[0].samples - scaled(b[:, 0], 32))) <= 1e-12
     assert a.per_n[0].covariance[0] == pytest.approx(32 * hn._jackknife_cov(b[:, 0], b[:, 1])[0],
                                                      rel=1e-10)
-    assert 1 <= a.lanczos_steps_max <= 32 and steps is None
+    assert 1 <= a.lanczos_steps_max <= 32
 
 
 def test_mixed_set_stops_with_its_smooth_member():
@@ -163,8 +163,7 @@ def test_mixed_set_stops_with_its_smooth_member():
     spec = en.EnsembleSpec(entry_dist=en.make_entry_distribution("rademacher", 3.0))
     phis = [gaussian_damped([1.0], 1.0), monomial(7)]
     n, seed, replicas = 512, 5, 8
-    lanczos, steps = hn.matrix_element_samples(spec, n, 0, phis, seed, replicas, "lanczos")
-    oracle, _ = hn.matrix_element_samples(spec, n, 0, phis, seed, replicas, "eigh")
+    lanczos, steps = hn.matrix_element_samples(spec, n, 0, phis, seed, replicas)
     alone = []
     for r in range(replicas):
         m = en.sample_matrix(spec, n, seed, r)
@@ -172,7 +171,8 @@ def test_mixed_set_stops_with_its_smooth_member():
         dec = sp.eigh(m)
         for i, p in enumerate(phis):
             scale = sp.matrix_function_entry(dec, lambda x: np.abs(p(x)), 0, 0)
-            assert abs(lanczos[r, i] - oracle[r, i]) <= 1e-12 * scale, (r, i)
+            oracle = sp.matrix_function_entry(dec, p, 0, 0)
+            assert abs(lanczos[r, i] - oracle) <= 1e-12 * scale, (r, i)
     assert steps == max(alone) <= 64
 
 
@@ -209,8 +209,9 @@ def test_auto_routes_each_phi_to_its_evaluator(monkeypatch, case):
         monkeypatch.setattr(hn, name, counting(name))
     phis, route, eighs = ROUTE_PHIS[case]
     cfg = small_config(phi=phis[0], phi2=phis[1] if len(phis) > 1 else None, replicas=100)
-    hn.run_entry_experiment(cfg, threads=1)
+    res = hn.run_entry_experiment(cfg, threads=1)
     assert cfg.phi_route() == route
+    assert (res.lanczos_steps_max is None) == (route == "eigh")
     assert calls == {"lanczos_jacobi": 100 if route == "lanczos" else 0, "eigh": 100 * eighs}
     if route == "lanczos":
         degrees = [p.degree for p in phis if p.kind == "polynomial"]

@@ -258,7 +258,7 @@ def test_negativity_guard_is_relative_to_the_terms():
         kind="discrete_custom", w=1.0, moments=(0, 1, 0, -2, 0, 16),
         kappas=(0, 1, 0, -5, 0, 0),
     )
-    for c in (1e8, 1e12, 1e100):
+    for c in (1.0, 1e8, 1e12, 1e14, 1e100):
         phi = polynomial([0.0, 0.0, c])
         assert lm.var_limit(phi, rademacher_spec()).v_w == 0.0
         with pytest.raises(InconsistencyError):

@@ -46,13 +46,13 @@ def test_series_validation():
 
 def test_convolve_unit_functions_exact():
     one = ones_series(2.0, 0.01)
-    conv = vt.convolve(one, one)
+    conv = oracles.convolve(one, one)
     assert np.max(np.abs(conv.values - conv.grid)) <= 1e-14
 
 
 def test_convolve_grid_mismatch():
     with pytest.raises(ContractError):
-        vt.convolve(ones_series(2.0, 0.01), ones_series(2.0, 0.02))
+        oracles.convolve(ones_series(2.0, 0.01), ones_series(2.0, 0.02))
 
 
 def test_quadruple_unit_convolution():
@@ -61,7 +61,7 @@ def test_quadruple_unit_convolution():
     errs = {}
     for h in (1e-3, 5e-4):
         one = ones_series(1.0, h)
-        quad4 = vt.convolve(vt.convolve(vt.convolve(one, one), one), one)
+        quad4 = oracles.convolve(oracles.convolve(oracles.convolve(one, one), one), one)
         errs[h] = abs(quad4.values[-1] - 1.0 / 6.0)
     assert errs[1e-3] <= 1e-7
     assert errs[1e-3] / errs[5e-4] == pytest.approx(4.0, abs=0.2)
@@ -92,7 +92,7 @@ def test_edd_weighted_gemm_matches_loop(w):
 def test_v_convolved_with_itself_matches_closed_form():
     h = 1e-3
     vs = v_series(4.0, h)
-    grid_conv = vt.convolve(vs, vs).values
+    grid_conv = oracles.convolve(vs, vs).values
     closed = sc_convolutions(vs.grid, 1.0)["vv"]
     assert np.max(np.abs(grid_conv - closed)) <= 10 * h * h
 
@@ -215,7 +215,7 @@ def test_solution_formula_is_resolvent_convolution():
     r = vt.ComplexSeries(grid=g, values=np.sin(g).astype(complex))
     solved = vt.volterra_solve(q, r)
     r_prime = vt.ComplexSeries(grid=g, values=np.cos(g).astype(complex))
-    via_resolvent = vt.convolve(vt.ComplexSeries(grid=g, values=q.values), r_prime)
+    via_resolvent = oracles.convolve(vt.ComplexSeries(grid=g, values=q.values), r_prime)
     assert np.max(np.abs(solved.values - via_resolvent.values)) <= 10 * h * h
 
 
@@ -247,8 +247,8 @@ def test_resolvent_identity_random_lower_half_plane():
 
 
 def test_phi_kernel_zero_lines():
-    assert vt.phi_kernel(1.3, 0.0, 1.0) == 0.0
-    assert vt.phi_kernel(0.0, 0.0, 1.0) == 0.0
+    assert vt.phi_kernel_grid(np.array([1.3]), np.array([0.0]), 1.0)[0, 0] == 0.0
+    assert vt.phi_kernel_grid(np.array([0.0]), np.array([0.0]), 1.0)[0, 0] == 0.0
 
 
 def test_phi_kernel_against_dblquad_oracle():
@@ -264,31 +264,31 @@ def test_phi_kernel_against_dblquad_oracle():
 
     re = dblquad(lambda mu, lam: integrand(mu, lam, "re"), -2, 2, -2, 2, epsabs=1e-11)[0]
     im = dblquad(lambda mu, lam: integrand(mu, lam, "im"), -2, 2, -2, 2, epsabs=1e-11)[0]
-    assert abs(vt.phi_kernel(1.0, 1.0, w) - complex(re, im)) <= 1e-8
+    assert abs(vt.phi_kernel_grid(np.array([1.0]), np.array([1.0]), w)[0, 0] - complex(re, im)) <= 1e-8
 
 
 def test_phi_kernel_small_time_expansion():
     # Phi(t3, t2) = t2 + O(t^2) near the origin
-    val = vt.phi_kernel(1e-4, 1e-4, 1.0)
+    val = vt.phi_kernel_grid(np.array([1e-4]), np.array([1e-4]), 1.0)[0, 0]
     assert val.real == pytest.approx(1e-4, rel=1e-3)
 
 
 def test_cov_kernel_vanishes_at_t1_zero():
     for t2 in (0.0, 0.7, 2.0):
-        assert abs(vt.cov_kernel_closed(0.0, t2, 1.0, -2.0)) <= 1e-13
+        assert abs(vt.cov_kernel_grid(np.array([0.0]), np.array([t2]), 1.0, -2.0)[0, 0]) <= 1e-13
 
 
 def test_cov_kernel_symmetry():
     for kappa4 in (0.0, -2.0):
         for t1, t2 in [(0.3, 1.1), (1.7, 0.2), (2.0, 2.0)]:
-            a = vt.cov_kernel_closed(t1, t2, 1.0, kappa4)
-            b = vt.cov_kernel_closed(t2, t1, 1.0, kappa4)
+            a = vt.cov_kernel_grid(np.array([t1]), np.array([t2]), 1.0, kappa4)[0, 0]
+            b = vt.cov_kernel_grid(np.array([t2]), np.array([t1]), 1.0, kappa4)[0, 0]
             assert abs(a - b) <= 1e-8
 
 
 def test_cov_kernel_small_time_matches_direct_moments():
     # leading behavior -2 w^2 t1 t2 from the diagonal-entry variance
-    val = vt.cov_kernel_closed(1e-3, 1e-3, 1.0, 0.0)
+    val = vt.cov_kernel_grid(np.array([1e-3]), np.array([1e-3]), 1.0, 0.0)[0, 0]
     assert val.real == pytest.approx(-2e-6, rel=1e-2)
 
 
@@ -369,7 +369,7 @@ def test_fourier_pairing_reproduces_goe_covariance():
     for i, f1 in enumerate(funcs):
         for f2 in funcs[i:]:
             target = lm.cov_limit_goe(f1, f2, w)
-            got = vt.fourier_pairing(f1, f2, w, kappa4=0.0)
+            got = oracles.fourier_pairing(f1, f2, w, kappa4=0.0)
             assert abs(got - target) <= 1e-3
             assert abs(got.imag) <= 1e-10
 
@@ -382,5 +382,5 @@ def test_fourier_pairing_reproduces_wigner_covariance():
 
     spec = EnsembleSpec(entry_dist=make_entry_distribution("rademacher", w))
     target = lm.cov_limit_wigner(f1, f2, spec)
-    got = vt.fourier_pairing(f1, f2, w, kappa4=spec.entry_dist.kappa4)
+    got = oracles.fourier_pairing(f1, f2, w, kappa4=spec.entry_dist.kappa4)
     assert abs(got - target) <= 1e-3
