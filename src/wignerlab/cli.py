@@ -33,11 +33,10 @@ from .harness import (
     ExperimentConfig,
     J_POLICIES,
     default_threads,
-    float_range,
     lemma_decay_experiment,
+    predict,
     run_entry_experiment,
 )
-from .limits import limit_cf, var_limit
 from .seeding import derive_seed, splitmix64  # re-exported: the seed-derivation contract lives here
 from .volterra import residual_table
 
@@ -258,10 +257,7 @@ def _write_manifest(out_dir: Path, cfg_hash: str, root_seed: int, threads: int,
 def _cmd_predict(args) -> int:
     cfg = _load_config(args)
     started = time.monotonic()
-    with float_range("config.phi"):
-        pred = var_limit(cfg.phi, cfg.spec)
-    with float_range("config.x_grid"):
-        cf = limit_cf(pred, cfg.spec, np.asarray(cfg.x_grid))
+    pred, cf = predict(cfg)
     out = pred.to_dict()
     out["cf"] = [[float(x), float(z.real), float(z.imag)] for x, z in zip(cfg.x_grid, cf)]
     out_dir = Path(args.out)

@@ -27,10 +27,6 @@ class InconsistencyError(WignerLabError, ValueError):
     """Inputs are mutually inconsistent (e.g. a negative limiting variance)."""
 
 
-class ProvenanceError(WignerLabError, ValueError):
-    """Result and prediction were built from different (phi, ensemble) pairs."""
-
-
 class ConfigError(WignerLabError, ValueError):
     """Experiment configuration failed validation.
 

@@ -61,13 +61,15 @@ def default_threads() -> int:
 
 @contextlib.contextmanager
 def float_range(field: str):
-    """Report a numpy overflow or invalid value inside the block as a ConfigError on field.
+    """Report a numpy overflow, division by zero or invalid value inside the block as a
+    ConfigError on field.
 
     A config whose numbers leave the float range (a phi coefficient of 1e300, an
-    x_grid value of 1e200) then exits 2 naming the field, instead of writing inf or NaN.
+    x_grid value of 1e200, an envelope width whose square underflows to 0) then
+    exits 2 naming the field, instead of writing inf or NaN.
     """
     try:
-        with np.errstate(over="raise", invalid="raise"):
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
             yield
     except (FloatingPointError, OverflowError) as exc:
         raise ConfigError(f"{field}: its values take the computation out of the float range ({exc})",
@@ -107,6 +109,8 @@ class ExperimentConfig:
             raise ContractError(f"replicas must be >= 100, got {self.replicas}")
         if any(n < 16 for n in self.n_list) or not self.n_list:
             raise ContractError("every n must be >= 16")
+        if len(set(self.n_list)) != len(self.n_list):
+            raise ContractError(f"n_list sizes must be distinct, got {list(self.n_list)}")
         if self.j_policy not in J_POLICIES:
             raise ContractError(f"unknown j policy {self.j_policy!r}")
         if self.j_policy == "explicit" and not (
@@ -330,19 +334,28 @@ def _excess_kurtosis_jackknife(y: np.ndarray, stats: SampleCumulants) -> tuple[f
     return float(k4 / k2**2), jackknife_spread(k4i / k2i**2)
 
 
+def predict(cfg: ExperimentConfig) -> tuple[LimitPrediction, np.ndarray]:
+    """The limit law of cfg.phi on cfg.spec, and its characteristic function at cfg.x_grid.
+
+    A value out of the float range is a ConfigError on config.phi or config.x_grid.
+    """
+    with float_range("config.phi"):
+        prediction = var_limit(cfg.phi, cfg.spec)
+    with float_range("config.x_grid"):
+        cf = limit_cf(prediction, np.asarray(cfg.x_grid))
+    return prediction, cf
+
+
 def run_entry_experiment(cfg: ExperimentConfig, threads: int | None = None) -> ExperimentResult:
     """Full estimation pipeline for one (phi, ensemble) pair over cfg.n_list."""
     threads = default_threads() if threads is None else threads
     phis = cfg.phis()
-    with float_range("config.phi"):
-        prediction = var_limit(cfg.phi, cfg.spec)
+    # predicted before sampling, so a config the limit law overflows on costs no replica
+    prediction, cf_pred = predict(cfg)
     with float_range("config.phi2"):
         cov_prediction = (
             float(cov_limit_wigner(cfg.phi, cfg.phi2, cfg.spec)) if cfg.phi2 is not None else None
         )
-    # evaluated before sampling, so an x_grid the limit CF overflows on costs no replica
-    with float_range("config.x_grid"):
-        cf_pred = limit_cf(prediction, cfg.spec, np.asarray(cfg.x_grid))
     per_n: list[PerNResult] = []
     lanczos_steps: list[int] = []
     for n in cfg.n_list:
@@ -392,7 +405,7 @@ def run_entry_experiment(cfg: ExperimentConfig, threads: int | None = None) -> E
         )
     # the limit cumulants grow as the phi's x* slope to the fourth power
     with float_range("config.phi"):
-        comparison = compare_with_prediction_rows(per_n, prediction, cfg, cf_pred, cov_prediction)
+        comparison = compare_with_prediction_rows(per_n, prediction, cf_pred, cov_prediction)
     return ExperimentResult(
         config=cfg.descriptor(),
         per_n=per_n,
@@ -415,13 +428,12 @@ def _variance_row(p: PerNResult, prediction: LimitPrediction) -> dict:
 
 
 def compare_with_prediction_rows(per_n: Sequence[PerNResult], prediction: LimitPrediction,
-                                 cfg: ExperimentConfig, cf_pred: np.ndarray,
-                                 cov_prediction: float | None = None) -> dict:
+                                 cf_pred: np.ndarray, cov_prediction: float | None = None) -> dict:
     """z-scores of every estimate against its limit, one record per n.
 
-    cf_pred holds the limit CF at cfg.x_grid.
+    cf_pred holds the limit CF at the x values of each record's cf rows.
     """
-    kappas = limit_cumulants(prediction, cfg.spec, 4)
+    kappas = limit_cumulants(prediction, 4)
     rows = []
     for p in per_n:
         cf_rows = []

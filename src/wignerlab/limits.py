@@ -24,7 +24,7 @@ import numpy as np
 
 from .cumulants import MAX_ORDER
 from .ensembles import EnsembleSpec, entry_cf
-from .errors import ContractError, InconsistencyError, ProvenanceError
+from .errors import ContractError, InconsistencyError
 from .semicircle import TestFunction, sc_integral
 
 _NEG_CLIP = 1e-12
@@ -32,18 +32,22 @@ _NEG_CLIP = 1e-12
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class LimitPrediction:
-    """Asymptotic answers for one (phi, ensemble) pair."""
+    """Asymptotic answers for one (phi, ensemble) pair; spec is the ensemble itself,
+    whose entry law the limit CF and cumulants read."""
 
     v_goe: float
     kappa4_term: float
     diag_term: float
     v_w: float
     xstar_slope: float
-    ensemble_ref: dict
+    spec: EnsembleSpec
     phi_ref: dict
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        """JSON-ready record; the ensemble appears as its descriptor, ensemble_ref."""
+        d = {f.name: getattr(self, f.name) for f in dataclasses.fields(self) if f.name != "spec"}
+        d["ensemble_ref"] = self.spec.descriptor()
+        return d
 
 
 def first_moment_integral(phi, w: float) -> float:
@@ -115,19 +119,14 @@ def var_limit(phi: TestFunction, spec: EnsembleSpec) -> LimitPrediction:
         v_w=max(v_w, 0.0),
         # sqrt(w2) is sqrt(2) for the symmetric-diagonal conventions
         xstar_slope=math.sqrt(spec.w2) * i1 / spec.w**2,
-        ensemble_ref=spec.descriptor(),
+        spec=spec,
         phi_ref=phi.descriptor(),
     )
 
 
-def _check_provenance(prediction: LimitPrediction, spec: EnsembleSpec) -> None:
-    if prediction.ensemble_ref != spec.descriptor():
-        raise ProvenanceError("prediction was built for a different ensemble than spec")
-
-
-def limit_cf(prediction: LimitPrediction, spec: EnsembleSpec, x):
+def limit_cf(prediction: LimitPrediction, x):
     """Limiting characteristic function Z(x) of the centered scaled element."""
-    _check_provenance(prediction, spec)
+    spec = prediction.spec
     x_arr = np.asarray(x, dtype=float)
     xs = prediction.xstar_slope * x_arr
     # the exponent is -x^2 (V - w^2 s^2) / 2 <= 0; capping it at 0 keeps its rounding
@@ -137,17 +136,16 @@ def limit_cf(prediction: LimitPrediction, spec: EnsembleSpec, x):
     return complex(out) if np.isscalar(x) else out
 
 
-def limit_cumulants(prediction: LimitPrediction, spec: EnsembleSpec, max_order: int) -> list[float]:
+def limit_cumulants(prediction: LimitPrediction, max_order: int) -> list[float]:
     """Cumulants kappa_1..kappa_max of the limit law.
 
     kappa_2 is the total limiting variance; for l >= 3 the Gaussian part drops
     out and kappa_l = kappa_l(entry) * slope^l.
     """
-    _check_provenance(prediction, spec)
     if not 1 <= max_order <= MAX_ORDER:
         raise ContractError(f"max_order must be in 1..{MAX_ORDER}, got {max_order}")
     out = [0.0, prediction.v_w]
     s = prediction.xstar_slope
     for order in range(3, max_order + 1):
-        out.append(spec.entry_dist.cumulant(order) * s**order)
+        out.append(prediction.spec.entry_dist.cumulant(order) * s**order)
     return out[:max_order]

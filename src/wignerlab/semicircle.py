@@ -30,7 +30,6 @@ DEFAULT_NODES = 128
 
 POLYNOMIAL = "polynomial"
 GAUSSIAN_DAMPED = "gaussian_damped_polynomial"
-TRIGONOMETRIC = "trigonometric"
 TABULATED = "tabulated"
 
 
@@ -50,11 +49,10 @@ def _poly_parity(coefficients: Sequence[float]) -> str:
 
 @dataclass(frozen=True, eq=False)
 class TestFunction:
-    """A test function phi with an exactly-integrable representation.
+    """A test function phi with an exactly-integrable representation, of one of three kinds.
 
     kind "polynomial": coefficients c_k in ascending powers, phi = sum c_k x^k.
     kind "gaussian_damped_polynomial": phi = p(x) * exp(-x^2 / (2 width^2)).
-    kind "trigonometric": coefficients (a, b), phi = a cos x + b sin x.
     kind "tabulated": linear interpolation of (grid, values).
     """
 
@@ -72,9 +70,6 @@ class TestFunction:
         if self.kind == GAUSSIAN_DAMPED:
             p = np.polynomial.polynomial.polyval(lam, np.asarray(self.coefficients))
             return p * np.exp(-(lam**2) / (2.0 * self.envelope_width**2))
-        if self.kind == TRIGONOMETRIC:
-            a, b = self.coefficients
-            return a * np.cos(lam) + b * np.sin(lam)
         return np.interp(lam, self.grid, self.values)
 
     @property
@@ -123,15 +118,6 @@ def gaussian_damped(coefficients: Sequence[float], envelope_width: float = 1.0) 
         envelope_width=float(envelope_width),
         parity=_poly_parity(coeffs),
     )
-
-
-def trigonometric(a: float, b: float) -> TestFunction:
-    """phi(x) = a cos x + b sin x; closed under d/dx."""
-    coeffs = (float(a), float(b))
-    if not all(math.isfinite(c) for c in coeffs):
-        raise ContractError("trigonometric coefficients must be finite")
-    parity = "even" if coeffs[1] == 0.0 else ("odd" if coeffs[0] == 0.0 else "none")
-    return TestFunction(kind=TRIGONOMETRIC, coefficients=coeffs, parity=parity)
 
 
 def tabulated(grid: Sequence[float], values: Sequence[float]) -> TestFunction:

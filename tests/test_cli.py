@@ -326,6 +326,19 @@ def test_lemma_reads_no_phi(tmp_path, capsys):
         assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("command,n_list", [("lemma", [16, 16, 16, 128]), ("simulate", [32, 32])])
+def test_repeated_sizes_are_rejected(tmp_path, capsys, command, n_list):
+    """lemma's four sizes span 8x with only two distinct, so its decay fit would run through
+    two points; simulate would sample the same replicas twice."""
+    cfg = minimal_config(n_list=n_list, replicas=100, t_grid=[1.0])
+    out = tmp_path / "x"
+    code = cli.run_cli([command, "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
+    assert code == 2
+    payload = error_payload(capsys)
+    assert payload["error"] == "ConfigError" and "distinct" in payload["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e8, 1e12, 1e14])
 def test_predict_scaled_degenerate_variance_is_zero(tmp_path, scale):
     """Rademacher x^2 has limiting variance 0 at any scale; its terms cancel only to rounding.
@@ -597,6 +610,24 @@ def test_huge_phi_coefficient_is_finite_or_config_error(tmp_path, capsys, comman
                          n_list=[64], replicas=100)
     cfg[where] = {"kind": "polynomial", "coefficients": [0, magnitude]}
     assert_finite_or_config_error(tmp_path, capsys, command, cfg, f"config.{where}")
+
+
+@pytest.mark.parametrize("command", ["predict", "simulate"])
+@pytest.mark.parametrize("width", [1e-160, 1e-300])
+@pytest.mark.filterwarnings("error")  # no numpy RuntimeWarning may precede the JSON error
+def test_tiny_envelope_width_is_config_error(tmp_path, capsys, command, width):
+    """The envelope exp(-x^2 / (2 width^2)) overflows at 1e-160; at 1e-300 width^2 is 0
+    and it divides by zero.  Either way the config is rejected on its phi."""
+    cfg = minimal_config(spec={"entry_dist": {"kind": "rademacher", "w": 1.0}},
+                         phi={"kind": "gaussian_damped_polynomial", "coefficients": [0, 1],
+                              "envelope_width": width},
+                         n_list=[64], replicas=100)
+    out = tmp_path / "x"
+    code = cli.run_cli([command, "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
+    assert code == 2
+    payload = error_payload(capsys)
+    assert (payload["error"], payload["field"]) == ("ConfigError", "config.phi")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["predict", "simulate", "lemma"])

@@ -9,7 +9,7 @@ import oracles
 from wignerlab import cumulants as cm
 from wignerlab.ensembles import make_entry_distribution
 from wignerlab.errors import ContractError
-from wignerlab.semicircle import gaussian_damped, polynomial, tabulated, trigonometric
+from wignerlab.semicircle import gaussian_damped, polynomial, tabulated
 
 
 def explicit_kappas(mu):
@@ -174,8 +174,8 @@ def builtin_distributions():
 
 def builtin_test_maps():
     return [
-        trigonometric(0.0, 1.0),
-        trigonometric(1.0, 0.0),
+        oracles.Trigonometric(0.0, 1.0),
+        oracles.Trigonometric(1.0, 0.0),
         polynomial([0.0, 1.0, 0.5]),
         polynomial([0.0, 0.0, 0.0, 1.0]),
         gaussian_damped([1.0, 0.3], 1.0),
@@ -186,8 +186,9 @@ def test_gaussian_sin_identity_is_exact():
     # E{xi sin xi} = w^2 E{cos xi} for the Gaussian law: the expansion at the
     # order containing the first-derivative term reproduces it exactly
     dist = make_entry_distribution("gaussian", 1.0)
-    res = oracles.stein_expansion_residual(dist, trigonometric(0.0, 1.0), p=1)
-    assert res.rhs == pytest.approx(oracles.dist_expectation(dist, trigonometric(1.0, 0.0)), rel=1e-12)
+    res = oracles.stein_expansion_residual(dist, oracles.Trigonometric(0.0, 1.0), p=1)
+    cos_mean = oracles.dist_expectation(dist, oracles.Trigonometric(1.0, 0.0))
+    assert res.rhs == pytest.approx(cos_mean, rel=1e-12)
     assert abs(res.residual) <= 1e-10
 
 
@@ -203,7 +204,7 @@ def test_gaussian_p0_even_map_residual_zero():
     # at p=0 the expansion keeps only kappa_1 E{Phi} = 0; for even Phi the
     # left side vanishes by symmetry too
     dist = make_entry_distribution("gaussian", 1.0)
-    res = oracles.stein_expansion_residual(dist, trigonometric(1.0, 0.0), p=0)
+    res = oracles.stein_expansion_residual(dist, oracles.Trigonometric(1.0, 0.0), p=0)
     assert abs(res.residual) <= 1e-12
 
 
@@ -237,7 +238,7 @@ def test_truncation_residual_decays_for_entire_cf_law():
     # the entire-CF hypothesis makes the expansion summable: the truncation
     # residual must decay in p (no attempt to push it to machine zero)
     dist = make_entry_distribution("rademacher", 1.0)
-    residuals = [abs(oracles.stein_expansion_residual(dist, trigonometric(0.0, 1.0), p).residual)
+    residuals = [abs(oracles.stein_expansion_residual(dist, oracles.Trigonometric(0.0, 1.0), p).residual)
                  for p in range(5)]
     assert all(b <= a + 1e-14 for a, b in zip(residuals, residuals[1:]))
     assert residuals[4] <= 0.2 * residuals[0]
@@ -246,13 +247,13 @@ def test_truncation_residual_decays_for_entire_cf_law():
 def test_polynomial_sup_norm_rules():
     assert oracles.sup_norm(polynomial([3.0])) == 3.0
     assert oracles.sup_norm(polynomial([0.0, 1.0])) == math.inf
-    assert oracles.sup_norm(trigonometric(0.0, 1.0)) == 1.0
-    assert oracles.sup_norm(trigonometric(3.0, -4.0)) == 5.0
+    assert oracles.sup_norm(oracles.Trigonometric(0.0, 1.0)) == 1.0
+    assert oracles.sup_norm(oracles.Trigonometric(3.0, -4.0)) == 5.0
     gd = gaussian_damped([1.0], 1.0)
     assert oracles.sup_norm(gd) == pytest.approx(1.0, rel=1e-6)
     # a cos x + b sin x is closed under d/dx, with period four
-    trig = trigonometric(0.7, -1.3)
-    assert oracles.derivative(trig, 4).coefficients == trig.coefficients
+    trig = oracles.Trigonometric(0.7, -1.3)
+    assert oracles.derivative(trig, 4) == trig
     assert oracles.derivative(trig, 0) is trig
     x = np.linspace(-3.0, 3.0, 13)
     assert np.allclose(oracles.derivative(trig, 4)(x), trig(x), rtol=0, atol=1e-15)

@@ -6,7 +6,7 @@ import pytest
 import oracles
 from wignerlab import ensembles as en
 from wignerlab import limits as lm
-from wignerlab.errors import ContractError, InconsistencyError, ProvenanceError
+from wignerlab.errors import ContractError, InconsistencyError
 from wignerlab.semicircle import gaussian_damped, monomial, polynomial
 
 
@@ -231,7 +231,7 @@ def test_limit_cf_gaussian_factor_never_exceeds_one():
     xs = np.array([0.25, 0.5, 0.75, 1.0, 2.0])
     for c in (1.0, 2.5, 3000.0, 1e100):
         pred = lm.var_limit(polynomial([0.0, c]), spec)
-        z = lm.limit_cf(pred, spec, xs)
+        z = lm.limit_cf(pred, xs)
         assert np.array_equal(z, en.entry_cf(spec.entry_dist, pred.xstar_slope * xs))
         assert np.all(np.abs(z) <= 1.0)
 
@@ -271,7 +271,7 @@ def test_negativity_guard_is_relative_to_the_terms():
 
 
 def limit_cf(phi, spec, x):
-    return lm.limit_cf(lm.var_limit(phi, spec), spec, x)
+    return lm.limit_cf(lm.var_limit(phi, spec), x)
 
 
 def test_x_star_values():
@@ -302,7 +302,7 @@ def test_limit_cf_even_phi_is_gaussian():
     spec = rademacher_spec()
     pred = lm.var_limit(monomial(4), spec)
     xs = np.linspace(0, 2, 9)
-    vals = lm.limit_cf(pred, spec, xs)
+    vals = lm.limit_cf(pred, xs)
     assert np.allclose(vals, np.exp(-(xs**2) * pred.v_w / 2), atol=1e-13)
 
 
@@ -310,7 +310,7 @@ def test_limit_cf_goe_is_gaussian():
     spec = goe_spec()
     pred = lm.var_limit(monomial(3), spec)
     xs = np.linspace(0, 1.5, 7)
-    vals = lm.limit_cf(pred, spec, xs)
+    vals = lm.limit_cf(pred, xs)
     assert np.allclose(vals, np.exp(-(xs**2) * pred.v_w / 2), atol=1e-13)
 
 
@@ -326,7 +326,7 @@ def test_limit_cf_general_iid_variant():
     assert pred.xstar_slope == pytest.approx(2.0, abs=1e-12)
     assert pred.v_w == pytest.approx(6.0, abs=1e-10)
     xs = np.array([0.3, 0.9])
-    vals = lm.limit_cf(pred, spec, xs)
+    vals = lm.limit_cf(pred, xs)
     assert np.allclose(vals.real, np.exp(-xs**2) * np.cos(2 * xs), atol=1e-12)
 
 
@@ -339,7 +339,7 @@ def test_cf_second_derivative_consistency():
     ]:
         pred = lm.var_limit(phi, spec)
         logs = [
-            np.log(lm.limit_cf(pred, spec, x)) for x in (-h, 0.0, h)
+            np.log(lm.limit_cf(pred, x)) for x in (-h, 0.0, h)
         ]
         second = (logs[0] - 2 * logs[1] + logs[2]) / h**2
         assert abs(-second.real - pred.v_w) <= 1e-5 * (1 + pred.v_w)
@@ -352,14 +352,14 @@ def test_cf_second_derivative_consistency():
 
 def test_limit_cumulants_even_phi_gaussian():
     spec = rademacher_spec()
-    kappas = lm.limit_cumulants(lm.var_limit(monomial(4), spec), spec, 6)
+    kappas = lm.limit_cumulants(lm.var_limit(monomial(4), spec), 6)
     assert kappas[0] == 0.0
     assert all(k == 0.0 for k in kappas[2:])
 
 
 def test_limit_cumulants_cubic_rademacher():
     spec = rademacher_spec()
-    kappas = lm.limit_cumulants(lm.var_limit(monomial(3), spec), spec, 4)
+    kappas = lm.limit_cumulants(lm.var_limit(monomial(3), spec), 4)
     assert kappas[1] == pytest.approx(10.0, abs=1e-10)
     assert kappas[2] == pytest.approx(0.0, abs=1e-12)
     assert kappas[3] == pytest.approx(-128.0, rel=1e-10)
@@ -374,9 +374,9 @@ def test_limit_cumulants_match_cf_derivatives():
     pred = lm.var_limit(phi, spec)
     h = 0.02
     xs = np.array([-2, -1, 0, 1, 2]) * h
-    logs = np.log(lm.limit_cf(pred, spec, xs)).real
+    logs = np.log(lm.limit_cf(pred, xs)).real
     fourth = (logs[0] - 4 * logs[1] + 6 * logs[2] - 4 * logs[3] + logs[4]) / h**4
-    kappa4 = lm.limit_cumulants(pred, spec, 4)[3]
+    kappa4 = lm.limit_cumulants(pred, 4)[3]
     assert fourth == pytest.approx(kappa4, rel=5e-3)
 
 
@@ -386,7 +386,7 @@ def test_limit_cumulants_k2_equals_v_w():
         phi = polynomial(rng.uniform(-1, 1, size=5))
         spec = three_point_spec(float(rng.uniform(-2, 4)))
         pred = lm.var_limit(phi, spec)
-        assert lm.limit_cumulants(pred, spec, 2) == [0.0, pred.v_w]
+        assert lm.limit_cumulants(pred, 2) == [0.0, pred.v_w]
 
 
 def test_limit_cumulants_order_cap():
@@ -394,17 +394,22 @@ def test_limit_cumulants_order_cap():
     pred = lm.var_limit(monomial(3), spec)
     for order in (0, 9):
         with pytest.raises(ContractError):
-            lm.limit_cumulants(pred, spec, order)
+            lm.limit_cumulants(pred, order)
 
 
-def test_limit_laws_reject_a_prediction_for_another_ensemble():
-    pred = lm.var_limit(monomial(3), rademacher_spec())
-    for other in (goe_spec(), rademacher_spec(w=2.0), three_point_spec(1.0)):
-        with pytest.raises(ProvenanceError):
-            lm.limit_cf(pred, other, 0.5)
-        with pytest.raises(ProvenanceError):
-            lm.limit_cumulants(pred, other, 4)
-    assert lm.limit_cf(pred, rademacher_spec(), 0.0) == 1.0  # an equal spec built anew is accepted
+def test_prediction_carries_its_ensemble():
+    """The limit laws read the entry law of the spec var_limit was given, and to_dict
+    records that spec as ensemble_ref."""
+    skewed = en.EnsembleSpec(entry_dist=en.make_entry_distribution(
+        "two_point", 1.0, {"atoms": [-0.5, 2.0], "probs": [0.8, 0.2]}))
+    for spec in (rademacher_spec(), rademacher_spec(w=2.0), three_point_spec(1.0), skewed):
+        pred = lm.var_limit(monomial(3), spec)
+        assert pred.spec is spec
+        assert pred.to_dict()["ensemble_ref"] == spec.descriptor()
+        xs = pred.xstar_slope * 0.5
+        gaussian = math.exp((-0.25 * pred.v_w + spec.w**2 * xs**2) / 2.0)
+        assert lm.limit_cf(pred, 0.5) == pytest.approx(gaussian * en.entry_cf(spec.entry_dist, xs), rel=1e-12)
+        assert lm.limit_cumulants(pred, 3)[2] == spec.entry_dist.cumulant(3) * pred.xstar_slope**3
 
 
 # ---------------------------------------------------------------------------

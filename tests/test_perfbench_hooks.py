@@ -34,8 +34,10 @@ def test_span_tracer_installs():
 
 # the spans each workload's traced checks read, beside its small config
 NAMED_SPANS = {
-    "sim-uniform-smooth": {"spectral.eigh", "spectral.matrix_function_entry"},
-    "sim-rademacher-poly": {"ensembles.dense"},
+    "sim-uniform-smooth": {"spectral.eigh", "spectral.matrix_function_entry", "limits",
+                           "harness.estimators", "harness.replicas", "cli"},
+    "sim-rademacher-poly": {"ensembles.dense", "limits", "harness.estimators",
+                            "cumulants.sample_cumulants", "harness.replicas", "cli"},
 }
 TRACED_CONFIGS = {
     "sim-uniform-smooth": {
@@ -54,15 +56,14 @@ TRACED_CONFIGS = {
 }
 
 
-def required_spans(workload: str, prefixes: tuple[str, ...]) -> set[str]:
-    """Names of the spans behind the workload's expected layers that start with a prefix."""
+def required_spans(workload: str) -> set[str]:
+    """Names of the spans behind the workload's expected layers."""
     proc = subprocess.run(
         [sys.executable, "-c",
          f"import json, workloads; print(json.dumps(workloads.expected_layers({workload!r})))"],
         cwd=PERFBENCH, env=perfbench_env(), capture_output=True, text=True, timeout=120, check=True,
     )
-    return {metric.rsplit(".", 1)[0] for metric in json.loads(proc.stdout)
-            if metric.startswith(prefixes)}
+    return {metric.rsplit(".", 1)[0] for metric in json.loads(proc.stdout)}
 
 
 def traced_spans(tmp_path, cli_args: list[str]) -> list[dict]:
@@ -85,8 +86,9 @@ def busy_times(spans: list[dict]) -> dict[str, float]:
 
 @pytest.mark.parametrize("workload", sorted(TRACED_CONFIGS))
 def test_traced_simulate_records_required_spans(tmp_path, workload):
-    """spectral.* and ensembles.* layers the benchmark requires are recorded as spans."""
-    required = required_spans(workload, ("spectral.", "ensembles."))
+    """Every layer the benchmark requires of the workload is recorded as a span: the
+    sampler and evaluator, the replica phase, the estimators, the limit laws and the CLI."""
+    required = required_spans(workload)
     config = dict(TRACED_CONFIGS[workload], n_list=[64], replicas=100, root_seed=5)
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))
@@ -101,8 +103,8 @@ def test_traced_simulate_records_required_spans(tmp_path, workload):
 
 
 def test_traced_volterra_records_required_spans(tmp_path):
-    """Every volterra.* and semicircle.* layer of volterra-residuals is recorded as a span."""
-    required = required_spans("volterra-residuals", ("volterra.", "semicircle."))
+    """Every layer of volterra-residuals is recorded as a span."""
+    required = required_spans("volterra-residuals")
     busy = busy_times(traced_spans(tmp_path, ["volterra", "--h", "0.08,0.04", "--t-max", "1.2"]))
     assert {"volterra.coveq_residual", "volterra.phi_kernel_grid",
             "semicircle.sc_convolutions"} <= required
@@ -110,9 +112,9 @@ def test_traced_volterra_records_required_spans(tmp_path):
 
 
 def test_traced_lemma_records_required_spans(tmp_path):
-    """Every spectral.* and ensembles.* layer of lemma-goe-decay is recorded as a span, and
-    each replica makes one lemma_statistics call over the whole t grid."""
-    required = required_spans("lemma-goe-decay", ("spectral.", "ensembles."))
+    """Every layer of lemma-goe-decay is recorded as a span, and each replica makes one
+    lemma_statistics call over the whole t grid."""
+    required = required_spans("lemma-goe-decay")
     config = {"spec": {"entry_dist": {"kind": "gaussian", "w": 1.0}, "convention": "goe"},
               "phi": {"kind": "polynomial", "coefficients": [0, 1]},
               "n_list": [16, 32, 64, 128], "replicas": 100, "root_seed": 5, "t_grid": [1.0, 3.0]}

@@ -234,8 +234,6 @@ def test_coefficients_must_be_finite():
         for make in (sc.polynomial, sc.gaussian_damped):
             with pytest.raises(ContractError):
                 make([0.0, bad])
-        with pytest.raises(ContractError):
-            sc.trigonometric(bad, 1.0)
 
 
 def test_tabulated_validation():

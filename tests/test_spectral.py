@@ -7,7 +7,7 @@ import oracles
 from wignerlab import ensembles as en
 from wignerlab import spectral as sp
 from wignerlab.errors import ContractError
-from wignerlab.semicircle import gaussian_damped, monomial, polynomial, trigonometric
+from wignerlab.semicircle import gaussian_damped, monomial, polynomial
 
 
 def goe_spec(w=1.0):
@@ -162,10 +162,10 @@ LANCZOS_PHIS = {
     "damped_0.5": [gaussian_damped([0.0, 1.0, 0.0, 0.5], 0.5)],
     "damped_1": [gaussian_damped([1.0, 0.0, 1.0], 1.0)],
     "damped_2": [gaussian_damped([0.3, -1.0, 0.2], 2.0)],
-    "trigonometric": [trigonometric(0.4, 1.0)],
+    "trigonometric": [oracles.Trigonometric(0.4, 1.0)],
     "polynomial": [polynomial([0.2, -1.0, 0.0, 0.5, 1.0])],
     "mixed": [gaussian_damped([0.0, 1.0, 0.0, 0.5], 1.0), gaussian_damped([1.0, 0.0, 1.0], 1.2),
-              trigonometric(1.0, 0.0), monomial(3)],
+              oracles.Trigonometric(1.0, 0.0), monomial(3)],
 }
 
 
@@ -266,7 +266,7 @@ def test_lanczos_breakdown_is_exact():
     a[:3, :3] = (block + block.T) / 2
     a[3:, 3:] = (rest + rest.T) / 2
     m = packed(a)
-    phis = [gaussian_damped([0.0, 1.0, 0.0, 0.5], 0.5), trigonometric(1.0, 1.0)]
+    phis = [gaussian_damped([0.0, 1.0, 0.0, 0.5], 0.5), oracles.Trigonometric(1.0, 1.0)]
     dec = sp.eigh(m)
     for j in range(3):
         values, t = gauss_entries(m, j, phis)
