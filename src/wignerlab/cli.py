@@ -4,6 +4,9 @@ Subcommands: predict, simulate, volterra, lemma, report.  Exit codes: 0 on
 success, 2 on validation/usage errors, 3 on numeric failure, 1 otherwise.
 Errors are written to stderr as single-line JSON.
 
+Each subcommand computes its records and hands them to _write_outputs, the one
+output stage, which writes every primary output and then the run manifest.
+
 Primary outputs (result/prediction JSON, CSV tables) are byte-identical for a
 fixed config and seed regardless of --threads and of the BLAS thread default;
 the run manifest records wall time and the thread counts and is metadata, not
@@ -34,6 +37,7 @@ from .harness import (
     J_POLICIES,
     default_threads,
     lemma_decay_experiment,
+    phi_route,
     predict,
     run_entry_experiment,
 )
@@ -207,7 +211,7 @@ def config_hash(config_descriptor: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# output writers
+# output stage
 # ---------------------------------------------------------------------------
 
 
@@ -217,36 +221,43 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-
-
 def _write_json(path: Path, obj: dict) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n")
 
 
-def _write_manifest(out_dir: Path, cfg_hash: str, root_seed: int, threads: int,
-                    wall: float, outputs: list[Path], blas_threads: int | None = None,
-                    extra: dict | None = None) -> Path:
-    """Run metadata; blas_threads is the replica phases' BLAS thread count (None: no phase,
-    or no bundled OpenBLAS found); extra adds subcommand-specific fields."""
-    manifest = {
+def _write_outputs(out: str, started: float, files: dict[str, dict | list[dict]], cfg_hash: str,
+                   root_seed: int, threads: int, blas_threads: int | None = None, **extra) -> int:
+    """Write every primary output into out, then manifest.json, then one `wrote` line per file.
+
+    files maps a file name to its records: a dict is written as sorted JSON, a
+    list of dicts as CSV whose header is the first record's keys.  The manifest
+    is run metadata: blas_threads is the replica phases' BLAS thread count
+    (None: no phase, or no bundled OpenBLAS found), and extra adds
+    subcommand-specific fields.
+    """
+    out_dir = Path(out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, records in files.items():
+        if isinstance(records, dict):
+            _write_json(out_dir / name, records)
+            continue
+        with (out_dir / name).open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(records[0])
+            writer.writerows([_fmt(v) for v in record.values()] for record in records)
+    _write_json(out_dir / "manifest.json", {
         "config_hash": cfg_hash,
         "tool_version": __version__,
         "root_seed": root_seed,
         "threads": threads,
         "blas_threads": blas_threads,
-        "wall_time_s": wall,
-        "outputs": [p.name for p in outputs],
-        **(extra or {}),
-    }
-    path = out_dir / "manifest.json"
-    _write_json(path, manifest)
-    return path
+        "wall_time_s": time.monotonic() - started,
+        "outputs": list(files),
+        **extra,
+    })
+    for name in files:
+        print(f"wrote {out_dir / name}")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -260,14 +271,8 @@ def _cmd_predict(args) -> int:
     pred, cf = predict(cfg)
     out = pred.to_dict()
     out["cf"] = [[float(x), float(z.real), float(z.imag)] for x, z in zip(cfg.x_grid, cf)]
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    target = out_dir / "prediction.json"
-    _write_json(target, out)
-    _write_manifest(out_dir, config_hash(cfg.descriptor()), cfg.root_seed, 1,
-                    time.monotonic() - started, [target])
-    print(f"wrote {target}")
-    return 0
+    return _write_outputs(args.out, started, {"prediction.json": out},
+                          config_hash(cfg.descriptor()), cfg.root_seed, 1)
 
 
 def _cmd_simulate(args) -> int:
@@ -275,23 +280,13 @@ def _cmd_simulate(args) -> int:
     threads = _replica_threads(args)
     started = time.monotonic()
     result = run_entry_experiment(cfg, threads=threads)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = [out_dir / "result.json"]
-    _write_json(outputs[0], result.to_dict())
+    files = {"result.json": result.to_dict()}
     if args.raw:
-        rows = []
-        for p in result.per_n:
-            for r, y in enumerate(p.samples):
-                rows.append([p.n, r, p.j, float(y)])
-        outputs.append(out_dir / "replicas.csv")
-        _write_csv(outputs[-1], ["n", "replica", "j", "y_value"], rows)
-    _write_manifest(out_dir, config_hash(cfg.descriptor()), cfg.root_seed, threads,
-                    time.monotonic() - started, outputs, replica_blas_threads(),
-                    {"phi_route": cfg.phi_route(), "lanczos_steps_max": result.lanczos_steps_max})
-    for p in outputs:
-        print(f"wrote {p}")
-    return 0
+        files["replicas.csv"] = [{"n": p.n, "replica": r, "j": p.j, "y_value": float(y)}
+                                 for p in result.per_n for r, y in enumerate(p.samples)]
+    return _write_outputs(args.out, started, files, config_hash(cfg.descriptor()), cfg.root_seed,
+                          threads, replica_blas_threads(), phi_route=phi_route(cfg.phis()),
+                          lanczos_steps_max=result.lanczos_steps_max)
 
 
 def _cmd_volterra(args) -> int:
@@ -305,39 +300,22 @@ def _cmd_volterra(args) -> int:
             raise ConfigError(f"{flag}: expected a finite number, got {value!r}", field=flag)
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            rows = residual_table(h_values=h_values, w=args.w, kappa4=args.kappa4, t_max=args.t_max)
+            # as numpy scalars, so that w * w overflowing raises here instead of turning inf
+            rows = residual_table(h_values, np.float64(args.w), np.float64(args.kappa4), args.t_max)
     except (FloatingPointError, OverflowError) as exc:
         raise ConfigError(f"--w {args.w!r} with --kappa4 {args.kappa4!r} cannot be evaluated "
                           f"in floating point: {exc}") from exc
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    target = out_dir / "volterra_residuals.csv"
-    _write_csv(
-        target,
-        ["case", "h", "residual", "order_estimate"],
-        [[r["case"], r["h"], r["residual"], r["order_estimate"]] for r in rows],
-    )
-    _write_manifest(out_dir, config_hash({"h": h_values, "w": args.w, "kappa4": args.kappa4}),
-                    0, 1, time.monotonic() - started, [target])
-    print(f"wrote {target}")
-    return 0
+    return _write_outputs(args.out, started, {"volterra_residuals.csv": rows},
+                          config_hash({"h": h_values, "w": args.w, "kappa4": args.kappa4}), 0, 1)
 
 
 def _cmd_lemma(args) -> int:
     cfg = _load_config(args)
     threads = _replica_threads(args)
     started = time.monotonic()
-    report = lemma_decay_experiment(cfg, threads)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    target = out_dir / "lemma_decay.csv"
-    header = ["statistic", "t", "n", "mean_re", "mean_im", "variance",
-              "limit_re", "limit_im", "abs_gap", "var_slope"]
-    _write_csv(target, header, [[r[k] for k in header] for r in report.to_rows()])
-    _write_manifest(out_dir, config_hash(cfg.descriptor()), cfg.root_seed, threads,
-                    time.monotonic() - started, [target], replica_blas_threads())
-    print(f"wrote {target}")
-    return 0
+    rows = lemma_decay_experiment(cfg, threads)
+    return _write_outputs(args.out, started, {"lemma_decay.csv": rows}, config_hash(cfg.descriptor()),
+                          cfg.root_seed, threads, replica_blas_threads())
 
 
 def _cmd_report(args) -> int:

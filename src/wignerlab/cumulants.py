@@ -109,19 +109,18 @@ def jackknife_spread(loo: np.ndarray) -> float:
     return float(np.sqrt((n - 1) / n * np.sum((loo - np.mean(loo)) ** 2)))
 
 
-def sample_cumulants(data: Sequence[float], order: int = 4) -> SampleCumulants:
+def sample_cumulants(data: Sequence[float]) -> SampleCumulants:
     """k-statistics k1..k4 with jackknife standard errors.
 
-    Requires len(data) >= 8 * order.  Data is pre-centered by its mean before
-    the power sums are formed (k2..k4 are shift-invariant; the shift is added
-    back to k1), which keeps the power-sum formulas well conditioned.
+    Requires len(data) >= 32, eight observations per k-statistic.  Data is
+    pre-centered by its mean before the power sums are formed (k2..k4 are
+    shift-invariant; the shift is added back to k1), which keeps the
+    power-sum formulas well conditioned.
     """
-    if not 1 <= order <= 4:
-        raise ContractError("order must be in 1..4")
     x = np.asarray(data, dtype=float).ravel()
     n = x.size
-    if n < 8 * order:
-        raise ContractError(f"sample size {n} is below the required 8 * order = {8 * order}")
+    if n < 32:
+        raise ContractError(f"sample size {n} is below the required 32")
     shift = float(np.mean(x))
     (k1, k2, k3, k4), loo = k_statistics_loo(x - shift)
     return SampleCumulants(

@@ -240,10 +240,6 @@ class SymmetricMatrix:
             np.copyto(block, block.T, where=above[:e - a, :e - a])
         return m
 
-    def diagonal(self) -> np.ndarray:
-        i = np.arange(self.n)
-        return self.data[i * (i + 3) // 2]
-
 
 def _draw(dist: EntryDistribution, size: int, rng: np.random.Generator) -> np.ndarray:
     if dist.kind == GAUSSIAN:

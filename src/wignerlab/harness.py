@@ -3,8 +3,9 @@
 run_entry_experiment draws R matrices per size n, forms the centered scaled
 diagonal elements y_r = sqrt(n) (phi(M_r)_jj - mean), and estimates variance,
 cumulants and the empirical characteristic function with jackknife/analytic
-uncertainties; lemma_decay_experiment measures the propagator trace/row
-statistics whose means and variances must collapse onto their limits.
+uncertainties; lemma_decay_experiment returns the lemma_decay.csv rows, the
+means and variances of the propagator trace/row statistics, which must
+collapse onto their limits.
 
 Centering uses the cross-replica sample mean rather than the semicircle
 integral: the finite-n expectation differs from the limit by O(1/n), which the
@@ -125,10 +126,6 @@ class ExperimentConfig:
         if self.phi is None:
             raise ContractError("this experiment needs phi")
         return [self.phi] + ([self.phi2] if self.phi2 is not None else [])
-
-    def phi_route(self) -> str:
-        """How replicas evaluate phi(M)_jj, "eigh" or "lanczos" (see phi_route)."""
-        return phi_route(self.phis())
 
     def descriptor(self) -> dict:
         d = {
@@ -368,7 +365,7 @@ def run_entry_experiment(cfg: ExperimentConfig, threads: int | None = None) -> E
         raw = elements[:, 0]
         with float_range("config.phi"):
             y = math.sqrt(n) * (raw - raw.mean())
-            stats = sample_cumulants(y, order=4)
+            stats = sample_cumulants(y)
             excess_kurtosis = _excess_kurtosis_jackknife(y, stats)
             ks = gaussian_limit_test(y) if cfg.replicas >= 500 else {
                 "ks_stat": float("nan"), "threshold": float("nan"), "passed": None, "degenerate": False,
@@ -461,44 +458,24 @@ def compare_with_prediction_rows(per_n: Sequence[PerNResult], prediction: LimitP
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class DecayReport:
-    rows: list  # records {statistic, t, n, mean, variance, limit, abs_gap}
-    slopes: dict  # (statistic, t) -> log-log slope of variance vs n
-
-    def to_rows(self) -> list[dict]:
-        out = []
-        for r in self.rows:
-            key = (r["statistic"], r["t"])
-            out.append(
-                {
-                    "statistic": r["statistic"],
-                    "t": r["t"],
-                    "n": r["n"],
-                    "mean_re": r["mean"].real,
-                    "mean_im": r["mean"].imag,
-                    "variance": r["variance"],
-                    "limit_re": r["limit"].real,
-                    "limit_im": r["limit"].imag,
-                    "abs_gap": r["abs_gap"],
-                    "var_slope": self.slopes[key],
-                }
-            )
-        return out
-
-
-def lemma_decay_experiment(cfg: ExperimentConfig, threads: int | None = None) -> DecayReport:
-    """Means and variances of the propagator statistics across cfg.n_list.
+def lemma_decay_experiment(cfg: ExperimentConfig, threads: int | None = None) -> list[dict]:
+    """The lemma_decay.csv rows: means and variances of the propagator statistics across cfg.n_list.
 
     Each replica gives lemma_statistics over the whole cfg.t_grid in one
-    propagator pass; the replica variances are regressed log-log against n,
-    and the means are compared with the limiting values.  The row index j
-    comes from cfg.j_policy at each n.
+    propagator pass.  One row per (n, t, statistic) holds the replica mean
+    (mean_re, mean_im), the replica variance, the limiting value (limit_re,
+    limit_im), their gap, and var_slope, the log-log slope of the variance
+    against n for that (statistic, t).  The row index j comes from
+    cfg.j_policy at each n.  The limits are evaluated before the first
+    replica, so a t out of the float range is a ConfigError on config.t_grid.
     """
     if len(cfg.n_list) < 4 or max(cfg.n_list) < 8 * min(cfg.n_list):
         raise ContractError("decay experiments need at least 4 sizes spanning an 8x range")
     threads = default_threads() if threads is None else threads
     ts = [float(t) for t in cfg.t_grid]
+    with float_range("config.t_grid"):
+        limits = [(complex(v), complex(v), complex(v**2), 0.0 + 0.0j, complex(v**3))
+                  for v in map(float, v_of_t(np.array(ts), cfg.spec.w))]
     rows = []
     variances: dict[tuple[str, float], dict[int, float]] = {}
     for n in cfg.n_list:
@@ -508,31 +485,20 @@ def lemma_decay_experiment(cfg: ExperimentConfig, threads: int | None = None) ->
             return lemma_statistics(eigh(sample_matrix(cfg.spec, n, cfg.root_seed, r)), j, ts).ravel()
 
         samples = np.vstack(_parallel_map(one_replica, cfg.replicas, threads))
-        for i, t in enumerate(ts):
-            v = v_of_t(t, cfg.spec.w)
-            limits = (complex(v), complex(v), complex(v**2), 0.0 + 0.0j, complex(v**3))
-            for s_idx, (stat, limit) in enumerate(zip(DECAY_STATISTICS, limits)):
+        for i, (t, t_limits) in enumerate(zip(ts, limits)):
+            for s_idx, (stat, limit) in enumerate(zip(DECAY_STATISTICS, t_limits)):
                 col = samples[:, i * len(DECAY_STATISTICS) + s_idx]
                 mean = complex(col.mean())
                 var = float(np.sum(np.abs(col - mean) ** 2) / (col.size - 1))
-                rows.append(
-                    {
-                        "statistic": stat,
-                        "t": t,
-                        "n": n,
-                        "mean": mean,
-                        "variance": var,
-                        "limit": limit,
-                        "abs_gap": abs(mean - limit),
-                    }
-                )
+                rows.append({"statistic": stat, "t": t, "n": n, "mean_re": mean.real, "mean_im": mean.imag,
+                             "variance": var, "limit_re": limit.real, "limit_im": limit.imag,
+                             "abs_gap": abs(mean - limit)})
                 variances.setdefault((stat, t), {})[n] = var
     slopes = {}
     for key, by_n in variances.items():
         ns = sorted(by_n)
         vs = np.array([by_n[n] for n in ns])
-        if np.all(vs > 0):
-            slopes[key] = float(np.polyfit(np.log(ns), np.log(vs), 1)[0])
-        else:
-            slopes[key] = float("nan")
-    return DecayReport(rows=rows, slopes=slopes)
+        slopes[key] = float(np.polyfit(np.log(ns), np.log(vs), 1)[0]) if np.all(vs > 0) else float("nan")
+    for row in rows:
+        row["var_slope"] = slopes[row["statistic"], row["t"]]
+    return rows

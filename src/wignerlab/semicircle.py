@@ -219,7 +219,8 @@ def v_of_t(t, w: float):
     x = w * np.asarray(t, dtype=float)
     small = np.abs(x) < 1e-6
     safe = np.where(small, 1.0, x)
-    out = np.where(small, 1.0 - x * x / 2.0 + x**4 / 12.0, j1(2.0 * safe) / safe)
+    tiny = np.where(small, x, 0.0)  # the series only where it is taken, so a huge t cannot overflow it
+    out = np.where(small, 1.0 - tiny * tiny / 2.0 + tiny**4 / 12.0, j1(2.0 * safe) / safe)
     return float(out) if np.isscalar(t) else out
 
 

@@ -254,9 +254,9 @@ def scalar_v_equation_residual(w: float, grid: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def residual_table(h_values: Sequence[float] = (0.04, 0.02, 0.01), w: float = 1.0,
-                   kappa4: float = -2.0, t_max: float = 2.0) -> list[dict]:
-    """Residuals and observed orders for the built-in cases at each step size."""
+def residual_table(h_values: Sequence[float], w: float, kappa4: float, t_max: float = 2.0) -> list[dict]:
+    """The volterra_residuals.csv rows: residuals and observed orders for the built-in
+    cases at each step size, on [0, t_max]."""
     cases: dict[str, Callable[[float], float]] = {
         "scalar_v_equation": lambda h: scalar_v_equation_residual(w, uniform_grid(t_max, h)),
         "coveq": lambda h: coveq_residual(w, kappa4, uniform_grid(t_max, h)),

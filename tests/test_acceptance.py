@@ -70,7 +70,7 @@ def rademacher_batch():
 
 
 @pytest.fixture(scope="module")
-def decay_report():
+def decay_rows():
     cfg = hn.ExperimentConfig(spec=goe_spec(), phi=monomial(1), n_list=(128, 256, 512, 1024),
                               replicas=500, root_seed=ACCEPT_SEED + 1, t_grid=(1.0,))
     return hn.lemma_decay_experiment(cfg, threads=hn.default_threads())
@@ -173,19 +173,19 @@ def test_criterion_05_even_phi_clt(rademacher_batch):
     )
 
 
-def test_criterion_06_decay_suite(decay_report):
-    slopes = decay_report.slopes
-    rows_1024 = {r["statistic"]: r for r in decay_report.rows if r["n"] == 1024}
-    u_slope_ok = -1.3 <= slopes[("U_jj", 1.0)] <= -0.7
-    v_slope_ok = -2.4 <= slopes[("v_n", 1.0)] <= -1.6
+def test_criterion_06_decay_suite(decay_rows):
+    rows_1024 = {r["statistic"]: r for r in decay_rows if r["n"] == 1024}
+    u_slope, v_slope = rows_1024["U_jj"]["var_slope"], rows_1024["v_n"]["var_slope"]
+    u_slope_ok = -1.3 <= u_slope <= -0.7
+    v_slope_ok = -2.4 <= v_slope <= -1.6
     u_gap = rows_1024["U_jj"]["abs_gap"]
-    v_n1_mean = abs(rows_1024["v_n1"]["mean"])
+    v_n1_mean = abs(complex(rows_1024["v_n1"]["mean_re"], rows_1024["v_n1"]["mean_im"]))
     v_n2_gap = rows_1024["v_n2"]["abs_gap"]
     _criterion(
         6,
         u_slope_ok and v_slope_ok and u_gap <= 0.02 and v_n1_mean <= 0.05 and v_n2_gap <= 0.05,
-        f"Var slopes: U_jj {slopes[('U_jj', 1.0)]:.2f} (in [-1.3, -0.7]), "
-        f"v_n {slopes[('v_n', 1.0)]:.2f} (in [-2.4, -1.6]); at n=1024: "
+        f"Var slopes: U_jj {u_slope:.2f} (in [-1.3, -0.7]), "
+        f"v_n {v_slope:.2f} (in [-2.4, -1.6]); at n=1024: "
         f"|mean U_jj - v(1)| {u_gap:.4f} (<= 0.02), |mean v_n1| {v_n1_mean:.4f} (<= 0.05), "
         f"|mean v_n2 - v(1)^3| {v_n2_gap:.4f} (<= 0.05)",
     )

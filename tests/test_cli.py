@@ -122,6 +122,23 @@ def test_predict_end_to_end(tmp_path):
     assert manifest["outputs"] == ["prediction.json"]
 
 
+@pytest.mark.parametrize("command,files", [
+    (["simulate", "--raw"], ["result.json", "replicas.csv"]),
+    (["lemma"], ["lemma_decay.csv"]),
+    (["volterra", "--h", "0.5,0.25", "--t-max", "1"], ["volterra_residuals.csv"]),
+], ids=["simulate", "lemma", "volterra"])
+def test_manifest_lists_exactly_the_files_written(tmp_path, capsys, command, files):
+    if command[0] != "volterra":
+        cfg = minimal_config(n_list=[16, 32, 64, 128] if command[0] == "lemma" else [64], replicas=100)
+        command = command + ["--config", str(write_config(tmp_path, cfg))]
+    out = tmp_path / "o"
+    assert cli.run_cli(command + ["--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == files
+    assert sorted(p.name for p in out.iterdir()) == sorted(files + ["manifest.json"])
+    assert capsys.readouterr().out.splitlines() == [f"wrote {out / name}" for name in files]
+
+
 def test_simulate_deterministic_across_threads(tmp_path):
     cfg_path = write_config(tmp_path, minimal_config(n_list=[64], replicas=150))
     for threads, out in ((1, "a"), (4, "b")):
@@ -283,6 +300,24 @@ def test_lemma_subcommand(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 20  # 5 statistics x 4 sizes
     assert {row["statistic"] for row in rows} == {"U_jj", "v_n", "v_n_pair", "v_n1", "v_n2"}
+
+
+def test_lemma_var_slope_fits_its_own_variance_column(tmp_path):
+    import numpy as np
+
+    cfg = minimal_config(n_list=[16, 32, 64, 128], replicas=100, t_grid=[1.0, 3.0])
+    code = cli.run_cli(["lemma", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "l")])
+    assert code == 0
+    with (tmp_path / "l" / "lemma_decay.csv").open() as fh:
+        groups: dict = {}
+        for row in csv.DictReader(fh):
+            groups.setdefault((row["statistic"], row["t"]), []).append(row)
+    assert len(groups) == 10  # 5 statistics x 2 times
+    for rows in groups.values():
+        assert [int(r["n"]) for r in rows] == [16, 32, 64, 128]
+        assert len({r["var_slope"] for r in rows}) == 1
+        fit = np.polyfit(np.log([16, 32, 64, 128]), np.log([float(r["variance"]) for r in rows]), 1)[0]
+        assert float(rows[0]["var_slope"]) == pytest.approx(fit, rel=1e-12)
 
 
 def test_lemma_explicit_j(tmp_path):
@@ -598,6 +633,31 @@ def test_overflowing_x_grid_is_rejected_before_sampling(tmp_path, capsys, monkey
     payload = error_payload(capsys)
     assert (payload["error"], payload["field"]) == ("ConfigError", "config.x_grid")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("t,expected", [(1e300, 0), (1.7e308, 2)])
+@pytest.mark.filterwarnings("error")  # no numpy RuntimeWarning may reach stderr
+def test_lemma_huge_t_is_finite_or_config_error(tmp_path, capsys, monkeypatch, t, expected):
+    """v(t) at t = 1e300 is finite.  At 1.7e308, 2 w t overflows; the limits are evaluated
+    before the first replica, so no matrix is drawn and no output directory is made."""
+    if expected == 2:
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a matrix was drawn before the t_grid check")
+
+        monkeypatch.setattr(harness, "sample_matrix", no_draw)
+    cfg = minimal_config(n_list=[16, 32, 64, 128], replicas=100, t_grid=[t])
+    out = tmp_path / "x"
+    code = cli.run_cli(["lemma", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
+    assert code == expected
+    if expected == 2:
+        payload = error_payload(capsys)
+        assert (payload["error"], payload["field"]) == ("ConfigError", "config.t_grid")
+        assert not out.exists()
+        return
+    assert capsys.readouterr().err == ""
+    with (out / "lemma_decay.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert all(math.isfinite(float(v)) for r in rows for k, v in r.items() if k != "statistic")
 
 
 @pytest.mark.parametrize("command", ["predict", "simulate"])

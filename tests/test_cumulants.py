@@ -126,13 +126,13 @@ def test_sample_cumulants_rademacher_million():
 def test_sample_cumulants_unbiasedness_small_sample():
     # average of k2 over many tiny samples estimates the true variance
     rng = np.random.default_rng(3)
-    k2s = [cm.sample_cumulants(rng.standard_normal(40), order=4).k2 for _ in range(3000)]
+    k2s = [cm.sample_cumulants(rng.standard_normal(40)).k2 for _ in range(3000)]
     assert np.mean(k2s) == pytest.approx(1.0, abs=0.02)
 
 
 def test_sample_cumulants_requires_enough_data():
     with pytest.raises(ContractError):
-        cm.sample_cumulants(np.zeros(31), order=4)
+        cm.sample_cumulants(np.zeros(31))
 
 
 def test_k_statistic_convergence_rate():

@@ -58,11 +58,11 @@ def test_config_validation():
 
 def test_phi_route_resolution():
     table = tabulated([-3.0, 0.0, 3.0], [1.0, 0.0, 1.0])
-    assert small_config().phi_route() == "lanczos"
-    assert small_config(phi=gaussian_damped([0, 1.0])).phi_route() == "lanczos"
-    assert small_config(phi=gaussian_damped([0, 1.0]), phi2=monomial(2)).phi_route() == "lanczos"
-    assert small_config(phi=table).phi_route() == "eigh"
-    assert small_config(phi2=table).phi_route() == "eigh"
+    assert hn.phi_route(small_config().phis()) == "lanczos"
+    assert hn.phi_route(small_config(phi=gaussian_damped([0, 1.0])).phis()) == "lanczos"
+    assert hn.phi_route(small_config(phi=gaussian_damped([0, 1.0]), phi2=monomial(2)).phis()) == "lanczos"
+    assert hn.phi_route(small_config(phi=table).phis()) == "eigh"
+    assert hn.phi_route(small_config(phi2=table).phis()) == "eigh"
     assert "phi_eval" not in small_config().descriptor()
 
 
@@ -139,7 +139,7 @@ def test_polynomial_lanczos_and_spectral_routes_agree():
     cfg = small_config(phi=monomial(3), replicas=150)
     a = hn.run_entry_experiment(cfg, threads=1)
     b = eigh_route(cfg)
-    assert cfg.phi_route() == "lanczos"
+    assert hn.phi_route(cfg.phis()) == "lanczos"
     assert np.max(np.abs(a.per_n[0].samples - scaled(b[:, 0], 32))) <= 1e-9
     assert a.lanczos_steps_max == 2
 
@@ -149,7 +149,7 @@ def test_lanczos_and_spectral_routes_agree():
     cfg = small_config(phi=phi, phi2=phi2, replicas=150)
     a = hn.run_entry_experiment(cfg, threads=1)
     b = eigh_route(cfg)
-    assert cfg.phi_route() == "lanczos"
+    assert hn.phi_route(cfg.phis()) == "lanczos"
     assert np.max(np.abs(a.per_n[0].samples - scaled(b[:, 0], 32))) <= 1e-12
     assert a.per_n[0].covariance[0] == pytest.approx(32 * hn._jackknife_cov(b[:, 0], b[:, 1])[0],
                                                      rel=1e-10)
@@ -210,7 +210,7 @@ def test_auto_routes_each_phi_to_its_evaluator(monkeypatch, case):
     phis, route, eighs = ROUTE_PHIS[case]
     cfg = small_config(phi=phis[0], phi2=phis[1] if len(phis) > 1 else None, replicas=100)
     res = hn.run_entry_experiment(cfg, threads=1)
-    assert cfg.phi_route() == route
+    assert hn.phi_route(cfg.phis()) == route
     assert (res.lanczos_steps_max is None) == (route == "eigh")
     assert calls == {"lanczos_jacobi": 100 if route == "lanczos" else 0, "eigh": 100 * eighs}
     if route == "lanczos":
@@ -326,14 +326,12 @@ def decay_config(n_list):
 
 
 def test_decay_experiment_small_sizes():
-    report = hn.lemma_decay_experiment(decay_config([32, 64, 128, 256]), threads=2)
-    slopes = report.slopes
-    assert -1.4 <= slopes[("U_jj", 1.0)] <= -0.6
-    assert -2.5 <= slopes[("v_n", 1.0)] <= -1.5
-    last = {r["statistic"]: r for r in report.rows if r["n"] == 256}
+    rows = hn.lemma_decay_experiment(decay_config([32, 64, 128, 256]), threads=2)
+    last = {r["statistic"]: r for r in rows if r["n"] == 256}
+    assert -1.4 <= last["U_jj"]["var_slope"] <= -0.6
+    assert -2.5 <= last["v_n"]["var_slope"] <= -1.5
     assert last["U_jj"]["abs_gap"] <= 0.05
     assert last["v_n2"]["abs_gap"] <= 0.1
-    rows = report.to_rows()
     assert {row["statistic"] for row in rows} == set(sp.DECAY_STATISTICS)
 
 

@@ -335,13 +335,13 @@ def test_v2_equation_check_contracts():
 def test_residual_table_order_needs_two_positive_residuals(monkeypatch):
     residuals = iter([1e-3, 0.0, 1e-5, 2.5e-6])
     monkeypatch.setattr(vt, "scalar_v_equation_residual", lambda w, grid: next(residuals))
-    rows = vt.residual_table(h_values=(0.4, 0.2, 0.1, 0.05), t_max=0.4)
+    rows = vt.residual_table(h_values=(0.4, 0.2, 0.1, 0.05), w=1.0, kappa4=-2.0, t_max=0.4)
     orders = [r["order_estimate"] for r in rows if r["case"] == "scalar_v_equation"]
     assert all(math.isnan(o) for o in orders[:3]) and orders[3] == pytest.approx(2.0)
 
 
 def test_residual_table_orders():
-    rows = vt.residual_table(h_values=(0.04, 0.02, 0.01), t_max=2.0)
+    rows = vt.residual_table(h_values=(0.04, 0.02, 0.01), w=1.0, kappa4=-2.0, t_max=2.0)
     by_case: dict = {}
     for row in rows:
         by_case.setdefault(row["case"], []).append(row)
