@@ -201,8 +201,8 @@ class EnsembleSpec:
         }
 
 
-# rows per mirrored block: a 64x64 float64 block (32 KiB) and its transpose stay in cache
-_MIRROR_BLOCK = 64
+# side of a mirrored tile: a 64x64 float64 tile (32 KiB) and its transpose stay in cache
+_MIRROR_TILE = 64
 
 
 @lru_cache(maxsize=32)
@@ -225,44 +225,67 @@ class SymmetricMatrix:
         """M as a fresh, writable, C-contiguous n x n array.
 
         Row-major packed lower storage is the C order of the lower-triangle mask, so
-        one masked assignment fills the lower triangle with contiguous writes; the upper
-        triangle is then mirrored from it one row block at a time.
+        one masked assignment fills the lower triangle with contiguous writes.  The
+        upper triangle is then mirrored from it in 64 x 64 tiles, so each tile and its
+        transposed source stay in cache.  Every cell is a copy of a packed value.
         """
         n = self.n
         lower = _lower_mask(n)
-        above = ~lower[:_MIRROR_BLOCK, :_MIRROR_BLOCK]
+        above = ~lower[:_MIRROR_TILE, :_MIRROR_TILE]
         m = np.empty((n, n))
         m[lower] = self.data
-        for a in range(0, n, _MIRROR_BLOCK):
-            e = min(a + _MIRROR_BLOCK, n)
-            m[a:e, e:] = m[e:, a:e].T
+        for a in range(0, n, _MIRROR_TILE):
+            e = min(a + _MIRROR_TILE, n)
+            for c in range(e, n, _MIRROR_TILE):
+                d = min(c + _MIRROR_TILE, n)
+                m[a:e, c:d] = m[c:d, a:e].T
             block = m[a:e, a:e]
             np.copyto(block, block.T, where=above[:e - a, :e - a])
         return m
 
 
-def _draw(dist: EntryDistribution, size: int, rng: np.random.Generator) -> np.ndarray:
+def _continuous(dist: EntryDistribution, size: int, rng: np.random.Generator) -> np.ndarray:
+    """i.i.d. entries of a Gaussian or uniform law, in a fresh array."""
     if dist.kind == GAUSSIAN:
-        return dist.w * rng.standard_normal(size)
-    if dist.kind == UNIFORM:
-        a = math.sqrt(3.0) * dist.w
-        return rng.uniform(-a, a, size)
+        x = rng.standard_normal(size)
+        x *= dist.w
+        return x
+    a = math.sqrt(3.0) * dist.w
+    return rng.uniform(-a, a, size)
+
+
+def _atom_index(dist: EntryDistribution, size: int, rng: np.random.Generator) -> np.ndarray:
+    """Indices into dist.atoms of i.i.d. entries of a discrete law."""
     if dist.kind == RADEMACHER:
-        return dist.w * (2.0 * rng.integers(0, 2, size=size) - 1.0)
-    # general discrete: inverse-CDF on one uniform per entry
+        return rng.integers(0, 2, size=size)  # int64: another dtype draws another Philox stream
+    # inverse CDF on one uniform per entry
     edges = np.cumsum(dist.probs)
-    u = rng.random(size)
-    return dist.atoms[np.searchsorted(edges, u, side="right").clip(max=dist.atoms.size - 1)]
+    return np.searchsorted(edges, rng.random(size), side="right").clip(max=dist.atoms.size - 1)
 
 
 def sample_matrix(spec: EnsembleSpec, n: int, seed: int, replica: int = 0) -> SymmetricMatrix:
-    """Draw one matrix M = n^{-1/2} W.  Deterministic in (spec, n, seed, replica)."""
+    """Draw one matrix M = n^{-1/2} W.  Deterministic in (spec, n, seed, replica).
+
+    One variate per packed entry, in packed order.  The diagonal entries
+    (packed index i(i+3)/2) are multiplied by diag_scale, then every entry by
+    1/sqrt(n), in that order.  A discrete law looks its values up in its atoms
+    pre-multiplied in that same order: one gather, with the same bits.  The
+    Rademacher atoms -w, w are w (2k - 1) at its index k.
+    """
     if n < 2:
         raise ContractError("matrix size n must be >= 2")
     rng = seeding.generator(seed, [seeding.DOMAIN_MATRIX, n, replica])
-    packed = _draw(spec.entry_dist, n * (n + 1) // 2, rng)
+    dist = spec.entry_dist
+    size = n * (n + 1) // 2
     diag_idx = np.arange(n) * (np.arange(n) + 3) // 2
-    packed[diag_idx] *= spec.diag_scale
-    packed *= 1.0 / math.sqrt(n)
+    scale = 1.0 / math.sqrt(n)
+    if dist.atoms is None:
+        packed = _continuous(dist, size, rng)
+        packed[diag_idx] *= spec.diag_scale
+        packed *= scale
+    else:
+        k = _atom_index(dist, size, rng)
+        packed = (dist.atoms * scale)[k]
+        packed[diag_idx] = ((dist.atoms * spec.diag_scale) * scale)[k[diag_idx]]
     packed.setflags(write=False)
     return SymmetricMatrix(n=n, data=packed, seed=seed, replica_index=replica)

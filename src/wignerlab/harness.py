@@ -467,7 +467,8 @@ def lemma_decay_experiment(cfg: ExperimentConfig, threads: int | None = None) ->
     limit_im), their gap, and var_slope, the log-log slope of the variance
     against n for that (statistic, t).  The row index j comes from
     cfg.j_policy at each n.  The limits are evaluated before the first
-    replica, so a t out of the float range is a ConfigError on config.t_grid.
+    replica, so a t out of the float range is a ConfigError on config.t_grid,
+    and so is a t whose replica statistics leave it (lambda t overflowing).
     """
     if len(cfg.n_list) < 4 or max(cfg.n_list) < 8 * min(cfg.n_list):
         raise ContractError("decay experiments need at least 4 sizes spanning an 8x range")
@@ -482,7 +483,10 @@ def lemma_decay_experiment(cfg: ExperimentConfig, threads: int | None = None) ->
         j = resolve_j(cfg.j_policy, n, cfg.j_explicit)
 
         def one_replica(r: int) -> np.ndarray:  # runs to completion inside this iteration
-            return lemma_statistics(eigh(sample_matrix(cfg.spec, n, cfg.root_seed, r)), j, ts).ravel()
+            dec = eigh(sample_matrix(cfg.spec, n, cfg.root_seed, r))
+            # errstate is per thread, so the guard is set here, in the replica's own thread
+            with float_range("config.t_grid"):
+                return lemma_statistics(dec, j, ts).ravel()
 
         samples = np.vstack(_parallel_map(one_replica, cfg.replicas, threads))
         for i, (t, t_limits) in enumerate(zip(ts, limits)):

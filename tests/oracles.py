@@ -320,7 +320,32 @@ def sample_entries(dist: ensembles.EntryDistribution, size: int, seed: int,
                    labels: Sequence[int] = ()) -> np.ndarray:
     """i.i.d. scalar draws of the entry law from the (seed, labels) stream."""
     rng = seeding.generator(seed, [seeding.DOMAIN_SCALAR, *labels])
-    return ensembles._draw(dist, size, rng)
+    if dist.atoms is None:
+        return ensembles._continuous(dist, size, rng)
+    return dist.atoms[ensembles._atom_index(dist, size, rng)]
+
+
+def reference_packed(spec: ensembles.EnsembleSpec, n: int, seed: int, replica: int = 0) -> np.ndarray:
+    """sample_matrix's packed data by the plain op sequence: draw W's entries, scale the
+    diagonal by diag_scale, then everything by 1/sqrt(n), one full-array pass each."""
+    dist = spec.entry_dist
+    size = n * (n + 1) // 2
+    rng = seeding.generator(seed, [seeding.DOMAIN_MATRIX, n, replica])
+    if dist.kind == ensembles.GAUSSIAN:
+        packed = dist.w * rng.standard_normal(size)
+    elif dist.kind == ensembles.UNIFORM:
+        a = math.sqrt(3.0) * dist.w
+        packed = rng.uniform(-a, a, size)
+    elif dist.kind == ensembles.RADEMACHER:
+        packed = dist.w * (2.0 * rng.integers(0, 2, size=size) - 1.0)
+    else:
+        u = rng.random(size)
+        k = np.searchsorted(np.cumsum(dist.probs), u, side="right").clip(max=dist.atoms.size - 1)
+        packed = dist.atoms[k]
+    diag_idx = np.arange(n) * (np.arange(n) + 3) // 2
+    packed[diag_idx] *= spec.diag_scale
+    packed *= 1.0 / math.sqrt(n)
+    return packed
 
 
 def _c_p_bound(p: int) -> float:

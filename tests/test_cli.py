@@ -660,6 +660,21 @@ def test_lemma_huge_t_is_finite_or_config_error(tmp_path, capsys, monkeypatch, t
     assert all(math.isfinite(float(v)) for r in rows for k, v in r.items() if k != "statistic")
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.filterwarnings("error")  # no numpy RuntimeWarning may reach stderr
+def test_lemma_overflowing_replica_statistics_are_config_error(tmp_path, capsys, threads):
+    """At t = 8.8e307 the limits are finite, but lambda t overflows once an eigenvalue
+    exceeds 2.  Replica threads keep their own errstate, so both thread counts are run."""
+    cfg = minimal_config(n_list=[16, 32, 64, 128], replicas=100, t_grid=[8.8e307])
+    out = tmp_path / "x"
+    code = cli.run_cli(["lemma", "--config", str(write_config(tmp_path, cfg)), "--out", str(out),
+                        "--threads", str(threads)])
+    assert code == 2
+    payload = error_payload(capsys)
+    assert (payload["error"], payload["field"]) == ("ConfigError", "config.t_grid")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["predict", "simulate"])
 @pytest.mark.parametrize("where", ["phi", "phi2"])
 @pytest.mark.parametrize("magnitude", [1e100, 1e200, 1e300])

@@ -270,11 +270,23 @@ def _assert_dense_is_oracle(m: en.SymmetricMatrix) -> None:
     assert np.array_equal(m.dense().view(np.uint64), expected.view(np.uint64))
 
 
-@pytest.mark.parametrize("kind", ["gaussian", "uniform", "rademacher"])
-@pytest.mark.parametrize("n", [2, 3, 63, 64, 65, 128, 129, 200])
+# every kind at w = 1.3; the discrete atoms have mean 0 and variance 1.3^2
+_PARAMS = {
+    "two_point": {"atoms": [-0.65, 2.6], "probs": [0.8, 0.2]},
+    "discrete_custom": {"atoms": [-2.6, 0.0, 2.6], "probs": [0.125, 0.75, 0.125]},
+}
+
+
+def _dist(kind: str) -> en.EntryDistribution:
+    return en.make_entry_distribution(kind, 1.3, _PARAMS.get(kind))
+
+
+@pytest.mark.parametrize("kind", en.KINDS)
+@pytest.mark.parametrize("n", [2, 3, 63, 64, 65, 128, 129, 200, 1000, 1024])
 def test_dense_is_bit_identical_to_row_oracle(kind, n):
-    """Sizes on both sides of the 64-row mirror blocks, and below, at and above one block."""
-    spec = en.EnsembleSpec(entry_dist=en.make_entry_distribution(kind, 1.3))
+    """Sizes on both sides of the 64 x 64 mirror tiles: below, at and above one tile, and
+    at benchmark size with full (1024) and ragged (1000) last tiles."""
+    spec = en.EnsembleSpec(entry_dist=_dist(kind))
     _assert_dense_is_oracle(en.sample_matrix(spec, n, seed=8, replica=n))
 
 
@@ -287,3 +299,27 @@ def test_dense_keeps_signed_zeros(n):
     data[1::7] = 0.0
     data.setflags(write=False)
     _assert_dense_is_oracle(en.SymmetricMatrix(n=n, data=data, seed=0, replica_index=0))
+
+
+@pytest.mark.parametrize("kind,convention,w2", [
+    ("gaussian", "paper_symmetric", 2.0),
+    ("gaussian", "goe", 2.0),
+    ("gaussian", "general_diagonal", 3.0),
+    ("rademacher", "paper_symmetric", 2.0),
+    ("rademacher", "general_diagonal", 0.5),
+    ("uniform", "paper_symmetric", 2.0),
+    ("uniform", "general_diagonal", 1.0),
+    ("two_point", "paper_symmetric", 2.0),
+    ("two_point", "general_diagonal", 3.0),
+    ("discrete_custom", "paper_symmetric", 2.0),
+    ("discrete_custom", "general_diagonal", 5.0),
+])
+@pytest.mark.parametrize("n", [2, 3, 63, 64, 65, 129, 1024])
+def test_sample_matrix_bits_match_reference_ops(kind, convention, w2, n):
+    """The pre-scaled atom tables and the in-place Gaussian scaling keep every bit of
+    the plain draw, diagonal scale, 1/sqrt(n) sequence."""
+    spec = en.EnsembleSpec(entry_dist=_dist(kind), convention=convention, w2=w2)
+    data = en.sample_matrix(spec, n, seed=17, replica=n % 5).data
+    expected = oracles.reference_packed(spec, n, seed=17, replica=n % 5)
+    assert data.dtype == np.float64 and data.shape == (n * (n + 1) // 2,)
+    assert np.array_equal(data.view(np.uint64), expected.view(np.uint64))
