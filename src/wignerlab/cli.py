@@ -280,10 +280,11 @@ def _cmd_simulate(args) -> int:
     threads = _replica_threads(args)
     started = time.monotonic()
     result = run_entry_experiment(cfg, threads=threads)
-    files = {"result.json": result.to_dict()}
+    files = {"result.json": result.record}
     if args.raw:
-        files["replicas.csv"] = [{"n": p.n, "replica": r, "j": p.j, "y_value": float(y)}
-                                 for p in result.per_n for r, y in enumerate(p.samples)]
+        files["replicas.csv"] = [{"n": p["n"], "replica": r, "j": p["j"], "y_value": float(y)}
+                                 for p, ys in zip(result.record["per_n"], result.samples)
+                                 for r, y in enumerate(ys)]
     return _write_outputs(args.out, started, files, config_hash(cfg.descriptor()), cfg.root_seed,
                           threads, replica_blas_threads(), phi_route=phi_route(cfg.phis()),
                           lanczos_steps_max=result.lanczos_steps_max)
@@ -433,9 +434,6 @@ def run_cli(argv: list[str]) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return _DISPATCH[args.command](args)
-    except ConfigError as exc:
-        print(_error_json(exc), file=sys.stderr)
-        return 2
     except NumericFailureError as exc:
         print(_error_json(exc), file=sys.stderr)
         return 3

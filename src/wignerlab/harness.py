@@ -25,7 +25,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -225,7 +225,8 @@ def gaussian_limit_test(samples: Sequence[float]) -> dict:
     """KS statistic against a Gaussian fitted from the sample.
 
     pass iff ks <= 1.63/sqrt(R); approximate because the parameters are
-    fitted.  A zero-variance sample is reported degenerate, not failed.
+    fitted.  A zero-variance sample is reported degenerate, not failed, with
+    ks_stat None.
     """
     from scipy.special import ndtr  # loaded on first use: runs below 500 replicas never call it
 
@@ -235,7 +236,7 @@ def gaussian_limit_test(samples: Sequence[float]) -> dict:
     threshold = KS_COEFFICIENT / math.sqrt(y.size)
     sd = float(np.std(y, ddof=1))
     if sd == 0.0:
-        return {"ks_stat": float("nan"), "threshold": threshold, "passed": None, "degenerate": True}
+        return {"ks_stat": None, "threshold": threshold, "passed": None, "degenerate": True}
     z = np.sort((y - np.mean(y)) / sd)
     cdf = ndtr(z)
     i = np.arange(1, y.size + 1)
@@ -258,72 +259,22 @@ def _jackknife_cov(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
 
 
 @dataclass(frozen=True, eq=False)
-class PerNResult:
-    n: int
-    j: int
-    mean_element: float  # sample mean of phi(M)_jj before scaling
-    variance: float  # k2 of sqrt(n)-scaled centered elements
-    variance_ci: float  # 1.96 * jackknife se
-    k_stats: dict  # k2..k4 with jackknife se
-    excess_kurtosis: tuple[float, float]  # (k4/k2^2, jackknife se)
-    cf: list  # rows (x, Re, Im, ci_radius)
-    ks: dict
-    covariance: tuple[float, float] | None  # (n * cov, ci) when phi2 present
-    samples_hash: str
-    samples: np.ndarray = field(repr=False, default=None)
-
-    def to_dict(self) -> dict:
-        def clean(v):
-            return None if isinstance(v, float) and math.isnan(v) else v
-
-        d = {
-            "n": self.n,
-            "j": self.j,
-            "mean_element": self.mean_element,
-            "variance": self.variance,
-            "variance_ci": self.variance_ci,
-            "k_stats": self.k_stats,
-            "excess_kurtosis": [clean(v) for v in self.excess_kurtosis],
-            "cf": [[float(v) for v in row] for row in self.cf],
-            "ks": {k: clean(v) for k, v in self.ks.items()},
-            "samples_hash": self.samples_hash,
-        }
-        if self.covariance is not None:
-            d["covariance"] = list(self.covariance)
-        return d
-
-
-@dataclass(frozen=True, eq=False)
 class ExperimentResult:
-    config: dict
-    per_n: list
-    prediction: LimitPrediction
-    cov_prediction: float | None
-    comparison: dict
-    lanczos_steps_max: int | None  # run metadata, not in to_dict: largest Jacobi matrix
-
-    def to_dict(self) -> dict:
-        d = {
-            "config": self.config,
-            "per_n": [p.to_dict() for p in self.per_n],
-            "prediction": self.prediction.to_dict(),
-            "comparison": self.comparison,
-        }
-        if self.cov_prediction is not None:
-            d["cov_prediction"] = self.cov_prediction
-        return d
+    record: dict  # result.json
+    samples: list[np.ndarray]  # y per n in replica order, the rows of replicas.csv
+    lanczos_steps_max: int | None  # run metadata for the manifest: largest Jacobi matrix
 
 
-def _excess_kurtosis_jackknife(y: np.ndarray, stats: SampleCumulants) -> tuple[float, float]:
+def _excess_kurtosis_jackknife(y: np.ndarray, stats: SampleCumulants) -> tuple[float | None, float]:
     """g2 = k4/k2^2 with delete-1 jackknife se, from the leave-one-out k-statistics of
-    stats = sample_cumulants(y).
+    stats = sample_cumulants(y); g2 is None for a zero-variance sample.
 
     g2 does not depend on scale, so a sample whose k2^2 underflows is centred
     again and scaled by a power of two that brings its largest magnitude into [0.5, 1).
     """
     k2, k4, (_, k2i, _, k4i) = stats.k2, stats.k4, stats.loo
     if k2 == 0.0:
-        return float("nan"), 0.0  # degenerate sample: kurtosis undefined
+        return None, 0.0  # degenerate sample: kurtosis undefined
     if k2 * k2 < sys.float_info.min:
         xc = y - y.mean()
         xc = np.ldexp(xc, -np.frexp(np.max(np.abs(xc)))[1])
@@ -344,7 +295,12 @@ def predict(cfg: ExperimentConfig) -> tuple[LimitPrediction, np.ndarray]:
 
 
 def run_entry_experiment(cfg: ExperimentConfig, threads: int | None = None) -> ExperimentResult:
-    """Full estimation pipeline for one (phi, ensemble) pair over cfg.n_list."""
+    """Full estimation pipeline for one (phi, ensemble) pair over cfg.n_list.
+
+    The record is result.json as written: per n the estimates (an undefined
+    kurtosis or KS statistic is None; covariance only with cfg.phi2), the
+    prediction, the comparison, and cov_prediction with cfg.phi2.
+    """
     threads = default_threads() if threads is None else threads
     phis = cfg.phis()
     # predicted before sampling, so a config the limit law overflows on costs no replica
@@ -353,7 +309,8 @@ def run_entry_experiment(cfg: ExperimentConfig, threads: int | None = None) -> E
         cov_prediction = (
             float(cov_limit_wigner(cfg.phi, cfg.phi2, cfg.spec)) if cfg.phi2 is not None else None
         )
-    per_n: list[PerNResult] = []
+    per_n: list[dict] = []
+    samples: list[np.ndarray] = []
     lanczos_steps: list[int] = []
     for n in cfg.n_list:
         j = resolve_j(cfg.j_policy, n, cfg.j_explicit)
@@ -368,49 +325,48 @@ def run_entry_experiment(cfg: ExperimentConfig, threads: int | None = None) -> E
             stats = sample_cumulants(y)
             excess_kurtosis = _excess_kurtosis_jackknife(y, stats)
             ks = gaussian_limit_test(y) if cfg.replicas >= 500 else {
-                "ks_stat": float("nan"), "threshold": float("nan"), "passed": None, "degenerate": False,
+                "ks_stat": None, "threshold": None, "passed": None, "degenerate": False,
             }
         with float_range("config.x_grid"):
             cf_values, cf_ci = empirical_cf(y, cfg.x_grid)
-        covariance = None
+        record = {
+            "n": n,
+            "j": j,
+            "mean_element": float(raw.mean()),  # before scaling
+            "variance": stats.k2,  # of the sqrt(n)-scaled centered elements
+            "variance_ci": 1.96 * stats.se[1],
+            "k_stats": {
+                "k2": [stats.k2, stats.se[1]],
+                "k3": [stats.k3, stats.se[2]],
+                "k4": [stats.k4, stats.se[3]],
+            },
+            "excess_kurtosis": list(excess_kurtosis),  # [k4/k2^2, jackknife se]
+            "cf": [
+                [float(x), float(v.real), float(v.imag), float(c)]
+                for x, v, c in zip(cfg.x_grid, cf_values, cf_ci)
+            ],
+            "ks": ks,
+            "samples_hash": hashlib.blake2b(y.tobytes(), digest_size=8).hexdigest(),
+        }
         if cfg.phi2 is not None:
             with float_range("config.phi2"):
                 cov, cov_se = _jackknife_cov(elements[:, 0], elements[:, 1])
-                covariance = (n * cov, n * 1.96 * cov_se)
-        per_n.append(
-            PerNResult(
-                n=n,
-                j=j,
-                mean_element=float(raw.mean()),
-                variance=stats.k2,
-                variance_ci=1.96 * stats.se[1],
-                k_stats={
-                    "k2": [stats.k2, stats.se[1]],
-                    "k3": [stats.k3, stats.se[2]],
-                    "k4": [stats.k4, stats.se[3]],
-                },
-                excess_kurtosis=excess_kurtosis,
-                cf=[
-                    [float(x), float(v.real), float(v.imag), float(c)]
-                    for x, v, c in zip(cfg.x_grid, cf_values, cf_ci)
-                ],
-                ks=ks,
-                covariance=covariance,
-                samples_hash=hashlib.blake2b(y.tobytes(), digest_size=8).hexdigest(),
-                samples=y,
-            )
-        )
+                record["covariance"] = [n * cov, n * 1.96 * cov_se]
+        per_n.append(record)
+        samples.append(y)
     # the limit cumulants grow as the phi's x* slope to the fourth power
     with float_range("config.phi"):
         comparison = compare_with_prediction_rows(per_n, prediction, cf_pred, cov_prediction)
-    return ExperimentResult(
-        config=cfg.descriptor(),
-        per_n=per_n,
-        prediction=prediction,
-        cov_prediction=cov_prediction,
-        comparison=comparison,
-        lanczos_steps_max=max(lanczos_steps, default=None),
-    )
+    result = {
+        "config": cfg.descriptor(),
+        "per_n": per_n,
+        "prediction": prediction.to_dict(),
+        "comparison": comparison,
+    }
+    if cov_prediction is not None:
+        result["cov_prediction"] = cov_prediction
+    return ExperimentResult(record=result, samples=samples,
+                            lanczos_steps_max=max(lanczos_steps, default=None))
 
 
 def _safe_z(diff: float, ci: float) -> float:
@@ -419,34 +375,36 @@ def _safe_z(diff: float, ci: float) -> float:
     return diff / ci
 
 
-def _variance_row(p: PerNResult, prediction: LimitPrediction) -> dict:
-    z_var = _safe_z(p.variance - prediction.v_w, p.variance_ci)
-    return {"n": p.n, "z_variance": z_var, "variance_ok": bool(abs(z_var) <= 3.0)}
+def compare_with_prediction_rows(per_n: Sequence[dict], prediction: LimitPrediction,
+                                 cf_pred: np.ndarray, cov_prediction: float | None) -> dict:
+    """z-scores of every per-n record of result.json against its limit, one row per n.
 
-
-def compare_with_prediction_rows(per_n: Sequence[PerNResult], prediction: LimitPrediction,
-                                 cf_pred: np.ndarray, cov_prediction: float | None = None) -> dict:
-    """z-scores of every estimate against its limit, one record per n.
-
-    cf_pred holds the limit CF at the x values of each record's cf rows.
+    cf_pred holds the limit CF at the x values of each record's cf rows;
+    cov_prediction is compared with the records' covariance, present only
+    when a second phi was sampled.
     """
     kappas = limit_cumulants(prediction, 4)
     rows = []
     for p in per_n:
         cf_rows = []
-        for (x, re, im, ci), zp in zip(p.cf, cf_pred):
+        for (x, re, im, ci), zp in zip(p["cf"], cf_pred):
             gap = abs(complex(re, im) - zp)
             cf_rows.append({"x": x, "gap": gap, "ci": ci, "within_budget": bool(gap <= ci + FINITE_SIZE_CF_BUDGET)})
-        record = _variance_row(p, prediction)
-        record.update(
-            z_k3=_safe_z(p.k_stats["k3"][0] - kappas[2], 1.96 * p.k_stats["k3"][1]),
-            z_k4=_safe_z(p.k_stats["k4"][0] - kappas[3], 1.96 * p.k_stats["k4"][1]),
-            cf=cf_rows,
-            cf_ok=bool(all(r["within_budget"] for r in cf_rows)),
-        )
-        if cov_prediction is not None and p.covariance is not None:
-            record["z_covariance"] = _safe_z(p.covariance[0] - cov_prediction, p.covariance[1])
-        rows.append(record)
+        z_var = _safe_z(p["variance"] - prediction.v_w, p["variance_ci"])
+        (k3, k3_se), (k4, k4_se) = p["k_stats"]["k3"], p["k_stats"]["k4"]
+        row = {
+            "n": p["n"],
+            "z_variance": z_var,
+            "variance_ok": bool(abs(z_var) <= 3.0),
+            "z_k3": _safe_z(k3 - kappas[2], 1.96 * k3_se),
+            "z_k4": _safe_z(k4 - kappas[3], 1.96 * k4_se),
+            "cf": cf_rows,
+            "cf_ok": bool(all(r["within_budget"] for r in cf_rows)),
+        }
+        if "covariance" in p:
+            cov, cov_ci = p["covariance"]
+            row["z_covariance"] = _safe_z(cov - cov_prediction, cov_ci)
+        rows.append(row)
     return {
         "per_n": rows,
         "note": "finite-size bias is O(n^-1/2) and is not subtracted from the estimates",

@@ -13,8 +13,8 @@ in the package uses the one DEFAULT_NODES-node rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -54,6 +54,8 @@ class TestFunction:
     kind "polynomial": coefficients c_k in ascending powers, phi = sum c_k x^k.
     kind "gaussian_damped_polynomial": phi = p(x) * exp(-x^2 / (2 width^2)).
     kind "tabulated": linear interpolation of (grid, values).
+
+    parity is derived from this data, never given, so it cannot disagree with the function.
     """
 
     kind: str
@@ -61,7 +63,6 @@ class TestFunction:
     envelope_width: float = 0.0
     grid: np.ndarray | None = None
     values: np.ndarray | None = None
-    parity: str = field(default="none")
 
     def __call__(self, lam):
         lam = np.asarray(lam, dtype=complex if np.iscomplexobj(lam) else float)
@@ -71,6 +72,22 @@ class TestFunction:
             p = np.polynomial.polynomial.polyval(lam, np.asarray(self.coefficients))
             return p * np.exp(-(lam**2) / (2.0 * self.envelope_width**2))
         return np.interp(lam, self.grid, self.values)
+
+    @cached_property
+    def parity(self) -> str:
+        """The parity, "even", "odd" or "none": the polynomial factor's exactly-zero coefficient
+        structure (the Gaussian envelope is even), or a tabulated grid and values mirrored
+        about 0 to 1e-12."""
+        if self.kind != TABULATED:
+            return _poly_parity(self.coefficients)
+        g, v = self.grid, self.values
+        scale = float(np.max(np.abs(v))) or 1.0
+        if np.allclose(g, -g[::-1], rtol=0, atol=1e-12 * max(1.0, float(g[-1]))):
+            if np.allclose(v, v[::-1], rtol=0, atol=1e-12 * scale):
+                return "even"
+            if np.allclose(v, -v[::-1], rtol=0, atol=1e-12 * scale):
+                return "odd"
+        return "none"
 
     @property
     def degree(self) -> int:
@@ -97,7 +114,7 @@ def polynomial(coefficients: Sequence[float]) -> TestFunction:
     coeffs = tuple(float(c) for c in coefficients)
     if not all(math.isfinite(c) for c in coeffs):
         raise ContractError("polynomial coefficients must be finite")
-    return TestFunction(kind=POLYNOMIAL, coefficients=coeffs, parity=_poly_parity(coeffs))
+    return TestFunction(kind=POLYNOMIAL, coefficients=coeffs)
 
 
 def monomial(power: int) -> TestFunction:
@@ -111,13 +128,7 @@ def gaussian_damped(coefficients: Sequence[float], envelope_width: float = 1.0) 
         raise ContractError("gaussian_damped coefficients must be finite")
     if envelope_width <= 0 or not math.isfinite(envelope_width):
         raise ContractError("envelope width must be positive and finite")
-    # even envelope: parity is that of the polynomial factor
-    return TestFunction(
-        kind=GAUSSIAN_DAMPED,
-        coefficients=coeffs,
-        envelope_width=float(envelope_width),
-        parity=_poly_parity(coeffs),
-    )
+    return TestFunction(kind=GAUSSIAN_DAMPED, coefficients=coeffs, envelope_width=float(envelope_width))
 
 
 def tabulated(grid: Sequence[float], values: Sequence[float]) -> TestFunction:
@@ -129,18 +140,11 @@ def tabulated(grid: Sequence[float], values: Sequence[float]) -> TestFunction:
         raise ContractError("tabulated grid and values must be finite")
     if not np.all(np.diff(g) > 0):
         raise ContractError("tabulated grid must be strictly increasing")
-    parity = "none"
-    scale = float(np.max(np.abs(v))) or 1.0
-    if np.allclose(g, -g[::-1], rtol=0, atol=1e-12 * max(1.0, float(g[-1]))):
-        if np.allclose(v, v[::-1], rtol=0, atol=1e-12 * scale):
-            parity = "even"
-        elif np.allclose(v, -v[::-1], rtol=0, atol=1e-12 * scale):
-            parity = "odd"
     g = g.copy()
     v = v.copy()
     g.setflags(write=False)
     v.setflags(write=False)
-    return TestFunction(kind=TABULATED, grid=g, values=v, parity=parity)
+    return TestFunction(kind=TABULATED, grid=g, values=v)
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +158,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    w: float
-    n: int
 
 
 @lru_cache(maxsize=128)
@@ -166,7 +168,7 @@ def _chebyshev_u_rule(w: float, n_nodes: int) -> QuadratureRule:
     weights = (2.0 / (n_nodes + 1)) * np.sin(theta) ** 2
     nodes.setflags(write=False)
     weights.setflags(write=False)
-    return QuadratureRule(nodes=nodes, weights=weights, w=w, n=n_nodes)
+    return QuadratureRule(nodes=nodes, weights=weights)
 
 
 def gauss_chebyshev_u(w: float, n_nodes: int = DEFAULT_NODES) -> QuadratureRule:

@@ -25,9 +25,12 @@ from .errors import ContractError, NumericFailureError
 class SpectralDecomposition:
     """Eigenvalues ascending; eigenvectors orthonormal in columns."""
 
-    n: int
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.eigenvalues.size
 
 
 def eigh(m: SymmetricMatrix | JacobiMatrix) -> SpectralDecomposition:
@@ -47,7 +50,7 @@ def eigh(m: SymmetricMatrix | JacobiMatrix) -> SpectralDecomposition:
         ) from exc
     vals.setflags(write=False)
     vecs.setflags(write=False)
-    return SpectralDecomposition(n=m.n, eigenvalues=vals, eigenvectors=vecs)
+    return SpectralDecomposition(eigenvalues=vals, eigenvectors=vecs)
 
 
 def _check_index(dec_n: int, idx: int, name: str) -> None:

@@ -284,14 +284,19 @@ def jackknife_se(data: Sequence[float], statistic) -> tuple[float, float]:
 
 
 def compare_with_prediction(result: harness.ExperimentResult, prediction: LimitPrediction) -> dict:
-    """Re-compare a result's variances against an externally supplied prediction.
+    """Re-compare a result's variances against an externally supplied prediction:
+    z = (variance - v_w) / variance_ci for each per-n record.
 
     The prediction's ensemble and phi must be the ones the result was produced under.
     """
-    if prediction.spec.descriptor() != result.config["spec"] or prediction.phi_ref != result.config["phi"]:
+    record = result.record
+    if prediction.spec.descriptor() != record["config"]["spec"] or prediction.phi_ref != record["config"]["phi"]:
         raise ContractError("prediction and result were built from different (phi, ensemble) pairs")
-    rows = [harness._variance_row(p, prediction) for p in result.per_n]
-    return {"per_n": rows, "note": result.comparison["note"]}
+    rows = []
+    for p in record["per_n"]:
+        z = (p["variance"] - prediction.v_w) / p["variance_ci"]
+        rows.append({"n": p["n"], "z_variance": z, "variance_ok": bool(abs(z) <= 3.0)})
+    return {"per_n": rows, "note": record["comparison"]["note"]}
 
 
 # ---------------------------------------------------------------------------

@@ -103,7 +103,7 @@ def test_criterion_02_degenerate_variance():
             spec=spec, phi=monomial(2), n_list=(n,), replicas=500, root_seed=ACCEPT_SEED + n
         )
         res = hn.run_entry_experiment(cfg, threads=hn.default_threads())
-        worst = max(worst, abs(res.per_n[0].variance))
+        worst = max(worst, abs(res.record["per_n"][0]["variance"]))
     elapsed = time.monotonic() - start
     _criterion(
         2,

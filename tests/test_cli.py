@@ -258,6 +258,34 @@ def test_result_json_round_trip(tmp_path):
     assert json.dumps(obj, sort_keys=True, indent=1) + "\n" == text
 
 
+@pytest.mark.parametrize("overrides", [
+    # phi2 set: result.json carries covariance and cov_prediction
+    dict(phi2={"kind": "polynomial", "coefficients": [0, 0, 0, 1]}, n_list=[32, 48], replicas=150),
+    # Rademacher x^2 is degenerate: the kurtosis and the KS statistic are None
+    dict(spec={"entry_dist": {"kind": "rademacher", "w": 1.0}}, n_list=[32], replicas=500),
+], ids=["phi2", "degenerate"])
+def test_simulate_writes_exactly_its_record(tmp_path, overrides):
+    cfg_path = write_config(tmp_path, minimal_config(**overrides))
+    assert cli.run_cli(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "s"),
+                        "--raw", "--threads", "1"]) == 0
+    result = harness.run_entry_experiment(cli.parse_config(cfg_path), threads=1)
+    written = json.loads((tmp_path / "s" / "result.json").read_text())
+    assert written == json.loads(json.dumps(result.record))
+    per_n = written["per_n"]
+    if "phi2" in overrides:
+        assert all("covariance" in p for p in per_n) and "cov_prediction" in written
+    else:
+        assert per_n[0]["excess_kurtosis"][0] is None and per_n[0]["ks"]["ks_stat"] is None
+    with (tmp_path / "s" / "replicas.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(int(r["n"]), int(r["j"]), int(r["replica"])) for r in rows] == [
+        (p["n"], p["j"], i) for p, y in zip(per_n, result.samples) for i in range(y.size)]
+    import numpy as np
+
+    column = np.array([float(r["y_value"]) for r in rows])
+    assert column.tobytes() == np.concatenate(result.samples).tobytes()
+
+
 def test_volterra_subcommand(tmp_path):
     code = cli.run_cli(["volterra", "--out", str(tmp_path / "v"), "--h", "0.08,0.04", "--t-max", "1.2"])
     assert code == 0

@@ -117,10 +117,10 @@ def test_gaussian_limit_test_calibration():
 def test_goe_identity_function_variance():
     # sqrt(n) M_jj is exactly N(0, 2w^2) at every n
     res = hn.run_entry_experiment(small_config(replicas=2000, n_list=(256,)), threads=2)
-    p = res.per_n[0]
-    assert abs(p.variance - 2.0) <= 3 * p.variance_ci
-    assert res.comparison["per_n"][0]["variance_ok"]
-    assert p.ks["passed"] is True
+    p = res.record["per_n"][0]
+    assert abs(p["variance"] - 2.0) <= 3 * p["variance_ci"]
+    assert res.record["comparison"]["per_n"][0]["variance_ok"]
+    assert p["ks"]["passed"] is True
 
 
 def eigh_route(cfg: hn.ExperimentConfig) -> np.ndarray:
@@ -140,7 +140,7 @@ def test_polynomial_lanczos_and_spectral_routes_agree():
     a = hn.run_entry_experiment(cfg, threads=1)
     b = eigh_route(cfg)
     assert hn.phi_route(cfg.phis()) == "lanczos"
-    assert np.max(np.abs(a.per_n[0].samples - scaled(b[:, 0], 32))) <= 1e-9
+    assert np.max(np.abs(a.samples[0] - scaled(b[:, 0], 32))) <= 1e-9
     assert a.lanczos_steps_max == 2
 
 
@@ -150,9 +150,9 @@ def test_lanczos_and_spectral_routes_agree():
     a = hn.run_entry_experiment(cfg, threads=1)
     b = eigh_route(cfg)
     assert hn.phi_route(cfg.phis()) == "lanczos"
-    assert np.max(np.abs(a.per_n[0].samples - scaled(b[:, 0], 32))) <= 1e-12
-    assert a.per_n[0].covariance[0] == pytest.approx(32 * hn._jackknife_cov(b[:, 0], b[:, 1])[0],
-                                                     rel=1e-10)
+    assert np.max(np.abs(a.samples[0] - scaled(b[:, 0], 32))) <= 1e-12
+    assert a.record["per_n"][0]["covariance"][0] == pytest.approx(
+        32 * hn._jackknife_cov(b[:, 0], b[:, 1])[0], rel=1e-10)
     assert 1 <= a.lanczos_steps_max <= 32
 
 
@@ -221,14 +221,14 @@ def test_auto_routes_each_phi_to_its_evaluator(monkeypatch, case):
 
 def test_result_deterministic_across_threads():
     cfg = small_config(replicas=300)
-    a = hn.run_entry_experiment(cfg, threads=1).to_dict()
-    b = hn.run_entry_experiment(cfg, threads=4).to_dict()
+    a = hn.run_entry_experiment(cfg, threads=1).record
+    b = hn.run_entry_experiment(cfg, threads=4).record
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
 def test_replica_sequence_uncorrelated():
     res = hn.run_entry_experiment(small_config(replicas=2000, n_list=(64,)), threads=2)
-    y = res.per_n[0].samples
+    y = res.samples[0]
     y0 = y - y.mean()
     rho1 = float(np.dot(y0[:-1], y0[1:]) / np.dot(y0, y0))
     assert abs(rho1) <= 4.0 / math.sqrt(y.size)
@@ -240,20 +240,20 @@ def test_centering_consistency_against_semicircle():
         spec=goe_spec(), phi=monomial(2), n_list=(1024,), replicas=500, root_seed=5
     )
     res = hn.run_entry_experiment(cfg, threads=2)
-    assert abs(res.per_n[0].mean_element - sc_integral(monomial(2), 1.0)) <= 0.05
+    assert abs(res.record["per_n"][0]["mean_element"] - sc_integral(monomial(2), 1.0)) <= 0.05
 
 
 def test_cf_variance_consistency():
     h = 0.1
     cfg = small_config(replicas=3000, n_list=(128,), x_grid=(h,))
     res = hn.run_entry_experiment(cfg, threads=2)
-    p = res.per_n[0]
-    ecf = complex(p.cf[0][1], p.cf[0][2])
+    p = res.record["per_n"][0]
+    ecf = complex(p["cf"][0][1], p["cf"][0][2])
     var_from_cf = -2.0 * math.log(abs(ecf)) / h**2
     # propagate the CF confidence radius through the log
-    ci_prop = 2.0 * p.cf[0][3] / (abs(ecf) * h * h)
-    combined = math.sqrt(p.variance_ci**2 + ci_prop**2)
-    assert abs(var_from_cf - p.variance) <= 5 * combined
+    ci_prop = 2.0 * p["cf"][0][3] / (abs(ecf) * h * h)
+    combined = math.sqrt(p["variance_ci"]**2 + ci_prop**2)
+    assert abs(var_from_cf - p["variance"]) <= 5 * combined
 
 
 def test_j_policy_invariance_at_scale():
@@ -263,8 +263,8 @@ def test_j_policy_invariance_at_scale():
             spec=rademacher_spec(), phi=monomial(3), n_list=(1024,), replicas=400,
             root_seed=7, j_policy=policy,
         )
-        p = hn.run_entry_experiment(cfg, threads=2).per_n[0]
-        estimates.append((p.variance, p.variance_ci))
+        p = hn.run_entry_experiment(cfg, threads=2).record["per_n"][0]
+        estimates.append((p["variance"], p["variance_ci"]))
     for i in range(len(estimates)):
         for k in range(i + 1, len(estimates)):
             gap = abs(estimates[i][0] - estimates[k][0])
@@ -277,12 +277,12 @@ def test_covariance_estimation_with_second_function():
         n_list=(256,), replicas=2000, root_seed=11,
     )
     res = hn.run_entry_experiment(cfg, threads=2)
-    cov, ci = res.per_n[0].covariance
-    assert res.cov_prediction == pytest.approx(
+    cov, ci = res.record["per_n"][0]["covariance"]
+    assert res.record["cov_prediction"] == pytest.approx(
         float(lm.cov_limit_wigner(monomial(1), monomial(3), rademacher_spec()))
     )
-    assert abs(cov - res.cov_prediction) <= 4 * ci
-    assert "z_covariance" in res.comparison["per_n"][0]
+    assert abs(cov - res.record["cov_prediction"]) <= 4 * ci
+    assert "z_covariance" in res.record["comparison"]["per_n"][0]
 
 
 def test_degenerate_case_z_score_is_zero():
@@ -290,8 +290,8 @@ def test_degenerate_case_z_score_is_zero():
         spec=rademacher_spec(), phi=monomial(2), n_list=(64,), replicas=300, root_seed=3
     )
     res = hn.run_entry_experiment(cfg, threads=1)
-    assert res.per_n[0].variance == 0.0
-    assert res.comparison["per_n"][0]["z_variance"] == 0.0
+    assert res.record["per_n"][0]["variance"] == 0.0
+    assert res.record["comparison"]["per_n"][0]["z_variance"] == 0.0
 
 
 def test_wrong_prediction_is_detected():
@@ -302,7 +302,7 @@ def test_wrong_prediction_is_detected():
     res = hn.run_entry_experiment(cfg, threads=2)
     wrong = lm.LimitPrediction(
         v_goe=20.0, kappa4_term=0.0, diag_term=0.0, v_w=20.0, xstar_slope=0.0,
-        spec=rademacher_spec(), phi_ref=res.config["phi"],
+        spec=rademacher_spec(), phi_ref=res.record["config"]["phi"],
     )
     report = oracles.compare_with_prediction(res, wrong)
     assert abs(report["per_n"][0]["z_variance"]) > 10

@@ -6,6 +6,7 @@ import pytest
 import oracles
 from wignerlab import ensembles as en
 from wignerlab import limits as lm
+from wignerlab import semicircle as sc
 from wignerlab.errors import ContractError, InconsistencyError
 from wignerlab.semicircle import gaussian_damped, monomial, polynomial
 
@@ -129,6 +130,20 @@ def test_parity_structure_of_prediction():
     # numerically re-verified via quadrature on the mixed-parity route
     mixed_even = polynomial([0.3, 0.0, 1.0, 0.0, -0.2])
     assert abs(lm.first_moment_integral(mixed_even, 1.0)) <= 1e-13
+
+
+def test_directly_built_phi_gets_the_parity_terms_of_its_data():
+    """A TestFunction built without polynomial() gets the exact parity zeros of its own
+    coefficients, and x + x^2, neither odd nor even, keeps its kappa4 term: on
+    Rademacher w = 1 its variance is 2 (GOE 4, kappa4 -2)."""
+    def direct(*coefficients):
+        return sc.TestFunction(kind="polynomial", coefficients=coefficients)
+
+    spec = rademacher_spec()
+    assert lm.var_limit(direct(0.0, 1.0, 0.0, 1.0), spec).kappa4_term == 0.0
+    assert lm.var_limit(direct(1.0, 0.0, 1.0), spec).xstar_slope == 0.0
+    assert lm.var_limit(direct(0.0, 1.0, 1.0), spec).v_w == pytest.approx(2.0, abs=1e-12)
+    assert lm.var_limit(polynomial([0.0, 1.0, 1.0]), spec).v_w == pytest.approx(2.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("kind, params", [

@@ -190,6 +190,18 @@ def test_parity_detection():
     assert sc.tabulated(grid, np.exp(grid)).parity == "none"
 
 
+def test_parity_is_derived_from_the_function_data():
+    """A directly built TestFunction reports the parity of its own data, and no stored
+    label can be passed in to disagree with it."""
+    assert sc.TestFunction(kind="polynomial", coefficients=(0.0, 1.0, 0.0, 1.0)).parity == "odd"
+    assert sc.TestFunction(kind="gaussian_damped_polynomial", coefficients=(1.0, 0.0, 2.0),
+                           envelope_width=1.0).parity == "even"
+    grid = np.linspace(-2, 2, 41)
+    assert sc.TestFunction(kind="tabulated", grid=grid, values=grid**3).parity == "odd"
+    with pytest.raises(TypeError):
+        sc.TestFunction(kind="polynomial", coefficients=(0.0, 1.0, 1.0), parity="odd")
+
+
 def test_polynomial_derivative():
     phi = sc.polynomial([1.0, 2.0, 3.0])
     d = oracles.derivative(phi)
