@@ -17,6 +17,7 @@ from .harness import (
     empirical_cf,
     gaussian_limit_test,
     lemma_decay_experiment,
+    phi_entries,
     run_entry_experiment,
 )
 from .limits import (
@@ -71,6 +72,7 @@ __all__ = [
     "make_entry_distribution",
     "matrix_function_entry",
     "monomial",
+    "phi_entries",
     "polynomial",
     "rho_sc",
     "run_entry_experiment",

@@ -106,17 +106,22 @@ def _parse_phi(obj, path: str):
     kind = obj["kind"]
     if kind == "polynomial":
         _check_keys(obj, {"kind", "coefficients"}, {"kind", "coefficients"}, path)
-        return semicircle.polynomial(_real_list(obj["coefficients"], f"{path}.coefficients"))
-    if kind == "gaussian_damped_polynomial":
+        make, args = semicircle.polynomial, (_real_list(obj["coefficients"], f"{path}.coefficients"),)
+    elif kind == "gaussian_damped_polynomial":
         _check_keys(obj, {"kind", "coefficients", "envelope_width"}, {"kind", "coefficients"}, path)
         width = _real_number(obj.get("envelope_width", 1.0), f"{path}.envelope_width")
-        return semicircle.gaussian_damped(_real_list(obj["coefficients"], f"{path}.coefficients"), width)
-    if kind == "tabulated":
+        coefficients = _real_list(obj["coefficients"], f"{path}.coefficients")
+        make, args = semicircle.gaussian_damped, (coefficients, width)
+    elif kind == "tabulated":
         _check_keys(obj, {"kind", "grid", "values"}, {"kind", "grid", "values"}, path)
-        return semicircle.tabulated(
-            _real_list(obj["grid"], f"{path}.grid"), _real_list(obj["values"], f"{path}.values")
-        )
-    raise ConfigError(f"{path}.kind: unknown test-function kind {kind!r}", field=f"{path}.kind")
+        make, args = semicircle.tabulated, (_real_list(obj["grid"], f"{path}.grid"),
+                                            _real_list(obj["values"], f"{path}.values"))
+    else:
+        raise ConfigError(f"{path}.kind: unknown test-function kind {kind!r}", field=f"{path}.kind")
+    try:
+        return make(*args)
+    except WignerLabError as exc:
+        raise ConfigError(f"{path}: {exc}", field=path) from exc
 
 
 def _parse_spec(obj, path: str) -> EnsembleSpec:
@@ -216,9 +221,10 @@ def config_hash(config_descriptor: dict) -> str:
 
 
 def _fmt(value) -> str:
+    """A CSV cell: floats by repr, None (an undefined value) as an empty cell."""
     if isinstance(value, float):
         return repr(value)
-    return str(value)
+    return "" if value is None else str(value)
 
 
 def _write_json(path: Path, obj: dict) -> None:
@@ -230,10 +236,10 @@ def _write_outputs(out: str, started: float, files: dict[str, dict | list[dict]]
     """Write every primary output into out, then manifest.json, then one `wrote` line per file.
 
     files maps a file name to its records: a dict is written as sorted JSON, a
-    list of dicts as CSV whose header is the first record's keys.  The manifest
-    is run metadata: blas_threads is the replica phases' BLAS thread count
-    (None: no phase, or no bundled OpenBLAS found), and extra adds
-    subcommand-specific fields.
+    list of dicts as CSV whose header is the first record's keys (None is an
+    empty cell).  The manifest is run metadata: blas_threads is the replica
+    phases' BLAS thread count (None: no phase, or no bundled OpenBLAS found),
+    and extra adds subcommand-specific fields.
     """
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)

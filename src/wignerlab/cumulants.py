@@ -25,22 +25,8 @@ MAX_ORDER = 8
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CumulantVector:
-    values: tuple[float, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, i: int) -> float:
-        """1-based access: cv[p] = kappa_p."""
-        if not 1 <= i <= self.order:
-            raise IndexError(f"cumulant order {i} out of range 1..{self.order}")
-        return self.values[i - 1]
-
-
-def moments_to_cumulants(mu: Sequence[float]) -> CumulantVector:
+def moments_to_cumulants(mu: Sequence[float]) -> tuple[float, ...]:
+    """kappa_1..kappa_p from the raw moments mu_1..mu_p, p <= MAX_ORDER."""
     mu = [float(m) for m in mu]
     p = len(mu)
     if p == 0:
@@ -53,7 +39,7 @@ def moments_to_cumulants(mu: Sequence[float]) -> CumulantVector:
         for m in range(1, n):
             k_n -= math.comb(n - 1, m - 1) * kappa[m - 1] * mu[n - m - 1]
         kappa.append(k_n)
-    return CumulantVector(values=tuple(kappa))
+    return tuple(kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +70,6 @@ class SampleCumulants:
     k3: float
     k4: float
     se: tuple[float, float, float, float]
-    n: int
     # leave-one-out k1..k4 of the centred sample, to jackknife functions of them
     loo: tuple[np.ndarray, ...] = field(repr=False, compare=False)
 
@@ -125,5 +110,5 @@ def sample_cumulants(data: Sequence[float]) -> SampleCumulants:
     (k1, k2, k3, k4), loo = k_statistics_loo(x - shift)
     return SampleCumulants(
         k1=float(k1 + shift), k2=float(k2), k3=float(k3), k4=float(k4),
-        se=tuple(jackknife_spread(jk) for jk in loo), n=n, loo=loo,
+        se=tuple(jackknife_spread(jk) for jk in loo), loo=loo,
     )

@@ -59,9 +59,6 @@ class EntryDistribution:
     def kappa4(self) -> float:
         return self.cumulant(4)
 
-    def moment(self, order: int) -> float:
-        return self.moments[order - 1]
-
     def cumulant(self, order: int) -> float:
         """kappa_l for l in 1..8, read from the table."""
         if not 1 <= order <= MAX_ORDER:
@@ -81,7 +78,7 @@ def _finalize(kind: str, w: float, moments: Sequence[float],
     mu = tuple(float(m) for m in moments)
     # the Gaussian table is exact; the moment recursion would leave rounding in kappa_3..kappa_8
     kappas = ((0.0, w**2) + (0.0,) * (MAX_ORDER - 2) if kind == GAUSSIAN
-              else tuple(moments_to_cumulants(mu).values))
+              else moments_to_cumulants(mu))
     if not all(math.isfinite(v) for v in mu + kappas):
         raise OverflowError("non-finite moment or cumulant")
     if abs(mu[0]) > _ATOL * max(w, 1.0):

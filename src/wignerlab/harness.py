@@ -1,11 +1,14 @@
 """Monte Carlo experiments against the closed-form limit laws.
 
-run_entry_experiment draws R matrices per size n, forms the centered scaled
-diagonal elements y_r = sqrt(n) (phi(M_r)_jj - mean), and estimates variance,
-cumulants and the empirical characteristic function with jackknife/analytic
-uncertainties; lemma_decay_experiment returns the lemma_decay.csv rows, the
-means and variances of the propagator trace/row statistics, which must
-collapse onto their limits.
+run_entry_experiment draws R matrices per size n, reads phi(M_r)_jj through
+phi_entries, the one phi evaluator (a full eigh, or Lanczos-Gauss quadrature
+over the Jacobi matrices that spectral.lanczos_jacobi yields, until the
+estimates settle), forms the centered scaled diagonal elements
+y_r = sqrt(n) (phi(M_r)_jj - mean), and estimates variance, cumulants and the
+empirical characteristic function with jackknife/analytic uncertainties;
+lemma_decay_experiment returns the lemma_decay.csv rows, the means and
+variances of the propagator trace/row statistics, which must collapse onto
+their limits.
 
 Centering uses the cross-replica sample mean rather than the semicircle
 integral: the finite-n expectation differs from the limit by O(1/n), which the
@@ -30,9 +33,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import spectral
 from .blas import single_blas_thread
 from .cumulants import SampleCumulants, jackknife_spread, k_statistics_loo, sample_cumulants
-from .ensembles import EnsembleSpec, sample_matrix
+from .ensembles import EnsembleSpec, SymmetricMatrix, sample_matrix
 from .errors import ConfigError, ContractError
 from .limits import LimitPrediction, cov_limit_wigner, limit_cf, limit_cumulants, var_limit
 from .semicircle import POLYNOMIAL, TABULATED, TestFunction, v_of_t
@@ -150,7 +154,7 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-def _parallel_map(fn: Callable[[int], np.ndarray], count: int, threads: int) -> list:
+def _parallel_map(fn: Callable[[int], object], count: int, threads: int) -> list:
     """fn over range(count) in order, on `threads` Python threads and one BLAS thread."""
     with single_blas_thread():
         if threads <= 1:
@@ -164,45 +168,65 @@ def phi_route(phis: Sequence[TestFunction]) -> str:
     return "eigh" if any(p.kind == TABULATED for p in phis) else "lanczos"
 
 
+GAUSS_TOLERANCE = 1e-14  # relative movement of the Gauss estimates that ends Lanczos
+
+
+def phi_entries(m: SymmetricMatrix, j: int,
+                phis: Sequence[TestFunction]) -> tuple[np.ndarray, int | None]:
+    """phi(M)_jj for each test function, and the size of the Jacobi matrix read
+    (None on the eigh route): the one evaluator of a replica.
+
+    The route is phi_route(phis).  "eigh" diagonalizes M once and reads every
+    function off the same spectrum.  "lanczos" walks the Jacobi matrices T_k of
+    lanczos_jacobi and reads each smooth phi once per step, as phi(T_k)_00
+    through eigh and matrix_function_entry.  It stops at the first
+    k >= max(max_degree // 2 + 1, 3 if any phi is smooth else 1), the steps
+    that make the Gauss rule exact for every polynomial, where every smooth
+    estimate moved by <= GAUSS_TOLERANCE * max(1, |value|) over two
+    consecutive steps, or where the walk ends (breakdown, k = n).  Polynomials
+    read the moments (T_k^m)_00 of the last T_k, smooth phi its Gauss rule.
+
+    The stop rule's estimates go through spectral's own names.  The values
+    returned for smooth phi are read off the last T_k once more, through the
+    names this module binds, which perfbench/spans.py records as one eigh per
+    replica; they equal the last estimates bit for bit.
+    """
+    if phi_route(phis) == "eigh":
+        dec = eigh(m)
+        return np.array([matrix_function_entry(dec, p, j, j) for p in phis]), None
+    smooth = [p for p in phis if p.kind != POLYNOMIAL]
+    degree = max((p.degree for p in phis if p.kind == POLYNOMIAL), default=0)
+    least = max(degree // 2 + 1, 3 if smooth else 1)
+    estimates: list[list[float]] = []
+    for t in lanczos_jacobi(m, j):
+        if smooth:
+            step = spectral.eigh(t)
+            estimates.append([spectral.matrix_function_entry(step, p, 0, 0) for p in smooth])
+        if t.n >= least and (not smooth or np.all(
+                np.abs(np.diff(estimates[-3:], axis=0))
+                <= GAUSS_TOLERANCE * np.maximum(1.0, np.abs(estimates[-1])))):
+            break
+    moments = t.moments(degree)
+    dec = eigh(t) if smooth else None
+    values = []
+    for p in phis:
+        if p.kind == POLYNOMIAL:
+            c = np.asarray(p.coefficients[: p.degree + 1], dtype=float)
+            values.append(float(c @ moments[: c.size]))
+        else:
+            values.append(matrix_function_entry(dec, p, 0, 0))
+    return np.array(values), t.n
+
+
 def matrix_element_samples(spec: EnsembleSpec, n: int, j: int, phis: Sequence[TestFunction],
                            root_seed: int, replicas: int,
                            threads: int = 1) -> tuple[np.ndarray, int | None]:
-    """phi(M_r)_jj for each replica and test function, shape (replicas, len(phis)),
-    and the largest Lanczos step count over replicas (None off the lanczos route).
-
-    The route is phi_route(phis).  "eigh" diagonalizes each replica once and
-    reads every function off the same spectrum.  "lanczos" replaces M by the
-    Jacobi matrix of the Gauss rule for its spectral measure at e_j.  It runs
-    the max_degree // 2 + 1 steps that make the rule exact for every
-    polynomial, and further until every smooth phi's Gauss estimate settles:
-    polynomials read its moments, smooth phi go through eigh and
-    matrix_function_entry at (0, 0).
-    """
-    route = phi_route(phis)
-    smooth = [p for p in phis if p.kind != POLYNOMIAL]
-    degree = max((p.degree for p in phis if p.kind == POLYNOMIAL), default=0)
-    sizes: list[int] = []  # Jacobi matrix sizes; max() does not depend on thread order
-
-    def one_replica(r: int) -> np.ndarray:
-        m = sample_matrix(spec, n, root_seed, r)
-        if route == "eigh":
-            dec = eigh(m)
-            return np.array([matrix_function_entry(dec, p, j, j) for p in phis])
-        t = lanczos_jacobi(m, j, smooth, degree // 2 + 1)
-        sizes.append(t.n)
-        moments = t.moments(degree)
-        dec = eigh(t) if smooth else None
-        values = []
-        for p in phis:
-            if p.kind == POLYNOMIAL:
-                c = np.asarray(p.coefficients[: p.degree + 1], dtype=float)
-                values.append(float(c @ moments[: c.size]))
-            else:
-                values.append(matrix_function_entry(dec, p, 0, 0))
-        return np.array(values)
-
-    rows = _parallel_map(one_replica, replicas, threads)
-    return np.vstack(rows), max(sizes, default=None)
+    """phi_entries of every replica, shape (replicas, len(phis)), and the largest
+    Jacobi matrix over replicas (None off the lanczos route)."""
+    rows = _parallel_map(lambda r: phi_entries(sample_matrix(spec, n, root_seed, r), j, phis),
+                         replicas, threads)
+    sizes = [size for _, size in rows if size is not None]
+    return np.vstack([values for values, _ in rows]), max(sizes, default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +447,8 @@ def lemma_decay_experiment(cfg: ExperimentConfig, threads: int | None = None) ->
     propagator pass.  One row per (n, t, statistic) holds the replica mean
     (mean_re, mean_im), the replica variance, the limiting value (limit_re,
     limit_im), their gap, and var_slope, the log-log slope of the variance
-    against n for that (statistic, t).  The row index j comes from
+    against n for that (statistic, t), None when one of those variances is 0
+    (U(0) = I makes every t = 0 statistic exact).  The row index j comes from
     cfg.j_policy at each n.  The limits are evaluated before the first
     replica, so a t out of the float range is a ConfigError on config.t_grid,
     and so is a t whose replica statistics leave it (lambda t overflowing).
@@ -460,7 +485,7 @@ def lemma_decay_experiment(cfg: ExperimentConfig, threads: int | None = None) ->
     for key, by_n in variances.items():
         ns = sorted(by_n)
         vs = np.array([by_n[n] for n in ns])
-        slopes[key] = float(np.polyfit(np.log(ns), np.log(vs), 1)[0]) if np.all(vs > 0) else float("nan")
+        slopes[key] = float(np.polyfit(np.log(ns), np.log(vs), 1)[0]) if np.all(vs > 0) else None
     for row in rows:
         row["var_slope"] = slopes[row["statistic"], row["t"]]
     return rows

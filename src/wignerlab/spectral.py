@@ -4,8 +4,10 @@ From one decomposition M = Q diag(lambda) Q^T per sampled matrix we read off
 matrix elements phi(M)_jk = sum_a phi(lambda_a) Q_ja Q_ka, propagator entries
 U_jk(t) = sum_a e^{i t lambda_a} Q_ja Q_ka, and the trace/row statistics
 v_n, v_n_pair, v_n1, v_n2 whose decay in n the Monte Carlo harness measures.
-For a single phi(M)_jj, lanczos_jacobi shrinks M to the small Jacobi matrix
-of the Gauss rule at e_j, read through its moments or the same consumers.
+For a single phi(M)_jj, lanczos_jacobi shrinks M step by step to the small
+Jacobi matrices of the Gauss rules at e_j, read through their moments or the
+same consumers; it knows no test function, so the caller (harness.phi_entries)
+decides when a rule is good enough.
 
 All indices are 0-based.
 """
@@ -13,7 +15,7 @@ All indices are 0-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -66,9 +68,6 @@ def matrix_function_entry(dec: SpectralDecomposition, phi: Callable, j: int, k: 
     return float(np.sum(phi(dec.eigenvalues) * q[j, :] * q[k, :]))
 
 
-GAUSS_TOLERANCE = 1e-14  # relative movement of the Gauss estimates that ends Lanczos
-
-
 @dataclass(frozen=True, eq=False)
 class JacobiMatrix:
     """Symmetric tridiagonal T_k: diagonal alpha (k numbers), off-diagonal beta (k - 1).
@@ -102,25 +101,19 @@ class JacobiMatrix:
         return np.array(out)
 
 
-def lanczos_jacobi(m: SymmetricMatrix, j: int, phis: Sequence[Callable],
-                   steps: int = 1) -> JacobiMatrix:
-    """The k x k Jacobi matrix T_k of Lanczos on M started from e_j.
+def lanczos_jacobi(m: SymmetricMatrix, j: int) -> Iterator[JacobiMatrix]:
+    """Lanczos on M started from e_j: yields the k x k Jacobi matrices T_1, T_2, ...
 
     The eigenvalues of T_k are the nodes, and the squared first components of
     its eigenvectors the weights, of the k-point Gauss rule for the spectral
     measure of M at e_j (Golub & Welsch 1969), so phi(M)_jj is read as
-    phi(T_k)_00 through eigh and matrix_function_entry; the rule is exact for
-    polynomials of degree < 2k, so degree // 2 + 1 steps make it exact for a
-    polynomial.  Each step reorthogonalises against the whole basis twice; the
-    basis holds O(k n) numbers.  Lanczos runs at least `steps` steps, then
-    stops at the first step where every phi's Gauss estimate moved by
-    <= GAUSS_TOLERANCE * max(1, |value|) over two consecutive steps (at once
-    when phis is empty), or earlier at Krylov breakdown (the rule is then
-    exact) or k = n.
+    phi(T_k)_00; the rule is exact for polynomials of degree < 2k.  The caller
+    stops reading when its estimates suffice; the walk ends by itself after a
+    Krylov breakdown (the last rule is then exact) or at k = n.  Each step
+    reorthogonalises against the whole basis twice; the basis holds O(k n)
+    numbers.  As a generator it checks j and the entries on the first step.
     """
     _check_index(m.n, j, "j")
-    if steps < 1:
-        raise ContractError(f"steps must be >= 1, got {steps}")
     if not np.all(np.isfinite(m.data)):
         raise ContractError("matrix entries must be finite")
     n = m.n
@@ -129,7 +122,6 @@ def lanczos_jacobi(m: SymmetricMatrix, j: int, phis: Sequence[Callable],
     basis[0, j] = 1.0
     alpha: list[float] = []
     beta: list[float] = []
-    estimates: list[list[float]] = []
     scale = 0.0
     for k in range(1, n + 1):
         w = dense @ basis[k - 1]
@@ -139,21 +131,13 @@ def lanczos_jacobi(m: SymmetricMatrix, j: int, phis: Sequence[Callable],
             w -= done.T @ (done @ w)
         b = float(np.linalg.norm(w))
         scale = max(scale, abs(alpha[-1]) + b + (beta[-1] if beta else 0.0))
-        if k == n or b <= n * np.finfo(float).eps * scale or (k >= steps and not phis):
-            break
-        if phis:
-            dec = eigh(JacobiMatrix(np.array(alpha), np.array(beta), m.seed, m.replica_index))
-            estimates.append([matrix_function_entry(dec, phi, 0, 0) for phi in phis])
-            if k >= max(steps, 3):
-                tol = GAUSS_TOLERANCE * np.maximum(1.0, np.abs(estimates[-1]))
-                moves = np.abs(np.diff(estimates[-3:], axis=0))
-                if np.all(moves <= tol):
-                    break
+        yield JacobiMatrix(np.array(alpha), np.array(beta), m.seed, m.replica_index)
+        if k == n or b <= n * np.finfo(float).eps * scale:
+            return
         if k == basis.shape[0]:
             basis = np.vstack([basis, np.zeros((min(k, n - k), n))])
         beta.append(b)
         basis[k] = w / b
-    return JacobiMatrix(np.array(alpha), np.array(beta), m.seed, m.replica_index)
 
 
 def propagator_slices(dec: SpectralDecomposition, j: int,

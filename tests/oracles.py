@@ -14,7 +14,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from wignerlab import ensembles, harness, seeding
-from wignerlab.cumulants import MAX_ORDER, CumulantVector, jackknife_spread
+from wignerlab.cumulants import MAX_ORDER, jackknife_spread
 from wignerlab.errors import ContractError
 from wignerlab.limits import LimitPrediction
 from wignerlab.semicircle import (
@@ -31,8 +31,12 @@ from wignerlab.volterra import ComplexSeries, _conv_values, _edd_weighted
 
 @dataclass(frozen=True)
 class Trigonometric:
-    """phi(x) = a cos x + b sin x, a bounded smooth test function closed under d/dx."""
+    """phi(x) = a cos x + b sin x, a bounded smooth test function closed under d/dx.
 
+    Its kind, a class attribute, sends it down harness.phi_entries' smooth path.
+    """
+
+    kind = "trigonometric"
     a: float
     b: float
 
@@ -304,9 +308,9 @@ def compare_with_prediction(result: harness.ExperimentResult, prediction: LimitP
 # ---------------------------------------------------------------------------
 
 
-def cumulants_to_moments(kappa: CumulantVector | Sequence[float]) -> list[float]:
+def cumulants_to_moments(kappa: Sequence[float]) -> list[float]:
     """Raw moments mu_1..mu_p from cumulants kappa_1..kappa_p (the inverse of moments_to_cumulants)."""
-    values = kappa.values if isinstance(kappa, CumulantVector) else tuple(float(k) for k in kappa)
+    values = tuple(float(k) for k in kappa)
     p = len(values)
     if p == 0:
         raise ContractError("need at least one cumulant")

@@ -348,6 +348,20 @@ def test_lemma_var_slope_fits_its_own_variance_column(tmp_path):
         assert float(rows[0]["var_slope"]) == pytest.approx(fit, rel=1e-12)
 
 
+def test_lemma_zero_variance_slope_is_an_empty_cell(tmp_path):
+    """U(0) = I makes every t = 0 statistic exact, so its variances are 0 and have no
+    log-log slope: the cell is empty, not nan, and the t = 1 slopes stay finite."""
+    cfg = minimal_config(n_list=[16, 32, 64, 128], replicas=100, t_grid=[0.0, 1.0])
+    code = cli.run_cli(["lemma", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "l")])
+    assert code == 0
+    text = (tmp_path / "l" / "lemma_decay.csv").read_text()
+    assert "nan" not in text
+    rows = list(csv.DictReader(text.splitlines()))
+    assert {r["var_slope"] for r in rows if float(r["t"]) == 0.0} == {""}
+    slopes = [float(r["var_slope"]) for r in rows if float(r["t"]) == 1.0]
+    assert len(slopes) == 20 and all(math.isfinite(v) for v in slopes)
+
+
 def test_lemma_explicit_j(tmp_path):
     def lemma(name, **overrides):
         cfg = minimal_config(n_list=[16, 32, 64, 128], replicas=100, t_grid=[1.0], **overrides)
@@ -554,6 +568,23 @@ def test_exit_code_bad_threads_and_seed_arguments(tmp_path, capsys, command, fla
     payload = error_payload(capsys)
     assert payload["error"] == "ConfigError"
     assert payload["field"] == flag
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["predict", "simulate", "lemma"])
+@pytest.mark.parametrize("phi2", [
+    {"kind": "gaussian_damped_polynomial", "coefficients": [1, 0, 1], "envelope_width": 0},
+    {"kind": "tabulated", "grid": [-1.0, 1.0, 0.0], "values": [0.0, 1.0, 2.0]},
+], ids=["zero_envelope_width", "unordered_grid"])
+def test_bad_test_function_names_its_field(tmp_path, capsys, command, phi2):
+    """A phi the constructor rejects exits 2 naming which phi is bad."""
+    cfg = minimal_config(n_list=[16, 32, 64, 128], replicas=100, phi2=phi2)
+    out = tmp_path / "x"
+    code = cli.run_cli([command, "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
+    assert code == 2
+    payload = error_payload(capsys)
+    assert (payload["error"], payload["field"]) == ("ConfigError", "config.phi2")
+    assert payload["message"].startswith("config.phi2: ")
     assert not out.exists()
 
 

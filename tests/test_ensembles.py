@@ -71,7 +71,7 @@ def test_stored_moments_cumulants_consistent(kind, params):
     dist = en.make_entry_distribution(kind, 1.1, params)
     derived = moments_to_cumulants(dist.moments)
     for order in range(1, 9):
-        assert derived[order] == pytest.approx(dist.kappas[order - 1], rel=1e-12, abs=1e-12)
+        assert derived[order - 1] == pytest.approx(dist.kappas[order - 1], rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize("kind,params", [
@@ -87,8 +87,8 @@ def test_empirical_moments_match(kind, params):
     for order in (2, 3, 4):
         est = float(np.mean(draws**order))
         # se of the order-th sample moment from the 2*order-th moment
-        se = math.sqrt(max(dist.moment(2 * order) - dist.moment(order) ** 2, 1e-30) / n)
-        assert abs(est - dist.moment(order)) <= 4 * se
+        se = math.sqrt(max(dist.moments[2 * order - 1] - dist.moments[order - 1] ** 2, 1e-30) / n)
+        assert abs(est - dist.moments[order - 1]) <= 4 * se
 
 
 def test_entry_cf_values():

@@ -167,7 +167,7 @@ def test_mixed_set_stops_with_its_smooth_member():
     alone = []
     for r in range(replicas):
         m = en.sample_matrix(spec, n, seed, r)
-        alone.append(sp.lanczos_jacobi(m, 0, phis[:1]).n)
+        alone.append(hn.phi_entries(m, 0, phis[:1])[1])
         dec = sp.eigh(m)
         for i, p in enumerate(phis):
             scale = sp.matrix_function_entry(dec, lambda x: np.abs(p(x)), 0, 0)
@@ -186,37 +186,78 @@ ROUTE_PHIS = {  # phis, route, eigh calls per replica (on the Jacobi matrix for 
 }
 
 
+def counted_walk(monkeypatch) -> list[int]:
+    """Patch the harness's lanczos_jacobi to log how many Jacobi matrices each call yields."""
+    drawn: list[int] = []
+    original = hn.lanczos_jacobi
+
+    def walk(m, j):
+        drawn.append(0)
+        for t in original(m, j):
+            drawn[-1] += 1
+            yield t
+
+    monkeypatch.setattr(hn, "lanczos_jacobi", walk)
+    return drawn
+
+
+def counted_calls(monkeypatch, module, names) -> dict[str, int]:
+    """Patch the functions `names` of module to count their calls."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def wrapper(*args, _name=name, _original=getattr(module, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
 @pytest.mark.parametrize("case", sorted(ROUTE_PHIS))
 def test_auto_routes_each_phi_to_its_evaluator(monkeypatch, case):
     """Polynomials and smooth phi take Lanczos, any tabulated phi eigh; only
-    all-polynomial sets skip the eigh of the Jacobi matrix.  Lanczos gets the
-    smooth phis for its Gauss test and max_degree // 2 + 1 as its least step count."""
-    calls = {"lanczos_jacobi": 0, "eigh": 0}
-    stop_rules = set()
-
-    def counting(name):
-        original = getattr(hn, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            if name == "lanczos_jacobi":
-                stop_rules.add((tuple(p.kind for p in args[2]), args[3]))
-            return original(*args, **kwargs)
-
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(hn, name, counting(name))
+    all-polynomial sets skip the eigh of the Jacobi matrix.  Lanczos reads at
+    least max_degree // 2 + 1 Jacobi matrices (3 with a smooth phi), and exactly
+    that many when no phi is smooth."""
+    drawn = counted_walk(monkeypatch)
+    calls = counted_calls(monkeypatch, hn, ["eigh"])
     phis, route, eighs = ROUTE_PHIS[case]
     cfg = small_config(phi=phis[0], phi2=phis[1] if len(phis) > 1 else None, replicas=100)
     res = hn.run_entry_experiment(cfg, threads=1)
     assert hn.phi_route(cfg.phis()) == route
-    assert (res.lanczos_steps_max is None) == (route == "eigh")
-    assert calls == {"lanczos_jacobi": 100 if route == "lanczos" else 0, "eigh": 100 * eighs}
+    assert (len(drawn), calls["eigh"]) == (100 if route == "lanczos" else 0, 100 * eighs)
     if route == "lanczos":
-        degrees = [p.degree for p in phis if p.kind == "polynomial"]
-        smooth = tuple(p.kind for p in phis if p.kind != "polynomial")
-        assert stop_rules == {(smooth, max(degrees, default=0) // 2 + 1)}
+        floor = max((p.degree for p in phis if p.kind == "polynomial"), default=0) // 2 + 1
+        if eighs:
+            assert min(drawn) >= max(floor, 3)
+        else:
+            assert set(drawn) == {floor}
+        assert res.lanczos_steps_max == max(drawn)
+    else:
+        assert res.lanczos_steps_max is None
+
+
+@pytest.mark.parametrize("case", ["polynomials", "smooth", "smooth and polynomial"])
+def test_lanczos_reads_each_smooth_phi_once_per_jacobi_matrix(monkeypatch, case):
+    """The stop rule reads every smooth phi once per Jacobi matrix drawn, through
+    spectral.eigh and spectral.matrix_function_entry; the returned values are read
+    off the last matrix through the harness's eigh and matrix_function_entry, once
+    per replica.  Polynomial-only sets draw max_degree // 2 + 1 matrices and
+    decompose none."""
+    drawn = counted_walk(monkeypatch)
+    names = ["eigh", "matrix_function_entry"]
+    inner, outer = counted_calls(monkeypatch, sp, names), counted_calls(monkeypatch, hn, names)
+    phis = ROUTE_PHIS[case][0]
+    smooth = sum(p.kind != "polynomial" for p in phis)
+    spec = en.EnsembleSpec(entry_dist=en.make_entry_distribution("uniform", 1.0))
+    values, steps = hn.matrix_element_samples(spec, 64, 5, phis, 11, 6)
+    assert (values.shape, steps, len(drawn)) == ((6, len(phis)), max(drawn), 6)
+    if smooth:
+        assert inner == {"eigh": sum(drawn), "matrix_function_entry": smooth * sum(drawn)}
+        assert outer == {"eigh": 6, "matrix_function_entry": 6 * smooth}
+    else:
+        assert drawn == [max(p.degree for p in phis) // 2 + 1] * 6
+        assert inner == outer == {"eigh": 0, "matrix_function_entry": 0}
 
 
 def test_result_deterministic_across_threads():

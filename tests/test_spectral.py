@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 import oracles
 from wignerlab import ensembles as en
+from wignerlab import harness as hn
 from wignerlab import spectral as sp
 from wignerlab.errors import ContractError
 from wignerlab.semicircle import gaussian_damped, monomial, polynomial
@@ -151,11 +153,9 @@ def test_polynomial_entry_matches_spectral_route():
 # ---------------------------------------------------------------------------
 
 
-def gauss_entries(m, j, phis):
-    """phi(M)_jj through the Jacobi matrix: the harness's lanczos route."""
-    t = sp.lanczos_jacobi(m, j, phis)
-    dec = sp.eigh(t)
-    return [sp.matrix_function_entry(dec, p, 0, 0) for p in phis], t
+def jacobi_after(m, j, steps):
+    """The last of the first `steps` Jacobi matrices lanczos_jacobi yields."""
+    return list(itertools.islice(sp.lanczos_jacobi(m, j), steps))[-1]
 
 
 LANCZOS_PHIS = {
@@ -171,7 +171,7 @@ LANCZOS_PHIS = {
 
 @pytest.mark.parametrize("kind", ["gaussian", "rademacher", "uniform"])
 def test_lanczos_matches_eigh_battery(kind):
-    """The Gauss rule of lanczos_jacobi against the full eigh, to 1e-12 relative.
+    """phi_entries' Gauss rules over lanczos_jacobi against the full eigh, to 1e-12 relative.
 
     Relative to sum_a |phi(lambda_a)| Q_ja^2, the size of the terms the eigh
     route adds: an odd phi can make phi(M)_jj itself cancel to 1e-4 while both
@@ -183,8 +183,8 @@ def test_lanczos_matches_eigh_battery(kind):
         dec = sp.eigh(m)
         for j in (0, (n - 1) // 2, n - 1):
             for name, phis in LANCZOS_PHIS.items():
-                values, t = gauss_entries(m, j, phis)
-                assert (t.n <= n, t.seed, t.replica_index) == (True, m.seed, m.replica_index)
+                values, size = hn.phi_entries(m, j, phis)
+                assert size <= n
                 for p, value in zip(phis, values):
                     expected = sp.matrix_function_entry(dec, p, j, j)
                     scale = sp.matrix_function_entry(dec, lambda x: np.abs(p(x)), j, j)
@@ -204,7 +204,7 @@ def test_fixed_step_lanczos_matches_power_oracle(kind):
             for j in (0, (n - 1) // 2, n - 1):
                 for degree in range(1, 9):
                     p = polynomial(rng.uniform(-1.0, 1.0, degree + 1))
-                    t = sp.lanczos_jacobi(m, j, [], steps=degree // 2 + 1)
+                    t = jacobi_after(m, j, degree // 2 + 1)
                     assert t.n == degree // 2 + 1
                     value = np.asarray(p.coefficients) @ t.moments(degree)
                     expected = np.asarray(p.coefficients) @ diagonal_powers(m, j, degree)
@@ -213,7 +213,7 @@ def test_fixed_step_lanczos_matches_power_oracle(kind):
 
 
 def test_fixed_step_lanczos_stops_at_breakdown():
-    """A fixed step count above the invariant subspace's size still stops at breakdown, exactly."""
+    """The walk ends at breakdown, with the exact rule, however many steps are asked for."""
     rng = np.random.default_rng(113)
     block = rng.standard_normal((2, 2))
     a = np.zeros((16, 16))
@@ -221,39 +221,46 @@ def test_fixed_step_lanczos_stops_at_breakdown():
     a[2:, 2:] = np.diag(rng.standard_normal(14))
     m = packed(a)
     for j in range(2):
-        t = sp.lanczos_jacobi(m, j, [], steps=4)
+        t = jacobi_after(m, j, 4)
         assert t.n == 2
         assert t.moments(6)[6] == pytest.approx(np.linalg.matrix_power(a, 6)[j, j], rel=1e-13)
-    assert sp.lanczos_jacobi(m, 5, [], steps=4).n == 1
-    assert sp.lanczos_jacobi(packed(np.ones((3, 3))), 0, [], steps=9).n == 2  # span{e_0, 1}
-    assert sp.lanczos_jacobi(packed(a[:2, :2]), 0, [], steps=9).n == 2  # capped at n
+    assert [t.n for t in sp.lanczos_jacobi(m, 5)] == [1]
+    assert jacobi_after(packed(np.ones((3, 3))), 0, 9).n == 2  # span{e_0, 1}
+    assert [t.n for t in sp.lanczos_jacobi(packed(a[:2, :2]), 0)] == [1, 2]  # capped at n
 
 
 def test_lanczos_runs_steps_then_the_gauss_test():
-    """steps is a floor: with no phis Lanczos stops there, otherwise at the first later
-    step where every phi's Gauss estimate has settled."""
+    """The polynomial degree sets a floor of max_degree // 2 + 1 steps: with no smooth phi
+    phi_entries stops there, otherwise at the first later step where every smooth phi's
+    Gauss estimate has settled."""
     m = en.sample_matrix(goe_spec(), 128, seed=117)
     smooth = [gaussian_damped([1.0, 0.0, 1.0], 1.0)]
-    settled = sp.lanczos_jacobi(m, 3, smooth).n
+
+    def size(*degrees):
+        return hn.phi_entries(m, 3, smooth + [monomial(d) for d in degrees])[1]
+
+    settled = size()
     assert 3 <= settled < 40
-    assert sp.lanczos_jacobi(m, 3, smooth, steps=2).n == settled
-    assert sp.lanczos_jacobi(m, 3, smooth, steps=settled).n == settled
-    assert sp.lanczos_jacobi(m, 3, smooth, steps=40).n == 40
-    assert sp.lanczos_jacobi(m, 3, [], steps=5).n == 5
-    assert sp.lanczos_jacobi(m, 3, []).n == 1
+    assert size(2) == size(3) == settled
+    assert size(2 * settled - 2) == settled
+    assert size(78) == 40
+    assert hn.phi_entries(m, 3, [monomial(8)])[1] == 5
+    assert hn.phi_entries(m, 3, [monomial(1)])[1] == 1
 
 
 def test_lanczos_jacobi_is_tridiagonal():
-    m = en.sample_matrix(goe_spec(), 64, seed=89)
-    t = sp.lanczos_jacobi(m, 5, [gaussian_damped([1.0], 1.0)])
+    m = en.sample_matrix(goe_spec(), 64, seed=89, replica=4)
+    walk = list(itertools.islice(sp.lanczos_jacobi(m, 5), 6))
+    t = walk[-1]
+    assert (t.n, t.seed, t.replica_index) == (6, m.seed, m.replica_index)
     assert (t.alpha.shape, t.beta.shape) == ((t.n,), (t.n - 1,))
     dense = t.dense()
     assert np.array_equal(dense, np.triu(np.tril(dense, 1), -1))
     assert dense[0, 0] == m.dense()[5, 5]  # alpha_1 = e_j^T M e_j
     assert np.all(t.beta > 0)
-    # a polynomial of degree < 2k is integrated exactly: (M^4)_jj
-    assert t.n >= 3
-    assert sp.matrix_function_entry(sp.eigh(t), monomial(4), 0, 0) == pytest.approx(
+    # each T_k extends the one before it, and integrates degree < 2k exactly: (M^4)_jj at k = 3
+    assert all(np.array_equal(a.dense(), b.dense()[:-1, :-1]) for a, b in zip(walk, walk[1:]))
+    assert sp.matrix_function_entry(sp.eigh(walk[2]), monomial(4), 0, 0) == pytest.approx(
         np.linalg.matrix_power(m.dense(), 4)[5, 5], rel=1e-13)
 
 
@@ -269,14 +276,14 @@ def test_lanczos_breakdown_is_exact():
     phis = [gaussian_damped([0.0, 1.0, 0.0, 0.5], 0.5), oracles.Trigonometric(1.0, 1.0)]
     dec = sp.eigh(m)
     for j in range(3):
-        values, t = gauss_entries(m, j, phis)
-        assert t.n <= 3
+        values, size = hn.phi_entries(m, j, phis)
+        assert size <= 3
         for p, value in zip(phis, values):
             assert value == pytest.approx(sp.matrix_function_entry(dec, p, j, j), rel=1e-13, abs=1e-15)
     diagonal = packed(np.diag([0.5, -1.0, 2.0]))
-    values, t = gauss_entries(diagonal, 1, phis)
-    assert t.n == 1
-    assert values == [p(-1.0) for p in phis]
+    values, size = hn.phi_entries(diagonal, 1, phis)
+    assert size == 1
+    assert list(values) == [p(-1.0) for p in phis]
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 16])
@@ -285,21 +292,20 @@ def test_lanczos_steps_never_exceed_n(n):
     narrow = [gaussian_damped([1.0], 0.25)]  # not converged before k = n, so the cap stops it
     dec = sp.eigh(m)
     for j in range(n):
-        values, t = gauss_entries(m, j, narrow)
-        assert t.n == n
+        values, size = hn.phi_entries(m, j, narrow)
+        assert size == n
         assert values[0] == pytest.approx(sp.matrix_function_entry(dec, narrow[0], j, j), rel=1e-12)
 
 
 def test_lanczos_contracts():
+    """lanczos_jacobi is a generator, so it checks j and the entries on its first step."""
     m = en.sample_matrix(goe_spec(), 8, seed=103)
     with pytest.raises(ContractError):
-        sp.lanczos_jacobi(m, 8, [monomial(2)])
+        next(sp.lanczos_jacobi(m, 8))
     with pytest.raises(ContractError):
-        sp.lanczos_jacobi(packed([[0.0, np.nan], [np.nan, 0.0]]), 0, [monomial(2)])
+        next(sp.lanczos_jacobi(packed([[0.0, np.nan], [np.nan, 0.0]]), 0))
     with pytest.raises(ContractError):
-        sp.lanczos_jacobi(packed([[0.0, np.inf], [np.inf, 0.0]]), 0, [monomial(2)], steps=2)
-    with pytest.raises(ContractError):
-        sp.lanczos_jacobi(m, 0, [monomial(2)], steps=0)
+        next(sp.lanczos_jacobi(packed([[0.0, np.inf], [np.inf, 0.0]]), 0))
 
 
 # ---------------------------------------------------------------------------
