@@ -1,13 +1,20 @@
-"""One BLAS thread per replica phase.
+"""One BLAS thread per compute phase.
 
 numpy and scipy each bundle their own OpenBLAS, multithreaded by default.
-Replica phases already spread replicas over Python threads, and each of
-those driving a multithreaded BLAS oversubscribes the cores.  LAPACK's
-symmetric eigensolver also returns different bits for different BLAS thread
-counts at n >= 512.  single_blas_thread() sets both bundled copies to one
-thread for the duration of a phase, so a phase runs at the speed of the cores
-and its outputs depend only on (config, seed), whatever --threads, the core
-count or the BLAS default.
+Two phases run on one BLAS thread:
+
+- the replica phases of simulate and lemma (harness._parallel_map).  They
+  already spread replicas over Python threads, and each of those driving a
+  multithreaded BLAS oversubscribes the cores.  LAPACK's symmetric
+  eigensolver also returns different bits for different BLAS thread counts at
+  n >= 512.
+- the residual table of volterra (volterra.residual_table).  Its covariance
+  residual works on blocks of 64 time columns, too small for a second BLAS
+  thread to save wall time; it only adds CPU time.
+
+single_blas_thread() sets both bundled copies to one thread for the duration
+of a phase, so a phase runs at the speed of the cores and its outputs depend
+only on (config, seed), whatever --threads, the core count or the BLAS default.
 
 The libraries are found through their exported thread-control symbols on the
 first phase, not at import.  scipy's copy is located through its package spec,
@@ -62,7 +69,7 @@ def _controls() -> tuple[tuple[Callable, Callable], ...]:
 
 
 def replica_blas_threads() -> int | None:
-    """BLAS threads a replica phase runs with; None when no bundled OpenBLAS was found."""
+    """BLAS threads a replica phase or the volterra table runs with; None when no bundled OpenBLAS was found."""
     return PHASE_BLAS_THREADS if _controls() else None
 
 

@@ -296,12 +296,43 @@ def _cmd_simulate(args) -> int:
                           lanczos_steps_max=result.lanczos_steps_max)
 
 
+# Each grid of the volterra table holds O(points * (block + nodes)) complex values and takes
+# O(points^2 log points) time.  One 20001-point grid took 294 MiB peak RSS and 174 s on a
+# 2-core x86 host; this cap extrapolates to about 0.8 GiB and half an hour there.
+_VOLTERRA_MAX_POINTS = 2**16 + 1
+
+
+def _volterra_steps(text: str, t_max: float) -> list[float]:
+    """The --h step sizes, checked against --t-max before any grid is built.
+
+    A step finer than the floats near t_max cannot be laid out, and --t-max is
+    at fault; otherwise too many points is the step's fault.  Non-finite or
+    non-positive values are left to uniform_grid.
+    """
+    try:
+        h_values = [float(h) for h in text.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"--h: expected comma-separated step sizes, got {text!r}", field="--h") from exc
+    if len(set(h_values)) != len(h_values):
+        # a repeated step would read as a convergence order of log2(1) = 0
+        raise ConfigError(f"--h: step sizes must be distinct, got {text!r}", field="--h")
+    if not (math.isfinite(t_max) and t_max > 0):
+        return h_values
+    for h in h_values:
+        if not (math.isfinite(h) and h > 0):
+            continue
+        if h <= math.ulp(t_max):
+            raise ConfigError(f"--t-max: floats near {t_max!r} are {math.ulp(t_max)!r} apart, "
+                              f"more than the step {h!r}", field="--t-max")
+        if t_max / h + 1 > _VOLTERRA_MAX_POINTS:
+            raise ConfigError(f"--h: a step of {h!r} on [0, {t_max!r}] makes {t_max / h + 1:.6g} grid points, "
+                              f"more than {_VOLTERRA_MAX_POINTS}", field="--h")
+    return h_values
+
+
 def _cmd_volterra(args) -> int:
     started = time.monotonic()
-    try:
-        h_values = [float(h) for h in args.h.split(",")]
-    except ValueError as exc:
-        raise ConfigError(f"--h: expected comma-separated step sizes, got {args.h!r}", field="--h") from exc
+    h_values = _volterra_steps(args.h, args.t_max)
     for flag, value in (("--w", args.w), ("--kappa4", args.kappa4)):
         if not math.isfinite(value):
             raise ConfigError(f"{flag}: expected a finite number, got {value!r}", field=flag)
@@ -313,7 +344,8 @@ def _cmd_volterra(args) -> int:
         raise ConfigError(f"--w {args.w!r} with --kappa4 {args.kappa4!r} cannot be evaluated "
                           f"in floating point: {exc}") from exc
     return _write_outputs(args.out, started, {"volterra_residuals.csv": rows},
-                          config_hash({"h": h_values, "w": args.w, "kappa4": args.kappa4}), 0, 1)
+                          config_hash({"h": h_values, "w": args.w, "kappa4": args.kappa4}), 0, 1,
+                          replica_blas_threads())
 
 
 def _cmd_lemma(args) -> int:

@@ -16,12 +16,14 @@ residual tests assert the O(h^2) rate rather than hiding it in tolerances.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .blas import single_blas_thread
 from .errors import ContractError
 from .semicircle import gauss_chebyshev_u, sc_convolutions, v_of_t
 
@@ -44,7 +46,10 @@ class ComplexSeries:
         if self.grid.size < 2:
             raise ContractError("series needs at least two grid points")
         steps = np.diff(self.grid)
-        if not np.allclose(steps, steps[0], rtol=1e-12, atol=1e-15) or steps[0] <= 0:
+        # linspace rounds each point to about one ulp of its size, so the steps of a
+        # uniform grid agree to a few eps times its largest value, not to a fixed 1e-15
+        atol = 4.0 * np.finfo(float).eps * np.max(np.abs(self.grid))
+        if not np.allclose(steps, steps[0], rtol=1e-12, atol=atol) or steps[0] <= 0:
             raise ContractError("grid must be uniform with positive step")
         if not (np.all(np.isfinite(self.grid)) and np.all(np.isfinite(self.values))):
             raise ContractError("series must be finite")
@@ -166,6 +171,28 @@ def _edd_weighted(t_values: np.ndarray, w: float) -> np.ndarray:
     return fw @ d - f * (rule.weights @ d) + 1j * t[:, None] * (rule.weights + fw)
 
 
+@functools.lru_cache(maxsize=2)
+def _grid_factors(t_bytes: bytes, w: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only full-grid factors of the kernels: (_edd_weighted(t), e^{i t l} w_l, vv, vvv).
+
+    The residual builds its kernels one block of t2 columns at a time, always
+    against the same t1 grid; these are that grid's t1-side factors, computed
+    once per (grid, w) instead of once per block.
+    """
+    rule = gauss_chebyshev_u(w)
+    t = np.frombuffer(t_bytes)
+    conv_parts = sc_convolutions(t, w)
+    factors = (_edd_weighted(t, w), np.exp(1j * np.multiply.outer(t, rule.nodes)) * rule.weights,
+               conv_parts["vv"], conv_parts["vvv"])
+    for array in factors:
+        array.flags.writeable = False
+    return factors
+
+
+def _factors_of(t_grid: np.ndarray, w: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    return _grid_factors(np.ascontiguousarray(t_grid, float).tobytes(), w)
+
+
 def phi_kernel_grid(t3_grid: np.ndarray, t2_grid: np.ndarray, w: float) -> np.ndarray:
     """The inner two-time kernel of the covariance equation's source term, on a product grid.
 
@@ -174,8 +201,7 @@ def phi_kernel_grid(t3_grid: np.ndarray, t2_grid: np.ndarray, w: float) -> np.nd
     The divided-difference matrix is symmetric, so the inner rho-integral over
     m is the weighted divided difference of _edd_weighted.
     """
-    rule = gauss_chebyshev_u(w)
-    e3 = np.exp(1j * np.multiply.outer(np.asarray(t3_grid, float), rule.nodes)) * rule.weights
+    e3 = _factors_of(t3_grid, w)[1]
     return -1j * (e3 @ _edd_weighted(t2_grid, w).T)
 
 
@@ -188,12 +214,12 @@ def cov_kernel_grid(t1_grid: np.ndarray, t2_grid: np.ndarray, w: float, kappa4: 
     rule = gauss_chebyshev_u(w)
     t1 = np.asarray(t1_grid, float)
     t2 = np.asarray(t2_grid, float)
-    same = t1.shape == t2.shape and np.array_equal(t1, t2)
-    a1 = _edd_weighted(t1, w)
-    a2 = a1 if same else _edd_weighted(t2, w)
+    a1, _, _, vvv1 = _factors_of(t1, w)
+    if t1.shape == t2.shape and np.array_equal(t1, t2):
+        a2, vvv2 = a1, vvv1
+    else:
+        a2, vvv2 = _edd_weighted(t2, w), sc_convolutions(t2, w)["vvv"]
     t3_part = (a1 * rule.weights) @ a2.T
-    vvv1 = sc_convolutions(t1, w)["vvv"]
-    vvv2 = vvv1 if same else sc_convolutions(t2, w)["vvv"]
     return 2.0 * w * w * t3_part + kappa4 * np.multiply.outer(vvv1, vvv2)
 
 
@@ -201,25 +227,35 @@ def cov_kernel_grid(t1_grid: np.ndarray, t2_grid: np.ndarray, w: float, kappa4: 
 # residual checks
 # ---------------------------------------------------------------------------
 
+# t2 columns per block of the covariance-equation residual
+_COLUMN_BLOCK = 64
+
 
 def coveq_residual(w: float, kappa4: float, grid: np.ndarray) -> float:
     """Sup defect of the closed-form kernel in the discretized covariance equation.
 
     Builds the source A(t1, t2) = -2 w^2 Int_0^{t1} Phi(., t2) + kappa4 vvv(t2)
     Int_0^{t1} vv, applies the discretized left side to the closed-form kernel
-    and returns the max absolute residual over the grid square; O(h^2).
+    and returns the max absolute residual over the grid square; O(h^2).  Every
+    step along t1 is column-independent, so the square is walked in blocks of
+    _COLUMN_BLOCK t2 columns and memory is O(n (block + nodes)), not O(n^2).
     """
     g = np.asarray(grid, float)
     h = float(g[1] - g[0])
-    conv_parts = sc_convolutions(g, w)
-    a_grid = _cumtrapz(phi_kernel_grid(g, g, w), h)
-    a_grid *= -2.0 * w * w
-    a_grid += kappa4 * np.multiply.outer(_cumtrapz(conv_parts["vv"].astype(complex), h),
-                                         conv_parts["vvv"])
+    vv, vvv = _factors_of(g, w)[2:]
+    vv_integral = _cumtrapz(vv.astype(complex), h)
     kernel = ComplexSeries(grid=g, values=(w * w * v_of_t(g, w)).astype(complex))
-    lhs = volterra_apply(kernel, cov_kernel_grid(g, g, w, kappa4))
-    lhs -= a_grid
-    return float(np.max(np.abs(lhs)))
+    block_sups = []
+    for start in range(0, g.size - 1, _COLUMN_BLOCK):
+        # a lone last column would run through GEMV, which rounds differently: the block before takes it
+        cols = slice(start, start + _COLUMN_BLOCK if g.size - start - _COLUMN_BLOCK > 1 else g.size)
+        a_block = _cumtrapz(phi_kernel_grid(g, g[cols], w), h)
+        a_block *= -2.0 * w * w
+        a_block += kappa4 * np.multiply.outer(vv_integral, vvv[cols])
+        lhs = volterra_apply(kernel, cov_kernel_grid(g, g[cols], w, kappa4))
+        lhs -= a_block
+        block_sups.append(np.max(np.abs(lhs)))
+    return float(np.max(block_sups))
 
 
 def v2_equation_check(l: int, t_rest: Sequence[float], w: float, grid: np.ndarray) -> float:
@@ -265,13 +301,14 @@ def residual_table(h_values: Sequence[float], w: float, kappa4: float, t_max: fl
         "manufactured_solve": lambda h: manufactured_solve_error(uniform_grid(t_max, h)),
     }
     rows: list[dict] = []
-    for name, runner in cases.items():
-        prev: float | None = None
-        for idx, h in enumerate(sorted(h_values, reverse=True)):
-            res = runner(float(h))
-            order = math.log2(prev / res) if idx > 0 and prev > 0 and res > 0 else float("nan")
-            rows.append({"case": name, "h": float(h), "residual": res, "order_estimate": order})
-            prev = res
+    with single_blas_thread():  # the arrays are small: more BLAS threads add CPU time, not speed
+        for name, runner in cases.items():
+            prev: float | None = None
+            for idx, h in enumerate(sorted(h_values, reverse=True)):
+                res = runner(float(h))
+                order = math.log2(prev / res) if idx > 0 and prev > 0 and res > 0 else float("nan")
+                rows.append({"case": name, "h": float(h), "residual": res, "order_estimate": order})
+                prev = res
     return rows
 
 

@@ -22,7 +22,7 @@ from wignerlab.semicircle import (
     gauss_chebyshev_u, gaussian_damped, polynomial, rho_sc, sc_convolutions, v_of_t,
 )
 from wignerlab.spectral import SpectralDecomposition
-from wignerlab.volterra import ComplexSeries, _conv_values, _edd_weighted
+from wignerlab.volterra import ComplexSeries, _conv_values, _cumtrapz, _edd_weighted, volterra_apply
 
 # ---------------------------------------------------------------------------
 # test functions and semicircle integrals
@@ -436,6 +436,31 @@ def convolve(f1: ComplexSeries, f2: ComplexSeries) -> ComplexSeries:
     if f1.grid.shape != f2.grid.shape or not np.array_equal(f1.grid, f2.grid):
         raise ContractError("convolve requires a shared grid")
     return ComplexSeries(grid=f1.grid, values=_conv_values(f1.values, f2.values, f1.h))
+
+
+def coveq_residual_full_square(w: float, kappa4: float, grid: np.ndarray) -> float:
+    """volterra.coveq_residual with every t1 x t2 array built on the whole grid square.
+
+    The source A and the closed-form kernel come from the same formulas as
+    phi_kernel_grid and cov_kernel_grid, evaluated once over all columns; the
+    column-blocked residual must return the same float bit for bit.
+    """
+    g = np.asarray(grid, float)
+    h = float(g[1] - g[0])
+    rule = gauss_chebyshev_u(w)
+    conv_parts = sc_convolutions(g, w)
+    a = _edd_weighted(g, w)
+    e3 = np.exp(1j * np.multiply.outer(g, rule.nodes)) * rule.weights
+    a_grid = _cumtrapz(-1j * (e3 @ a.T), h)
+    a_grid *= -2.0 * w * w
+    a_grid += kappa4 * np.multiply.outer(_cumtrapz(conv_parts["vv"].astype(complex), h),
+                                         conv_parts["vvv"])
+    cov = 2.0 * w * w * ((a * rule.weights) @ a.T) + kappa4 * np.multiply.outer(conv_parts["vvv"],
+                                                                               conv_parts["vvv"])
+    kernel = ComplexSeries(grid=g, values=(w * w * v_of_t(g, w)).astype(complex))
+    lhs = volterra_apply(kernel, cov)
+    lhs -= a_grid
+    return float(np.max(np.abs(lhs)))
 
 
 

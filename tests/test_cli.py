@@ -296,6 +296,23 @@ def test_volterra_subcommand(tmp_path):
     assert all(1.5 <= o <= 2.5 for o in finite_orders)
 
 
+def test_volterra_identical_across_blas_threads(tmp_path):
+    """The column-blocked coveq residual and its table run on one BLAS thread, whatever the default."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outs = {}
+    for blas_threads in (1, 2):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / f"blas{blas_threads}"
+        subprocess.run([sys.executable, "-m", "wignerlab.cli", "volterra", "--h", "0.02,0.01",
+                        "--w", "1.07", "--kappa4", "-0.9", "--out", str(out)],
+                       env=env, check=True, timeout=600, stdout=subprocess.DEVNULL)
+        outs[blas_threads] = out
+    assert (outs[1] / "volterra_residuals.csv").read_bytes() == (outs[2] / "volterra_residuals.csv").read_bytes()
+    assert {json.loads((out / "manifest.json").read_text())["blas_threads"]
+            for out in outs.values()} == {blas.replica_blas_threads()}
+
+
 def test_volterra_zero_residual_has_no_order(tmp_path):
     # at this scale the scalar v-equation residual is exactly 0 at h = 0.5
     code = cli.run_cli(["volterra", "--w", "1e-5", "--h", "0.5,0.25", "--t-max", "1",
@@ -613,6 +630,22 @@ def test_exit_code_bad_volterra_arguments(tmp_path, capsys, args, error):
     code = cli.run_cli(["volterra", *args, "--out", str(tmp_path / "v")])
     assert code == 2
     assert error_payload(capsys)["error"] == error
+    assert not (tmp_path / "v").exists()
+
+
+@pytest.mark.parametrize("args,field", [
+    (["--t-max", "1e308"], "--t-max"),  # t_max / h overflows
+    (["--t-max", "1e20"], "--t-max"),  # floats near 1e20 are farther apart than 0.04
+    (["--h", "1e-7"], "--h"),  # 2e7 grid points
+    (["--h", "0.01,0.01"], "--h"),  # a repeated step has no convergence order
+])
+@pytest.mark.filterwarnings("error")
+def test_volterra_grid_errors_name_the_flag(tmp_path, capsys, args, field):
+    code = cli.run_cli(["volterra", *args, "--out", str(tmp_path / "v")])
+    assert code == 2
+    payload = error_payload(capsys)
+    assert (payload["error"], payload["field"]) == ("ConfigError", field)
+    assert payload["message"].startswith(field)
     assert not (tmp_path / "v").exists()
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,10 +39,21 @@ def test_uniform_grid_steps_divide_t_max():
 def test_series_validation():
     with pytest.raises(ContractError):
         vt.ComplexSeries(grid=np.array([0.0, 0.1, 0.3]), values=np.zeros(3, complex))
+    uneven = vt.uniform_grid(20.0, 0.001)
+    uneven[7] += 1e-9
+    with pytest.raises(ContractError):
+        vt.ComplexSeries(grid=uneven, values=np.zeros(uneven.size, complex))
     with pytest.raises(ContractError):
         vt.ComplexSeries(grid=np.array([0.0]), values=np.zeros(1, complex))
     with pytest.raises(ContractError):
         vt.ComplexSeries(grid=np.array([0.0, 0.1]), values=np.array([np.nan, 0.0], complex))
+
+
+@pytest.mark.parametrize("t_max", [20.0, 200.0])
+def test_series_accepts_fine_uniform_grids(t_max):
+    # linspace rounds each step by about eps * t_max, more than a fixed 1e-15 here
+    g = vt.uniform_grid(t_max, 0.001)
+    assert vt.ComplexSeries(grid=g, values=np.zeros(g.size, complex)).h == pytest.approx(0.001)
 
 
 def test_convolve_unit_functions_exact():
@@ -305,6 +317,25 @@ def test_coveq_residual_second_order(kappa4):
         assert residuals[h] <= 50 * h * h
     order = math.log2(residuals[0.04] / residuals[0.02])
     assert 1.8 <= order <= 2.2
+
+
+@pytest.mark.parametrize("points", [51, 129, 201])  # inside one block; two blocks and a lone column; a remainder
+@pytest.mark.parametrize("w,kappa4", [(1.0, -2.0), (1.07, -0.9), (0.5, 0.0), (2.3, 1.5)])
+def test_coveq_residual_blocks_match_full_square(points, w, kappa4):
+    grid = vt.uniform_grid((points - 1) * 0.01, 0.01)
+    assert vt.coveq_residual(w, kappa4, grid) == oracles.coveq_residual_full_square(w, kappa4, grid)
+
+
+def test_coveq_residual_peak_memory_below_one_square():
+    grid = vt.uniform_grid(2.0, 0.00125)
+    vt.coveq_residual(1.07, -0.9, grid)  # warms the grid factors and scipy.fft's plan cache
+    tracemalloc.start()
+    try:
+        vt.coveq_residual(1.07, -0.9, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < grid.size * grid.size * 16  # one complex t1 x t2 array: 39 MiB
 
 
 def test_coveq_zero_row():
