@@ -9,8 +9,8 @@ output stage, which writes every primary output and then the run manifest.
 
 Primary outputs (result/prediction JSON, CSV tables) are byte-identical for a
 fixed config and seed regardless of --threads and of the BLAS thread default;
-the run manifest records wall time and the thread counts and is metadata, not
-a primary output.
+the run manifest records wall time, the process's CPU time and page faults and
+the thread counts, and is metadata, not a primary output.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from . import __version__
 from . import semicircle
 from .blas import replica_blas_threads
 from .ensembles import CONVENTIONS, KINDS, EnsembleSpec, make_entry_distribution
-from .errors import ConfigError, NumericFailureError, WignerLabError
+from .errors import ConfigError, ContractError, NumericFailureError, WignerLabError
 from .harness import (
     ExperimentConfig,
     J_POLICIES,
@@ -42,7 +42,7 @@ from .harness import (
     run_entry_experiment,
 )
 from .seeding import derive_seed, splitmix64  # re-exported: the seed-derivation contract lives here
-from .volterra import residual_table
+from .volterra import residual_table, uniform_grid
 
 __all__ = ["main", "run_cli", "parse_config", "derive_seed", "splitmix64", "config_hash"]
 
@@ -231,6 +231,17 @@ def _write_json(path: Path, obj: dict) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n")
 
 
+def _process_usage() -> dict:
+    """CPU seconds in user and kernel mode and minor page faults of this process so far;
+    None each where the platform has no resource module."""
+    try:
+        import resource
+    except ImportError:
+        return {"cpu_user_s": None, "cpu_sys_s": None, "minor_faults": None}
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return {"cpu_user_s": usage.ru_utime, "cpu_sys_s": usage.ru_stime, "minor_faults": usage.ru_minflt}
+
+
 def _write_outputs(out: str, started: float, files: dict[str, dict | list[dict]], cfg_hash: str,
                    root_seed: int, threads: int, blas_threads: int | None = None, **extra) -> int:
     """Write every primary output into out, then manifest.json, then one `wrote` line per file.
@@ -239,7 +250,8 @@ def _write_outputs(out: str, started: float, files: dict[str, dict | list[dict]]
     list of dicts as CSV whose header is the first record's keys (None is an
     empty cell).  The manifest is run metadata: blas_threads is the replica
     phases' BLAS thread count (None: no phase, or no bundled OpenBLAS found),
-    and extra adds subcommand-specific fields.
+    the process's CPU time and minor faults come from _process_usage, and
+    extra adds subcommand-specific fields.
     """
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -258,6 +270,7 @@ def _write_outputs(out: str, started: float, files: dict[str, dict | list[dict]]
         "threads": threads,
         "blas_threads": blas_threads,
         "wall_time_s": time.monotonic() - started,
+        **_process_usage(),
         "outputs": list(files),
         **extra,
     })
@@ -305,9 +318,9 @@ _VOLTERRA_MAX_POINTS = 2**16 + 1
 def _volterra_steps(text: str, t_max: float) -> list[float]:
     """The --h step sizes, checked against --t-max before any grid is built.
 
-    A step finer than the floats near t_max cannot be laid out, and --t-max is
-    at fault; otherwise too many points is the step's fault.  Non-finite or
-    non-positive values are left to uniform_grid.
+    Each error names the flag at fault: a non-finite or non-positive value, a
+    step finer than the floats near t_max (--t-max), too many points or a step
+    that does not divide t_max (--h).
     """
     try:
         h_values = [float(h) for h in text.split(",")]
@@ -317,16 +330,20 @@ def _volterra_steps(text: str, t_max: float) -> list[float]:
         # a repeated step would read as a convergence order of log2(1) = 0
         raise ConfigError(f"--h: step sizes must be distinct, got {text!r}", field="--h")
     if not (math.isfinite(t_max) and t_max > 0):
-        return h_values
+        raise ConfigError(f"--t-max: expected a positive finite number, got {t_max!r}", field="--t-max")
     for h in h_values:
         if not (math.isfinite(h) and h > 0):
-            continue
+            raise ConfigError(f"--h: expected positive finite step sizes, got {h!r}", field="--h")
         if h <= math.ulp(t_max):
             raise ConfigError(f"--t-max: floats near {t_max!r} are {math.ulp(t_max)!r} apart, "
                               f"more than the step {h!r}", field="--t-max")
         if t_max / h + 1 > _VOLTERRA_MAX_POINTS:
             raise ConfigError(f"--h: a step of {h!r} on [0, {t_max!r}] makes {t_max / h + 1:.6g} grid points, "
                               f"more than {_VOLTERRA_MAX_POINTS}", field="--h")
+        try:
+            uniform_grid(t_max, h)
+        except ContractError as exc:  # both are finite and positive here: h does not divide t_max
+            raise ConfigError(f"--h: {exc}", field="--h") from exc
     return h_values
 
 

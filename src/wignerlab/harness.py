@@ -17,12 +17,16 @@ sqrt(n) scaling would otherwise turn into an O(n^-1/2) bias.
 Replicas are embarrassingly parallel: each one is keyed by (root seed, n,
 replica index), results are reduced in replica order, and every replica phase
 runs on one BLAS thread (blas.single_blas_thread), so outputs are
-bit-identical for any replica or BLAS thread count.
+bit-identical for any replica or BLAS thread count.  The first replica phase
+also sets glibc's heap policy (keep_freed_heap_pages), so each replica reuses
+the pages the one before it freed.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import functools
 import hashlib
 import math
 import os
@@ -50,7 +54,8 @@ FINITE_SIZE_CF_BUDGET = 0.05  # empirical O(n^-1/2) allowance at desk-scale n
 
 
 def default_threads() -> int:
-    """Replica threads: WIGNERLAB_THREADS when set, else the core count capped at 8."""
+    """Replica threads: WIGNERLAB_THREADS when set, else the cores this process may
+    run on (its CPU affinity where the platform reports one), capped at 8."""
     env = os.environ.get("WIGNERLAB_THREADS")
     if env:
         try:
@@ -61,7 +66,8 @@ def default_threads() -> int:
             raise ConfigError(f"WIGNERLAB_THREADS must be a positive integer, got {env!r}",
                               field="WIGNERLAB_THREADS")
         return count
-    return min(os.cpu_count() or 1, 8)
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(cores or 1, 8)
 
 
 @contextlib.contextmanager
@@ -154,8 +160,41 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
+# glibc's mallopt parameters (malloc.h) and the values the replica phases set
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_HEAP_TRIM_BYTES = 512 << 20  # far above a replica's working set, about 16 MiB per thread at n=1024
+_HEAP_MMAP_BYTES = 32 << 20  # glibc's largest mmap threshold on 64-bit hosts
+
+
+@functools.cache
+def keep_freed_heap_pages() -> bool:
+    """Keep freed heap blocks in the process for the next replica; True when glibc took the policy.
+
+    A replica at n=1024 allocates and frees about 16 MiB of arrays: the drawn
+    atom indices, the dense matrix, eigh's workspace.  glibc's default policy
+    hands blocks that large back to the kernel (munmap, heap trim), and the
+    next replica faults the same pages in again, zero-filled.  Raising the
+    trim threshold far above that working set, and the mmap threshold to its
+    64-bit maximum, keeps them in the heap for reuse.  Where memory comes from
+    changes no arithmetic, so no output changes.
+
+    The policy is process-wide and one-way: glibc has no getter to restore
+    it, so it outlives the phase that set it.  Without glibc's mallopt
+    (another C library or platform) nothing is changed.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return False
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    results = [mallopt(_M_TRIM_THRESHOLD, _HEAP_TRIM_BYTES), mallopt(_M_MMAP_THRESHOLD, _HEAP_MMAP_BYTES)]
+    return all(result == 1 for result in results)  # mallopt returns 1 on success
+
+
 def _parallel_map(fn: Callable[[int], object], count: int, threads: int) -> list:
-    """fn over range(count) in order, on `threads` Python threads and one BLAS thread."""
+    """fn over range(count) in order, on `threads` Python threads and one BLAS thread,
+    with freed heap pages kept for the next replica."""
+    keep_freed_heap_pages()
     with single_blas_thread():
         if threads <= 1:
             return [fn(i) for i in range(count)]

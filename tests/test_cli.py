@@ -137,6 +137,13 @@ def test_manifest_lists_exactly_the_files_written(tmp_path, capsys, command, fil
     assert manifest["outputs"] == files
     assert sorted(p.name for p in out.iterdir()) == sorted(files + ["manifest.json"])
     assert capsys.readouterr().out.splitlines() == [f"wrote {out / name}" for name in files]
+    # the process's own usage, read when the manifest is written
+    assert manifest["cpu_user_s"] > 0 and manifest["cpu_sys_s"] >= 0 and manifest["minor_faults"] > 0
+
+
+def test_manifest_usage_without_resource_module(monkeypatch):
+    monkeypatch.setitem(sys.modules, "resource", None)  # as on a platform without it
+    assert cli._process_usage() == {"cpu_user_s": None, "cpu_sys_s": None, "minor_faults": None}
 
 
 def test_simulate_deterministic_across_threads(tmp_path):
@@ -615,9 +622,9 @@ def test_root_seed_range(tmp_path):
 @pytest.mark.parametrize("args,error", [
     (["--h", "abc"], "ConfigError"),
     (["--h", ",0.04"], "ConfigError"),
-    (["--t-max", "nan"], "ContractError"),
-    (["--t-max", "inf"], "ContractError"),
-    (["--h", "0.03", "--t-max", "2"], "ContractError"),  # 2 / 0.03 is not a whole step count
+    (["--t-max", "nan"], "ConfigError"),
+    (["--t-max", "inf"], "ConfigError"),
+    (["--h", "0.03", "--t-max", "2"], "ConfigError"),  # 2 / 0.03 is not a whole step count
     (["--w", "nan"], "ConfigError"),
     (["--w", "inf"], "ConfigError"),
     (["--kappa4", "nan"], "ConfigError"),
@@ -638,6 +645,11 @@ def test_exit_code_bad_volterra_arguments(tmp_path, capsys, args, error):
     (["--t-max", "1e20"], "--t-max"),  # floats near 1e20 are farther apart than 0.04
     (["--h", "1e-7"], "--h"),  # 2e7 grid points
     (["--h", "0.01,0.01"], "--h"),  # a repeated step has no convergence order
+    (["--t-max", "nan"], "--t-max"),
+    (["--t-max", "inf"], "--t-max"),
+    (["--h", "nan"], "--h"),
+    (["--h", "-1"], "--h"),
+    (["--h", "0.03", "--t-max", "2"], "--h"),  # 2 / 0.03 is not a whole step count
 ])
 @pytest.mark.filterwarnings("error")
 def test_volterra_grid_errors_name_the_flag(tmp_path, capsys, args, field):

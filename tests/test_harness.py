@@ -1,5 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,6 +79,15 @@ def test_resolve_j():
     assert hn.resolve_j("explicit", 100, 55) == 55
     with pytest.raises(ContractError):
         hn.resolve_j("explicit", 100, 100)
+
+
+def test_default_threads_counts_the_cores_the_process_may_run_on(monkeypatch):
+    monkeypatch.delenv("WIGNERLAB_THREADS", raising=False)
+    monkeypatch.setattr(hn.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(hn.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert hn.default_threads() == 2  # pinned to 2 of 64 cores
+    monkeypatch.delattr(hn.os, "sched_getaffinity")
+    assert hn.default_threads() == 8  # no affinity to read: the core count, capped
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +279,54 @@ def test_result_deterministic_across_threads():
     a = hn.run_entry_experiment(cfg, threads=1).record
     b = hn.run_entry_experiment(cfg, threads=4).record
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+@pytest.mark.parametrize("result,taken", [(1, True), (0, False)])
+def test_heap_policy_sets_both_thresholds_and_checks_the_result(monkeypatch, result, taken):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return result
+
+    monkeypatch.setattr(hn.ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+    assert hn.keep_freed_heap_pages.__wrapped__() is taken
+    assert calls == [(-1, 512 << 20), (-3, 32 << 20)]  # M_TRIM_THRESHOLD, M_MMAP_THRESHOLD
+
+
+def test_heap_policy_without_mallopt_changes_nothing(monkeypatch):
+    monkeypatch.setattr(hn.ctypes, "CDLL", lambda name: types.SimpleNamespace())  # no such symbol
+    assert hn.keep_freed_heap_pages.__wrapped__() is False
+
+
+_WARM_PHASE_FAULTS = """
+import json, resource
+from wignerlab import ensembles as en, harness as hn
+from wignerlab.semicircle import monomial
+spec = en.EnsembleSpec(entry_dist=en.make_entry_distribution("rademacher", 1.0))
+faults = []
+for phase in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    hn.matrix_element_samples(spec, 1024, 0, [monomial(3), monomial(4)], 7, 100, threads=2)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps({"policy_set": hn.keep_freed_heap_pages(), "faults": faults}))
+"""
+
+
+def test_warm_replica_phase_reuses_freed_heap_pages():
+    """A second replica phase at n=1024 takes its arrays from the heap the first one
+    freed; under glibc's default policy it faults 600-1500 fresh pages per replica.
+
+    It runs in a fresh process, because the policy lasts for the life of a process."""
+    pytest.importorskip("resource")
+    src = str(Path(hn.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _WARM_PHASE_FAULTS], env=env, capture_output=True,
+                          text=True, check=True, timeout=600)
+    report = json.loads(proc.stdout)
+    if not report["policy_set"]:
+        pytest.skip("the C library has no mallopt")
+    assert report["faults"][1] / 100 < 64
 
 
 def test_replica_sequence_uncorrelated():

@@ -1,0 +1,29 @@
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+
+import same_outputs  # noqa: E402
+
+
+def run_dir(path: Path, output: bytes, **manifest) -> Path:
+    path.mkdir()
+    (path / "result.json").write_bytes(output)
+    base = {"config_hash": "ab", "root_seed": 1, "threads": 2, "outputs": ["result.json"],
+            "wall_time_s": 1.0, "cpu_user_s": 1.0, "cpu_sys_s": 0.1, "minor_faults": 10}
+    (path / "manifest.json").write_text(json.dumps({**base, **manifest}))
+    return path
+
+
+def test_same_outputs_fails_on_outputs_and_inputs_and_notes_other_metadata(tmp_path):
+    ours = run_dir(tmp_path / "ours", b"{}", blas_threads=1)
+    # run measurements always differ, and a metadata field only one side writes is a note
+    theirs = run_dir(tmp_path / "theirs", b"{}", wall_time_s=2.0, cpu_user_s=3.0, minor_faults=99)
+    assert same_outputs.differences(ours, theirs, ["result.json"]) == (
+        [], ["manifest.json fields ['blas_threads']"])
+    other_seed = run_dir(tmp_path / "seed", b"{}", root_seed=2, blas_threads=1)
+    assert same_outputs.differences(ours, other_seed, ["result.json"]) == (
+        ["manifest.json fields ['root_seed']"], [])
+    other_bytes = run_dir(tmp_path / "bytes", b"{ }", blas_threads=1)
+    assert same_outputs.differences(ours, other_bytes, ["result.json"]) == (["result.json"], [])

@@ -5,10 +5,13 @@
 Builds the benchmark's four workloads at seed 301 through
 perfbench/workloads.make (read only), and runs each one, plus `predict` on the
 two simulate configs, once under this checkout's src/ and once under
-OTHER_CHECKOUT/src.  Every primary output must match byte for byte, and every
-manifest.json field but wall_time_s must be equal.  Prints `identical` and
-exits 0, or prints each difference and exits 1.  Takes about a minute on two
-cores, most of it in the lemma workload.
+OTHER_CHECKOUT/src.  Every primary output must match byte for byte, and so
+must the manifest.json fields that identify the inputs (IDENTITY_FIELDS).
+The manifest is run metadata: any other field that differs is printed as a
+note, except the run's own measurements (MEASUREMENTS), which differ on every
+run.  Prints the notes, then `identical` and exits 0, or prints each
+difference and exits 1.  Takes about a minute on two cores, most of it in the
+lemma workload.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 301
 THREADS = 2
+IDENTITY_FIELDS = ("config_hash", "root_seed", "threads", "outputs")
+MEASUREMENTS = ("wall_time_s", "cpu_user_s", "cpu_sys_s", "minor_faults")
 
 
 def runs(work: Path) -> list[tuple[str, list[str], list[str]]]:
@@ -47,16 +52,17 @@ def run_cli(checkout: Path, args: list[str], out_dir: Path) -> str | None:
     return None if proc.returncode == 0 else f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"
 
 
-def differences(ours: Path, theirs: Path, outputs: list[str]) -> list[str]:
+def differences(ours: Path, theirs: Path, outputs: list[str]) -> tuple[list[str], list[str]]:
+    """(differences, notes): differing primary outputs and identity fields, and other manifest fields."""
     found = [name for name in outputs if (ours / name).read_bytes() != (theirs / name).read_bytes()]
     manifests = [json.loads((d / "manifest.json").read_text()) for d in (ours, theirs)]
-    for manifest in manifests:
-        manifest.pop("wall_time_s")
-    if manifests[0] != manifests[1]:
-        keys = sorted(k for k in manifests[0].keys() | manifests[1].keys()
-                      if manifests[0].get(k) != manifests[1].get(k))
-        found.append(f"manifest.json fields {keys}")
-    return found
+    keys = sorted(k for k in manifests[0].keys() | manifests[1].keys()
+                  if k not in MEASUREMENTS and manifests[0].get(k) != manifests[1].get(k))
+    identity = [k for k in keys if k in IDENTITY_FIELDS]
+    other = [k for k in keys if k not in IDENTITY_FIELDS]
+    if identity:
+        found.append(f"manifest.json fields {identity}")
+    return found, [f"manifest.json fields {other}"] if other else []
 
 
 def main(argv: list[str]) -> int:
@@ -74,7 +80,10 @@ def main(argv: list[str]) -> int:
             if any(errors):
                 failures.append(f"{label}: {errors}")
                 continue
-            failures += [f"{label}: {what} differ" for what in differences(*dirs, outputs)]
+            found, notes = differences(*dirs, outputs)
+            failures += [f"{label}: {what} differ" for what in found]
+            for what in notes:
+                print(f"note: {label}: {what} differ (metadata)")
     print("\n".join(failures) if failures else "identical")
     return 1 if failures else 0
 
