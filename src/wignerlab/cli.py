@@ -34,7 +34,6 @@ from .ensembles import CONVENTIONS, KINDS, EnsembleSpec, make_entry_distribution
 from .errors import ConfigError, ContractError, NumericFailureError, WignerLabError
 from .harness import (
     ExperimentConfig,
-    J_POLICIES,
     default_threads,
     lemma_decay_experiment,
     phi_route,
@@ -185,9 +184,6 @@ def config_from_dict(obj: dict, require_phi: bool = True) -> ExperimentConfig:
     if not isinstance(obj["n_list"], list) or not obj["n_list"]:
         raise ConfigError("config.n_list: expected a nonempty list", field="config.n_list")
     n_list = tuple(_positive_int(n, f"config.n_list[{i}]") for i, n in enumerate(obj["n_list"]))
-    j_policy = obj.get("j_policy", "first")
-    if j_policy not in J_POLICIES:
-        raise ConfigError(f"config.j_policy: unknown policy {j_policy!r}", field="config.j_policy")
     kwargs = dict(
         spec=spec,
         phi=phi,
@@ -195,7 +191,7 @@ def config_from_dict(obj: dict, require_phi: bool = True) -> ExperimentConfig:
         n_list=n_list,
         replicas=_positive_int(obj["replicas"], "config.replicas"),
         root_seed=_seed(obj["root_seed"], "config.root_seed"),
-        j_policy=j_policy,
+        j_policy=obj.get("j_policy", "first"),
     )
     if obj.get("j_explicit") is not None:
         kwargs["j_explicit"] = _positive_int(obj["j_explicit"], "config.j_explicit")
@@ -203,10 +199,7 @@ def config_from_dict(obj: dict, require_phi: bool = True) -> ExperimentConfig:
         kwargs["x_grid"] = tuple(_real_list(obj["x_grid"], "config.x_grid"))
     if obj.get("t_grid") is not None:
         kwargs["t_grid"] = tuple(_real_list(obj["t_grid"], "config.t_grid"))
-    try:
-        return ExperimentConfig(**kwargs)
-    except WignerLabError as exc:
-        raise ConfigError(f"config: {exc}") from exc
+    return ExperimentConfig(**kwargs)
 
 
 def config_hash(config_descriptor: dict) -> str:

@@ -117,20 +117,22 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.replicas < 100:
-            raise ContractError(f"replicas must be >= 100, got {self.replicas}")
+            raise ConfigError(f"config.replicas: must be >= 100, got {self.replicas}", field="config.replicas")
         if any(n < 16 for n in self.n_list) or not self.n_list:
-            raise ContractError("every n must be >= 16")
+            raise ConfigError(f"config.n_list: every n must be >= 16, got {list(self.n_list)}",
+                              field="config.n_list")
         if len(set(self.n_list)) != len(self.n_list):
-            raise ContractError(f"n_list sizes must be distinct, got {list(self.n_list)}")
+            raise ConfigError(f"config.n_list: sizes must be distinct, got {list(self.n_list)}",
+                              field="config.n_list")
         if self.j_policy not in J_POLICIES:
-            raise ContractError(f"unknown j policy {self.j_policy!r}")
+            raise ConfigError(f"config.j_policy: unknown policy {self.j_policy!r}", field="config.j_policy")
         if self.j_policy == "explicit" and not (
                 self.j_explicit is not None and 0 <= self.j_explicit < min(self.n_list)):
-            raise ContractError(f"j_policy 'explicit' needs j_explicit in 0..{min(self.n_list) - 1}, "
-                                f"got {self.j_explicit}")
+            raise ConfigError(f"config.j_explicit: j_policy 'explicit' needs j_explicit in "
+                              f"0..{min(self.n_list) - 1}, got {self.j_explicit}", field="config.j_explicit")
         for name, grid in (("x_grid", self.x_grid), ("t_grid", self.t_grid)):
             if not all(math.isfinite(v) for v in grid):
-                raise ContractError(f"{name} must be finite")
+                raise ConfigError(f"config.{name}: must be finite", field=f"config.{name}")
 
     def phis(self) -> list[TestFunction]:
         if self.phi is None:
@@ -493,7 +495,8 @@ def lemma_decay_experiment(cfg: ExperimentConfig, threads: int | None = None) ->
     and so is a t whose replica statistics leave it (lambda t overflowing).
     """
     if len(cfg.n_list) < 4 or max(cfg.n_list) < 8 * min(cfg.n_list):
-        raise ContractError("decay experiments need at least 4 sizes spanning an 8x range")
+        raise ConfigError(f"config.n_list: decay experiments need at least 4 sizes spanning an 8x range, "
+                          f"got {list(cfg.n_list)}", field="config.n_list")
     threads = default_threads() if threads is None else threads
     ts = [float(t) for t in cfg.t_grid]
     with float_range("config.t_grid"):

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,34 +28,8 @@ from .semicircle import gauss_chebyshev_u, sc_convolutions, v_of_t
 
 
 # ---------------------------------------------------------------------------
-# series containers
+# time grids
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class ComplexSeries:
-    """Samples of a function on the uniform grid 0, h, ..., T."""
-
-    grid: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.grid.ndim != 1 or self.grid.shape != self.values.shape:
-            raise ContractError("grid and values must be matching 1-D arrays")
-        if self.grid.size < 2:
-            raise ContractError("series needs at least two grid points")
-        steps = np.diff(self.grid)
-        # linspace rounds each point to about one ulp of its size, so the steps of a
-        # uniform grid agree to a few eps times its largest value, not to a fixed 1e-15
-        atol = 4.0 * np.finfo(float).eps * np.max(np.abs(self.grid))
-        if not np.allclose(steps, steps[0], rtol=1e-12, atol=atol) or steps[0] <= 0:
-            raise ContractError("grid must be uniform with positive step")
-        if not (np.all(np.isfinite(self.grid)) and np.all(np.isfinite(self.values))):
-            raise ContractError("series must be finite")
-
-    @property
-    def h(self) -> float:
-        return float(self.grid[1] - self.grid[0])
 
 
 def uniform_grid(t_max: float, h: float) -> np.ndarray:
@@ -109,43 +82,42 @@ def _cumtrapz(values: np.ndarray, h: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def volterra_apply(q: ComplexSeries, p_values: np.ndarray) -> np.ndarray:
-    """Left side P + II Q(t1-t2) P(t2) of the equation, discretized.
+def volterra_apply(q: np.ndarray, p_values: np.ndarray, h: float) -> np.ndarray:
+    """Left side P + II Q(t1-t2) P(t2) of the equation, discretized with step h.
 
-    p_values is a series, or a kernel whose first axis is the equation's time;
-    every column is then applied on its own.
+    q holds the kernel's values on the grid 0, h, ...; p_values is a series on
+    that grid, or a kernel whose first axis is the equation's time; every
+    column is then applied on its own.
     """
-    inner = _conv_values(q.values, p_values, q.h)
-    return p_values + _cumtrapz(inner, q.h)
+    inner = _conv_values(q, p_values, h)
+    return p_values + _cumtrapz(inner, h)
 
 
-def volterra_solve(q: ComplexSeries, r: ComplexSeries) -> ComplexSeries:
-    """Step-marching solution of P(t) + II_{0<t2<t1<t} Q(t1-t2) P(t2) = R(t).
+def volterra_solve(q: np.ndarray, r: np.ndarray, h: float) -> np.ndarray:
+    """Step-marching solution of P(t) + II_{0<t2<t1<t} Q(t1-t2) P(t2) = R(t), with step h.
 
-    The discretized double integral is lower triangular in P, so the march is
-    exact for the discrete system (residual at machine precision); accuracy
-    against the continuum solution is O(h^2).  Requires R(0) = 0.
+    q and r hold the values of Q and R on the grid 0, h, ...  The discretized
+    double integral is lower triangular in P, so the march is exact for the
+    discrete system (residual at machine precision); accuracy against the
+    continuum solution is O(h^2).  Requires R(0) = 0.
     """
-    if not np.array_equal(q.grid, r.grid):
-        raise ContractError("volterra_solve requires a shared grid")
-    if abs(r.values[0]) > 1e-12:
-        raise ContractError(f"R(0) must vanish, got {r.values[0]}")
-    h = q.h
-    qv = q.values
-    rv = r.values
-    n = qv.size
+    if q.shape != r.shape:
+        raise ContractError(f"Q and R need the same length, got {q.shape} and {r.shape}")
+    if abs(r[0]) > 1e-12:
+        raise ContractError(f"R(0) must vanish, got {r[0]}")
+    n = q.size
     p = np.zeros(n, dtype=complex)
     k = np.zeros(n, dtype=complex)  # k_m = (Q * P)(t_m)
-    p[0] = rv[0]
+    p[0] = r[0]
     k_running = 0.0 + 0.0j  # sum_{m=1}^{i-1} k_m
-    diag = 1.0 + h * h * qv[0] / 4.0
+    diag = 1.0 + h * h * q[0] / 4.0
     for i in range(1, n):
-        k_partial = h * (0.5 * qv[i] * p[0] + np.dot(qv[i - 1:0:-1], p[1:i]))
+        k_partial = h * (0.5 * q[i] * p[0] + np.dot(q[i - 1:0:-1], p[1:i]))
         integral_partial = h * (0.5 * k[0] + k_running + 0.5 * k_partial)
-        p[i] = (rv[i] - integral_partial) / diag
-        k[i] = k_partial + 0.5 * h * qv[0] * p[i]
+        p[i] = (r[i] - integral_partial) / diag
+        k[i] = k_partial + 0.5 * h * q[0] * p[i]
         k_running += k[i]
-    return ComplexSeries(grid=q.grid, values=p)
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -212,13 +184,8 @@ def cov_kernel_grid(t1_grid: np.ndarray, t2_grid: np.ndarray, w: float, kappa4: 
     rho-weighted exponential divided difference against node j.
     """
     rule = gauss_chebyshev_u(w)
-    t1 = np.asarray(t1_grid, float)
-    t2 = np.asarray(t2_grid, float)
-    a1, _, _, vvv1 = _factors_of(t1, w)
-    if t1.shape == t2.shape and np.array_equal(t1, t2):
-        a2, vvv2 = a1, vvv1
-    else:
-        a2, vvv2 = _edd_weighted(t2, w), sc_convolutions(t2, w)["vvv"]
+    a1, _, _, vvv1 = _factors_of(t1_grid, w)
+    a2, vvv2 = _edd_weighted(t2_grid, w), sc_convolutions(t2_grid, w)["vvv"]
     t3_part = (a1 * rule.weights) @ a2.T
     return 2.0 * w * w * t3_part + kappa4 * np.multiply.outer(vvv1, vvv2)
 
@@ -244,7 +211,7 @@ def coveq_residual(w: float, kappa4: float, grid: np.ndarray) -> float:
     h = float(g[1] - g[0])
     vv, vvv = _factors_of(g, w)[2:]
     vv_integral = _cumtrapz(vv.astype(complex), h)
-    kernel = ComplexSeries(grid=g, values=(w * w * v_of_t(g, w)).astype(complex))
+    kernel = (w * w * v_of_t(g, w)).astype(complex)
     block_sups = []
     for start in range(0, g.size - 1, _COLUMN_BLOCK):
         # a lone last column would run through GEMV, which rounds differently: the block before takes it
@@ -252,37 +219,35 @@ def coveq_residual(w: float, kappa4: float, grid: np.ndarray) -> float:
         a_block = _cumtrapz(phi_kernel_grid(g, g[cols], w), h)
         a_block *= -2.0 * w * w
         a_block += kappa4 * np.multiply.outer(vv_integral, vvv[cols])
-        lhs = volterra_apply(kernel, cov_kernel_grid(g, g[cols], w, kappa4))
+        lhs = volterra_apply(kernel, cov_kernel_grid(g, g[cols], w, kappa4), h)
         lhs -= a_block
         block_sups.append(np.max(np.abs(lhs)))
     return float(np.max(block_sups))
 
 
-def v2_equation_check(l: int, t_rest: Sequence[float], w: float, grid: np.ndarray) -> float:
-    """Residual of the factorized solution in the l-fold propagator-product equation.
+def v2_equation_check(t_rest: Sequence[float], w: float, grid: np.ndarray) -> float:
+    """Residual of the factorized solution in the l-fold propagator-product equation, l = len(t_rest) + 1.
 
     Plugs prod_m v(t_m) into the t1-marginal equation
     v2 + w^2 II v(.) v2(.) = prod_{m=2}^l v(t_m) and returns the sup defect on
     the grid; the factorized form makes this the scalar v-equation scaled by
     the constant product, so the defect is O(h^2) times that constant.
     """
-    if l < 2:
-        raise ContractError("l must be >= 2")
     ts = [float(t) for t in t_rest]
-    if len(ts) != l - 1:
-        raise ContractError(f"expected {l - 1} fixed times for l = {l}, got {len(ts)}")
+    if not ts:
+        raise ContractError("v2_equation_check needs at least one fixed time")
     g = np.asarray(grid, float)
     const = float(np.prod([v_of_t(t, w) for t in ts]))
-    kernel = ComplexSeries(grid=g, values=(w * w * v_of_t(g, w)).astype(complex))
+    kernel = (w * w * v_of_t(g, w)).astype(complex)
     p_values = const * v_of_t(g, w).astype(complex)
-    lhs = volterra_apply(kernel, p_values)
+    lhs = volterra_apply(kernel, p_values, float(g[1] - g[0]))
     return float(np.max(np.abs(lhs - const)))
 
 
 def scalar_v_equation_residual(w: float, grid: np.ndarray) -> float:
     """Sup defect of v + w^2 II v(.)v(.) = 1 on the grid (O(h^2)): the l = 2
     propagator-product equation at t2 = 0, where the constant v(0) is 1."""
-    return v2_equation_check(2, [0.0], w, grid)
+    return v2_equation_check([0.0], w, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -293,35 +258,37 @@ def scalar_v_equation_residual(w: float, grid: np.ndarray) -> float:
 def residual_table(h_values: Sequence[float], w: float, kappa4: float, t_max: float = 2.0) -> list[dict]:
     """The volterra_residuals.csv rows: residuals and observed orders for the built-in
     cases at each step size, on [0, t_max]."""
-    cases: dict[str, Callable[[float], float]] = {
-        "scalar_v_equation": lambda h: scalar_v_equation_residual(w, uniform_grid(t_max, h)),
-        "coveq": lambda h: coveq_residual(w, kappa4, uniform_grid(t_max, h)),
-        "v2_l2_t0": lambda h: v2_equation_check(2, [0.0], w, uniform_grid(t_max, h)),
-        "v2_l3": lambda h: v2_equation_check(3, [1.0, 2.0], w, uniform_grid(t_max, h)),
-        "manufactured_solve": lambda h: manufactured_solve_error(uniform_grid(t_max, h)),
+    cases: dict[str, Callable[[np.ndarray], float]] = {
+        "scalar_v_equation": lambda g: scalar_v_equation_residual(w, g),
+        "coveq": lambda g: coveq_residual(w, kappa4, g),
+        "v2_l2_t0": lambda g: v2_equation_check([0.0], w, g),
+        "v2_l3": lambda g: v2_equation_check([1.0, 2.0], w, g),
+        "manufactured_solve": manufactured_solve_error,
     }
+    steps = [float(h) for h in sorted(h_values, reverse=True)]
+    grids = [uniform_grid(t_max, h) for h in steps]
     rows: list[dict] = []
     with single_blas_thread():  # the arrays are small: more BLAS threads add CPU time, not speed
         for name, runner in cases.items():
             prev: float | None = None
-            for idx, h in enumerate(sorted(h_values, reverse=True)):
-                res = runner(float(h))
+            for idx, (h, g) in enumerate(zip(steps, grids)):
+                res = runner(g)
                 order = math.log2(prev / res) if idx > 0 and prev > 0 and res > 0 else float("nan")
-                rows.append({"case": name, "h": float(h), "residual": res, "order_estimate": order})
+                rows.append({"case": name, "h": h, "residual": res, "order_estimate": order})
                 prev = res
     return rows
 
 
-def manufactured_solve_error(grid: np.ndarray, c: float = 0.8) -> float:
-    """Manufactured solution with an analytic source: P* = sin, Q = c.
+def manufactured_solve_error(grid: np.ndarray) -> float:
+    """Manufactured solution with an analytic source: P* = sin, Q = c = 0.8.
 
     The exact double integral of the constant-kernel equation gives
     R = sin t + c (t - sin t); the solver's defect against P* is O(h^2).
     """
+    c = 0.8
     g = np.asarray(grid, float)
     p_star = np.sin(g) + 0.0j
-    q = ComplexSeries(grid=g, values=np.full(g.size, c, dtype=complex))
-    r = ComplexSeries(grid=g, values=np.sin(g) + c * (g - np.sin(g)) + 0.0j)
-    solved = volterra_solve(q, r)
-    return float(np.max(np.abs(solved.values - p_star)))
-
+    q = np.full(g.size, c, dtype=complex)
+    r = np.sin(g) + c * (g - np.sin(g)) + 0.0j
+    solved = volterra_solve(q, r, float(g[1] - g[0]))
+    return float(np.max(np.abs(solved - p_star)))

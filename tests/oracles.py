@@ -22,7 +22,7 @@ from wignerlab.semicircle import (
     gauss_chebyshev_u, gaussian_damped, polynomial, rho_sc, sc_convolutions, v_of_t,
 )
 from wignerlab.spectral import SpectralDecomposition
-from wignerlab.volterra import ComplexSeries, _conv_values, _cumtrapz, _edd_weighted, volterra_apply
+from wignerlab.volterra import _conv_values, _cumtrapz, _edd_weighted, volterra_apply
 
 # ---------------------------------------------------------------------------
 # test functions and semicircle integrals
@@ -431,11 +431,11 @@ def stein_expansion_residual(dist, phi: TestFunction | Trigonometric, p: int) ->
 # ---------------------------------------------------------------------------
 
 
-def convolve(f1: ComplexSeries, f2: ComplexSeries) -> ComplexSeries:
-    """Trapezoid causal convolution of two series on a shared grid."""
-    if f1.grid.shape != f2.grid.shape or not np.array_equal(f1.grid, f2.grid):
-        raise ContractError("convolve requires a shared grid")
-    return ComplexSeries(grid=f1.grid, values=_conv_values(f1.values, f2.values, f1.h))
+def convolve(f1: np.ndarray, f2: np.ndarray, h: float) -> np.ndarray:
+    """Trapezoid causal convolution of two series on a shared grid of step h."""
+    if f1.shape != f2.shape:
+        raise ContractError(f"convolve needs series of the same length, got {f1.shape} and {f2.shape}")
+    return _conv_values(f1, f2, h)
 
 
 def coveq_residual_full_square(w: float, kappa4: float, grid: np.ndarray) -> float:
@@ -457,18 +457,17 @@ def coveq_residual_full_square(w: float, kappa4: float, grid: np.ndarray) -> flo
                                          conv_parts["vvv"])
     cov = 2.0 * w * w * ((a * rule.weights) @ a.T) + kappa4 * np.multiply.outer(conv_parts["vvv"],
                                                                                conv_parts["vvv"])
-    kernel = ComplexSeries(grid=g, values=(w * w * v_of_t(g, w)).astype(complex))
-    lhs = volterra_apply(kernel, cov)
+    lhs = volterra_apply((w * w * v_of_t(g, w)).astype(complex), cov, h)
     lhs -= a_grid
     return float(np.max(np.abs(lhs)))
 
 
 
-def resolvent_T(w: float, grid: np.ndarray) -> ComplexSeries:
-    """The resolvent kernel of the v-convolution equation: T(t) = -v(t)."""
+def resolvent_T(w: float, grid: np.ndarray) -> np.ndarray:
+    """The resolvent kernel of the v-convolution equation on the grid: T(t) = -v(t)."""
     if w <= 0:
         raise ContractError("scale w must be positive")
-    return ComplexSeries(grid=np.asarray(grid, float), values=-v_of_t(np.asarray(grid, float), w).astype(complex))
+    return -v_of_t(np.asarray(grid, float), w).astype(complex)
 
 
 def resolvent_identity_defect(z, w: float):

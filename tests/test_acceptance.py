@@ -207,8 +207,8 @@ def test_criterion_07_volterra_suite():
     h = 0.01
     grid = vt.uniform_grid(4.0, h)
     v2_res = max(
-        vt.v2_equation_check(2, [0.0], 1.0, grid),
-        vt.v2_equation_check(3, [1.0, 2.0], 1.0, grid),
+        vt.v2_equation_check([0.0], 1.0, grid),
+        vt.v2_equation_check([1.0, 2.0], 1.0, grid),
     )
     _criterion(
         7,

@@ -437,6 +437,22 @@ def test_repeated_sizes_are_rejected(tmp_path, capsys, command, n_list):
     assert code == 2
     payload = error_payload(capsys)
     assert payload["error"] == "ConfigError" and "distinct" in payload["message"]
+    assert payload["field"] == "config.n_list"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,overrides,field", [
+    ("simulate", {"replicas": 50}, "config.replicas"),
+    ("predict", {"n_list": [8]}, "config.n_list"),
+    ("lemma", {"n_list": [16, 32, 64, 100], "replicas": 100}, "config.n_list"),  # spans less than 8x
+])
+def test_rejected_config_values_name_their_field(tmp_path, capsys, command, overrides, field):
+    out = tmp_path / "x"
+    code = cli.run_cli([command, "--config", str(write_config(tmp_path, minimal_config(**overrides))),
+                        "--out", str(out)])
+    assert code == 2
+    payload = error_payload(capsys)
+    assert (payload["error"], payload["field"]) == ("ConfigError", field)
     assert not out.exists()
 
 
@@ -818,6 +834,7 @@ def test_exit_code_explicit_j_policy_without_valid_index(tmp_path, capsys, comma
     assert code == 2
     payload = error_payload(capsys)
     assert payload["error"] == "ConfigError" and "j_explicit" in payload["message"]
+    assert payload["field"] == "config.j_explicit"
     assert not (tmp_path / "x").exists()
 
 

@@ -14,7 +14,7 @@ from wignerlab import ensembles as en
 from wignerlab import harness as hn
 from wignerlab import limits as lm
 from wignerlab import spectral as sp
-from wignerlab.errors import ContractError
+from wignerlab.errors import ConfigError, ContractError
 from wignerlab.semicircle import gaussian_damped, monomial, sc_integral, tabulated
 
 
@@ -45,18 +45,17 @@ def small_config(**overrides):
 
 
 def test_config_validation():
-    with pytest.raises(ContractError):
-        small_config(replicas=50)
-    with pytest.raises(ContractError):
-        small_config(n_list=(8,))
-    with pytest.raises(ContractError):
-        small_config(j_policy="fourth")
-    with pytest.raises(ContractError):
-        small_config(x_grid=(math.inf,))
+    for overrides, field in (({"replicas": 50}, "replicas"), ({"n_list": (8,)}, "n_list"),
+                             ({"n_list": (64, 64)}, "n_list"), ({"j_policy": "fourth"}, "j_policy"),
+                             ({"x_grid": (math.inf,)}, "x_grid"), ({"t_grid": (math.nan,)}, "t_grid")):
+        with pytest.raises(ConfigError) as info:
+            small_config(**overrides)
+        assert info.value.field == f"config.{field}"
     small_config(j_policy="explicit", j_explicit=31)
     for j in (None, -1, 32):  # n_list is (32,)
-        with pytest.raises(ContractError):
+        with pytest.raises(ConfigError) as info:
             small_config(j_policy="explicit", j_explicit=j)
+        assert info.value.field == "config.j_explicit"
     with pytest.raises(TypeError):
         small_config(phi_eval="spectral")  # no evaluator knob: the phis pick the route
 
@@ -439,7 +438,7 @@ def test_decay_experiment_small_sizes():
 
 
 def test_decay_experiment_needs_wide_size_range():
-    with pytest.raises(ContractError):
-        hn.lemma_decay_experiment(decay_config([64, 128]))
-    with pytest.raises(ContractError):
-        hn.lemma_decay_experiment(decay_config([64, 96, 128, 192]))
+    for n_list in ([64, 128], [64, 96, 128, 192]):
+        with pytest.raises(ConfigError) as info:
+            hn.lemma_decay_experiment(decay_config(n_list))
+        assert info.value.field == "config.n_list"

@@ -27,3 +27,13 @@ def test_same_outputs_fails_on_outputs_and_inputs_and_notes_other_metadata(tmp_p
         ["manifest.json fields ['root_seed']"], [])
     other_bytes = run_dir(tmp_path / "bytes", b"{ }", blas_threads=1)
     assert same_outputs.differences(ours, other_bytes, ["result.json"]) == (["result.json"], [])
+
+
+def test_same_outputs_runs_volterra_at_its_defaults(tmp_path):
+    from wignerlab import cli, volterra
+
+    runs = {label: (args, outputs) for label, args, outputs in same_outputs.runs(tmp_path)}
+    assert runs["volterra defaults"] == (["volterra"], ["volterra_residuals.csv"])
+    defaults = cli._build_parser().parse_args(["volterra"])
+    points = round(defaults.t_max / max(float(h) for h in defaults.h.split(","))) + 1
+    assert points <= volterra._COLUMN_BLOCK + 1  # the coveq residual takes its coarsest grid in one block

@@ -4,8 +4,8 @@
 
 Builds the benchmark's four workloads at seed 301 through
 perfbench/workloads.make (read only), and runs each one, plus `predict` on the
-two simulate configs, once under this checkout's src/ and once under
-OTHER_CHECKOUT/src.  Every primary output must match byte for byte, and so
+two simulate configs and `volterra` at its defaults, once under this
+checkout's src/ and once under OTHER_CHECKOUT/src.  Every primary output must match byte for byte, and so
 must the manifest.json fields that identify the inputs (IDENTITY_FIELDS).
 The manifest is run metadata: any other field that differs is printed as a
 note, except the run's own measurements (MEASUREMENTS), which differ on every
@@ -41,6 +41,8 @@ def runs(work: Path) -> list[tuple[str, list[str], list[str]]]:
         out.append((name, wl.cli, wl.outputs))
         if wl.cli[0] == "simulate":
             out.append((f"{name} predict", ["predict", *wl.cli[1:3]], ["prediction.json"]))
+    # the benchmark's steps make grids of several column blocks; the defaults' coarsest is one block
+    out.append(("volterra defaults", ["volterra"], ["volterra_residuals.csv"]))
     return out
 
 
