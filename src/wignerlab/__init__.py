@@ -33,7 +33,6 @@ from .semicircle import (
     gaussian_damped,
     monomial,
     polynomial,
-    rho_sc,
     sc_integral,
     tabulated,
     v_of_t,
@@ -74,7 +73,6 @@ __all__ = [
     "monomial",
     "phi_entries",
     "polynomial",
-    "rho_sc",
     "run_entry_experiment",
     "sample_matrix",
     "sc_integral",

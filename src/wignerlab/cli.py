@@ -35,6 +35,7 @@ from .errors import ConfigError, ContractError, NumericFailureError, WignerLabEr
 from .harness import (
     ExperimentConfig,
     default_threads,
+    float_range,
     lemma_decay_experiment,
     phi_route,
     predict,
@@ -343,16 +344,20 @@ def _volterra_steps(text: str, t_max: float) -> list[float]:
 def _cmd_volterra(args) -> int:
     started = time.monotonic()
     h_values = _volterra_steps(args.h, args.t_max)
-    for flag, value in (("--w", args.w), ("--kappa4", args.kappa4)):
-        if not math.isfinite(value):
-            raise ConfigError(f"{flag}: expected a finite number, got {value!r}", field=flag)
+    if not (math.isfinite(args.w) and args.w > 0):
+        raise ConfigError(f"--w: expected a positive finite number, got {args.w!r}", field="--w")
+    if not math.isfinite(args.kappa4):
+        raise ConfigError(f"--kappa4: expected a finite number, got {args.kappa4!r}", field="--kappa4")
+    # as numpy scalars, so that w * w overflowing raises instead of turning inf
+    w, kappa4 = np.float64(args.w), np.float64(args.kappa4)
     try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            # as numpy scalars, so that w * w overflowing raises here instead of turning inf
-            rows = residual_table(h_values, np.float64(args.w), np.float64(args.kappa4), args.t_max)
-    except (FloatingPointError, OverflowError) as exc:
-        raise ConfigError(f"--w {args.w!r} with --kappa4 {args.kappa4!r} cannot be evaluated "
-                          f"in floating point: {exc}") from exc
+        with float_range("--kappa4"):
+            rows = residual_table(h_values, w, kappa4, args.t_max)
+    except ConfigError:
+        # kappa4 only scales one term: when the table leaves the float range without it, --w is at fault
+        with float_range("--w"):
+            residual_table(h_values, w, np.float64(0.0), args.t_max)
+        raise
     return _write_outputs(args.out, started, {"volterra_residuals.csv": rows},
                           config_hash({"h": h_values, "w": args.w, "kappa4": args.kappa4}), 0, 1,
                           replica_blas_threads())

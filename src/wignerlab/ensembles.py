@@ -188,7 +188,7 @@ class EnsembleSpec:
 
     @property
     def diag_scale(self) -> float:
-        return math.sqrt(2.0) if self.convention in (PAPER_SYMMETRIC, GOE) else math.sqrt(self.w2)
+        return math.sqrt(self.w2)
 
     def descriptor(self) -> dict:
         return {

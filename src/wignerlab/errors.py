@@ -41,10 +41,5 @@ class ConfigError(WignerLabError, ValueError):
 class NumericFailureError(WignerLabError, RuntimeError):
     """A numerical routine failed to converge.
 
-    Carries enough provenance (seed, replica) to regenerate the offending input.
+    The message names enough provenance (root seed, replica) to regenerate the offending input.
     """
-
-    def __init__(self, message: str, seed: int | None = None, replica: int | None = None):
-        super().__init__(message)
-        self.seed = seed
-        self.replica = replica

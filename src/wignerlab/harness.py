@@ -41,9 +41,9 @@ from . import spectral
 from .blas import single_blas_thread
 from .cumulants import SampleCumulants, jackknife_spread, k_statistics_loo, sample_cumulants
 from .ensembles import EnsembleSpec, SymmetricMatrix, sample_matrix
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, CoverageError
 from .limits import LimitPrediction, cov_limit_wigner, limit_cf, limit_cumulants, var_limit
-from .semicircle import POLYNOMIAL, TABULATED, TestFunction, v_of_t
+from .semicircle import POLYNOMIAL, TABULATED, TestFunction, check_coverage, v_of_t
 from .spectral import DECAY_STATISTICS, eigh, lanczos_jacobi, lemma_statistics, matrix_function_entry
 
 J_POLICIES = ("first", "middle", "last", "explicit")
@@ -54,18 +54,8 @@ FINITE_SIZE_CF_BUDGET = 0.05  # empirical O(n^-1/2) allowance at desk-scale n
 
 
 def default_threads() -> int:
-    """Replica threads: WIGNERLAB_THREADS when set, else the cores this process may
-    run on (its CPU affinity where the platform reports one), capped at 8."""
-    env = os.environ.get("WIGNERLAB_THREADS")
-    if env:
-        try:
-            count = int(env)
-        except ValueError:
-            count = 0
-        if count < 1:
-            raise ConfigError(f"WIGNERLAB_THREADS must be a positive integer, got {env!r}",
-                              field="WIGNERLAB_THREADS")
-        return count
+    """Replica threads: the cores this process may run on (its CPU affinity where the
+    platform reports one), capped at 8."""
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return min(cores or 1, 8)
 
@@ -88,18 +78,11 @@ def float_range(field: str):
 
 
 def resolve_j(policy: str, n: int, explicit: int | None = None) -> int:
-    """0-based diagonal index for a policy; 'middle' is the 1-based ceil(n/2)."""
-    if policy == "first":
-        return 0
-    if policy == "middle":
-        return (n - 1) // 2
-    if policy == "last":
-        return n - 1
-    if policy == "explicit":
-        if explicit is None or not 0 <= explicit < n:
-            raise ContractError(f"explicit j={explicit} out of range 0..{n - 1}")
-        return explicit
-    raise ContractError(f"unknown j policy {policy!r}")
+    """0-based diagonal index for a policy; 'middle' is the 1-based ceil(n/2).
+
+    ExperimentConfig has checked the policy, and an explicit index against every n.
+    """
+    return {"first": 0, "middle": (n - 1) // 2, "last": n - 1, "explicit": explicit}[policy]
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,6 +116,11 @@ class ExperimentConfig:
         for name, grid in (("x_grid", self.x_grid), ("t_grid", self.t_grid)):
             if not all(math.isfinite(v) for v in grid):
                 raise ConfigError(f"config.{name}: must be finite", field=f"config.{name}")
+        for name, phi in (("phi", self.phi), ("phi2", self.phi2)):
+            try:
+                check_coverage(phi, self.spec.w)
+            except CoverageError as exc:
+                raise ConfigError(f"config.{name}: {exc}", field=f"config.{name}") from exc
 
     def phis(self) -> list[TestFunction]:
         if self.phi is None:
@@ -234,7 +222,7 @@ def phi_entries(m: SymmetricMatrix, j: int,
     """
     if phi_route(phis) == "eigh":
         dec = eigh(m)
-        return np.array([matrix_function_entry(dec, p, j, j) for p in phis]), None
+        return np.array([matrix_function_entry(dec, p, j) for p in phis]), None
     smooth = [p for p in phis if p.kind != POLYNOMIAL]
     degree = max((p.degree for p in phis if p.kind == POLYNOMIAL), default=0)
     least = max(degree // 2 + 1, 3 if smooth else 1)
@@ -242,7 +230,7 @@ def phi_entries(m: SymmetricMatrix, j: int,
     for t in lanczos_jacobi(m, j):
         if smooth:
             step = spectral.eigh(t)
-            estimates.append([spectral.matrix_function_entry(step, p, 0, 0) for p in smooth])
+            estimates.append([spectral.matrix_function_entry(step, p, 0) for p in smooth])
         if t.n >= least and (not smooth or np.all(
                 np.abs(np.diff(estimates[-3:], axis=0))
                 <= GAUSS_TOLERANCE * np.maximum(1.0, np.abs(estimates[-1])))):
@@ -255,7 +243,7 @@ def phi_entries(m: SymmetricMatrix, j: int,
             c = np.asarray(p.coefficients[: p.degree + 1], dtype=float)
             values.append(float(c @ moments[: c.size]))
         else:
-            values.append(matrix_function_entry(dec, p, 0, 0))
+            values.append(matrix_function_entry(dec, p, 0))
     return np.array(values), t.n
 
 

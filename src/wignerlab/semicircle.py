@@ -161,45 +161,36 @@ class QuadratureRule:
 
 
 @lru_cache(maxsize=128)
-def _chebyshev_u_rule(w: float, n_nodes: int) -> QuadratureRule:
-    k = np.arange(1, n_nodes + 1, dtype=float)
-    theta = k * math.pi / (n_nodes + 1)
-    nodes = 2.0 * w * np.cos(theta)
-    weights = (2.0 / (n_nodes + 1)) * np.sin(theta) ** 2
+def gauss_chebyshev_u(w: float) -> QuadratureRule:
+    """The DEFAULT_NODES-node rule at scale w, built once per w."""
+    if w <= 0:
+        raise ContractError("scale w must be positive")
+    k = np.arange(1, DEFAULT_NODES + 1, dtype=float)
+    theta = k * math.pi / (DEFAULT_NODES + 1)
+    nodes = 2.0 * float(w) * np.cos(theta)
+    weights = (2.0 / (DEFAULT_NODES + 1)) * np.sin(theta) ** 2
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return QuadratureRule(nodes=nodes, weights=weights)
 
 
-def gauss_chebyshev_u(w: float, n_nodes: int = DEFAULT_NODES) -> QuadratureRule:
-    if w <= 0:
-        raise ContractError("scale w must be positive")
-    if n_nodes < 1:
-        raise ContractError("node count must be >= 1")
-    return _chebyshev_u_rule(float(w), int(n_nodes))
-
-
-def rho_sc(lam, w: float):
-    """Semicircle density; zero outside [-2w, 2w]."""
-    if w <= 0:
-        raise ContractError("scale w must be positive")
-    lam = np.asarray(lam, dtype=float)
-    supp = np.maximum(4.0 * w * w - lam * lam, 0.0)
-    return np.sqrt(supp) / (2.0 * math.pi * w * w)
+def check_coverage(phi: Callable, w: float) -> None:
+    """CoverageError when phi is a tabulated test function whose grid misses part of [-2w, 2w]."""
+    if isinstance(phi, TestFunction) and phi.kind == TABULATED:
+        if phi.grid[0] > -2.0 * w or phi.grid[-1] < 2.0 * w:
+            raise CoverageError(
+                f"tabulated grid [{phi.grid[0]}, {phi.grid[-1]}] does not cover [-{2*w}, {2*w}]"
+            )
 
 
 def sc_integral(phi: Callable, w: float, weight: Callable | None = None):
     """Integral phi(lambda) weight(lambda) rho_sc(lambda) dlambda by Gauss-Chebyshev-U.
 
     Exact for polynomial phi * weight of degree <= 2 DEFAULT_NODES - 1.  A
-    tabulated phi must cover [-2w, 2w] (CoverageError otherwise).
+    tabulated phi must cover [-2w, 2w] (check_coverage).
     """
     rule = gauss_chebyshev_u(w)
-    if isinstance(phi, TestFunction) and phi.kind == TABULATED:
-        if phi.grid[0] > -2.0 * w or phi.grid[-1] < 2.0 * w:
-            raise CoverageError(
-                f"tabulated grid [{phi.grid[0]}, {phi.grid[-1]}] does not cover [-{2*w}, {2*w}]"
-            )
+    check_coverage(phi, w)
     vals = phi(rule.nodes)
     if weight is not None:
         vals = vals * weight(rule.nodes)

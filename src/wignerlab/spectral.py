@@ -1,7 +1,7 @@
 """Symmetric eigendecomposition and spectral-theorem consumers.
 
 From one decomposition M = Q diag(lambda) Q^T per sampled matrix we read off
-matrix elements phi(M)_jk = sum_a phi(lambda_a) Q_ja Q_ka, propagator entries
+diagonal matrix elements phi(M)_jj = sum_a phi(lambda_a) Q_ja^2, propagator entries
 U_jk(t) = sum_a e^{i t lambda_a} Q_ja Q_ka, and the trace/row statistics
 v_n, v_n_pair, v_n1, v_n2 whose decay in n the Monte Carlo harness measures.
 For a single phi(M)_jj, lanczos_jacobi shrinks M step by step to the small
@@ -39,7 +39,8 @@ def eigh(m: SymmetricMatrix | JacobiMatrix) -> SpectralDecomposition:
     """Full symmetric eigendecomposition of one sampled matrix or Jacobi matrix.
 
     Deterministic for fixed input.  A LAPACK convergence failure is re-raised
-    with the matrix seed/replica so the offending sample can be regenerated.
+    naming the root seed, the replica and the order of the matrix, so the
+    offending sample can be regenerated.
     """
     dense = m.dense()
     if not np.all(np.isfinite(dense)):
@@ -48,8 +49,8 @@ def eigh(m: SymmetricMatrix | JacobiMatrix) -> SpectralDecomposition:
         vals, vecs = np.linalg.eigh(dense)
     except np.linalg.LinAlgError as exc:
         raise NumericFailureError(
-            f"eigendecomposition did not converge: {exc}", seed=m.seed, replica=m.replica_index
-        ) from exc
+            f"eigendecomposition did not converge (root seed {m.seed}, replica {m.replica_index}, "
+            f"order {m.n}): {exc}") from exc
     vals.setflags(write=False)
     vecs.setflags(write=False)
     return SpectralDecomposition(eigenvalues=vals, eigenvectors=vecs)
@@ -60,12 +61,11 @@ def _check_index(dec_n: int, idx: int, name: str) -> None:
         raise ContractError(f"index {name}={idx} out of range 0..{dec_n - 1}")
 
 
-def matrix_function_entry(dec: SpectralDecomposition, phi: Callable, j: int, k: int) -> float:
-    """phi(M)_jk = sum_a phi(lambda_a) Q_ja Q_ka."""
+def matrix_function_entry(dec: SpectralDecomposition, phi: Callable, j: int) -> float:
+    """phi(M)_jj = sum_a phi(lambda_a) Q_ja^2."""
     _check_index(dec.n, j, "j")
-    _check_index(dec.n, k, "k")
     q = dec.eigenvectors
-    return float(np.sum(phi(dec.eigenvalues) * q[j, :] * q[k, :]))
+    return float(np.sum(phi(dec.eigenvalues) * q[j, :] * q[j, :]))
 
 
 @dataclass(frozen=True, eq=False)

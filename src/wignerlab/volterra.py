@@ -244,12 +244,6 @@ def v2_equation_check(t_rest: Sequence[float], w: float, grid: np.ndarray) -> fl
     return float(np.max(np.abs(lhs - const)))
 
 
-def scalar_v_equation_residual(w: float, grid: np.ndarray) -> float:
-    """Sup defect of v + w^2 II v(.)v(.) = 1 on the grid (O(h^2)): the l = 2
-    propagator-product equation at t2 = 0, where the constant v(0) is 1."""
-    return v2_equation_check([0.0], w, grid)
-
-
 # ---------------------------------------------------------------------------
 # built-in residual battery (CLI `volterra` subcommand)
 # ---------------------------------------------------------------------------
@@ -258,8 +252,9 @@ def scalar_v_equation_residual(w: float, grid: np.ndarray) -> float:
 def residual_table(h_values: Sequence[float], w: float, kappa4: float, t_max: float = 2.0) -> list[dict]:
     """The volterra_residuals.csv rows: residuals and observed orders for the built-in
     cases at each step size, on [0, t_max]."""
+    # scalar_v_equation is v + w^2 II v(.)v(.) = 1: the l = 2 equation at t2 = 0, where v(0) = 1
     cases: dict[str, Callable[[np.ndarray], float]] = {
-        "scalar_v_equation": lambda g: scalar_v_equation_residual(w, g),
+        "scalar_v_equation": lambda g: v2_equation_check([0.0], w, g),
         "coveq": lambda g: coveq_residual(w, kappa4, g),
         "v2_l2_t0": lambda g: v2_equation_check([0.0], w, g),
         "v2_l3": lambda g: v2_equation_check([1.0, 2.0], w, g),

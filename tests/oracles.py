@@ -18,8 +18,8 @@ from wignerlab.cumulants import MAX_ORDER, jackknife_spread
 from wignerlab.errors import ContractError
 from wignerlab.limits import LimitPrediction
 from wignerlab.semicircle import (
-    DEFAULT_NODES, GAUSSIAN_DAMPED, POLYNOMIAL, TABULATED, TestFunction,
-    gauss_chebyshev_u, gaussian_damped, polynomial, rho_sc, sc_convolutions, v_of_t,
+    DEFAULT_NODES, GAUSSIAN_DAMPED, POLYNOMIAL, TABULATED, QuadratureRule, TestFunction,
+    gauss_chebyshev_u, gaussian_damped, polynomial, sc_convolutions, v_of_t,
 )
 from wignerlab.spectral import SpectralDecomposition
 from wignerlab.volterra import _conv_values, _cumtrapz, _edd_weighted, volterra_apply
@@ -106,15 +106,37 @@ def fourier_transform(phi: TestFunction):
     return phi_hat
 
 
+def rho_sc(lam, w: float):
+    """Semicircle density (2 pi w^2)^-1 sqrt((4w^2 - lambda^2)_+); zero outside [-2w, 2w]."""
+    if w <= 0:
+        raise ContractError("scale w must be positive")
+    lam = np.asarray(lam, dtype=float)
+    supp = np.maximum(4.0 * w * w - lam * lam, 0.0)
+    return np.sqrt(supp) / (2.0 * math.pi * w * w)
+
+
+def chebyshev_u_rule(w: float, n_nodes: int) -> QuadratureRule:
+    """The n_nodes-point Gauss-Chebyshev-U rule for Integral f rho_sc, exact to degree 2 n_nodes - 1.
+
+    The package builds only the DEFAULT_NODES rule (semicircle.gauss_chebyshev_u);
+    the tests vary the node count through this one.
+    """
+    if w <= 0 or n_nodes < 1:
+        raise ContractError("the rule needs w > 0 and n_nodes >= 1")
+    theta = np.arange(1, n_nodes + 1, dtype=float) * math.pi / (n_nodes + 1)
+    return QuadratureRule(nodes=2.0 * float(w) * np.cos(theta),
+                          weights=(2.0 / (n_nodes + 1)) * np.sin(theta) ** 2)
+
+
 def sc_moment(power: int, w: float, n_nodes: int = DEFAULT_NODES) -> float:
     """Semicircle moment m_p by an n_nodes rule; m_{2k} = C_k w^{2k} (Catalan), odd moments 0."""
-    rule = gauss_chebyshev_u(w, n_nodes)
+    rule = chebyshev_u_rule(w, n_nodes)
     return float(np.sum(rule.weights * rule.nodes**power))
 
 
 def v_of_t_quadrature(t, w: float):
     """v(t) from its defining integral Integral cos(t lambda) rho_sc, by a 256-node rule."""
-    rule = gauss_chebyshev_u(w, 256)
+    rule = chebyshev_u_rule(w, 256)
     vals = np.cos(np.multiply.outer(np.asarray(t, dtype=float), rule.nodes)) @ rule.weights
     return float(vals) if np.isscalar(t) else vals
 

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from wignerlab import blas, cli, harness
@@ -167,7 +168,7 @@ def run_across_threads(tmp_path: Path, command: list[str], cfg: dict, label: str
     outs = {}
     for blas_threads in (1, 2):
         for threads in (1, 2):
-            env = {k: v for k, v in os.environ.items() if k != "WIGNERLAB_THREADS"}
+            env = dict(os.environ)
             env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
             env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
             out = tmp_path / f"{label}-blas{blas_threads}-threads{threads}"
@@ -577,19 +578,6 @@ def test_readme_config_schema_parses():
     assert set(documented) - {"phi2"} == set(descriptor)
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
-def test_exit_code_bad_threads_environment(tmp_path, capsys, monkeypatch, value):
-    monkeypatch.setenv("WIGNERLAB_THREADS", value)
-    cfg_path = write_config(tmp_path, minimal_config(n_list=[64], replicas=150))
-    code = cli.run_cli(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
-    assert code == 2
-    err = capsys.readouterr().err.strip()
-    payload = json.loads(err)
-    assert payload["error"] == "ConfigError"
-    assert payload["field"] == "WIGNERLAB_THREADS"
-    assert "\n" not in err
-
-
 def error_payload(capsys) -> dict:
     err = capsys.readouterr().err.strip()
     assert "\n" not in err  # single-line JSON on stderr
@@ -666,6 +654,13 @@ def test_exit_code_bad_volterra_arguments(tmp_path, capsys, args, error):
     (["--h", "nan"], "--h"),
     (["--h", "-1"], "--h"),
     (["--h", "0.03", "--t-max", "2"], "--h"),  # 2 / 0.03 is not a whole step count
+    (["--w", "1e200"], "--w"),  # w^4 overflows
+    (["--w", "1e-200"], "--w"),  # w^2 underflows to 0, so v*v = 0/0
+    (["--kappa4", "1e308"], "--kappa4"),  # the kappa4 vvv x vvv term overflows
+    (["--w", "0"], "--w"),
+    (["--w", "-1"], "--w"),
+    (["--w", "nan"], "--w"),
+    (["--kappa4", "inf"], "--kappa4"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_volterra_grid_errors_name_the_flag(tmp_path, capsys, args, field):
@@ -873,14 +868,20 @@ def test_cli_start_up_loads_no_scipy(tmp_path, command):
     assert json.loads(out.splitlines()[-1]) == [0, []]
 
 
-@pytest.mark.parametrize("command", ["predict", "simulate"])
+@pytest.mark.parametrize("command", ["predict", "simulate", "lemma"])
 def test_exit_code_tabulated_phi_short_of_support(tmp_path, capsys, command):
+    """A table short of the semicircle support is a bad config value, named before any output."""
     # the grid stops at +-1, inside the semicircle support [-2, 2] at w = 1
-    phi = {"kind": "tabulated", "grid": [-1.0, 0.0, 1.0], "values": [1.0, 0.0, 1.0]}
-    cfg_path = write_config(tmp_path, minimal_config(phi=phi, n_list=[64], replicas=100))
-    code = cli.run_cli([command, "--config", str(cfg_path), "--out", str(tmp_path / "t")])
-    assert code == 2
-    assert error_payload(capsys)["error"] == "CoverageError"
+    short = {"kind": "tabulated", "grid": [-1.0, 0.0, 1.0], "values": [1.0, 0.0, 1.0]}
+    for field, overrides in (("config.phi", {"phi": short}), ("config.phi2", {"phi2": short})):
+        cfg_path = write_config(tmp_path, minimal_config(n_list=[64], replicas=100, **overrides))
+        out = tmp_path / field
+        code = cli.run_cli([command, "--config", str(cfg_path), "--out", str(out)])
+        assert code == 2
+        payload = error_payload(capsys)
+        assert (payload["error"], payload["field"]) == ("ConfigError", field)
+        assert payload["message"].startswith(f"{field}: tabulated grid [-1.0, 1.0] does not cover")
+        assert not out.exists()
 
 
 def test_exit_code_unknown_subcommand(capsys):
@@ -917,7 +918,7 @@ def test_exit_code_numeric_failure(tmp_path, capsys, monkeypatch):
     from wignerlab.errors import NumericFailureError
 
     def explode(cfg, threads=None):
-        raise NumericFailureError("eigendecomposition did not converge", seed=1, replica=3)
+        raise NumericFailureError("eigendecomposition did not converge (root seed 1, replica 3, order 64)")
 
     monkeypatch.setattr(cli, "run_entry_experiment", explode)
     cfg_path = write_config(tmp_path, minimal_config())
@@ -925,6 +926,25 @@ def test_exit_code_numeric_failure(tmp_path, capsys, monkeypatch):
     assert code == 3
     payload = json.loads(capsys.readouterr().err.strip())
     assert payload["error"] == "NumericFailureError"
+    assert payload["message"] == "eigendecomposition did not converge (root seed 1, replica 3, order 64)"
+
+
+def test_simulate_eigh_failure_exits_3_naming_its_sample(tmp_path, capsys, monkeypatch):
+    """A LAPACK failure on the eigh route reaches the payload with the root seed and the replica."""
+    def no_convergence(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    grid = [-3.0, 0.0, 3.0]
+    cfg = minimal_config(phi={"kind": "tabulated", "grid": grid, "values": [1.0, 0.0, 1.0]},
+                         n_list=[64], replicas=100, root_seed=4242)
+    code = cli.run_cli(["simulate", "--config", str(write_config(tmp_path, cfg)), "--threads", "1",
+                        "--out", str(tmp_path / "x")])
+    assert code == 3
+    payload = error_payload(capsys)
+    assert payload["error"] == "NumericFailureError" and "field" not in payload
+    assert "root seed 4242, replica 0, order 64" in payload["message"]
+    assert not (tmp_path / "x").exists()
 
 
 def test_derive_seed_reexported():

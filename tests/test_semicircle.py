@@ -13,33 +13,45 @@ CATALAN = {0: 1, 2: 1, 4: 2, 6: 5, 8: 14, 10: 42}
 
 
 def test_rho_sc_values():
-    assert sc.rho_sc(0.0, 1.0) == pytest.approx(1.0 / math.pi, abs=1e-15)
-    assert sc.rho_sc(2.0, 1.0) == 0.0
-    assert sc.rho_sc(3.0, 1.0) == 0.0
-    assert sc.rho_sc(-1.0, 0.5) == 0.0  # outside [-1, 1]
+    assert oracles.rho_sc(0.0, 1.0) == pytest.approx(1.0 / math.pi, abs=1e-15)
+    assert oracles.rho_sc(2.0, 1.0) == 0.0
+    assert oracles.rho_sc(3.0, 1.0) == 0.0
+    assert oracles.rho_sc(-1.0, 0.5) == 0.0  # outside [-1, 1]
     with pytest.raises(ContractError):
-        sc.rho_sc(0.0, -1.0)
+        oracles.rho_sc(0.0, -1.0)
 
 
 def test_rho_sc_integrates_to_one():
-    total = quad(lambda x: sc.rho_sc(x, 1.3), -2.6, 2.6)[0]
+    total = quad(lambda x: oracles.rho_sc(x, 1.3), -2.6, 2.6)[0]
     assert total == pytest.approx(1.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("n_nodes", [4, 16, 64])
 @pytest.mark.parametrize("w", [1.0, 0.7])
 def test_quadrature_rule_invariants(n_nodes, w):
-    rule = sc.gauss_chebyshev_u(w, n_nodes)
+    rule = oracles.chebyshev_u_rule(w, n_nodes)
     assert np.all(rule.weights > 0)
     assert abs(rule.weights.sum() - 1.0) <= 1e-14
     assert np.all(np.abs(rule.nodes) < 2 * w)
+
+
+@pytest.mark.parametrize("w", [1.0, 0.7, np.float64(1.07)])
+def test_gauss_chebyshev_u_is_the_oracle_default_rule(w):
+    """The one shipped rule is the DEFAULT_NODES = 128 rule, bit for bit, and read-only."""
+    rule, oracle = sc.gauss_chebyshev_u(w), oracles.chebyshev_u_rule(w, 128)
+    assert sc.DEFAULT_NODES == 128
+    assert rule.nodes.tobytes() == oracle.nodes.tobytes()
+    assert rule.weights.tobytes() == oracle.weights.tobytes()
+    assert not (rule.nodes.flags.writeable or rule.weights.flags.writeable)
+    with pytest.raises(ContractError):
+        sc.gauss_chebyshev_u(-1.0)
 
 
 @pytest.mark.parametrize("n_nodes", [4, 16, 64])
 def test_quadrature_exact_on_monomials(n_nodes):
     # exact for degree <= 2N - 1: Catalan numbers even, zero odd; tolerance is
     # relative to the summand scale (odd powers cancel only to roundoff)
-    rule = sc.gauss_chebyshev_u(1.0, n_nodes)
+    rule = oracles.chebyshev_u_rule(1.0, n_nodes)
     for p in range(0, 2 * n_nodes):
         got = oracles.sc_moment(p, 1.0, n_nodes)
         scale = float(np.sum(rule.weights * np.abs(rule.nodes) ** p))
@@ -58,7 +70,7 @@ def test_sc_integral_catalan_and_parity():
 
 def test_sc_integral_against_adaptive_oracle():
     phi = sc.polynomial([0.5, 0.0, 1.0])
-    oracle = quad(lambda x: phi(x) * sc.rho_sc(x, 1.0), -2.0, 2.0)[0]
+    oracle = quad(lambda x: phi(x) * oracles.rho_sc(x, 1.0), -2.0, 2.0)[0]
     assert sc.sc_integral(phi, 1.0) == pytest.approx(oracle, abs=1e-9)
 
 
@@ -113,9 +125,9 @@ def test_v_fixed_point_identity():
     # v(t) + w^2 II v v = 1, discretized residual <= 10 h^2
     h = 0.01
     grid = np.arange(0, 4.0 + h / 2, h)
-    from wignerlab.volterra import scalar_v_equation_residual
+    from wignerlab.volterra import v2_equation_check
 
-    assert scalar_v_equation_residual(1.0, grid) <= 10 * h * h
+    assert v2_equation_check([0.0], 1.0, grid) <= 10 * h * h
 
 
 def test_v_tilde_branch_and_quadratic():

@@ -37,3 +37,15 @@ def test_same_outputs_runs_volterra_at_its_defaults(tmp_path):
     defaults = cli._build_parser().parse_args(["volterra"])
     points = round(defaults.t_max / max(float(h) for h in defaults.h.split(","))) + 1
     assert points <= volterra._COLUMN_BLOCK + 1  # the coveq residual takes its coarsest grid in one block
+
+
+def test_same_outputs_runs_a_tabulated_phi_on_the_eigh_route(tmp_path):
+    from wignerlab import cli, harness
+
+    runs = {label: (args, outputs) for label, args, outputs in same_outputs.runs(tmp_path)}
+    args, outputs = runs["simulate tabulated"]
+    assert outputs == ["result.json", "replicas.csv"]
+    assert args[0] == "simulate" and "--raw" in args
+    cfg = cli.parse_config(args[args.index("--config") + 1])
+    assert harness.phi_route(cfg.phis()) == "eigh"
+    assert (cfg.spec.entry_dist.kind, cfg.n_list, cfg.replicas) == ("uniform", (64, 128), 200)

@@ -9,7 +9,7 @@ import oracles
 from wignerlab import limits as lm
 from wignerlab import volterra as vt
 from wignerlab.errors import ContractError
-from wignerlab.semicircle import gauss_chebyshev_u, gaussian_damped, rho_sc, sc_convolutions, v_of_t
+from wignerlab.semicircle import gauss_chebyshev_u, gaussian_damped, sc_convolutions, v_of_t
 
 
 def ones_series(t_max, h):
@@ -255,7 +255,7 @@ def test_phi_kernel_against_dblquad_oracle():
             inner = 1j * 1.0 * np.exp(1j * 1.0 * lam)
         else:
             inner = (np.exp(1j * 1.0 * lam) - np.exp(1j * 1.0 * mu)) / (lam - mu)
-        val = -1j * np.exp(1j * 1.0 * lam) * inner * rho_sc(lam, w) * rho_sc(mu, w)
+        val = -1j * np.exp(1j * 1.0 * lam) * inner * oracles.rho_sc(lam, w) * oracles.rho_sc(mu, w)
         return val.real if part == "re" else val.imag
 
     re = dblquad(lambda mu, lam: integrand(mu, lam, "re"), -2, 2, -2, 2, epsabs=1e-11)[0]
@@ -346,9 +346,9 @@ def test_v2_equation_check_contracts():
 
 def test_residual_table_order_needs_two_positive_residuals(monkeypatch):
     residuals = iter([1e-3, 0.0, 1e-5, 2.5e-6])
-    monkeypatch.setattr(vt, "scalar_v_equation_residual", lambda w, grid: next(residuals))
+    monkeypatch.setattr(vt, "manufactured_solve_error", lambda grid: next(residuals))
     rows = vt.residual_table(h_values=(0.4, 0.2, 0.1, 0.05), w=1.0, kappa4=-2.0, t_max=0.4)
-    orders = [r["order_estimate"] for r in rows if r["case"] == "scalar_v_equation"]
+    orders = [r["order_estimate"] for r in rows if r["case"] == "manufactured_solve"]
     assert all(math.isnan(o) for o in orders[:3]) and orders[3] == pytest.approx(2.0)
 
 

@@ -4,8 +4,9 @@
 
 Builds the benchmark's four workloads at seed 301 through
 perfbench/workloads.make (read only), and runs each one, plus `predict` on the
-two simulate configs and `volterra` at its defaults, once under this
-checkout's src/ and once under OTHER_CHECKOUT/src.  Every primary output must match byte for byte, and so
+two simulate configs, `volterra` at its defaults and `simulate --raw` with a
+tabulated phi (TABULATED_CONFIG), once under this checkout's src/ and once
+under OTHER_CHECKOUT/src.  Every primary output must match byte for byte, and so
 must the manifest.json fields that identify the inputs (IDENTITY_FIELDS).
 The manifest is run metadata: any other field that differs is printed as a
 note, except the run's own measurements (MEASUREMENTS), which differ on every
@@ -28,6 +29,16 @@ SEED = 301
 THREADS = 2
 IDENTITY_FIELDS = ("config_hash", "root_seed", "threads", "outputs")
 MEASUREMENTS = ("wall_time_s", "cpu_user_s", "cpu_sys_s", "minor_faults")
+# a tabulated phi takes the eigh route of harness.phi_entries, which no benchmark workload runs
+TABULATED_CONFIG = {
+    "spec": {"entry_dist": {"kind": "uniform", "w": 1.0}},
+    "phi": {"kind": "tabulated", "grid": [-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0],
+            "values": [0.9, -0.3, 0.4, 0.0, 0.6, 0.1, -0.8]},
+    "n_list": [64, 128],
+    "replicas": 200,
+    "root_seed": SEED,
+    "j_policy": "middle",
+}
 
 
 def runs(work: Path) -> list[tuple[str, list[str], list[str]]]:
@@ -43,6 +54,10 @@ def runs(work: Path) -> list[tuple[str, list[str], list[str]]]:
             out.append((f"{name} predict", ["predict", *wl.cli[1:3]], ["prediction.json"]))
     # the benchmark's steps make grids of several column blocks; the defaults' coarsest is one block
     out.append(("volterra defaults", ["volterra"], ["volterra_residuals.csv"]))
+    tabulated = work / "simulate-tabulated.json"
+    tabulated.write_text(json.dumps(TABULATED_CONFIG))
+    out.append(("simulate tabulated", ["simulate", "--config", str(tabulated), "--raw", "--threads", str(THREADS)],
+                ["result.json", "replicas.csv"]))
     return out
 
 
