@@ -22,7 +22,6 @@ from .harness import (
 )
 from .limits import (
     LimitPrediction,
-    cov_limit_goe,
     cov_limit_wigner,
     limit_cf,
     limit_cumulants,
@@ -56,7 +55,6 @@ __all__ = [
     "SpectralDecomposition",
     "SymmetricMatrix",
     "TestFunction",
-    "cov_limit_goe",
     "cov_limit_wigner",
     "eigh",
     "empirical_cf",

@@ -165,8 +165,8 @@ _TOP_KEYS = {
 def parse_config(path: str | Path, require_phi: bool = True) -> ExperimentConfig:
     """Load and validate an experiment config; unknown keys are rejected."""
     try:
-        raw = Path(path).read_text()
-    except OSError as exc:
+        raw = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
         obj = json.loads(raw)
@@ -245,29 +245,33 @@ def _write_outputs(out: str, started: float, files: dict[str, dict | list[dict]]
     empty cell).  The manifest is run metadata: blas_threads is the replica
     phases' BLAS thread count (None: no phase, or no bundled OpenBLAS found),
     the process's CPU time and minor faults come from _process_usage, and
-    extra adds subcommand-specific fields.
+    extra adds subcommand-specific fields.  An out that cannot be made or written
+    to (a file, or a path under one) is a ConfigError on --out.
     """
     out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, records in files.items():
-        if isinstance(records, dict):
-            _write_json(out_dir / name, records)
-            continue
-        with (out_dir / name).open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(records[0])
-            writer.writerows([_fmt(v) for v in record.values()] for record in records)
-    _write_json(out_dir / "manifest.json", {
-        "config_hash": cfg_hash,
-        "tool_version": __version__,
-        "root_seed": root_seed,
-        "threads": threads,
-        "blas_threads": blas_threads,
-        "wall_time_s": time.monotonic() - started,
-        **_process_usage(),
-        "outputs": list(files),
-        **extra,
-    })
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, records in files.items():
+            if isinstance(records, dict):
+                _write_json(out_dir / name, records)
+                continue
+            with (out_dir / name).open("w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(records[0])
+                writer.writerows([_fmt(v) for v in record.values()] for record in records)
+        _write_json(out_dir / "manifest.json", {
+            "config_hash": cfg_hash,
+            "tool_version": __version__,
+            "root_seed": root_seed,
+            "threads": threads,
+            "blas_threads": blas_threads,
+            "wall_time_s": time.monotonic() - started,
+            **_process_usage(),
+            "outputs": list(files),
+            **extra,
+        })
+    except OSError as exc:
+        raise ConfigError(f"--out: cannot write the outputs to {out}: {exc}", field="--out") from exc
     for name in files:
         print(f"wrote {out_dir / name}")
     return 0

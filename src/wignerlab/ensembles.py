@@ -25,7 +25,7 @@ import numpy as np
 
 from . import seeding
 from .cumulants import MAX_ORDER, moments_to_cumulants
-from .errors import ContractError, InvalidDistributionError, UnsupportedCFError
+from .errors import ContractError
 
 GAUSSIAN = "gaussian"
 RADEMACHER = "rademacher"
@@ -82,9 +82,9 @@ def _finalize(kind: str, w: float, moments: Sequence[float],
     if not all(math.isfinite(v) for v in mu + kappas):
         raise OverflowError("non-finite moment or cumulant")
     if abs(mu[0]) > _ATOL * max(w, 1.0):
-        raise InvalidDistributionError(f"entry law must have mean 0, got {mu[0]}")
+        raise ContractError(f"entry law must have mean 0, got {mu[0]}")
     if abs(mu[1] - w * w) > _ATOL * max(w * w, 1.0):
-        raise InvalidDistributionError(f"entry law must have variance w^2 = {w*w}, got {mu[1]}")
+        raise ContractError(f"entry law must have variance w^2 = {w*w}, got {mu[1]}")
     return EntryDistribution(kind=kind, w=float(w), moments=mu, kappas=kappas, atoms=atoms, probs=probs)
 
 
@@ -95,11 +95,11 @@ def make_entry_distribution(kind: str, w: float, params: dict | None = None) -> 
     already have mean 0 and variance w^2 (they are not rescaled here).
     """
     if w <= 0 or not math.isfinite(w):
-        raise InvalidDistributionError(f"scale w must be positive and finite, got {w}")
+        raise ContractError(f"scale w must be positive and finite, got {w}")
     params = params or {}
     try:  # Python float powers raise OverflowError, and _finalize does on inf moments
         if w**8 < sys.float_info.min:  # the limit laws divide kappa4 by w^8
-            raise InvalidDistributionError(
+            raise ContractError(
                 f"{kind} moments up to order {MAX_ORDER} underflow the float range at w = {w}")
         if kind == GAUSSIAN:
             mu = (0.0, w**2, 0.0, 3 * w**4, 0.0, 15 * w**6, 0.0, 105 * w**8)
@@ -117,26 +117,26 @@ def make_entry_distribution(kind: str, w: float, params: dict | None = None) -> 
 
         if kind in (TWO_POINT, DISCRETE_CUSTOM):
             if "atoms" not in params or "probs" not in params:
-                raise InvalidDistributionError(f"{kind} requires params 'atoms' and 'probs'")
+                raise ContractError(f"{kind} requires params 'atoms' and 'probs'")
             atoms = np.asarray(params["atoms"], dtype=float)
             probs = np.asarray(params["probs"], dtype=float)
             if kind == TWO_POINT and atoms.size != 2:
-                raise InvalidDistributionError("two_point takes exactly two atoms")
+                raise ContractError("two_point takes exactly two atoms")
             return _discrete(kind, w, atoms, probs)
     except OverflowError as exc:
-        raise InvalidDistributionError(
+        raise ContractError(
             f"{kind} moments up to order {MAX_ORDER} overflow the float range at w = {w}") from exc
 
-    raise InvalidDistributionError(f"unknown distribution kind {kind!r}")
+    raise ContractError(f"unknown distribution kind {kind!r}")
 
 
 def _discrete(kind: str, w: float, atoms: np.ndarray, probs: np.ndarray) -> EntryDistribution:
     if atoms.ndim != 1 or atoms.shape != probs.shape or atoms.size < 1:
-        raise InvalidDistributionError("atoms and probs must be matching 1-D arrays")
+        raise ContractError("atoms and probs must be matching 1-D arrays")
     if np.any(probs < 0):
-        raise InvalidDistributionError("probabilities must be nonnegative")
+        raise ContractError("probabilities must be nonnegative")
     if abs(float(np.sum(probs)) - 1.0) > 1e-14:
-        raise InvalidDistributionError(f"probabilities sum to {float(np.sum(probs))}, not 1")
+        raise ContractError(f"probabilities sum to {float(np.sum(probs))}, not 1")
     with np.errstate(over="ignore", invalid="ignore"):  # _finalize rejects inf and nan
         mu = [float(np.sum(probs * atoms**p)) for p in range(1, MAX_ORDER + 1)]
     atoms = atoms.copy()
@@ -157,7 +157,7 @@ def entry_cf(dist: EntryDistribution, x):
     elif dist.atoms is not None:
         out = np.exp(1j * np.multiply.outer(x_arr, dist.atoms)) @ dist.probs
     else:
-        raise UnsupportedCFError(f"no characteristic function available for kind {dist.kind!r}")
+        raise ContractError(f"no characteristic function available for kind {dist.kind!r}")
     return complex(out) if np.isscalar(x) else out
 
 

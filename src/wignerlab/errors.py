@@ -7,24 +7,10 @@ class WignerLabError(Exception):
     """Base class for all package-specific errors."""
 
 
-class InvalidDistributionError(WignerLabError, ValueError):
-    """Entry-distribution parameters violate mean/variance/probability constraints."""
-
-
-class UnsupportedCFError(WignerLabError, ValueError):
-    """No closed-form characteristic function is available for this distribution."""
-
-
-class CoverageError(WignerLabError, ValueError):
-    """A tabulated test function does not cover the requested support."""
-
-
 class ContractError(WignerLabError, ValueError):
-    """An operation was called outside its stated preconditions."""
-
-
-class InconsistencyError(WignerLabError, ValueError):
-    """Inputs are mutually inconsistent (e.g. a negative limiting variance)."""
+    """An operation was called outside its stated preconditions: invalid entry-law
+    parameters, a law with no closed-form CF, a tabulated phi short of the support, or
+    inputs that are mutually inconsistent (a negative limiting variance)."""
 
 
 class ConfigError(WignerLabError, ValueError):

@@ -41,7 +41,7 @@ from . import spectral
 from .blas import single_blas_thread
 from .cumulants import SampleCumulants, jackknife_spread, k_statistics_loo, sample_cumulants
 from .ensembles import EnsembleSpec, SymmetricMatrix, sample_matrix
-from .errors import ConfigError, ContractError, CoverageError
+from .errors import ConfigError, ContractError
 from .limits import LimitPrediction, cov_limit_wigner, limit_cf, limit_cumulants, var_limit
 from .semicircle import POLYNOMIAL, TABULATED, TestFunction, check_coverage, v_of_t
 from .spectral import DECAY_STATISTICS, eigh, lanczos_jacobi, lemma_statistics, matrix_function_entry
@@ -119,7 +119,7 @@ class ExperimentConfig:
         for name, phi in (("phi", self.phi), ("phi2", self.phi2)):
             try:
                 check_coverage(phi, self.spec.w)
-            except CoverageError as exc:
+            except ContractError as exc:
                 raise ConfigError(f"config.{name}: {exc}", field=f"config.{name}") from exc
 
     def phis(self) -> list[TestFunction]:

@@ -24,8 +24,8 @@ import numpy as np
 
 from .cumulants import MAX_ORDER
 from .ensembles import EnsembleSpec, entry_cf
-from .errors import ContractError, InconsistencyError
-from .semicircle import TestFunction, sc_integral
+from .errors import ContractError
+from .semicircle import TestFunction, check_coverage, gauss_chebyshev_u
 
 _NEG_CLIP = 1e-12
 
@@ -50,46 +50,43 @@ class LimitPrediction:
         return d
 
 
-def first_moment_integral(phi, w: float) -> float:
-    """I1 = Integral phi(mu) mu rho_sc(mu) dmu."""
-    return sc_integral(phi, w, weight=lambda lam: lam)
-
-
-def kappa4_integral(phi, w: float) -> float:
-    """I2 = Integral phi(lambda) (w^2 - lambda^2) rho_sc(lambda) dlambda."""
-    return sc_integral(phi, w, weight=lambda lam: w * w - lam * lam)
-
-
-def cov_limit_goe(phi1, phi2, w: float):
-    """Limiting n Cov of diagonal elements for the Gaussian-invariant ensemble.
-
-    Equals 2 (<phi1 phi2> - <phi1><phi2>) after expanding the double integral
-    of Delta-phi products against rho_sc x rho_sc.
-    """
-    cross = sc_integral(lambda lam: phi1(lam) * phi2(lam), w)
-    return 2.0 * (cross - sc_integral(phi1, w) * sc_integral(phi2, w))
-
-
 def _cov_terms(phi1, phi2, spec: EnsembleSpec):
     """The GOE, fourth-cumulant and diagonal terms of the limiting n Cov, and I1(phi1).
 
+    Each phi is read once, at the nodes x of the semicircle rule, and every
+    integral is a weighted sum of those values: <phi>, I1 from phi x, I2 from
+    phi (w^2 - x^2), and <phi1 phi2> from the product.
     The parity zeros are exact: I2 vanishes for odd phi and I1 for even phi, and the
     GOE term for an odd and an even phi, so those terms are 0.0 without quadrature,
     as is the diagonal term at w2 = 2.
     Each correction is coef * (I(phi1) I(phi2)); for the variance (phi2 is phi1) it is
-    coef * I(phi)**2, one quadrature per integral.
+    coef * I(phi)**2, one sum per integral.
     """
     w = spec.w
+    rule = gauss_chebyshev_u(w)
+    x = rule.nodes
+
+    def read(phi):
+        check_coverage(phi, w)
+        return phi(x)
+
+    def integral(vals):
+        total = np.sum(rule.weights * vals)
+        return complex(total) if np.iscomplexobj(vals) else float(total)
+
     same = phi2 is phi1
+    f1 = read(phi1)
+    f2 = f1 if same else read(phi2)
     parities = (phi1.parity, phi2.parity)
-    i1 = 0.0 if phi1.parity == "even" else first_moment_integral(phi1, w)
+    i1 = 0.0 if phi1.parity == "even" else integral(f1 * x)
     kappa4 = diag = 0.0
     if "odd" not in parities:
-        i2 = kappa4_integral(phi1, w)
-        kappa4 = (spec.entry_dist.kappa4 / w**8) * (i2**2 if same else i2 * kappa4_integral(phi2, w))
+        i2 = integral(f1 * (w * w - x * x))
+        kappa4 = (spec.entry_dist.kappa4 / w**8) * (
+            i2**2 if same else i2 * integral(f2 * (w * w - x * x)))
     if spec.w2 != 2.0 and "even" not in parities:
-        diag = ((spec.w2 - 2.0) / w**2) * (i1**2 if same else i1 * first_moment_integral(phi2, w))
-    goe = 0.0 if set(parities) == {"odd", "even"} else cov_limit_goe(phi1, phi2, w)
+        diag = ((spec.w2 - 2.0) / w**2) * (i1**2 if same else i1 * integral(f2 * x))
+    goe = 0.0 if set(parities) == {"odd", "even"} else 2.0 * (integral(f1 * f2) - integral(f1) * integral(f2))
     return (goe, kappa4, diag), i1
 
 
@@ -102,12 +99,11 @@ def cov_limit_wigner(phi1, phi2, spec: EnsembleSpec):
 def var_limit(phi: TestFunction, spec: EnsembleSpec) -> LimitPrediction:
     """Total limiting variance of the centered scaled diagonal element."""
     (v_goe, kappa4_term, diag_term), i1 = _cov_terms(phi, phi, spec)
-    v_goe = float(v_goe)
     v_w = v_goe + kappa4_term + diag_term
     # relative to the terms' size: an exact zero can round to +-eps (|v_goe| + |kappa4_term|)
     size = abs(v_goe) + abs(kappa4_term) + abs(diag_term)
     if v_w < -_NEG_CLIP * max(1.0, size):
-        raise InconsistencyError(
+        raise ContractError(
             f"limiting variance {v_w} is negative: inconsistent kappa4/moment inputs"
         )
     if abs(v_w) <= _NEG_CLIP * size:

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ContractError, CoverageError
+from .errors import ContractError
 
 DEFAULT_NODES = 128
 
@@ -175,25 +175,23 @@ def gauss_chebyshev_u(w: float) -> QuadratureRule:
 
 
 def check_coverage(phi: Callable, w: float) -> None:
-    """CoverageError when phi is a tabulated test function whose grid misses part of [-2w, 2w]."""
+    """ContractError when phi is a tabulated test function whose grid misses part of [-2w, 2w]."""
     if isinstance(phi, TestFunction) and phi.kind == TABULATED:
         if phi.grid[0] > -2.0 * w or phi.grid[-1] < 2.0 * w:
-            raise CoverageError(
+            raise ContractError(
                 f"tabulated grid [{phi.grid[0]}, {phi.grid[-1]}] does not cover [-{2*w}, {2*w}]"
             )
 
 
-def sc_integral(phi: Callable, w: float, weight: Callable | None = None):
-    """Integral phi(lambda) weight(lambda) rho_sc(lambda) dlambda by Gauss-Chebyshev-U.
+def sc_integral(phi: Callable, w: float):
+    """Integral phi(lambda) rho_sc(lambda) dlambda by Gauss-Chebyshev-U.
 
-    Exact for polynomial phi * weight of degree <= 2 DEFAULT_NODES - 1.  A
-    tabulated phi must cover [-2w, 2w] (check_coverage).
+    Exact for polynomial phi of degree <= 2 DEFAULT_NODES - 1.  A tabulated phi
+    must cover [-2w, 2w] (check_coverage).
     """
     rule = gauss_chebyshev_u(w)
     check_coverage(phi, w)
     vals = phi(rule.nodes)
-    if weight is not None:
-        vals = vals * weight(rule.nodes)
     total = np.sum(rule.weights * vals)
     return complex(total) if np.iscomplexobj(vals) else float(total)
 

@@ -56,14 +56,14 @@ def eigh(m: SymmetricMatrix | JacobiMatrix) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=vals, eigenvectors=vecs)
 
 
-def _check_index(dec_n: int, idx: int, name: str) -> None:
-    if not 0 <= idx < dec_n:
-        raise ContractError(f"index {name}={idx} out of range 0..{dec_n - 1}")
+def _check_index(dec_n: int, j: int) -> None:
+    if not 0 <= j < dec_n:
+        raise ContractError(f"index j={j} out of range 0..{dec_n - 1}")
 
 
 def matrix_function_entry(dec: SpectralDecomposition, phi: Callable, j: int) -> float:
     """phi(M)_jj = sum_a phi(lambda_a) Q_ja^2."""
-    _check_index(dec.n, j, "j")
+    _check_index(dec.n, j)
     q = dec.eigenvectors
     return float(np.sum(phi(dec.eigenvalues) * q[j, :] * q[j, :]))
 
@@ -113,7 +113,7 @@ def lanczos_jacobi(m: SymmetricMatrix, j: int) -> Iterator[JacobiMatrix]:
     reorthogonalises against the whole basis twice; the basis holds O(k n)
     numbers.  As a generator it checks j and the entries on the first step.
     """
-    _check_index(m.n, j, "j")
+    _check_index(m.n, j)
     if not np.all(np.isfinite(m.data)):
         raise ContractError("matrix entries must be finite")
     n = m.n
@@ -149,7 +149,7 @@ def propagator_slices(dec: SpectralDecomposition, j: int,
     sin(lambda t)]: (Q o Q) CS gives the diagonals and Q (q_j o CS) the rows,
     so U_jj(t) is row[:, j].  U(0) = I is exact, not round-off.
     """
-    _check_index(dec.n, j, "j")
+    _check_index(dec.n, j)
     t = np.asarray(times, dtype=float)
     if not np.all(np.isfinite(t)):
         raise ContractError("times must be finite")

@@ -209,7 +209,8 @@ def v_tilde(z, w: float):
 
 
 def cov_limit_goe_oracle(phi1, phi2, w: float):
-    """Tensor-product double quadrature of the defining double integral of cov_limit_goe."""
+    """Tensor-product double quadrature of the defining double integral of the GOE covariance,
+    the limit of n Cov that cov_limit_wigner gives on a GOE spec."""
     rule = gauss_chebyshev_u(w)
     f1 = phi1(rule.nodes)
     f2 = phi2(rule.nodes)
@@ -232,7 +233,7 @@ def _divided_difference(phi: TestFunction, x: np.ndarray, y: np.ndarray) -> np.n
 
 def triple_singular_cross_check(phi1: TestFunction, phi2: TestFunction, w: float,
                                 epsilons: Sequence[float]) -> np.ndarray:
-    """Regularized triple integral whose epsilon -> 0 limit is cov_limit_goe.
+    """Regularized triple integral whose epsilon -> 0 limit is the GOE covariance.
 
     Evaluates 2 w^2 Integral q1(l1, l2) q2(l2, l3 + i eps) over rho_sc^x3 by
     tensor quadrature, q being divided differences of the phi's; the third
@@ -347,10 +348,14 @@ def cumulants_to_moments(kappa: Sequence[float]) -> list[float]:
     return mu
 
 
+# domain tag of the scalar streams, apart from the package's matrix streams (seeding.DOMAIN_MATRIX)
+DOMAIN_SCALAR = 2
+
+
 def sample_entries(dist: ensembles.EntryDistribution, size: int, seed: int,
                    labels: Sequence[int] = ()) -> np.ndarray:
     """i.i.d. scalar draws of the entry law from the (seed, labels) stream."""
-    rng = seeding.generator(seed, [seeding.DOMAIN_SCALAR, *labels])
+    rng = seeding.generator(seed, [DOMAIN_SCALAR, *labels])
     if dist.atoms is None:
         return ensembles._continuous(dist, size, rng)
     return dist.atoms[ensembles._atom_index(dist, size, rng)]

@@ -482,7 +482,7 @@ def test_predict_negative_variance_exits_2(tmp_path, capsys, monkeypatch, scale)
     code = cli.run_cli(["predict", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "p")])
     assert code == 2
     payload = error_payload(capsys)
-    assert payload["error"] == "InconsistencyError" and "negative" in payload["message"]
+    assert payload["error"] == "ContractError" and "negative" in payload["message"]
     assert not (tmp_path / "p").exists()
 
 
@@ -525,6 +525,40 @@ def test_exit_code_unknown_phi_eval(tmp_path, capsys, command):
     assert (payload["error"], payload["field"]) == ("ConfigError", "config")
     assert "unknown key(s) ['phi_eval']" in payload["message"]
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", ["predict", "simulate", "lemma"])
+def test_exit_code_config_not_utf8(tmp_path, capsys, command):
+    """A config that is not UTF-8 text is bad input, as an unreadable file or invalid JSON is."""
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_bytes(b"\xff\xfe\x00\x7b")
+    code = cli.run_cli([command, "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+    assert code == 2
+    payload = error_payload(capsys)
+    assert payload["error"] == "ConfigError" and str(cfg_path) in payload["message"]
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", ["predict", "volterra"])
+@pytest.mark.parametrize("under", [False, True], ids=["a_file", "under_a_file"])
+def test_exit_code_out_is_not_a_directory(tmp_path, capsys, command, under):
+    """An --out that is a file, or lies under one, exits 2 naming --out, and writes nothing."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep")
+    out = blocker / "sub" if under else blocker
+    if command == "predict":
+        args = ["predict", "--config", str(write_config(tmp_path, minimal_config()))]
+    else:
+        args = ["volterra", "--h", "0.04,0.02"]
+    code = cli.run_cli([*args, "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no `wrote` line
+    assert "\n" not in captured.err.strip()
+    payload = json.loads(captured.err)
+    assert (payload["error"], payload["field"]) == ("ConfigError", "--out")
+    assert payload["message"].startswith("--out")
+    assert blocker.read_text() == "keep"
 
 
 def non_finite_config(where: str, value: float) -> dict:

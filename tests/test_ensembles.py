@@ -8,7 +8,7 @@ from scipy.integrate import quad
 import oracles
 from wignerlab import ensembles as en
 from wignerlab.cumulants import moments_to_cumulants
-from wignerlab.errors import ContractError, InvalidDistributionError, UnsupportedCFError
+from wignerlab.errors import ContractError
 
 
 def test_gaussian_cumulants_vanish():
@@ -44,20 +44,20 @@ def test_two_point_valid_example():
 
 def test_two_point_uncentered_atoms_rejected():
     # atoms {-1 w.p. 0.8, +2 w.p. 0.2} have mean -0.4 and variance 1.44
-    with pytest.raises(InvalidDistributionError):
+    with pytest.raises(ContractError):
         en.make_entry_distribution("two_point", 1.0, {"atoms": [-1.0, 2.0], "probs": [0.8, 0.2]})
 
 
 def test_discrete_validation_errors():
-    with pytest.raises(InvalidDistributionError):
+    with pytest.raises(ContractError):
         en.make_entry_distribution("discrete_custom", 1.0, {"atoms": [-1, 1], "probs": [0.6, 0.6]})
-    with pytest.raises(InvalidDistributionError):
+    with pytest.raises(ContractError):
         en.make_entry_distribution("discrete_custom", 1.0, {"atoms": [-1, 1], "probs": [1.2, -0.2]})
-    with pytest.raises(InvalidDistributionError):
+    with pytest.raises(ContractError):
         en.make_entry_distribution("two_point", 1.0, {"atoms": [-1, 0, 1], "probs": [0.3, 0.4, 0.3]})
-    with pytest.raises(InvalidDistributionError):
+    with pytest.raises(ContractError):
         en.make_entry_distribution("gaussian", -1.0)
-    with pytest.raises(InvalidDistributionError):
+    with pytest.raises(ContractError):
         en.make_entry_distribution("cauchy", 1.0)
 
 
@@ -114,7 +114,7 @@ def test_entry_cf_gaussian_against_density_quadrature():
 def test_entry_cf_unsupported_kind():
     fake = en.EntryDistribution(kind="mystery", w=1.0, moments=(0, 1, 0, 3, 0, 15),
                                 kappas=(0, 1, 0, 0, 0, 0))
-    with pytest.raises(UnsupportedCFError):
+    with pytest.raises(ContractError):
         en.entry_cf(fake, 1.0)
 
 

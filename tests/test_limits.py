@@ -7,7 +7,7 @@ import oracles
 from wignerlab import ensembles as en
 from wignerlab import limits as lm
 from wignerlab import semicircle as sc
-from wignerlab.errors import ContractError, InconsistencyError
+from wignerlab.errors import ContractError
 from wignerlab.semicircle import gaussian_damped, monomial, polynomial
 
 
@@ -30,15 +30,47 @@ def three_point_spec(kappa4_over_w4: float, w=1.0) -> en.EnsembleSpec:
     return en.EnsembleSpec(entry_dist=dist)
 
 
+def first_moment_integral(phi, w):
+    """I1(phi) = <phi x>, one quadrature of its own."""
+    return sc.sc_integral(lambda lam: phi(lam) * lam, w)
+
+
+def kappa4_integral(phi, w):
+    """I2(phi) = <phi (w^2 - x^2)>, one quadrature of its own."""
+    return sc.sc_integral(lambda lam: phi(lam) * (w * w - lam * lam), w)
+
+
+def goe_term(phi1, phi2, w):
+    """2 (<phi1 phi2> - <phi1><phi2>), three quadratures of their own."""
+    cross = sc.sc_integral(lambda lam: phi1(lam) * phi2(lam), w)
+    return 2.0 * (cross - sc.sc_integral(phi1, w) * sc.sc_integral(phi2, w))
+
+
+class CountingPhi:
+    """A test function that counts its calls and reads everything else from phi."""
+
+    def __init__(self, phi):
+        self.phi = phi
+        self.calls = 0
+
+    def __call__(self, lam):
+        self.calls += 1
+        return self.phi(lam)
+
+    def __getattr__(self, name):
+        return getattr(self.phi, name)
+
+
 # ---------------------------------------------------------------------------
 # covariance closed forms
 # ---------------------------------------------------------------------------
 
 
 def test_cov_limit_goe_examples():
-    assert lm.cov_limit_goe(monomial(1), monomial(1), 1.0) == pytest.approx(2.0, abs=1e-12)
-    assert lm.cov_limit_goe(monomial(2), monomial(2), 1.0) == pytest.approx(2.0, abs=1e-12)
-    assert lm.cov_limit_goe(monomial(1), monomial(2), 1.0) == pytest.approx(0.0, abs=1e-13)
+    spec = goe_spec()
+    assert lm.cov_limit_wigner(monomial(1), monomial(1), spec) == pytest.approx(2.0, abs=1e-12)
+    assert lm.cov_limit_wigner(monomial(2), monomial(2), spec) == pytest.approx(2.0, abs=1e-12)
+    assert lm.cov_limit_wigner(monomial(1), monomial(2), spec) == pytest.approx(0.0, abs=1e-13)
 
 
 def test_cov_limit_goe_matches_tensor_oracle():
@@ -48,9 +80,26 @@ def test_cov_limit_goe_matches_tensor_oracle():
         p1 = polynomial(rng.uniform(-1, 1, size=deg1 + 1))
         p2 = polynomial(rng.uniform(-1, 1, size=deg2 + 1))
         w = float(rng.uniform(0.5, 1.5))
-        assert lm.cov_limit_goe(p1, p2, w) == pytest.approx(
+        assert lm.cov_limit_wigner(p1, p2, goe_spec(w)) == pytest.approx(
             oracles.cov_limit_goe_oracle(p1, p2, w), rel=1e-11, abs=1e-11
         )
+
+
+def test_limit_laws_read_each_phi_once():
+    """With every term nonzero (uniform entries, w2 = 1.5, phi and phi2 of no parity),
+    var_limit evaluates phi once and cov_limit_wigner each phi once, to the same bits."""
+    spec = en.EnsembleSpec(entry_dist=en.make_entry_distribution("uniform", 1.1),
+                           convention="general_diagonal", w2=1.5)
+    phi, phi2 = polynomial([0.0, 1.0, 0.0, 0.0, 1.0]), gaussian_damped([0.0, 0.0, 1.0, 1.0], 1.3)
+    counted = CountingPhi(phi)
+    pred = lm.var_limit(counted, spec)
+    assert counted.calls == 1
+    assert 0.0 not in (pred.v_goe, pred.kappa4_term, pred.diag_term, pred.xstar_slope)
+    assert pred.to_dict() == lm.var_limit(phi, spec).to_dict()
+    counted, counted2 = CountingPhi(phi), CountingPhi(phi2)
+    cov = lm.cov_limit_wigner(counted, counted2, spec)
+    assert (counted.calls, counted2.calls) == (1, 1)
+    assert cov.hex() == lm.cov_limit_wigner(phi, phi2, spec).hex()
 
 
 def test_cov_limit_wigner_examples():
@@ -59,7 +108,7 @@ def test_cov_limit_wigner_examples():
     assert lm.cov_limit_wigner(monomial(4), monomial(4), spec) == pytest.approx(2.0, abs=1e-11)
     # odd phi: the correction vanishes identically
     assert lm.cov_limit_wigner(monomial(3), monomial(3), spec) == pytest.approx(
-        lm.cov_limit_goe(monomial(3), monomial(3), 1.0), abs=1e-12
+        goe_term(monomial(3), monomial(3), 1.0), abs=1e-12
     )
 
 
@@ -89,7 +138,7 @@ def test_gaussian_reduction():
         p1 = polynomial(rng.uniform(-1, 1, size=5))
         p2 = polynomial(rng.uniform(-1, 1, size=4))
         assert lm.cov_limit_wigner(p1, p2, spec) == pytest.approx(
-            lm.cov_limit_goe(p1, p2, 1.1), abs=1e-14
+            goe_term(p1, p2, 1.1), abs=1e-14
         )
 
 
@@ -129,7 +178,7 @@ def test_parity_structure_of_prediction():
     assert pred_even.xstar_slope == 0.0
     # numerically re-verified via quadrature on the mixed-parity route
     mixed_even = polynomial([0.3, 0.0, 1.0, 0.0, -0.2])
-    assert abs(lm.first_moment_integral(mixed_even, 1.0)) <= 1e-13
+    assert abs(first_moment_integral(mixed_even, 1.0)) <= 1e-13
 
 
 def test_directly_built_phi_gets_the_parity_terms_of_its_data():
@@ -163,24 +212,25 @@ def test_opposite_parity_covariance_is_exactly_zero(kind, params, convention, w2
 
 
 def _two_formula_oracle(phi1, phi2, spec):
-    """The covariance and variance formulas as written before they shared one core.
+    """The covariance and variance formulas as written before they shared one core, with
+    one quadrature per integral.
 
     Returns (n Cov with no parity zeros and its own w2 != 2 shortcut, the
     variance terms (v_goe, kappa4_term, diag_term) with the parity zeros and a
     second I1 integration for the slope, xstar_slope) at (phi1, phi1).
     """
     w = spec.w
-    cov = lm.cov_limit_goe(phi1, phi2, w)
-    cov += (spec.entry_dist.kappa4 / w**8) * lm.kappa4_integral(phi1, w) * lm.kappa4_integral(phi2, w)
+    cov = goe_term(phi1, phi2, w)
+    cov += (spec.entry_dist.kappa4 / w**8) * kappa4_integral(phi1, w) * kappa4_integral(phi2, w)
     if spec.w2 != 2.0:
-        cov += ((spec.w2 - 2.0) / w**2) * lm.first_moment_integral(phi1, w) * lm.first_moment_integral(phi2, w)
-    v_goe = float(lm.cov_limit_goe(phi1, phi1, w))
+        cov += ((spec.w2 - 2.0) / w**2) * first_moment_integral(phi1, w) * first_moment_integral(phi2, w)
+    v_goe = float(goe_term(phi1, phi1, w))
     kappa4_term = 0.0 if phi1.parity == "odd" else (
-        (spec.entry_dist.kappa4 / w**8) * lm.kappa4_integral(phi1, w) ** 2)
+        (spec.entry_dist.kappa4 / w**8) * kappa4_integral(phi1, w) ** 2)
     diag_term = 0.0 if spec.w2 == 2.0 or phi1.parity == "even" else (
-        ((spec.w2 - 2.0) / w**2) * lm.first_moment_integral(phi1, w) ** 2)
+        ((spec.w2 - 2.0) / w**2) * first_moment_integral(phi1, w) ** 2)
     slope = 0.0 if phi1.parity == "even" else (
-        math.sqrt(spec.w2) * lm.first_moment_integral(phi1, w) / w**2)
+        math.sqrt(spec.w2) * first_moment_integral(phi1, w) / w**2)
     return cov, (v_goe, kappa4_term, diag_term, slope)
 
 
@@ -258,7 +308,7 @@ def test_negative_variance_guard():
         kappas=(0, 1, 0, -5, 0, 0),
     )
     spec = en.EnsembleSpec(entry_dist=fake)
-    with pytest.raises(InconsistencyError):
+    with pytest.raises(ContractError):
         lm.var_limit(monomial(2), spec)
 
 
@@ -276,7 +326,7 @@ def test_negativity_guard_is_relative_to_the_terms():
     for c in (1.0, 1e8, 1e12, 1e14, 1e100):
         phi = polynomial([0.0, 0.0, c])
         assert lm.var_limit(phi, rademacher_spec()).v_w == 0.0
-        with pytest.raises(InconsistencyError):
+        with pytest.raises(ContractError):
             lm.var_limit(phi, en.EnsembleSpec(entry_dist=fake))
 
 
@@ -442,7 +492,7 @@ def test_triple_singular_linear_case():
 def test_triple_singular_square_case():
     eps = [0.1, 0.05, 0.025]
     seq = oracles.triple_singular_cross_check(monomial(2), monomial(2), 1.0, eps)
-    target = lm.cov_limit_goe(monomial(2), monomial(2), 1.0)
+    target = lm.cov_limit_wigner(monomial(2), monomial(2), goe_spec())
     gaps = [abs(v - target) for v in seq]
     # gaps must shrink toward 0 (for polynomials they can vanish identically)
     assert gaps[-1] <= gaps[0] + 1e-12
@@ -453,7 +503,7 @@ def test_triple_singular_gaussian_damped_first_order_in_eps():
     phi = gaussian_damped([0.0, 1.0, 0.5], 1.0)
     eps = [0.1, 0.05, 0.025]
     seq = oracles.triple_singular_cross_check(phi, phi, 1.0, eps)
-    target = lm.cov_limit_goe(phi, phi, 1.0)
+    target = lm.cov_limit_wigner(phi, phi, goe_spec())
     gaps = [abs(v - target) for v in seq]
     assert gaps[0] / gaps[1] == pytest.approx(2.0, abs=0.4)
     assert gaps[1] / gaps[2] == pytest.approx(2.0, abs=0.4)

@@ -40,7 +40,7 @@ def test_same_outputs_runs_volterra_at_its_defaults(tmp_path):
 
 
 def test_same_outputs_runs_a_tabulated_phi_on_the_eigh_route(tmp_path):
-    from wignerlab import cli, harness
+    from wignerlab import cli, harness, limits
 
     runs = {label: (args, outputs) for label, args, outputs in same_outputs.runs(tmp_path)}
     args, outputs = runs["simulate tabulated"]
@@ -49,3 +49,17 @@ def test_same_outputs_runs_a_tabulated_phi_on_the_eigh_route(tmp_path):
     cfg = cli.parse_config(args[args.index("--config") + 1])
     assert harness.phi_route(cfg.phis()) == "eigh"
     assert (cfg.spec.entry_dist.kind, cfg.n_list, cfg.replicas) == ("uniform", (64, 128), 200)
+    # every limit term of the mixed-parity config is nonzero, so each of its integrals is byte-checked
+    args, outputs = runs["simulate mixed parity"]
+    assert outputs == ["result.json", "replicas.csv"]
+    assert args[0] == "simulate" and "--raw" in args
+    config = args[args.index("--config") + 1]
+    assert runs["predict mixed parity"] == (["predict", "--config", config], ["prediction.json"])
+    cfg = cli.parse_config(config)
+    assert (cfg.spec.entry_dist.kind, cfg.spec.w, cfg.spec.convention, cfg.spec.w2) == (
+        "uniform", 1.1, "general_diagonal", 1.5)
+    assert (cfg.n_list, cfg.replicas, cfg.j_policy) == ((64, 128), 200, "middle")
+    pred, _ = harness.predict(cfg)
+    assert 0.0 not in (pred.v_goe, pred.kappa4_term, pred.diag_term, pred.xstar_slope)
+    cross_terms, _ = limits._cov_terms(cfg.phi, cfg.phi2, cfg.spec)
+    assert 0.0 not in cross_terms

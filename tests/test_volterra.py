@@ -372,7 +372,10 @@ def test_residual_table_orders():
 
 
 def test_fourier_pairing_reproduces_goe_covariance():
+    from wignerlab.ensembles import EnsembleSpec, make_entry_distribution
+
     w = 1.0
+    spec = EnsembleSpec(entry_dist=make_entry_distribution("gaussian", w), convention="goe")
     funcs = [
         gaussian_damped([0.0, 1.0], 1.0),
         gaussian_damped([0.0, 0.0, 1.0], 1.0),
@@ -380,7 +383,7 @@ def test_fourier_pairing_reproduces_goe_covariance():
     ]
     for i, f1 in enumerate(funcs):
         for f2 in funcs[i:]:
-            target = lm.cov_limit_goe(f1, f2, w)
+            target = lm.cov_limit_wigner(f1, f2, spec)
             got = oracles.fourier_pairing(f1, f2, w, kappa4=0.0)
             assert abs(got - target) <= 1e-3
             assert abs(got.imag) <= 1e-10

@@ -4,10 +4,11 @@
 
 Builds the benchmark's four workloads at seed 301 through
 perfbench/workloads.make (read only), and runs each one, plus `predict` on the
-two simulate configs, `volterra` at its defaults and `simulate --raw` with a
-tabulated phi (TABULATED_CONFIG), once under this checkout's src/ and once
-under OTHER_CHECKOUT/src.  Every primary output must match byte for byte, and so
-must the manifest.json fields that identify the inputs (IDENTITY_FIELDS).
+two simulate configs, `volterra` at its defaults, `simulate --raw` with a
+tabulated phi (TABULATED_CONFIG), and `simulate --raw` and `predict` with every
+limit term nonzero (MIXED_PARITY_CONFIG), once under this checkout's src/ and
+once under OTHER_CHECKOUT/src.  Every primary output must match byte for byte,
+and so must the manifest.json fields that identify the inputs (IDENTITY_FIELDS).
 The manifest is run metadata: any other field that differs is printed as a
 note, except the run's own measurements (MEASUREMENTS), which differ on every
 run.  Prints the notes, then `identical` and exits 0, or prints each
@@ -39,6 +40,18 @@ TABULATED_CONFIG = {
     "root_seed": SEED,
     "j_policy": "middle",
 }
+# phi and phi2 are neither odd nor even, and w2 != 2: no term of the variance or of the
+# cross covariance is a parity zero, so every semicircle integral of the limit laws is taken
+MIXED_PARITY_CONFIG = {
+    "spec": {"entry_dist": {"kind": "uniform", "w": 1.1}, "convention": "general_diagonal", "w2": 1.5},
+    "phi": {"kind": "polynomial", "coefficients": [0.0, 1.0, 0.0, 0.0, 1.0]},
+    "phi2": {"kind": "gaussian_damped_polynomial", "coefficients": [0.0, 0.0, 1.0, 1.0],
+             "envelope_width": 1.3},
+    "n_list": [64, 128],
+    "replicas": 200,
+    "root_seed": SEED,
+    "j_policy": "middle",
+}
 
 
 def runs(work: Path) -> list[tuple[str, list[str], list[str]]]:
@@ -54,10 +67,13 @@ def runs(work: Path) -> list[tuple[str, list[str], list[str]]]:
             out.append((f"{name} predict", ["predict", *wl.cli[1:3]], ["prediction.json"]))
     # the benchmark's steps make grids of several column blocks; the defaults' coarsest is one block
     out.append(("volterra defaults", ["volterra"], ["volterra_residuals.csv"]))
-    tabulated = work / "simulate-tabulated.json"
+    tabulated, mixed = work / "simulate-tabulated.json", work / "mixed-parity.json"
     tabulated.write_text(json.dumps(TABULATED_CONFIG))
-    out.append(("simulate tabulated", ["simulate", "--config", str(tabulated), "--raw", "--threads", str(THREADS)],
-                ["result.json", "replicas.csv"]))
+    mixed.write_text(json.dumps(MIXED_PARITY_CONFIG))
+    raw = ["--raw", "--threads", str(THREADS)]
+    out.append(("simulate tabulated", ["simulate", "--config", str(tabulated), *raw], ["result.json", "replicas.csv"]))
+    out.append(("simulate mixed parity", ["simulate", "--config", str(mixed), *raw], ["result.json", "replicas.csv"]))
+    out.append(("predict mixed parity", ["predict", "--config", str(mixed)], ["prediction.json"]))
     return out
 
 
