@@ -43,6 +43,7 @@ from .spectral import (
     lanczos_jacobi,
     lemma_statistics,
     matrix_function_entry,
+    power_moments,
 )
 
 __all__ = [
@@ -71,6 +72,7 @@ __all__ = [
     "monomial",
     "phi_entries",
     "polynomial",
+    "power_moments",
     "run_entry_experiment",
     "sample_matrix",
     "sc_integral",

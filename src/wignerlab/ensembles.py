@@ -198,8 +198,8 @@ class EnsembleSpec:
         }
 
 
-# side of a mirrored tile: a 64x64 float64 tile (32 KiB) and its transpose stay in cache
-_MIRROR_TILE = 64
+# rows per band of dense(): a 128-row band of the column strip above it (1 KiB per row) stays in cache
+_DENSE_BAND = 128
 
 
 @lru_cache(maxsize=32)
@@ -222,21 +222,22 @@ class SymmetricMatrix:
         """M as a fresh, writable, C-contiguous n x n array.
 
         Row-major packed lower storage is the C order of the lower-triangle mask, so
-        one masked assignment fills the lower triangle with contiguous writes.  The
-        upper triangle is then mirrored from it in 64 x 64 tiles, so each tile and its
-        transposed source stay in cache.  Every cell is a copy of a packed value.
+        the rows a..e-1 of a band are one contiguous run of the packed data.  Each
+        128-row band is filled by one masked assignment of its lower rows, its
+        columns left of the diagonal are copied transposed into the column strip
+        above it, and its diagonal block is mirrored in place.  Every cell is a copy
+        of a packed value.
         """
         n = self.n
         lower = _lower_mask(n)
-        above = ~lower[:_MIRROR_TILE, :_MIRROR_TILE]
+        above = ~lower[:_DENSE_BAND, :_DENSE_BAND]
         m = np.empty((n, n))
-        m[lower] = self.data
-        for a in range(0, n, _MIRROR_TILE):
-            e = min(a + _MIRROR_TILE, n)
-            for c in range(e, n, _MIRROR_TILE):
-                d = min(c + _MIRROR_TILE, n)
-                m[a:e, c:d] = m[c:d, a:e].T
-            block = m[a:e, a:e]
+        for a in range(0, n, _DENSE_BAND):
+            e = min(a + _DENSE_BAND, n)
+            rows = m[a:e]
+            rows[lower[a:e]] = self.data[a * (a + 1) // 2:e * (e + 1) // 2]
+            m[:a, a:e] = rows[:, :a].T
+            block = rows[:, a:e]
             np.copyto(block, block.T, where=above[:e - a, :e - a])
         return m
 
@@ -252,9 +253,13 @@ def _continuous(dist: EntryDistribution, size: int, rng: np.random.Generator) ->
 
 
 def _atom_index(dist: EntryDistribution, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Indices into dist.atoms of i.i.d. entries of a discrete law."""
+    """Indices into dist.atoms of i.i.d. entries of a discrete law.
+
+    A Rademacher index is the top bit of each 32-bit half of the Philox words,
+    low half first: the stream integers(0, 2) draws, read straight from the words.
+    """
     if dist.kind == RADEMACHER:
-        return rng.integers(0, 2, size=size)  # int64: another dtype draws another Philox stream
+        return rng.bit_generator.random_raw(-(-size // 2)).view(np.uint32)[:size] >> 31
     # inverse CDF on one uniform per entry
     edges = np.cumsum(dist.probs)
     return np.searchsorted(edges, rng.random(size), side="right").clip(max=dist.atoms.size - 1)
@@ -267,7 +272,8 @@ def sample_matrix(spec: EnsembleSpec, n: int, seed: int, replica: int = 0) -> Sy
     (packed index i(i+3)/2) are multiplied by diag_scale, then every entry by
     1/sqrt(n), in that order.  A discrete law looks its values up in its atoms
     pre-multiplied in that same order: one gather, with the same bits.  The
-    Rademacher atoms -w, w are w (2k - 1) at its index k.
+    Rademacher atoms -w, w are w (2k - 1) at its index k; its off-diagonal
+    values -h, h (h = w / sqrt(n)) are formed as k (2h) - h, which is exact.
     """
     if n < 2:
         raise ContractError("matrix size n must be >= 2")
@@ -282,7 +288,12 @@ def sample_matrix(spec: EnsembleSpec, n: int, seed: int, replica: int = 0) -> Sy
         packed *= scale
     else:
         k = _atom_index(dist, size, rng)
-        packed = (dist.atoms * scale)[k]
+        if dist.kind == RADEMACHER:  # -h, h at index 0, 1 are k (2h) - h exactly: no gather
+            h = dist.atoms[1] * scale
+            packed = np.multiply(k, 2.0 * h)
+            packed -= h
+        else:
+            packed = (dist.atoms * scale)[k]
         packed[diag_idx] = ((dist.atoms * spec.diag_scale) * scale)[k[diag_idx]]
     packed.setflags(write=False)
     return SymmetricMatrix(n=n, data=packed, seed=seed, replica_index=replica)

@@ -1,9 +1,10 @@
 """Monte Carlo experiments against the closed-form limit laws.
 
 run_entry_experiment draws R matrices per size n, reads phi(M_r)_jj through
-phi_entries, the one phi evaluator (a full eigh, or Lanczos-Gauss quadrature
-over the Jacobi matrices that spectral.lanczos_jacobi yields, until the
-estimates settle), forms the centered scaled diagonal elements
+phi_entries, the one phi evaluator (a full eigh, or power vectors for
+polynomials and Lanczos-Gauss quadrature over the Jacobi matrices that
+spectral.lanczos_jacobi yields, until the estimates settle, for smooth phi),
+forms the centered scaled diagonal elements
 y_r = sqrt(n) (phi(M_r)_jj - mean), and estimates variance, cumulants and the
 empirical characteristic function with jackknife/analytic uncertainties;
 lemma_decay_experiment returns the lemma_decay.csv rows, the means and
@@ -44,7 +45,8 @@ from .ensembles import EnsembleSpec, SymmetricMatrix, sample_matrix
 from .errors import ConfigError, ContractError
 from .limits import LimitPrediction, cov_limit_wigner, limit_cf, limit_cumulants, var_limit
 from .semicircle import POLYNOMIAL, TABULATED, TestFunction, check_coverage, v_of_t
-from .spectral import DECAY_STATISTICS, eigh, lanczos_jacobi, lemma_statistics, matrix_function_entry
+from .spectral import (DECAY_STATISTICS, eigh, lanczos_jacobi, lemma_statistics, matrix_function_entry,
+                       power_moments)
 
 J_POLICIES = ("first", "middle", "last", "explicit")
 
@@ -193,7 +195,8 @@ def _parallel_map(fn: Callable[[int], object], count: int, threads: int) -> list
 
 
 def phi_route(phis: Sequence[TestFunction]) -> str:
-    """Any tabulated phi takes the full "eigh"; otherwise "lanczos", Lanczos-Gauss quadrature."""
+    """Any tabulated phi takes the full "eigh"; otherwise "lanczos": power vectors for
+    polynomials, Lanczos-Gauss quadrature for smooth phi."""
     return "eigh" if any(p.kind == TABULATED for p in phis) else "lanczos"
 
 
@@ -203,17 +206,16 @@ GAUSS_TOLERANCE = 1e-14  # relative movement of the Gauss estimates that ends La
 def phi_entries(m: SymmetricMatrix, j: int,
                 phis: Sequence[TestFunction]) -> tuple[np.ndarray, int | None]:
     """phi(M)_jj for each test function, and the size of the Jacobi matrix read
-    (None on the eigh route): the one evaluator of a replica.
+    (None when none is, as on the eigh route): the one evaluator of a replica.
 
     The route is phi_route(phis).  "eigh" diagonalizes M once and reads every
-    function off the same spectrum.  "lanczos" walks the Jacobi matrices T_k of
-    lanczos_jacobi and reads each smooth phi once per step, as phi(T_k)_00
-    through eigh and matrix_function_entry.  It stops at the first
-    k >= max(max_degree // 2 + 1, 3 if any phi is smooth else 1), the steps
-    that make the Gauss rule exact for every polynomial, where every smooth
-    estimate moved by <= GAUSS_TOLERANCE * max(1, |value|) over two
-    consecutive steps, or where the walk ends (breakdown, k = n).  Polynomials
-    read the moments (T_k^m)_00 of the last T_k, smooth phi its Gauss rule.
+    function off the same spectrum.  "lanczos" unpacks M once.  Polynomials
+    read the power sums (M^k)_jj of power_moments, with no Jacobi matrix.
+    Smooth phi walk the Jacobi matrices T_k of lanczos_jacobi, each read once
+    per step as phi(T_k)_00 through eigh and matrix_function_entry; the walk
+    stops at the first k >= 3 where every smooth estimate moved by <=
+    GAUSS_TOLERANCE * max(1, |value|) over two consecutive steps, or where it
+    ends (breakdown, k = n), and each smooth phi takes the last T_k's rule.
 
     The stop rule's estimates go through spectral's own names.  The values
     returned for smooth phi are read off the last T_k once more, through the
@@ -223,20 +225,21 @@ def phi_entries(m: SymmetricMatrix, j: int,
     if phi_route(phis) == "eigh":
         dec = eigh(m)
         return np.array([matrix_function_entry(dec, p, j) for p in phis]), None
+    dense = m.dense()
+    polynomials = [p for p in phis if p.kind == POLYNOMIAL]
     smooth = [p for p in phis if p.kind != POLYNOMIAL]
-    degree = max((p.degree for p in phis if p.kind == POLYNOMIAL), default=0)
-    least = max(degree // 2 + 1, 3 if smooth else 1)
-    estimates: list[list[float]] = []
-    for t in lanczos_jacobi(m, j):
-        if smooth:
+    if polynomials:
+        moments = power_moments(m, j, max(p.degree for p in polynomials), dense)
+    dec = size = None
+    if smooth:
+        estimates: list[list[float]] = []
+        for t in lanczos_jacobi(m, j, dense):
             step = spectral.eigh(t)
             estimates.append([spectral.matrix_function_entry(step, p, 0) for p in smooth])
-        if t.n >= least and (not smooth or np.all(
-                np.abs(np.diff(estimates[-3:], axis=0))
-                <= GAUSS_TOLERANCE * np.maximum(1.0, np.abs(estimates[-1])))):
-            break
-    moments = t.moments(degree)
-    dec = eigh(t) if smooth else None
+            if t.n >= 3 and np.all(np.abs(np.diff(estimates[-3:], axis=0))
+                                   <= GAUSS_TOLERANCE * np.maximum(1.0, np.abs(estimates[-1]))):
+                break
+        dec, size = eigh(t), t.n
     values = []
     for p in phis:
         if p.kind == POLYNOMIAL:
@@ -244,14 +247,14 @@ def phi_entries(m: SymmetricMatrix, j: int,
             values.append(float(c @ moments[: c.size]))
         else:
             values.append(matrix_function_entry(dec, p, 0))
-    return np.array(values), t.n
+    return np.array(values), size
 
 
 def matrix_element_samples(spec: EnsembleSpec, n: int, j: int, phis: Sequence[TestFunction],
                            root_seed: int, replicas: int,
                            threads: int = 1) -> tuple[np.ndarray, int | None]:
     """phi_entries of every replica, shape (replicas, len(phis)), and the largest
-    Jacobi matrix over replicas (None off the lanczos route)."""
+    Jacobi matrix over replicas (None when no smooth phi takes Lanczos)."""
     rows = _parallel_map(lambda r: phi_entries(sample_matrix(spec, n, root_seed, r), j, phis),
                          replicas, threads)
     sizes = [size for _, size in rows if size is not None]

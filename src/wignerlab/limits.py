@@ -71,8 +71,7 @@ def _cov_terms(phi1, phi2, spec: EnsembleSpec):
         return phi(x)
 
     def integral(vals):
-        total = np.sum(rule.weights * vals)
-        return complex(total) if np.iscomplexobj(vals) else float(total)
+        return float(np.sum(rule.weights * vals))
 
     same = phi2 is phi1
     f1 = read(phi1)

@@ -110,11 +110,18 @@ class TestFunction:
         return d
 
 
-def polynomial(coefficients: Sequence[float]) -> TestFunction:
+def _real_coefficients(coefficients: Sequence[float]) -> tuple[float, ...]:
+    """The coefficients as floats; complex or non-finite ones are a ContractError."""
+    if any(np.iscomplexobj(c) for c in coefficients):
+        raise ContractError("coefficients must be real")
     coeffs = tuple(float(c) for c in coefficients)
     if not all(math.isfinite(c) for c in coeffs):
-        raise ContractError("polynomial coefficients must be finite")
-    return TestFunction(kind=POLYNOMIAL, coefficients=coeffs)
+        raise ContractError("coefficients must be finite")
+    return coeffs
+
+
+def polynomial(coefficients: Sequence[float]) -> TestFunction:
+    return TestFunction(kind=POLYNOMIAL, coefficients=_real_coefficients(coefficients))
 
 
 def monomial(power: int) -> TestFunction:
@@ -123,9 +130,7 @@ def monomial(power: int) -> TestFunction:
 
 
 def gaussian_damped(coefficients: Sequence[float], envelope_width: float = 1.0) -> TestFunction:
-    coeffs = tuple(float(c) for c in coefficients)
-    if not all(math.isfinite(c) for c in coeffs):
-        raise ContractError("gaussian_damped coefficients must be finite")
+    coeffs = _real_coefficients(coefficients)
     if envelope_width <= 0 or not math.isfinite(envelope_width):
         raise ContractError("envelope width must be positive and finite")
     return TestFunction(kind=GAUSSIAN_DAMPED, coefficients=coeffs, envelope_width=float(envelope_width))

@@ -4,10 +4,11 @@ From one decomposition M = Q diag(lambda) Q^T per sampled matrix we read off
 diagonal matrix elements phi(M)_jj = sum_a phi(lambda_a) Q_ja^2, propagator entries
 U_jk(t) = sum_a e^{i t lambda_a} Q_ja Q_ka, and the trace/row statistics
 v_n, v_n_pair, v_n1, v_n2 whose decay in n the Monte Carlo harness measures.
-For a single phi(M)_jj, lanczos_jacobi shrinks M step by step to the small
-Jacobi matrices of the Gauss rules at e_j, read through their moments or the
-same consumers; it knows no test function, so the caller (harness.phi_entries)
-decides when a rule is good enough.
+For a single phi(M)_jj, power_moments reads the exact power sums (M^k)_jj off
+the vectors M^a e_j, and lanczos_jacobi shrinks M step by step to the small
+Jacobi matrices of the Gauss rules at e_j, read through the same consumers; it
+knows no test function, so the caller (harness.phi_entries) decides when a
+rule is good enough.
 
 All indices are 0-based.
 """
@@ -88,20 +89,27 @@ class JacobiMatrix:
     def dense(self) -> np.ndarray:
         return np.diag(self.alpha) + np.diag(self.beta, 1) + np.diag(self.beta, -1)
 
-    def moments(self, degree: int) -> np.ndarray:
-        """(T^k)_00 for k = 0..degree: the Gauss rule's moments, so (M^k)_jj for k < 2n.
 
-        Read from the power sequence T^k e_0 rather than eigh(T), so an entry
-        every sample shares, such as (M^2)_jj for Rademacher entries, keeps its bits.
-        """
-        u, dense, out = np.eye(self.n)[0], self.dense(), [1.0]
-        for _ in range(degree):
-            u = dense @ u
-            out.append(u[0])
-        return np.array(out)
+def power_moments(m: SymmetricMatrix, j: int, degree: int, dense: np.ndarray | None = None) -> np.ndarray:
+    """(M^k)_jj for k = 0..degree, from the power vectors u_a = M^a e_j.
+
+    u_0 = e_j and u_1 = M e_j, row j of M, cost no matvec, and u_(a+1) = M u_a,
+    so (M^k)_jj = u_floor(k/2) . u_ceil(k/2) takes ceil(degree / 2) - 1 matvecs.
+    These are exact power sums, with no Gauss rule, so an entry every sample
+    shares, such as (M^2)_jj for Rademacher entries, keeps its bits.  dense is
+    m.dense() when the caller has unpacked M already.
+    """
+    _check_index(m.n, j)
+    if not np.all(np.isfinite(m.data)):
+        raise ContractError("matrix entries must be finite")
+    dense = m.dense() if dense is None else dense
+    u = [np.eye(1, m.n, j)[0], dense[j]]
+    while len(u) <= (degree + 1) // 2:
+        u.append(dense @ u[-1])
+    return np.array([u[k // 2] @ u[(k + 1) // 2] for k in range(degree + 1)])
 
 
-def lanczos_jacobi(m: SymmetricMatrix, j: int) -> Iterator[JacobiMatrix]:
+def lanczos_jacobi(m: SymmetricMatrix, j: int, dense: np.ndarray | None = None) -> Iterator[JacobiMatrix]:
     """Lanczos on M started from e_j: yields the k x k Jacobi matrices T_1, T_2, ...
 
     The eigenvalues of T_k are the nodes, and the squared first components of
@@ -112,12 +120,13 @@ def lanczos_jacobi(m: SymmetricMatrix, j: int) -> Iterator[JacobiMatrix]:
     Krylov breakdown (the last rule is then exact) or at k = n.  Each step
     reorthogonalises against the whole basis twice; the basis holds O(k n)
     numbers.  As a generator it checks j and the entries on the first step.
+    dense is m.dense() when the caller has unpacked M already.
     """
     _check_index(m.n, j)
     if not np.all(np.isfinite(m.data)):
         raise ContractError("matrix entries must be finite")
     n = m.n
-    dense = m.dense()
+    dense = m.dense() if dense is None else dense
     basis = np.zeros((min(n, 32), n))
     basis[0, j] = 1.0
     alpha: list[float] = []

@@ -151,7 +151,7 @@ def test_polynomial_lanczos_and_spectral_routes_agree():
     b = eigh_route(cfg)
     assert hn.phi_route(cfg.phis()) == "lanczos"
     assert np.max(np.abs(a.samples[0] - scaled(b[:, 0], 32))) <= 1e-9
-    assert a.lanczos_steps_max == 2
+    assert a.lanczos_steps_max is None  # polynomials read power vectors, no Jacobi matrix
 
 
 def test_lanczos_and_spectral_routes_agree():
@@ -167,8 +167,8 @@ def test_lanczos_and_spectral_routes_agree():
 
 
 def test_mixed_set_stops_with_its_smooth_member():
-    """A polynomial beside a smooth phi fixes only the minimum step count: the set stops
-    where the smooth phi alone stops, and both agree with the full eigh to 1e-12 of
+    """A polynomial beside a smooth phi leaves the Lanczos walk alone: the set stops where
+    the smooth phi alone stops, and both agree with the full eigh to 1e-12 of
     sum_a |phi(lambda_a)| Q_ja^2."""
     spec = en.EnsembleSpec(entry_dist=en.make_entry_distribution("rademacher", 3.0))
     phis = [gaussian_damped([1.0], 1.0), monomial(7)]
@@ -201,9 +201,9 @@ def counted_walk(monkeypatch) -> list[int]:
     drawn: list[int] = []
     original = hn.lanczos_jacobi
 
-    def walk(m, j):
+    def walk(m, j, dense=None):
         drawn.append(0)
-        for t in original(m, j):
+        for t in original(m, j, dense):
             drawn[-1] += 1
             yield t
 
@@ -225,23 +225,18 @@ def counted_calls(monkeypatch, module, names) -> dict[str, int]:
 
 @pytest.mark.parametrize("case", sorted(ROUTE_PHIS))
 def test_auto_routes_each_phi_to_its_evaluator(monkeypatch, case):
-    """Polynomials and smooth phi take Lanczos, any tabulated phi eigh; only
-    all-polynomial sets skip the eigh of the Jacobi matrix.  Lanczos reads at
-    least max_degree // 2 + 1 Jacobi matrices (3 with a smooth phi), and exactly
-    that many when no phi is smooth."""
+    """Polynomials and smooth phi take the lanczos route, any tabulated phi eigh.  On the
+    lanczos route only smooth phi walk Lanczos, reading at least 3 Jacobi matrices and
+    one eigh of the last; an all-polynomial set reads none."""
     drawn = counted_walk(monkeypatch)
     calls = counted_calls(monkeypatch, hn, ["eigh"])
     phis, route, eighs = ROUTE_PHIS[case]
     cfg = small_config(phi=phis[0], phi2=phis[1] if len(phis) > 1 else None, replicas=100)
     res = hn.run_entry_experiment(cfg, threads=1)
     assert hn.phi_route(cfg.phis()) == route
-    assert (len(drawn), calls["eigh"]) == (100 if route == "lanczos" else 0, 100 * eighs)
-    if route == "lanczos":
-        floor = max((p.degree for p in phis if p.kind == "polynomial"), default=0) // 2 + 1
-        if eighs:
-            assert min(drawn) >= max(floor, 3)
-        else:
-            assert set(drawn) == {floor}
+    assert (len(drawn), calls["eigh"]) == (100 * eighs if route == "lanczos" else 0, 100 * eighs)
+    if drawn:
+        assert min(drawn) >= 3
         assert res.lanczos_steps_max == max(drawn)
     else:
         assert res.lanczos_steps_max is None
@@ -252,8 +247,7 @@ def test_lanczos_reads_each_smooth_phi_once_per_jacobi_matrix(monkeypatch, case)
     """The stop rule reads every smooth phi once per Jacobi matrix drawn, through
     spectral.eigh and spectral.matrix_function_entry; the returned values are read
     off the last matrix through the harness's eigh and matrix_function_entry, once
-    per replica.  Polynomial-only sets draw max_degree // 2 + 1 matrices and
-    decompose none."""
+    per replica.  Polynomial-only sets draw no matrix and decompose none."""
     drawn = counted_walk(monkeypatch)
     names = ["eigh", "matrix_function_entry"]
     inner, outer = counted_calls(monkeypatch, sp, names), counted_calls(monkeypatch, hn, names)
@@ -261,13 +255,35 @@ def test_lanczos_reads_each_smooth_phi_once_per_jacobi_matrix(monkeypatch, case)
     smooth = sum(p.kind != "polynomial" for p in phis)
     spec = en.EnsembleSpec(entry_dist=en.make_entry_distribution("uniform", 1.0))
     values, steps = hn.matrix_element_samples(spec, 64, 5, phis, 11, 6)
-    assert (values.shape, steps, len(drawn)) == ((6, len(phis)), max(drawn), 6)
+    assert values.shape == (6, len(phis))
     if smooth:
+        assert (steps, len(drawn)) == (max(drawn), 6)
         assert inner == {"eigh": sum(drawn), "matrix_function_entry": smooth * sum(drawn)}
         assert outer == {"eigh": 6, "matrix_function_entry": 6 * smooth}
     else:
-        assert drawn == [max(p.degree for p in phis) // 2 + 1] * 6
+        assert (steps, drawn) == (None, [])
         assert inner == outer == {"eigh": 0, "matrix_function_entry": 0}
+
+
+@pytest.mark.parametrize("case", sorted(ROUTE_PHIS))
+def test_every_route_unpacks_each_matrix_once(monkeypatch, case):
+    """One SymmetricMatrix.dense call per replica on every route, mixed sets included: the
+    power vectors and the Lanczos walk share one unpacked matrix, and an all-polynomial
+    set never enters lanczos_jacobi."""
+    drawn = counted_walk(monkeypatch)
+    unpacked = []
+    original = en.SymmetricMatrix.dense
+
+    def dense(self):
+        unpacked.append(self.replica_index)
+        return original(self)
+
+    monkeypatch.setattr(en.SymmetricMatrix, "dense", dense)
+    phis = ROUTE_PHIS[case][0]
+    hn.matrix_element_samples(goe_spec(), 32, 0, phis, 3, 5)
+    assert unpacked == [0, 1, 2, 3, 4]
+    if all(p.kind == "polynomial" for p in phis):
+        assert drawn == []
 
 
 def test_result_deterministic_across_threads():

@@ -260,6 +260,14 @@ def test_coefficients_must_be_finite():
                 make([0.0, bad])
 
 
+def test_coefficients_must_be_real():
+    """A complex coefficient is a ContractError naming the cause, not a TypeError from float()."""
+    for coefficients in ([0.3, 1j], [0.3, np.complex128(0.5)], np.array([0.3, 2j])):
+        for make in (sc.polynomial, sc.gaussian_damped):
+            with pytest.raises(ContractError, match="coefficients must be real"):
+                make(coefficients)
+
+
 def test_tabulated_validation():
     with pytest.raises(ContractError):
         sc.tabulated([0.0, 1.0], [1.0])

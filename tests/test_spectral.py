@@ -180,11 +180,13 @@ LANCZOS_PHIS = {
 
 @pytest.mark.parametrize("kind", ["gaussian", "rademacher", "uniform"])
 def test_lanczos_matches_eigh_battery(kind):
-    """phi_entries' Gauss rules over lanczos_jacobi against the full eigh, to 1e-12 relative.
+    """phi_entries' Gauss rules over lanczos_jacobi, and its power sums for polynomials,
+    against the full eigh, to 1e-12 relative.
 
     Relative to sum_a |phi(lambda_a)| Q_ja^2, the size of the terms the eigh
     route adds: an odd phi can make phi(M)_jj itself cancel to 1e-4 while both
-    routes carry round-off of the size of those terms.
+    routes carry round-off of the size of those terms.  An all-polynomial set
+    reads no Jacobi matrix.
     """
     spec = en.EnsembleSpec(entry_dist=en.make_entry_distribution(kind, 1.0))
     for n in (16, 64, 512):
@@ -193,7 +195,7 @@ def test_lanczos_matches_eigh_battery(kind):
         for j in (0, (n - 1) // 2, n - 1):
             for name, phis in LANCZOS_PHIS.items():
                 values, size = hn.phi_entries(m, j, phis)
-                assert size <= n
+                assert size is None if name == "polynomial" else size <= n
                 for p, value in zip(phis, values):
                     expected = sp.matrix_function_entry(dec, p, j)
                     scale = sp.matrix_function_entry(dec, lambda x: np.abs(p(x)), j)
@@ -201,24 +203,39 @@ def test_lanczos_matches_eigh_battery(kind):
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "rademacher", "uniform"])
-def test_fixed_step_lanczos_matches_power_oracle(kind):
-    """p(M)_jj from the moments of degree // 2 + 1 Lanczos steps against diagonal_powers,
-    to 1e-12 of sum_a |p(lambda_a)| Q_ja^2."""
+def test_power_moments_match_eigh_battery(kind):
+    """p(M)_jj from power_moments against the full eigh and the power-sequence oracle,
+    to 1e-12 of sum_a |p(lambda_a)| Q_ja^2, for every degree 1..8; passing the unpacked
+    matrix changes no bit."""
     rng = np.random.default_rng(107)
     for w in (1.0, 2.5):
         spec = en.EnsembleSpec(entry_dist=en.make_entry_distribution(kind, w))
         for n in (16, 64, 512):
             m = en.sample_matrix(spec, n, seed=109, replica=n)
+            dense = m.dense()
             dec = sp.eigh(m)
             for j in (0, (n - 1) // 2, n - 1):
                 for degree in range(1, 9):
                     p = polynomial(rng.uniform(-1.0, 1.0, degree + 1))
-                    t = jacobi_after(m, j, degree // 2 + 1)
-                    assert t.n == degree // 2 + 1
-                    value = np.asarray(p.coefficients) @ t.moments(degree)
-                    expected = np.asarray(p.coefficients) @ diagonal_powers(m, j, degree)
+                    moments = sp.power_moments(m, j, degree)
+                    assert moments.shape == (degree + 1,) and moments[0] == 1.0
+                    assert np.array_equal(moments, sp.power_moments(m, j, degree, dense))
+                    value = np.asarray(p.coefficients) @ moments
                     scale = sp.matrix_function_entry(dec, lambda x: np.abs(p(x)), j)
+                    assert abs(value - sp.matrix_function_entry(dec, p, j)) <= 1e-12 * scale, (w, n, j, degree)
+                    expected = np.asarray(p.coefficients) @ diagonal_powers(m, j, degree)
                     assert abs(value - expected) <= 1e-12 * scale, (w, n, j, degree)
+
+
+def test_power_moments_contracts():
+    """power_moments checks j and the entries: NaN, +inf and -inf are each rejected."""
+    m = en.sample_matrix(goe_spec(), 8, seed=103)
+    with pytest.raises(ContractError):
+        sp.power_moments(m, 8, 2)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ContractError):
+            sp.power_moments(packed([[0.0, bad], [bad, 0.0]]), 0, 2)
+    assert list(sp.power_moments(packed([[0.5, 2.0], [2.0, -1.0]]), 1, 3)) == [1.0, -1.0, 5.0, -7.0]
 
 
 def test_fixed_step_lanczos_stops_at_breakdown():
@@ -232,16 +249,17 @@ def test_fixed_step_lanczos_stops_at_breakdown():
     for j in range(2):
         t = jacobi_after(m, j, 4)
         assert t.n == 2
-        assert t.moments(6)[6] == pytest.approx(np.linalg.matrix_power(a, 6)[j, j], rel=1e-13)
+        assert np.linalg.matrix_power(t.dense(), 6)[0, 0] == pytest.approx(
+            np.linalg.matrix_power(a, 6)[j, j], rel=1e-13)
     assert [t.n for t in sp.lanczos_jacobi(m, 5)] == [1]
     assert jacobi_after(packed(np.ones((3, 3))), 0, 9).n == 2  # span{e_0, 1}
     assert [t.n for t in sp.lanczos_jacobi(packed(a[:2, :2]), 0)] == [1, 2]  # capped at n
 
 
 def test_lanczos_runs_steps_then_the_gauss_test():
-    """The polynomial degree sets a floor of max_degree // 2 + 1 steps: with no smooth phi
-    phi_entries stops there, otherwise at the first later step where every smooth phi's
-    Gauss estimate has settled."""
+    """Lanczos reads at least 3 Jacobi matrices, then stops at the first step where every
+    smooth phi's Gauss estimate has settled; polynomials beside it move neither, and an
+    all-polynomial set reads none."""
     m = en.sample_matrix(goe_spec(), 128, seed=117)
     smooth = [gaussian_damped([1.0, 0.0, 1.0], 1.0)]
 
@@ -250,11 +268,9 @@ def test_lanczos_runs_steps_then_the_gauss_test():
 
     settled = size()
     assert 3 <= settled < 40
-    assert size(2) == size(3) == settled
-    assert size(2 * settled - 2) == settled
-    assert size(78) == 40
-    assert hn.phi_entries(m, 3, [monomial(8)])[1] == 5
-    assert hn.phi_entries(m, 3, [monomial(1)])[1] == 1
+    assert size(2) == size(3) == size(2 * settled - 2) == size(78) == settled
+    assert hn.phi_entries(m, 3, [monomial(8)])[1] is None
+    assert hn.phi_entries(m, 3, [monomial(1)])[1] is None
 
 
 def test_lanczos_jacobi_is_tridiagonal():

@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -63,3 +64,57 @@ def test_same_outputs_runs_a_tabulated_phi_on_the_eigh_route(tmp_path):
     assert 0.0 not in (pred.v_goe, pred.kappa4_term, pred.diag_term, pred.xstar_slope)
     cross_terms, _ = limits._cov_terms(cfg.phi, cfg.phi2, cfg.spec)
     assert 0.0 not in cross_terms
+
+
+RESULT = {"per_n": [{"n": 64, "variance": 9.87, "k_stats": {"k3": [0.25, 0.5]}, "ks": {"ks_stat": None},
+                     "samples_hash": "aa"},
+                    {"n": 128, "variance": 10.01, "k_stats": {"k3": [-0.125, 0.375]}, "ks": {"ks_stat": None},
+                     "samples_hash": "bb"}],
+          "note": "text"}
+CSV = "n,replica,y_value\n64,0,3.5\n64,1,-0.001\n"
+
+
+def test_same_outputs_tolerance_mode_reports_zero_on_identical_outputs(tmp_path):
+    ours = run_dir(tmp_path / "ours", json.dumps(RESULT).encode())
+    theirs = run_dir(tmp_path / "theirs", json.dumps(RESULT).encode())
+    relative, other = same_outputs.field_differences("result.json", *(
+        (d / "result.json").read_bytes() for d in (ours, theirs)))
+    assert other == []
+    assert relative == {"per_n[].n": 0.0, "per_n[].variance": 0.0, "per_n[].k_stats.k3[0]": 0.0,
+                        "per_n[].k_stats.k3[1]": 0.0}
+    assert same_outputs.field_differences("replicas.csv", CSV.encode(), CSV.encode()) == (
+        {"n": 0.0, "replica": 0.0, "y_value": 0.0}, [])
+    assert same_outputs.differences(ours, theirs, ["result.json"], rel_tol=0.0) == ([], [])
+
+
+def test_same_outputs_tolerance_mode_reports_a_planted_change(tmp_path):
+    """A 1e-13 relative change in one field is reported at its size and held to the tolerance;
+    a changed samples_hash is a note, any other non-numeric change a difference."""
+    planted = json.loads(json.dumps(RESULT))
+    planted["per_n"][1]["variance"] *= 1.0 + 1e-13
+    planted["per_n"][0]["samples_hash"] = "cc"
+    ours = run_dir(tmp_path / "ours", json.dumps(RESULT).encode())
+    theirs = run_dir(tmp_path / "theirs", json.dumps(planted).encode())
+    relative, other = same_outputs.field_differences("result.json", json.dumps(RESULT).encode(),
+                                                     json.dumps(planted).encode())
+    assert 0.9e-13 <= relative.pop("per_n[].variance") <= 1.1e-13
+    assert set(relative.values()) == {0.0}
+    assert other == ["per_n[].samples_hash"]
+    found, notes = same_outputs.differences(ours, theirs, ["result.json"], rel_tol=1e-12)
+    assert found == []
+    assert notes[0] == "result.json largest relative difference per numeric field: per_n[].variance 1e-13, 3 more at 0"
+    assert notes[1] == "result.json per_n[].samples_hash differs (a digest of the compared values)"
+    found, _ = same_outputs.differences(ours, theirs, ["result.json"], rel_tol=1e-14)
+    assert found == ["result.json per_n[].variance values, by 1e-13 relative,"]
+    assert same_outputs.differences(ours, theirs, ["result.json"])[0] == ["result.json"]  # bytes by default
+    # in a CSV column the difference is relative to the column's largest magnitude
+    moved = CSV.replace("-0.001", repr(-0.001 + 3.5e-13))
+    relative, other = same_outputs.field_differences("replicas.csv", CSV.encode(), moved.encode())
+    assert other == [] and 0.9e-13 <= relative["y_value"] <= 1.1e-13
+    for bad in ("nan", "inf"):
+        relative, _ = same_outputs.field_differences("replicas.csv", CSV.encode(),
+                                                     CSV.replace("-0.001", bad).encode())
+        assert relative["y_value"] == math.inf
+    planted["note"] = "other text"
+    assert same_outputs.field_differences("result.json", json.dumps(RESULT).encode(),
+                                          json.dumps(planted).encode())[1] == ["note", "per_n[].samples_hash"]
