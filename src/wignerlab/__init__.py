@@ -37,8 +37,6 @@ from .semicircle import (
     v_of_t,
 )
 from .spectral import (
-    JacobiMatrix,
-    SpectralDecomposition,
     eigh,
     lanczos_jacobi,
     lemma_statistics,
@@ -51,9 +49,7 @@ __all__ = [
     "EntryDistribution",
     "ExperimentConfig",
     "ExperimentResult",
-    "JacobiMatrix",
     "LimitPrediction",
-    "SpectralDecomposition",
     "SymmetricMatrix",
     "TestFunction",
     "cov_limit_wigner",

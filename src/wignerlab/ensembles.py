@@ -211,12 +211,18 @@ def _lower_mask(n: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SymmetricMatrix:
-    """Packed lower-triangular storage of M = n^{-1/2} W (row-major rows 0..n-1)."""
+    """Packed lower-triangular storage of M = n^{-1/2} W (row-major rows 0..n-1).
+
+    Its entries are checked once, when it is built, on the n(n+1)/2 packed
+    values: each must be finite, so no reader of dense() checks them again.
+    """
 
     n: int
     data: np.ndarray
-    seed: int
-    replica_index: int
+
+    def __post_init__(self):
+        if not np.all(np.isfinite(self.data)):
+            raise ContractError("matrix entries must be finite")
 
     def dense(self) -> np.ndarray:
         """M as a fresh, writable, C-contiguous n x n array.
@@ -274,6 +280,7 @@ def sample_matrix(spec: EnsembleSpec, n: int, seed: int, replica: int = 0) -> Sy
     pre-multiplied in that same order: one gather, with the same bits.  The
     Rademacher atoms -w, w are w (2k - 1) at its index k; its off-diagonal
     values -h, h (h = w / sqrt(n)) are formed as k (2h) - h, which is exact.
+    Every entry is finite, since the entry law's moments up to order 8 are.
     """
     if n < 2:
         raise ContractError("matrix size n must be >= 2")
@@ -296,4 +303,4 @@ def sample_matrix(spec: EnsembleSpec, n: int, seed: int, replica: int = 0) -> Sy
             packed = (dist.atoms * scale)[k]
         packed[diag_idx] = ((dist.atoms * spec.diag_scale) * scale)[k[diag_idx]]
     packed.setflags(write=False)
-    return SymmetricMatrix(n=n, data=packed, seed=seed, replica_index=replica)
+    return SymmetricMatrix(n=n, data=packed)

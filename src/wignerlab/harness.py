@@ -42,7 +42,7 @@ from . import spectral
 from .blas import single_blas_thread
 from .cumulants import SampleCumulants, jackknife_spread, k_statistics_loo, sample_cumulants
 from .ensembles import EnsembleSpec, SymmetricMatrix, sample_matrix
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, NumericFailureError
 from .limits import LimitPrediction, cov_limit_wigner, limit_cf, limit_cumulants, var_limit
 from .semicircle import POLYNOMIAL, TABULATED, TestFunction, check_coverage, v_of_t
 from .spectral import (DECAY_STATISTICS, eigh, lanczos_jacobi, lemma_statistics, matrix_function_entry,
@@ -77,6 +77,18 @@ def float_range(field: str):
     except (FloatingPointError, OverflowError) as exc:
         raise ConfigError(f"{field}: its values take the computation out of the float range ({exc})",
                           field=field) from exc
+
+
+@contextlib.contextmanager
+def _replica_guard(field: str, root_seed: int, replica: int):
+    """float_range(field) over one replica's evaluation, set in the replica's own thread
+    (numpy's errstate is per thread), and a NumericFailureError re-raised naming the
+    root seed and the replica, so the sample can be regenerated."""
+    try:
+        with float_range(field):
+            yield
+    except NumericFailureError as exc:
+        raise NumericFailureError(f"root seed {root_seed}, replica {replica}, {exc}") from exc
 
 
 def resolve_j(policy: str, n: int, explicit: int | None = None) -> int:
@@ -208,9 +220,9 @@ def phi_entries(m: SymmetricMatrix, j: int,
     """phi(M)_jj for each test function, and the size of the Jacobi matrix read
     (None when none is, as on the eigh route): the one evaluator of a replica.
 
-    The route is phi_route(phis).  "eigh" diagonalizes M once and reads every
-    function off the same spectrum.  "lanczos" unpacks M once.  Polynomials
-    read the power sums (M^k)_jj of power_moments, with no Jacobi matrix.
+    M is unpacked once, and the route is phi_route(phis).  "eigh" diagonalizes
+    M once and reads every function off the same spectrum.  On "lanczos",
+    polynomials read the power sums (M^k)_jj of power_moments, with no Jacobi matrix.
     Smooth phi walk the Jacobi matrices T_k of lanczos_jacobi, each read once
     per step as phi(T_k)_00 through eigh and matrix_function_entry; the walk
     stops at the first k >= 3 where every smooth estimate moved by <=
@@ -222,24 +234,24 @@ def phi_entries(m: SymmetricMatrix, j: int,
     names this module binds, which perfbench/spans.py records as one eigh per
     replica; they equal the last estimates bit for bit.
     """
-    if phi_route(phis) == "eigh":
-        dec = eigh(m)
-        return np.array([matrix_function_entry(dec, p, j) for p in phis]), None
     dense = m.dense()
+    if phi_route(phis) == "eigh":
+        dec = eigh(dense)
+        return np.array([matrix_function_entry(dec, p, j) for p in phis]), None
     polynomials = [p for p in phis if p.kind == POLYNOMIAL]
     smooth = [p for p in phis if p.kind != POLYNOMIAL]
     if polynomials:
-        moments = power_moments(m, j, max(p.degree for p in polynomials), dense)
+        moments = power_moments(dense, j, max(p.degree for p in polynomials))
     dec = size = None
     if smooth:
         estimates: list[list[float]] = []
-        for t in lanczos_jacobi(m, j, dense):
+        for t in lanczos_jacobi(dense, j):
             step = spectral.eigh(t)
             estimates.append([spectral.matrix_function_entry(step, p, 0) for p in smooth])
-            if t.n >= 3 and np.all(np.abs(np.diff(estimates[-3:], axis=0))
-                                   <= GAUSS_TOLERANCE * np.maximum(1.0, np.abs(estimates[-1]))):
+            if len(t) >= 3 and np.all(np.abs(np.diff(estimates[-3:], axis=0))
+                                      <= GAUSS_TOLERANCE * np.maximum(1.0, np.abs(estimates[-1]))):
                 break
-        dec, size = eigh(t), t.n
+        dec, size = eigh(t), len(t)
     values = []
     for p in phis:
         if p.kind == POLYNOMIAL:
@@ -254,9 +266,16 @@ def matrix_element_samples(spec: EnsembleSpec, n: int, j: int, phis: Sequence[Te
                            root_seed: int, replicas: int,
                            threads: int = 1) -> tuple[np.ndarray, int | None]:
     """phi_entries of every replica, shape (replicas, len(phis)), and the largest
-    Jacobi matrix over replicas (None when no smooth phi takes Lanczos)."""
-    rows = _parallel_map(lambda r: phi_entries(sample_matrix(spec, n, root_seed, r), j, phis),
-                         replicas, threads)
+    Jacobi matrix over replicas (None when no smooth phi takes Lanczos).
+
+    A value out of the float range is a ConfigError on config.phi.
+    """
+    def one_replica(r: int) -> tuple[np.ndarray, int | None]:
+        m = sample_matrix(spec, n, root_seed, r)
+        with _replica_guard("config.phi", root_seed, r):
+            return phi_entries(m, j, phis)
+
+    rows = _parallel_map(one_replica, replicas, threads)
     sizes = [size for _, size in rows if size is not None]
     return np.vstack([values for values, _ in rows]), max(sizes, default=None)
 
@@ -499,10 +518,9 @@ def lemma_decay_experiment(cfg: ExperimentConfig, threads: int | None = None) ->
         j = resolve_j(cfg.j_policy, n, cfg.j_explicit)
 
         def one_replica(r: int) -> np.ndarray:  # runs to completion inside this iteration
-            dec = eigh(sample_matrix(cfg.spec, n, cfg.root_seed, r))
-            # errstate is per thread, so the guard is set here, in the replica's own thread
-            with float_range("config.t_grid"):
-                return lemma_statistics(dec, j, ts).ravel()
+            a = sample_matrix(cfg.spec, n, cfg.root_seed, r).dense()
+            with _replica_guard("config.t_grid", cfg.root_seed, r):
+                return lemma_statistics(eigh(a), j, ts).ravel()
 
         samples = np.vstack(_parallel_map(one_replica, cfg.replicas, threads))
         for i, (t, t_limits) in enumerate(zip(ts, limits)):

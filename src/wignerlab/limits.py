@@ -61,6 +61,8 @@ def _cov_terms(phi1, phi2, spec: EnsembleSpec):
     as is the diagonal term at w2 = 2.
     Each correction is coef * (I(phi1) I(phi2)); for the variance (phi2 is phi1) it is
     coef * I(phi)**2, one sum per integral.
+    A Python float product overflows to inf without raising, so terms whose sum
+    is not finite raise OverflowError.
     """
     w = spec.w
     rule = gauss_chebyshev_u(w)
@@ -86,6 +88,8 @@ def _cov_terms(phi1, phi2, spec: EnsembleSpec):
     if spec.w2 != 2.0 and "even" not in parities:
         diag = ((spec.w2 - 2.0) / w**2) * (i1**2 if same else i1 * integral(f2 * x))
     goe = 0.0 if set(parities) == {"odd", "even"} else 2.0 * (integral(f1 * f2) - integral(f1) * integral(f2))
+    if not math.isfinite(goe + kappa4 + diag):
+        raise OverflowError(f"limit terms {goe}, {kappa4}, {diag} leave the float range")
     return (goe, kappa4, diag), i1
 
 

@@ -10,137 +10,97 @@ Jacobi matrices of the Gauss rules at e_j, read through the same consumers; it
 knows no test function, so the caller (harness.phi_entries) decides when a
 rule is good enough.
 
+Every reader takes a plain symmetric array, such as SymmetricMatrix.dense(),
+whose entries were checked finite when the SymmetricMatrix was built.
 All indices are 0-based.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .ensembles import SymmetricMatrix
 from .errors import ContractError, NumericFailureError
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralDecomposition:
-    """Eigenvalues ascending; eigenvectors orthonormal in columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.eigenvalues.size
-
-
-def eigh(m: SymmetricMatrix | JacobiMatrix) -> SpectralDecomposition:
-    """Full symmetric eigendecomposition of one sampled matrix or Jacobi matrix.
+def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Full symmetric eigendecomposition of one array: numpy's (eigenvalues,
+    eigenvectors) result, eigenvalues ascending, eigenvectors orthonormal in
+    columns, both read-only.
 
     Deterministic for fixed input.  A LAPACK convergence failure is re-raised
-    naming the root seed, the replica and the order of the matrix, so the
-    offending sample can be regenerated.
+    naming the order of the array; the replica phase that drew the matrix adds
+    its root seed and replica, so the offending sample can be regenerated.
     """
-    dense = m.dense()
-    if not np.all(np.isfinite(dense)):
-        raise ContractError("matrix entries must be finite")
     try:
-        vals, vecs = np.linalg.eigh(dense)
+        dec = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
-        raise NumericFailureError(
-            f"eigendecomposition did not converge (root seed {m.seed}, replica {m.replica_index}, "
-            f"order {m.n}): {exc}") from exc
-    vals.setflags(write=False)
-    vecs.setflags(write=False)
-    return SpectralDecomposition(eigenvalues=vals, eigenvectors=vecs)
+        raise NumericFailureError(f"order {len(a)}: eigendecomposition did not converge: {exc}") from exc
+    for part in dec:
+        part.setflags(write=False)
+    return dec
 
 
-def _check_index(dec_n: int, j: int) -> None:
-    if not 0 <= j < dec_n:
-        raise ContractError(f"index j={j} out of range 0..{dec_n - 1}")
+def _check_index(n: int, j: int) -> None:
+    if not 0 <= j < n:
+        raise ContractError(f"index j={j} out of range 0..{n - 1}")
 
 
-def matrix_function_entry(dec: SpectralDecomposition, phi: Callable, j: int) -> float:
+def matrix_function_entry(dec: tuple[np.ndarray, np.ndarray], phi: Callable, j: int) -> float:
     """phi(M)_jj = sum_a phi(lambda_a) Q_ja^2."""
-    _check_index(dec.n, j)
-    q = dec.eigenvectors
-    return float(np.sum(phi(dec.eigenvalues) * q[j, :] * q[j, :]))
+    lam, q = dec
+    _check_index(lam.size, j)
+    return float(np.sum(phi(lam) * q[j, :] * q[j, :]))
 
 
-@dataclass(frozen=True, eq=False)
-class JacobiMatrix:
-    """Symmetric tridiagonal T_k: diagonal alpha (k numbers), off-diagonal beta (k - 1).
+def power_moments(a: np.ndarray, j: int, degree: int) -> np.ndarray:
+    """(M^k)_jj for k = 0..degree, M = a, from the power vectors u_i = M^i e_j.
 
-    eigh reads it like a sampled matrix; it keeps the seed and replica of the
-    matrix it was reduced from, so a failure names the sample to regenerate.
-    """
-
-    alpha: np.ndarray
-    beta: np.ndarray
-    seed: int
-    replica_index: int
-
-    @property
-    def n(self) -> int:
-        return self.alpha.size
-
-    def dense(self) -> np.ndarray:
-        return np.diag(self.alpha) + np.diag(self.beta, 1) + np.diag(self.beta, -1)
-
-
-def power_moments(m: SymmetricMatrix, j: int, degree: int, dense: np.ndarray | None = None) -> np.ndarray:
-    """(M^k)_jj for k = 0..degree, from the power vectors u_a = M^a e_j.
-
-    u_0 = e_j and u_1 = M e_j, row j of M, cost no matvec, and u_(a+1) = M u_a,
+    u_0 = e_j and u_1 = M e_j, row j of M, cost no matvec, and u_(i+1) = M u_i,
     so (M^k)_jj = u_floor(k/2) . u_ceil(k/2) takes ceil(degree / 2) - 1 matvecs.
     These are exact power sums, with no Gauss rule, so an entry every sample
-    shares, such as (M^2)_jj for Rademacher entries, keeps its bits.  dense is
-    m.dense() when the caller has unpacked M already.
+    shares, such as (M^2)_jj for Rademacher entries, keeps its bits.
     """
-    _check_index(m.n, j)
-    if not np.all(np.isfinite(m.data)):
-        raise ContractError("matrix entries must be finite")
-    dense = m.dense() if dense is None else dense
-    u = [np.eye(1, m.n, j)[0], dense[j]]
+    n = len(a)
+    _check_index(n, j)
+    u = [np.eye(1, n, j)[0], a[j]]
     while len(u) <= (degree + 1) // 2:
-        u.append(dense @ u[-1])
+        u.append(a @ u[-1])
     return np.array([u[k // 2] @ u[(k + 1) // 2] for k in range(degree + 1)])
 
 
-def lanczos_jacobi(m: SymmetricMatrix, j: int, dense: np.ndarray | None = None) -> Iterator[JacobiMatrix]:
-    """Lanczos on M started from e_j: yields the k x k Jacobi matrices T_1, T_2, ...
+def lanczos_jacobi(a: np.ndarray, j: int) -> Iterator[np.ndarray]:
+    """Lanczos on M = a started from e_j: yields the k x k Jacobi matrices T_1, T_2, ...
 
-    The eigenvalues of T_k are the nodes, and the squared first components of
-    its eigenvectors the weights, of the k-point Gauss rule for the spectral
-    measure of M at e_j (Golub & Welsch 1969), so phi(M)_jj is read as
-    phi(T_k)_00; the rule is exact for polynomials of degree < 2k.  The caller
-    stops reading when its estimates suffice; the walk ends by itself after a
-    Krylov breakdown (the last rule is then exact) or at k = n.  Each step
-    reorthogonalises against the whole basis twice; the basis holds O(k n)
-    numbers.  As a generator it checks j and the entries on the first step.
-    dense is m.dense() when the caller has unpacked M already.
+    Each T_k is a fresh symmetric tridiagonal array, its diagonal alpha_1..alpha_k
+    and its off-diagonals beta_1..beta_(k-1).  The eigenvalues of T_k are the
+    nodes, and the squared first components of its eigenvectors the weights, of
+    the k-point Gauss rule for the spectral measure of M at e_j (Golub & Welsch
+    1969), so phi(M)_jj is read as phi(T_k)_00; the rule is exact for
+    polynomials of degree < 2k.  The caller stops reading when its estimates
+    suffice; the walk ends by itself after a Krylov breakdown (the last rule is
+    then exact) or at k = n.  Each step reorthogonalises against the whole basis
+    twice; the basis holds O(k n) numbers.  As a generator it checks j on the
+    first step.
     """
-    _check_index(m.n, j)
-    if not np.all(np.isfinite(m.data)):
-        raise ContractError("matrix entries must be finite")
-    n = m.n
-    dense = m.dense() if dense is None else dense
+    n = len(a)
+    _check_index(n, j)
     basis = np.zeros((min(n, 32), n))
     basis[0, j] = 1.0
     alpha: list[float] = []
     beta: list[float] = []
     scale = 0.0
     for k in range(1, n + 1):
-        w = dense @ basis[k - 1]
+        w = a @ basis[k - 1]
         alpha.append(float(basis[k - 1] @ w))
         done = basis[:k]
         for _ in range(2):
             w -= done.T @ (done @ w)
         b = float(np.linalg.norm(w))
         scale = max(scale, abs(alpha[-1]) + b + (beta[-1] if beta else 0.0))
-        yield JacobiMatrix(np.array(alpha), np.array(beta), m.seed, m.replica_index)
+        off = np.array(beta)
+        yield np.diag(np.array(alpha)) + np.diag(off, 1) + np.diag(off, -1)
         if k == n or b <= n * np.finfo(float).eps * scale:
             return
         if k == basis.shape[0]:
@@ -149,7 +109,7 @@ def lanczos_jacobi(m: SymmetricMatrix, j: int, dense: np.ndarray | None = None) 
         basis[k] = w / b
 
 
-def propagator_slices(dec: SpectralDecomposition, j: int,
+def propagator_slices(dec: tuple[np.ndarray, np.ndarray], j: int,
                       times: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """Diagonals U_kk(t) and rows U_jk(t) over k for every t at once.
 
@@ -158,13 +118,13 @@ def propagator_slices(dec: SpectralDecomposition, j: int,
     sin(lambda t)]: (Q o Q) CS gives the diagonals and Q (q_j o CS) the rows,
     so U_jj(t) is row[:, j].  U(0) = I is exact, not round-off.
     """
-    _check_index(dec.n, j)
+    lam, q = dec
+    _check_index(lam.size, j)
     t = np.asarray(times, dtype=float)
     if not np.all(np.isfinite(t)):
         raise ContractError("times must be finite")
     distinct, inverse = np.unique(t, return_inverse=True)
-    q = dec.eigenvectors
-    angles = np.multiply.outer(dec.eigenvalues, distinct)
+    angles = np.multiply.outer(lam, distinct)
     cs = np.hstack([np.cos(angles), np.sin(angles)])  # (n, 2T)
     k = distinct.size
     diag_cs = (q * q) @ cs
@@ -181,7 +141,7 @@ def propagator_slices(dec: SpectralDecomposition, j: int,
 DECAY_STATISTICS = ("U_jj", "v_n", "v_n_pair", "v_n1", "v_n2")  # the columns of lemma_statistics
 
 
-def lemma_statistics(dec: SpectralDecomposition, j: int, times: Sequence[float]) -> np.ndarray:
+def lemma_statistics(dec: tuple[np.ndarray, np.ndarray], j: int, times: Sequence[float]) -> np.ndarray:
     """U_jj and the four trace/row statistics at (t, t, t), for every t at once.
 
     Returns a complex array of shape (len(times), 5), its columns in
@@ -194,6 +154,6 @@ def lemma_statistics(dec: SpectralDecomposition, j: int, times: Sequence[float])
         row[:, j],
         diag.mean(axis=1),
         (diag * diag).mean(axis=1),
-        (row * diag).sum(axis=1) / np.sqrt(dec.n),
+        (row * diag).sum(axis=1) / np.sqrt(dec[0].size),
         (row * row * row).sum(axis=1),
     ])

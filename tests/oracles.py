@@ -21,7 +21,6 @@ from wignerlab.semicircle import (
     DEFAULT_NODES, GAUSSIAN_DAMPED, POLYNOMIAL, TABULATED, QuadratureRule, TestFunction,
     gauss_chebyshev_u, gaussian_damped, polynomial, sc_convolutions, v_of_t,
 )
-from wignerlab.spectral import SpectralDecomposition
 from wignerlab.volterra import _conv_values, _cumtrapz, _edd_weighted, volterra_apply
 
 # ---------------------------------------------------------------------------
@@ -509,12 +508,12 @@ def resolvent_identity_defect(z, w: float):
 # ---------------------------------------------------------------------------
 
 
-def validate(dec: SpectralDecomposition, m_dense: np.ndarray | None = None) -> dict:
-    """Measured invariant defects (max norms) of a decomposition."""
-    q = dec.eigenvectors
-    orth = float(np.max(np.abs(q.T @ q - np.eye(dec.n))))
-    out = {"orthonormality": orth, "eigenvalue_sorted": bool(np.all(np.diff(dec.eigenvalues) >= 0))}
+def validate(dec: tuple[np.ndarray, np.ndarray], m_dense: np.ndarray | None = None) -> dict:
+    """Measured invariant defects (max norms) of an (eigenvalues, eigenvectors) decomposition."""
+    lam, q = dec
+    orth = float(np.max(np.abs(q.T @ q - np.eye(lam.size))))
+    out = {"orthonormality": orth, "eigenvalue_sorted": bool(np.all(np.diff(lam) >= 0))}
     if m_dense is not None:
-        recon = (q * dec.eigenvalues) @ q.T
+        recon = (q * lam) @ q.T
         out["reconstruction"] = float(np.max(np.abs(recon - m_dense)))
     return out

@@ -26,6 +26,14 @@ def minimal_config(**overrides):
     return base
 
 
+def package_env() -> dict:
+    """This environment with the package's source directory first on PYTHONPATH, for child processes."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).resolve().parents[1]), env.get("PYTHONPATH")]))
+    return env
+
+
 def write_config(tmp_path: Path, obj) -> Path:
     path = tmp_path / "config.json"
     path.write_text(json.dumps(obj))
@@ -163,14 +171,12 @@ def test_simulate_deterministic_across_threads(tmp_path):
 
 def run_across_threads(tmp_path: Path, command: list[str], cfg: dict, label: str) -> dict:
     """Output directories of one fresh CLI run per (OPENBLAS_NUM_THREADS, --threads) in {1, 2}^2."""
-    src = str(Path(cli.__file__).resolve().parents[1])
     cfg_path = write_config(tmp_path, cfg)
     outs = {}
     for blas_threads in (1, 2):
         for threads in (1, 2):
-            env = dict(os.environ)
+            env = package_env()
             env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
             out = tmp_path / f"{label}-blas{blas_threads}-threads{threads}"
             subprocess.run(
                 [sys.executable, "-m", "wignerlab.cli", *command, "--config", str(cfg_path),
@@ -835,6 +841,55 @@ def test_huge_phi_coefficient_is_finite_or_config_error(tmp_path, capsys, comman
     assert_finite_or_config_error(tmp_path, capsys, command, cfg, f"config.{where}")
 
 
+@pytest.mark.parametrize("command,where", [("predict", "phi"), ("simulate", "phi"), ("simulate", "phi2")])
+@pytest.mark.filterwarnings("error")  # no numpy RuntimeWarning may precede the JSON error
+def test_overflowing_limit_term_is_config_error(tmp_path, capsys, command, where):
+    """At w2 = 1e300 the diagonal term (w2 - 2) w^-2 I1(phi1) I1(phi2) is a Python float
+    product that overflows to inf without raising: of the variance of a tabulated phi with
+    I1 = 5e4, or of the cross covariance of x with phi2 = 1e9 x.  Either way the config is
+    rejected on the phi whose limit law left the float range, before any replica."""
+    cfg = minimal_config(spec={"entry_dist": {"kind": "uniform", "w": 1.0}, "convention": "general_diagonal",
+                               "w2": 1e300},
+                         n_list=[16], replicas=100, x_grid=[0.25])
+    if where == "phi":
+        cfg["phi"] = {"kind": "tabulated", "grid": [-1e300, -2.0, 2.0, 1e300],
+                      "values": [-63245.6, -63245.6, 63245.6, 63245.6]}
+    else:
+        cfg.update(phi={"kind": "polynomial", "coefficients": [0, 1]},
+                   phi2={"kind": "polynomial", "coefficients": [0, 1e9]})
+    out = tmp_path / "x"
+    code = cli.run_cli([command, "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
+    assert code == 2
+    payload = error_payload(capsys)
+    assert (payload["error"], payload["field"]) == ("ConfigError", f"config.{where}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_simulate_replica_overflow_prints_one_json_line(tmp_path, threads):
+    """Each simulate replica evaluates phi under the config.phi float-range guard, set in the
+    replica's own thread: here x^4 overflows on the sampled spectrum (diagonal entries near
+    1e100), and stderr holds the one JSON error line, with no numpy RuntimeWarning before it."""
+    atoms = [-math.sqrt(2.0), 0.0, math.sqrt(2.0)]
+    cfg = minimal_config(spec={"entry_dist": {"kind": "discrete_custom", "w": 1.0,
+                                              "params": {"atoms": atoms, "probs": [0.25, 0.5, 0.25]}},
+                               "convention": "general_diagonal", "w2": 1e200},
+                         phi={"kind": "gaussian_damped_polynomial", "coefficients": [0, 1, 0, 0, 1],
+                              "envelope_width": 1.0},
+                         n_list=[16, 32], replicas=100, root_seed=3)
+    env = package_env()
+    out = tmp_path / "x"
+    proc = subprocess.run([sys.executable, "-m", "wignerlab.cli", "simulate", "--config",
+                           str(write_config(tmp_path, cfg)), "--threads", str(threads), "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    payload = json.loads(lines[0])
+    assert (payload["error"], payload["field"]) == ("ConfigError", "config.phi")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["predict", "simulate"])
 @pytest.mark.parametrize("width", [1e-160, 1e-300])
 @pytest.mark.filterwarnings("error")  # no numpy RuntimeWarning may precede the JSON error
@@ -868,9 +923,7 @@ def test_exit_code_explicit_j_policy_without_valid_index(tmp_path, capsys, comma
 
 def test_cli_import_leaves_scipy_integrate_out():
     """The quadrature oracles stay with the tests: the shipped package never loads scipy.integrate."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(Path(cli.__file__).resolve().parents[1]), env.get("PYTHONPATH")]))
+    env = package_env()
     probe = "import sys, wignerlab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))"
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True, capture_output=True,
                          text=True, timeout=120).stdout
@@ -889,9 +942,7 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("scipy"))]
 def test_cli_start_up_loads_no_scipy(tmp_path, command):
     """Importing wignerlab.cli, predict, and simulate below 500 replicas load no scipy module:
     scipy.special and scipy.fft are imported where lemma, volterra and the KS test call them."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(Path(cli.__file__).resolve().parents[1]), env.get("PYTHONPATH")]))
+    env = package_env()
     argv = []
     if command is not None:
         cfg = minimal_config(n_list=[64], replicas=100)
@@ -951,7 +1002,7 @@ def test_exit_code_numeric_failure(tmp_path, capsys, monkeypatch):
     from wignerlab.errors import NumericFailureError
 
     def explode(cfg, threads=None):
-        raise NumericFailureError("eigendecomposition did not converge (root seed 1, replica 3, order 64)")
+        raise NumericFailureError("root seed 1, replica 3, order 64: eigendecomposition did not converge")
 
     monkeypatch.setattr(cli, "run_entry_experiment", explode)
     cfg_path = write_config(tmp_path, minimal_config())
@@ -959,7 +1010,7 @@ def test_exit_code_numeric_failure(tmp_path, capsys, monkeypatch):
     assert code == 3
     payload = json.loads(capsys.readouterr().err.strip())
     assert payload["error"] == "NumericFailureError"
-    assert payload["message"] == "eigendecomposition did not converge (root seed 1, replica 3, order 64)"
+    assert payload["message"] == "root seed 1, replica 3, order 64: eigendecomposition did not converge"
 
 
 def test_simulate_eigh_failure_exits_3_naming_its_sample(tmp_path, capsys, monkeypatch):
@@ -977,6 +1028,32 @@ def test_simulate_eigh_failure_exits_3_naming_its_sample(tmp_path, capsys, monke
     payload = error_payload(capsys)
     assert payload["error"] == "NumericFailureError" and "field" not in payload
     assert "root seed 4242, replica 0, order 64" in payload["message"]
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command,phi,order", [
+    ("lemma", {"kind": "polynomial", "coefficients": [0, 1]}, 16),  # each replica's full eigh, at the first n
+    ("simulate", {"kind": "gaussian_damped_polynomial", "coefficients": [1.0]}, 3),  # the Jacobi matrix T_3
+])
+def test_eigh_failure_exits_3_naming_its_sample_on_every_route(tmp_path, capsys, monkeypatch, command, phi,
+                                                               order):
+    """eigh names the order of the array it failed on, and the replica phase of simulate and
+    lemma adds the root seed and the replica."""
+    original = np.linalg.eigh
+
+    def fails_at_order(a):
+        if len(a) == order:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return original(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", fails_at_order)
+    cfg = minimal_config(phi=phi, n_list=[16, 32, 64, 128], replicas=100, root_seed=4242)
+    code = cli.run_cli([command, "--config", str(write_config(tmp_path, cfg)), "--threads", "1",
+                        "--out", str(tmp_path / "x")])
+    assert code == 3
+    payload = error_payload(capsys)
+    assert payload["error"] == "NumericFailureError" and "field" not in payload
+    assert f"root seed 4242, replica 0, order {order}" in payload["message"]
     assert not (tmp_path / "x").exists()
 
 

@@ -299,7 +299,18 @@ def test_dense_keeps_signed_zeros(n):
     data[::3] = -0.0
     data[1::7] = 0.0
     data.setflags(write=False)
-    _assert_dense_is_oracle(en.SymmetricMatrix(n=n, data=data, seed=0, replica_index=0))
+    _assert_dense_is_oracle(en.SymmetricMatrix(n=n, data=data))
+
+
+def test_symmetric_matrix_rejects_nonfinite_entries():
+    """A SymmetricMatrix checks its packed entries once, when it is built: NaN, +inf and -inf
+    are each rejected, on the diagonal (packed index 0), off it (1) and in the last place (5)."""
+    for bad in (np.nan, np.inf, -np.inf):
+        for index in (0, 1, 5):
+            data = np.zeros(6)
+            data[index] = bad
+            with pytest.raises(ContractError, match="matrix entries must be finite"):
+                en.SymmetricMatrix(n=3, data=data)
 
 
 @pytest.mark.parametrize("kind,convention,w2", [

@@ -5,6 +5,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
+import design_counts  # noqa: E402
 import same_outputs  # noqa: E402
 
 
@@ -118,3 +119,55 @@ def test_same_outputs_tolerance_mode_reports_a_planted_change(tmp_path):
     planted["note"] = "other text"
     assert same_outputs.field_differences("result.json", json.dumps(RESULT).encode(),
                                           json.dumps(planted).encode())[1] == ["note", "per_n[].samples_hash"]
+
+
+COUNTED_MODULE = """\
+import dataclasses
+from dataclasses import dataclass
+
+
+def f(a, b=1, /, c=2, *args, d, **kwargs):
+    return lambda x, y=3: x + y
+
+
+class Plain:
+    e: int
+
+    def method(self, g):
+        return g
+
+    @classmethod
+    def build(cls, h):
+        return cls()
+
+
+@dataclass(frozen=True)
+class Frozen:
+    i: int
+    j: float = 0.0
+    k = 4
+
+
+@dataclasses.dataclass
+class Bare:
+    m: int
+"""
+
+
+def test_design_counts_on_a_synthetic_tree(tmp_path, capsys):
+    """Lambda parameters, *args and **kwargs count, self and cls do not, and so do the
+    annotated fields of a dataclass (plain or dotted decorator, called or not), not a plain
+    class's annotations or a dataclass's unannotated attribute.  Files are found at any
+    depth, and a directory with no Python file exits 2."""
+    (tmp_path / "pkg" / "sub").mkdir(parents=True)
+    (tmp_path / "pkg" / "a.py").write_text(COUNTED_MODULE)
+    (tmp_path / "pkg" / "sub" / "b.py").write_text("def g():\n    pass\n")
+    (tmp_path / "pkg" / "notes.txt").write_text("def ignored(z):\n")
+    assert design_counts.main([str(tmp_path / "pkg")]) == 0
+    lines = len(COUNTED_MODULE.splitlines()) + 2
+    # f: a b c args d kwargs; the lambda: x y; method: g; build: h
+    assert capsys.readouterr().out.splitlines() == [
+        f"src lines: {lines}", "settable values: 10 parameters + 3 dataclass fields = 13"]
+    (tmp_path / "empty").mkdir()
+    assert design_counts.main([str(tmp_path / "empty")]) == 2
+    assert capsys.readouterr().err.startswith("error: no Python files under")
