@@ -92,10 +92,13 @@ def make_entry_distribution(kind: str, w: float, params: dict | None = None) -> 
     """Build an entry law of the given kind with off-diagonal std-dev w.
 
     Discrete kinds take params {"atoms": [...], "probs": [...]}; the atoms must
-    already have mean 0 and variance w^2 (they are not rescaled here).
+    already have mean 0 and variance w^2 (they are not rescaled here).  The
+    other kinds read no params, and passing any is a ContractError.
     """
     if w <= 0 or not math.isfinite(w):
         raise ContractError(f"scale w must be positive and finite, got {w}")
+    if params is not None and kind in (GAUSSIAN, RADEMACHER, UNIFORM):
+        raise ContractError(f"{kind} takes no params")
     params = params or {}
     try:  # Python float powers raise OverflowError, and _finalize does on inf moments
         if w**8 < sys.float_info.min:  # the limit laws divide kappa4 by w^8

@@ -127,6 +127,9 @@ class ExperimentConfig:
                 self.j_explicit is not None and 0 <= self.j_explicit < min(self.n_list)):
             raise ConfigError(f"config.j_explicit: j_policy 'explicit' needs j_explicit in "
                               f"0..{min(self.n_list) - 1}, got {self.j_explicit}", field="config.j_explicit")
+        if self.j_policy != "explicit" and self.j_explicit is not None:
+            raise ConfigError(f"config.j_explicit: set only with j_policy 'explicit', got j_policy "
+                              f"{self.j_policy!r}", field="config.j_explicit")
         for name, grid in (("x_grid", self.x_grid), ("t_grid", self.t_grid)):
             if not all(math.isfinite(v) for v in grid):
                 raise ConfigError(f"config.{name}: must be finite", field=f"config.{name}")
@@ -207,9 +210,12 @@ def _parallel_map(fn: Callable[[int], object], count: int, threads: int) -> list
 
 
 def phi_route(phis: Sequence[TestFunction]) -> str:
-    """Any tabulated phi takes the full "eigh"; otherwise "lanczos": power vectors for
-    polynomials, Lanczos-Gauss quadrature for smooth phi."""
-    return "eigh" if any(p.kind == TABULATED for p in phis) else "lanczos"
+    """Any tabulated phi takes the full "eigh"; an all-polynomial set "power", the power
+    vectors alone; otherwise "lanczos": Lanczos-Gauss quadrature for smooth phi, power
+    vectors for polynomials."""
+    if any(p.kind == TABULATED for p in phis):
+        return "eigh"
+    return "power" if all(p.kind == POLYNOMIAL for p in phis) else "lanczos"
 
 
 GAUSS_TOLERANCE = 1e-14  # relative movement of the Gauss estimates that ends Lanczos
@@ -221,8 +227,8 @@ def phi_entries(m: SymmetricMatrix, j: int,
     (None when none is, as on the eigh route): the one evaluator of a replica.
 
     M is unpacked once, and the route is phi_route(phis).  "eigh" diagonalizes
-    M once and reads every function off the same spectrum.  On "lanczos",
-    polynomials read the power sums (M^k)_jj of power_moments, with no Jacobi matrix.
+    M once and reads every function off the same spectrum.  On "power" and
+    "lanczos", polynomials read the power sums (M^k)_jj of power_moments, with no Jacobi matrix.
     Smooth phi walk the Jacobi matrices T_k of lanczos_jacobi, each read once
     per step as phi(T_k)_00 through eigh and matrix_function_entry; the walk
     stops at the first k >= 3 where every smooth estimate moved by <=

@@ -16,7 +16,6 @@ residual tests assert the O(h^2) rate rather than hiding it in tolerances.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Callable, Sequence
 
@@ -143,51 +142,42 @@ def _edd_weighted(t_values: np.ndarray, w: float) -> np.ndarray:
     return fw @ d - f * (rule.weights @ d) + 1j * t[:, None] * (rule.weights + fw)
 
 
-@functools.lru_cache(maxsize=2)
-def _grid_factors(t_bytes: bytes, w: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only full-grid factors of the kernels: (_edd_weighted(t), e^{i t l} w_l, vv, vvv).
+def grid_factors(t_values: np.ndarray, w: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The kernels' factors on a time grid: (_edd_weighted(t), e^{i t l} w_l, vv, vvv).
 
-    The residual builds its kernels one block of t2 columns at a time, always
-    against the same t1 grid; these are that grid's t1-side factors, computed
-    once per (grid, w) instead of once per block.
+    Row k of each factor belongs to t_values[k] alone, so the factors of a
+    block of the grid's times are the same rows of the grid's factors.
     """
     rule = gauss_chebyshev_u(w)
-    t = np.frombuffer(t_bytes)
+    t = np.asarray(t_values, float)
     conv_parts = sc_convolutions(t, w)
-    factors = (_edd_weighted(t, w), np.exp(1j * np.multiply.outer(t, rule.nodes)) * rule.weights,
-               conv_parts["vv"], conv_parts["vvv"])
-    for array in factors:
-        array.flags.writeable = False
-    return factors
+    return (_edd_weighted(t, w), np.exp(1j * np.multiply.outer(t, rule.nodes)) * rule.weights,
+            conv_parts["vv"], conv_parts["vvv"])
 
 
-def _factors_of(t_grid: np.ndarray, w: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    return _grid_factors(np.ascontiguousarray(t_grid, float).tobytes(), w)
-
-
-def phi_kernel_grid(t3_grid: np.ndarray, t2_grid: np.ndarray, w: float) -> np.ndarray:
+def phi_kernel_grid(f3: tuple[np.ndarray, ...], f2: tuple[np.ndarray, ...]) -> np.ndarray:
     """The inner two-time kernel of the covariance equation's source term, on a product grid.
 
     Phi(t3, t2) = -i II e^{i t3 l} (e^{i t2 l} - e^{i t2 m})/(l - m) rho rho;
     the l = m diagonal uses the removable-singularity limit i t2 e^{i t2 l}.
     The divided-difference matrix is symmetric, so the inner rho-integral over
-    m is the weighted divided difference of _edd_weighted.
+    m is the weighted divided difference of _edd_weighted.  f3 and f2 are the
+    grid_factors of the t3 and the t2 times, at one scale w.
     """
-    e3 = _factors_of(t3_grid, w)[1]
-    return -1j * (e3 @ _edd_weighted(t2_grid, w).T)
+    return -1j * (f3[1] @ f2[0].T)
 
 
-def cov_kernel_grid(t1_grid: np.ndarray, t2_grid: np.ndarray, w: float, kappa4: float) -> np.ndarray:
+def cov_kernel_grid(f1: tuple[np.ndarray, ...], f2: tuple[np.ndarray, ...], w: float,
+                    kappa4: float) -> np.ndarray:
     """Closed-form kernel on a product grid: 2 w^2 T3 + kappa4 vvv x vvv.
 
     T3(t1, t2) = sum_j w_j a_j(t1) a_j(t2) is manifestly symmetric; a_j is the
-    rho-weighted exponential divided difference against node j.
+    rho-weighted exponential divided difference against node j.  f1 and f2 are
+    the grid_factors of the t1 and the t2 times at scale w.
     """
     rule = gauss_chebyshev_u(w)
-    a1, _, _, vvv1 = _factors_of(t1_grid, w)
-    a2, vvv2 = _edd_weighted(t2_grid, w), sc_convolutions(t2_grid, w)["vvv"]
-    t3_part = (a1 * rule.weights) @ a2.T
-    return 2.0 * w * w * t3_part + kappa4 * np.multiply.outer(vvv1, vvv2)
+    t3_part = (f1[0] * rule.weights) @ f2[0].T
+    return 2.0 * w * w * t3_part + kappa4 * np.multiply.outer(f1[3], f2[3])
 
 
 # ---------------------------------------------------------------------------
@@ -205,21 +195,23 @@ def coveq_residual(w: float, kappa4: float, grid: np.ndarray) -> float:
     Int_0^{t1} vv, applies the discretized left side to the closed-form kernel
     and returns the max absolute residual over the grid square; O(h^2).  Every
     step along t1 is column-independent, so the square is walked in blocks of
-    _COLUMN_BLOCK t2 columns and memory is O(n (block + nodes)), not O(n^2).
+    _COLUMN_BLOCK t2 columns, each reading its rows of the grid's factors, and
+    memory is O(n (block + nodes)), not O(n^2).
     """
     g = np.asarray(grid, float)
     h = float(g[1] - g[0])
-    vv, vvv = _factors_of(g, w)[2:]
-    vv_integral = _cumtrapz(vv.astype(complex), h)
+    factors = grid_factors(g, w)
+    vv_integral = _cumtrapz(factors[2].astype(complex), h)
     kernel = (w * w * v_of_t(g, w)).astype(complex)
     block_sups = []
     for start in range(0, g.size - 1, _COLUMN_BLOCK):
         # a lone last column would run through GEMV, which rounds differently: the block before takes it
         cols = slice(start, start + _COLUMN_BLOCK if g.size - start - _COLUMN_BLOCK > 1 else g.size)
-        a_block = _cumtrapz(phi_kernel_grid(g, g[cols], w), h)
+        block = tuple(f[cols] for f in factors)
+        a_block = _cumtrapz(phi_kernel_grid(factors, block), h)
         a_block *= -2.0 * w * w
-        a_block += kappa4 * np.multiply.outer(vv_integral, vvv[cols])
-        lhs = volterra_apply(kernel, cov_kernel_grid(g, g[cols], w, kappa4), h)
+        a_block += kappa4 * np.multiply.outer(vv_integral, block[3])
+        lhs = volterra_apply(kernel, cov_kernel_grid(factors, block, w, kappa4), h)
         lhs -= a_block
         block_sups.append(np.max(np.abs(lhs)))
     return float(np.max(block_sups))
@@ -238,8 +230,9 @@ def v2_equation_check(t_rest: Sequence[float], w: float, grid: np.ndarray) -> fl
         raise ContractError("v2_equation_check needs at least one fixed time")
     g = np.asarray(grid, float)
     const = float(np.prod([v_of_t(t, w) for t in ts]))
-    kernel = (w * w * v_of_t(g, w)).astype(complex)
-    p_values = const * v_of_t(g, w).astype(complex)
+    v = v_of_t(g, w)
+    kernel = (w * w * v).astype(complex)
+    p_values = const * v.astype(complex)
     lhs = volterra_apply(kernel, p_values, float(g[1] - g[0]))
     return float(np.max(np.abs(lhs - const)))
 

@@ -194,7 +194,7 @@ def test_simulate_identical_across_replica_and_blas_threads(tmp_path):
     cubic = {"kind": "polynomial", "coefficients": [0.5, 0, 0, 1]}
     table = {"kind": "tabulated", "grid": [-3.0, -1.0, 0.0, 1.0, 3.0],
              "values": [1.0, 0.5, 0.0, 0.5, 1.0]}
-    for phi, route in ((smooth, "lanczos"), (cubic, "lanczos"), (table, "eigh")):
+    for phi, route in ((smooth, "lanczos"), (cubic, "power"), (table, "eigh")):
         outs = run_across_threads(tmp_path, ["simulate", "--raw"],
                                   minimal_config(n_list=[512], replicas=100, phi=phi), phi["kind"])
         assert {json.loads((out / "manifest.json").read_text())["phi_route"]
@@ -213,7 +213,7 @@ def test_lemma_identical_across_replica_and_blas_threads(tmp_path):
 
 
 @pytest.mark.parametrize("phi_kind,route,steps", [
-    ("smooth", "lanczos", True), ("tabulated", "eigh", False), ("polynomial", "lanczos", False),
+    ("smooth", "lanczos", True), ("tabulated", "eigh", False), ("polynomial", "power", False),
 ])
 def test_simulate_manifest_records_phi_route(tmp_path, phi_kind, route, steps):
     """steps: True when a smooth phi walks Lanczos; x^3 and x^4 read power vectors, so they
@@ -918,6 +918,36 @@ def test_exit_code_explicit_j_policy_without_valid_index(tmp_path, capsys, comma
     payload = error_payload(capsys)
     assert payload["error"] == "ConfigError" and "j_explicit" in payload["message"]
     assert payload["field"] == "config.j_explicit"
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", ["predict", "simulate", "lemma"])
+def test_exit_code_j_explicit_without_explicit_policy(tmp_path, capsys, command):
+    """j_explicit is read only under j_policy explicit: beside another policy it exits 2,
+    and a null j_explicit is no setting at all."""
+    cfg = minimal_config(n_list=[16, 32, 64, 128], replicas=100, j_policy="first", j_explicit=9)
+    code = cli.run_cli([command, "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "x")])
+    assert code == 2
+    payload = error_payload(capsys)
+    assert (payload["error"], payload["field"]) == ("ConfigError", "config.j_explicit")
+    assert "j_policy 'first'" in payload["message"]
+    assert not (tmp_path / "x").exists()
+    cfg["j_explicit"] = None
+    assert cli.config_from_dict(cfg).j_explicit is None
+
+
+@pytest.mark.parametrize("command", ["predict", "simulate", "lemma"])
+@pytest.mark.parametrize("kind", ["gaussian", "rademacher", "uniform"])
+def test_exit_code_params_on_a_kind_that_reads_none(tmp_path, capsys, command, kind):
+    """Only the discrete kinds read entry_dist.params; any other kind given atoms exits 2."""
+    cfg = minimal_config(spec={"entry_dist": {"kind": kind, "w": 1.0,
+                                              "params": {"atoms": [-5.0, 5.0], "probs": [0.5, 0.5]}}},
+                         n_list=[16, 32, 64, 128], replicas=100)
+    code = cli.run_cli([command, "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "x")])
+    assert code == 2
+    payload = error_payload(capsys)
+    assert (payload["error"], payload["field"]) == ("ConfigError", "config.spec")
+    assert f"{kind} takes no params" in payload["message"]
     assert not (tmp_path / "x").exists()
 
 

@@ -60,6 +60,9 @@ def test_discrete_validation_errors():
         en.make_entry_distribution("gaussian", -1.0)
     with pytest.raises(ContractError):
         en.make_entry_distribution("cauchy", 1.0)
+    for kind in ("gaussian", "rademacher", "uniform"):  # kinds that read no params
+        with pytest.raises(ContractError, match=f"{kind} takes no params"):
+            en.make_entry_distribution(kind, 1.0, {"atoms": [-1.0, 1.0], "probs": [0.5, 0.5]})
 
 
 @pytest.mark.parametrize("kind,params", [

@@ -62,7 +62,8 @@ def test_config_validation():
 
 def test_phi_route_resolution():
     table = tabulated([-3.0, 0.0, 3.0], [1.0, 0.0, 1.0])
-    assert hn.phi_route(small_config().phis()) == "lanczos"
+    assert hn.phi_route(small_config().phis()) == "power"
+    assert hn.phi_route(small_config(phi2=monomial(4)).phis()) == "power"
     assert hn.phi_route(small_config(phi=gaussian_damped([0, 1.0])).phis()) == "lanczos"
     assert hn.phi_route(small_config(phi=gaussian_damped([0, 1.0]), phi2=monomial(2)).phis()) == "lanczos"
     assert hn.phi_route(small_config(phi=table).phis()) == "eigh"
@@ -149,7 +150,7 @@ def test_polynomial_lanczos_and_spectral_routes_agree():
     cfg = small_config(phi=monomial(3), replicas=150)
     a = hn.run_entry_experiment(cfg, threads=1)
     b = eigh_route(cfg)
-    assert hn.phi_route(cfg.phis()) == "lanczos"
+    assert hn.phi_route(cfg.phis()) == "power"
     assert np.max(np.abs(a.samples[0] - scaled(b[:, 0], 32))) <= 1e-9
     assert a.lanczos_steps_max is None  # polynomials read power vectors, no Jacobi matrix
 
@@ -187,7 +188,7 @@ def test_mixed_set_stops_with_its_smooth_member():
 
 
 ROUTE_PHIS = {  # phis, route, eigh calls per replica (on the Jacobi matrix for lanczos)
-    "polynomials": ([monomial(3), monomial(4)], "lanczos", 0),
+    "polynomials": ([monomial(3), monomial(4)], "power", 0),
     "smooth": ([gaussian_damped([0, 1.0], 1.0), gaussian_damped([1.0], 2.0)], "lanczos", 1),
     "smooth and polynomial": ([gaussian_damped([0, 1.0], 1.0), monomial(2)], "lanczos", 1),
     "tabulated": ([tabulated([-3.0, 0.0, 3.0], [1.0, 0.0, 1.0])], "eigh", 1),
@@ -225,9 +226,9 @@ def counted_calls(monkeypatch, module, names) -> dict[str, int]:
 
 @pytest.mark.parametrize("case", sorted(ROUTE_PHIS))
 def test_auto_routes_each_phi_to_its_evaluator(monkeypatch, case):
-    """Polynomials and smooth phi take the lanczos route, any tabulated phi eigh.  On the
-    lanczos route only smooth phi walk Lanczos, reading at least 3 Jacobi matrices and
-    one eigh of the last; an all-polynomial set reads none."""
+    """An all-polynomial set takes the power route, a set with a smooth phi the lanczos
+    route, any tabulated phi eigh.  On the lanczos route only smooth phi walk Lanczos,
+    reading at least 3 Jacobi matrices and one eigh of the last; the power route reads none."""
     drawn = counted_walk(monkeypatch)
     calls = counted_calls(monkeypatch, hn, ["eigh"])
     phis, route, eighs = ROUTE_PHIS[case]

@@ -5,6 +5,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
+import bench_snapshot  # noqa: E402
 import design_counts  # noqa: E402
 import same_outputs  # noqa: E402
 
@@ -171,3 +172,68 @@ def test_design_counts_on_a_synthetic_tree(tmp_path, capsys):
     (tmp_path / "empty").mkdir()
     assert design_counts.main([str(tmp_path / "empty")]) == 2
     assert capsys.readouterr().err.startswith("error: no Python files under")
+
+
+STUB_RUNNER = """\
+import json, sys
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+if args["--workload"] == "volterra-residuals":
+    sys.exit("error: stubbed failure")
+seed = int(args["--seed"])
+if args["--trace"] == "1":
+    metrics = {"cli.self_s": {"value": 0.5, "unit": "s"}}
+else:
+    metrics = {"wall_s": {"value": seed - 300.0, "unit": "s"}, "peak_rss_mib": {"value": 90.0, "unit": "MiB"}}
+print("machine: " + json.dumps({"nproc": 2, "seconds": float(args["--seconds"])}))
+print(json.dumps({"correct": True, "attempted": 2, "failed": 0, "metrics": metrics}))
+"""
+
+STUB_TIER1 = """\
+print("....")
+print("============================= slowest 3 durations ==============================")
+print("91.50s call     tests/test_cli.py::test_lemma_fixture")
+print("45.25s call     tests/test_acceptance.py::test_batch[1024]")
+print("20.00s setup    tests/test_cli.py::test_threads")
+print("730 passed, 2 skipped in 300.12s (0:05:00)")
+"""
+
+
+def test_bench_snapshot_on_a_stubbed_runner(tmp_path, monkeypatch):
+    """Every workload of BENCHMARK.json gets the seeds' end-to-end spread and the traced
+    run's per-layer figures; a runner that exits non-zero marks its workload incorrect,
+    and the tool then exits 1 after writing the file."""
+    (tmp_path / "run.py").write_text(STUB_RUNNER)
+    (tmp_path / "tier1.py").write_text(STUB_TIER1)
+    monkeypatch.setattr(bench_snapshot, "RUNNER", tmp_path / "run.py")
+    monkeypatch.setattr(bench_snapshot, "TIER1_COMMAND", [sys.executable, str(tmp_path / "tier1.py")])
+    monkeypatch.setattr(bench_snapshot, "OUT_DIR", tmp_path)
+    monkeypatch.setattr(bench_snapshot, "REFERENCE_ORDER", 16)
+    monkeypatch.setattr(bench_snapshot, "short_sha", lambda: "abc1234")
+    assert bench_snapshot.main() == 1
+    snap = json.loads((tmp_path / "BENCH_abc1234.json").read_text())
+    assert set(snap) == {"commit", "taken_utc", "run_seconds", "machine", "reference", "workloads", "tier1"}
+    assert snap["commit"] == "abc1234"
+    benchmark = json.loads((bench_snapshot.ROOT / "BENCHMARK.json").read_text())
+    assert snap["machine"] == {"nproc": 2, "seconds": benchmark["run_seconds"]}
+    assert snap["reference"]["seconds"] > 0
+    assert sorted(snap["workloads"]) == sorted(w["name"] for w in benchmark["workloads"])
+    for name, entry in snap["workloads"].items():
+        assert set(entry) == {"seeds", "correct", "attempted", "failed", "end_to_end", "per_layer", "errors"}
+        assert entry["seeds"] == list(bench_snapshot.SEEDS)
+        if name == "volterra-residuals":
+            assert (entry["correct"], entry["end_to_end"], entry["per_layer"]) == (False, {}, {})
+            assert entry["errors"] == ["exit 1: error: stubbed failure"] * (len(bench_snapshot.SEEDS) + 1)
+            continue
+        assert (entry["correct"], entry["failed"], entry["errors"]) == (True, 0, [])
+        assert entry["attempted"] == 2 * (len(bench_snapshot.SEEDS) + 1)
+        assert entry["end_to_end"]["wall_s"] == {"unit": "s", "median": 3.0, "q1": 2.0, "q3": 4.0,
+                                                 "values": [1.0, 2.0, 3.0, 4.0, 5.0]}
+        assert entry["end_to_end"]["peak_rss_mib"]["median"] == 90.0
+        assert entry["per_layer"] == {"cli.self_s": {"value": 0.5, "unit": "s"}}
+    tier1 = snap["tier1"]
+    assert (tier1["exit_code"], tier1["counts"]) == (0, {"passed": 730, "skipped": 2})
+    assert [(t["seconds"], t["phase"], t["test"]) for t in tier1["slowest"]] == [
+        (91.5, "call", "tests/test_cli.py::test_lemma_fixture"),
+        (45.25, "call", "tests/test_acceptance.py::test_batch[1024]"),
+        (20.0, "setup", "tests/test_cli.py::test_threads")]
+    assert tier1["wall_s"] > 0

@@ -20,6 +20,11 @@ def v_series(t_max, h, w=1.0, scale=1.0):
     return (scale * v_of_t(vt.uniform_grid(t_max, h), w)).astype(complex)
 
 
+def factors(*times, w=1.0):
+    """grid_factors of the given times."""
+    return vt.grid_factors(np.array(times, float), w)
+
+
 # ---------------------------------------------------------------------------
 # grids and convolution
 # ---------------------------------------------------------------------------
@@ -243,8 +248,8 @@ def test_resolvent_identity_random_lower_half_plane():
 
 
 def test_phi_kernel_zero_lines():
-    assert vt.phi_kernel_grid(np.array([1.3]), np.array([0.0]), 1.0)[0, 0] == 0.0
-    assert vt.phi_kernel_grid(np.array([0.0]), np.array([0.0]), 1.0)[0, 0] == 0.0
+    assert vt.phi_kernel_grid(factors(1.3), factors(0.0))[0, 0] == 0.0
+    assert vt.phi_kernel_grid(factors(0.0), factors(0.0))[0, 0] == 0.0
 
 
 def test_phi_kernel_against_dblquad_oracle():
@@ -260,31 +265,31 @@ def test_phi_kernel_against_dblquad_oracle():
 
     re = dblquad(lambda mu, lam: integrand(mu, lam, "re"), -2, 2, -2, 2, epsabs=1e-11)[0]
     im = dblquad(lambda mu, lam: integrand(mu, lam, "im"), -2, 2, -2, 2, epsabs=1e-11)[0]
-    assert abs(vt.phi_kernel_grid(np.array([1.0]), np.array([1.0]), w)[0, 0] - complex(re, im)) <= 1e-8
+    assert abs(vt.phi_kernel_grid(factors(1.0, w=w), factors(1.0, w=w))[0, 0] - complex(re, im)) <= 1e-8
 
 
 def test_phi_kernel_small_time_expansion():
     # Phi(t3, t2) = t2 + O(t^2) near the origin
-    val = vt.phi_kernel_grid(np.array([1e-4]), np.array([1e-4]), 1.0)[0, 0]
+    val = vt.phi_kernel_grid(factors(1e-4), factors(1e-4))[0, 0]
     assert val.real == pytest.approx(1e-4, rel=1e-3)
 
 
 def test_cov_kernel_vanishes_at_t1_zero():
     for t2 in (0.0, 0.7, 2.0):
-        assert abs(vt.cov_kernel_grid(np.array([0.0]), np.array([t2]), 1.0, -2.0)[0, 0]) <= 1e-13
+        assert abs(vt.cov_kernel_grid(factors(0.0), factors(t2), 1.0, -2.0)[0, 0]) <= 1e-13
 
 
 def test_cov_kernel_symmetry():
     for kappa4 in (0.0, -2.0):
         for t1, t2 in [(0.3, 1.1), (1.7, 0.2), (2.0, 2.0)]:
-            a = vt.cov_kernel_grid(np.array([t1]), np.array([t2]), 1.0, kappa4)[0, 0]
-            b = vt.cov_kernel_grid(np.array([t2]), np.array([t1]), 1.0, kappa4)[0, 0]
+            a = vt.cov_kernel_grid(factors(t1), factors(t2), 1.0, kappa4)[0, 0]
+            b = vt.cov_kernel_grid(factors(t2), factors(t1), 1.0, kappa4)[0, 0]
             assert abs(a - b) <= 1e-8
 
 
 def test_cov_kernel_small_time_matches_direct_moments():
     # leading behavior -2 w^2 t1 t2 from the diagonal-entry variance
-    val = vt.cov_kernel_grid(np.array([1e-3]), np.array([1e-3]), 1.0, 0.0)[0, 0]
+    val = vt.cov_kernel_grid(factors(1e-3), factors(1e-3), 1.0, 0.0)[0, 0]
     assert val.real == pytest.approx(-2e-6, rel=1e-2)
 
 
@@ -310,9 +315,24 @@ def test_coveq_residual_blocks_match_full_square(points, w, kappa4):
     assert vt.coveq_residual(w, kappa4, grid) == oracles.coveq_residual_full_square(w, kappa4, grid)
 
 
+@pytest.mark.parametrize("points", [129, 1601])  # a lone last column; the benchmark's finest step
+@pytest.mark.parametrize("w", [0.8, 1.25])
+def test_block_factors_are_rows_of_the_grid_factors(points, w):
+    """The factors coveq_residual reads for each block of t2 columns, rows of the grid's
+    factors, equal the factors built on the block's own times bit for bit."""
+    grid = vt.uniform_grid(2.0, 2.0 / (points - 1))
+    whole = vt.grid_factors(grid, w)
+    starts = range(0, grid.size - 1, vt._COLUMN_BLOCK)
+    stops = [start + vt._COLUMN_BLOCK for start in starts[:-1]] + [grid.size]
+    assert stops[-1] - starts[-1] > vt._COLUMN_BLOCK  # the last block took the lone column
+    for start, stop in zip(starts, stops):
+        for rows, own in zip(whole, vt.grid_factors(grid[start:stop], w)):
+            assert rows[start:stop].tobytes() == own.tobytes()
+
+
 def test_coveq_residual_peak_memory_below_one_square():
     grid = vt.uniform_grid(2.0, 0.00125)
-    vt.coveq_residual(1.07, -0.9, grid)  # warms the grid factors and scipy.fft's plan cache
+    vt.coveq_residual(1.07, -0.9, grid)  # warms scipy.fft's plan cache
     tracemalloc.start()
     try:
         vt.coveq_residual(1.07, -0.9, grid)
@@ -325,7 +345,8 @@ def test_coveq_residual_peak_memory_below_one_square():
 def test_coveq_zero_row():
     # t1 = 0: both the kernel and the source vanish
     grid = vt.uniform_grid(2.0, 0.02)
-    cov = vt.cov_kernel_grid(grid, grid, 1.0, -2.0)
+    grid_factors = vt.grid_factors(grid, 1.0)
+    cov = vt.cov_kernel_grid(grid_factors, grid_factors, 1.0, -2.0)
     assert np.max(np.abs(cov[0, :])) <= 1e-12
 
 
