@@ -32,7 +32,6 @@ from .semicircle import (
     gaussian_damped,
     monomial,
     polynomial,
-    sc_integral,
     tabulated,
     v_of_t,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "power_moments",
     "run_entry_experiment",
     "sample_matrix",
-    "sc_integral",
     "tabulated",
     "v_of_t",
     "var_limit",

@@ -65,15 +65,14 @@ def _cov_terms(phi1, phi2, spec: EnsembleSpec):
     is not finite raise OverflowError.
     """
     w = spec.w
-    rule = gauss_chebyshev_u(w)
-    x = rule.nodes
+    x, weights = gauss_chebyshev_u(w)
 
     def read(phi):
         check_coverage(phi, w)
         return phi(x)
 
     def integral(vals):
-        return float(np.sum(rule.weights * vals))
+        return float(np.sum(weights * vals))
 
     same = phi2 is phi1
     f1 = read(phi1)

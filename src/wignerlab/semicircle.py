@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -157,26 +157,15 @@ def tabulated(grid: Sequence[float], values: Sequence[float]) -> TestFunction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class QuadratureRule:
-    """Gauss-Chebyshev-U rule for Integral f(lambda) rho_sc(lambda) dlambda."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-
-@lru_cache(maxsize=128)
-def gauss_chebyshev_u(w: float) -> QuadratureRule:
-    """The DEFAULT_NODES-node rule at scale w, built once per w."""
+def gauss_chebyshev_u(w: float) -> tuple[np.ndarray, np.ndarray]:
+    """The DEFAULT_NODES-node rule (nodes, weights) at scale w, built on each call."""
     if w <= 0:
         raise ContractError("scale w must be positive")
     k = np.arange(1, DEFAULT_NODES + 1, dtype=float)
     theta = k * math.pi / (DEFAULT_NODES + 1)
     nodes = 2.0 * float(w) * np.cos(theta)
     weights = (2.0 / (DEFAULT_NODES + 1)) * np.sin(theta) ** 2
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return QuadratureRule(nodes=nodes, weights=weights)
+    return nodes, weights
 
 
 def check_coverage(phi: Callable, w: float) -> None:
@@ -186,19 +175,6 @@ def check_coverage(phi: Callable, w: float) -> None:
             raise ContractError(
                 f"tabulated grid [{phi.grid[0]}, {phi.grid[-1]}] does not cover [-{2*w}, {2*w}]"
             )
-
-
-def sc_integral(phi: Callable, w: float):
-    """Integral phi(lambda) rho_sc(lambda) dlambda by Gauss-Chebyshev-U.
-
-    Exact for polynomial phi of degree <= 2 DEFAULT_NODES - 1.  A tabulated phi
-    must cover [-2w, 2w] (check_coverage).
-    """
-    rule = gauss_chebyshev_u(w)
-    check_coverage(phi, w)
-    vals = phi(rule.nodes)
-    total = np.sum(rule.weights * vals)
-    return complex(total) if np.iscomplexobj(vals) else float(total)
 
 
 # ---------------------------------------------------------------------------
@@ -225,23 +201,21 @@ _VVV_SERIES = np.array([(-1) ** (k + 1) * 3 * k / ((k + 2) * math.factorial(k) *
                         for k in range(1, 21)])
 
 
-def sc_convolutions(t, w: float) -> dict:
+def sc_convolutions(t, w: float) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form (v*v)(t) and (v*v*v)(t) via single semicircle integrals.
 
     (v*v)(t)   = -(i/w^2) Integral e^{i mu t} mu rho_sc(mu) dmu
                = (1/w^2) Integral sin(mu t) mu rho_sc(mu) dmu
     (v*v*v)(t) = w^-4 Integral cos(lambda t) (w^2 - lambda^2) rho_sc dlambda.
-    Both are real.  The vvv integral cancels to O(w^4 t^2), so below |w t| = 1
+    Returns (vv, vvv), both real.  The vvv integral cancels to O(w^4 t^2), so below |w t| = 1
     it is the series t^2 sum_{k>=0} _VVV_SERIES[k] (w t)^{2k} from the moments C_k w^{2k}.
     """
-    rule = gauss_chebyshev_u(w)
+    nodes, weights = gauss_chebyshev_u(w)
     t_arr = np.asarray(t, dtype=float)
-    arg = np.multiply.outer(t_arr, rule.nodes)
-    vv = (np.sin(arg) @ (rule.weights * rule.nodes)) / (w * w)
+    arg = np.multiply.outer(t_arr, nodes)
+    vv = (np.sin(arg) @ (weights * nodes)) / (w * w)
     x = w * t_arr
     small = np.abs(x) < 1.0  # the series' dropped tail is below 1e-40 here
     series = t_arr**2 * np.polynomial.polynomial.polyval(np.where(small, x * x, 0.0), _VVV_SERIES)
-    vvv = np.where(small, series, (np.cos(arg) @ (rule.weights * (w * w - rule.nodes**2))) / w**4)
-    if np.isscalar(t):
-        return {"vv": float(vv), "vvv": float(vvv)}
-    return {"vv": vv, "vvv": vvv}
+    vvv = np.where(small, series, (np.cos(arg) @ (weights * (w * w - nodes**2))) / w**4)
+    return vv, vvv

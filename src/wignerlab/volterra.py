@@ -131,15 +131,15 @@ def _edd_weighted(t_values: np.ndarray, w: float) -> np.ndarray:
     D_ij = 1/(l_i - l_j) off the diagonal (0 on it) and f = e^{i t l} - 1 formed
     without cancellation, so a(0) = 0 exactly.
     """
-    rule = gauss_chebyshev_u(w)
+    nodes, weights = gauss_chebyshev_u(w)
     t = np.asarray(t_values, float)
-    gaps = rule.nodes[:, None] - rule.nodes[None, :]
+    gaps = nodes[:, None] - nodes[None, :]
     np.fill_diagonal(gaps, np.inf)
     d = 1.0 / gaps
-    theta = np.multiply.outer(t, rule.nodes)
+    theta = np.multiply.outer(t, nodes)
     f = -2.0 * np.sin(0.5 * theta) ** 2 + 1j * np.sin(theta)
-    fw = f * rule.weights
-    return fw @ d - f * (rule.weights @ d) + 1j * t[:, None] * (rule.weights + fw)
+    fw = f * weights
+    return fw @ d - f * (weights @ d) + 1j * t[:, None] * (weights + fw)
 
 
 def grid_factors(t_values: np.ndarray, w: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -148,11 +148,10 @@ def grid_factors(t_values: np.ndarray, w: float) -> tuple[np.ndarray, np.ndarray
     Row k of each factor belongs to t_values[k] alone, so the factors of a
     block of the grid's times are the same rows of the grid's factors.
     """
-    rule = gauss_chebyshev_u(w)
+    nodes, weights = gauss_chebyshev_u(w)
     t = np.asarray(t_values, float)
-    conv_parts = sc_convolutions(t, w)
-    return (_edd_weighted(t, w), np.exp(1j * np.multiply.outer(t, rule.nodes)) * rule.weights,
-            conv_parts["vv"], conv_parts["vvv"])
+    return (_edd_weighted(t, w), np.exp(1j * np.multiply.outer(t, nodes)) * weights,
+            *sc_convolutions(t, w))
 
 
 def phi_kernel_grid(f3: tuple[np.ndarray, ...], f2: tuple[np.ndarray, ...]) -> np.ndarray:
@@ -175,8 +174,8 @@ def cov_kernel_grid(f1: tuple[np.ndarray, ...], f2: tuple[np.ndarray, ...], w: f
     rho-weighted exponential divided difference against node j.  f1 and f2 are
     the grid_factors of the t1 and the t2 times at scale w.
     """
-    rule = gauss_chebyshev_u(w)
-    t3_part = (f1[0] * rule.weights) @ f2[0].T
+    _, weights = gauss_chebyshev_u(w)
+    t3_part = (f1[0] * weights) @ f2[0].T
     return 2.0 * w * w * t3_part + kappa4 * np.multiply.outer(f1[3], f2[3])
 
 

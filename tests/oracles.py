@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import quad
@@ -18,7 +18,7 @@ from wignerlab.cumulants import MAX_ORDER, jackknife_spread
 from wignerlab.errors import ContractError
 from wignerlab.limits import LimitPrediction
 from wignerlab.semicircle import (
-    DEFAULT_NODES, GAUSSIAN_DAMPED, POLYNOMIAL, TABULATED, QuadratureRule, TestFunction,
+    DEFAULT_NODES, GAUSSIAN_DAMPED, POLYNOMIAL, TABULATED, TestFunction, check_coverage,
     gauss_chebyshev_u, gaussian_damped, polynomial, sc_convolutions, v_of_t,
 )
 from wignerlab.volterra import _conv_values, _cumtrapz, _edd_weighted, volterra_apply
@@ -114,8 +114,9 @@ def rho_sc(lam, w: float):
     return np.sqrt(supp) / (2.0 * math.pi * w * w)
 
 
-def chebyshev_u_rule(w: float, n_nodes: int) -> QuadratureRule:
-    """The n_nodes-point Gauss-Chebyshev-U rule for Integral f rho_sc, exact to degree 2 n_nodes - 1.
+def chebyshev_u_rule(w: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n_nodes-point Gauss-Chebyshev-U rule (nodes, weights) for Integral f rho_sc, exact to
+    degree 2 n_nodes - 1.
 
     The package builds only the DEFAULT_NODES rule (semicircle.gauss_chebyshev_u);
     the tests vary the node count through this one.
@@ -123,20 +124,32 @@ def chebyshev_u_rule(w: float, n_nodes: int) -> QuadratureRule:
     if w <= 0 or n_nodes < 1:
         raise ContractError("the rule needs w > 0 and n_nodes >= 1")
     theta = np.arange(1, n_nodes + 1, dtype=float) * math.pi / (n_nodes + 1)
-    return QuadratureRule(nodes=2.0 * float(w) * np.cos(theta),
-                          weights=(2.0 / (n_nodes + 1)) * np.sin(theta) ** 2)
+    return 2.0 * float(w) * np.cos(theta), (2.0 / (n_nodes + 1)) * np.sin(theta) ** 2
+
+
+def sc_integral(phi: Callable, w: float):
+    """Integral phi(lambda) rho_sc(lambda) dlambda by the package's Gauss-Chebyshev-U rule.
+
+    Exact for polynomial phi of degree <= 2 DEFAULT_NODES - 1.  A tabulated phi
+    must cover [-2w, 2w] (check_coverage).
+    """
+    nodes, weights = gauss_chebyshev_u(w)
+    check_coverage(phi, w)
+    vals = phi(nodes)
+    total = np.sum(weights * vals)
+    return complex(total) if np.iscomplexobj(vals) else float(total)
 
 
 def sc_moment(power: int, w: float, n_nodes: int = DEFAULT_NODES) -> float:
     """Semicircle moment m_p by an n_nodes rule; m_{2k} = C_k w^{2k} (Catalan), odd moments 0."""
-    rule = chebyshev_u_rule(w, n_nodes)
-    return float(np.sum(rule.weights * rule.nodes**power))
+    nodes, weights = chebyshev_u_rule(w, n_nodes)
+    return float(np.sum(weights * nodes**power))
 
 
 def v_of_t_quadrature(t, w: float):
     """v(t) from its defining integral Integral cos(t lambda) rho_sc, by a 256-node rule."""
-    rule = chebyshev_u_rule(w, 256)
-    vals = np.cos(np.multiply.outer(np.asarray(t, dtype=float), rule.nodes)) @ rule.weights
+    nodes, weights = chebyshev_u_rule(w, 256)
+    vals = np.cos(np.multiply.outer(np.asarray(t, dtype=float), nodes)) @ weights
     return float(vals) if np.isscalar(t) else vals
 
 
@@ -210,12 +223,12 @@ def v_tilde(z, w: float):
 def cov_limit_goe_oracle(phi1, phi2, w: float):
     """Tensor-product double quadrature of the defining double integral of the GOE covariance,
     the limit of n Cov that cov_limit_wigner gives on a GOE spec."""
-    rule = gauss_chebyshev_u(w)
-    f1 = phi1(rule.nodes)
-    f2 = phi2(rule.nodes)
+    nodes, weights = gauss_chebyshev_u(w)
+    f1 = phi1(nodes)
+    f2 = phi2(nodes)
     d1 = f1[:, None] - f1[None, :]
     d2 = f2[:, None] - f2[None, :]
-    return float(np.real_if_close(rule.weights @ (d1 * d2) @ rule.weights, tol=1000))
+    return float(np.real_if_close(weights @ (d1 * d2) @ weights, tol=1000))
 
 
 def _divided_difference(phi: TestFunction, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -243,16 +256,15 @@ def triple_singular_cross_check(phi1: TestFunction, phi2: TestFunction, w: float
     eps_list = [float(e) for e in epsilons]
     if any(e <= 0 for e in eps_list):
         raise ContractError("epsilons must be positive")
-    rule = gauss_chebyshev_u(w)
-    lam = rule.nodes
+    lam, weights = gauss_chebyshev_u(w)
     # a_j = sum_i w_i q1(l_i, l_j): independent of epsilon
-    a = _divided_difference(phi1, lam[:, None], lam[None, :]).T @ rule.weights
+    a = _divided_difference(phi1, lam[:, None], lam[None, :]).T @ weights
     out = []
     for eps in eps_list:
         shifted = lam + 1j * eps
         q2 = (phi2(lam)[:, None] - phi2(shifted)[None, :]) / (lam[:, None] - shifted[None, :])
-        b = q2 @ rule.weights
-        out.append(2.0 * w * w * np.sum(rule.weights * a * b))
+        b = q2 @ weights
+        out.append(2.0 * w * w * np.sum(weights * a * b))
     return np.asarray(out)
 
 
@@ -284,12 +296,12 @@ def fourier_pairing(phi1: TestFunction, phi2: TestFunction, w: float, kappa4: fl
     wt[0] = wt[-1] = h / 2.0
     f1 = fourier_transform(phi1)(t) * wt
     f2 = fourier_transform(phi2)(t) * wt
-    rule = gauss_chebyshev_u(w)
+    _, weights = gauss_chebyshev_u(w)
     a = _edd_weighted(t, w)
     u1 = f1 @ a
     u2 = f2 @ a
-    vvv = sc_convolutions(t, w)["vvv"]
-    pair = 2.0 * w * w * np.sum(rule.weights * u1 * u2)
+    _, vvv = sc_convolutions(t, w)
+    pair = 2.0 * w * w * np.sum(weights * u1 * u2)
     pair += kappa4 * np.sum(f1 * vvv) * np.sum(f2 * vvv)
     return complex(pair)
 
@@ -473,16 +485,14 @@ def coveq_residual_full_square(w: float, kappa4: float, grid: np.ndarray) -> flo
     """
     g = np.asarray(grid, float)
     h = float(g[1] - g[0])
-    rule = gauss_chebyshev_u(w)
-    conv_parts = sc_convolutions(g, w)
+    nodes, weights = gauss_chebyshev_u(w)
+    vv, vvv = sc_convolutions(g, w)
     a = _edd_weighted(g, w)
-    e3 = np.exp(1j * np.multiply.outer(g, rule.nodes)) * rule.weights
+    e3 = np.exp(1j * np.multiply.outer(g, nodes)) * weights
     a_grid = _cumtrapz(-1j * (e3 @ a.T), h)
     a_grid *= -2.0 * w * w
-    a_grid += kappa4 * np.multiply.outer(_cumtrapz(conv_parts["vv"].astype(complex), h),
-                                         conv_parts["vvv"])
-    cov = 2.0 * w * w * ((a * rule.weights) @ a.T) + kappa4 * np.multiply.outer(conv_parts["vvv"],
-                                                                               conv_parts["vvv"])
+    a_grid += kappa4 * np.multiply.outer(_cumtrapz(vv.astype(complex), h), vvv)
+    cov = 2.0 * w * w * ((a * weights) @ a.T) + kappa4 * np.multiply.outer(vvv, vvv)
     lhs = volterra_apply((w * w * v_of_t(g, w)).astype(complex), cov, h)
     lhs -= a_grid
     return float(np.max(np.abs(lhs)))

@@ -15,7 +15,7 @@ from wignerlab import harness as hn
 from wignerlab import limits as lm
 from wignerlab import spectral as sp
 from wignerlab.errors import ConfigError, ContractError
-from wignerlab.semicircle import gaussian_damped, monomial, sc_integral, tabulated
+from wignerlab.semicircle import gaussian_damped, monomial, tabulated
 
 
 def goe_spec(w=1.0):
@@ -356,7 +356,7 @@ def test_centering_consistency_against_semicircle():
         spec=goe_spec(), phi=monomial(2), n_list=(1024,), replicas=500, root_seed=5
     )
     res = hn.run_entry_experiment(cfg, threads=2)
-    assert abs(res.record["per_n"][0]["mean_element"] - sc_integral(monomial(2), 1.0)) <= 0.05
+    assert abs(res.record["per_n"][0]["mean_element"] - oracles.sc_integral(monomial(2), 1.0)) <= 0.05
 
 
 def test_cf_variance_consistency():

@@ -32,18 +32,18 @@ def three_point_spec(kappa4_over_w4: float, w=1.0) -> en.EnsembleSpec:
 
 def first_moment_integral(phi, w):
     """I1(phi) = <phi x>, one quadrature of its own."""
-    return sc.sc_integral(lambda lam: phi(lam) * lam, w)
+    return oracles.sc_integral(lambda lam: phi(lam) * lam, w)
 
 
 def kappa4_integral(phi, w):
     """I2(phi) = <phi (w^2 - x^2)>, one quadrature of its own."""
-    return sc.sc_integral(lambda lam: phi(lam) * (w * w - lam * lam), w)
+    return oracles.sc_integral(lambda lam: phi(lam) * (w * w - lam * lam), w)
 
 
 def goe_term(phi1, phi2, w):
     """2 (<phi1 phi2> - <phi1><phi2>), three quadratures of their own."""
-    cross = sc.sc_integral(lambda lam: phi1(lam) * phi2(lam), w)
-    return 2.0 * (cross - sc.sc_integral(phi1, w) * sc.sc_integral(phi2, w))
+    cross = oracles.sc_integral(lambda lam: phi1(lam) * phi2(lam), w)
+    return 2.0 * (cross - oracles.sc_integral(phi1, w) * oracles.sc_integral(phi2, w))
 
 
 class CountingPhi:

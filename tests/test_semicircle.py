@@ -6,7 +6,10 @@ import pytest
 from scipy.integrate import quad
 
 import oracles
+from wignerlab import ensembles as en
+from wignerlab import limits as lm
 from wignerlab import semicircle as sc
+from wignerlab import volterra as vt
 from wignerlab.errors import ContractError
 
 CATALAN = {0: 1, 2: 1, 4: 2, 6: 5, 8: 14, 10: 42}
@@ -29,32 +32,50 @@ def test_rho_sc_integrates_to_one():
 @pytest.mark.parametrize("n_nodes", [4, 16, 64])
 @pytest.mark.parametrize("w", [1.0, 0.7])
 def test_quadrature_rule_invariants(n_nodes, w):
-    rule = oracles.chebyshev_u_rule(w, n_nodes)
-    assert np.all(rule.weights > 0)
-    assert abs(rule.weights.sum() - 1.0) <= 1e-14
-    assert np.all(np.abs(rule.nodes) < 2 * w)
+    nodes, weights = oracles.chebyshev_u_rule(w, n_nodes)
+    assert np.all(weights > 0)
+    assert abs(weights.sum() - 1.0) <= 1e-14
+    assert np.all(np.abs(nodes) < 2 * w)
 
 
 @pytest.mark.parametrize("w", [1.0, 0.7, np.float64(1.07)])
 def test_gauss_chebyshev_u_is_the_oracle_default_rule(w):
-    """The one shipped rule is the DEFAULT_NODES = 128 rule, bit for bit, and read-only."""
-    rule, oracle = sc.gauss_chebyshev_u(w), oracles.chebyshev_u_rule(w, 128)
+    """The one shipped rule is the DEFAULT_NODES = 128 rule, bit for bit."""
+    nodes, weights = sc.gauss_chebyshev_u(w)
+    oracle_nodes, oracle_weights = oracles.chebyshev_u_rule(w, 128)
     assert sc.DEFAULT_NODES == 128
-    assert rule.nodes.tobytes() == oracle.nodes.tobytes()
-    assert rule.weights.tobytes() == oracle.weights.tobytes()
-    assert not (rule.nodes.flags.writeable or rule.weights.flags.writeable)
+    assert nodes.tobytes() == oracle_nodes.tobytes()
+    assert weights.tobytes() == oracle_weights.tobytes()
     with pytest.raises(ContractError):
         sc.gauss_chebyshev_u(-1.0)
+
+
+def test_each_call_builds_its_own_rule():
+    """A caller that writes into the arrays of one rule changes no later rule: var_limit and
+    grid_factors keep their bits after the arrays of an earlier call are zeroed."""
+    spec = en.EnsembleSpec(entry_dist=en.make_entry_distribution("uniform", 1.1),
+                           convention="general_diagonal", w2=1.5)
+    phi, grid = sc.polynomial([0.0, 1.0, 0.0, 0.0, 1.0]), vt.uniform_grid(2.0, 0.25)
+
+    def bits():
+        pred = lm.var_limit(phi, spec)
+        return ([pred.v_goe, pred.kappa4_term, pred.diag_term, pred.v_w, pred.xstar_slope],
+                [f.tobytes() for f in vt.grid_factors(grid, 1.1)])
+
+    before = bits()
+    for array in sc.gauss_chebyshev_u(1.1):
+        array[:] = 0.0
+    assert bits() == before
 
 
 @pytest.mark.parametrize("n_nodes", [4, 16, 64])
 def test_quadrature_exact_on_monomials(n_nodes):
     # exact for degree <= 2N - 1: Catalan numbers even, zero odd; tolerance is
     # relative to the summand scale (odd powers cancel only to roundoff)
-    rule = oracles.chebyshev_u_rule(1.0, n_nodes)
+    nodes, weights = oracles.chebyshev_u_rule(1.0, n_nodes)
     for p in range(0, 2 * n_nodes):
         got = oracles.sc_moment(p, 1.0, n_nodes)
-        scale = float(np.sum(rule.weights * np.abs(rule.nodes) ** p))
+        scale = float(np.sum(weights * np.abs(nodes) ** p))
         expected = CATALAN[p] if p in CATALAN else (0.0 if p % 2 else None)
         if expected is None:
             continue
@@ -63,24 +84,24 @@ def test_quadrature_exact_on_monomials(n_nodes):
 
 def test_sc_integral_catalan_and_parity():
     for power, value in [(2, 1.0), (4, 2.0), (6, 5.0), (8, 14.0)]:
-        assert sc.sc_integral(sc.monomial(power), 1.0) == pytest.approx(value, abs=1e-12)
+        assert oracles.sc_integral(sc.monomial(power), 1.0) == pytest.approx(value, abs=1e-12)
     odd = sc.polynomial([0.0, 3.0, 0.0, -2.0, 0.0, 1.0])
-    assert abs(sc.sc_integral(odd, 1.0)) <= 1e-15
+    assert abs(oracles.sc_integral(odd, 1.0)) <= 1e-15
 
 
 def test_sc_integral_against_adaptive_oracle():
     phi = sc.polynomial([0.5, 0.0, 1.0])
     oracle = quad(lambda x: phi(x) * oracles.rho_sc(x, 1.0), -2.0, 2.0)[0]
-    assert sc.sc_integral(phi, 1.0) == pytest.approx(oracle, abs=1e-9)
+    assert oracles.sc_integral(phi, 1.0) == pytest.approx(oracle, abs=1e-9)
 
 
 def test_sc_integral_tabulated_coverage():
     grid = np.linspace(-1.0, 1.0, 101)
     short = sc.tabulated(grid, grid**2)
     with pytest.raises(ContractError):
-        sc.sc_integral(short, 1.0)
+        oracles.sc_integral(short, 1.0)
     full = sc.tabulated(np.linspace(-2.5, 2.5, 2001), np.linspace(-2.5, 2.5, 2001) ** 2)
-    assert sc.sc_integral(full, 1.0) == pytest.approx(1.0, abs=1e-5)
+    assert oracles.sc_integral(full, 1.0) == pytest.approx(1.0, abs=1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -154,9 +175,9 @@ def test_v_tilde_against_laplace_integral():
 
 
 def test_sc_convolutions_at_zero():
-    parts = sc.sc_convolutions(0.0, 1.0)
-    assert parts["vv"] == 0.0
-    assert abs(parts["vvv"]) <= 1e-15
+    vv, vvv = sc.sc_convolutions(0.0, 1.0)
+    assert vv == 0.0
+    assert abs(vvv) <= 1e-15
 
 
 @pytest.mark.parametrize("w", [1e-5, 0.8, 1.0, 1.25])
@@ -171,7 +192,7 @@ def test_vvv_matches_mpmath_across_small_and_large_wt(w):
         return float(mp.quad(f, [0, mp.pi / 2, mp.pi]) * 2 / mp.pi / ww**4)
 
     wt = np.concatenate([np.geomspace(1e-8, 3.0, 17), [0.999999, 1.0]])
-    got = sc.sc_convolutions(wt / w, w)["vvv"]
+    _, got = sc.sc_convolutions(wt / w, w)
     for x, value in zip(wt, got):
         want = reference(x / w)
         assert abs(value - want) <= 1e-14 * abs(want), (w, x)
@@ -182,7 +203,7 @@ def test_vv_matches_time_domain_convolution():
     t = np.arange(0, 1.0 + h / 2, h)
     vals = sc.v_of_t(t, 1.0)
     direct = h * (np.convolve(vals, vals)[: t.size]) - 0.5 * h * (vals[0] * vals + vals[0] * vals)
-    closed = sc.sc_convolutions(t, 1.0)["vv"]
+    closed, _ = sc.sc_convolutions(t, 1.0)
     assert abs(closed[-1] - direct[-1]) <= 1e-4
 
 
