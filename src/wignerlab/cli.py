@@ -41,10 +41,9 @@ from .harness import (
     predict,
     run_entry_experiment,
 )
-from .seeding import derive_seed, splitmix64  # re-exported: the seed-derivation contract lives here
 from .volterra import residual_table, uniform_grid
 
-__all__ = ["main", "run_cli", "parse_config", "derive_seed", "splitmix64", "config_hash"]
+__all__ = ["main", "run_cli", "parse_config", "config_hash"]
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +361,8 @@ def _cmd_volterra(args) -> int:
         with float_range("--w"):
             residual_table(h_values, w, np.float64(0.0), args.t_max)
         raise
-    return _write_outputs(args.out, started, {"volterra_residuals.csv": rows},
-                          config_hash({"h": h_values, "w": args.w, "kappa4": args.kappa4}), 0, 1,
+    cfg_hash = config_hash({"h": h_values, "w": args.w, "kappa4": args.kappa4, "t_max": args.t_max})
+    return _write_outputs(args.out, started, {"volterra_residuals.csv": rows}, cfg_hash, 0, 1,
                           replica_blas_threads())
 
 

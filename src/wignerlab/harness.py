@@ -133,6 +133,9 @@ class ExperimentConfig:
         for name, grid in (("x_grid", self.x_grid), ("t_grid", self.t_grid)):
             if not all(math.isfinite(v) for v in grid):
                 raise ConfigError(f"config.{name}: must be finite", field=f"config.{name}")
+        if len(set(self.t_grid)) != len(self.t_grid):
+            raise ConfigError(f"config.t_grid: values must be distinct, got {list(self.t_grid)}",
+                              field="config.t_grid")
         for name, phi in (("phi", self.phi), ("phi2", self.phi2)):
             try:
                 check_coverage(phi, self.spec.w)

@@ -309,6 +309,16 @@ def test_volterra_subcommand(tmp_path):
     assert all(1.5 <= o <= 2.5 for o in finite_orders)
 
 
+def test_volterra_config_hash_covers_t_max(tmp_path):
+    """Two volterra runs that differ only in --t-max have different inputs, so different hashes."""
+    hashes = []
+    for t_max in ("1", "2"):
+        out = tmp_path / t_max
+        assert cli.run_cli(["volterra", "--h", "0.5", "--t-max", t_max, "--out", str(out)]) == 0
+        hashes.append(json.loads((out / "manifest.json").read_text())["config_hash"])
+    assert hashes[0] != hashes[1]
+
+
 def test_volterra_identical_across_blas_threads(tmp_path):
     """The column-blocked coveq residual and its table run on one BLAS thread, whatever the default."""
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -444,6 +454,19 @@ def test_repeated_sizes_are_rejected(tmp_path, capsys, command, n_list):
     payload = error_payload(capsys)
     assert payload["error"] == "ConfigError" and "distinct" in payload["message"]
     assert payload["field"] == "config.n_list"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["predict", "simulate", "lemma"])
+def test_repeated_times_are_rejected(tmp_path, capsys, command):
+    """lemma would write every (statistic, t, n) row of a repeated time twice."""
+    cfg = minimal_config(n_list=[16, 32, 64, 128], replicas=100, t_grid=[1.0, 1.0])
+    out = tmp_path / "x"
+    code = cli.run_cli([command, "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
+    assert code == 2
+    payload = error_payload(capsys)
+    assert (payload["error"], payload["field"]) == ("ConfigError", "config.t_grid")
+    assert "values must be distinct" in payload["message"]
     assert not out.exists()
 
 
@@ -1086,7 +1109,3 @@ def test_eigh_failure_exits_3_naming_its_sample_on_every_route(tmp_path, capsys,
     assert f"root seed 4242, replica 0, order {order}" in payload["message"]
     assert not (tmp_path / "x").exists()
 
-
-def test_derive_seed_reexported():
-    assert cli.derive_seed(0, []) == 16294208416658607535
-    assert cli.splitmix64(0) == 16294208416658607535

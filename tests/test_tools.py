@@ -1,5 +1,6 @@
 import json
 import math
+import shutil
 import sys
 from pathlib import Path
 
@@ -30,6 +31,18 @@ def test_same_outputs_fails_on_outputs_and_inputs_and_notes_other_metadata(tmp_p
         ["manifest.json fields ['root_seed']"], [])
     other_bytes = run_dir(tmp_path / "bytes", b"{ }", blas_threads=1)
     assert same_outputs.differences(ours, other_bytes, ["result.json"]) == (["result.json"], [])
+
+
+def test_same_outputs_leaves_no_bytecode_in_the_checkout(tmp_path, monkeypatch):
+    """Bytecode left in a checkout makes later benchmark runs of it skip compiling and read faster."""
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    checkout = tmp_path / "checkout"
+    shutil.copytree(Path(__file__).resolve().parents[1] / "src", checkout / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    args = ["volterra", "--h", "0.5", "--t-max", "1.0"]
+    assert same_outputs.run_cli(checkout, args, tmp_path / "out") is None
+    assert (tmp_path / "out" / "volterra_residuals.csv").exists()
+    assert not list(checkout.rglob("__pycache__"))
 
 
 def test_same_outputs_runs_volterra_at_its_defaults(tmp_path):

@@ -90,8 +90,9 @@ def runs(work: Path) -> list[tuple[str, list[str], list[str]]]:
 
 
 def run_cli(checkout: Path, args: list[str], out_dir: Path) -> str | None:
-    """Run the CLI of one checkout; the error text when it fails."""
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    """Run the CLI of one checkout; the error text when it fails.  It writes no bytecode, which
+    would let later runs of that checkout skip compiling and so read faster."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run([sys.executable, "-m", "wignerlab.cli", *args, "--out", str(out_dir)],
                           env=env, capture_output=True, text=True)
     return None if proc.returncode == 0 else f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"
