@@ -17,7 +17,7 @@ residual tests assert the O(h^2) rate rather than hiding it in tolerances.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -216,24 +216,17 @@ def coveq_residual(w: float, kappa4: float, grid: np.ndarray) -> float:
     return float(np.max(block_sups))
 
 
-def v2_equation_check(t_rest: Sequence[float], w: float, grid: np.ndarray) -> float:
-    """Residual of the factorized solution in the l-fold propagator-product equation, l = len(t_rest) + 1.
+def v_equation_defect(v: np.ndarray, w: float, h: float, c: float) -> float:
+    """Sup defect of c v in the discretized v-equation P + w^2 II v(.) P(.) = c, with step h.
 
-    Plugs prod_m v(t_m) into the t1-marginal equation
-    v2 + w^2 II v(.) v2(.) = prod_{m=2}^l v(t_m) and returns the sup defect on
-    the grid; the factorized form makes this the scalar v-equation scaled by
-    the constant product, so the defect is O(h^2) times that constant.
+    v holds v(t) on the grid 0, h, ...  With c = 1 this is the scalar equation
+    v + w^2 II v(.) v(.) = 1.  With c = prod_{m=2}^l v(t_m) it is the t1-marginal
+    of the l-fold propagator-product equation, whose factorized solution is
+    c v; the defect is then O(h^2) times |c|.
     """
-    ts = [float(t) for t in t_rest]
-    if not ts:
-        raise ContractError("v2_equation_check needs at least one fixed time")
-    g = np.asarray(grid, float)
-    const = float(np.prod([v_of_t(t, w) for t in ts]))
-    v = v_of_t(g, w)
     kernel = (w * w * v).astype(complex)
-    p_values = const * v.astype(complex)
-    lhs = volterra_apply(kernel, p_values, float(g[1] - g[0]))
-    return float(np.max(np.abs(lhs - const)))
+    lhs = volterra_apply(kernel, c * v.astype(complex), h)
+    return float(np.max(np.abs(lhs - c)))
 
 
 # ---------------------------------------------------------------------------
@@ -243,26 +236,27 @@ def v2_equation_check(t_rest: Sequence[float], w: float, grid: np.ndarray) -> fl
 
 def residual_table(h_values: Sequence[float], w: float, kappa4: float, t_max: float = 2.0) -> list[dict]:
     """The volterra_residuals.csv rows: residuals and observed orders for the built-in
-    cases at each step size, on [0, t_max]."""
-    # scalar_v_equation is v + w^2 II v(.)v(.) = 1: the l = 2 equation at t2 = 0, where v(0) = 1
-    cases: dict[str, Callable[[np.ndarray], float]] = {
-        "scalar_v_equation": lambda g: v2_equation_check([0.0], w, g),
-        "coveq": lambda g: coveq_residual(w, kappa4, g),
-        "v2_l2_t0": lambda g: v2_equation_check([0.0], w, g),
-        "v2_l3": lambda g: v2_equation_check([1.0, 2.0], w, g),
-        "manufactured_solve": manufactured_solve_error,
-    }
+    cases at each step size, on [0, t_max]; each grid is walked once, coarsest first."""
     steps = [float(h) for h in sorted(h_values, reverse=True)]
-    grids = [uniform_grid(t_max, h) for h in steps]
-    rows: list[dict] = []
+    per_grid = []
     with single_blas_thread():  # the arrays are small: more BLAS threads add CPU time, not speed
-        for name, runner in cases.items():
-            prev: float | None = None
-            for idx, (h, g) in enumerate(zip(steps, grids)):
-                res = runner(g)
-                order = math.log2(prev / res) if idx > 0 and prev > 0 and res > 0 else float("nan")
-                rows.append({"case": name, "h": h, "residual": res, "order_estimate": order})
-                prev = res
+        v12 = v_of_t(1.0, w) * v_of_t(2.0, w)
+        for h in steps:
+            g = uniform_grid(t_max, h)
+            v, step = v_of_t(g, w), float(g[1] - g[0])
+            # v + w^2 II v(.)v(.) = 1 is also the l = 2 equation at t2 = 0, where v(0) = 1
+            scalar = v_equation_defect(v, w, step, 1.0)
+            per_grid.append({"scalar_v_equation": scalar, "coveq": coveq_residual(w, kappa4, g),
+                             "v2_l2_t0": scalar, "v2_l3": v_equation_defect(v, w, step, v12),
+                             "manufactured_solve": manufactured_solve_error(g)})
+    rows: list[dict] = []
+    for name in per_grid[0]:
+        prev = 0.0
+        for h, residuals in zip(steps, per_grid):
+            res = residuals[name]
+            order = math.log2(prev / res) if prev > 0 and res > 0 else float("nan")
+            rows.append({"case": name, "h": h, "residual": res, "order_estimate": order})
+            prev = res
     return rows
 
 

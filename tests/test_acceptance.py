@@ -20,7 +20,7 @@ from wignerlab import harness as hn
 from wignerlab import limits as lm
 from wignerlab import volterra as vt
 from wignerlab.cumulants import sample_cumulants
-from wignerlab.semicircle import gaussian_damped, monomial, polynomial
+from wignerlab.semicircle import gaussian_damped, monomial, polynomial, v_of_t
 
 ACCEPT_SEED = 20260809
 N_BIG = 1024
@@ -206,9 +206,10 @@ def test_criterion_07_volterra_suite():
     resolvent_defect = float(np.max(oracles.resolvent_identity_defect(zs, 1.0)))
     h = 0.01
     grid = vt.uniform_grid(4.0, h)
+    v, step = v_of_t(grid, 1.0), float(grid[1] - grid[0])
     v2_res = max(
-        vt.v2_equation_check([0.0], 1.0, grid),
-        vt.v2_equation_check([1.0, 2.0], 1.0, grid),
+        vt.v_equation_defect(v, 1.0, step, 1.0),
+        vt.v_equation_defect(v, 1.0, step, v_of_t(1.0, 1.0) * v_of_t(2.0, 1.0)),
     )
     _criterion(
         7,

@@ -146,9 +146,7 @@ def test_v_fixed_point_identity():
     # v(t) + w^2 II v v = 1, discretized residual <= 10 h^2
     h = 0.01
     grid = np.arange(0, 4.0 + h / 2, h)
-    from wignerlab.volterra import v2_equation_check
-
-    assert v2_equation_check([0.0], 1.0, grid) <= 10 * h * h
+    assert vt.v_equation_defect(sc.v_of_t(grid, 1.0), 1.0, float(grid[1] - grid[0]), 1.0) <= 10 * h * h
 
 
 def test_v_tilde_branch_and_quadratic():

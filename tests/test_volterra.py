@@ -25,6 +25,11 @@ def factors(*times, w=1.0):
     return vt.grid_factors(np.array(times, float), w)
 
 
+def v_defect(grid, w=1.0, c=1.0):
+    """v_equation_defect on a grid, with v and the step read off it as residual_table does."""
+    return vt.v_equation_defect(v_of_t(grid, w), w, float(grid[1] - grid[0]), c)
+
+
 # ---------------------------------------------------------------------------
 # grids and convolution
 # ---------------------------------------------------------------------------
@@ -43,7 +48,7 @@ def test_uniform_grid_steps_divide_t_max():
 def test_v2_equation_check_runs_on_fine_uniform_grids(t_max):
     # linspace rounds each step by about eps * t_max; the step is read off the grid as is
     g = vt.uniform_grid(t_max, 0.001)
-    assert vt.v2_equation_check([0.0], 1.0, g) <= 10 * 0.001**2
+    assert v_defect(g) <= 10 * 0.001**2
 
 
 def test_convolve_unit_functions_exact():
@@ -352,16 +357,11 @@ def test_coveq_zero_row():
 def test_v2_equation_check_cases():
     h = 0.01
     g = vt.uniform_grid(4.0, h)
-    assert vt.v2_equation_check([0.0], 1.0, g) <= 10 * h * h
-    bound = 10 * h * h * abs(v_of_t(1.0, 1.0) * v_of_t(2.0, 1.0))
-    assert vt.v2_equation_check([1.0, 2.0], 1.0, g) <= bound
+    assert v_defect(g) <= 10 * h * h
+    v12 = v_of_t(1.0, 1.0) * v_of_t(2.0, 1.0)
+    assert v_defect(g, c=v12) <= 10 * h * h * abs(v12)
     # vanishing kernel limit: v -> 1 and the equation becomes trivial
-    assert vt.v2_equation_check([0.5], 1e-6, g) <= 1e-10
-
-
-def test_v2_equation_check_contracts():
-    with pytest.raises(ContractError):
-        vt.v2_equation_check([], 1.0, vt.uniform_grid(1.0, 0.1))
+    assert v_defect(g, w=1e-6, c=v_of_t(0.5, 1e-6)) <= 1e-10
 
 
 def test_residual_table_order_needs_two_positive_residuals(monkeypatch):
@@ -370,6 +370,19 @@ def test_residual_table_order_needs_two_positive_residuals(monkeypatch):
     rows = vt.residual_table(h_values=(0.4, 0.2, 0.1, 0.05), w=1.0, kappa4=-2.0, t_max=0.4)
     orders = [r["order_estimate"] for r in rows if r["case"] == "manufactured_solve"]
     assert all(math.isnan(o) for o in orders[:3]) and orders[3] == pytest.approx(2.0)
+
+
+def test_residual_table_shares_the_scalar_defect_and_scales_it_for_l3():
+    w = 1.03
+    rows = vt.residual_table(h_values=(0.1, 0.05, 0.025), w=w, kappa4=-0.5, t_max=2.0)
+    by_case = {(r["case"], r["h"]): r["residual"] for r in rows}
+    v12 = v_of_t(1.0, w) * v_of_t(2.0, w)
+    for h in (0.1, 0.05, 0.025):
+        g = vt.uniform_grid(2.0, h)
+        scalar = by_case[("scalar_v_equation", h)]
+        # == on positive floats compares their bits
+        assert by_case[("v2_l2_t0", h)] == scalar == v_defect(g, w)
+        assert by_case[("v2_l3", h)] == v_defect(g, w, v12)
 
 
 def test_residual_table_orders():
