@@ -407,11 +407,11 @@ def _report_lines(path: str) -> list[str]:
                              f"{comp.get('z_variance', float('nan')):>8.2f} "
                              f"{p['k_stats']['k4'][0]:>12.6g} {ks_txt:>8}")
             return lines
-        if "v_w" in obj:
+        if isinstance(obj, dict) and "v_w" in obj:
             return [json.dumps(obj, sort_keys=True, indent=1)]
-        return [json.dumps(obj, sort_keys=True)[:2000]]
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: not a wignerlab result: {exc!r}") from exc
+    raise ConfigError(f"{path}: not a wignerlab result: neither a result.json nor a prediction.json")
 
 
 def _load_config(args) -> ExperimentConfig:

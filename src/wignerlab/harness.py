@@ -133,9 +133,9 @@ class ExperimentConfig:
         for name, grid in (("x_grid", self.x_grid), ("t_grid", self.t_grid)):
             if not all(math.isfinite(v) for v in grid):
                 raise ConfigError(f"config.{name}: must be finite", field=f"config.{name}")
-        if len(set(self.t_grid)) != len(self.t_grid):
-            raise ConfigError(f"config.t_grid: values must be distinct, got {list(self.t_grid)}",
-                              field="config.t_grid")
+            if len(set(grid)) != len(grid):
+                raise ConfigError(f"config.{name}: values must be distinct, got {list(grid)}",
+                                  field=f"config.{name}")
         for name, phi in (("phi", self.phi), ("phi2", self.phi2)):
             try:
                 check_coverage(phi, self.spec.w)
@@ -309,8 +309,10 @@ def gaussian_limit_test(samples: Sequence[float]) -> dict:
     """KS statistic against a Gaussian fitted from the sample.
 
     pass iff ks <= 1.63/sqrt(R); approximate because the parameters are
-    fitted.  A zero-variance sample is reported degenerate, not failed, with
-    ks_stat None.
+    fitted.  A sample whose values are all equal is reported degenerate, not
+    failed, with ks_stat None.  The statistic does not depend on scale, so the
+    sample is first scaled by a power of two that brings its largest magnitude
+    into [0.5, 1): its mean, deviations and sd then scale exactly, and none underflows.
     """
     from scipy.special import ndtr  # loaded on first use: runs below 500 replicas never call it
 
@@ -318,10 +320,10 @@ def gaussian_limit_test(samples: Sequence[float]) -> dict:
     if y.size < 500:
         raise ContractError("gaussian_limit_test needs at least 500 samples")
     threshold = KS_COEFFICIENT / math.sqrt(y.size)
-    sd = float(np.std(y, ddof=1))
-    if sd == 0.0:
+    if y.min() == y.max():
         return {"ks_stat": None, "threshold": threshold, "passed": None, "degenerate": True}
-    z = np.sort((y - np.mean(y)) / sd)
+    y = np.ldexp(y, -np.frexp(np.max(np.abs(y)))[1])
+    z = np.sort((y - np.mean(y)) / np.std(y, ddof=1))
     cdf = ndtr(z)
     i = np.arange(1, y.size + 1)
     ks = float(np.max(np.maximum(i / y.size - cdf, cdf - (i - 1) / y.size)))
@@ -351,13 +353,13 @@ class ExperimentResult:
 
 def _excess_kurtosis_jackknife(y: np.ndarray, stats: SampleCumulants) -> tuple[float | None, float]:
     """g2 = k4/k2^2 with delete-1 jackknife se, from the leave-one-out k-statistics of
-    stats = sample_cumulants(y); g2 is None for a zero-variance sample.
+    stats = sample_cumulants(y); g2 is None for a sample whose values are all equal.
 
     g2 does not depend on scale, so a sample whose k2^2 underflows is centred
     again and scaled by a power of two that brings its largest magnitude into [0.5, 1).
     """
     k2, k4, (_, k2i, _, k4i) = stats.k2, stats.k4, stats.loo
-    if k2 == 0.0:
+    if y.min() == y.max():
         return None, 0.0  # degenerate sample: kurtosis undefined
     if k2 * k2 < sys.float_info.min:
         xc = y - y.mean()

@@ -470,6 +470,19 @@ def test_repeated_times_are_rejected(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["predict", "simulate", "lemma"])
+def test_repeated_cf_points_are_rejected(tmp_path, capsys, command):
+    """simulate would write the CF row of a repeated point twice."""
+    cfg = minimal_config(n_list=[16, 32, 64, 128], replicas=100, x_grid=[0.5, 0.5])
+    out = tmp_path / "x"
+    code = cli.run_cli([command, "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
+    assert code == 2
+    payload = error_payload(capsys)
+    assert (payload["error"], payload["field"]) == ("ConfigError", "config.x_grid")
+    assert payload["message"] == "config.x_grid: values must be distinct, got [0.5, 0.5]"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command,overrides,field", [
     ("simulate", {"replicas": 50}, "config.replicas"),
     ("predict", {"n_list": [8]}, "config.n_list"),
@@ -522,6 +535,17 @@ def test_report_subcommand(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "prediction" in out
     assert "variance" in out
+
+
+def test_report_prints_a_prediction(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, minimal_config())
+    assert cli.run_cli(["predict", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    written = json.loads((tmp_path / "prediction.json").read_text())
+    capsys.readouterr()
+    assert cli.run_cli(["report", str(tmp_path / "prediction.json")]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"== {tmp_path / 'prediction.json'} ==\n")
+    assert json.loads(out.split("\n", 1)[1]) == written
 
 
 # ---------------------------------------------------------------------------
@@ -1035,7 +1059,8 @@ def test_exit_code_unreadable_result(tmp_path, capsys):
 
 @pytest.mark.parametrize("content", [None, "{not json", "\xff", '{"per_n": []}', "3",
                                      '{"per_n": [{"n": 64}], "prediction": {"v_w": 1, "v_goe": 1, '
-                                     '"kappa4_term": 0, "diag_term": 0, "xstar_slope": 0}}'])
+                                     '"kappa4_term": 0, "diag_term": 0, "xstar_slope": 0}}',
+                                     '{"a": 1}', "[1, 2]", '"v_w"'])
 def test_exit_code_bad_report_input(tmp_path, capsys, content):
     """A directory, non-JSON text, or JSON that is not a result: exit 2 naming the path."""
     path = tmp_path / "result.json"

@@ -15,7 +15,7 @@ from wignerlab import harness as hn
 from wignerlab import limits as lm
 from wignerlab import spectral as sp
 from wignerlab.errors import ConfigError, ContractError
-from wignerlab.semicircle import gaussian_damped, monomial, tabulated
+from wignerlab.semicircle import gaussian_damped, monomial, polynomial, tabulated
 
 
 def goe_spec(w=1.0):
@@ -408,6 +408,29 @@ def test_degenerate_case_z_score_is_zero():
     res = hn.run_entry_experiment(cfg, threads=1)
     assert res.record["per_n"][0]["variance"] == 0.0
     assert res.record["comparison"]["per_n"][0]["z_variance"] == 0.0
+
+
+def rademacher_record(phi, n):
+    cfg = hn.ExperimentConfig(spec=rademacher_spec(), phi=phi, n_list=(n,), replicas=500, root_seed=7)
+    return hn.run_entry_experiment(cfg, threads=1).record["per_n"][0]
+
+
+def test_underflowing_samples_keep_their_kurtosis_and_ks():
+    # at 2^-600 the centred squares underflow, yet g2 and the standardised KS sample do not depend on scale
+    plain = rademacher_record(monomial(3), 64)
+    tiny, tinier = (rademacher_record(polynomial([0.0, 0.0, 0.0, 2.0**e]), 64) for e in (-300, -600))
+    assert tiny["excess_kurtosis"] == tinier["excess_kurtosis"] and tiny["ks"] == tinier["ks"]
+    assert tinier["excess_kurtosis"] == pytest.approx(plain["excess_kurtosis"], rel=1e-14)
+    assert tinier["ks"]["ks_stat"] == pytest.approx(plain["ks"]["ks_stat"], rel=1e-14)
+    assert tinier["ks"]["degenerate"] is False
+
+
+def test_a_shared_statistic_is_degenerate_though_its_mean_rounds():
+    # every replica's x^2 entry is 97/96: raw.mean() rounds, so every y is one tiny nonzero value
+    record = rademacher_record(monomial(2), 96)
+    assert record["excess_kurtosis"] == [None, 0.0]
+    assert record["ks"] == {"ks_stat": None, "threshold": record["ks"]["threshold"], "passed": None,
+                            "degenerate": True}
 
 
 def test_wrong_prediction_is_detected():

@@ -74,11 +74,20 @@ def test_same_outputs_runs_a_tabulated_phi_on_the_eigh_route(tmp_path):
     cfg = cli.parse_config(config)
     assert (cfg.spec.entry_dist.kind, cfg.spec.w, cfg.spec.convention, cfg.spec.w2) == (
         "uniform", 1.1, "general_diagonal", 1.5)
-    assert (cfg.n_list, cfg.replicas, cfg.j_policy) == ((64, 128), 200, "middle")
+    assert (cfg.n_list, cfg.replicas, cfg.j_policy) == ((64, 128), 500, "middle")
     pred, _ = harness.predict(cfg)
     assert 0.0 not in (pred.v_goe, pred.kappa4_term, pred.diag_term, pred.xstar_slope)
     cross_terms, _ = limits._cov_terms(cfg.phi, cfg.phi2, cfg.spec)
     assert 0.0 not in cross_terms
+
+
+def test_same_outputs_runs_the_ks_test(tmp_path):
+    """simulate runs gaussian_limit_test only at 500 replicas or more: some run must reach it."""
+    from wignerlab import cli
+
+    replicas = [cli.parse_config(args[args.index("--config") + 1]).replicas
+                for _, args, _ in same_outputs.runs(tmp_path) if args[0] == "simulate"]
+    assert max(replicas) >= 500
 
 
 RESULT = {"per_n": [{"n": 64, "variance": 9.87, "k_stats": {"k3": [0.25, 0.5]}, "ks": {"ks_stat": None},

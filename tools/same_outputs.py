@@ -53,14 +53,15 @@ TABULATED_CONFIG = {
     "j_policy": "middle",
 }
 # phi and phi2 are neither odd nor even, and w2 != 2: no term of the variance or of the
-# cross covariance is a parity zero, so every semicircle integral of the limit laws is taken
+# cross covariance is a parity zero, so every semicircle integral of the limit laws is taken.
+# Its 500 replicas are the fewest at which simulate runs the KS test (gaussian_limit_test).
 MIXED_PARITY_CONFIG = {
     "spec": {"entry_dist": {"kind": "uniform", "w": 1.1}, "convention": "general_diagonal", "w2": 1.5},
     "phi": {"kind": "polynomial", "coefficients": [0.0, 1.0, 0.0, 0.0, 1.0]},
     "phi2": {"kind": "gaussian_damped_polynomial", "coefficients": [0.0, 0.0, 1.0, 1.0],
              "envelope_width": 1.3},
     "n_list": [64, 128],
-    "replicas": 200,
+    "replicas": 500,
     "root_seed": SEED,
     "j_policy": "middle",
 }
