@@ -4,7 +4,7 @@ The conversion uses the standard partition recursion
 kappa_p = mu_p - sum_{m=1}^{p-1} C(p-1, m-1) kappa_m mu_{p-m},
 capped at order 8.  sample_cumulants returns the minimum-variance unbiased
 k-statistics k1..k4 with delete-1 jackknife standard errors computed from
-power sums in O(R).
+power sums in O(R), all in one power-of-two scale of the sample.
 """
 
 from __future__ import annotations
@@ -70,22 +70,9 @@ class SampleCumulants:
     k3: float
     k4: float
     se: tuple[float, float, float, float]
-    # leave-one-out k1..k4 of the centred sample, to jackknife functions of them
-    loo: tuple[np.ndarray, ...] = field(repr=False, compare=False)
-
-
-def k_statistics_loo(xc: np.ndarray) -> tuple[tuple, tuple]:
-    """k1..k4 of a (pre-centered) sample and their leave-one-out arrays.
-
-    Both come from the power sums s_p = sum xc^p: dropping observation i
-    leaves s_p - xc_i^p, so all R leave-one-out k-statistics cost O(R).
-    """
-    n = xc.size
-    powers = [xc, xc**2, xc**3, xc**4]
-    s = [float(np.sum(p)) for p in powers]
-    full = _k_stats_from_power_sums(*s, n)
-    loo = _k_stats_from_power_sums(*[s_p - p for s_p, p in zip(s, powers)], n - 1)
-    return full, loo
+    # (full, leave-one-out) k1..k4 of the centred sample in units of 2^e, where 2^e
+    # brings its largest deviation into [0.5, 1); to jackknife scale-free functions of them
+    unit: tuple[tuple, tuple] = field(repr=False, compare=False)
 
 
 def jackknife_spread(loo: np.ndarray) -> float:
@@ -97,18 +84,27 @@ def jackknife_spread(loo: np.ndarray) -> float:
 def sample_cumulants(data: Sequence[float]) -> SampleCumulants:
     """k-statistics k1..k4 with jackknife standard errors.
 
-    Requires len(data) >= 32, eight observations per k-statistic.  Data is
-    pre-centered by its mean before the power sums are formed (k2..k4 are
-    shift-invariant; the shift is added back to k1), which keeps the
-    power-sum formulas well conditioned.
+    Requires len(data) >= 32, eight observations per k-statistic.  The data
+    is centred by its mean (k2..k4 are shift-invariant; the shift is added back
+    to k1) and scaled by the power of two 2^-e that brings its largest
+    deviation into [0.5, 1), so no power sum leaves the float range; k_p and
+    its se are scaled back by 2^(p e), exactly wherever the result is a normal
+    float.  Dropping observation i
+    leaves the power sums s_p - x_i^p, so all R leave-one-out k-statistics cost O(R).
     """
     x = np.asarray(data, dtype=float).ravel()
     n = x.size
     if n < 32:
         raise ContractError(f"sample size {n} is below the required 32")
     shift = float(np.mean(x))
-    (k1, k2, k3, k4), loo = k_statistics_loo(x - shift)
-    return SampleCumulants(
-        k1=float(k1 + shift), k2=float(k2), k3=float(k3), k4=float(k4),
-        se=tuple(jackknife_spread(jk) for jk in loo), loo=loo,
-    )
+    xc = x - shift
+    e = int(np.frexp(np.max(np.abs(xc)))[1])
+    xc = np.ldexp(xc, -e)
+    powers = [xc, xc**2, xc**3, xc**4]
+    s = [float(np.sum(p)) for p in powers]
+    full = _k_stats_from_power_sums(*s, n)
+    loo = _k_stats_from_power_sums(*[s_p - p for s_p, p in zip(s, powers)], n - 1)
+    scale = e * np.arange(1, 5)
+    k1, k2, k3, k4 = np.ldexp(full, scale).tolist()
+    se = np.ldexp([jackknife_spread(jk) for jk in loo], scale)
+    return SampleCumulants(k1=k1 + shift, k2=k2, k3=k3, k4=k4, se=tuple(se.tolist()), unit=(full, loo))

@@ -31,7 +31,6 @@ import functools
 import hashlib
 import math
 import os
-import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -40,7 +39,7 @@ import numpy as np
 
 from . import spectral
 from .blas import single_blas_thread
-from .cumulants import SampleCumulants, jackknife_spread, k_statistics_loo, sample_cumulants
+from .cumulants import SampleCumulants, jackknife_spread, sample_cumulants
 from .ensembles import EnsembleSpec, SymmetricMatrix, sample_matrix
 from .errors import ConfigError, ContractError, NumericFailureError
 from .limits import LimitPrediction, cov_limit_wigner, limit_cf, limit_cumulants, var_limit
@@ -352,19 +351,13 @@ class ExperimentResult:
 
 
 def _excess_kurtosis_jackknife(y: np.ndarray, stats: SampleCumulants) -> tuple[float | None, float]:
-    """g2 = k4/k2^2 with delete-1 jackknife se, from the leave-one-out k-statistics of
-    stats = sample_cumulants(y); g2 is None for a sample whose values are all equal.
-
-    g2 does not depend on scale, so a sample whose k2^2 underflows is centred
-    again and scaled by a power of two that brings its largest magnitude into [0.5, 1).
+    """g2 = k4/k2^2 with delete-1 jackknife se, read off the k-statistics of
+    stats = sample_cumulants(y) in its power-of-two units, since g2 does not depend on
+    scale; g2 is None for a sample whose values are all equal.
     """
-    k2, k4, (_, k2i, _, k4i) = stats.k2, stats.k4, stats.loo
+    (_, k2, _, k4), (_, k2i, _, k4i) = stats.unit
     if y.min() == y.max():
         return None, 0.0  # degenerate sample: kurtosis undefined
-    if k2 * k2 < sys.float_info.min:
-        xc = y - y.mean()
-        xc = np.ldexp(xc, -np.frexp(np.max(np.abs(xc)))[1])
-        (_, k2, _, k4), (_, k2i, _, k4i) = k_statistics_loo(xc)
     return float(k4 / k2**2), jackknife_spread(k4i / k2i**2)
 
 

@@ -790,6 +790,24 @@ def test_simulate_tiny_scale_keeps_kurtosis_finite(tmp_path, capsys):
     assert all(math.isfinite(v) for v in per_n[0]["excess_kurtosis"])
 
 
+@pytest.mark.parametrize("c", [1e-45, 1e-100, 1e60])
+@pytest.mark.filterwarnings("error")
+def test_simulate_scaled_phi_writes_finite_statistics(tmp_path, capsys, c):
+    # the k-statistics and their jackknife se are formed in one power-of-two scale,
+    # so neither an underflowing se (an infinite z-score) nor an overflowing square stops the run
+    cfg = minimal_config(spec={"entry_dist": {"kind": "rademacher", "w": 1.0}},
+                         phi={"kind": "polynomial", "coefficients": [0, 0, 0, c]},
+                         n_list=[64], replicas=500, root_seed=7)
+    code = cli.run_cli(["simulate", "--config", str(write_config(tmp_path, cfg)),
+                        "--out", str(tmp_path / "s")])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    text = (tmp_path / "s" / "result.json").read_text()
+    assert "Infinity" not in text and "NaN" not in text
+    z = json.loads(text)["comparison"]["per_n"][0]
+    assert abs(z["z_variance"]) < 3.0
+
+
 def assert_finite_or_config_error(tmp_path, capsys, command, cfg, field):
     """Exit 0 with finite primary output and empty stderr, or exit 2 with a single-line
     ConfigError naming field and no output directory."""

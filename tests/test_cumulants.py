@@ -135,6 +135,17 @@ def test_sample_cumulants_requires_enough_data():
         cm.sample_cumulants(np.zeros(31))
 
 
+@pytest.mark.parametrize("e", [-260, -200, -100, 100, 200])
+def test_sample_cumulants_scale_exactly_by_powers_of_two(e):
+    # k_p and its se scale by 2^(p e) bit for bit, where the raw power sums or the
+    # jackknife squares of the scaled sample would leave the normal float range
+    y = np.random.default_rng(11).standard_normal(500) ** 3
+    plain, scaled = cm.sample_cumulants(y), cm.sample_cumulants(np.ldexp(y, e))
+    for p in (2, 3, 4):
+        assert getattr(scaled, f"k{p}") == math.ldexp(getattr(plain, f"k{p}"), p * e)
+        assert scaled.se[p - 1] == math.ldexp(plain.se[p - 1], p * e)
+
+
 def test_k_statistic_convergence_rate():
     # RMS error of k4 for a centered exponential (kappa4 = 6) decays ~ R^-1/2
     rng = np.random.default_rng(9)
