@@ -350,15 +350,21 @@ class ExperimentResult:
     lanczos_steps_max: int | None  # run metadata for the manifest: largest Jacobi matrix
 
 
-def _excess_kurtosis_jackknife(y: np.ndarray, stats: SampleCumulants) -> tuple[float | None, float]:
+def _excess_kurtosis_jackknife(y: np.ndarray, stats: SampleCumulants) -> tuple[float | None, float | None]:
     """g2 = k4/k2^2 with delete-1 jackknife se, read off the k-statistics of
     stats = sample_cumulants(y) in its power-of-two units, since g2 does not depend on
     scale; g2 is None for a sample whose values are all equal.
+
+    The se is None for a sample of two values, one of which occurs once:
+    dropping that one leaves an all-equal sample, whose g2 is undefined.
     """
     (_, k2, _, k4), (_, k2i, _, k4i) = stats.unit
-    if y.min() == y.max():
+    lo, hi = y.min(), y.max()
+    if lo == hi:
         return None, 0.0  # degenerate sample: kurtosis undefined
-    return float(k4 / k2**2), jackknife_spread(k4i / k2i**2)
+    counts = np.count_nonzero(y == lo), np.count_nonzero(y == hi)
+    se = None if sum(counts) == y.size and 1 in counts else jackknife_spread(k4i / k2i**2)
+    return float(k4 / k2**2), se
 
 
 def predict(cfg: ExperimentConfig) -> tuple[LimitPrediction, np.ndarray]:
@@ -377,7 +383,7 @@ def run_entry_experiment(cfg: ExperimentConfig, threads: int | None = None) -> E
     """Full estimation pipeline for one (phi, ensemble) pair over cfg.n_list.
 
     The record is result.json as written: per n the estimates (an undefined
-    kurtosis or KS statistic is None; covariance only with cfg.phi2), the
+    kurtosis, kurtosis se or KS statistic is None; covariance only with cfg.phi2), the
     prediction, the comparison, and cov_prediction with cfg.phi2.
     """
     threads = default_threads() if threads is None else threads

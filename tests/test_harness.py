@@ -433,6 +433,22 @@ def test_a_shared_statistic_is_degenerate_though_its_mean_rounds():
                             "degenerate": True}
 
 
+def test_one_odd_value_leaves_the_kurtosis_se_undefined():
+    # dropping the one nonzero diagonal entry leaves an all-equal sample: its leave-one-out
+    # k2 is a rounding residue, not 0, so the jackknife se would read about 1e17
+    dist = en.make_entry_distribution("discrete_custom", 1.0,
+                                      {"atoms": [-10.0, 0.0, 10.0], "probs": [0.005, 0.99, 0.005]})
+    cfg = hn.ExperimentConfig(spec=en.EnsembleSpec(entry_dist=dist), phi=monomial(1), n_list=(16,),
+                              replicas=100, root_seed=1)
+    record = hn.run_entry_experiment(cfg, threads=1).record["per_n"][0]
+    g2, se = record["excess_kurtosis"]
+    assert g2 == pytest.approx(100.0) and se is None
+    for y in (np.r_[1.0, np.zeros(499)], np.r_[np.zeros(499), -3.0]):
+        assert hn._excess_kurtosis_jackknife(y, hn.sample_cumulants(y))[1] is None
+    y = np.r_[1.0, 1.0, np.zeros(498)]  # two odd values: every leave-one-out g2 is defined
+    assert math.isfinite(hn._excess_kurtosis_jackknife(y, hn.sample_cumulants(y))[1])
+
+
 def test_wrong_prediction_is_detected():
     # feeding the GOE answer to a rademacher run must blow the z-score up
     cfg = hn.ExperimentConfig(
