@@ -113,8 +113,8 @@ def propagator_slices(dec: tuple[np.ndarray, np.ndarray], j: int,
                       times: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """Diagonals U_kk(t) and rows U_jk(t) over k for every t at once.
 
-    Returns (diag, row), complex arrays of shape (len(times), n).  Each distinct
-    time is computed once, from two real GEMMs against CS = [cos(lambda t) |
+    Returns (diag, row), complex arrays of shape (len(times), n), one row per
+    given time, from two real GEMMs against CS = [cos(lambda t) |
     sin(lambda t)]: (Q o Q) CS gives the diagonals and Q (q_j o CS) the rows,
     so U_jj(t) is row[:, j].  U(0) = I is exact, not round-off.
     """
@@ -123,19 +123,19 @@ def propagator_slices(dec: tuple[np.ndarray, np.ndarray], j: int,
     t = np.asarray(times, dtype=float)
     if not np.all(np.isfinite(t)):
         raise ContractError("times must be finite")
-    distinct, inverse = np.unique(t, return_inverse=True)
-    angles = np.multiply.outer(lam, distinct)
+    angles = np.multiply.outer(lam, t)
     cs = np.hstack([np.cos(angles), np.sin(angles)])  # (n, 2T)
-    k = distinct.size
+    k = t.size
     diag_cs = (q * q) @ cs
     row_cs = q @ (q[j, :, None] * cs)
-    diag = (diag_cs[:, :k] + 1j * diag_cs[:, k:]).T
-    row = (row_cs[:, :k] + 1j * row_cs[:, k:]).T
-    zero = distinct == 0.0
+    # one contiguous row per time, so the sums over k in lemma_statistics run pairwise
+    diag = (diag_cs[:, :k] + 1j * diag_cs[:, k:]).T.copy()
+    row = (row_cs[:, :k] + 1j * row_cs[:, k:]).T.copy()
+    zero = t == 0.0
     diag[zero] = 1.0
     row[zero] = 0.0
     row[zero, j] = 1.0
-    return diag[inverse], row[inverse]
+    return diag, row
 
 
 DECAY_STATISTICS = ("U_jj", "v_n", "v_n_pair", "v_n1", "v_n2")  # the columns of lemma_statistics
