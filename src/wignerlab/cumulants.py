@@ -89,8 +89,8 @@ def sample_cumulants(data: Sequence[float]) -> SampleCumulants:
     to k1) and scaled by the power of two 2^-e that brings its largest
     deviation into [0.5, 1), so no power sum leaves the float range; k_p and
     its se are scaled back by 2^(p e), exactly wherever the result is a normal
-    float.  Dropping observation i
-    leaves the power sums s_p - x_i^p, so all R leave-one-out k-statistics cost O(R).
+    float.  Dropping observation i leaves the power sums s_p - x_i^p, so all
+    R leave-one-out k-statistics cost O(R).
     """
     x = np.asarray(data, dtype=float).ravel()
     n = x.size
@@ -98,7 +98,7 @@ def sample_cumulants(data: Sequence[float]) -> SampleCumulants:
         raise ContractError(f"sample size {n} is below the required 32")
     shift = float(np.mean(x))
     xc = x - shift
-    e = int(np.frexp(np.max(np.abs(xc)))[1])
+    e = np.frexp(np.max(np.abs(xc)))[1]
     xc = np.ldexp(xc, -e)
     powers = [xc, xc**2, xc**3, xc**4]
     s = [float(np.sum(p)) for p in powers]
