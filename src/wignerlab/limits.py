@@ -1,15 +1,17 @@
 """Closed-form limiting laws for n^{1/2} (phi(M)_jj - E phi(M)_jj).
 
-For a test function phi and ensemble scale w, with <f> = Integral f rho_sc:
+Each law is a quadratic form in phi's Chebyshev-U coefficients a_k = <phi U_k(./2w)> on
+[-2w, 2w], <f> = Integral f rho_sc: the U_k(./2w) are orthonormal under rho_sc, so
+<phi> = a_0, I1 = <phi .> = w a_1 and I2 = <phi (w^2 - .^2)> = -w^2 a_2.  With b those of phi2:
 
-  v_goe        2 (<phi1 phi2> - <phi1><phi2>)
-  kappa4 term  (kappa4 / w^8) I2(phi1) I2(phi2),  I2(phi) = <phi (w^2 - .^2)>
-  diag term    (w2 - 2) w^-2 I1(phi1) I1(phi2),   I1(phi) = <phi .>
+  v_goe        2 sum_{k>=1} a_k b_k = 2 (<phi1 phi2> - <phi1><phi2>)
+  kappa4 term  (kappa4 / w^4) a_2 b_2
+  diag term    (w2 - 2) a_1 b_1
 
 The limiting characteristic function of the centered, sqrt(n)-scaled diagonal
 element is exp{(-x^2 V + w^2 x*^2)/2} f(x*), where V is the total limiting
 variance, f is the entry characteristic function, and x* = s x with
-s = sqrt(w2) I1(phi) / w^2 (sqrt(2) for the symmetric-diagonal conventions).
+s = sqrt(w2) a_1 / w (w2 = 2 for the symmetric-diagonal conventions).
 Structurally the limit is an independent Gaussian, of variance V - w^2 s^2,
 plus the rescaled diagonal entry, so kappa_l(limit) = kappa_l(entry) s^l for
 l >= 3.  var_limit and cov_limit_wigner sum the same three terms (_cov_terms).
@@ -22,10 +24,11 @@ import math
 
 import numpy as np
 
+from .blas import single_blas_thread
 from .cumulants import MAX_ORDER
 from .ensembles import EnsembleSpec, entry_cf
 from .errors import ContractError
-from .semicircle import TestFunction, check_coverage, gauss_chebyshev_u
+from .semicircle import DEFAULT_NODES, POLYNOMIAL, TestFunction, check_coverage, gauss_chebyshev_u
 
 _NEG_CLIP = 1e-12
 
@@ -50,46 +53,35 @@ class LimitPrediction:
         return d
 
 
-def _cov_terms(phi1, phi2, spec: EnsembleSpec):
-    """The GOE, fourth-cumulant and diagonal terms of the limiting n Cov, and I1(phi1).
-
-    Each phi is read once, at the nodes x of the semicircle rule, and every
-    integral is a weighted sum of those values: <phi>, I1 from phi x, I2 from
-    phi (w^2 - x^2), and <phi1 phi2> from the product.
-    The parity zeros are exact: I2 vanishes for odd phi and I1 for even phi, and the
-    GOE term for an odd and an even phi, so those terms are 0.0 without quadrature,
-    as is the diagonal term at w2 = 2.
-    Each correction is coef * (I(phi1) I(phi2)); for the variance (phi2 is phi1) it is
-    coef * I(phi)**2, one sum per integral.
-    A Python float product overflows to inf without raising, so terms whose sum
-    is not finite raise OverflowError.
-    """
-    w = spec.w
+def _u_coefficients(phi, w: float) -> np.ndarray:
+    """a_k = sum_i U_k(cos theta_i) weights_i phi(2w cos theta_i), k < N, on the semicircle rule,
+    U_k(cos theta) = sin((k+1) theta) / sin(theta); 0.0 where phi's data makes a_k zero:
+    U_k has the parity of k, and a polynomial has no a_k above its degree."""
+    check_coverage(phi, w)
+    k = np.arange(1, DEFAULT_NODES + 1, dtype=float)
+    theta = k * math.pi / (DEFAULT_NODES + 1)  # the angles of gauss_chebyshev_u
     x, weights = gauss_chebyshev_u(w)
+    with single_blas_thread():  # a threaded GEMV's bits depend on how its rows are split
+        a = (np.sin(np.outer(k, theta)) / np.sin(theta)) @ (weights * phi(x))
+    if phi.parity != "none":
+        a[phi.parity == "even"::2] = 0.0
+    if phi.kind == POLYNOMIAL:
+        a[phi.degree + 1:] = 0.0
+    return a
 
-    def read(phi):
-        check_coverage(phi, w)
-        return phi(x)
 
-    def integral(vals):
-        return float(np.sum(weights * vals))
-
-    same = phi2 is phi1
-    f1 = read(phi1)
-    f2 = f1 if same else read(phi2)
-    parities = (phi1.parity, phi2.parity)
-    i1 = 0.0 if phi1.parity == "even" else integral(f1 * x)
-    kappa4 = diag = 0.0
-    if "odd" not in parities:
-        i2 = integral(f1 * (w * w - x * x))
-        kappa4 = (spec.entry_dist.kappa4 / w**8) * (
-            i2**2 if same else i2 * integral(f2 * (w * w - x * x)))
-    if spec.w2 != 2.0 and "even" not in parities:
-        diag = ((spec.w2 - 2.0) / w**2) * (i1**2 if same else i1 * integral(f2 * x))
-    goe = 0.0 if set(parities) == {"odd", "even"} else 2.0 * (integral(f1 * f2) - integral(f1) * integral(f2))
-    if not math.isfinite(goe + kappa4 + diag):
-        raise OverflowError(f"limit terms {goe}, {kappa4}, {diag} leave the float range")
-    return (goe, kappa4, diag), i1
+def _cov_terms(phi1, phi2, spec: EnsembleSpec):
+    """The GOE, fourth-cumulant and diagonal terms of the limiting n Cov, and a_1 of phi1.
+    + 0.0 makes a zero product +0.0; terms whose sum is not finite raise OverflowError, since
+    a Python float product overflows to inf without raising."""
+    a = _u_coefficients(phi1, spec.w)
+    b = a if phi2 is phi1 else _u_coefficients(phi2, spec.w)
+    (a1, a2), (b1, b2) = a[1:3].tolist(), b[1:3].tolist()
+    terms = (2.0 * float(a[1:] @ b[1:]) + 0.0,
+             spec.entry_dist.kappa4 / spec.w**4 * a2 * b2 + 0.0, (spec.w2 - 2.0) * a1 * b1 + 0.0)
+    if not math.isfinite(sum(terms)):
+        raise OverflowError(f"limit terms {terms} leave the float range")
+    return terms, a1
 
 
 def cov_limit_wigner(phi1, phi2, spec: EnsembleSpec):
@@ -100,7 +92,7 @@ def cov_limit_wigner(phi1, phi2, spec: EnsembleSpec):
 
 def var_limit(phi: TestFunction, spec: EnsembleSpec) -> LimitPrediction:
     """Total limiting variance of the centered scaled diagonal element."""
-    (v_goe, kappa4_term, diag_term), i1 = _cov_terms(phi, phi, spec)
+    (v_goe, kappa4_term, diag_term), a1 = _cov_terms(phi, phi, spec)
     v_w = v_goe + kappa4_term + diag_term
     # relative to the terms' size: an exact zero can round to +-eps (|v_goe| + |kappa4_term|)
     size = abs(v_goe) + abs(kappa4_term) + abs(diag_term)
@@ -115,8 +107,8 @@ def var_limit(phi: TestFunction, spec: EnsembleSpec) -> LimitPrediction:
         kappa4_term=kappa4_term,
         diag_term=diag_term,
         v_w=max(v_w, 0.0),
-        # sqrt(w2) is sqrt(2) for the symmetric-diagonal conventions
-        xstar_slope=math.sqrt(spec.w2) * i1 / spec.w**2,
+        # w2 is 2 for the symmetric-diagonal conventions
+        xstar_slope=math.sqrt(spec.w2) * a1 / spec.w,
         spec=spec,
         phi_ref=phi.descriptor(),
     )

@@ -235,7 +235,9 @@ def _two_formula_oracle(phi1, phi2, spec):
 
 
 def _oracle_battery():
-    """Seeded (phi1, phi2, spec) triples over every entry kind and both diagonal conventions."""
+    """Seeded (phi1, phi2, spec) triples over every entry kind, the goe and both diagonal
+    conventions, and every kind of test function (a tabulated phi on a grid that is exactly
+    mirrored about 0)."""
     rng = np.random.default_rng(2011)
     specs = [
         rademacher_spec(),
@@ -248,17 +250,25 @@ def _oracle_battery():
         en.EnsembleSpec(entry_dist=en.make_entry_distribution("two_point", 1.0,
                                                               {"atoms": [-0.5, 2.0], "probs": [0.8, 0.2]}),
                         convention="general_diagonal", w2=0.5),
+        goe_spec(1.2),
+        en.EnsembleSpec(entry_dist=en.make_entry_distribution("gaussian", 0.9),
+                        convention="general_diagonal", w2=0.5),
     ]
+    grid = np.linspace(-3.0, 3.0, 13)
     for spec in specs:
         for k in range(40):
             phis = []
             for _ in range(2):
                 c = rng.uniform(-1, 1, size=rng.integers(1, 7))
+                values = rng.uniform(-1, 1, size=grid.size)
                 if k % 4 == 0:
                     c[1::2] = 0.0  # even
+                    values = (values + values[::-1]) / 2
                 elif k % 4 == 1:
                     c[0::2] = 0.0  # odd
-                phis.append(polynomial(c) if rng.random() < 0.5
+                    values = (values - values[::-1]) / 2
+                kind = rng.integers(3)
+                phis.append(polynomial(c) if kind == 0 else sc.tabulated(grid, values) if kind == 1
                             else gaussian_damped(c, float(rng.uniform(0.7, 1.5))))
             yield phis[0], phis[1], spec
 
@@ -270,13 +280,67 @@ def test_cov_limit_wigner_matches_two_formula_oracle():
         assert abs(got - expected) <= 1e-13 * max(1.0, abs(expected))
 
 
-def test_var_limit_terms_equal_oracle_diagonal_bit_for_bit():
+def test_var_limit_terms_match_oracle_diagonal():
+    """The variance terms and the slope hold the oracle's to 1e-13 of the terms' size (the
+    coefficient form sums in another order), and an oracle term of exactly 0.0 stays +0.0."""
     for phi, _, spec in _oracle_battery():
-        _, (v_goe, kappa4_term, diag_term, slope) = _two_formula_oracle(phi, phi, spec)
+        _, expected = _two_formula_oracle(phi, phi, spec)
         pred = lm.var_limit(phi, spec)
         got = (pred.v_goe, pred.kappa4_term, pred.diag_term, pred.xstar_slope)
-        assert [v.hex() for v in got] == [v.hex() for v in (v_goe, kappa4_term, diag_term, slope)]
-        assert pred.v_w == max(v_goe + kappa4_term + diag_term, 0.0)
+        size = max(1.0, sum(abs(v) for v in expected[:3]))
+        for value, oracle in zip(got, expected):
+            assert abs(value - oracle) <= 1e-13 * size
+            if oracle == 0.0:
+                assert value == 0.0 and math.copysign(1.0, value) == 1.0
+        total = pred.v_goe + pred.kappa4_term + pred.diag_term
+        clipped = abs(total) <= 1e-12 * sum(abs(v) for v in got[:3])  # var_limit's cancellation band
+        assert pred.v_w == (0.0 if clipped else max(total, 0.0))
+
+
+@pytest.mark.parametrize("w", [0.6, 1.0, 1.7])
+def test_u_coefficients_are_the_semicircle_integrals(w):
+    """<phi> = a_0, I1 = <phi x> = w a_1 and I2 = <phi (w^2 - x^2)> = -w^2 a_2, against a
+    1024-node rule for smooth phi and the package's rule, summed directly, for a tabulated one."""
+    fine = oracles.chebyshev_u_rule(w, 1024)
+    cases = [(phi, fine) for phi in (polynomial([0.3, -1.0, 0.5, 0.2, -0.1]), monomial(3),
+                                     gaussian_damped([0.2, 1.0, -0.4, 0.3], 0.9 * w),
+                                     gaussian_damped([1.0, 0.0, 2.0], 1.1 * w))]
+    grid = np.linspace(-4.0, 4.0, 9) * w
+    cases.append((sc.tabulated(grid, [0.9, -0.3, 0.4, 0.0, 0.6, 0.1, -0.8, 0.2, 0.5]),
+                  sc.gauss_chebyshev_u(w)))
+    for phi, (nodes, weights) in cases:
+        a = lm._u_coefficients(phi, w)
+        values = phi(nodes)
+        scale = float(np.sum(weights * np.abs(values))) * max(1.0, w * w)
+        for got, integrand in ((a[0], values), (w * a[1], values * nodes),
+                               (-w * w * a[2], values * (w * w - nodes**2))):
+            assert abs(got - float(np.sum(weights * integrand))) <= 1e-13 * scale
+
+
+def test_zero_terms_are_positive_zero():
+    """A term whose product is zero is +0.0 whatever its factors' signs, so JSON writes 0.0:
+    kappa4 < 0 times an odd phi's a_2 on Rademacher, w2 - 2 < 0 times an even phi's a_1, and
+    w2 - 2 = 0 times a_1 b_1 < 0 in a covariance at w2 = 2."""
+    diagonal = en.EnsembleSpec(entry_dist=en.make_entry_distribution("rademacher", 1.0),
+                               convention="general_diagonal", w2=0.5)
+    odd = lm.var_limit(polynomial([0.0, -1.0, 0.0, 1.0]), rademacher_spec())
+    even = lm.var_limit(polynomial([0.5, 0.0, -1.0]), diagonal)
+    phi1, phi2 = polynomial([0.0, 1.0, 1.0]), polynomial([0.0, -1.0, 1.0])
+    assert lm._u_coefficients(phi1, 1.0)[1] * lm._u_coefficients(phi2, 1.0)[1] < 0.0
+    cross_diag = lm._cov_terms(phi1, phi2, rademacher_spec())[0][2]
+    zeros = [odd.kappa4_term, odd.diag_term, even.diag_term, even.xstar_slope, cross_diag]
+    zeros += [lm.cov_limit_wigner(monomial(3), even_phi, spec) for even_phi in (monomial(4), polynomial([-1.0]))
+              for spec in (rademacher_spec(), three_point_spec(-1.0), diagonal)]
+    others = [odd.v_goe, odd.v_w, odd.xstar_slope, even.v_goe, even.kappa4_term, even.v_w]
+    assert zeros == [0.0] * len(zeros)
+    assert all(math.copysign(1.0, t) == 1.0 for t in zeros + [t for t in others if t == 0.0])
+
+
+@pytest.mark.parametrize("c", [10.0, 1e4, 1e8])
+def test_a_large_constant_leaves_the_variance(c):
+    """phi = c + x on Rademacher w = 1 has v_w = 2 at every c.  The GOE term is 2 a_1^2, so no
+    <phi^2> - <phi>^2 cancels (at c = 1e8 that difference read 0.0)."""
+    assert lm.var_limit(polynomial([c, 1.0]), rademacher_spec()).v_w == pytest.approx(2.0, rel=1e-6)
 
 
 @pytest.mark.parametrize("w", [0.1, 0.3, 1.1, 2.9])
