@@ -69,9 +69,7 @@ def test_same_outputs_runs_a_tabulated_phi_on_the_eigh_route(tmp_path):
     args, outputs = runs["simulate mixed parity"]
     assert outputs == ["result.json", "replicas.csv"]
     assert args[0] == "simulate" and "--raw" in args
-    config = args[args.index("--config") + 1]
-    assert runs["predict mixed parity"] == (["predict", "--config", config], ["prediction.json"])
-    cfg = cli.parse_config(config)
+    cfg = cli.parse_config(args[args.index("--config") + 1])
     assert (cfg.spec.entry_dist.kind, cfg.spec.w, cfg.spec.convention, cfg.spec.w2) == (
         "uniform", 1.1, "general_diagonal", 1.5)
     assert (cfg.n_list, cfg.replicas, cfg.j_policy) == ((64, 128), 500, "middle")
@@ -79,6 +77,32 @@ def test_same_outputs_runs_a_tabulated_phi_on_the_eigh_route(tmp_path):
     assert 0.0 not in (pred.v_goe, pred.kappa4_term, pred.diag_term, pred.xstar_slope)
     cross_terms, _ = limits._cov_terms(cfg.phi, cfg.phi2, cfg.spec)
     assert 0.0 not in cross_terms
+
+
+def test_same_outputs_predicts_the_mixed_parity_phis_under_every_entry_kind(tmp_path):
+    """Each kind's cumulants enter the limit law: one predict run per kind in ensembles.KINDS, on
+    the mixed-parity phis, with Gaussian entries under convention goe and every term of the
+    others nonzero."""
+    from wignerlab import cli, ensembles, harness, limits
+
+    runs = {label: (args, outputs) for label, args, outputs in same_outputs.runs(tmp_path)}
+    mixed = cli.parse_config(runs["simulate mixed parity"][0][2])
+    kinds = []
+    for kind in ensembles.KINDS:
+        args, outputs = runs[f"predict mixed parity {kind}"]
+        assert args[:2] == ["predict", "--config"] and outputs == ["prediction.json"]
+        cfg = cli.parse_config(args[2])
+        assert (cfg.phi.descriptor(), cfg.phi2.descriptor()) == (mixed.phi.descriptor(), mixed.phi2.descriptor())
+        assert (cfg.n_list, cfg.x_grid) == (mixed.n_list, mixed.x_grid)
+        kinds.append(cfg.spec.entry_dist.kind)
+        pred, _ = harness.predict(cfg)
+        cross_terms, _ = limits._cov_terms(cfg.phi, cfg.phi2, cfg.spec)
+        if kind == "gaussian":
+            assert cfg.spec.convention == "goe" and pred.kappa4_term == pred.diag_term == 0.0
+        else:
+            assert (cfg.spec.convention, cfg.spec.w2) == ("general_diagonal", 1.5)
+            assert 0.0 not in (pred.v_goe, pred.kappa4_term, pred.diag_term, *cross_terms)
+    assert kinds == list(ensembles.KINDS)
 
 
 def test_same_outputs_runs_the_ks_test(tmp_path):

@@ -5,8 +5,9 @@
 Builds the benchmark's four workloads at seed 301 through
 perfbench/workloads.make (read only), and runs each one, plus `predict` on the
 two simulate configs, `volterra` at its defaults, `simulate --raw` with a
-tabulated phi (TABULATED_CONFIG), and `simulate --raw` and `predict` with every
-limit term nonzero (MIXED_PARITY_CONFIG), once under this checkout's src/ and
+tabulated phi (TABULATED_CONFIG), `simulate --raw` with every limit term
+nonzero (MIXED_PARITY_CONFIG), and `predict` on that config's phis under one
+entry law of every kind (ENTRY_LAWS), once under this checkout's src/ and
 once under OTHER_CHECKOUT/src.  Every primary output must match byte for byte,
 and so must the manifest.json fields that identify the inputs (IDENTITY_FIELDS).
 The manifest is run metadata: any other field that differs is printed as a
@@ -66,6 +67,18 @@ MIXED_PARITY_CONFIG = {
     "j_policy": "middle",
 }
 
+# one entry law of each kind in ensembles.KINDS at MIXED_PARITY_CONFIG's w; Gaussian entries take
+# convention goe, the others MIXED_PARITY_CONFIG's general_diagonal w2 = 1.5.  Each kind's
+# cumulants enter the limit law, so predict on the mixed-parity phis compares all of them.
+ENTRY_LAWS = (
+    {"kind": "gaussian", "w": 1.1},
+    {"kind": "rademacher", "w": 1.1},
+    {"kind": "two_point", "w": 1.1, "params": {"atoms": [-0.55, 2.2], "probs": [0.8, 0.2]}},
+    {"kind": "uniform", "w": 1.1},
+    {"kind": "discrete_custom", "w": 1.1,
+     "params": {"atoms": [-1.65, 0.0, 1.65], "probs": [2 / 9, 5 / 9, 2 / 9]}},
+)
+
 
 def runs(work: Path) -> list[tuple[str, list[str], list[str]]]:
     """(label, CLI arguments without --out, primary outputs) of every run to compare."""
@@ -86,7 +99,12 @@ def runs(work: Path) -> list[tuple[str, list[str], list[str]]]:
     raw = ["--raw", "--threads", str(THREADS)]
     out.append(("simulate tabulated", ["simulate", "--config", str(tabulated), *raw], ["result.json", "replicas.csv"]))
     out.append(("simulate mixed parity", ["simulate", "--config", str(mixed), *raw], ["result.json", "replicas.csv"]))
-    out.append(("predict mixed parity", ["predict", "--config", str(mixed)], ["prediction.json"]))
+    for law in ENTRY_LAWS:
+        spec = {"entry_dist": law, "convention": "goe"} if law["kind"] == "gaussian" else {
+            **MIXED_PARITY_CONFIG["spec"], "entry_dist": law}
+        config = work / f"mixed-parity-{law['kind']}.json"
+        config.write_text(json.dumps({**MIXED_PARITY_CONFIG, "spec": spec}))
+        out.append((f"predict mixed parity {law['kind']}", ["predict", "--config", str(config)], ["prediction.json"]))
     return out
 
 
