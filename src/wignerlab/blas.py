@@ -1,7 +1,7 @@
 """One BLAS thread per compute phase.
 
 numpy and scipy each bundle their own OpenBLAS, multithreaded by default.
-Two phases run on one BLAS thread:
+Three phases run on one BLAS thread:
 
 - the replica phases of simulate and lemma (harness._parallel_map).  They
   already spread replicas over Python threads, and each of those driving a
@@ -11,6 +11,8 @@ Two phases run on one BLAS thread:
 - the residual table of volterra (volterra.residual_table).  Its covariance
   residual works on blocks of 64 time columns, too small for a second BLAS
   thread to save wall time; it only adds CPU time.
+- the Chebyshev-U coefficients of the limit law (limits._u_coefficients), a
+  128 x 128 GEMV whose bits could depend on how BLAS threads split it.
 
 single_blas_thread() sets both bundled copies to one thread for the duration
 of a phase, so a phase runs at the speed of the cores and its outputs depend

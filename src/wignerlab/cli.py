@@ -390,8 +390,9 @@ def _report_lines(path: str) -> list[str]:
                 comp = comparisons.get(p["n"], {})
                 ks = p["ks"].get("ks_stat")
                 ks_txt = f"{ks:.4f}" if isinstance(ks, float) and not np.isnan(ks) else "-"
-                lines.append(f"{p['n']:>6} {p['variance']:>12.6g} {p['variance_ci']:>10.3g} "
-                             f"{comp.get('z_variance', float('nan')):>8.2f} "
+                z = comp.get("z_variance", float("nan"))
+                z_txt = "-" if z is None else f"{z:.2f}"  # null: a zero CI against a nonzero gap
+                lines.append(f"{p['n']:>6} {p['variance']:>12.6g} {p['variance_ci']:>10.3g} {z_txt:>8} "
                              f"{p['k_stats']['k4'][0]:>12.6g} {ks_txt:>8}")
             return lines
         if isinstance(obj, dict) and "v_w" in obj:

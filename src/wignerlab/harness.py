@@ -454,9 +454,10 @@ def run_entry_experiment(cfg: ExperimentConfig, threads: int | None = None) -> E
                             lanczos_steps_max=max(lanczos_steps, default=None))
 
 
-def _safe_z(diff: float, ci: float) -> float:
+def _safe_z(diff: float, ci: float) -> float | None:
+    """diff / ci; 0.0 for a zero gap, and None (JSON null) for a zero CI with a nonzero gap."""
     if ci == 0.0:
-        return 0.0 if diff == 0.0 else math.inf
+        return 0.0 if diff == 0.0 else None
     return diff / ci
 
 
@@ -480,7 +481,7 @@ def compare_with_prediction_rows(per_n: Sequence[dict], prediction: LimitPredict
         row = {
             "n": p["n"],
             "z_variance": z_var,
-            "variance_ok": bool(abs(z_var) <= 3.0),
+            "variance_ok": bool(z_var is not None and abs(z_var) <= 3.0),
             "z_k3": _safe_z(k3 - kappas[2], 1.96 * k3_se),
             "z_k4": _safe_z(k4 - kappas[3], 1.96 * k4_se),
             "cf": cf_rows,
@@ -492,7 +493,8 @@ def compare_with_prediction_rows(per_n: Sequence[dict], prediction: LimitPredict
         rows.append(row)
     return {
         "per_n": rows,
-        "note": "finite-size bias is O(n^-1/2) and is not subtracted from the estimates",
+        "note": "finite-size bias is O(1/n) for the variance and up to O(n^-1/2) for the other "
+                "estimates, and is not subtracted from them",
     }
 
 

@@ -515,6 +515,30 @@ def test_predict_scaled_degenerate_variance_is_zero(tmp_path, scale):
     assert row["z_variance"] == 0.0 and row["variance_ok"] is True
 
 
+def test_simulate_writes_null_z_for_an_all_equal_sample_against_a_nonzero_limit(tmp_path, capsys):
+    """At n = 32 every y of this config is 0, so its variance, k-statistics and their CIs are 0
+    against a nonzero limit: each z-score with a nonzero gap is null (not Infinity), the
+    variance is not ok, and report prints "-" for its z."""
+    cfg = minimal_config(
+        spec={"entry_dist": {"kind": "discrete_custom", "w": 2.0,
+                             "params": {"atoms": [-20.0, 0.0, 20.0], "probs": [0.005, 0.99, 0.005]}}},
+        phi={"kind": "polynomial", "coefficients": [0.5, 1.0, 1e-200]}, n_list=[16, 32], replicas=100,
+        root_seed=15)
+    out = tmp_path / "s"
+    assert cli.run_cli(["simulate", "--config", str(write_config(tmp_path, cfg)), "--out", str(out),
+                        "--threads", "1"]) == 0
+    text = (out / "result.json").read_text()
+    assert "Infinity" not in text and "NaN" not in text
+    result = json.loads(text)
+    record, row = result["per_n"][1], result["comparison"]["per_n"][1]
+    assert record["n"] == 32 and record["variance"] == 0.0 and result["prediction"]["v_w"] > 0.0
+    assert (row["z_variance"], row["z_k4"], row["variance_ok"]) == (None, None, False)
+    capsys.readouterr()
+    assert cli.run_cli(["report", str(out / "result.json")]) == 0
+    line = capsys.readouterr().out.splitlines()[-1].split()
+    assert (line[0], line[3]) == ("32", "-")
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e8])
 def test_predict_negative_variance_exits_2(tmp_path, capsys, monkeypatch, scale):
     # kappa4 below the admissible floor cannot come from a real law; feed it raw
