@@ -61,7 +61,7 @@ def _u_coefficients(phi, w: float) -> np.ndarray:
     k = np.arange(1, DEFAULT_NODES + 1, dtype=float)
     theta = k * math.pi / (DEFAULT_NODES + 1)  # the angles of gauss_chebyshev_u
     x, weights = gauss_chebyshev_u(w)
-    with single_blas_thread():  # a threaded GEMV's bits depend on how its rows are split
+    with single_blas_thread():  # a threaded GEMV's bits can depend on how its rows are split
         a = (np.sin(np.outer(k, theta)) / np.sin(theta)) @ (weights * phi(x))
     if phi.parity != "none":
         a[phi.parity == "even"::2] = 0.0
