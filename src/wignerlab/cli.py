@@ -294,9 +294,10 @@ def _cmd_simulate(args) -> int:
 
 
 # Each grid of the volterra table holds O(points * (block + nodes)) complex values and takes
-# O(points^2 log points) time.  One 20001-point grid took 294 MiB peak RSS and 174 s on a
-# 2-core x86 host; this cap extrapolates to about 0.8 GiB and half an hour there.
+# O(points^2 nodes) time.  One 20001-point grid took 293 MiB peak RSS and 28 s on a
+# 2-core x86 host; this cap extrapolates to about 0.8 GiB and five minutes there.
 _VOLTERRA_MAX_POINTS = 2**16 + 1
+_VOLTERRA_MAX_WT = 90  # 128 semicircle nodes give v, v*v, v*v*v to round-off up to w t = 97
 
 
 def _volterra_steps(text: str, t_max: float) -> list[float]:
@@ -334,8 +335,8 @@ def _volterra_steps(text: str, t_max: float) -> list[float]:
 def _cmd_volterra(args) -> int:
     started = time.monotonic()
     h_values = _volterra_steps(args.h, args.t_max)
-    if not (math.isfinite(args.w) and args.w > 0):
-        raise ConfigError(f"--w: expected a positive finite number, got {args.w!r}", field="--w")
+    if not (args.w > 0 and args.w * args.t_max <= _VOLTERRA_MAX_WT):  # also rejects nan and inf
+        raise ConfigError(f"--w: expected 0 < w <= {_VOLTERRA_MAX_WT} / t_max, got {args.w!r}", field="--w")
     if not math.isfinite(args.kappa4):
         raise ConfigError(f"--kappa4: expected a finite number, got {args.kappa4!r}", field="--kappa4")
     # as numpy scalars, so that w * w overflowing raises instead of turning inf
@@ -344,7 +345,7 @@ def _cmd_volterra(args) -> int:
         with float_range("--kappa4"):
             rows = residual_table(h_values, w, kappa4, args.t_max)
     except ConfigError:
-        # kappa4 only scales one term: when the table leaves the float range without it, --w is at fault
+        # kappa4 only scales the vvv defect: when the table leaves the float range without it, --w is at fault
         with float_range("--w"):
             residual_table(h_values, w, np.float64(0.0), args.t_max)
         raise

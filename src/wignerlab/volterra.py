@@ -161,7 +161,7 @@ def phi_kernel_grid(f3: tuple[np.ndarray, ...], f2: tuple[np.ndarray, ...]) -> n
     the l = m diagonal uses the removable-singularity limit i t2 e^{i t2 l}.
     The divided-difference matrix is symmetric, so the inner rho-integral over
     m is the weighted divided difference of _edd_weighted.  f3 and f2 are the
-    grid_factors of the t3 and the t2 times, at one scale w.
+    grid_factors of the t3 and the t2 times at one scale w, f3 maybe mapped along t3.
     """
     return -1j * (f3[1] @ f2[0].T)
 
@@ -172,7 +172,7 @@ def cov_kernel_grid(f1: tuple[np.ndarray, ...], f2: tuple[np.ndarray, ...], w: f
 
     T3(t1, t2) = sum_j w_j a_j(t1) a_j(t2) is manifestly symmetric; a_j is the
     rho-weighted exponential divided difference against node j.  f1 and f2 are
-    the grid_factors of the t1 and the t2 times at scale w.
+    the grid_factors of the t1 and the t2 times at scale w, f1 maybe mapped along t1.
     """
     _, weights = gauss_chebyshev_u(w)
     t3_part = (f1[0] * weights) @ f2[0].T
@@ -188,30 +188,29 @@ _COLUMN_BLOCK = 64
 
 
 def coveq_residual(w: float, kappa4: float, grid: np.ndarray) -> float:
-    """Sup defect of the closed-form kernel in the discretized covariance equation.
+    """Sup defect of the closed-form kernel in the discretized covariance equation; O(h^2).
 
-    Builds the source A(t1, t2) = -2 w^2 Int_0^{t1} Phi(., t2) + kappa4 vvv(t2)
-    Int_0^{t1} vv, applies the discretized left side to the closed-form kernel
-    and returns the max absolute residual over the grid square; O(h^2).  Every
-    step along t1 is column-independent, so the square is walked in blocks of
-    _COLUMN_BLOCK t2 columns, each reading its rows of the grid's factors, and
-    memory is O(n (block + nodes)), not O(n^2).
+    The defect is L[Cov] - A, with L the discretized left side and the source A(t1, t2) =
+    -2 w^2 Int_0^{t1} Phi(., t2) + kappa4 vvv(t2) Int_0^{t1} vv.  L and Int_0^{t1} act on each
+    t2 column alone, so they go once per grid onto the kernels' t1 factors, kappa4's onto the
+    O(h^2) defect L vvv - Int vv; each block of _COLUMN_BLOCK t2 columns is then cov_kernel_grid
+    + 2 w^2 phi_kernel_grid of those and the block's rows of the grid factors, in O(n (block + nodes)).
     """
     g = np.asarray(grid, float)
     h = float(g[1] - g[0])
-    factors = grid_factors(g, w)
-    vv_integral = _cumtrapz(factors[2].astype(complex), h)
+    a, e, vv, vvv = grid_factors(g, w)
     kernel = (w * w * v_of_t(g, w)).astype(complex)
+    applied_a = np.empty_like(a)
+    for nodes in (slice(start, start + _COLUMN_BLOCK) for start in range(0, a.shape[1], _COLUMN_BLOCK)):
+        applied_a[:, nodes] = volterra_apply(kernel, a[:, nodes], h)
+        e[:, nodes] = _cumtrapz(e[:, nodes], h)  # e is read only through its t1 integral
+    t1_side = (applied_a, e, None, volterra_apply(kernel, vvv, h) - _cumtrapz(vv, h))
     block_sups = []
     for start in range(0, g.size - 1, _COLUMN_BLOCK):
         # a lone last column would run through GEMV, which rounds differently: the block before takes it
         cols = slice(start, start + _COLUMN_BLOCK if g.size - start - _COLUMN_BLOCK > 1 else g.size)
-        block = tuple(f[cols] for f in factors)
-        a_block = _cumtrapz(phi_kernel_grid(factors, block), h)
-        a_block *= -2.0 * w * w
-        a_block += kappa4 * np.multiply.outer(vv_integral, block[3])
-        lhs = volterra_apply(kernel, cov_kernel_grid(factors, block, w, kappa4), h)
-        lhs -= a_block
+        block = (a[cols], None, None, vvv[cols])
+        lhs = cov_kernel_grid(t1_side, block, w, kappa4) + 2.0 * w * w * phi_kernel_grid(t1_side, block)
         block_sups.append(np.max(np.abs(lhs)))
     return float(np.max(block_sups))
 

@@ -480,8 +480,10 @@ def coveq_residual_full_square(w: float, kappa4: float, grid: np.ndarray) -> flo
     """volterra.coveq_residual with every t1 x t2 array built on the whole grid square.
 
     The source A and the closed-form kernel come from the same formulas as
-    phi_kernel_grid and cov_kernel_grid, evaluated once over all columns; the
-    column-blocked residual must return the same float bit for bit.
+    phi_kernel_grid and cov_kernel_grid, evaluated once over all columns, and
+    the discretized left side and Int_0^{t1} act on the assembled t1 x t2
+    arrays.  coveq_residual applies them to the t1 factors instead, which
+    rounds differently: the two agree to 1e-13 max(1, w^2, |kappa4|).
     """
     g = np.asarray(grid, float)
     h = float(g[1] - g[0])

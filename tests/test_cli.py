@@ -1,13 +1,19 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from wignerlab import blas, cli, harness
 from wignerlab import ensembles as en
@@ -767,9 +773,10 @@ def test_exit_code_bad_volterra_arguments(tmp_path, capsys, args, error):
     (["--h", "nan"], "--h"),
     (["--h", "-1"], "--h"),
     (["--h", "0.03", "--t-max", "2"], "--h"),  # 2 / 0.03 is not a whole step count
-    (["--w", "1e200"], "--w"),  # w^4 overflows
+    (["--w", "1e200"], "--w"),  # w * t_max is past the 128-node rule
     (["--w", "1e-200"], "--w"),  # w^2 underflows to 0, so v*v = 0/0
-    (["--kappa4", "1e308"], "--kappa4"),  # the kappa4 vvv x vvv term overflows
+    # kappa4 times the vvv defect, which grows as t_max^2 at small w t, overflows
+    (["--w", "1e-5", "--t-max", "8e6", "--h", "8e6,4e6", "--kappa4", "1e308"], "--kappa4"),
     (["--w", "0"], "--w"),
     (["--w", "-1"], "--w"),
     (["--w", "nan"], "--w"),
@@ -783,6 +790,85 @@ def test_volterra_grid_errors_name_the_flag(tmp_path, capsys, args, field):
     assert (payload["error"], payload["field"]) == ("ConfigError", field)
     assert payload["message"].startswith(field)
     assert not (tmp_path / "v").exists()
+
+
+def volterra_coveq(tmp_path, *args) -> list[float]:
+    out = tmp_path / "-".join(args)
+    assert cli.run_cli(["volterra", "--h", "0.5,0.25", "--t-max", "1", *args, "--out", str(out)]) == 0
+    with (out / "volterra_residuals.csv").open() as fh:
+        return [float(r["residual"]) for r in csv.DictReader(fh) if r["case"] == "coveq"]
+
+
+@pytest.mark.filterwarnings("error")
+def test_volterra_huge_kappa4_scales_the_coveq_residual(tmp_path):
+    """kappa4 multiplies only the O(h^2) defect of vvv in the covariance equation, so even the
+    largest decades of kappa4 give a finite coveq residual, linear in kappa4."""
+    huge, tenth = volterra_coveq(tmp_path, "--kappa4", "1e308"), volterra_coveq(tmp_path, "--kappa4", "1e307")
+    assert all(math.isfinite(r) and r > 0 for r in huge)
+    assert huge == pytest.approx([10.0 * r for r in tenth], rel=1e-12)
+
+
+@pytest.mark.parametrize("w,t_max,code", [
+    ("45", "2", 0), ("90", "1", 0),  # w t_max = 90: the bound
+    ("45.5", "2", 2), ("90.01", "1", 2), ("300", "1", 2), ("1e30", "2", 2),
+])
+@pytest.mark.filterwarnings("error")
+def test_volterra_w_t_max_bound(tmp_path, capsys, w, t_max, code):
+    """A w * t_max past what the 128-node semicircle rule resolves exits 2 naming --w."""
+    h = f"{float(t_max) / 2!r},{float(t_max) / 4!r}"
+    out = tmp_path / "v"
+    assert cli.run_cli(["volterra", "--w", w, "--t-max", t_max, "--h", h, "--out", str(out)]) == code
+    if code:
+        payload = error_payload(capsys)
+        assert (payload["error"], payload["field"]) == ("ConfigError", "--w")
+        assert not out.exists()
+    else:
+        with (out / "volterra_residuals.csv").open() as fh:
+            assert all(math.isfinite(float(r["residual"])) for r in csv.DictReader(fh))
+
+
+def mostly(working, anything=st.floats()):
+    """Three draws in four from the working range, the rest from any float at all."""
+    return st.one_of(working, working, working, anything)
+
+
+@st.composite
+def volterra_flags(draw) -> list[str]:
+    """--h, --w, --kappa4 and --t-max, each mostly in its working range."""
+    t_max = draw(mostly(st.floats(1e-3, 1e3)))
+    step = mostly(st.integers(1, 48).map(lambda k: t_max / k))
+    steps = draw(st.lists(step, min_size=1, max_size=3, unique=True))
+    # a finer grid only costs time: the point cap has its own test
+    assume(all(not (math.isfinite(t_max / h) and 200 < t_max / h < 2**17) for h in steps if h > 0))
+    w = draw(mostly(st.floats(1e-3, 50.0)))
+    kappa4 = draw(mostly(st.floats(-10.0, 10.0)))
+    return [f"--h={','.join(repr(h) for h in steps)}", f"--w={w!r}", f"--kappa4={kappa4!r}",
+            f"--t-max={t_max!r}"]
+
+
+@settings(derandomize=True, max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(volterra_flags())
+def test_volterra_flags_fuzz(flags):
+    """Any --h, --w, --kappa4 and --t-max: exit 0 with finite residuals and quiet stderr, or
+    exit 2 or 3 with one JSON line naming the field; only order_estimate may read nan."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("always")  # a warning prints to the captured stderr
+        code = cli.run_cli(["volterra", *flags, "--out", tmp])
+        if code == 0:
+            with (Path(tmp) / "volterra_residuals.csv").open() as fh:
+                rows = list(csv.DictReader(fh))
+            manifest = (Path(tmp) / "manifest.json").read_text()
+    assert code in (0, 2, 3)
+    if code == 0:
+        assert err.getvalue() == ""
+        assert all(math.isfinite(float(r["residual"])) for r in rows)
+        assert all(not math.isinf(float(r["order_estimate"])) for r in rows)
+        assert "NaN" not in manifest and "Infinity" not in manifest
+    else:
+        line, = err.getvalue().splitlines()
+        assert json.loads(line)["field"]
 
 
 @pytest.mark.parametrize("command", ["predict", "simulate", "lemma"])

@@ -315,8 +315,27 @@ def test_coveq_residual_second_order(kappa4):
 @pytest.mark.parametrize("points", [51, 129, 201])  # inside one block; two blocks and a lone column; a remainder
 @pytest.mark.parametrize("w,kappa4", [(1.0, -2.0), (1.07, -0.9), (0.5, 0.0), (2.3, 1.5)])
 def test_coveq_residual_blocks_match_full_square(points, w, kappa4):
+    """The factored, column-blocked residual matches the whole-square oracle to 1e-13 of
+    the left side's scale max(1, w^2, |kappa4|); a planted wrong kappa4 sign misses it."""
     grid = vt.uniform_grid((points - 1) * 0.01, 0.01)
-    assert vt.coveq_residual(w, kappa4, grid) == oracles.coveq_residual_full_square(w, kappa4, grid)
+    bound = 1e-13 * max(1.0, w * w, abs(kappa4))
+    oracle = oracles.coveq_residual_full_square(w, kappa4, grid)
+    assert abs(vt.coveq_residual(w, kappa4, grid) - oracle) <= bound
+    if kappa4:
+        assert abs(vt.coveq_residual(w, -kappa4, grid) - oracle) > bound
+
+
+@pytest.mark.parametrize("points,columns", [(2, 1), (51, 3), (201, 64), (1601, 128)])
+def test_time_operators_commute_with_t2_factors(points, columns):
+    """volterra_apply and _cumtrapz act on each column alone, so applying them to F and then
+    multiplying by B equals applying them to F @ B: the identity coveq_residual rests on."""
+    rng = np.random.default_rng([points, columns])
+    h = 2.0 / max(points - 1, 1)
+    q, f, b = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+               for shape in (points, (points, 128), (128, columns)))
+    for op in (lambda x: vt.volterra_apply(q, x, h), lambda x: vt._cumtrapz(x, h)):
+        direct = op(f @ b)
+        assert np.max(np.abs(op(f) @ b - direct)) <= 1e-13 * np.max(np.abs(direct))
 
 
 @pytest.mark.parametrize("points", [129, 1601])  # a lone last column; the benchmark's finest step
