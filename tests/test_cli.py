@@ -827,9 +827,9 @@ def test_volterra_w_t_max_bound(tmp_path, capsys, w, t_max, code):
             assert all(math.isfinite(float(r["residual"])) for r in csv.DictReader(fh))
 
 
-def mostly(working, anything=st.floats()):
+def mostly(working):
     """Three draws in four from the working range, the rest from any float at all."""
-    return st.one_of(working, working, working, anything)
+    return st.one_of(working, working, working, st.floats())
 
 
 @st.composite
