@@ -1,10 +1,10 @@
-"""Moment-to-cumulant conversion and k-statistics.
+"""Moment-to-cumulant conversion, k-statistics, and the unit every sample estimator reads.
 
 The conversion uses the standard partition recursion
-kappa_p = mu_p - sum_{m=1}^{p-1} C(p-1, m-1) kappa_m mu_{p-m},
-capped at order 8.  sample_cumulants returns the minimum-variance unbiased
-k-statistics k1..k4 with delete-1 jackknife standard errors computed from
-power sums in O(R), all in one power-of-two scale of the sample.
+kappa_p = mu_p - sum_{m=1}^{p-1} C(p-1, m-1) kappa_m mu_{p-m}, capped at order 8.
+unit_sample centres a sample and scales it by a power of two; sample_cumulants' k-statistics,
+and harness' covariance jackknife and KS test, read the sample in these units, and the jackknifes
+drop observation i from a power sum s_p as s_p - x_i^p, so all R leave-one-out values cost O(R).
 """
 
 from __future__ import annotations
@@ -70,9 +70,18 @@ class SampleCumulants:
     k3: float
     k4: float
     se: tuple[float, float, float, float]
-    # (full, leave-one-out) k1..k4 of the centred sample in units of 2^e, where 2^e
-    # brings its largest deviation into [0.5, 1); to jackknife scale-free functions of them
+    # (full, leave-one-out) k1..k4 of unit_sample(data), to jackknife scale-free functions of them
     unit: tuple[tuple, tuple] = field(repr=False, compare=False)
+
+
+def unit_sample(data) -> tuple[np.ndarray, float, int]:
+    """(x - mean) 2^-e, the mean and e, where 2^e brings the largest deviation of the sample x
+    into [0.5, 1): no power sum of these units leaves the float range; x 2^k has them bit for bit."""
+    x = np.asarray(data, dtype=float).ravel()
+    shift = float(np.mean(x))
+    xc = x - shift
+    e = int(np.frexp(np.max(np.abs(xc)))[1])
+    return np.ldexp(xc, -e), shift, e
 
 
 def jackknife_spread(loo: np.ndarray) -> float:
@@ -82,24 +91,14 @@ def jackknife_spread(loo: np.ndarray) -> float:
 
 
 def sample_cumulants(data: Sequence[float]) -> SampleCumulants:
-    """k-statistics k1..k4 with jackknife standard errors.
-
-    Requires len(data) >= 32, eight observations per k-statistic.  The data
-    is centred by its mean (k2..k4 are shift-invariant; the shift is added back
-    to k1) and scaled by the power of two 2^-e that brings its largest
-    deviation into [0.5, 1), so no power sum leaves the float range; k_p and
-    its se are scaled back by 2^(p e), exactly wherever the result is a normal
-    float.  Dropping observation i leaves the power sums s_p - x_i^p, so all
-    R leave-one-out k-statistics cost O(R).
-    """
-    x = np.asarray(data, dtype=float).ravel()
-    n = x.size
+    """k-statistics k1..k4 with jackknife standard errors, from the power sums s_p of
+    unit_sample(data) and their leave-one-out values s_p - x_i^p; len(data) >= 32 is required,
+    eight observations per k-statistic.  The mean is added back to k1, and k_p and its se are
+    scaled back by 2^(p e), exactly wherever the result is a normal float."""
+    n = np.size(data)
     if n < 32:
         raise ContractError(f"sample size {n} is below the required 32")
-    shift = float(np.mean(x))
-    xc = x - shift
-    e = np.frexp(np.max(np.abs(xc)))[1]
-    xc = np.ldexp(xc, -e)
+    xc, shift, e = unit_sample(data)
     powers = [xc, xc**2, xc**3, xc**4]
     s = [float(np.sum(p)) for p in powers]
     full = _k_stats_from_power_sums(*s, n)

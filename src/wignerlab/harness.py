@@ -39,7 +39,7 @@ import numpy as np
 
 from . import spectral
 from .blas import single_blas_thread
-from .cumulants import SampleCumulants, jackknife_spread, sample_cumulants
+from .cumulants import SampleCumulants, jackknife_spread, sample_cumulants, unit_sample
 from .ensembles import EnsembleSpec, SymmetricMatrix, sample_matrix
 from .errors import ConfigError, ContractError, NumericFailureError
 from .limits import LimitPrediction, cov_limit_wigner, limit_cf, limit_cumulants, var_limit
@@ -309,9 +309,8 @@ def gaussian_limit_test(samples: Sequence[float]) -> dict:
 
     pass iff ks <= 1.63/sqrt(R); approximate because the parameters are
     fitted.  A sample whose values are all equal is reported degenerate, not
-    failed, with ks_stat None.  The statistic does not depend on scale, so the
-    sample is first scaled by a power of two that brings its largest magnitude
-    into [0.5, 1): its mean, deviations and sd then scale exactly, and none underflows.
+    failed, with ks_stat None.  The statistic does not depend on shift or scale, so
+    it reads cumulants.unit_sample(samples), in which no deviation or sd underflows.
     """
     from scipy.special import ndtr  # loaded on first use: runs below 500 replicas never call it
 
@@ -321,7 +320,7 @@ def gaussian_limit_test(samples: Sequence[float]) -> dict:
     threshold = KS_COEFFICIENT / math.sqrt(y.size)
     if y.min() == y.max():
         return {"ks_stat": None, "threshold": threshold, "passed": None, "degenerate": True}
-    y = np.ldexp(y, -np.frexp(np.max(np.abs(y)))[1])
+    y = unit_sample(y)[0]
     z = np.sort((y - np.mean(y)) / np.std(y, ddof=1))
     cdf = ndtr(z)
     i = np.arange(1, y.size + 1)
@@ -330,12 +329,15 @@ def gaussian_limit_test(samples: Sequence[float]) -> dict:
 
 
 def _jackknife_cov(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
-    """(sample covariance, delete-1 jackknife se)."""
-    r = a.size
-    sa, sb, sab = float(a.sum()), float(b.sum()), float((a * b).sum())
+    """(sample covariance, delete-1 jackknife se) from the sums of the unit samples of a and b
+    (cumulants.unit_sample), scaled back by 2^(e_a + e_b): a constant term cancels nothing."""
+    (ua, _, ea), (ub, _, eb) = unit_sample(a), unit_sample(b)
+    r = ua.size
+    sa, sb, sab = float(ua.sum()), float(ub.sum()), float((ua * ub).sum())
     cov = (sab - sa * sb / r) / (r - 1)
-    sa_i, sb_i, sab_i = sa - a, sb - b, sab - a * b
-    return cov, jackknife_spread((sab_i - sa_i * sb_i / (r - 1)) / (r - 2))
+    sa_i, sb_i, sab_i = sa - ua, sb - ub, sab - ua * ub
+    se = jackknife_spread((sab_i - sa_i * sb_i / (r - 1)) / (r - 2))
+    return tuple(np.ldexp([cov, se], ea + eb).tolist())
 
 
 # ---------------------------------------------------------------------------

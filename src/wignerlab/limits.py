@@ -28,7 +28,7 @@ from .blas import single_blas_thread
 from .cumulants import MAX_ORDER
 from .ensembles import EnsembleSpec, entry_cf
 from .errors import ContractError
-from .semicircle import DEFAULT_NODES, POLYNOMIAL, TestFunction, check_coverage, gauss_chebyshev_u
+from .semicircle import DEFAULT_NODES, POLYNOMIAL, RULE_ANGLES, TestFunction, check_coverage, gauss_chebyshev_u
 
 _NEG_CLIP = 1e-12
 
@@ -59,10 +59,9 @@ def _u_coefficients(phi, w: float) -> np.ndarray:
     U_k has the parity of k, and a polynomial has no a_k above its degree."""
     check_coverage(phi, w)
     k = np.arange(1, DEFAULT_NODES + 1, dtype=float)
-    theta = k * math.pi / (DEFAULT_NODES + 1)  # the angles of gauss_chebyshev_u
     x, weights = gauss_chebyshev_u(w)
     with single_blas_thread():  # a threaded GEMV's bits can depend on how its rows are split
-        a = (np.sin(np.outer(k, theta)) / np.sin(theta)) @ (weights * phi(x))
+        a = (np.sin(np.outer(k, RULE_ANGLES)) / np.sin(RULE_ANGLES)) @ (weights * phi(x))
     if phi.parity != "none":
         a[phi.parity == "even"::2] = 0.0
     if phi.kind == POLYNOMIAL:

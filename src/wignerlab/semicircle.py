@@ -22,6 +22,8 @@ import numpy as np
 from .errors import ContractError
 
 DEFAULT_NODES = 128
+# the rule's angles k pi / (N + 1), k = 1..N: its nodes are 2w cos of them
+RULE_ANGLES = np.arange(1, DEFAULT_NODES + 1, dtype=float) * math.pi / (DEFAULT_NODES + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -161,10 +163,8 @@ def gauss_chebyshev_u(w: float) -> tuple[np.ndarray, np.ndarray]:
     """The DEFAULT_NODES-node rule (nodes, weights) at scale w, built on each call."""
     if w <= 0:
         raise ContractError("scale w must be positive")
-    k = np.arange(1, DEFAULT_NODES + 1, dtype=float)
-    theta = k * math.pi / (DEFAULT_NODES + 1)
-    nodes = 2.0 * float(w) * np.cos(theta)
-    weights = (2.0 / (DEFAULT_NODES + 1)) * np.sin(theta) ** 2
+    nodes = 2.0 * float(w) * np.cos(RULE_ANGLES)
+    weights = (2.0 / (DEFAULT_NODES + 1)) * np.sin(RULE_ANGLES) ** 2
     return nodes, weights
 
 

@@ -921,6 +921,28 @@ def test_simulate_scaled_phi_writes_finite_statistics(tmp_path, capsys, c):
     assert abs(z["z_variance"]) < 3.0
 
 
+def test_simulate_covariance_ignores_a_constant_term(tmp_path):
+    """c + x^3 against c + x^4: the covariance is formed on the centred power-of-two units of
+    the two samples, so c moves it by rounding alone.  The raw sums read [82.13, 2724.6] at
+    c = 1e8, with z_covariance 0.030, against [-0.18946, 0.44083] and -0.430 at c = 0."""
+    def covariance(c: float) -> tuple[list[float], float]:
+        cfg = minimal_config(spec={"entry_dist": {"kind": "rademacher", "w": 1.0}},
+                             phi={"kind": "polynomial", "coefficients": [c, 0, 0, 1]},
+                             phi2={"kind": "polynomial", "coefficients": [c, 0, 0, 0, 1]},
+                             n_list=[64], replicas=400, root_seed=5)
+        out = tmp_path / f"c{c:g}"
+        assert cli.run_cli(["simulate", "--config", str(write_config(tmp_path, cfg)), "--out", str(out),
+                            "--threads", "1"]) == 0
+        result = json.loads((out / "result.json").read_text())
+        return result["per_n"][0]["covariance"], result["comparison"]["per_n"][0]["z_covariance"]
+
+    (cov, ci), z = covariance(0.0)
+    assert cov == pytest.approx(-0.18946, abs=1e-5) and ci == pytest.approx(0.44083, abs=1e-5)
+    for c in (1e4, 1e8):
+        (cov_c, _), z_c = covariance(c)
+        assert abs(cov_c - cov) <= 1e-6 * ci and abs(z_c - z) <= 1e-6, c
+
+
 def assert_finite_or_config_error(tmp_path, capsys, command, cfg, field):
     """Exit 0 with finite primary output and empty stderr, or exit 2 with a single-line
     ConfigError naming field and no output directory."""

@@ -8,12 +8,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from wignerlab import ensembles as en
 from wignerlab import harness as hn
 from wignerlab import limits as lm
 from wignerlab import spectral as sp
+from wignerlab.cumulants import jackknife_spread
 from wignerlab.errors import ConfigError, ContractError
 from wignerlab.semicircle import gaussian_damped, monomial, polynomial, tabulated
 
@@ -118,6 +121,107 @@ def test_gaussian_limit_test_calibration():
     assert out["degenerate"] is True and out["passed"] is None
     with pytest.raises(ContractError):
         hn.gaussian_limit_test(np.zeros(100))
+
+
+# ---------------------------------------------------------------------------
+# the covariance jackknife and the KS test on the unit sample
+# ---------------------------------------------------------------------------
+
+
+def two_sum_cov(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+    """The covariance jackknife as it was, on the raw sums: sum ab - sum a sum b / R, which
+    cancels every digit of a constant term; the reference where no such term is large."""
+    r = a.size
+    sa, sb, sab = float(a.sum()), float(b.sum()), float((a * b).sum())
+    cov = (sab - sa * sb / r) / (r - 1)
+    sa_i, sb_i, sab_i = sa - a, sb - b, sab - a * b
+    return cov, jackknife_spread((sab_i - sa_i * sb_i / (r - 1)) / (r - 2))
+
+
+def max_scaled_ks(y: np.ndarray) -> float:
+    """The KS statistic as it was: y scaled by the power of two that brings its largest
+    magnitude, not its largest deviation, into [0.5, 1)."""
+    from scipy.special import ndtr
+
+    y = np.ldexp(y, -np.frexp(np.max(np.abs(y)))[1])
+    z = np.sort((y - np.mean(y)) / np.std(y, ddof=1))
+    cdf = ndtr(z)
+    i = np.arange(1, y.size + 1)
+    return float(np.max(np.maximum(i / y.size - cdf, cdf - (i - 1) / y.size)))
+
+
+BATTERY_LAWS = (("gaussian", None, "goe"), ("rademacher", None, "paper_symmetric"),
+                ("two_point", {"atoms": [-0.5, 2.0], "probs": [0.8, 0.2]}, "paper_symmetric"),
+                ("uniform", None, "paper_symmetric"),
+                ("discrete_custom", {"atoms": [-1.5, 0.0, 1.5], "probs": [2 / 9, 5 / 9, 2 / 9]},
+                 "paper_symmetric"))
+BATTERY_PHIS = (polynomial([0.3, -1.0, 0.5, 0.2]), gaussian_damped([0.5, 1.0, -0.4], 1.2),
+                tabulated([-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0], [0.9, -0.3, 0.4, 0.0, 0.6, 0.1, -0.8]))
+
+
+def test_unit_covariance_and_ks_match_the_raw_formulas_on_the_battery():
+    """Every entry kind, a polynomial, damped and tabulated phi, and three seeds, at n = 16 and
+    R = 500: where no constant term is large, the covariance and its se hold the raw two-sum
+    formulas to 1e-13 sqrt(k2_a k2_b) (3.8e-15 seen), and the KS statistic of the centred
+    sample holds the largest-magnitude scaling to 1e-14 (1.1e-16 seen)."""
+    assert {kind for kind, _, _ in BATTERY_LAWS} == set(en.KINDS)
+    for kind, params, convention in BATTERY_LAWS:
+        spec = en.EnsembleSpec(entry_dist=en.make_entry_distribution(kind, 1.0, params), convention=convention)
+        for seed in (1, 2, 3):
+            values, _ = hn.matrix_element_samples(spec, 16, 0, BATTERY_PHIS, seed, 500)
+            for i in range(3):
+                a, b = values[:, i], values[:, (i + 1) % 3]
+                scale = math.sqrt(np.var(a, ddof=1) * np.var(b, ddof=1))
+                for got, want in zip(hn._jackknife_cov(a, b), two_sum_cov(a, b)):
+                    assert abs(got - want) <= 1e-13 * scale, (kind, seed, i)
+                y = 4.0 * (a - a.mean())
+                assert abs(hn.gaussian_limit_test(y)["ks_stat"] - max_scaled_ks(y)) <= 1e-14, (kind, seed, i)
+
+
+@pytest.mark.parametrize("kind,convention", [("gaussian", "goe"), ("rademacher", "paper_symmetric"),
+                                             ("uniform", "paper_symmetric")])
+def test_covariance_ignores_a_constant_term(kind, convention):
+    """phi(M)_jj + c rounds each value by at most c eps / 2, which moves the covariance by at
+    most about c eps (sd_a + sd_b): the raw two sums read 0.0 here at c = 1e8, against a
+    covariance of 0.012.  The se matches a brute-force jackknife of np.cov."""
+    spec = en.EnsembleSpec(entry_dist=en.make_entry_distribution(kind, 1.0), convention=convention)
+    eps = np.finfo(float).eps
+    for seed in (1, 2, 3):
+        values, _ = hn.matrix_element_samples(spec, 32, 0, [monomial(3), monomial(4)], seed, 200)
+        a, b = values[:, 0], values[:, 1]
+        cov, se = hn._jackknife_cov(a, b)
+
+        def np_cov(rows: np.ndarray) -> float:  # jackknife_se passes the replica indices as floats
+            rows = rows.astype(int)
+            return np.cov(a[rows], b[rows])[0, 1]
+
+        brute, brute_se = oracles.jackknife_se(np.arange(a.size), np_cov)
+        assert cov == pytest.approx(brute, rel=1e-12) and se == pytest.approx(brute_se, rel=1e-12)
+        spread = np.std(a, ddof=1) + np.std(b, ddof=1)
+        for c in (1e4, 1e8):
+            for got, want in zip(hn._jackknife_cov(a + c, b + c), (cov, se)):
+                assert abs(got - want) <= c * eps * spread, (seed, c)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), r=st.integers(32, 2000),
+       exponents=st.tuples(st.integers(-150, 150), st.integers(-150, 150)),
+       offsets=st.tuples(st.floats(0.0, 1e12), st.floats(0.0, 1e12)), k=st.integers(-12, 12))
+def test_unit_estimators_scale_exactly_by_powers_of_two(seed, r, exponents, offsets, k):
+    """a and b of magnitude 1e-150..1e150, offset from 0 by up to 1e12 of their spread: scaling
+    either by 2^k scales the covariance and its se by 2^k bit for bit, the covariance matches
+    np.cov of the centred samples, and the KS statistic keeps its bits."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(r)
+    y = 0.6 * x + 0.8 * rng.standard_normal(r)
+    a, b = 10.0 ** exponents[0] * (offsets[0] + x), 10.0 ** exponents[1] * (offsets[1] + y)
+    cov, se = hn._jackknife_cov(a, b)
+    assert hn._jackknife_cov(np.ldexp(a, k), b) == (math.ldexp(cov, k), math.ldexp(se, k))
+    assert hn._jackknife_cov(a, np.ldexp(b, -k)) == (math.ldexp(cov, -k), math.ldexp(se, -k))
+    ac, bc = a - a.mean(), b - b.mean()
+    assert abs(cov - np.cov(ac, bc)[0, 1]) <= 1e-12 * np.std(ac, ddof=1) * np.std(bc, ddof=1)
+    if r >= 500:  # the fewest samples gaussian_limit_test takes
+        assert hn.gaussian_limit_test(np.ldexp(a, k))["ks_stat"] == hn.gaussian_limit_test(a)["ks_stat"]
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,26 @@ def test_same_outputs_runs_the_ks_test(tmp_path):
     assert max(replicas) >= 500
 
 
+def test_same_outputs_runs_the_mixed_parity_config_with_a_large_constant(tmp_path):
+    """OFFSET_CONFIG is MIXED_PARITY_CONFIG with 1e6 added to the constant of its polynomial phi,
+    run by simulate at 500 replicas, so its covariance and its KS test are both compared."""
+    from wignerlab import cli
+
+    runs = {label: (args, outputs) for label, args, outputs in same_outputs.runs(tmp_path)}
+    args, outputs = runs["simulate offset"]
+    assert outputs == ["result.json", "replicas.csv"]
+    assert args[0] == "simulate" and "--raw" in args
+    offset = json.loads(Path(args[args.index("--config") + 1]).read_text())
+    mixed = same_outputs.MIXED_PARITY_CONFIG
+    assert offset == same_outputs.OFFSET_CONFIG
+    assert {**offset, "phi": None} == {**mixed, "phi": None}
+    constant, *rest = offset["phi"]["coefficients"]
+    assert offset["phi"]["kind"] == mixed["phi"]["kind"] == "polynomial"
+    assert (constant, rest) == (mixed["phi"]["coefficients"][0] + 1e6, mixed["phi"]["coefficients"][1:])
+    cfg = cli.parse_config(args[args.index("--config") + 1])
+    assert cfg.phi2 is not None and cfg.replicas >= 500
+
+
 RESULT = {"per_n": [{"n": 64, "variance": 9.87, "k_stats": {"k3": [0.25, 0.5]}, "ks": {"ks_stat": None},
                      "samples_hash": "aa"},
                     {"n": 128, "variance": 10.01, "k_stats": {"k3": [-0.125, 0.375]}, "ks": {"ks_stat": None},

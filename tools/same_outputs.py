@@ -6,8 +6,9 @@ Builds the benchmark's four workloads at seed 301 through
 perfbench/workloads.make (read only), and runs each one, plus `predict` on the
 two simulate configs, `volterra` at its defaults, `simulate --raw` with a
 tabulated phi (TABULATED_CONFIG), `simulate --raw` with every limit term
-nonzero (MIXED_PARITY_CONFIG), and `predict` on that config's phis under one
-entry law of every kind (ENTRY_LAWS), once under this checkout's src/ and
+nonzero (MIXED_PARITY_CONFIG) and with a large constant term in its phi
+(OFFSET_CONFIG), and `predict` on that config's phis under one entry law of
+every kind (ENTRY_LAWS), once under this checkout's src/ and
 once under OTHER_CHECKOUT/src.  Every primary output must match byte for byte,
 and so must the manifest.json fields that identify the inputs (IDENTITY_FIELDS).
 The manifest is run metadata: any other field that differs is printed as a
@@ -66,6 +67,12 @@ MIXED_PARITY_CONFIG = {
     "root_seed": SEED,
     "j_policy": "middle",
 }
+# MIXED_PARITY_CONFIG with 1e6 added to the constant coefficient of its polynomial phi: the
+# sample covariance and the KS test must read the spread of phi(M)_jj, not cancel the constant
+OFFSET_CONFIG = {**MIXED_PARITY_CONFIG, "phi": {
+    "kind": "polynomial",
+    "coefficients": [MIXED_PARITY_CONFIG["phi"]["coefficients"][0] + 1e6,
+                     *MIXED_PARITY_CONFIG["phi"]["coefficients"][1:]]}}
 
 # one entry law of each kind in ensembles.KINDS at MIXED_PARITY_CONFIG's w; Gaussian entries take
 # convention goe, the others MIXED_PARITY_CONFIG's general_diagonal w2 = 1.5.  Each kind's
@@ -96,9 +103,12 @@ def runs(work: Path) -> list[tuple[str, list[str], list[str]]]:
     tabulated, mixed = work / "simulate-tabulated.json", work / "mixed-parity.json"
     tabulated.write_text(json.dumps(TABULATED_CONFIG))
     mixed.write_text(json.dumps(MIXED_PARITY_CONFIG))
+    offset = work / "offset.json"
+    offset.write_text(json.dumps(OFFSET_CONFIG))
     raw = ["--raw", "--threads", str(THREADS)]
     out.append(("simulate tabulated", ["simulate", "--config", str(tabulated), *raw], ["result.json", "replicas.csv"]))
     out.append(("simulate mixed parity", ["simulate", "--config", str(mixed), *raw], ["result.json", "replicas.csv"]))
+    out.append(("simulate offset", ["simulate", "--config", str(offset), *raw], ["result.json", "replicas.csv"]))
     for law in ENTRY_LAWS:
         spec = {"entry_dist": law, "convention": "goe"} if law["kind"] == "gaussian" else {
             **MIXED_PARITY_CONFIG["spec"], "entry_dist": law}
