@@ -411,11 +411,15 @@ def _load_config(args) -> ExperimentConfig:
     return dataclasses.replace(cfg, root_seed=_seed(args.seed, "--seed"))
 
 
+_MAX_THREADS = 64  # eight times default_threads' cap: every replica thread is an OS thread
+
+
 def _replica_threads(args) -> int:
     if args.threads is None:
         return default_threads()
-    if args.threads < 1:
-        raise ConfigError(f"--threads: expected a positive integer, got {args.threads}", field="--threads")
+    if not 1 <= args.threads <= _MAX_THREADS:
+        raise ConfigError(f"--threads: expected an integer in 1..{_MAX_THREADS}, got {args.threads}",
+                          field="--threads")
     return args.threads
 
 

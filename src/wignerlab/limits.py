@@ -15,6 +15,7 @@ s = sqrt(w2) a_1 / w (w2 = 2 for the symmetric-diagonal conventions).
 Structurally the limit is an independent Gaussian, of variance V - w^2 s^2,
 plus the rescaled diagonal entry, so kappa_l(limit) = kappa_l(entry) s^l for
 l >= 3.  var_limit and cov_limit_wigner sum the same three terms (_cov_terms).
+This module holds the law's algebra only: semicircle.u_coefficients makes the a_k.
 """
 
 from __future__ import annotations
@@ -24,11 +25,10 @@ import math
 
 import numpy as np
 
-from .blas import single_blas_thread
 from .cumulants import MAX_ORDER
 from .ensembles import EnsembleSpec, entry_cf
 from .errors import ContractError
-from .semicircle import DEFAULT_NODES, POLYNOMIAL, RULE_ANGLES, TestFunction, check_coverage, gauss_chebyshev_u
+from .semicircle import TestFunction, u_coefficients
 
 _NEG_CLIP = 1e-12
 
@@ -53,28 +53,12 @@ class LimitPrediction:
         return d
 
 
-def _u_coefficients(phi, w: float) -> np.ndarray:
-    """a_k = sum_i U_k(cos theta_i) weights_i phi(2w cos theta_i), k < N, on the semicircle rule,
-    U_k(cos theta) = sin((k+1) theta) / sin(theta); 0.0 where phi's data makes a_k zero:
-    U_k has the parity of k, and a polynomial has no a_k above its degree."""
-    check_coverage(phi, w)
-    k = np.arange(1, DEFAULT_NODES + 1, dtype=float)
-    x, weights = gauss_chebyshev_u(w)
-    with single_blas_thread():  # a threaded GEMV's bits can depend on how its rows are split
-        a = (np.sin(np.outer(k, RULE_ANGLES)) / np.sin(RULE_ANGLES)) @ (weights * phi(x))
-    if phi.parity != "none":
-        a[phi.parity == "even"::2] = 0.0
-    if phi.kind == POLYNOMIAL:
-        a[phi.degree + 1:] = 0.0
-    return a
-
-
 def _cov_terms(phi1, phi2, spec: EnsembleSpec):
     """The GOE, fourth-cumulant and diagonal terms of the limiting n Cov, and a_1 of phi1.
     + 0.0 makes a zero product +0.0; terms whose sum is not finite raise OverflowError, since
     a Python float product overflows to inf without raising."""
-    a = _u_coefficients(phi1, spec.w)
-    b = a if phi2 is phi1 else _u_coefficients(phi2, spec.w)
+    a = u_coefficients(phi1, spec.w)
+    b = a if phi2 is phi1 else u_coefficients(phi2, spec.w)
     (a1, a2), (b1, b2) = a[1:3].tolist(), b[1:3].tolist()
     terms = (2.0 * float(a[1:] @ b[1:]) + 0.0,
              spec.entry_dist.kappa4 / spec.w**4 * a2 * b2 + 0.0, (spec.w2 - 2.0) * a1 * b1 + 0.0)
@@ -106,8 +90,8 @@ def var_limit(phi: TestFunction, spec: EnsembleSpec) -> LimitPrediction:
         kappa4_term=kappa4_term,
         diag_term=diag_term,
         v_w=max(v_w, 0.0),
-        # w2 is 2 for the symmetric-diagonal conventions
-        xstar_slope=math.sqrt(spec.w2) * a1 / spec.w,
+        # w2 is 2 for the symmetric-diagonal conventions; + 0.0 keeps an underflow +0.0
+        xstar_slope=math.sqrt(spec.w2) * a1 / spec.w + 0.0,
         spec=spec,
         phi_ref=phi.descriptor(),
     )

@@ -7,7 +7,8 @@ self-convolutions of v used by the limiting covariance kernels.
 Quadrature is Gauss-Chebyshev of the second kind: after lambda = 2w cos(theta)
 the semicircle weight is exactly the Chebyshev-U weight, so an N-node rule
 integrates polynomials of degree <= 2N - 1 exactly.  Every semicircle integral
-in the package uses the one DEFAULT_NODES-node rule.
+in the package uses the one DEFAULT_NODES-node rule, and at its nodes a test
+function's Chebyshev-U coefficients are one sine transform (u_coefficients).
 """
 
 from __future__ import annotations
@@ -175,6 +176,37 @@ def check_coverage(phi: Callable, w: float) -> None:
             raise ContractError(
                 f"tabulated grid [{phi.grid[0]}, {phi.grid[-1]}] does not cover [-{2*w}, {2*w}]"
             )
+
+
+def u_coefficients(phi: TestFunction, w: float) -> np.ndarray:
+    """phi's Chebyshev-U coefficients a_k = sum_i weights_i phi(x_i) U_k(x_i / 2w), k < N, on the rule.
+
+    With f_i = (phi(x_i) - c) sin(theta_i), a_{k-1} = c [k = 1] + 2/(N+1) sum_i f_i sin(k theta_i), a
+    type-I sine transform taken by an FFT of f's odd extension: the centre c = <phi> enters a_0 alone
+    (sum_i weights_i U_k(x_i) = [k = 0]), so its rounding reaches no other a_k.  The a_k that phi's
+    data make zero are +0.0.  FloatingPointError where phi's node values are all equal but its data
+    vary on [-2w, 2w]: the variation is below their float resolution."""
+    check_coverage(phi, w)
+    x, weights = gauss_chebyshev_u(w)
+    values = phi(x)
+    flat = bool(np.all(values == values[0]))
+    if flat and phi.kind == TABULATED:
+        varies = np.ptp(phi(np.clip(phi.grid, -2.0 * w, 2.0 * w))) > 0.0
+    else:  # a Gaussian envelope varies wherever its polynomial is not zero
+        varies = flat and any(phi.coefficients[1:] if phi.kind == POLYNOMIAL else phi.coefficients)
+    if varies:
+        raise FloatingPointError(f"phi's variation on [-{2 * w}, {2 * w}] is below the float "
+                                 f"resolution of its values, which all read {float(values[0])!r}")
+    c = float(values[0] if flat else weights @ values)
+    f = (values - c) * np.sin(RULE_ANGLES)
+    spectrum = np.fft.rfft(np.concatenate(([0.0], f, [0.0], -f[::-1])))  # of f's odd extension
+    a = -spectrum.imag[1:DEFAULT_NODES + 1] / (DEFAULT_NODES + 1) + 0.0  # + 0.0: a zero is +0.0, not -0.0
+    a[0] += c
+    if phi.parity != "none":
+        a[phi.parity == "even"::2] = 0.0
+    if phi.kind == POLYNOMIAL:
+        a[phi.degree + 1:] = 0.0
+    return a
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ import pytest
 from wignerlab import blas
 
 
-def counts():
-    return [get() for get, _ in blas._controls()]
+def count():
+    get, _ = blas._controls()
+    return get()
 
 
 requires_openblas = pytest.mark.skipif(not blas._controls(), reason="no bundled OpenBLAS found")
@@ -15,26 +16,25 @@ requires_openblas = pytest.mark.skipif(not blas._controls(), reason="no bundled 
 
 @requires_openblas
 def test_phase_pins_one_thread_and_restores():
-    before = counts()
-    for _, set_ in blas._controls():
-        set_(2)
+    _, set_ = blas._controls()
+    before = count()
+    set_(2)
     try:
         with blas.single_blas_thread():
-            assert counts() == [1] * len(before)
-        assert counts() == [2] * len(before)
+            assert count() == 1
+        assert count() == 2
         with pytest.raises(RuntimeError):
             with blas.single_blas_thread():
                 raise RuntimeError("phase failed")
-        assert counts() == [2] * len(before)
+        assert count() == 2
     finally:
-        for (_, set_), count in zip(blas._controls(), before):
-            set_(count)
+        set_(before)
 
 
 @requires_openblas
 def test_concurrent_phases_share_one_pin():
     """More phases than cores enter and leave at once; none sees the count restored early."""
-    before = counts()
+    before = count()
     seen, errors = [], []
     start = threading.Barrier(8)
 
@@ -43,7 +43,7 @@ def test_concurrent_phases_share_one_pin():
             start.wait(timeout=10)
             for _ in range(200):
                 with blas.single_blas_thread():
-                    seen.append(counts())
+                    seen.append(count())
         except Exception as exc:  # noqa: BLE001 - surfaced by the assertion below
             errors.append(exc)
 
@@ -60,6 +60,6 @@ def test_concurrent_phases_share_one_pin():
     assert not any(w.is_alive() for w in workers)
     assert not errors
     assert len(seen) == 8 * 200
-    assert all(c == [1] * len(before) for c in seen)
-    assert counts() == before
+    assert all(c == 1 for c in seen)
+    assert count() == before
 

@@ -345,6 +345,24 @@ def test_volterra_identical_across_blas_threads(tmp_path):
             for out in outs.values()} == {blas.replica_blas_threads()}
 
 
+def test_predict_identical_across_blas_threads(tmp_path):
+    """predict runs no BLAS phase: its coefficients are one FFT, whatever OPENBLAS_NUM_THREADS."""
+    cfg = minimal_config(spec={"entry_dist": {"kind": "uniform", "w": 1.1}, "convention": "general_diagonal",
+                               "w2": 1.5},
+                         phi={"kind": "gaussian_damped_polynomial", "coefficients": [0.3, 1.0, 0.5, 1.0],
+                              "envelope_width": 1.3})
+    cfg_path = write_config(tmp_path, cfg)
+    outs = []
+    for blas_threads in (1, 2):
+        env = dict(package_env(), OPENBLAS_NUM_THREADS=str(blas_threads))
+        out = tmp_path / f"blas{blas_threads}"
+        subprocess.run([sys.executable, "-m", "wignerlab.cli", "predict", "--config", str(cfg_path),
+                        "--out", str(out)], env=env, check=True, timeout=120, stdout=subprocess.DEVNULL)
+        outs.append(out)
+    assert (outs[0] / "prediction.json").read_bytes() == (outs[1] / "prediction.json").read_bytes()
+    assert [json.loads((out / "manifest.json").read_text())["blas_threads"] for out in outs] == [None, None]
+
+
 def test_volterra_zero_residual_has_no_order(tmp_path):
     # at this scale the scalar v-equation residual is exactly 0 at h = 0.5
     code = cli.run_cli(["volterra", "--w", "1e-5", "--h", "0.5,0.25", "--t-max", "1",
@@ -718,6 +736,20 @@ def test_exit_code_bad_threads_and_seed_arguments(tmp_path, capsys, command, fla
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "lemma"])
+def test_threads_above_the_bound_exit_2(tmp_path, capsys, command):
+    """--threads above 64 exits 2 naming --threads before any replica runs, and 64 is accepted.
+    The 100 replicas bound the threads a run that ignored the bound would start."""
+    cfg_path = write_config(tmp_path, minimal_config(n_list=[16, 32, 64, 128], replicas=100))
+    out = tmp_path / "x"
+    assert cli.run_cli([command, "--config", str(cfg_path), "--threads", "65", "--out", str(out)]) == 2
+    payload = error_payload(capsys)
+    assert (payload["error"], payload["field"]) == ("ConfigError", "--threads")
+    assert "1..64" in payload["message"]
+    assert not out.exists()
+    assert cli._replica_threads(cli._build_parser().parse_args([command, "--config", "c", "--threads", "64"])) == 64
+
+
 @pytest.mark.parametrize("command", ["predict", "simulate", "lemma"])
 @pytest.mark.parametrize("phi2", [
     {"kind": "gaussian_damped_polynomial", "coefficients": [1, 0, 1], "envelope_width": 0},
@@ -866,6 +898,75 @@ def test_volterra_flags_fuzz(flags):
         assert all(math.isfinite(float(r["residual"])) for r in rows)
         assert all(not math.isinf(float(r["order_estimate"])) for r in rows)
         assert "NaN" not in manifest and "Infinity" not in manifest
+    else:
+        line, = err.getvalue().splitlines()
+        assert json.loads(line)["field"]
+
+
+def log_uniform(low: float, high: float):
+    """Floats whose decimal exponent is uniform on [low, high]."""
+    return st.floats(low, high).map(lambda e: 10.0**e)
+
+
+def coefficient():
+    """0, or a magnitude from 1e-300 to 1e300 of either sign."""
+    return st.one_of(st.just(0.0), st.builds(lambda sign, m: sign * m, st.sampled_from([-1.0, 1.0]),
+                                             log_uniform(-300.0, 300.0)))
+
+
+@st.composite
+def predict_configs(draw) -> dict:
+    """A predict config of any entry kind and convention (goe with Gaussian entries, which it
+    requires), w from 1e-30 to 1e30, and any kind of phi with coefficients (or table values)
+    from 0 to 1e300 in magnitude, of either sign."""
+    kind = draw(st.sampled_from(en.KINDS))
+    w = draw(st.one_of(st.just(1.0), log_uniform(-30.0, 30.0)))
+    law = {"kind": kind, "w": w}
+    if kind == "two_point":
+        law["params"] = {"atoms": [-0.5 * w, 2.0 * w], "probs": [0.8, 0.2]}
+    elif kind == "discrete_custom":
+        law["params"] = {"atoms": [-1.5 * w, 0.0, 1.5 * w], "probs": [2 / 9, 5 / 9, 2 / 9]}
+    convention = draw(st.sampled_from(en.CONVENTIONS if kind == "gaussian" else ("paper_symmetric",
+                                                                              "general_diagonal")))
+    spec = {"entry_dist": law, "convention": convention}
+    if convention == "general_diagonal":
+        spec["w2"] = draw(st.one_of(st.just(1.0), log_uniform(-3.0, 3.0)))
+    phi_kind = draw(st.sampled_from(["polynomial", "gaussian_damped_polynomial", "tabulated"]))
+    if phi_kind == "tabulated":
+        points = draw(st.integers(2, 9))
+        half_width = 2.0 * w * draw(st.sampled_from([1.0, 1.5, 4.0]))
+        phi = {"kind": phi_kind, "grid": [half_width * (2.0 * i / (points - 1) - 1.0) for i in range(points)],
+               "values": draw(st.lists(coefficient(), min_size=points, max_size=points))}
+    else:
+        phi = {"kind": phi_kind, "coefficients": draw(st.lists(coefficient(), min_size=1, max_size=6))}
+        if phi_kind == "gaussian_damped_polynomial":
+            phi["envelope_width"] = w * draw(st.one_of(st.just(1.0), log_uniform(-3.0, 3.0)))
+    return minimal_config(spec=spec, phi=phi, replicas=100, n_list=[16])
+
+
+LIMIT_TERMS = ("v_goe", "kappa4_term", "diag_term", "v_w", "xstar_slope")
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(predict_configs())
+def test_predict_config_fuzz(cfg):
+    """Any predict config: exit 0 with quiet stderr and finite limit terms, none of them -0.0,
+    or exit 2 with one JSON line naming the field."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()), warnings.catch_warnings():
+        warnings.simplefilter("always")  # a warning prints to the captured stderr
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(cfg))
+        code = cli.run_cli(["predict", "--config", str(config), "--out", str(Path(tmp) / "out")])
+        text = (Path(tmp) / "out" / "prediction.json").read_text() if code == 0 else None
+    assert code in (0, 2)
+    if code == 0:
+        assert err.getvalue() == ""
+        assert "NaN" not in text and "Infinity" not in text
+        pred = json.loads(text)
+        terms = {k: pred[k] for k in LIMIT_TERMS}
+        assert all(math.isfinite(v) and not (v == 0.0 and math.copysign(1.0, v) < 0) for v in terms.values()), terms
     else:
         line, = err.getvalue().splitlines()
         assert json.loads(line)["field"]
@@ -1065,6 +1166,52 @@ def test_overflowing_limit_term_is_config_error(tmp_path, capsys, command, where
     assert not out.exists()
 
 
+BELOW_RESOLUTION = [  # (entry law, phi) whose node values are all equal though phi is not constant
+    ({"kind": "uniform", "w": 0.5}, {"kind": "polynomial", "coefficients": [-1e100, -1.0]}),
+    ({"kind": "uniform", "w": 1e-30}, {"kind": "polynomial", "coefficients": [1e154, -1e100, 0, 0, -0.5]}),
+    ({"kind": "rademacher", "w": 1.0}, {"kind": "gaussian_damped_polynomial", "coefficients": [1.0],
+                                        "envelope_width": 1e100}),
+    # a hat of half-width 0.01 about 0, between the two nodes nearest 0 (+-2 sin(pi / 258))
+    ({"kind": "rademacher", "w": 1.0}, {"kind": "tabulated", "grid": [-3.0, -0.01, 0.0, 0.01, 3.0],
+                                        "values": [0.0, 0.0, 1.0, 0.0, 0.0]}),
+]
+
+
+@pytest.mark.parametrize("command,where", [("predict", "phi"), ("simulate", "phi"), ("simulate", "phi2")])
+@pytest.mark.parametrize("law,phi", BELOW_RESOLUTION, ids=["offset", "tiny-w", "flat-envelope", "hat"])
+@pytest.mark.filterwarnings("error")
+def test_phi_below_the_float_resolution_is_config_error(tmp_path, capsys, command, where, law, phi):
+    """A phi whose values at the semicircle rule's nodes are all equal, though its data are not
+    constant on [-2w, 2w], exits 2 naming it: its limit law would read v_w = 0.0 (or, before the
+    sine transform, the rounding of its constant, 4.0e167 for -1e100 - x)."""
+    cfg = minimal_config(spec={"entry_dist": law}, n_list=[16], replicas=100)
+    cfg.update({where: phi} if where == "phi" else {"phi": {"kind": "polynomial", "coefficients": [0, 1]},
+                                                    "phi2": phi})
+    out = tmp_path / "x"
+    assert cli.run_cli([command, "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
+    payload = error_payload(capsys)
+    assert (payload["error"], payload["field"]) == ("ConfigError", f"config.{where}")
+    assert "below the float resolution of its values" in payload["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("phi", [
+    {"kind": "polynomial", "coefficients": [1e307]},
+    {"kind": "polynomial", "coefficients": [-1e307, 0.0, 0.0]},
+    {"kind": "gaussian_damped_polynomial", "coefficients": [0.0], "envelope_width": 1e-3},
+    {"kind": "tabulated", "grid": [-3.0, 3.0], "values": [1e307, 1e307]},
+])
+def test_constant_phi_predicts_zero_variance(tmp_path, phi):
+    """A constant phi, however large, has v_w = 0.0 and a CF of 1: its node values are all equal
+    and so are its data, and the constant enters a_0 alone."""
+    cfg = minimal_config(spec={"entry_dist": {"kind": "rademacher", "w": 1.0}}, phi=phi)
+    out = tmp_path / "p"
+    assert cli.run_cli(["predict", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
+    pred = json.loads((out / "prediction.json").read_text())
+    assert [pred[k] for k in ("v_goe", "kappa4_term", "diag_term", "v_w", "xstar_slope")] == [0.0] * 5
+    assert all(row[1:] == [1.0, 0.0] for row in pred["cf"])
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_simulate_replica_overflow_prints_one_json_line(tmp_path, threads):
     """Each simulate replica evaluates phi under the config.phi float-range guard, set in the
@@ -1161,17 +1308,21 @@ def test_cli_import_leaves_scipy_integrate_out():
 
 
 SCIPY_PROBE = """
-import json, sys
+import json, os, sys
 import wignerlab.cli as cli
 code = cli.run_cli(sys.argv[1:]) if len(sys.argv) > 1 else 0
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("scipy"))]))
+maps = open("/proc/self/maps").read().splitlines() if os.path.exists("/proc/self/maps") else None
+libs = None if maps is None else sorted({line.split()[-1] for line in maps if "scipy.libs" in line})
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("scipy")), libs]))
 """
 
 
 @pytest.mark.parametrize("command", [None, "predict", "simulate"])
 def test_cli_start_up_loads_no_scipy(tmp_path, command):
     """Importing wignerlab.cli, predict, and simulate below 500 replicas load no scipy module:
-    scipy.special and scipy.fft are imported where lemma, volterra and the KS test call them."""
+    scipy.special and scipy.fft are imported where lemma, volterra and the KS test call them.
+    Nor do they map scipy's bundled OpenBLAS (checked where /proc/self/maps exists): the BLAS
+    pin reads numpy's copy only."""
     env = package_env()
     argv = []
     if command is not None:
@@ -1179,7 +1330,11 @@ def test_cli_start_up_loads_no_scipy(tmp_path, command):
         argv = [command, "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "o")]
     out = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *argv], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
-    assert json.loads(out.splitlines()[-1]) == [0, []]
+    code, modules, libs = json.loads(out.splitlines()[-1])
+    assert [code, modules] == [0, []]
+    if libs is None:
+        pytest.skip("no /proc/self/maps to read the mapped libraries from")
+    assert libs == []
 
 
 @pytest.mark.parametrize("command", ["predict", "simulate", "lemma"])

@@ -309,12 +309,119 @@ def test_u_coefficients_are_the_semicircle_integrals(w):
     cases.append((sc.tabulated(grid, [0.9, -0.3, 0.4, 0.0, 0.6, 0.1, -0.8, 0.2, 0.5]),
                   sc.gauss_chebyshev_u(w)))
     for phi, (nodes, weights) in cases:
-        a = lm._u_coefficients(phi, w)
+        a = sc.u_coefficients(phi, w)
         values = phi(nodes)
         scale = float(np.sum(weights * np.abs(values))) * max(1.0, w * w)
         for got, integrand in ((a[0], values), (w * a[1], values * nodes),
                                (-w * w * a[2], values * (w * w - nodes**2))):
             assert abs(got - float(np.sum(weights * integrand))) <= 1e-13 * scale
+
+
+def _exact_transform(phi, w, digits=30):
+    """phi's a_k from the package's own float node values, summed at `digits` digits with the
+    rule's exact weights and angles: a_k = sum_i (2/(N+1)) sin(theta_i) sin((k+1) theta_i) phi(x_i),
+    theta_i = i pi / (N+1).  The a_k that phi's data make zero are 0.0, as in the package."""
+    import mpmath
+
+    n = sc.DEFAULT_NODES
+    with mpmath.workdps(digits):
+        sines = [mpmath.sin(m * mpmath.pi / (n + 1)) for m in range(2 * (n + 1))]  # sin(m pi/(N+1)), m mod 2(N+1)
+        nodes, _ = sc.gauss_chebyshev_u(w)
+        weighted = [2 * sines[i] * mpmath.mpf(float(v)) / (n + 1)
+                    for i, v in zip(range(1, n + 1), phi(nodes))]
+        ref = np.array([float(mpmath.fsum(f * sines[(k * i) % (2 * (n + 1))]
+                                          for i, f in zip(range(1, n + 1), weighted)))
+                        for k in range(1, n + 1)])
+    if phi.parity != "none":
+        ref[phi.parity == "even"::2] = 0.0
+    if phi.kind == sc.POLYNOMIAL:
+        ref[phi.degree + 1:] = 0.0
+    return ref
+
+
+def _transform_battery():
+    """Every kind of test function, none of them with parity, and a polynomial plus a large constant."""
+    grid = np.linspace(-4.0, 4.0, 9)
+    base = [0.3, -1.0, 0.5, 0.2, -0.1]
+    phis = [polynomial(base), gaussian_damped([0.2, 1.0, -0.4, 0.3], 0.9),
+            gaussian_damped([1.0, 0.5, 2.0], 1.7),
+            sc.tabulated(grid, [0.9, -0.3, 0.4, 0.0, 0.6, 0.1, -0.8, 0.2, 0.5])]
+    phis += [polynomial([base[0] + c, *base[1:]]) for c in (1e4, 1e6, 1e8)]
+    return phis
+
+
+@pytest.mark.parametrize("w", [0.6, 1.0, 1.7])
+def test_u_coefficients_match_an_exact_transform_of_the_node_values(w):
+    """The sine transform rounds to 1e-15 of max |a_k| (the table-times-values product reached
+    8.7e-15), and a large constant rounds into a_0 alone: the other a_k keep 1e-15 of their own
+    size.  Parity and degree zeros are exactly +0.0."""
+    for phi in _transform_battery():
+        a, ref = sc.u_coefficients(phi, w), _exact_transform(phi, w)
+        assert np.max(np.abs(a - ref)) <= 1e-15 * np.max(np.abs(ref)), phi.descriptor()
+        assert np.max(np.abs(a[1:] - ref[1:])) <= 1e-15 * np.max(np.abs(ref[1:])), phi.descriptor()
+        zeros = a[ref == 0.0]
+        assert np.all(zeros == 0.0) and not np.any(np.signbit(zeros))
+
+
+def _gemv_coefficients(phi, w):
+    """The a_k as the table-times-values product that preceded the sine transform: the N x N
+    table sin((k+1) theta_i) / sin(theta_i) times weights_i phi(x_i), with the same zeros."""
+    k = np.arange(1, sc.DEFAULT_NODES + 1, dtype=float)
+    x, weights = sc.gauss_chebyshev_u(w)
+    a = (np.sin(np.outer(k, sc.RULE_ANGLES)) / np.sin(sc.RULE_ANGLES)) @ (weights * phi(x))
+    if phi.parity != "none":
+        a[phi.parity == "even"::2] = 0.0
+    if phi.kind == sc.POLYNOMIAL:
+        a[phi.degree + 1:] = 0.0
+    return a
+
+
+def _gemv_battery():
+    """Seeded (phi1, phi2, spec) over every entry kind under each convention it admits (goe takes
+    Gaussian entries only), and 24 phis of every kind and parity with no large constant."""
+    rng = np.random.default_rng(35)
+    params = {"two_point": {"atoms": [-0.5, 2.0], "probs": [0.8, 0.2]},
+              "discrete_custom": {"atoms": [-1.5, 0.0, 1.5], "probs": [2 / 9, 5 / 9, 2 / 9]}}
+    grid = np.linspace(-4.0, 4.0, 17)
+    for kind in en.KINDS:
+        for convention, w2 in (("paper_symmetric", 2.0), ("goe", 2.0), ("general_diagonal", 0.7)):
+            if convention == "goe" and kind != "gaussian":
+                continue
+            w = float(rng.uniform(0.5, 1.8))
+            law = params.get(kind)
+            if law is not None:  # atoms for w = 1, scaled to w
+                law = {"atoms": [w * atom for atom in law["atoms"]], "probs": law["probs"]}
+            dist = en.make_entry_distribution(kind, w, law)
+            spec = en.EnsembleSpec(entry_dist=dist, convention=convention, w2=w2)
+            phis = []
+            for k in range(24):
+                c = rng.uniform(-1, 1, size=rng.integers(1, 8))
+                values = rng.uniform(-1, 1, size=grid.size)
+                if k % 3 == 0:
+                    c[1::2], values = 0.0, (values + values[::-1]) / 2
+                elif k % 3 == 1:
+                    c[0::2], values = 0.0, (values - values[::-1]) / 2
+                phi_kind = rng.integers(3)
+                phis.append(polynomial(c) if phi_kind == 0 else sc.tabulated(grid * w, values) if phi_kind == 1
+                            else gaussian_damped(c, float(rng.uniform(0.7, 1.5)) * w))
+            yield spec, phis
+
+
+def test_limit_terms_match_the_table_product():
+    """Every term of var_limit and cov_limit_wigner moves by at most 1e-14 of max(1, |term|) from
+    the coefficients of the table-times-values product."""
+    for spec, phis in _gemv_battery():
+        w, kappa = spec.w, spec.entry_dist.kappa4 / spec.w**4
+        for phi1, phi2 in zip(phis, phis[1:] + phis[:1]):
+            a, b = _gemv_coefficients(phi1, w), _gemv_coefficients(phi2, w)
+            expected = [2.0 * float(a[1:] @ a[1:]), kappa * a[2] ** 2, (spec.w2 - 2.0) * a[1] ** 2,
+                        math.sqrt(spec.w2) * a[1] / w,
+                        2.0 * float(a[1:] @ b[1:]) + kappa * a[2] * b[2] + (spec.w2 - 2.0) * a[1] * b[1]]
+            pred = lm.var_limit(phi1, spec)
+            got = [pred.v_goe, pred.kappa4_term, pred.diag_term, pred.xstar_slope,
+                   lm.cov_limit_wigner(phi1, phi2, spec)]
+            for value, reference in zip(got, expected):
+                assert abs(value - reference) <= 1e-14 * max(1.0, abs(reference))
 
 
 def test_zero_terms_are_positive_zero():
@@ -326,7 +433,7 @@ def test_zero_terms_are_positive_zero():
     odd = lm.var_limit(polynomial([0.0, -1.0, 0.0, 1.0]), rademacher_spec())
     even = lm.var_limit(polynomial([0.5, 0.0, -1.0]), diagonal)
     phi1, phi2 = polynomial([0.0, 1.0, 1.0]), polynomial([0.0, -1.0, 1.0])
-    assert lm._u_coefficients(phi1, 1.0)[1] * lm._u_coefficients(phi2, 1.0)[1] < 0.0
+    assert sc.u_coefficients(phi1, 1.0)[1] * sc.u_coefficients(phi2, 1.0)[1] < 0.0
     cross_diag = lm._cov_terms(phi1, phi2, rademacher_spec())[0][2]
     zeros = [odd.kappa4_term, odd.diag_term, even.diag_term, even.xstar_slope, cross_diag]
     zeros += [lm.cov_limit_wigner(monomial(3), even_phi, spec) for even_phi in (monomial(4), polynomial([-1.0]))

@@ -52,13 +52,13 @@ def test_gauss_chebyshev_u_is_the_oracle_default_rule(w):
 
 def test_the_rule_and_the_u_coefficients_read_one_set_of_angles():
     """RULE_ANGLES, k pi / (N + 1) for k = 1..N, is the one definition of the rule's angles: the
-    nodes are 2w cos of them, and limits reads its U_k(cos theta) = sin((k + 1) theta) / sin(theta)
-    at them, so a_0 of phi = 1 is 1 to rounding."""
+    nodes are 2w cos of them, and u_coefficients takes its sine transform at them, where
+    U_k(cos theta) = sin((k + 1) theta) / sin(theta), so a_0 of phi = 1 is 1 to rounding."""
     k = np.arange(1, sc.DEFAULT_NODES + 1, dtype=float)
     assert sc.RULE_ANGLES.tobytes() == (k * math.pi / (sc.DEFAULT_NODES + 1)).tobytes()
     nodes, _ = sc.gauss_chebyshev_u(1.3)
     assert nodes.tobytes() == (2.0 * 1.3 * np.cos(sc.RULE_ANGLES)).tobytes()
-    assert lm._u_coefficients(sc.polynomial([1.0]), 1.3)[0] == pytest.approx(1.0, abs=1e-15)
+    assert sc.u_coefficients(sc.polynomial([1.0]), 1.3)[0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_each_call_builds_its_own_rule():

@@ -105,6 +105,21 @@ def test_same_outputs_predicts_the_mixed_parity_phis_under_every_entry_kind(tmp_
     assert kinds == list(ensembles.KINDS)
 
 
+def test_same_outputs_predicts_the_offset_phis_under_every_entry_kind(tmp_path):
+    """The centring of phi's coefficients is compared under every entry law: one predict run per
+    kind on OFFSET_CONFIG's phis, with the spec of that kind's mixed-parity run."""
+    from wignerlab import cli, ensembles
+
+    runs = {label: (args, outputs) for label, args, outputs in same_outputs.runs(tmp_path)}
+    offset = cli.parse_config(runs["simulate offset"][0][2])
+    for kind in ensembles.KINDS:
+        args, outputs = runs[f"predict offset {kind}"]
+        assert args[:2] == ["predict", "--config"] and outputs == ["prediction.json"]
+        cfg, mixed = cli.parse_config(args[2]), cli.parse_config(runs[f"predict mixed parity {kind}"][0][2])
+        assert (cfg.phi.descriptor(), cfg.phi2.descriptor()) == (offset.phi.descriptor(), offset.phi2.descriptor())
+        assert cfg.spec.descriptor() == mixed.spec.descriptor() and cfg.spec.entry_dist.kind == kind
+
+
 def test_same_outputs_runs_the_ks_test(tmp_path):
     """simulate runs gaussian_limit_test only at 500 replicas or more: some run must reach it."""
     from wignerlab import cli

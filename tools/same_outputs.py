@@ -7,8 +7,8 @@ perfbench/workloads.make (read only), and runs each one, plus `predict` on the
 two simulate configs, `volterra` at its defaults, `simulate --raw` with a
 tabulated phi (TABULATED_CONFIG), `simulate --raw` with every limit term
 nonzero (MIXED_PARITY_CONFIG) and with a large constant term in its phi
-(OFFSET_CONFIG), and `predict` on that config's phis under one entry law of
-every kind (ENTRY_LAWS), once under this checkout's src/ and
+(OFFSET_CONFIG), and `predict` on the phis of both configs under one entry
+law of every kind (ENTRY_LAWS), once under this checkout's src/ and
 once under OTHER_CHECKOUT/src.  Every primary output must match byte for byte,
 and so must the manifest.json fields that identify the inputs (IDENTITY_FIELDS).
 The manifest is run metadata: any other field that differs is printed as a
@@ -76,7 +76,8 @@ OFFSET_CONFIG = {**MIXED_PARITY_CONFIG, "phi": {
 
 # one entry law of each kind in ensembles.KINDS at MIXED_PARITY_CONFIG's w; Gaussian entries take
 # convention goe, the others MIXED_PARITY_CONFIG's general_diagonal w2 = 1.5.  Each kind's
-# cumulants enter the limit law, so predict on the mixed-parity phis compares all of them.
+# cumulants enter the limit law, so predict on the mixed-parity phis compares all of them, and
+# predict on OFFSET_CONFIG's phis compares them where a large <phi> is centred out of a_k.
 ENTRY_LAWS = (
     {"kind": "gaussian", "w": 1.1},
     {"kind": "rademacher", "w": 1.1},
@@ -112,9 +113,10 @@ def runs(work: Path) -> list[tuple[str, list[str], list[str]]]:
     for law in ENTRY_LAWS:
         spec = {"entry_dist": law, "convention": "goe"} if law["kind"] == "gaussian" else {
             **MIXED_PARITY_CONFIG["spec"], "entry_dist": law}
-        config = work / f"mixed-parity-{law['kind']}.json"
-        config.write_text(json.dumps({**MIXED_PARITY_CONFIG, "spec": spec}))
-        out.append((f"predict mixed parity {law['kind']}", ["predict", "--config", str(config)], ["prediction.json"]))
+        for name, base in (("mixed parity", MIXED_PARITY_CONFIG), ("offset", OFFSET_CONFIG)):
+            config = work / f"{name.replace(' ', '-')}-{law['kind']}.json"
+            config.write_text(json.dumps({**base, "spec": spec}))
+            out.append((f"predict {name} {law['kind']}", ["predict", "--config", str(config)], ["prediction.json"]))
     return out
 
 
