@@ -14,8 +14,8 @@ single_blas_thread() sets numpy's copy to one thread for the duration of a
 phase, so a phase's outputs depend only on (config, seed), whatever --threads,
 the core count or the BLAS default.  The library is found through its
 thread-control symbols on the first phase, not at import; without them
-(another BLAS) nothing is changed.  scipy's own OpenBLAS is neither loaded nor
-pinned: the scipy code a phase runs (scipy.special, scipy.fft) calls no BLAS.
+(another BLAS) nothing is changed.  The package imports no scipy, so numpy's
+copy is the only OpenBLAS a run loads.
 """
 
 from __future__ import annotations

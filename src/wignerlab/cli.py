@@ -294,7 +294,7 @@ def _cmd_simulate(args) -> int:
 
 
 # Each grid of the volterra table holds O(points * (block + nodes)) complex values and takes
-# O(points^2 nodes) time.  One 20001-point grid took 293 MiB peak RSS and 28 s on a
+# O(points^2 nodes) time.  One 20001-point grid took 271 MiB peak RSS and 31 s on a
 # 2-core x86 host; this cap extrapolates to about 0.8 GiB and five minutes there.
 _VOLTERRA_MAX_POINTS = 2**16 + 1
 _VOLTERRA_MAX_WT = 90  # 128 semicircle nodes give v, v*v, v*v*v to round-off up to w t = 97

@@ -25,6 +25,9 @@ from .errors import ContractError
 DEFAULT_NODES = 128
 # the rule's angles k pi / (N + 1), k = 1..N: its nodes are 2w cos of them
 RULE_ANGLES = np.arange(1, DEFAULT_NODES + 1, dtype=float) * math.pi / (DEFAULT_NODES + 1)
+# H(u) = sum_{k<=7} (-1)^(k//2) a_k(1) u^k, a_k(1) = prod_{j<=k} (4 - (2j - 1)^2) / (8j): its even and
+# odd parts are the sums P and Q of J1's Hankel expansion in u = 1/z (DLMF 10.17.1, 10.17.3)
+_HANKEL = np.cumprod([1.0] + [(4 - (2 * j - 1) ** 2) / (8 * j) for j in range(1, 8)]) * ([1, 1, -1, -1] * 2)
 
 
 # ---------------------------------------------------------------------------
@@ -215,16 +218,18 @@ def u_coefficients(phi: TestFunction, w: float) -> np.ndarray:
 
 
 def v_of_t(t, w: float):
-    """v(t) = Integral e^{i t lambda} rho_sc dlambda = J1(2wt)/(wt); real and even."""
-    from scipy.special import j1  # loaded on first use: predict and simulate never call v_of_t
-
-    if w <= 0:
-        raise ContractError("scale w must be positive")
-    x = w * np.asarray(t, dtype=float)
-    small = np.abs(x) < 1e-6
-    safe = np.where(small, 1.0, x)
-    tiny = np.where(small, x, 0.0)  # the series only where it is taken, so a huge t cannot overflow it
-    out = np.where(small, 1.0 - tiny * tiny / 2.0 + tiny**4 / 12.0, j1(2.0 * safe) / safe)
+    """v(t) = Integral e^{i t lambda} rho_sc dlambda = J1(2wt)/(wt); real and even.  By x = |w t|: the
+    series 1 - x^2/2 + x^4/12 below 1e-6 (v(0) = 1 exactly), the rule sum of cos(t lambda) up to 90,
+    and past it J1(z)/x, z = 2x, with sqrt(pi z) J1(z) = H(1/z) sin z - H(-1/z) cos z (_HANKEL)."""
+    nodes, weights = gauss_chebyshev_u(w)  # a ContractError unless w > 0
+    t_abs = np.abs(np.asarray(t, dtype=float))
+    x, out = w * t_abs, np.empty_like(t_abs)
+    small, far = x < 1e-6, x > 90.0
+    tiny, z = x[small], 2.0 * x[far]
+    out[~far] = np.cos(np.multiply.outer(t_abs[~far], nodes)) @ weights
+    out[small] = 1.0 - tiny * tiny / 2.0 + tiny**4 / 12.0
+    hankel = [np.polynomial.polynomial.polyval(u, _HANKEL) for u in (1.0 / z, -1.0 / z)]
+    out[far] = (hankel[0] * np.sin(z) - hankel[1] * np.cos(z)) / (math.sqrt(math.pi) * np.sqrt(z)) / x[far]
     return float(out) if np.isscalar(t) else out
 
 

@@ -47,22 +47,24 @@ def uniform_grid(t_max: float, h: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _fft_length(m: int) -> int:
+    """The smallest 5-smooth integer >= m: the least p 2^k >= m over p = 3^b 5^c."""
+    span = range(m.bit_length())
+    return min(p << ((m - 1) // p).bit_length() for p in (3**b * 5**c for b in span for c in span))
+
+
 def _conv_values(f: np.ndarray, g: np.ndarray, h: float) -> np.ndarray:
     """Trapezoid causal convolution Integral_0^t f(t-s) g(s) ds along axis 0.
 
     f is a series; g is a series or a kernel with time on axis 0.  The full
-    discrete convolution comes from one FFT of the zero-padded time axis; the
-    two end points of each integral then get their half weight.
+    discrete convolution comes from one FFT of the time axis, zero-padded to
+    _fft_length(2n - 1); the two end points of each integral then get their
+    half weight.
     """
-    from scipy import fft as sp_fft  # loaded on first use, off the import path of wignerlab.cli
-
     n = f.shape[0]
-    size = sp_fft.next_fast_len(2 * n - 1)
+    size = _fft_length(2 * n - 1)
     f_col = f.reshape((n,) + (1,) * (g.ndim - 1))
-    spectrum = sp_fft.fft(g, size, axis=0)
-    spectrum *= sp_fft.fft(f_col, size, axis=0)
-    out = sp_fft.ifft(spectrum, axis=0, overwrite_x=True)[:n] * h
-    del spectrum  # the padded spectrum is the largest array here; free it first
+    out = np.fft.ifft(np.fft.fft(g, size, axis=0) * np.fft.fft(f_col, size, axis=0), axis=0)[:n] * h
     out -= (0.5 * h * f[0]) * g
     out -= (0.5 * h) * (f_col * g[0])
     return out

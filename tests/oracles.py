@@ -146,13 +146,6 @@ def sc_moment(power: int, w: float, n_nodes: int = DEFAULT_NODES) -> float:
     return float(np.sum(weights * nodes**power))
 
 
-def v_of_t_quadrature(t, w: float):
-    """v(t) from its defining integral Integral cos(t lambda) rho_sc, by a 256-node rule."""
-    nodes, weights = chebyshev_u_rule(w, 256)
-    vals = np.cos(np.multiply.outer(np.asarray(t, dtype=float), nodes)) @ weights
-    return float(vals) if np.isscalar(t) else vals
-
-
 def stieltjes_rho(lam: float, w: float) -> float:
     """Principal value of Integral rho_sc(mu)/(mu - lambda) dmu = -lambda/(2 w^2)."""
     if w <= 0:

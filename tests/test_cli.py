@@ -1115,6 +1115,24 @@ def test_lemma_huge_t_is_finite_or_config_error(tmp_path, capsys, monkeypatch, t
     assert all(math.isfinite(float(v)) for r in rows for k, v in r.items() if k != "statistic")
 
 
+def test_lemma_limits_past_the_hankel_seam_hold_j1(tmp_path):
+    """t_grid [1, 200] at w = 1 puts t = 200 past w t = 90, on v_of_t's Hankel branch: the limit
+    columns (v, v, v^2, 0 and v^3 for U_jj, v_n, v_n_pair, v_n1 and v_n2) hold scipy's J1 to 1e-14."""
+    from scipy.special import j1
+
+    cfg = minimal_config(n_list=[16, 32, 64, 128], replicas=100, t_grid=[1.0, 200.0])
+    out = tmp_path / "l"
+    assert cli.run_cli(["lemma", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
+    with (out / "lemma_decay.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    powers = {"U_jj": 1, "v_n": 1, "v_n_pair": 2, "v_n1": None, "v_n2": 3}
+    assert {float(r["t"]) for r in rows} == {1.0, 200.0} and {r["statistic"] for r in rows} == set(powers)
+    for r in rows:
+        t, power = float(r["t"]), powers[r["statistic"]]
+        limit = 0.0 if power is None else (j1(2.0 * t) / t) ** power
+        assert abs(float(r["limit_re"]) - limit) <= 1e-14 and float(r["limit_im"]) == 0.0
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.filterwarnings("error")  # no numpy RuntimeWarning may reach stderr
 def test_lemma_overflowing_replica_statistics_are_config_error(tmp_path, capsys, threads):
@@ -1317,17 +1335,21 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("scipy")),
 """
 
 
-@pytest.mark.parametrize("command", [None, "predict", "simulate"])
+@pytest.mark.parametrize("command", [None, "predict", "simulate", "simulate-500", "lemma", "volterra"])
 def test_cli_start_up_loads_no_scipy(tmp_path, command):
-    """Importing wignerlab.cli, predict, and simulate below 500 replicas load no scipy module:
-    scipy.special and scipy.fft are imported where lemma, volterra and the KS test call them.
-    Nor do they map scipy's bundled OpenBLAS (checked where /proc/self/maps exists): the BLAS
+    """No subcommand loads a scipy module: not importing wignerlab.cli, predict, simulate below
+    and at 500 replicas (the KS test), lemma (v(t)) or volterra (v(t) and the FFT convolutions).
+    Nor does one map scipy's bundled OpenBLAS (checked where /proc/self/maps exists): the BLAS
     pin reads numpy's copy only."""
     env = package_env()
-    argv = []
-    if command is not None:
-        cfg = minimal_config(n_list=[64], replicas=100)
-        argv = [command, "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "o")]
+    out_dir = str(tmp_path / "o")
+    argv = {None: [], "volterra": ["volterra", "--h", "0.02,0.01", "--out", out_dir]}.get(command)
+    if argv is None:
+        name, _, replicas = command.partition("-")
+        # lemma needs four sizes over an 8x range
+        cfg = minimal_config(n_list=[16, 32, 64, 128] if name == "lemma" else [64],
+                             replicas=int(replicas or 100))
+        argv = [name, "--config", str(write_config(tmp_path, cfg)), "--out", out_dir]
     out = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *argv], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
     code, modules, libs = json.loads(out.splitlines()[-1])

@@ -10,13 +10,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 import oracles
 from wignerlab import ensembles as en
 from wignerlab import harness as hn
 from wignerlab import limits as lm
 from wignerlab import spectral as sp
-from wignerlab.cumulants import jackknife_spread
+from wignerlab.cumulants import jackknife_spread, unit_sample
 from wignerlab.errors import ConfigError, ContractError
 from wignerlab.semicircle import gaussian_damped, monomial, polynomial, tabulated
 
@@ -138,16 +139,38 @@ def two_sum_cov(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     return cov, jackknife_spread((sab_i - sa_i * sb_i / (r - 1)) / (r - 2))
 
 
-def max_scaled_ks(y: np.ndarray) -> float:
-    """The KS statistic as it was: y scaled by the power of two that brings its largest
-    magnitude, not its largest deviation, into [0.5, 1)."""
-    from scipy.special import ndtr
-
-    y = np.ldexp(y, -np.frexp(np.max(np.abs(y)))[1])
+def ndtr_ks(y: np.ndarray) -> float:
+    """The KS statistic of y with scipy's ndtr for the normal CDF."""
     z = np.sort((y - np.mean(y)) / np.std(y, ddof=1))
     cdf = ndtr(z)
     i = np.arange(1, y.size + 1)
     return float(np.max(np.maximum(i / y.size - cdf, cdf - (i - 1) / y.size)))
+
+
+def max_scaled_ks(y: np.ndarray) -> float:
+    """The KS statistic as it was: y scaled by the power of two that brings its largest
+    magnitude, not its largest deviation, into [0.5, 1)."""
+    return ndtr_ks(np.ldexp(y, -np.frexp(np.max(np.abs(y)))[1]))
+
+
+def test_ks_normal_cdf_matches_ndtr(monkeypatch):
+    """The normal CDF of gaussian_limit_test, 0.5 erfc of what it passes math.erfc, matches scipy's
+    ndtr at its sorted z to 2^-52 absolute (one ulp of 1), from ndtr's erf branch near 0 out
+    to |z| = 27, where ndtr reads 1e-160."""
+    rng = np.random.default_rng(23)
+    y = np.concatenate([rng.standard_normal(4000), [-40.0, -25.0, 25.0, 40.0]])
+    passed = []
+
+    def erfc(v):
+        passed.append(v)
+        return math.erfc(v)
+
+    monkeypatch.setattr(hn, "math", types.SimpleNamespace(**{**vars(math), "erfc": erfc}))
+    hn.gaussian_limit_test(y)
+    u = unit_sample(y)[0]
+    z = np.sort((u - np.mean(u)) / np.std(u, ddof=1))
+    assert len(passed) == y.size and max(abs(z[[0, -1]])) > 25
+    assert np.max(np.abs(0.5 * np.array([math.erfc(v) for v in passed]) - ndtr(z))) <= 2.0**-52
 
 
 BATTERY_LAWS = (("gaussian", None, "goe"), ("rademacher", None, "paper_symmetric"),
@@ -162,8 +185,9 @@ BATTERY_PHIS = (polynomial([0.3, -1.0, 0.5, 0.2]), gaussian_damped([0.5, 1.0, -0
 def test_unit_covariance_and_ks_match_the_raw_formulas_on_the_battery():
     """Every entry kind, a polynomial, damped and tabulated phi, and three seeds, at n = 16 and
     R = 500: where no constant term is large, the covariance and its se hold the raw two-sum
-    formulas to 1e-13 sqrt(k2_a k2_b) (3.8e-15 seen), and the KS statistic of the centred
-    sample holds the largest-magnitude scaling to 1e-14 (1.1e-16 seen)."""
+    formulas to 1e-13 sqrt(k2_a k2_b) (3.8e-15 seen), the KS statistic of the centred
+    sample holds the largest-magnitude scaling to 1e-14 (1.1e-16 seen), and its erfc CDF holds
+    scipy's ndtr on the same unit sample to 1e-15."""
     assert {kind for kind, _, _ in BATTERY_LAWS} == set(en.KINDS)
     for kind, params, convention in BATTERY_LAWS:
         spec = en.EnsembleSpec(entry_dist=en.make_entry_distribution(kind, 1.0, params), convention=convention)
@@ -176,6 +200,8 @@ def test_unit_covariance_and_ks_match_the_raw_formulas_on_the_battery():
                     assert abs(got - want) <= 1e-13 * scale, (kind, seed, i)
                 y = 4.0 * (a - a.mean())
                 assert abs(hn.gaussian_limit_test(y)["ks_stat"] - max_scaled_ks(y)) <= 1e-14, (kind, seed, i)
+                ks = hn.gaussian_limit_test(a)["ks_stat"]
+                assert abs(ks - ndtr_ks(unit_sample(a)[0])) <= 1e-15, (kind, seed, i)
 
 
 @pytest.mark.parametrize("kind,convention", [("gaussian", "goe"), ("rademacher", "paper_symmetric"),

@@ -4,6 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import j1
 
 import oracles
 from wignerlab import ensembles as en
@@ -137,9 +138,15 @@ def test_stieltjes_pv_quadrature_cross_check():
 # ---------------------------------------------------------------------------
 
 
+def j1_over_x(x):
+    """J1(2x)/x from scipy's Bessel function, 1 at x = 0: v(t) at x = w t."""
+    x = np.asarray(x, dtype=float)
+    return np.where(x == 0.0, 1.0, j1(2.0 * x) / np.where(x == 0.0, 1.0, x))
+
+
 def test_v_of_t_basics():
     assert sc.v_of_t(0.0, 1.0) == 1.0
-    assert sc.v_of_t(1.0, 1.0) == pytest.approx(oracles.v_of_t_quadrature(1.0, 1.0), abs=1e-10)
+    assert sc.v_of_t(1.0, 1.0) == pytest.approx(float(j1_over_x(1.0)), abs=1e-15)
     assert sc.v_of_t(1.0, 1.0) == pytest.approx(0.576725, abs=1e-6)
     t = np.linspace(-30, 30, 601)
     vals = sc.v_of_t(t, 1.0)
@@ -147,10 +154,40 @@ def test_v_of_t_basics():
     assert np.max(np.abs(vals)) <= 1.0 + 1e-12
 
 
-def test_v_of_t_bessel_matches_quadrature_over_range():
-    t = np.linspace(0.0, 30.0, 301)
-    gap = np.abs(sc.v_of_t(t, 1.0) - oracles.v_of_t_quadrature(t, 1.0))
-    assert np.max(gap) <= 1e-10
+@pytest.mark.parametrize("w", [0.5, 1.0, 1.25, 3.0])
+def test_v_of_t_matches_j1_across_seams(w):
+    """Each branch of v_of_t against scipy's J1, an oracle apart from the semicircle rule: the
+    series below w t = 1e-6, the rule sum up to 90 and the Hankel expansion past it, out to
+    w t = 2e5, with the floats on both sides of each seam."""
+    seams = [np.nextafter(s, [0.0, np.inf]) for s in (1e-6, 90.0)]
+    x = np.concatenate([np.geomspace(1e-12, 1e-3, 400), np.linspace(0.0, 100.0, 20001),
+                        np.geomspace(100.0, 2e5, 4000), *seams, [1e-6, 90.0]])
+    t = x / w
+    gap = np.abs(sc.v_of_t(t, w) - j1_over_x(w * t))
+    assert np.max(gap) <= 1e-14
+
+
+def test_v_of_t_far_tail_matches_mpmath():
+    """Past w t = 2e5, where scipy's J1 loses digits, the Hankel branch against a 30-digit J1,
+    relative to the (w t)^(-3/2) envelope."""
+    mp.mp.dps = 30
+    x = np.geomspace(2e5, 1e15, 40)
+    ref = np.array([float(mp.besselj(1, 2 * mp.mpf(v)) / mp.mpf(v)) for v in x])
+    assert np.max(np.abs(sc.v_of_t(x, 1.0) - ref) * x**1.5) <= 1e-14
+
+
+def test_v_of_t_is_even_and_finite_up_to_the_largest_float():
+    """v_of_t raises no overflow or invalid value while 2 w t is a float, and is even there; past it
+    (w = 1, t = the largest float) the overflow of 2 w t is raised, which lemma reports on t_grid."""
+    big = np.finfo(float).max
+    t = np.append(10.0 ** np.linspace(0.0, 308.0, 2000), big)
+    with np.errstate(over="raise", invalid="raise"):
+        for w in (0.5, 1e-3):  # 2 w t <= the largest float
+            vals = sc.v_of_t(t, w)
+            assert np.all(np.isfinite(vals)) and np.array_equal(vals, sc.v_of_t(-t, w))
+            assert np.all(np.abs(vals) <= np.minimum(1.0, (w * t) ** -1.5))
+        with pytest.raises(FloatingPointError):
+            sc.v_of_t(big, 1.0)
 
 
 def test_v_fixed_point_identity():

@@ -141,6 +141,22 @@ def assert_close(got, want):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def is_5_smooth(k: int) -> bool:
+    for p in (2, 3, 5):
+        while k % p == 0:
+            k //= p
+    return k == 1
+
+
+def test_fft_length_is_the_smallest_5_smooth_integer():
+    """_fft_length(m) against a brute-force search upward from m, for every m up to 20000."""
+    smallest, upward = {}, 40000  # 40000 = 2^6 5^4
+    for m in range(upward, 0, -1):
+        upward = m if is_5_smooth(m) else upward
+        smallest[m] = upward
+    assert all(vt._fft_length(m) == smallest[m] for m in range(1, 20001))
+
+
 @pytest.mark.parametrize("n", [2, 3, 201, 1601])
 @pytest.mark.parametrize("kind", ["real", "complex"])
 def test_trapezoid_forms_match_direct_oracles(n, kind):
@@ -355,7 +371,7 @@ def test_block_factors_are_rows_of_the_grid_factors(points, w):
 
 def test_coveq_residual_peak_memory_below_one_square():
     grid = vt.uniform_grid(2.0, 0.00125)
-    vt.coveq_residual(1.07, -0.9, grid)  # warms scipy.fft's plan cache
+    vt.coveq_residual(1.07, -0.9, grid)  # a first call, so that one-time set-up is not traced
     tracemalloc.start()
     try:
         vt.coveq_residual(1.07, -0.9, grid)
