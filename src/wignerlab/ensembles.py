@@ -59,6 +59,19 @@ class EntryDistribution:
     def kappa4(self) -> float:
         return self.cumulant(4)
 
+    @property
+    def var_x2(self) -> float:
+        """Var(X^2) = kappa4 + 2 w^4 >= 0, formed without that cancellation: a discrete law
+        sums p (x^2 - w^2)^2 over its atoms, which is exactly 0.0 for Rademacher."""
+        if self.kind == GAUSSIAN:
+            return 2.0 * self.w**4
+        if self.kind == UNIFORM:
+            return 0.8 * self.w**4
+        if self.atoms is not None:
+            squares = self.atoms**2
+            return float(self.probs @ (squares - self.probs @ squares) ** 2)
+        raise ContractError(f"no Var(X^2) available for kind {self.kind!r}")
+
     def cumulant(self, order: int) -> float:
         """kappa_l for l in 1..8, read from the table."""
         if not 1 <= order <= MAX_ORDER:

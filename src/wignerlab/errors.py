@@ -8,9 +8,8 @@ class WignerLabError(Exception):
 
 
 class ContractError(WignerLabError, ValueError):
-    """An operation was called outside its stated preconditions: invalid entry-law
-    parameters, a law with no closed-form CF, a tabulated phi short of the support, or
-    inputs that are mutually inconsistent (a negative limiting variance)."""
+    """An operation was called outside its stated preconditions: invalid entry-law or
+    ensemble parameters, a law with no closed-form CF, or a tabulated phi short of the support."""
 
 
 class ConfigError(WignerLabError, ValueError):

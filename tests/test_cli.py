@@ -563,21 +563,6 @@ def test_simulate_writes_null_z_for_an_all_equal_sample_against_a_nonzero_limit(
     assert (line[0], line[3]) == ("32", "-")
 
 
-@pytest.mark.parametrize("scale", [1.0, 1e8])
-def test_predict_negative_variance_exits_2(tmp_path, capsys, monkeypatch, scale):
-    # kappa4 below the admissible floor cannot come from a real law; feed it raw
-    fake = en.EntryDistribution(kind="discrete_custom", w=1.0, moments=(0, 1, 0, -2, 0, 16),
-                                kappas=(0, 1, 0, -5, 0, 0))
-    monkeypatch.setattr(cli, "make_entry_distribution", lambda kind, w, params: fake)
-    cfg = minimal_config(spec={"entry_dist": {"kind": "rademacher", "w": 1.0}},
-                         phi={"kind": "polynomial", "coefficients": [0, 0, scale]})
-    code = cli.run_cli(["predict", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "p")])
-    assert code == 2
-    payload = error_payload(capsys)
-    assert payload["error"] == "ContractError" and "negative" in payload["message"]
-    assert not (tmp_path / "p").exists()
-
-
 def test_report_subcommand(tmp_path, capsys):
     cfg_path = write_config(tmp_path, minimal_config(n_list=[64], replicas=150))
     cli.run_cli(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "rep")])
@@ -944,7 +929,7 @@ def predict_configs(draw) -> dict:
     return minimal_config(spec=spec, phi=phi, replicas=100, n_list=[16])
 
 
-LIMIT_TERMS = ("v_goe", "kappa4_term", "diag_term", "v_w", "xstar_slope")
+LIMIT_TERMS = ("v_goe", "kappa4_term", "diag_term", "gaussian_variance", "v_w", "xstar_slope")
 
 
 @settings(derandomize=True, max_examples=600, deadline=None)
@@ -1226,7 +1211,7 @@ def test_constant_phi_predicts_zero_variance(tmp_path, phi):
     out = tmp_path / "p"
     assert cli.run_cli(["predict", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
     pred = json.loads((out / "prediction.json").read_text())
-    assert [pred[k] for k in ("v_goe", "kappa4_term", "diag_term", "v_w", "xstar_slope")] == [0.0] * 5
+    assert [pred[k] for k in LIMIT_TERMS] == [0.0] * len(LIMIT_TERMS)
     assert all(row[1:] == [1.0, 0.0] for row in pred["cf"])
 
 

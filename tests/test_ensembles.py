@@ -120,6 +120,22 @@ def test_entry_cf_unsupported_kind():
                                 kappas=(0, 1, 0, 0, 0, 0))
     with pytest.raises(ContractError):
         en.entry_cf(fake, 1.0)
+    with pytest.raises(ContractError):
+        fake.var_x2
+
+
+@pytest.mark.parametrize("w", [1e-30, 0.3, 1.0, 1586418.821516408, 1e30])
+def test_var_x2_is_kappa4_plus_twice_w4(w):
+    """Var(X^2) = mu_4 - w^4 = kappa4 + 2 w^4, formed with no cancellation: exactly 0.0 for
+    Rademacher at every w, where kappa4 + 2 w^4 cancels to rounding of w^4."""
+    rademacher = en.make_entry_distribution("rademacher", w)
+    assert rademacher.var_x2 == 0.0 and not math.copysign(1.0, rademacher.var_x2) < 0
+    assert en.make_entry_distribution("gaussian", w).var_x2 == 2.0 * w**4
+    assert en.make_entry_distribution("uniform", w).var_x2 == pytest.approx(0.8 * w**4, rel=1e-15)
+    for kind, params in (("two_point", {"atoms": [-0.5, 2.0], "probs": [0.8, 0.2]}),
+                         ("discrete_custom", {"atoms": [-1.5, 0.0, 1.5], "probs": [2 / 9, 5 / 9, 2 / 9]})):
+        dist = en.make_entry_distribution(kind, w, {"atoms": [w * a for a in params["atoms"]], "probs": params["probs"]})
+        assert dist.var_x2 == pytest.approx(dist.kappa4 + 2.0 * dist.w**4, rel=1e-14)
 
 
 def test_on_demand_cumulants_to_order_8():

@@ -586,7 +586,7 @@ def test_wrong_prediction_is_detected():
     )
     res = hn.run_entry_experiment(cfg, threads=2)
     wrong = lm.LimitPrediction(
-        v_goe=20.0, kappa4_term=0.0, diag_term=0.0, v_w=20.0, xstar_slope=0.0,
+        v_goe=20.0, kappa4_term=0.0, diag_term=0.0, gaussian_variance=20.0, v_w=20.0, xstar_slope=0.0,
         spec=rademacher_spec(), phi_ref=res.record["config"]["phi"],
     )
     report = oracles.compare_with_prediction(res, wrong)

@@ -292,9 +292,8 @@ def test_var_limit_terms_match_oracle_diagonal():
             assert abs(value - oracle) <= 1e-13 * size
             if oracle == 0.0:
                 assert value == 0.0 and math.copysign(1.0, value) == 1.0
-        total = pred.v_goe + pred.kappa4_term + pred.diag_term
-        clipped = abs(total) <= 1e-12 * sum(abs(v) for v in got[:3])  # var_limit's cancellation band
-        assert pred.v_w == (0.0 if clipped else max(total, 0.0))
+        assert abs(pred.v_w - sum(expected[:3])) <= 1e-13 * size
+        assert pred.v_w >= pred.gaussian_variance >= 0.0
 
 
 @pytest.mark.parametrize("w", [0.6, 1.0, 1.7])
@@ -317,10 +316,11 @@ def test_u_coefficients_are_the_semicircle_integrals(w):
             assert abs(got - float(np.sum(weights * integrand))) <= 1e-13 * scale
 
 
-def _exact_transform(phi, w, digits=30):
+def _exact_sums(phi, w, digits=30):
     """phi's a_k from the package's own float node values, summed at `digits` digits with the
-    rule's exact weights and angles: a_k = sum_i (2/(N+1)) sin(theta_i) sin((k+1) theta_i) phi(x_i),
-    theta_i = i pi / (N+1).  The a_k that phi's data make zero are 0.0, as in the package."""
+    rule's exact weights and angles and kept as mpf: a_k = sum_i (2/(N+1)) sin(theta_i)
+    sin((k+1) theta_i) phi(x_i), theta_i = i pi / (N+1).  The a_k that phi's data make zero are 0,
+    as in the package.  Arithmetic on them keeps their digits only inside mpmath.workdps(digits)."""
     import mpmath
 
     n = sc.DEFAULT_NODES
@@ -329,14 +329,19 @@ def _exact_transform(phi, w, digits=30):
         nodes, _ = sc.gauss_chebyshev_u(w)
         weighted = [2 * sines[i] * mpmath.mpf(float(v)) / (n + 1)
                     for i, v in zip(range(1, n + 1), phi(nodes))]
-        ref = np.array([float(mpmath.fsum(f * sines[(k * i) % (2 * (n + 1))]
-                                          for i, f in zip(range(1, n + 1), weighted)))
-                        for k in range(1, n + 1)])
+        ref = [mpmath.fsum(f * sines[(k * i) % (2 * (n + 1))] for i, f in zip(range(1, n + 1), weighted))
+               for k in range(1, n + 1)]
+    zero = np.zeros(n, dtype=bool)
     if phi.parity != "none":
-        ref[phi.parity == "even"::2] = 0.0
+        zero[phi.parity == "even"::2] = True
     if phi.kind == sc.POLYNOMIAL:
-        ref[phi.degree + 1:] = 0.0
-    return ref
+        zero[phi.degree + 1:] = True
+    return [mpmath.mpf(0) if z else v for v, z in zip(ref, zero)]
+
+
+def _exact_transform(phi, w, digits=30):
+    """_exact_sums rounded to floats."""
+    return np.array([float(v) for v in _exact_sums(phi, w, digits)])
 
 
 def _transform_battery():
@@ -427,18 +432,21 @@ def test_limit_terms_match_the_table_product():
 def test_zero_terms_are_positive_zero():
     """A term whose product is zero is +0.0 whatever its factors' signs, so JSON writes 0.0:
     kappa4 < 0 times an odd phi's a_2 on Rademacher, w2 - 2 < 0 times an even phi's a_1, and
-    w2 - 2 = 0 times a_1 b_1 < 0 in a covariance at w2 = 2."""
+    w2 - 2 = 0 times a_1 b_1 < 0 in a covariance at w2 = 2, and the Gaussian part of an even
+    phi on Rademacher, Var(X^2) = 0 times a_2 b_2 (< 0 for x^2 against -x^2)."""
     diagonal = en.EnsembleSpec(entry_dist=en.make_entry_distribution("rademacher", 1.0),
                                convention="general_diagonal", w2=0.5)
     odd = lm.var_limit(polynomial([0.0, -1.0, 0.0, 1.0]), rademacher_spec())
     even = lm.var_limit(polynomial([0.5, 0.0, -1.0]), diagonal)
     phi1, phi2 = polynomial([0.0, 1.0, 1.0]), polynomial([0.0, -1.0, 1.0])
     assert sc.u_coefficients(phi1, 1.0)[1] * sc.u_coefficients(phi2, 1.0)[1] < 0.0
-    cross_diag = lm._cov_terms(phi1, phi2, rademacher_spec())[0][2]
-    zeros = [odd.kappa4_term, odd.diag_term, even.diag_term, even.xstar_slope, cross_diag]
+    cross_diag = lm._cov_terms(phi1, phi2, rademacher_spec())[0]["diag_term"]
+    cross_gaussian = lm._cov_terms(monomial(2), polynomial([0.0, 0.0, -1.0]), rademacher_spec())[0]
+    zeros = [odd.kappa4_term, odd.diag_term, even.diag_term, even.xstar_slope, even.gaussian_variance, cross_diag,
+             cross_gaussian["gaussian_variance"]]
     zeros += [lm.cov_limit_wigner(monomial(3), even_phi, spec) for even_phi in (monomial(4), polynomial([-1.0]))
               for spec in (rademacher_spec(), three_point_spec(-1.0), diagonal)]
-    others = [odd.v_goe, odd.v_w, odd.xstar_slope, even.v_goe, even.kappa4_term, even.v_w]
+    others = [odd.v_goe, odd.gaussian_variance, odd.v_w, odd.xstar_slope, even.v_goe, even.kappa4_term, even.v_w]
     assert zeros == [0.0] * len(zeros)
     assert all(math.copysign(1.0, t) == 1.0 for t in zeros + [t for t in others if t == 0.0])
 
@@ -461,44 +469,99 @@ def test_gaussian_entries_have_no_fourth_cumulant_term(w):
 
 
 def test_limit_cf_gaussian_factor_never_exceeds_one():
-    """phi = c x has no Gaussian part, so Z(x) is the entry CF at x* exactly, whatever the
-    rounding of -x^2 V + w^2 x*^2; with the uncapped exponent |Z| exceeded 1 at c = 3000."""
+    """phi = c x has no Gaussian part: gaussian_variance is exactly 0.0, so Z(x) is the entry CF at
+    x* exactly (when the exponent was -x^2 V + w^2 x*^2, |Z| exceeded 1 at c = 3000 until capped)."""
     spec = rademacher_spec()
     xs = np.array([0.25, 0.5, 0.75, 1.0, 2.0])
     for c in (1.0, 2.5, 3000.0, 1e100):
         pred = lm.var_limit(polynomial([0.0, c]), spec)
         z = lm.limit_cf(pred, xs)
+        assert pred.gaussian_variance == 0.0
         assert np.array_equal(z, en.entry_cf(spec.entry_dist, pred.xstar_slope * xs))
         assert np.all(np.abs(z) <= 1.0)
 
 
-def test_negative_variance_guard():
-    # kappa4 below the admissible floor cannot come from a real law; feed it raw
-    fake = en.EntryDistribution(
-        kind="discrete_custom", w=1.0, moments=(0, 1, 0, -2, 0, 16),
-        kappas=(0, 1, 0, -5, 0, 0),
-    )
-    spec = en.EnsembleSpec(entry_dist=fake)
-    with pytest.raises(ContractError):
-        lm.var_limit(monomial(2), spec)
+@pytest.mark.parametrize("c", [1e6, 1e8])
+def test_limit_cf_keeps_a_small_gaussian_part_beside_a_large_diagonal_one(c):
+    """phi = c x + x^3 on Rademacher w = 1 has the limit CF exp(-x^2) cos(s x): its Gaussian
+    variance is 2 a_3^2 = 2 beside V ~ 2 c^2.  The exponent read -x^2 V + w^2 (s x)^2, which
+    cancelled to rounding of x^2 V and was capped at 0: at c = 1e8, x = 2, |Z| was e^4 times the
+    law.  Now a_3 carries the sine transform's rounding, at most 1e-15 max |a_k| = 1e-15 c (see
+    the exact-transform test above), and the node values' own, no larger; so Z holds the law to
+    x^2 / 2 * 4 a_3 * 2e-15 c relative."""
+    pred = lm.var_limit(polynomial([0.0, c, 0.0, 1.0]), rademacher_spec())
+    for x in (0.5, 2.0):
+        law = math.exp(-x * x) * math.cos(pred.xstar_slope * x)
+        assert abs(lm.limit_cf(pred, x) - law) <= 4e-15 * c * x**2 * abs(law)
 
 
 def test_tiny_negative_clips_to_zero():
     assert lm.var_limit(monomial(2), rademacher_spec()).v_w == 0.0
 
 
-def test_negativity_guard_is_relative_to_the_terms():
-    """Scaled Rademacher x^2 cancels to rounding of the terms' size, not of 1; the guard
-    still fires on an inconsistent law at every scale."""
-    fake = en.EntryDistribution(
-        kind="discrete_custom", w=1.0, moments=(0, 1, 0, -2, 0, 16),
-        kappas=(0, 1, 0, -5, 0, 0),
-    )
+def test_rademacher_square_has_zero_variance_at_every_scale():
+    """c x^2 on Rademacher has no Gaussian part, Var(X^2) = 0.0, and no diagonal part, a_1 = 0, so
+    v_w is exactly 0.0 by structure however large the cancelling v_goe and kappa4 terms."""
     for c in (1.0, 1e8, 1e12, 1e14, 1e100):
-        phi = polynomial([0.0, 0.0, c])
-        assert lm.var_limit(phi, rademacher_spec()).v_w == 0.0
-        with pytest.raises(ContractError):
-            lm.var_limit(phi, en.EnsembleSpec(entry_dist=fake))
+        assert lm.var_limit(polynomial([0.0, 0.0, c]), rademacher_spec()).v_w == 0.0
+
+
+def _exact_law(phi, spec, digits=30):
+    """(gaussian_variance, v_w) as sums of squares at `digits` digits, on _exact_sums' a_k and
+    the entry law's exact Var(X^2) at its float w, atoms and probs, and the bound on the package's
+    error that the sums of nonnegative terms give: each a_k may be off by 1e-15 max |a_k|, the
+    transform's bound, and the float sum of at most 128 terms by 2e-14 of itself."""
+    import mpmath
+
+    a, dist = _exact_sums(phi, spec.w, digits), spec.entry_dist
+    with mpmath.workdps(digits):
+        w4 = mpmath.mpf(spec.w) ** 4
+        if dist.atoms is not None:
+            probs = [mpmath.mpf(float(p)) for p in dist.probs]
+            squares = [mpmath.mpf(float(x)) ** 2 for x in dist.atoms]
+            mean = mpmath.fsum(p * x2 for p, x2 in zip(probs, squares))
+            var_x2 = mpmath.fsum(p * (x2 - mean) ** 2 for p, x2 in zip(probs, squares))
+        else:
+            var_x2 = (2 if dist.kind == en.GAUSSIAN else mpmath.mpf(4) / 5) * w4
+        weights = [0, mpmath.mpf(spec.w2), var_x2 / w4] + [2] * (len(a) - 3)
+        delta = mpmath.mpf(1e-15) * max(abs(v) for v in a[1:])
+        terms = [c * v**2 for c, v in zip(weights, a)]
+        slack = [c * (2 * abs(v) * delta + delta**2) for c, v in zip(weights, a)]
+        gaussian, total = mpmath.fsum(terms[2:]), mpmath.fsum(terms)
+        return [(float(gaussian), float(mpmath.fsum(slack[2:]) + 2e-14 * gaussian)),
+                (float(total), float(mpmath.fsum(slack) + 2e-14 * total))]
+
+
+def _sum_of_squares_battery():
+    """One phi of no parity per entry kind and convention, then the near-degenerate Rademacher
+    phis, where v_goe and the kappa4 term cancel: x^2 + 1e-6 x^4, x^2 damped at width 30, and a
+    scaled, damped c x^2 at a large w."""
+    two_point = {"atoms": [-0.5, 2.0], "probs": [0.8, 0.2]}
+    three_point = {"atoms": [-1.5, 0.0, 1.5], "probs": [2 / 9, 5 / 9, 2 / 9]}
+    laws = [("gaussian", 0.8, None), ("rademacher", 1.2, None), ("uniform", 1.1, None),
+            ("two_point", 1.0, two_point), ("discrete_custom", 1.0, three_point)]
+    conventions = [("paper_symmetric", 2.0), ("general_diagonal", 0.5), ("general_diagonal", 3.0)]
+    for i, (kind, w, params) in enumerate(laws):
+        dist = en.make_entry_distribution(kind, w, params)
+        phi = polynomial([0.3, -1.0, 0.5, 0.2, -0.1]) if i % 2 else gaussian_damped([0.2, 1.0, -0.4, 0.3], 0.9 * w)
+        for convention, w2 in conventions[:2] if i % 2 else conventions[::2]:
+            yield phi, en.EnsembleSpec(entry_dist=dist, convention=convention, w2=w2)
+    yield gaussian_damped([0.2, 1.0, -0.4, 0.3], 1.2), goe_spec(1.3)
+    yield polynomial([0.0, 0.0, 1.0, 0.0, 1e-6]), rademacher_spec()
+    yield gaussian_damped([0.0, 0.0, 1.0], 30.0), rademacher_spec()
+    w = 1586418.821516408
+    yield gaussian_damped([0.0, 0.0, w], 196367282.82), rademacher_spec(w)
+
+
+def test_variance_holds_the_exact_sum_of_squares():
+    """v_w and gaussian_variance hold the same law summed at 30 digits on the same node values, to
+    the bound that their coefficients' rounding gives.  For Rademacher x^2 + 1e-6 x^4 the law is
+    2.0e-12, which v_goe + kappa4_term + diag_term (2.000012 - 2.000012) clipped to 0.0."""
+    for phi, spec in _sum_of_squares_battery():
+        pred = lm.var_limit(phi, spec)
+        (gaussian, gaussian_tol), (total, total_tol) = _exact_law(phi, spec)
+        assert abs(pred.v_w - total) <= total_tol, (phi.descriptor(), spec.descriptor(), pred.v_w, total)
+        assert abs(pred.gaussian_variance - gaussian) <= gaussian_tol, (phi.descriptor(), spec.descriptor())
 
 
 # ---------------------------------------------------------------------------
