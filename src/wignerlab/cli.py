@@ -36,6 +36,7 @@ from .harness import (
     ExperimentConfig,
     default_threads,
     float_range,
+    lanczos_first_read,
     lemma_decay_experiment,
     phi_route,
     predict,
@@ -290,6 +291,7 @@ def _cmd_simulate(args) -> int:
                                  for r, y in enumerate(ys)]
     return _write_outputs(args.out, started, files, config_hash(cfg.descriptor()), cfg.root_seed,
                           threads, replica_blas_threads(), phi_route=phi_route(cfg.phis()),
+                          lanczos_first_read=lanczos_first_read(cfg.phis(), cfg.spec.w),
                           lanczos_steps_max=result.lanczos_steps_max)
 
 

@@ -3,7 +3,8 @@
 run_entry_experiment draws R matrices per size n, reads phi(M_r)_jj through
 phi_entries, the one phi evaluator (a full eigh, or power vectors for
 polynomials and Lanczos-Gauss quadrature over the Jacobi matrices that
-spectral.lanczos_jacobi yields, until the estimates settle, for smooth phi),
+spectral.lanczos_jacobi yields for smooth phi, read from the first rule that
+can resolve phi, lanczos_first_read, until the estimates settle),
 forms the centered scaled diagonal elements
 y_r = sqrt(n) (phi(M_r)_jj - mean), and estimates variance, cumulants and the
 empirical characteristic function with jackknife/analytic uncertainties;
@@ -43,7 +44,7 @@ from .cumulants import SampleCumulants, jackknife_spread, sample_cumulants, unit
 from .ensembles import EnsembleSpec, SymmetricMatrix, sample_matrix
 from .errors import ConfigError, ContractError, NumericFailureError
 from .limits import LimitPrediction, cov_limit_wigner, limit_cf, limit_cumulants, var_limit
-from .semicircle import POLYNOMIAL, TABULATED, TestFunction, check_coverage, v_of_t
+from .semicircle import POLYNOMIAL, TABULATED, TestFunction, check_coverage, u_coefficients, v_of_t
 from .spectral import (DECAY_STATISTICS, eigh, lanczos_jacobi, lemma_statistics, matrix_function_entry,
                        power_moments)
 
@@ -223,19 +224,43 @@ def phi_route(phis: Sequence[TestFunction]) -> str:
 GAUSS_TOLERANCE = 1e-14  # relative movement of the Gauss estimates that ends Lanczos
 
 
-def phi_entries(m: SymmetricMatrix, j: int,
-                phis: Sequence[TestFunction]) -> tuple[np.ndarray, int | None]:
+def lanczos_first_read(phis: Sequence[TestFunction], w: float) -> int | None:
+    """K0, the first Gauss rule size the stop rule of phi_entries may stop at; None off the
+    lanczos route.
+
+    A smooth phi's resolved degree D is the last k where |a_k| > GAUSS_TOLERANCE * max|a|, over
+    its Chebyshev-U coefficients at scale w (semicircle.u_coefficients).  A K-node rule is exact
+    up to degree 2K - 1, so K = ceil((D + 1) / 2) is the first rule exact to D; K0 is the
+    smallest such K over the smooth phis.  A tail that never falls below the tolerance gives
+    D = DEFAULT_NODES - 1 and K0 = 64, which only walks further than reading every step would.
+    """
+    if phi_route(phis) != "lanczos":
+        return None
+    sizes = []
+    for p in phis:
+        if p.kind != POLYNOMIAL:
+            a = np.abs(u_coefficients(p, w))
+            resolved = np.flatnonzero(a > GAUSS_TOLERANCE * a.max())
+            sizes.append((int(resolved[-1]) if resolved.size else 0) // 2 + 1)
+    return min(sizes)
+
+
+def phi_entries(m: SymmetricMatrix, j: int, phis: Sequence[TestFunction],
+                first_read: int | None) -> tuple[np.ndarray, int | None]:
     """phi(M)_jj for each test function, and the size of the Jacobi matrix read
     (None when none is, as on the eigh route): the one evaluator of a replica.
 
     M is unpacked once, and the route is phi_route(phis).  "eigh" diagonalizes
     M once and reads every function off the same spectrum.  On "power" and
     "lanczos", polynomials read the power sums (M^k)_jj of power_moments, with no Jacobi matrix.
-    Smooth phi walk the Jacobi matrices T_k of lanczos_jacobi, each read once
-    per step as phi(T_k)_00 through eigh and matrix_function_entry; the walk
-    stops at the first k >= 3 where every smooth estimate moved by <=
+    Smooth phi walk the Jacobi matrices T_k of lanczos_jacobi.  first_read is
+    K0 = lanczos_first_read(phis, w), the first rule size exact to the smooth
+    phis' resolved degree; the other routes ignore it.  No rule smaller than
+    K0 - 2 is read.  From there on each T_k is read once per step as
+    phi(T_k)_00 through eigh and matrix_function_entry, and the walk stops at
+    the first k >= max(3, K0) where every smooth estimate moved by <=
     GAUSS_TOLERANCE * max(1, |value|) over two consecutive steps, or where it
-    ends (breakdown, k = n), and each smooth phi takes the last T_k's rule.
+    ends (breakdown, k = n); each smooth phi takes the last T_k's rule.
 
     The stop rule's estimates go through spectral's own names.  The values
     returned for smooth phi are read off the last T_k once more, through the
@@ -254,10 +279,13 @@ def phi_entries(m: SymmetricMatrix, j: int,
     if smooth:
         estimates: list[list[float]] = []
         for t in lanczos_jacobi(dense, j):
+            if len(t) < first_read - 2:
+                continue
             step = spectral.eigh(t)
             estimates.append([spectral.matrix_function_entry(step, p, 0) for p in smooth])
-            if len(t) >= 3 and np.all(np.abs(np.diff(estimates[-3:], axis=0))
-                                      <= GAUSS_TOLERANCE * np.maximum(1.0, np.abs(estimates[-1]))):
+            if len(t) >= max(3, first_read) and np.all(
+                    np.abs(np.diff(estimates[-3:], axis=0))
+                    <= GAUSS_TOLERANCE * np.maximum(1.0, np.abs(estimates[-1]))):
                 break
         dec, size = eigh(t), len(t)
     values = []
@@ -276,12 +304,17 @@ def matrix_element_samples(spec: EnsembleSpec, n: int, j: int, phis: Sequence[Te
     """phi_entries of every replica, shape (replicas, len(phis)), and the largest
     Jacobi matrix over replicas (None when no smooth phi takes Lanczos).
 
-    A value out of the float range is a ConfigError on config.phi.
+    The stop rule's first rule size, lanczos_first_read(phis, spec.w), is taken
+    once, before the first replica.  A value out of the float range is a
+    ConfigError on config.phi.
     """
+    with float_range("config.phi"):
+        first_read = lanczos_first_read(phis, spec.w)
+
     def one_replica(r: int) -> tuple[np.ndarray, int | None]:
         m = sample_matrix(spec, n, root_seed, r)
         with _replica_guard("config.phi", root_seed, r):
-            return phi_entries(m, j, phis)
+            return phi_entries(m, j, phis, first_read)
 
     rows = _parallel_map(one_replica, replicas, threads)
     sizes = [size for _, size in rows if size is not None]

@@ -74,38 +74,42 @@ def lanczos_jacobi(a: np.ndarray, j: int) -> Iterator[np.ndarray]:
     """Lanczos on M = a started from e_j: yields the k x k Jacobi matrices T_1, T_2, ...
 
     Each T_k is a fresh symmetric tridiagonal array, its diagonal alpha_1..alpha_k
-    and its off-diagonals beta_1..beta_(k-1).  The eigenvalues of T_k are the
+    and its off-diagonals beta_1..beta_(k-1), copied from one tridiagonal buffer
+    that grows with the walk.  The eigenvalues of T_k are the
     nodes, and the squared first components of its eigenvectors the weights, of
     the k-point Gauss rule for the spectral measure of M at e_j (Golub & Welsch
     1969), so phi(M)_jj is read as phi(T_k)_00; the rule is exact for
     polynomials of degree < 2k.  The caller stops reading when its estimates
-    suffice; the walk ends by itself after a Krylov breakdown (the last rule is
+    suffice, and may skip the rules too small to resolve its phi; the walk ends
+    by itself after a Krylov breakdown (the last rule is
     then exact) or at k = n.  Each step reorthogonalises against the whole basis
     twice; the basis holds O(k n) numbers.  As a generator it checks j on the
     first step.
     """
     n = len(a)
     _check_index(n, j)
-    basis = np.zeros((min(n, 32), n))
+    rows = min(n, 32)
+    basis = np.zeros((rows, n))
     basis[0, j] = 1.0
-    alpha: list[float] = []
-    beta: list[float] = []
-    scale = 0.0
+    jacobi = np.zeros((rows, rows))
+    b = scale = 0.0
     for k in range(1, n + 1):
         w = a @ basis[k - 1]
-        alpha.append(float(basis[k - 1] @ w))
+        alpha = float(basis[k - 1] @ w)
+        jacobi[k - 1, k - 1] = alpha + 0.0  # + 0.0: a zero alpha is +0.0, not -0.0
         done = basis[:k]
         for _ in range(2):
             w -= done.T @ (done @ w)
-        b = float(np.linalg.norm(w))
-        scale = max(scale, abs(alpha[-1]) + b + (beta[-1] if beta else 0.0))
-        off = np.array(beta)
-        yield np.diag(np.array(alpha)) + np.diag(off, 1) + np.diag(off, -1)
+        beta, b = b, float(np.linalg.norm(w))
+        scale = max(scale, abs(alpha) + b + beta)
+        yield jacobi[:k, :k].copy()
         if k == n or b <= n * np.finfo(float).eps * scale:
             return
-        if k == basis.shape[0]:
-            basis = np.vstack([basis, np.zeros((min(k, n - k), n))])
-        beta.append(b)
+        if k == rows:
+            rows += min(k, n - k)
+            basis = np.vstack([basis, np.zeros((rows - k, n))])
+            jacobi = np.pad(jacobi, (0, rows - k))
+        jacobi[k - 1, k] = jacobi[k, k - 1] = b
         basis[k] = w / b
 
 

@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.integrate import quad
 
-from wignerlab import ensembles, harness, seeding
+from wignerlab import ensembles, harness, seeding, spectral
 from wignerlab.cumulants import MAX_ORDER, jackknife_spread
 from wignerlab.errors import ContractError
 from wignerlab.limits import LimitPrediction
@@ -32,15 +32,39 @@ from wignerlab.volterra import _conv_values, _cumtrapz, _edd_weighted, volterra_
 class Trigonometric:
     """phi(x) = a cos x + b sin x, a bounded smooth test function closed under d/dx.
 
-    Its kind, a class attribute, sends it down harness.phi_entries' smooth path.
+    Its kind, a class attribute, sends it down harness.phi_entries' smooth path, and its
+    parity, another, lets semicircle.u_coefficients read it.
     """
 
     kind = "trigonometric"
+    parity = "none"
     a: float
     b: float
 
     def __call__(self, lam):
         return self.a * np.cos(lam) + self.b * np.sin(lam)
+
+
+def every_step_entries(m: ensembles.SymmetricMatrix, j: int, phis: Sequence) -> tuple[np.ndarray, int]:
+    """phi(M)_jj of smooth phis by the Lanczos stop rule that reads every Jacobi matrix, and
+    the size of the last one: harness.phi_entries' rule before it skipped the rules too
+    small to resolve phi.
+
+    Each T_k of spectral.lanczos_jacobi is rebuilt from its diagonals as three np.diag
+    arrays summed and read from k = 1 on; the walk stops at the first k >= 3 where every
+    estimate moved by <= GAUSS_TOLERANCE * max(1, |value|) over two consecutive steps, or
+    where the walk ends.
+    """
+    estimates: list[list[float]] = []
+    for t in spectral.lanczos_jacobi(m.dense(), j):
+        off = np.diag(t, 1)
+        t = np.diag(np.diag(t)) + np.diag(off, 1) + np.diag(off, -1)
+        dec = spectral.eigh(t)
+        estimates.append([spectral.matrix_function_entry(dec, p, 0) for p in phis])
+        if len(t) >= 3 and np.all(np.abs(np.diff(estimates[-3:], axis=0))
+                                  <= harness.GAUSS_TOLERANCE * np.maximum(1.0, np.abs(estimates[-1]))):
+            break
+    return np.array(estimates[-1]), len(t)
 
 
 def derivative(phi: TestFunction | Trigonometric, order: int = 1) -> TestFunction | Trigonometric:

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from wignerlab import blas, cli, harness
 from wignerlab import ensembles as en
 from wignerlab.errors import ConfigError
+from wignerlab.semicircle import gaussian_damped
 
 
 def minimal_config(**overrides):
@@ -225,8 +226,9 @@ def test_lemma_identical_across_replica_and_blas_threads(tmp_path):
     ("smooth", "lanczos", True), ("tabulated", "eigh", False), ("polynomial", "power", False),
 ])
 def test_simulate_manifest_records_phi_route(tmp_path, phi_kind, route, steps):
-    """steps: True when a smooth phi walks Lanczos; x^3 and x^4 read power vectors, so they
-    record no Jacobi matrix, like a tabulated phi's eigh."""
+    """steps: True when a smooth phi walks Lanczos, which records its largest Jacobi matrix
+    and K0, the first rule size its stop rule may stop at; x^3 and x^4 read power vectors,
+    so they record neither, like a tabulated phi's eigh."""
     phi = {"kind": "gaussian_damped_polynomial", "coefficients": [1, 0, 1]}
     extra = {}
     if phi_kind == "polynomial":
@@ -240,8 +242,9 @@ def test_simulate_manifest_records_phi_route(tmp_path, phi_kind, route, steps):
     assert manifest["phi_route"] == route
     if steps:
         assert 1 <= manifest["lanczos_steps_max"] <= 64
+        assert manifest["lanczos_first_read"] == harness.lanczos_first_read([gaussian_damped([1, 0, 1])], 1.0) == 14
     else:
-        assert manifest["lanczos_steps_max"] is None
+        assert manifest["lanczos_steps_max"] is manifest["lanczos_first_read"] is None
     result = json.loads((tmp_path / "s" / "result.json").read_text())
     assert "phi_route" not in json.dumps(result)  # metadata stays out of the primary output
 
@@ -1426,7 +1429,8 @@ def test_simulate_eigh_failure_exits_3_naming_its_sample(tmp_path, capsys, monke
 
 @pytest.mark.parametrize("command,phi,order", [
     ("lemma", {"kind": "polynomial", "coefficients": [0, 1]}, 16),  # each replica's full eigh, at the first n
-    ("simulate", {"kind": "gaussian_damped_polynomial", "coefficients": [1.0]}, 3),  # the Jacobi matrix T_3
+    # the Jacobi matrix T_3: so wide an envelope gives K0 = 5, and the walk reads from T_(K0 - 2)
+    ("simulate", {"kind": "gaussian_damped_polynomial", "coefficients": [1.0], "envelope_width": 20.0}, 3),
 ])
 def test_eigh_failure_exits_3_naming_its_sample_on_every_route(tmp_path, capsys, monkeypatch, command, phi,
                                                                order):

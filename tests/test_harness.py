@@ -308,13 +308,36 @@ def test_mixed_set_stops_with_its_smooth_member():
     alone = []
     for r in range(replicas):
         m = en.sample_matrix(spec, n, seed, r)
-        alone.append(hn.phi_entries(m, 0, phis[:1])[1])
+        alone.append(hn.phi_entries(m, 0, phis[:1], hn.lanczos_first_read(phis[:1], 3.0))[1])
         dec = sp.eigh(m.dense())
         for i, p in enumerate(phis):
             scale = sp.matrix_function_entry(dec, lambda x: np.abs(p(x)), 0)
             oracle = sp.matrix_function_entry(dec, p, 0)
             assert abs(lanczos[r, i] - oracle) <= 1e-12 * scale, (r, i)
     assert steps == max(alone) <= 64
+
+
+@pytest.mark.parametrize("case", ["benchmark", "mixed parity"])
+def test_start_rule_stops_where_every_step_rule_stops(case):
+    """Reading no rule smaller than K0 - 2 leaves the stop and the values of the rule that
+    reads every Jacobi matrix (oracles.every_step_entries) bit for bit: on the benchmark's
+    smooth pair (uniform entries, general_diagonal w2 = 1, n = 512) and on the mixed-parity
+    phi2 (uniform w = 1.1, w2 = 1.5), at the middle row."""
+    if case == "benchmark":
+        spec = en.EnsembleSpec(entry_dist=en.make_entry_distribution("uniform", 1.0),
+                               convention="general_diagonal", w2=1.0)
+        phis, n = [gaussian_damped([0, 1.0, 0, 0.5], 1.0), gaussian_damped([1.0, 0, 1.0], 1.2)], 512
+    else:
+        spec = en.EnsembleSpec(entry_dist=en.make_entry_distribution("uniform", 1.1),
+                               convention="general_diagonal", w2=1.5)
+        phis, n = [gaussian_damped([0, 0, 1.0, 1.0], 1.3)], 128
+    first, j = hn.lanczos_first_read(phis, spec.w), (n - 1) // 2
+    for r in range(4):
+        m = en.sample_matrix(spec, n, 301, r)
+        values, size = hn.phi_entries(m, j, phis, first)
+        expected, expected_size = oracles.every_step_entries(m, j, phis)
+        assert size == expected_size > first
+        assert values.tobytes() == expected.tobytes(), r
 
 
 ROUTE_PHIS = {  # phis, route, eigh calls per replica (on the Jacobi matrix for lanczos)
@@ -375,9 +398,9 @@ def test_auto_routes_each_phi_to_its_evaluator(monkeypatch, case):
 
 @pytest.mark.parametrize("case", ["polynomials", "smooth", "smooth and polynomial"])
 def test_lanczos_reads_each_smooth_phi_once_per_jacobi_matrix(monkeypatch, case):
-    """The stop rule reads every smooth phi once per Jacobi matrix drawn, through
-    spectral.eigh and spectral.matrix_function_entry; the returned values are read
-    off the last matrix through the harness's eigh and matrix_function_entry, once
+    """The stop rule reads every smooth phi once per Jacobi matrix drawn from order K0 - 2
+    on, through spectral.eigh and spectral.matrix_function_entry; the returned values are
+    read off the last matrix through the harness's eigh and matrix_function_entry, once
     per replica.  Polynomial-only sets draw no matrix and decompose none."""
     drawn = counted_walk(monkeypatch)
     names = ["eigh", "matrix_function_entry"]
@@ -388,8 +411,10 @@ def test_lanczos_reads_each_smooth_phi_once_per_jacobi_matrix(monkeypatch, case)
     values, steps = hn.matrix_element_samples(spec, 64, 5, phis, 11, 6)
     assert values.shape == (6, len(phis))
     if smooth:
-        assert (steps, len(drawn)) == (max(drawn), 6)
-        assert inner == {"eigh": sum(drawn), "matrix_function_entry": smooth * sum(drawn)}
+        first = hn.lanczos_first_read(phis, 1.0)
+        reads = sum(max(0, size - max(1, first - 2) + 1) for size in drawn)
+        assert (steps, len(drawn)) == (max(drawn), 6) and min(drawn) >= first > 3
+        assert inner == {"eigh": reads, "matrix_function_entry": smooth * reads}
         assert outer == {"eigh": 6, "matrix_function_entry": 6 * smooth}
     else:
         assert (steps, drawn) == (None, [])

@@ -76,7 +76,8 @@ def test_eigh_returns_numpys_result_read_only():
 
 def test_eigh_failure_names_root_seed_replica_and_order(monkeypatch):
     """eigh names the order of the array it failed on; the replica phase adds the root
-    seed and the replica, on the eigh route (order n) and at a Jacobi matrix (order k)."""
+    seed and the replica, on the eigh route (order n) and at a Jacobi matrix (order k):
+    the first one the Lanczos walk reads, of order K0 - 2."""
     original, sample = np.linalg.eigh, hn.sample_matrix
     drawn = []
 
@@ -96,7 +97,10 @@ def test_eigh_failure_names_root_seed_replica_and_order(monkeypatch):
     assert str(info.value).startswith("order 12: eigendecomposition did not converge")
     assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
     monkeypatch.setattr(hn, "sample_matrix", sample_matrix)
-    for phi, order in ((tabulated([-9.0, 9.0], [1.0, -1.0]), 12), (gaussian_damped([1.0], 1.0), 3)):
+    smooth = gaussian_damped([1.0], 3.0)
+    first = hn.lanczos_first_read([smooth], 1.0) - 2
+    assert 3 <= first < 12
+    for phi, order in ((tabulated([-9.0, 9.0], [1.0, -1.0]), 12), (smooth, first)):
         monkeypatch.setattr(np.linalg, "eigh", fails_at(order))
         with pytest.raises(NumericFailureError, match=f"^root seed 987654321, replica 4, order {order}: "):
             hn.matrix_element_samples(goe_spec(), 12, 0, [phi], 987654321, 6)
@@ -200,25 +204,28 @@ LANCZOS_PHIS = {
 @pytest.mark.parametrize("kind", ["gaussian", "rademacher", "uniform"])
 def test_lanczos_matches_eigh_battery(kind):
     """phi_entries' Gauss rules over lanczos_jacobi, and its power sums for polynomials,
-    against the full eigh, to 1e-12 relative.
+    against the full eigh, to 1e-12 relative, at w = 1 and at w = 2.5, where K0 can lie
+    past the step the every-step rule stops at.
 
     Relative to sum_a |phi(lambda_a)| Q_ja^2, the size of the terms the eigh
     route adds: an odd phi can make phi(M)_jj itself cancel to 1e-4 while both
     routes carry round-off of the size of those terms.  An all-polynomial set
     reads no Jacobi matrix.
     """
-    spec = en.EnsembleSpec(entry_dist=en.make_entry_distribution(kind, 1.0))
-    for n in (16, 64, 512):
-        m = en.sample_matrix(spec, n, seed=83, replica=n)
-        dec = sp.eigh(m.dense())
-        for j in (0, (n - 1) // 2, n - 1):
-            for name, phis in LANCZOS_PHIS.items():
-                values, size = hn.phi_entries(m, j, phis)
-                assert size is None if name == "polynomial" else size <= n
-                for p, value in zip(phis, values):
-                    expected = sp.matrix_function_entry(dec, p, j)
-                    scale = sp.matrix_function_entry(dec, lambda x: np.abs(p(x)), j)
-                    assert abs(value - expected) <= 1e-12 * scale, (n, j, name)
+    for w in (1.0, 2.5):
+        spec = en.EnsembleSpec(entry_dist=en.make_entry_distribution(kind, w))
+        first = {name: hn.lanczos_first_read(phis, w) for name, phis in LANCZOS_PHIS.items()}
+        for n in (16, 64, 512):
+            m = en.sample_matrix(spec, n, seed=83, replica=n)
+            dec = sp.eigh(m.dense())
+            for j in (0, (n - 1) // 2, n - 1):
+                for name, phis in LANCZOS_PHIS.items():
+                    values, size = hn.phi_entries(m, j, phis, first[name])
+                    assert size is None if name == "polynomial" else size <= n
+                    for p, value in zip(phis, values):
+                        expected = sp.matrix_function_entry(dec, p, j)
+                        scale = sp.matrix_function_entry(dec, lambda x: np.abs(p(x)), j)
+                        assert abs(value - expected) <= 1e-12 * scale, (w, n, j, name)
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "rademacher", "uniform"])
@@ -270,20 +277,24 @@ def test_fixed_step_lanczos_stops_at_breakdown():
 
 
 def test_lanczos_runs_steps_then_the_gauss_test():
-    """Lanczos reads at least 3 Jacobi matrices, then stops at the first step where every
-    smooth phi's Gauss estimate has settled; polynomials beside it move neither, and an
-    all-polynomial set reads none."""
+    """Lanczos reads at least max(3, K0) Jacobi matrices, then stops at the first step where
+    every smooth phi's Gauss estimate has settled; polynomials beside it move neither K0 nor
+    the stop, and an all-polynomial set reads none."""
     m = en.sample_matrix(goe_spec(), 128, seed=117)
     smooth = [gaussian_damped([1.0, 0.0, 1.0], 1.0)]
+    first = hn.lanczos_first_read(smooth, 1.0)
 
     def size(*degrees):
-        return hn.phi_entries(m, 3, smooth + [monomial(d) for d in degrees])[1]
+        phis = smooth + [monomial(d) for d in degrees]
+        assert hn.lanczos_first_read(phis, 1.0) == first
+        return hn.phi_entries(m, 3, phis, first)[1]
 
     settled = size()
-    assert 3 <= settled < 40
+    assert max(3, first) <= settled < 40
     assert size(2) == size(3) == size(2 * settled - 2) == size(78) == settled
-    assert hn.phi_entries(m, 3, [monomial(8)])[1] is None
-    assert hn.phi_entries(m, 3, [monomial(1)])[1] is None
+    for degree in (8, 1):
+        assert hn.lanczos_first_read([monomial(degree)], 1.0) is None
+        assert hn.phi_entries(m, 3, [monomial(degree)], None)[1] is None
 
 
 def test_lanczos_jacobi_is_tridiagonal():
@@ -311,13 +322,14 @@ def test_lanczos_breakdown_is_exact():
     m = packed(a)
     phis = [gaussian_damped([0.0, 1.0, 0.0, 0.5], 0.5), oracles.Trigonometric(1.0, 1.0)]
     dec = sp.eigh(a)
+    first = hn.lanczos_first_read(phis, 1.0)
     for j in range(3):
-        values, size = hn.phi_entries(m, j, phis)
+        values, size = hn.phi_entries(m, j, phis, first)
         assert size <= 3
         for p, value in zip(phis, values):
             assert value == pytest.approx(sp.matrix_function_entry(dec, p, j), rel=1e-13, abs=1e-15)
     diagonal = packed(np.diag([0.5, -1.0, 2.0]))
-    values, size = hn.phi_entries(diagonal, 1, phis)
+    values, size = hn.phi_entries(diagonal, 1, phis, first)
     assert size == 1
     assert list(values) == [p(-1.0) for p in phis]
 
@@ -328,9 +340,39 @@ def test_lanczos_steps_never_exceed_n(n):
     narrow = [gaussian_damped([1.0], 0.25)]  # not converged before k = n, so the cap stops it
     dec = sp.eigh(m.dense())
     for j in range(n):
-        values, size = hn.phi_entries(m, j, narrow)
+        values, size = hn.phi_entries(m, j, narrow, hn.lanczos_first_read(narrow, 1.0))
         assert size == n
         assert values[0] == pytest.approx(sp.matrix_function_entry(dec, narrow[0], j), rel=1e-12)
+
+
+def test_lanczos_first_read_is_the_first_rule_exact_to_the_resolved_degree():
+    """K0 = ceil((D + 1) / 2), D the last Chebyshev-U index above GAUSS_TOLERANCE * max|a|, the
+    smallest over the smooth phis; it does not depend on phi's scale, a tail that never falls
+    below the tolerance gives 64, and the eigh and power routes get None."""
+    odd, even = gaussian_damped([0, 1.0, 0, 0.5], 1.0), gaussian_damped([1.0, 0, 1.0], 1.2)
+    assert [hn.lanczos_first_read(phis, 1.0) for phis in ([odd], [even], [odd, even], [even, odd])] \
+        == [14, 13, 13, 13]  # D = 27 and 24: the benchmark's phis
+    assert hn.lanczos_first_read([gaussian_damped([0, 1e-20, 0, 0.5e-20], 1.0), monomial(3)], 1.0) == 14
+    assert hn.lanczos_first_read([gaussian_damped([1.0], 0.05)], 1.0) == 64
+    assert hn.lanczos_first_read([oracles.Trigonometric(0.4, 1.0)], 1.0) >= 3
+    assert hn.lanczos_first_read([monomial(3)], 1.0) is None
+    assert hn.lanczos_first_read([odd, tabulated([-3.0, 3.0], [0.0, 1.0])], 1.0) is None
+
+
+@pytest.mark.parametrize("c", [1.0, 1e-3, 1e-6, 1e-9, 1e-12, 1e-20])
+def test_small_valued_phi_reads_to_the_battery_tolerance(c):
+    """phi = c (x + x^3/2) e^{-x^2/2} agrees with the full eigh to 1e-12 of
+    sum_a |phi(lambda_a)| Q_ja^2 at every scale c.  The tolerance floor max(1, |value|)
+    is absolute below 1, so a rule read from k = 3 on stops at k = 3 once c <= 1e-12;
+    K0 does not depend on c, and no rule smaller than K0 - 2 is read."""
+    spec = en.EnsembleSpec(entry_dist=en.make_entry_distribution("uniform", 1.0))
+    phi = gaussian_damped([0.0, c, 0.0, 0.5 * c], 1.0)
+    values, steps = hn.matrix_element_samples(spec, 512, 255, [phi], 7, 20)
+    for r in range(20):
+        dec = sp.eigh(en.sample_matrix(spec, 512, 7, r).dense())
+        scale = sp.matrix_function_entry(dec, lambda x: np.abs(phi(x)), 255)
+        assert abs(values[r, 0] - sp.matrix_function_entry(dec, phi, 255)) <= 1e-12 * scale, r
+    assert steps >= hn.lanczos_first_read([phi], 1.0)
 
 
 def test_lanczos_contracts():

@@ -120,6 +120,24 @@ def test_same_outputs_predicts_the_offset_phis_under_every_entry_kind(tmp_path):
         assert cfg.spec.descriptor() == mixed.spec.descriptor() and cfg.spec.entry_dist.kind == kind
 
 
+def test_same_outputs_runs_sparse_entries_on_the_lanczos_route(tmp_path):
+    """SPARSE_CONFIG's walks run past K0, the first rule size the stop rule may stop at, so the
+    comparison covers the rules the stop rule reads as well as the one it stops at."""
+    from wignerlab import cli, harness
+
+    runs = {label: (args, outputs) for label, args, outputs in same_outputs.runs(tmp_path)}
+    args, outputs = runs["simulate sparse"]
+    assert outputs == ["result.json", "replicas.csv"]
+    assert args[0] == "simulate" and "--raw" in args
+    cfg = cli.parse_config(args[args.index("--config") + 1])
+    assert (cfg.spec.entry_dist.kind, cfg.n_list, harness.phi_route(cfg.phis())) == (
+        "discrete_custom", (32, 64, 256), "lanczos")
+    n = cfg.n_list[0]
+    _, steps = harness.matrix_element_samples(cfg.spec, n, harness.resolve_j(cfg.j_policy, n), cfg.phis(),
+                                              cfg.root_seed, cfg.replicas)
+    assert steps > harness.lanczos_first_read(cfg.phis(), cfg.spec.w) + 2
+
+
 def test_same_outputs_runs_the_ks_test(tmp_path):
     """simulate runs gaussian_limit_test only at 500 replicas or more: some run must reach it."""
     from wignerlab import cli

@@ -7,7 +7,8 @@ perfbench/workloads.make (read only), and runs each one, plus `predict` on the
 two simulate configs, `volterra` at its defaults, `simulate --raw` with a
 tabulated phi (TABULATED_CONFIG), `simulate --raw` with every limit term
 nonzero (MIXED_PARITY_CONFIG) and with a large constant term in its phi
-(OFFSET_CONFIG), and `predict` on the phis of both configs under one entry
+(OFFSET_CONFIG), `simulate --raw` with sparse entries on the Lanczos route
+(SPARSE_CONFIG), and `predict` on the phis of both configs under one entry
 law of every kind (ENTRY_LAWS), once under this checkout's src/ and
 once under OTHER_CHECKOUT/src.  Every primary output must match byte for byte,
 and so must the manifest.json fields that identify the inputs (IDENTITY_FIELDS).
@@ -74,6 +75,21 @@ OFFSET_CONFIG = {**MIXED_PARITY_CONFIG, "phi": {
     "coefficients": [MIXED_PARITY_CONFIG["phi"]["coefficients"][0] + 1e6,
                      *MIXED_PARITY_CONFIG["phi"]["coefficients"][1:]]}}
 
+# sparse entries, 0 with probability .96 and +-5 with .02 each (w = 1), under the benchmark's
+# smooth pair: the Lanczos walks of harness.phi_entries run past K0 + 2, where K0 is the first
+# rule size the phis' semicircle coefficients resolve, so several stop-rule reads are compared
+SPARSE_CONFIG = {
+    "spec": {"entry_dist": {"kind": "discrete_custom", "w": 1.0,
+                            "params": {"atoms": [-5.0, 0.0, 5.0], "probs": [0.02, 0.96, 0.02]}},
+             "convention": "general_diagonal", "w2": 1.0},
+    "phi": {"kind": "gaussian_damped_polynomial", "coefficients": [0.0, 1.0, 0.0, 0.5], "envelope_width": 1.0},
+    "phi2": {"kind": "gaussian_damped_polynomial", "coefficients": [1.0, 0.0, 1.0], "envelope_width": 1.2},
+    "n_list": [32, 64, 256],
+    "replicas": 100,
+    "root_seed": SEED,
+    "j_policy": "middle",
+}
+
 # one entry law of each kind in ensembles.KINDS at MIXED_PARITY_CONFIG's w; Gaussian entries take
 # convention goe, the others MIXED_PARITY_CONFIG's general_diagonal w2 = 1.5.  Each kind's
 # cumulants enter the limit law, so predict on the mixed-parity phis compares all of them, and
@@ -104,12 +120,14 @@ def runs(work: Path) -> list[tuple[str, list[str], list[str]]]:
     tabulated, mixed = work / "simulate-tabulated.json", work / "mixed-parity.json"
     tabulated.write_text(json.dumps(TABULATED_CONFIG))
     mixed.write_text(json.dumps(MIXED_PARITY_CONFIG))
-    offset = work / "offset.json"
+    offset, sparse = work / "offset.json", work / "sparse.json"
     offset.write_text(json.dumps(OFFSET_CONFIG))
+    sparse.write_text(json.dumps(SPARSE_CONFIG))
     raw = ["--raw", "--threads", str(THREADS)]
     out.append(("simulate tabulated", ["simulate", "--config", str(tabulated), *raw], ["result.json", "replicas.csv"]))
     out.append(("simulate mixed parity", ["simulate", "--config", str(mixed), *raw], ["result.json", "replicas.csv"]))
     out.append(("simulate offset", ["simulate", "--config", str(offset), *raw], ["result.json", "replicas.csv"]))
+    out.append(("simulate sparse", ["simulate", "--config", str(sparse), *raw], ["result.json", "replicas.csv"]))
     for law in ENTRY_LAWS:
         spec = {"entry_dist": law, "convention": "goe"} if law["kind"] == "gaussian" else {
             **MIXED_PARITY_CONFIG["spec"], "entry_dist": law}
