@@ -412,8 +412,8 @@ def test_lanczos_reads_each_smooth_phi_once_per_jacobi_matrix(monkeypatch, case)
     assert values.shape == (6, len(phis))
     if smooth:
         first = hn.lanczos_first_read(phis, 1.0)
-        reads = sum(max(0, size - max(1, first - 2) + 1) for size in drawn)
         assert (steps, len(drawn)) == (max(drawn), 6) and min(drawn) >= first > 3
+        reads = sum(size - (first - 3) for size in drawn)  # orders K0 - 2 .. size
         assert inner == {"eigh": reads, "matrix_function_entry": smooth * reads}
         assert outer == {"eigh": 6, "matrix_function_entry": 6 * smooth}
     else:
