@@ -42,7 +42,7 @@ from .harness import (
     predict,
     run_entry_experiment,
 )
-from .volterra import residual_table, uniform_grid
+from .volterra import kernel_nodes, residual_table, uniform_grid
 
 __all__ = ["main", "run_cli", "parse_config", "config_hash"]
 
@@ -353,7 +353,7 @@ def _cmd_volterra(args) -> int:
         raise
     cfg_hash = config_hash({"h": h_values, "w": args.w, "kappa4": args.kappa4, "t_max": args.t_max})
     return _write_outputs(args.out, started, {"volterra_residuals.csv": rows}, cfg_hash, 0, 1,
-                          replica_blas_threads())
+                          replica_blas_threads(), kernel_nodes=kernel_nodes(w * args.t_max))
 
 
 def _cmd_lemma(args) -> int:

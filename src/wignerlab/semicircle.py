@@ -7,8 +7,9 @@ self-convolutions of v used by the limiting covariance kernels.
 Quadrature is Gauss-Chebyshev of the second kind: after lambda = 2w cos(theta)
 the semicircle weight is exactly the Chebyshev-U weight, so an N-node rule
 integrates polynomials of degree <= 2N - 1 exactly.  Every semicircle integral
-in the package uses the one DEFAULT_NODES-node rule, and at its nodes a test
-function's Chebyshev-U coefficients are one sine transform (u_coefficients).
+in the package uses the DEFAULT_NODES-node rule, and at its nodes a test
+function's Chebyshev-U coefficients are one sine transform (u_coefficients);
+only the Volterra kernels' factors (volterra.grid_factors) take a smaller rule.
 """
 
 from __future__ import annotations
@@ -163,12 +164,13 @@ def tabulated(grid: Sequence[float], values: Sequence[float]) -> TestFunction:
 # ---------------------------------------------------------------------------
 
 
-def gauss_chebyshev_u(w: float) -> tuple[np.ndarray, np.ndarray]:
-    """The DEFAULT_NODES-node rule (nodes, weights) at scale w, built on each call."""
+def gauss_chebyshev_u(w: float, size: int = DEFAULT_NODES) -> tuple[np.ndarray, np.ndarray]:
+    """The size-node rule (nodes, weights) at scale w, exact to degree 2 size - 1, built on each call."""
     if w <= 0:
         raise ContractError("scale w must be positive")
-    nodes = 2.0 * float(w) * np.cos(RULE_ANGLES)
-    weights = (2.0 / (DEFAULT_NODES + 1)) * np.sin(RULE_ANGLES) ** 2
+    angles = RULE_ANGLES if size == DEFAULT_NODES else np.arange(1, size + 1, dtype=float) * math.pi / (size + 1)
+    nodes = 2.0 * float(w) * np.cos(angles)
+    weights = (2.0 / (size + 1)) * np.sin(angles) ** 2
     return nodes, weights
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .blas import single_blas_thread
 from .errors import ContractError
-from .semicircle import gauss_chebyshev_u, sc_convolutions, v_of_t
+from .semicircle import DEFAULT_NODES, gauss_chebyshev_u, sc_convolutions, v_of_t
 
 
 # ---------------------------------------------------------------------------
@@ -126,34 +126,44 @@ def volterra_solve(q: np.ndarray, r: np.ndarray, h: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _edd_weighted(t_values: np.ndarray, w: float) -> np.ndarray:
-    """a[t, j] = sum_i w_i (e^{i t l_i} - e^{i t l_j})/(l_i - l_j), i = j giving i t w_j e^{i t l_j}.
+def kernel_nodes(wt: float) -> int:
+    """The node count of grid_factors' rule on [0, t_max] at w t_max = wt: the least power of two
+    >= 2.5 wt, at least 32 and at most DEFAULT_NODES.
 
-    One GEMM over the grid: a = (f o w) D - f o (w D) + i t (1 + f) o w, with
-    D_ij = 1/(l_i - l_j) off the diagonal (0 on it) and f = e^{i t l} - 1 formed
-    without cancellation, so a(0) = 0 exactly.
+    The factors' Chebyshev coefficients are J_k(2 w t), which drop to rounding once k passes
+    about 2 w t.  32 and 64 nodes resolve coveq_residual up to w t = 26 and 56, so each rung
+    keeps a margin of two over the largest w t it takes, and 128 nodes take the rest up to 90.
     """
-    nodes, weights = gauss_chebyshev_u(w)
+    size = 32
+    while size < DEFAULT_NODES and size < 2.5 * wt:
+        size *= 2
+    return size
+
+
+def grid_factors(t_values: np.ndarray, w: float,
+                 size: int = DEFAULT_NODES) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The kernels' factors on a time grid, on the size-node rule (l, w_l):
+    (a(t) sqrt(w_l), e^{i t l} sqrt(w_l), vv, vvv), with vv and vvv from sc_convolutions.
+
+    a_j(t) = sum_i w_i (e^{i t l_i} - e^{i t l_j})/(l_i - l_j), i = j giving i t w_j e^{i t l_j}, is
+    the rho-weighted exponential divided difference against node j, from one GEMM over the grid:
+    a = (f o w) D - f o (w D) + i t (1 + f) o w, with D_ij = 1/(l_i - l_j) off the diagonal (0 on
+    it) and f = e^{i t l} - 1 formed without cancellation, so a(0) = 0 exactly.  The weights'
+    square roots make each rule sum over two factors one matrix product.  Row k of each factor
+    belongs to t_values[k] alone, so the factors of a block of the grid's times are the same
+    rows of the grid's factors.
+    """
+    nodes, weights = gauss_chebyshev_u(w, size)
+    root = np.sqrt(weights)
     t = np.asarray(t_values, float)
     gaps = nodes[:, None] - nodes[None, :]
     np.fill_diagonal(gaps, np.inf)
     d = 1.0 / gaps
     theta = np.multiply.outer(t, nodes)
     f = -2.0 * np.sin(0.5 * theta) ** 2 + 1j * np.sin(theta)
-    fw = f * weights
-    return fw @ d - f * (weights @ d) + 1j * t[:, None] * (weights + fw)
-
-
-def grid_factors(t_values: np.ndarray, w: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The kernels' factors on a time grid: (_edd_weighted(t), e^{i t l} w_l, vv, vvv).
-
-    Row k of each factor belongs to t_values[k] alone, so the factors of a
-    block of the grid's times are the same rows of the grid's factors.
-    """
-    nodes, weights = gauss_chebyshev_u(w)
-    t = np.asarray(t_values, float)
-    return (_edd_weighted(t, w), np.exp(1j * np.multiply.outer(t, nodes)) * weights,
-            *sc_convolutions(t, w))
+    e = f + 1.0
+    a = (f * weights) @ (d * root) - f * ((weights @ d) * root) + 1j * t[:, None] * (e * (weights * root))
+    return a, e * root, *sc_convolutions(t, w)
 
 
 def phi_kernel_grid(f3: tuple[np.ndarray, ...], f2: tuple[np.ndarray, ...]) -> np.ndarray:
@@ -162,10 +172,11 @@ def phi_kernel_grid(f3: tuple[np.ndarray, ...], f2: tuple[np.ndarray, ...]) -> n
     Phi(t3, t2) = -i II e^{i t3 l} (e^{i t2 l} - e^{i t2 m})/(l - m) rho rho;
     the l = m diagonal uses the removable-singularity limit i t2 e^{i t2 l}.
     The divided-difference matrix is symmetric, so the inner rho-integral over
-    m is the weighted divided difference of _edd_weighted.  f3 and f2 are the
-    grid_factors of the t3 and the t2 times at one scale w, f3 maybe mapped along t3.
+    m is the weighted divided difference a of grid_factors.  f3 and f2 are the
+    grid_factors of the t3 and the t2 times on one rule, f3 maybe mapped along t3;
+    -i scales the t2 factor.
     """
-    return -1j * (f3[1] @ f2[0].T)
+    return f3[1] @ (-1j * f2[0]).T
 
 
 def cov_kernel_grid(f1: tuple[np.ndarray, ...], f2: tuple[np.ndarray, ...], w: float,
@@ -174,11 +185,15 @@ def cov_kernel_grid(f1: tuple[np.ndarray, ...], f2: tuple[np.ndarray, ...], w: f
 
     T3(t1, t2) = sum_j w_j a_j(t1) a_j(t2) is manifestly symmetric; a_j is the
     rho-weighted exponential divided difference against node j.  f1 and f2 are
-    the grid_factors of the t1 and the t2 times at scale w, f1 maybe mapped along t1.
+    the grid_factors of the t1 and the t2 times on one rule at scale w, f1 maybe
+    mapped along t1.  2 w^2 scales the t2 factor, and kappa4 the two vvv vectors as sqrt|kappa4|
+    each, so a vector leaves the float range only where the kernel does: coveq_residual's
+    kappa4 = 1e308 meets an O(h^2) defect there.
     """
-    _, weights = gauss_chebyshev_u(w)
-    t3_part = (f1[0] * weights) @ f2[0].T
-    return 2.0 * w * w * t3_part + kappa4 * np.multiply.outer(f1[3], f2[3])
+    out = f1[0] @ (2.0 * w * w * f2[0]).T
+    root = math.sqrt(abs(kappa4))
+    out += np.multiply.outer(root * f1[3], math.copysign(root, kappa4) * f2[3])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -189,30 +204,35 @@ def cov_kernel_grid(f1: tuple[np.ndarray, ...], f2: tuple[np.ndarray, ...], w: f
 _COLUMN_BLOCK = 64
 
 
-def coveq_residual(w: float, kappa4: float, grid: np.ndarray) -> float:
+def coveq_residual(w: float, kappa4: float, grid: np.ndarray, size: int = DEFAULT_NODES) -> float:
     """Sup defect of the closed-form kernel in the discretized covariance equation; O(h^2).
 
     The defect is L[Cov] - A, with L the discretized left side and the source A(t1, t2) =
     -2 w^2 Int_0^{t1} Phi(., t2) + kappa4 vvv(t2) Int_0^{t1} vv.  L and Int_0^{t1} act on each
     t2 column alone, so they go once per grid onto the kernels' t1 factors, kappa4's onto the
-    O(h^2) defect L vvv - Int vv; each block of _COLUMN_BLOCK t2 columns is then cov_kernel_grid
-    + 2 w^2 phi_kernel_grid of those and the block's rows of the grid factors, in O(n (block + nodes)).
+    O(h^2) defect L vvv - Int vv, and 2 w^2 onto Int e.  Each block of _COLUMN_BLOCK t2 columns
+    is then cov_kernel_grid + phi_kernel_grid of those and the block's rows of the grid factors,
+    in O(n (block + size)).  The factors take the size-node rule; residual_table passes
+    kernel_nodes(w t_max), so that every grid of one table takes the rule its manifest records
+    (a grid ends at n h, which may miss t_max by an ulp).
     """
     g = np.asarray(grid, float)
     h = float(g[1] - g[0])
-    a, e, vv, vvv = grid_factors(g, w)
+    a, e, vv, vvv = grid_factors(g, w, size)
     kernel = (w * w * v_of_t(g, w)).astype(complex)
     applied_a = np.empty_like(a)
     for nodes in (slice(start, start + _COLUMN_BLOCK) for start in range(0, a.shape[1], _COLUMN_BLOCK)):
         applied_a[:, nodes] = volterra_apply(kernel, a[:, nodes], h)
-        e[:, nodes] = _cumtrapz(e[:, nodes], h)  # e is read only through its t1 integral
+        # e is read only through 2 w^2 times its t1 integral: the trapezoid's step takes the scalar
+        e[:, nodes] = _cumtrapz(e[:, nodes], 2.0 * w * w * h)
     t1_side = (applied_a, e, None, volterra_apply(kernel, vvv, h) - _cumtrapz(vv, h))
     block_sups = []
     for start in range(0, g.size - 1, _COLUMN_BLOCK):
         # a lone last column would run through GEMV, which rounds differently: the block before takes it
         cols = slice(start, start + _COLUMN_BLOCK if g.size - start - _COLUMN_BLOCK > 1 else g.size)
         block = (a[cols], None, None, vvv[cols])
-        lhs = cov_kernel_grid(t1_side, block, w, kappa4) + 2.0 * w * w * phi_kernel_grid(t1_side, block)
+        lhs = cov_kernel_grid(t1_side, block, w, kappa4)
+        lhs += phi_kernel_grid(t1_side, block)
         block_sups.append(np.max(np.abs(lhs)))
     return float(np.max(block_sups))
 
@@ -237,8 +257,10 @@ def v_equation_defect(v: np.ndarray, w: float, h: float, c: float) -> float:
 
 def residual_table(h_values: Sequence[float], w: float, kappa4: float, t_max: float = 2.0) -> list[dict]:
     """The volterra_residuals.csv rows: residuals and observed orders for the built-in
-    cases at each step size, on [0, t_max]; each grid is walked once, coarsest first."""
+    cases at each step size, on [0, t_max]; each grid is walked once, coarsest first, and
+    the coveq kernels take the kernel_nodes(w t_max)-node rule on every grid."""
     steps = [float(h) for h in sorted(h_values, reverse=True)]
+    size = kernel_nodes(w * t_max)
     per_grid = []
     with single_blas_thread():  # the arrays are small: more BLAS threads add CPU time, not speed
         v12 = v_of_t(1.0, w) * v_of_t(2.0, w)
@@ -247,7 +269,7 @@ def residual_table(h_values: Sequence[float], w: float, kappa4: float, t_max: fl
             v, step = v_of_t(g, w), float(g[1] - g[0])
             # v + w^2 II v(.)v(.) = 1 is also the l = 2 equation at t2 = 0, where v(0) = 1
             scalar = v_equation_defect(v, w, step, 1.0)
-            per_grid.append({"scalar_v_equation": scalar, "coveq": coveq_residual(w, kappa4, g),
+            per_grid.append({"scalar_v_equation": scalar, "coveq": coveq_residual(w, kappa4, g, size),
                              "v2_l2_t0": scalar, "v2_l3": v_equation_defect(v, w, step, v12),
                              "manufactured_solve": manufactured_solve_error(g)})
     rows: list[dict] = []

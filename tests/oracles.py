@@ -21,7 +21,7 @@ from wignerlab.semicircle import (
     DEFAULT_NODES, GAUSSIAN_DAMPED, POLYNOMIAL, TABULATED, TestFunction, check_coverage,
     gauss_chebyshev_u, gaussian_damped, polynomial, sc_convolutions, v_of_t,
 )
-from wignerlab.volterra import _conv_values, _cumtrapz, _edd_weighted, volterra_apply
+from wignerlab.volterra import _conv_values, _cumtrapz, grid_factors, volterra_apply
 
 # ---------------------------------------------------------------------------
 # test functions and semicircle integrals
@@ -142,8 +142,8 @@ def chebyshev_u_rule(w: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """The n_nodes-point Gauss-Chebyshev-U rule (nodes, weights) for Integral f rho_sc, exact to
     degree 2 n_nodes - 1.
 
-    The package builds only the DEFAULT_NODES rule (semicircle.gauss_chebyshev_u);
-    the tests vary the node count through this one.
+    Built apart from semicircle.gauss_chebyshev_u, which the tests hold to it bit for
+    bit at several node counts.
     """
     if w <= 0 or n_nodes < 1:
         raise ContractError("the rule needs w > 0 and n_nodes >= 1")
@@ -313,12 +313,10 @@ def fourier_pairing(phi1: TestFunction, phi2: TestFunction, w: float, kappa4: fl
     wt[0] = wt[-1] = h / 2.0
     f1 = fourier_transform(phi1)(t) * wt
     f2 = fourier_transform(phi2)(t) * wt
-    _, weights = gauss_chebyshev_u(w)
-    a = _edd_weighted(t, w)
+    a, _, _, vvv = grid_factors(t, w)  # a carries the rule's weights' square roots
     u1 = f1 @ a
     u2 = f2 @ a
-    _, vvv = sc_convolutions(t, w)
-    pair = 2.0 * w * w * np.sum(weights * u1 * u2)
+    pair = 2.0 * w * w * np.sum(u1 * u2)
     pair += kappa4 * np.sum(f1 * vvv) * np.sum(f2 * vvv)
     return complex(pair)
 
@@ -499,19 +497,17 @@ def coveq_residual_full_square(w: float, kappa4: float, grid: np.ndarray) -> flo
     The source A and the closed-form kernel come from the same formulas as
     phi_kernel_grid and cov_kernel_grid, evaluated once over all columns, and
     the discretized left side and Int_0^{t1} act on the assembled t1 x t2
-    arrays.  coveq_residual applies them to the t1 factors instead, which
-    rounds differently: the two agree to 1e-13 max(1, w^2, |kappa4|).
+    arrays, on the DEFAULT_NODES rule.  coveq_residual applies them to the t1
+    factors instead, on the kernel_nodes(w t_max) rule, which rounds
+    differently: the two agree to 1e-13 max(1, w^2, |kappa4|).
     """
     g = np.asarray(grid, float)
     h = float(g[1] - g[0])
-    nodes, weights = gauss_chebyshev_u(w)
-    vv, vvv = sc_convolutions(g, w)
-    a = _edd_weighted(g, w)
-    e3 = np.exp(1j * np.multiply.outer(g, nodes)) * weights
+    a, e3, vv, vvv = grid_factors(g, w)  # on the DEFAULT_NODES rule, whatever w t_max
     a_grid = _cumtrapz(-1j * (e3 @ a.T), h)
     a_grid *= -2.0 * w * w
     a_grid += kappa4 * np.multiply.outer(_cumtrapz(vv.astype(complex), h), vvv)
-    cov = 2.0 * w * w * ((a * weights) @ a.T) + kappa4 * np.multiply.outer(vvv, vvv)
+    cov = 2.0 * w * w * (a @ a.T) + kappa4 * np.multiply.outer(vvv, vvv)
     lhs = volterra_apply((w * w * v_of_t(g, w)).astype(complex), cov, h)
     lhs -= a_grid
     return float(np.max(np.abs(lhs)))

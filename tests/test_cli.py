@@ -321,6 +321,15 @@ def test_volterra_subcommand(tmp_path):
     assert all(1.5 <= o <= 2.5 for o in finite_orders)
 
 
+@pytest.mark.parametrize("args,nodes", [([], 32), (["--w", "40", "--t-max", "2"], 128)])
+def test_volterra_manifest_records_the_kernel_rule(tmp_path, args, nodes):
+    """manifest.json records the node count of the coveq kernels' rule: 32 at the defaults
+    (w t_max = 2), 128 at w t_max = 80."""
+    out = tmp_path / "v"
+    assert cli.run_cli(["volterra", "--h", "0.5,0.25", *args, "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["kernel_nodes"] == nodes
+
+
 def test_volterra_config_hash_covers_t_max(tmp_path):
     """Two volterra runs that differ only in --t-max have different inputs, so different hashes."""
     hashes = []
@@ -826,6 +835,16 @@ def test_volterra_huge_kappa4_scales_the_coveq_residual(tmp_path):
     huge, tenth = volterra_coveq(tmp_path, "--kappa4", "1e308"), volterra_coveq(tmp_path, "--kappa4", "1e307")
     assert all(math.isfinite(r) and r > 0 for r in huge)
     assert huge == pytest.approx([10.0 * r for r in tenth], rel=1e-12)
+
+
+@pytest.mark.parametrize("flags", [["--w=0.5"], ["--w=1", "--t-max=8", "--h=4,2"]])
+def test_volterra_largest_kappa4_runs_where_vvv_or_its_defect_passes_one(tmp_path, flags):
+    """kappa4 = 1.7e308 times a vvv above 1 (small w) or times a defect above 1 (a coarse grid)
+    leaves the float range, but the kernel's kappa4 term does not: the run exits 0."""
+    out = tmp_path / "v"
+    assert cli.run_cli(["volterra", "--kappa4=1.7e308", *flags, "--out", str(out)]) == 0
+    with (out / "volterra_residuals.csv").open() as fh:
+        assert all(math.isfinite(float(r["residual"])) for r in csv.DictReader(fh))
 
 
 @pytest.mark.parametrize("w,t_max,code", [

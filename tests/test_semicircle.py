@@ -51,6 +51,16 @@ def test_gauss_chebyshev_u_is_the_oracle_default_rule(w):
         sc.gauss_chebyshev_u(-1.0)
 
 
+@pytest.mark.parametrize("size", [32, 64, 128])
+@pytest.mark.parametrize("w", [1.0, np.float64(1.07), 45.0])
+def test_gauss_chebyshev_u_of_each_size_is_the_oracle_rule(w, size):
+    """The size-node rule the Volterra kernels take is the oracle's rule of that size, bit for bit."""
+    nodes, weights = sc.gauss_chebyshev_u(w, size)
+    oracle_nodes, oracle_weights = oracles.chebyshev_u_rule(w, size)
+    assert nodes.tobytes() == oracle_nodes.tobytes()
+    assert weights.tobytes() == oracle_weights.tobytes()
+
+
 def test_the_rule_and_the_u_coefficients_read_one_set_of_angles():
     """RULE_ANGLES, k pi / (N + 1) for k = 1..N, is the one definition of the rule's angles: the
     nodes are 2w cos of them, and u_coefficients takes its sine transform at them, where

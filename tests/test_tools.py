@@ -55,6 +55,21 @@ def test_same_outputs_runs_volterra_at_its_defaults(tmp_path):
     assert points <= volterra._COLUMN_BLOCK + 1  # the coveq residual takes its coarsest grid in one block
 
 
+def test_same_outputs_runs_volterra_on_the_top_kernel_rule(tmp_path):
+    """The defaults' coveq kernels take 32 nodes: a second volterra run takes the 128-node rule,
+    on grids of several column blocks."""
+    from wignerlab import cli, volterra
+
+    runs = {label: (args, outputs) for label, args, outputs in same_outputs.runs(tmp_path)}
+    args, outputs = runs["volterra top rung"]
+    assert outputs == ["volterra_residuals.csv"]
+    parsed, defaults = (cli._build_parser().parse_args(a) for a in (args, ["volterra"]))
+    assert volterra.kernel_nodes(defaults.w * defaults.t_max) == 32
+    assert volterra.kernel_nodes(parsed.w * parsed.t_max) == 128
+    points = round(parsed.t_max / min(float(h) for h in parsed.h.split(","))) + 1
+    assert points > 2 * volterra._COLUMN_BLOCK + 1
+
+
 def test_same_outputs_runs_a_tabulated_phi_on_the_eigh_route(tmp_path):
     from wignerlab import cli, harness, limits
 

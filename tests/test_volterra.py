@@ -75,7 +75,7 @@ def test_quadruple_unit_convolution():
 
 
 def edd_weighted_loop(t_values, w):
-    """The per-time form _edd_weighted replaced: one divided-difference matrix per t."""
+    """The per-time form grid_factors' GEMM replaced: one divided-difference matrix per t."""
     lam, weights = gauss_chebyshev_u(w)
     den = lam[:, None] - lam[None, :]
     on_diag = den == 0.0
@@ -90,7 +90,7 @@ def edd_weighted_loop(t_values, w):
 @pytest.mark.parametrize("w", [0.8, 1.0, 1.25])
 def test_edd_weighted_gemm_matches_loop(w):
     t = np.concatenate([vt.uniform_grid(2.0, 0.00125), [-3.5, 8.0]])
-    got = vt._edd_weighted(t, w)
+    got = vt.grid_factors(t, w)[0] / np.sqrt(gauss_chebyshev_u(w)[1])
     want = edd_weighted_loop(t, w)
     assert np.max(np.abs(got - want)) <= 1e-13
 
@@ -339,6 +339,38 @@ def test_coveq_residual_blocks_match_full_square(points, w, kappa4):
     assert abs(vt.coveq_residual(w, kappa4, grid) - oracle) <= bound
     if kappa4:
         assert abs(vt.coveq_residual(w, -kappa4, grid) - oracle) > bound
+
+
+def test_kernel_nodes_ladder():
+    """32 nodes up to w t_max = 12.8, 64 up to 25.6, then 128: a margin of two below the w t
+    that each rule was measured to resolve (26 and 56)."""
+    wts = [1e-300, 2.14, 12.8, 12.81, 25.6, 25.61, 90.0]
+    assert [vt.kernel_nodes(wt) for wt in wts] == [32, 32, 32, 64, 64, 128, 128]
+
+
+@pytest.mark.parametrize("w,t_max,kappa4", [
+    (0.05, 1.0, 0.0), (1.07, 2.0, -0.9), (6.4, 2.0, 1.5), (4.0, 3.2, -1.0),  # 32 nodes, to the rung's top
+    (7.0, 2.0, -0.7), (12.8, 2.0, -0.7), (8.0, 3.2, 0.3),  # 64 nodes, to the rung's top
+    (15.0, 2.0, -0.7), (20.0, 2.0, 0.0), (45.0, 2.0, -2.0), (90.0, 1.0, 4.0),  # 128 nodes, to the cap
+])
+def test_coveq_residual_kernel_rule_resolves_the_kernels(w, t_max, kappa4):
+    """On the kernel_nodes(w t_max) rule the residual matches the 128-node whole-square oracle to
+    1e-13 max(1, w^2, |kappa4|); 32 nodes at w t_max = 30 miss that bound, so the check can see
+    an under-resolved rule."""
+    grid = vt.uniform_grid(t_max, t_max / 100)
+    bound = 1e-13 * max(1.0, w * w, abs(kappa4))
+    oracle = oracles.coveq_residual_full_square(w, kappa4, grid)
+    assert abs(vt.coveq_residual(w, kappa4, grid, vt.kernel_nodes(w * t_max)) - oracle) <= bound
+    if w * t_max > 25.6:
+        assert abs(vt.coveq_residual(w, kappa4, grid, 32) - oracle) > bound
+
+
+def test_residual_table_reads_the_kernel_rule():
+    """The table's coveq rows are coveq_residual on the kernel_nodes(w t_max) rule."""
+    w, kappa4 = 9.0, -0.7  # w t_max = 18: the 64-node rung
+    rows = vt.residual_table(h_values=(0.1, 0.05), w=w, kappa4=kappa4, t_max=2.0)
+    coveq = [r["residual"] for r in rows if r["case"] == "coveq"]
+    assert coveq == [vt.coveq_residual(w, kappa4, vt.uniform_grid(2.0, h), 64) for h in (0.1, 0.05)]
 
 
 @pytest.mark.parametrize("points,columns", [(2, 1), (51, 3), (201, 64), (1601, 128)])

@@ -4,8 +4,9 @@
 
 Builds the benchmark's four workloads at seed 301 through
 perfbench/workloads.make (read only), and runs each one, plus `predict` on the
-two simulate configs, `volterra` at its defaults, `simulate --raw` with a
-tabulated phi (TABULATED_CONFIG), `simulate --raw` with every limit term
+two simulate configs, `volterra` at its defaults and on the top rung of its
+kernel rule (VOLTERRA_TOP_RUNG, 128 nodes where the defaults take 32),
+`simulate --raw` with a tabulated phi (TABULATED_CONFIG), `simulate --raw` with every limit term
 nonzero (MIXED_PARITY_CONFIG) and with a large constant term in its phi
 (OFFSET_CONFIG), `simulate --raw` with sparse entries on the Lanczos route
 (SPARSE_CONFIG), and `predict` on the phis of both configs under one entry
@@ -90,6 +91,9 @@ SPARSE_CONFIG = {
     "j_policy": "middle",
 }
 
+# volterra at w t_max = 80, where volterra.kernel_nodes gives the coveq kernels the 128-node rule
+VOLTERRA_TOP_RUNG = ["volterra", "--w", "40", "--t-max", "2", "--h", "0.01,0.005"]
+
 # one entry law of each kind in ensembles.KINDS at MIXED_PARITY_CONFIG's w; Gaussian entries take
 # convention goe, the others MIXED_PARITY_CONFIG's general_diagonal w2 = 1.5.  Each kind's
 # cumulants enter the limit law, so predict on the mixed-parity phis compares all of them, and
@@ -117,6 +121,7 @@ def runs(work: Path) -> list[tuple[str, list[str], list[str]]]:
             out.append((f"{name} predict", ["predict", *wl.cli[1:3]], ["prediction.json"]))
     # the benchmark's steps make grids of several column blocks; the defaults' coarsest is one block
     out.append(("volterra defaults", ["volterra"], ["volterra_residuals.csv"]))
+    out.append(("volterra top rung", VOLTERRA_TOP_RUNG, ["volterra_residuals.csv"]))
     tabulated, mixed = work / "simulate-tabulated.json", work / "mixed-parity.json"
     tabulated.write_text(json.dumps(TABULATED_CONFIG))
     mixed.write_text(json.dumps(MIXED_PARITY_CONFIG))
