@@ -355,8 +355,8 @@ def test_kernel_nodes_ladder():
 ])
 def test_coveq_residual_kernel_rule_resolves_the_kernels(w, t_max, kappa4):
     """On the kernel_nodes(w t_max) rule the residual matches the 128-node whole-square oracle to
-    1e-13 max(1, w^2, |kappa4|); 32 nodes at w t_max = 30 miss that bound, so the check can see
-    an under-resolved rule."""
+    1e-13 max(1, w^2, |kappa4|); 32 nodes past the 64-node rung's top (w t_max = 30 and up) miss
+    that bound, so the check can see an under-resolved rule."""
     grid = vt.uniform_grid(t_max, t_max / 100)
     bound = 1e-13 * max(1.0, w * w, abs(kappa4))
     oracle = oracles.coveq_residual_full_square(w, kappa4, grid)
