@@ -343,17 +343,18 @@ def _cmd_volterra(args) -> int:
         raise ConfigError(f"--kappa4: expected a finite number, got {args.kappa4!r}", field="--kappa4")
     # as numpy scalars, so that w * w overflowing raises instead of turning inf
     w, kappa4 = np.float64(args.w), np.float64(args.kappa4)
+    size = kernel_nodes(w * args.t_max)  # the table's rule, and the one its manifest records
     try:
         with float_range("--kappa4"):
-            rows = residual_table(h_values, w, kappa4, args.t_max)
+            rows = residual_table(h_values, w, kappa4, args.t_max, size)
     except ConfigError:
         # kappa4 only scales the vvv defect: when the table leaves the float range without it, --w is at fault
         with float_range("--w"):
-            residual_table(h_values, w, np.float64(0.0), args.t_max)
+            residual_table(h_values, w, np.float64(0.0), args.t_max, size)
         raise
     cfg_hash = config_hash({"h": h_values, "w": args.w, "kappa4": args.kappa4, "t_max": args.t_max})
     return _write_outputs(args.out, started, {"volterra_residuals.csv": rows}, cfg_hash, 0, 1,
-                          replica_blas_threads(), kernel_nodes=kernel_nodes(w * args.t_max))
+                          replica_blas_threads(), kernel_nodes=size)
 
 
 def _cmd_lemma(args) -> int:

@@ -168,7 +168,7 @@ def gauss_chebyshev_u(w: float, size: int = DEFAULT_NODES) -> tuple[np.ndarray, 
     """The size-node rule (nodes, weights) at scale w, exact to degree 2 size - 1, built on each call."""
     if w <= 0:
         raise ContractError("scale w must be positive")
-    angles = RULE_ANGLES if size == DEFAULT_NODES else np.arange(1, size + 1, dtype=float) * math.pi / (size + 1)
+    angles = np.arange(1, size + 1, dtype=float) * math.pi / (size + 1)
     nodes = 2.0 * float(w) * np.cos(angles)
     weights = (2.0 / (size + 1)) * np.sin(angles) ** 2
     return nodes, weights

@@ -255,12 +255,14 @@ def v_equation_defect(v: np.ndarray, w: float, h: float, c: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def residual_table(h_values: Sequence[float], w: float, kappa4: float, t_max: float = 2.0) -> list[dict]:
+def residual_table(h_values: Sequence[float], w: float, kappa4: float, t_max: float = 2.0,
+                   size: int | None = None) -> list[dict]:
     """The volterra_residuals.csv rows: residuals and observed orders for the built-in
     cases at each step size, on [0, t_max]; each grid is walked once, coarsest first, and
-    the coveq kernels take the kernel_nodes(w t_max)-node rule on every grid."""
+    the coveq kernels take the size-node rule on every grid, kernel_nodes(w t_max) by default."""
     steps = [float(h) for h in sorted(h_values, reverse=True)]
-    size = kernel_nodes(w * t_max)
+    if size is None:
+        size = kernel_nodes(w * t_max)
     per_grid = []
     with single_blas_thread():  # the arrays are small: more BLAS threads add CPU time, not speed
         v12 = v_of_t(1.0, w) * v_of_t(2.0, w)

@@ -503,8 +503,10 @@ def coveq_residual_full_square(w: float, kappa4: float, grid: np.ndarray) -> flo
     """
     g = np.asarray(grid, float)
     h = float(g[1] - g[0])
-    a, e3, vv, vvv = grid_factors(g, w)  # on the DEFAULT_NODES rule, whatever w t_max
-    a_grid = _cumtrapz(-1j * (e3 @ a.T), h)
+    nodes, weights = gauss_chebyshev_u(w)  # the DEFAULT_NODES rule, whatever w t_max
+    e3 = np.exp(1j * np.multiply.outer(g, nodes)) * weights  # built apart from grid_factors' e
+    a, _, vv, vvv = grid_factors(g, w)
+    a_grid = _cumtrapz(-1j * (e3 @ (a / np.sqrt(weights)).T), h)
     a_grid *= -2.0 * w * w
     a_grid += kappa4 * np.multiply.outer(_cumtrapz(vv.astype(complex), h), vvv)
     cov = 2.0 * w * w * (a @ a.T) + kappa4 * np.multiply.outer(vvv, vvv)

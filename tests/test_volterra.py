@@ -95,6 +95,17 @@ def test_edd_weighted_gemm_matches_loop(w):
     assert np.max(np.abs(got - want)) <= 1e-13
 
 
+@pytest.mark.parametrize("size", [32, 64, 128])
+@pytest.mark.parametrize("w", [0.8, 1.25, 45.0])
+def test_grid_factors_exponential_is_the_weighted_exp(w, size):
+    """grid_factors' second factor, 1 + f with f = e^{i t l} - 1 formed without cancellation, is
+    e^{i t l} sqrt(w_l) to 1e-15 on each rule."""
+    t = np.concatenate([vt.uniform_grid(2.0, 0.01), [-3.5, 8.0]])
+    nodes, weights = gauss_chebyshev_u(w, size)
+    want = np.exp(1j * np.multiply.outer(t, nodes)) * np.sqrt(weights)
+    assert np.max(np.abs(vt.grid_factors(t, w, size)[1] - want)) <= 1e-15
+
+
 def test_v_convolved_with_itself_matches_closed_form():
     h = 1e-3
     vs = v_series(4.0, h)
@@ -366,11 +377,13 @@ def test_coveq_residual_kernel_rule_resolves_the_kernels(w, t_max, kappa4):
 
 
 def test_residual_table_reads_the_kernel_rule():
-    """The table's coveq rows are coveq_residual on the kernel_nodes(w t_max) rule."""
+    """The table's coveq rows are coveq_residual on the kernel_nodes(w t_max) rule, or on the
+    rule whose size the caller passes."""
     w, kappa4 = 9.0, -0.7  # w t_max = 18: the 64-node rung
-    rows = vt.residual_table(h_values=(0.1, 0.05), w=w, kappa4=kappa4, t_max=2.0)
-    coveq = [r["residual"] for r in rows if r["case"] == "coveq"]
-    assert coveq == [vt.coveq_residual(w, kappa4, vt.uniform_grid(2.0, h), 64) for h in (0.1, 0.05)]
+    for size, passed in ((64, None), (128, 128)):
+        rows = vt.residual_table(h_values=(0.1, 0.05), w=w, kappa4=kappa4, t_max=2.0, size=passed)
+        coveq = [r["residual"] for r in rows if r["case"] == "coveq"]
+        assert coveq == [vt.coveq_residual(w, kappa4, vt.uniform_grid(2.0, h), size) for h in (0.1, 0.05)]
 
 
 @pytest.mark.parametrize("points,columns", [(2, 1), (51, 3), (201, 64), (1601, 128)])
